@@ -7,29 +7,14 @@ violation.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-from ktwist.decider import z_omega_of
 from ktwist.io import canonical_json, load_cocycle, resolve_graph
-from ktwist.kgraph import canonical_tail
-from ktwist.oracle import (
-    SuiteResult,
-    build_partition,
-    coboundary_bx,
-    omega_closedform,
-    omega_from_oracle,
-    periodic_base_vertex,
-    suite_centre_phase_triviality,
-    suite_cocycle_identity,
-    suite_conjugation_formula,
-    suite_resolution_independence,
-)
+from ktwist.oracle import omega_closedform, run_suites
 from ktwist.phases import format_phase
-from ktwist.structure import YES, is_cofinal, per_group
 
 PAIRINGS = [
     ("T2.json", "pullback_theta.json"),
@@ -44,29 +29,14 @@ def run_pairing(gname: str, cname: str, cap: int) -> dict:
     fixtures = ROOT / "fixtures"
     g, _ = resolve_graph(str(fixtures / gname))
     c, _ = load_cocycle(str(fixtures / cname), g)
-    P = build_partition(g, 3)
-    suites = [
-        suite_cocycle_identity(g, c, P, depth=1, max_triples=cap),
-        suite_resolution_independence(g, c, P, depth=1),
-    ]
+    suites, _, basis, om = run_suites(g, c, 1, cap)
     block: dict = {"graph": gname, "cocycle": cname}
-    if is_cofinal(g).status == YES:
-        per = per_group(g)
-        basis = tuple(per.lattice.rows)
-        suites.append(suite_conjugation_formula(g, c, P, basis, depth=1, max_checks=cap))
-        if basis:
-            om = omega_from_oracle(g, c, basis)
-            cf = omega_closedform(g, c, basis)
-            block["closed_form_agrees"] = om.antisymmetrization() == cf.antisymmetrization()
-            block["bicharacter_antisymmetrization"] = [
-                [format_phase(x) for x in row] for row in om.antisymmetrization()
-            ]
-            zrows = z_omega_of(om).rows
-            suites.append(suite_centre_phase_triviality(g, c, P, basis, zrows, depth=1))
-            v = periodic_base_vertex(g, basis)
-            bx = coboundary_bx(om, c, P, canonical_tail(g, v), basis)
-            checked, bad = bx.verify_box(1)
-            suites.append(SuiteResult("coboundary_box", checked, tuple(bad)))
+    if om is not None:
+        cf = omega_closedform(g, c, basis)
+        block["closed_form_agrees"] = om.antisymmetrization() == cf.antisymmetrization()
+        block["bicharacter_antisymmetrization"] = [
+            [format_phase(x) for x in row] for row in om.antisymmetrization()
+        ]
     block["suites"] = [s.to_jsonable() for s in suites]
     block["ok"] = all(s.ok for s in suites)
     return block

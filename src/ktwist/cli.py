@@ -13,13 +13,7 @@ import argparse
 import sys
 
 from .cocycles import validate_cocycle
-from .decider import (
-    SIMPLE,
-    NONSIMPLE,
-    DecisionBounds,
-    decide_simplicity,
-    z_omega_of,
-)
+from .decider import SIMPLE, NONSIMPLE, DecisionBounds, decide_simplicity
 from .io import (
     FileFormatError,
     load_cocycle,
@@ -27,20 +21,8 @@ from .io import (
     resolve_graph,
     serialize_report,
 )
-from .kgraph import ComposabilityError, canonical_tail, validate_kgraph
-from .oracle import (
-    DepthError,
-    SuiteResult,
-    build_partition,
-    coboundary_bx,
-    omega_closedform,
-    omega_from_oracle,
-    periodic_base_vertex,
-    suite_centre_phase_triviality,
-    suite_cocycle_identity,
-    suite_conjugation_formula,
-    suite_resolution_independence,
-)
+from .kgraph import ComposabilityError, validate_kgraph
+from .oracle import DepthError, omega_closedform, omega_from_oracle, run_suites
 from .phases import format_phase
 from .structure import YES, is_aperiodic, is_cofinal, per_group
 
@@ -205,31 +187,7 @@ def cmd_simplicity(args) -> int:
 def cmd_oracle(args) -> int:
     g, gdigest = resolve_graph(args.graph)
     c, cdigest = load_cocycle(args.cocycle, g)
-    element_depth = max(1, args.depth - 1)
-    P = build_partition(g, 3 * element_depth)
-    suites: list[SuiteResult] = [
-        suite_cocycle_identity(g, c, P, depth=element_depth, max_triples=args.max_triples),
-        suite_resolution_independence(g, c, P, depth=element_depth),
-    ]
-    notes = []
-    if is_cofinal(g).status == YES:
-        per = per_group(g)
-        basis = tuple(per.lattice.rows)
-        suites.append(suite_conjugation_formula(g, c, P, basis, depth=element_depth, max_checks=args.max_triples))
-        if basis:
-            om = omega_from_oracle(g, c, basis)
-            zrows = z_omega_of(om).rows
-            suites.append(
-                suite_centre_phase_triviality(g, c, P, basis, zrows, depth=element_depth)
-            )
-            v = periodic_base_vertex(g, basis)
-            bx = coboundary_bx(om, c, P, canonical_tail(g, v), basis)
-            checked, bad = bx.verify_box(element_depth)
-            suites.append(SuiteResult("coboundary_box", checked, tuple(bad)))
-        else:
-            notes.append("trivial period lattice; centre and coboundary suites are vacuous")
-    else:
-        notes.append("cofinality not certified; period-dependent suites skipped")
+    suites, notes, _, _ = run_suites(g, c, args.depth, args.max_triples)
     body = {"suites": [s.to_jsonable() for s in suites], "notes": notes}
     lines = []
     for s in suites:

@@ -30,14 +30,13 @@ from .cocycles import BicharacterTable, CocycleSpec, OneCocyclePhi, PhiOmegaCocy
 from .kgraph import KGraph, product_base
 from .lattices import (
     LatticeBasis,
-    annihilator_lattice,
     hnf,
     integral_pairing_lattice,
     kronecker_dense,
     verify_kronecker,
 )
-from .oracle import omega_from_oracle
-from .phases import PhaseExponent, PhaseVector, format_phase, pair_int, phase_is_trivial, vec_sub
+from .oracle import omega_from_oracle, z_omega_of
+from .phases import PhaseExponent, PhaseVector, format_phase, pair_int, phase_is_trivial
 from .structure import (
     NO,
     UNKNOWN,
@@ -56,15 +55,6 @@ NONSIMPLE = "CERTIFIED_NONSIMPLE"
 
 
 # --- the degeneracy sublattice ----------------------------------------------
-
-
-def z_omega_of(omega: BicharacterTable) -> LatticeBasis:
-    """Integer vectors whose bicharacter commutator with everything is trivial."""
-    return annihilator_lattice(omega.antisymmetrization(), omega.rank)
-
-
-def nc_torus_simple(omega: BicharacterTable) -> bool:
-    return z_omega_of(omega).is_trivial()
 
 
 def verify_z_omega(omega: BicharacterTable, z: LatticeBasis, radius: int = 2) -> bool:

@@ -33,10 +33,6 @@ def sub(a: Degree, b: Degree) -> Degree:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
-def neg(a: Degree) -> Degree:
-    return tuple(-x for x in a)
-
-
 def leq(a: Degree, b: Degree) -> bool:
     """Componentwise a <= b."""
     return all(x <= y for x, y in zip(a, b, strict=True))

@@ -22,10 +22,9 @@ from .cocycles import (
     PullbackCocycle,
     TableCocycle,
 )
+from . import __version__
 from .kgraph import Edge, KGraph, Square, builtin, validate_kgraph
 from .phases import PhaseExponent, PhaseSyntaxError, format_phase, parse_phase
-
-TOOL_VERSION = "0.1.0"
 
 
 class FileFormatError(ValueError):
@@ -312,7 +311,7 @@ def load_cocycle(path: str, g: KGraph) -> tuple[CocycleSpec, str]:
 def report_document(command: str, inputs: dict[str, str], body: dict) -> dict:
     return {
         "tool": "ktwist",
-        "version": TOOL_VERSION,
+        "version": __version__,
         "command": command,
         "inputs": dict(sorted(inputs.items())),
         **body,

@@ -397,9 +397,6 @@ class EventuallyPeriodicPath:
         seg = self.segment_to(n)
         return self.graph.factorize(seg, m)[1]
 
-    def vertex_at(self, n: Degree) -> str:
-        return self.segment_to(n).source
-
     def shift(self, n: Degree) -> "EventuallyPeriodicPath":
         """The path T^n x."""
         mat = self._materialize(n)
@@ -534,21 +531,3 @@ def product_base(g: KGraph, l: int) -> KGraph:
     name = g.name.split("xT")[0] if "xT" in g.name else ""
     return KGraph(base_k, g.vertices, edges, squares, name=name)
 
-
-# --- module-level wrappers (the functional API) ----------------------------
-
-
-def compose(g: KGraph, p: Path, q: Path) -> Path:
-    return g.compose(p, q)
-
-
-def factorize(g: KGraph, p: Path, m: Degree) -> tuple[Path, Path]:
-    return g.factorize(p, m)
-
-
-def segment(g: KGraph, p: Path, m: Degree, n: Degree) -> Path:
-    return g.segment(p, m, n)
-
-
-def paths_from(g: KGraph, v: str, n: Degree) -> list[Path]:
-    return g.paths_from(v, n)

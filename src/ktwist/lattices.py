@@ -112,52 +112,6 @@ def kernel(rows, width: int) -> tuple[IntRow, ...]:
     return hnf(gens) if gens else ()
 
 
-def snf_invariants(rows) -> tuple[int, ...]:
-    """Invariant factors d1 | d2 | ... of the integer matrix (nonzero ones)."""
-    M = [list(r) for r in rows if any(r)]
-    if not M:
-        return ()
-    out: list[int] = []
-    while M and any(any(r) for r in M):
-        # move a nonzero entry of minimal magnitude to (0, 0)
-        while True:
-            best = None
-            for i, row in enumerate(M):
-                for j, x in enumerate(row):
-                    if x and (best is None or abs(x) < abs(best[2])):
-                        best = (i, j, x)
-            if best is None:
-                return tuple(out)
-            i, j, _ = best
-            M[0], M[i] = M[i], M[0]
-            for row in M:
-                row[0], row[j] = row[j], row[0]
-            p = M[0][0]
-            dirty = False
-            for r in range(1, len(M)):
-                q = M[r][0] // p
-                if q:
-                    M[r] = [x - q * y for x, y in zip(M[r], M[0])]
-                if M[r][0]:
-                    dirty = True
-            for c in range(1, len(M[0])):
-                q = M[0][c] // p
-                if q:
-                    for row in M:
-                        row[c] -= q * row[0]
-                if M[0][c]:
-                    dirty = True
-            if not dirty:
-                # p must also divide the rest of the matrix
-                bad = next(((r, c) for r in range(1, len(M)) for c in range(1, len(M[0])) if M[r][c] % p), None)
-                if bad is None:
-                    break
-                M[0] = [x + y for x, y in zip(M[0], M[bad[0]])]
-        out.append(abs(M[0][0]))
-        M = [row[1:] for row in M[1:]]
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class LatticeBasis:
     """Sublattice of Z^dim in canonical HNF row form."""
@@ -202,44 +156,6 @@ class LatticeBasis:
 
     def to_jsonable(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
-
-
-def lattice_sum(a: LatticeBasis, b: LatticeBasis) -> LatticeBasis:
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    return LatticeBasis.from_rows(a.rows + b.rows, a.dim)
-
-
-def lattice_intersection(a: LatticeBasis, b: LatticeBasis) -> LatticeBasis:
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    if a.is_trivial() or b.is_trivial():
-        return LatticeBasis.trivial(a.dim)
-    stacked = list(a.rows) + [tuple(-x for x in r) for r in b.rows]
-    ker = kernel(stacked, a.dim)
-    rows = []
-    for x in ker:
-        u = x[: len(a.rows)]
-        vec = [0] * a.dim
-        for coef, row in zip(u, a.rows):
-            for j in range(a.dim):
-                vec[j] += coef * row[j]
-        rows.append(tuple(vec))
-    return LatticeBasis.from_rows(rows, a.dim)
-
-
-def _ortho(rows, dim: int) -> tuple[IntRow, ...]:
-    """{x in Z^dim : x . r = 0 for all rows r}."""
-    if not rows:
-        return LatticeBasis.full(dim).rows
-    cols = [tuple(r[j] for r in rows) for j in range(dim)]
-    # x . r = 0 for all r  <=>  x * M = 0 with M[j] = (r1[j], r2[j], ...)
-    return kernel(cols, len(rows))
-
-
-def lattice_saturation(a: LatticeBasis) -> LatticeBasis:
-    """Largest sublattice with the same Q-span (integer points of the span)."""
-    return LatticeBasis(a.dim, hnf(_ortho(_ortho(a.rows, a.dim), a.dim)))
 
 
 # --- phase pairing lattices -------------------------------------------------
@@ -316,24 +232,30 @@ def annihilator_lattice(A, dim: int) -> LatticeBasis:
 # --- Kronecker density with certificates ------------------------------------
 
 
-def _det_gauss(M: list[list[Fraction]]) -> Fraction:
-    n = len(M)
-    M = [row[:] for row in M]
+def _eliminate(rows: list[list[Fraction]]) -> tuple[int, Fraction]:
+    """Rank of the rows by Fraction elimination, and the determinant when square.
+
+    The determinant is 0 when the rank is below the row count.
+    """
+    rows = [row[:] for row in rows]
+    rank = 0
     det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c]), None)
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
             det = -det
-        det *= M[c][c]
-        inv = 1 / M[c][c]
-        for r in range(c + 1, n):
-            if M[r][c]:
-                f = M[r][c] * inv
-                M[r] = [x - f * y for x, y in zip(M[r], M[c])]
-    return det
+        det *= rows[rank][c]
+        inv = 1 / rows[rank][c]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][c]:
+                f = rows[r][c] * inv
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank, det if rank == len(rows) else Fraction(0)
 
 
 def det_cofactor(M: list[list[Fraction]]) -> Fraction:
@@ -381,40 +303,20 @@ def kronecker_dense(gens: list[PhaseVector], d: int) -> KroneckerResult:
     for idx, (_, _, col) in enumerate(cols):
         if len(chosen) == d:
             break
-        trial = basis + [list(col)]
-        square = [row[:] for row in trial]
-        # rank probe: eliminate; keep the column iff it enlarges the rank
-        if _rank_frac(square) > len(basis):
+        # rank probe: keep the column iff it enlarges the rank
+        if _eliminate(basis + [list(col)])[0] > len(basis):
             basis.append(list(col))
             chosen.append(idx)
     if len(chosen) != d:
         raise AssertionError("annihilator trivial but full-rank witness not found")
     minor = [[basis[r][c] for r in range(d)] for c in range(d)]
-    det = _det_gauss(minor)
+    _, det = _eliminate(minor)
     cert = {
         "kind": "irrational_full_rank",
         "columns": [[cols[i][0], cols[i][1]] for i in chosen],
         "det": str(det),
     }
     return KroneckerResult(True, d, ann, cert)
-
-
-def _rank_frac(rows: list[list[Fraction]]) -> int:
-    rows = [row[:] for row in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][c]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][c]:
-                f = rows[r][c] * inv
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
 
 
 def verify_kronecker(gens: list[PhaseVector], d: int, result: KroneckerResult) -> bool:

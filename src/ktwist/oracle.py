@@ -24,8 +24,9 @@ from . import degrees as dg
 from .degrees import Degree
 from .cocycles import BicharacterTable, CocycleSpec, cocycle_value
 from .kgraph import EventuallyPeriodicPath, KGraph, Path, canonical_tail
+from .lattices import LatticeBasis, annihilator_lattice
 from .phases import PhaseExponent, phase_is_trivial
-from .structure import periodic_at
+from .structure import YES, is_cofinal, per_group, periodic_at
 
 
 class DepthError(RuntimeError):
@@ -63,9 +64,6 @@ class GroupoidElement:
 
     def inverse(self) -> "GroupoidElement":
         return GroupoidElement(self.nu, self.mu, self.tail)
-
-    def is_unit(self) -> bool:
-        return dg.is_zero(self.degree) and self.range_path() == self.source_path()
 
     def cancelled(self) -> "GroupoidElement":
         """Strip common source-end edges of mu and nu into the tail."""
@@ -444,26 +442,12 @@ def omega_closedform(
     return BicharacterTable(l, tuple(rows))
 
 
+def z_omega_of(omega: BicharacterTable) -> LatticeBasis:
+    """Integer vectors whose bicharacter commutator with everything is trivial."""
+    return annihilator_lattice(omega.antisymmetrization(), omega.rank)
+
+
 # --- coboundary reconstruction ----------------------------------------------
-
-
-class IsotropyTable:
-    """Memoized generator-coordinate view of the isotropy cocycle at x."""
-
-    def __init__(self, c: CocycleSpec, P: PartitionP, x: EventuallyPeriodicPath, per_basis):
-        self.c = c
-        self.P = P
-        self.x = x
-        self.per_basis = tuple(per_basis)
-        self._memo: dict = {}
-
-    def sigma(self, m: Degree, n: Degree) -> PhaseExponent:
-        key = (tuple(m), tuple(n))
-        if key not in self._memo:
-            self._memo[key] = isotropy_restriction(
-                self.c, self.P, self.x, ambient(self.per_basis, m), ambient(self.per_basis, n)
-            )
-        return self._memo[key]
 
 
 class CoboundaryBx:
@@ -478,14 +462,16 @@ class CoboundaryBx:
         l = len(per_basis)
         if omega_target.rank != l:
             raise ValueError("target rank does not match the generator count")
-        self.table = IsotropyTable(c, P, x, per_basis)
+        self.c = c
+        self.P = P
+        self.x = x
+        self.per_basis = per_basis
         self.omega = omega_target
         self.l = l
+        self._sigma: dict = {}
         self._memo: dict[Degree, PhaseExponent] = {dg.zero(l): PhaseExponent.zero()}
         for i in range(l):
-            for j in range(l):
-                if i >= j:
-                    continue
+            for j in range(i + 1, l):
                 ei, ej = dg.unit(l, i + 1), dg.unit(l, j + 1)
                 diff = (self.ctilde(ei, ej) - self.ctilde(ej, ei))
                 if not phase_is_trivial(diff):
@@ -493,8 +479,17 @@ class CoboundaryBx:
                         "target bicharacter has a different antisymmetrization; not cohomologous"
                     )
 
+    def sigma(self, m: Degree, n: Degree) -> PhaseExponent:
+        """The isotropy cocycle at x on generator coordinates, memoized."""
+        key = (tuple(m), tuple(n))
+        if key not in self._sigma:
+            self._sigma[key] = isotropy_restriction(
+                self.c, self.P, self.x, ambient(self.per_basis, m), ambient(self.per_basis, n)
+            )
+        return self._sigma[key]
+
     def ctilde(self, m: Degree, n: Degree) -> PhaseExponent:
-        return self.table.sigma(m, n) - self.omega.value(m, n)
+        return self.sigma(m, n) - self.omega.value(m, n)
 
     def value(self, m: Degree) -> PhaseExponent:
         m = tuple(m)
@@ -523,16 +518,6 @@ class CoboundaryBx:
         return checked, bad
 
 
-def coboundary_bx(
-    omega_target: BicharacterTable,
-    c: CocycleSpec,
-    P: PartitionP,
-    x: EventuallyPeriodicPath,
-    per_basis: tuple[Degree, ...],
-) -> CoboundaryBx:
-    return CoboundaryBx(omega_target, c, P, x, per_basis)
-
-
 # --- property suites --------------------------------------------------------
 
 
@@ -555,36 +540,31 @@ class SuiteResult:
         }
 
 
-def composable_triples(g: KGraph, depth, shift_cap: int = 1):
-    """Deterministic stream of composable element triples (a, b, c).
+def _elements_at(g: KGraph, v: str, d: Degree) -> list[GroupoidElement]:
+    """Elements (mu, nu) over the canonical tail at v, both degrees in the box d."""
+    z = canonical_tail(g, v)
+    return [
+        GroupoidElement(mu, nu, z)
+        for m in dg.box(d)
+        for n in dg.box(d)
+        for mu in g.paths_from(v, m)
+        for nu in g.paths_from(v, n)
+    ]
 
-    The middle element is built from a source-matched pair over a
-    canonical tail; the outer two are grafted onto its boundary paths at
-    small shifts, so all three compositions exist by construction.
+
+def _left_factors(g: KGraph, b: GroupoidElement, d: Degree, s: Degree) -> list[GroupoidElement]:
+    """Elements a with a.b defined, grafted onto b's range path shifted by s.
+
+    Their first path runs over the box d; the right factors of b are the
+    inverses of the left factors of b's inverse.
     """
-    d = _as_degree(g, depth)
-    shifts = [dg.scale(t, (1,) * g.k) for t in range(shift_cap + 1)]
-    for v in sorted(g.vertices):
-        z = canonical_tail(g, v)
-        inner: list[GroupoidElement] = []
-        for m in dg.box(d):
-            for n in dg.box(d):
-                for mu in g.paths_from(v, m):
-                    for nu in g.paths_from(v, n):
-                        inner.append(GroupoidElement(mu, nu, z))
-        for b in inner:
-            u = b.range_path()
-            w = b.source_path()
-            for s in shifts:
-                us = u.shift(s)
-                ws = w.shift(s)
-                for m in dg.box(d):
-                    for mu in g.paths_from(us.range, m):
-                        a = GroupoidElement(mu, u.segment_to(s), us)
-                        for n in dg.box(d):
-                            for nu in g.paths_from(ws.range, n):
-                                cc = GroupoidElement(w.segment_to(s), nu, ws)
-                                yield a, b, cc
+    u = b.range_path()
+    us = u.shift(s)
+    return [
+        GroupoidElement(mu, u.segment_to(s), us)
+        for m in dg.box(d)
+        for mu in g.paths_from(us.range, m)
+    ]
 
 
 def suite_cocycle_identity(
@@ -597,40 +577,28 @@ def suite_cocycle_identity(
 ) -> SuiteResult:
     """sigma(a,b) + sigma(ab,c) = sigma(b,c) + sigma(a,bc) on sampled triples.
 
-    Values and compositions involving the shared middle element are hoisted
-    so each extra triple costs two cocycle evaluations.
+    The middle element b runs over source-matched pairs over a canonical
+    tail; a and c are grafted onto its boundary paths at small shifts, so
+    all compositions exist by construction.  Values and compositions
+    involving b are hoisted so each extra triple costs two cocycle
+    evaluations.
     """
     d = _as_degree(g, depth)
     shifts = [dg.scale(t, (1,) * g.k) for t in range(shift_cap + 1)]
     checked = 0
     bad = []
     for v in sorted(g.vertices):
-        z = canonical_tail(g, v)
-        inner: list[GroupoidElement] = []
-        for m in dg.box(d):
-            for n in dg.box(d):
-                for mu in g.paths_from(v, m):
-                    for nu in g.paths_from(v, n):
-                        inner.append(GroupoidElement(mu, nu, z))
-        for b in inner:
-            u = b.range_path()
-            w = b.source_path()
-            lefts = []
-            for s in shifts:
-                us = u.shift(s)
-                mid = u.segment_to(s)
-                for m in dg.box(d):
-                    for mu in g.paths_from(us.range, m):
-                        a = GroupoidElement(mu, mid, us)
-                        lefts.append((a, sigma_c(c, P, a, b), compose_elements(a, b)))
-            rights = []
-            for s in shifts:
-                ws = w.shift(s)
-                mid = w.segment_to(s)
-                for n in dg.box(d):
-                    for nu in g.paths_from(ws.range, n):
-                        cc = GroupoidElement(mid, nu, ws)
-                        rights.append((cc, sigma_c(c, P, b, cc), compose_elements(b, cc)))
+        for b in _elements_at(g, v, d):
+            lefts = [
+                (a, sigma_c(c, P, a, b), compose_elements(a, b))
+                for s in shifts
+                for a in _left_factors(g, b, d, s)
+            ]
+            rights = [
+                (cc, sigma_c(c, P, b, cc), compose_elements(b, cc))
+                for s in shifts
+                for cc in (x.inverse() for x in _left_factors(g, b.inverse(), d, s))
+            ]
             for a, s_ab, ab in lefts:
                 for cc, s_bc, bc in rights:
                     lhs = s_ab + sigma_c(c, P, ab, cc)
@@ -646,17 +614,25 @@ def suite_cocycle_identity(
 def suite_resolution_independence(
     g: KGraph, c: CocycleSpec, P: PartitionP, depth=1, max_pairs: int = 200
 ) -> SuiteResult:
-    """Recompute sampled values with three paddings; sigma_c asserts agreement."""
+    """Recompute sigma(a, b) with three paddings; sigma_c asserts agreement.
+
+    Runs over distinct pairs: b as in the cocycle identity suite, a over
+    its unshifted left factors.
+    """
+    d = _as_degree(g, depth)
+    zero = dg.zero(g.k)
     checked = 0
     bad = []
-    for a, b, _ in composable_triples(g, depth, shift_cap=0):
-        try:
-            sigma_c(c, P, a, b, paddings=(0, 1, 2))
-        except RuntimeError as err:
-            bad.append(str(err))
-        checked += 1
-        if checked >= max_pairs:
-            break
+    for v in sorted(g.vertices):
+        for b in _elements_at(g, v, d):
+            for a in _left_factors(g, b, d, zero):
+                try:
+                    sigma_c(c, P, a, b, paddings=(0, 1, 2))
+                except RuntimeError as err:
+                    bad.append(str(err))
+                checked += 1
+                if checked >= max_pairs:
+                    return SuiteResult("resolution_independence", checked, tuple(bad))
     return SuiteResult("resolution_independence", checked, tuple(bad))
 
 
@@ -685,18 +661,11 @@ def suite_conjugation_formula(
     checked = 0
     bad = []
     d = _as_degree(g, depth)
-    periods = [p for p in _period_samples(per_basis, radius)]
+    periods = list(_period_samples(per_basis, radius))
     for v in sorted(g.vertices):
         if not all(periodic_at(g, p, v) for p in per_basis):
             continue
-        z = canonical_tail(g, v)
-        elements = []
-        for m in dg.box(d):
-            for n in dg.box(d):
-                for mu in g.paths_from(v, m):
-                    for nu in g.paths_from(v, n):
-                        elements.append(GroupoidElement(mu, nu, z))
-        for a in elements:
+        for a in _elements_at(g, v, d):
             xr = a.range_path()
             xs = a.source_path()
             r_at: dict[Degree, PhaseExponent] = {}
@@ -769,3 +738,39 @@ def suite_centre_phase_triviality(
                         bad.append(f"nontrivial phase {val!r} at ({gamma!r}, {p})")
                     checked += 1
     return SuiteResult("centre_phase_triviality", checked, tuple(bad))
+
+
+# --- the suite pipeline -----------------------------------------------------
+
+
+def run_suites(
+    g: KGraph, c: CocycleSpec, depth: int, cap: int
+) -> tuple[list[SuiteResult], list[str], tuple[Degree, ...], BicharacterTable | None]:
+    """Run every property suite that applies to the graph.
+
+    Elements come from the degree box max(1, depth - 1) and the partition
+    from three times that box; `cap` bounds the sampled identity triples
+    and conjugation checks.  The period-dependent suites need certified
+    cofinality, and the centre and coboundary suites a nontrivial period
+    lattice.  Returns the suites, notes on the suites skipped, the period
+    basis and the bicharacter the suites used (None when none did).
+    """
+    element_depth = max(1, depth - 1)
+    P = build_partition(g, 3 * element_depth)
+    suites = [
+        suite_cocycle_identity(g, c, P, depth=element_depth, max_triples=cap),
+        suite_resolution_independence(g, c, P, depth=element_depth),
+    ]
+    if is_cofinal(g).status != YES:
+        return suites, ["cofinality not certified; period-dependent suites skipped"], (), None
+    basis = tuple(per_group(g).lattice.rows)
+    suites.append(suite_conjugation_formula(g, c, P, basis, depth=element_depth, max_checks=cap))
+    if not basis:
+        return suites, ["trivial period lattice; centre and coboundary suites are vacuous"], basis, None
+    om = omega_from_oracle(g, c, basis)
+    zrows = z_omega_of(om).rows
+    suites.append(suite_centre_phase_triviality(g, c, P, basis, zrows, depth=element_depth))
+    x = canonical_tail(g, periodic_base_vertex(g, basis))
+    checked, bad = CoboundaryBx(om, c, P, x, basis).verify_box(element_depth)
+    suites.append(SuiteResult("coboundary_box", checked, tuple(bad)))
+    return suites, [], basis, om

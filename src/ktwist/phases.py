@@ -174,10 +174,6 @@ def format_phase(p: PhaseExponent) -> str:
 PhaseVector = tuple[PhaseExponent, ...]
 
 
-def phase_vector(*entries) -> PhaseVector:
-    return tuple(e if isinstance(e, PhaseExponent) else PhaseExponent(_as_fraction(e)) for e in entries)
-
-
 def zero_vector(d: int) -> PhaseVector:
     return (PhaseExponent.zero(),) * d
 
@@ -188,10 +184,6 @@ def vec_add(a: PhaseVector, b: PhaseVector) -> PhaseVector:
 
 def vec_sub(a: PhaseVector, b: PhaseVector) -> PhaseVector:
     return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vec_neg(a: PhaseVector) -> PhaseVector:
-    return tuple(-x for x in a)
 
 
 def pair_int(n: Iterable[int], v: PhaseVector) -> PhaseExponent:
@@ -205,7 +197,3 @@ def pair_int(n: Iterable[int], v: PhaseVector) -> PhaseExponent:
 
 def phase_is_trivial(p: PhaseExponent) -> bool:
     return p.is_trivial()
-
-
-def vector_is_trivial(v: PhaseVector) -> bool:
-    return all(x.is_trivial() for x in v)

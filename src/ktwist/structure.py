@@ -10,15 +10,15 @@ than guess.
 Periodicity of the shift action is decided exactly per vertex by a finite
 automaton on sliding windows: a window of degree join(a, b) determines
 both compared slices of every one-step extension, so a BFS over reachable
-windows either proves T^a x = T^b x for all x from the vertex or finds a
-finite witness path where the slices differ.  The group of periods is the
+windows either proves T^a x = T^b x for all x from the vertex or reaches
+a window where the slices differ.  The group of periods is the
 lattice of integer vectors accepted at every vertex, computed over a box
 of candidates and canonicalized.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import degrees as dg
 from .degrees import Degree
@@ -158,37 +158,18 @@ def verify_cofinality(g: KGraph, res: Verdict) -> bool:
 # --- shift periodicity ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PeriodicityWitness:
-    vertex: str
-    word: tuple[str, ...]
-    offset: Degree
-    color: int
-
-    def to_jsonable(self) -> dict:
-        return {
-            "vertex": self.vertex,
-            "word": list(self.word),
-            "offset": list(self.offset),
-            "color": self.color,
-        }
-
-
-def periodic_at_offsets(g: KGraph, v: str, a: Degree, b: Degree) -> tuple[bool, PeriodicityWitness | None]:
+def periodic_at_offsets(g: KGraph, v: str, a: Degree, b: Degree) -> bool:
     """Does every infinite path x from v satisfy T^a x = T^b x?
 
     Explores windows w = x(u, u+c) with c = join(a, b); on each one-step
     extension the two compared slices both sit inside the extended window,
-    so a reachable mismatch is exactly a violation, returned as a finite
-    witness path with the violating offset and color.
+    so a reachable mismatch is exactly a violation.
     """
     if a == b:
-        return True, None
+        return True
     c = dg.join(a, b)
-    # parent[state] = (previous state, extension edge id) for witness recovery
-    start = {p: None for p in g.paths_from(v, c)}
-    parent: dict[Path, tuple[Path, str] | None] = dict(start)
-    frontier = list(start)
+    frontier = list(g.paths_from(v, c))
+    seen = set(frontier)
     while frontier:
         nxt = []
         for w in frontier:
@@ -197,52 +178,18 @@ def periodic_at_offsets(g: KGraph, v: str, a: Degree, b: Degree) -> tuple[bool, 
                 for e in g.in_edges(w.source, i):
                     lam = g.compose(w, g.edge_path(e.id))
                     if g.segment(lam, a, dg.add(a, ei)) != g.segment(lam, b, dg.add(b, ei)):
-                        word = [e.id]
-                        cur = w
-                        while parent[cur] is not None:
-                            cur, eid = parent[cur]
-                            word.append(eid)
-                        word.reverse()
-                        full = g.make_path(v, list(cur.word) + word)
-                        steps = dg.sub(dg.sub(full.degree, c), ei)
-                        return False, PeriodicityWitness(v, full.word, steps, i)
+                        return False
                     new = g.segment(lam, ei, dg.add(c, ei))
-                    if new not in parent:
-                        parent[new] = (w, e.id)
+                    if new not in seen:
+                        seen.add(new)
                         nxt.append(new)
         frontier = nxt
-    return True, None
+    return True
 
 
 def periodic_at(g: KGraph, p: Degree, v: str) -> bool:
     """Is the integer vector p a shift period for every infinite path from v?"""
-    ok, _ = periodic_at_offsets(g, v, dg.pos_part(p), dg.neg_part(p))
-    return ok
-
-
-def verify_periodicity_witness(g: KGraph, a: Degree, b: Degree, wit: PeriodicityWitness) -> bool:
-    """Recheck that the witness path breaks T^a x = T^b x at its offset."""
-    try:
-        p = g.make_path(wit.vertex, wit.word)
-    except Exception:
-        return False
-    ei = dg.unit(g.k, wit.color)
-    u = wit.offset
-    if not dg.leq(dg.add(dg.add(u, dg.join(a, b)), ei), p.degree):
-        return False
-    return g.segment(p, dg.add(u, a), dg.add(dg.add(u, a), ei)) != g.segment(
-        p, dg.add(u, b), dg.add(dg.add(u, b), ei)
-    )
-
-
-def periodic_everywhere(g: KGraph, p: Degree) -> tuple[bool, PeriodicityWitness | None]:
-    """Is p a period of the shift at every vertex?"""
-    a, b = dg.pos_part(p), dg.neg_part(p)
-    for v in g.vertices:
-        ok, wit = periodic_at_offsets(g, v, a, b)
-        if not ok:
-            return False, wit
-    return True, None
+    return periodic_at_offsets(g, v, dg.pos_part(p), dg.neg_part(p))
 
 
 @dataclass(frozen=True)
@@ -290,7 +237,7 @@ def per_group(g: KGraph, bound: Degree | int | None = None) -> PeriodicityResult
             continue
         checked += 1
         a, b = dg.pos_part(p), dg.neg_part(p)
-        hits = [v for v in g.vertices if periodic_at_offsets(g, v, a, b)[0]]
+        hits = [v for v in g.vertices if periodic_at_offsets(g, v, a, b)]
         for v in hits:
             per_vertex[v].add(p)
         if len(hits) == len(g.vertices):
@@ -310,8 +257,7 @@ def is_aperiodic(g: KGraph, bound: Degree | int | None = None) -> Verdict:
             continue
         a, b = dg.pos_part(p), dg.neg_part(p)
         for v in g.vertices:
-            ok, _ = periodic_at_offsets(g, v, a, b)
-            if ok:
+            if periodic_at_offsets(g, v, a, b):
                 return Verdict(
                     NO,
                     {"kind": "period_witness", "p": list(p), "vertex": v},
@@ -341,7 +287,7 @@ def pair_relation(g: KGraph, mu: Path, nu: Path) -> bool:
         right = g.compose(nu, g.factorize(w, b)[0])
         if left != right:
             return False
-    return periodic_at_offsets(g, mu.source, a, b)[0]
+    return periodic_at_offsets(g, mu.source, a, b)
 
 
 def local_periodicity_pair(g: KGraph, bound: Degree | int | None = None):

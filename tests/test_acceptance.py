@@ -28,7 +28,7 @@ from ktwist.oracle import (
     suite_centre_phase_triviality,
     suite_cocycle_identity,
     suite_conjugation_formula,
-    coboundary_bx,
+    CoboundaryBx,
 )
 from ktwist.kgraph import canonical_tail
 from ktwist.phases import PhaseExponent
@@ -204,7 +204,7 @@ def test_criterion_7_groupoid_oracle_suites():
         basis = tuple(per_group(g).lattice.rows)
         om = omega_from_oracle(g, c, basis)
         x = canonical_tail(g, "v")
-        bx = coboundary_bx(om, c, build_partition(g, 6), x, basis)
+        bx = CoboundaryBx(om, c, build_partition(g, 6), x, basis)
         checked, problems = bx.verify_box(3)
         assert not problems
         assert checked == 49 * 49

@@ -12,10 +12,10 @@ from ktwist.cocycles import (
 from ktwist.decider import z_omega_of
 from ktwist.kgraph import builtin, canonical_tail
 from ktwist.oracle import (
+    CoboundaryBx,
     DepthError,
     GroupoidElement,
     build_partition,
-    coboundary_bx,
     compose_elements,
     cylinders_intersect,
     isotropy_element,
@@ -281,7 +281,7 @@ def test_coboundary_box_t2(t2, t2_cocycle):
     basis = tuple(per.lattice.rows)
     om = omega_from_oracle(t2, t2_cocycle, basis)
     P6 = build_partition(t2, 6)
-    bx = coboundary_bx(om, t2_cocycle, P6, canonical_tail(t2, "v"), basis)
+    bx = CoboundaryBx(om, t2_cocycle, P6, canonical_tail(t2, "v"), basis)
     checked, bad = bx.verify_box(3)
     assert checked == 49 * 49
     assert not bad
@@ -292,7 +292,7 @@ def test_coboundary_rejects_wrong_target(t2, t2_cocycle, t2_partition):
     basis = tuple(per.lattice.rows)
     wrong = BicharacterTable.zero(2)
     with pytest.raises(ValueError):
-        coboundary_bx(wrong, t2_cocycle, t2_partition, canonical_tail(t2, "v"), basis)
+        CoboundaryBx(wrong, t2_cocycle, t2_partition, canonical_tail(t2, "v"), basis)
 
 
 # --- property suites --------------------------------------------------------
@@ -313,9 +313,21 @@ def test_suite_identity_b2xt1(b2xt1, b2xt1_cocycle, b2xt1_partition):
 
 
 def test_suite_resolution(t2, t2_cocycle, t2_partition):
+    # T2 has 64 distinct pairs at depth 1, fewer than the cap
     res = suite_resolution_independence(t2, t2_cocycle, t2_partition, depth=1, max_pairs=100)
     assert res.ok
-    assert res.checked == 100
+    assert res.checked == 64
+
+
+@pytest.mark.parametrize("name, pairs", [("T2", 64), ("B2", 27), ("DISJOINT2", 16), ("B2xT1", 200)])
+def test_suite_resolution_checks_each_pair_once(name, pairs):
+    # at depth 1 the pairs (a, b) number 16 * 4, 9 * 3, 2 * 4 * 2 and
+    # 36 * 6; the last stops at the default cap of 200
+    g = builtin(name)
+    c = PullbackCocycle(((zero,) * g.k,) * g.k)
+    res = suite_resolution_independence(g, c, build_partition(g, 3), depth=1)
+    assert res.ok
+    assert res.checked == pairs
 
 
 def test_suite_conjugation(t2, t2_cocycle, t2_partition):
