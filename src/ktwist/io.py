@@ -48,6 +48,12 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _as_list(x, where: str) -> list:
+    if not isinstance(x, list):
+        raise FileFormatError(f"{where}: expected a list")
+    return x
+
+
 def _as_str_list(x, where: str) -> list[str]:
     if not isinstance(x, list) or not all(isinstance(s, str) for s in x):
         raise FileFormatError(f"{where}: expected a list of strings")
@@ -82,7 +88,7 @@ def graph_from_jsonable(obj) -> KGraph:
     vertices = tuple(_as_str_list(_need(obj, "vertices", "graph"), "graph.vertices"))
     vset = set(vertices)
     edges = []
-    for idx, e in enumerate(_need(obj, "edges", "graph")):
+    for idx, e in enumerate(_as_list(_need(obj, "edges", "graph"), "graph.edges")):
         where = f"graph.edges[{idx}]"
         if not isinstance(e, dict):
             raise FileFormatError(f"{where}: expected an object")
@@ -90,6 +96,8 @@ def graph_from_jsonable(obj) -> KGraph:
         color = _need(e, "color", where)
         rng = _need(e, "range", where)
         src = _need(e, "source", where)
+        if not all(isinstance(x, str) for x in (eid, rng, src)):
+            raise FileFormatError(f"{where}: id, range and source must be strings")
         if not isinstance(color, int) or not 1 <= color <= k:
             raise FileFormatError(f"{where} (edge {eid!r}): color {color!r} outside 1..{k}")
         if rng not in vset:
@@ -99,7 +107,7 @@ def graph_from_jsonable(obj) -> KGraph:
         edges.append(Edge(eid, color, rng, src))
     eset = {e.id for e in edges}
     squares = []
-    for idx, s in enumerate(obj.get("squares", [])):
+    for idx, s in enumerate(_as_list(obj.get("squares", []), "graph.squares")):
         where = f"graph.squares[{idx}]"
         if not isinstance(s, dict):
             raise FileFormatError(f"{where}: expected an object")
@@ -108,7 +116,7 @@ def graph_from_jsonable(obj) -> KGraph:
         to = _need(s, "to", where)
         if not (isinstance(ij, list) and len(ij) == 2 and all(isinstance(x, int) for x in ij)):
             raise FileFormatError(f"{where}.ij: expected two colors")
-        if not (isinstance(frm, list) and len(frm) == 2 and isinstance(to, list) and len(to) == 2):
+        if not all(isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p) for p in (frm, to)):
             raise FileFormatError(f"{where}: 'from' and 'to' must be edge pairs")
         for eid in frm + to:
             if eid not in eset:
@@ -264,13 +272,15 @@ def cocycle_from_jsonable(obj, g: KGraph) -> CocycleSpec:
         if not (isinstance(bound, list) and len(bound) == g.k and all(isinstance(x, int) for x in bound)):
             raise FileFormatError(f"cocycle.bound: expected {g.k} integers")
         rows = []
-        for idx, ent in enumerate(_need(obj, "entries", "cocycle")):
+        for idx, ent in enumerate(_as_list(_need(obj, "entries", "cocycle"), "cocycle.entries")):
             where = f"cocycle.entries[{idx}]"
             if not isinstance(ent, dict):
                 raise FileFormatError(f"{where}: expected an object")
             pair = []
             for key in ("mu", "nu"):
                 side = _need(ent, key, where)
+                if not isinstance(side, dict):
+                    raise FileFormatError(f"{where}.{key}: expected an object")
                 rng = _need(side, "range", f"{where}.{key}")
                 word = tuple(_as_str_list(_need(side, "word", f"{where}.{key}"), f"{where}.{key}.word"))
                 try:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from ktwist import cli
 from ktwist.cocycles import PullbackCocycle, TableCocycle
 from ktwist.io import (
     FileFormatError,
@@ -159,6 +160,40 @@ def test_cocycle_phase_literal_with_rational_and_symbol():
     x = c.theta[0][0]
     assert x.rat == Fraction(1, 3)
     assert x.coeff("theta") == Fraction(2)
+
+
+def _malformed_square():
+    obj = graph_to_jsonable(builtin("T2"))
+    obj["squares"][0]["from"] = ["a", ["b"]]
+    return obj
+
+
+def _table(entries):
+    return {"variant": "table", "symbols": [], "bound": [1, 1], "entries": entries}
+
+
+MALFORMED = {
+    "edges not a list": ("graph", {"k": 1, "vertices": ["v"], "edges": 5}),
+    "edge id not a string": ("graph", {"k": 1, "vertices": ["v"],
+                                       "edges": [{"id": ["e"], "color": 1, "range": "v", "source": "v"}]}),
+    "square edge not a string": ("graph", _malformed_square()),
+    "table entries not a list": ("cocycle", _table(5)),
+    "table path not an object": ("cocycle", _table([{"mu": "range", "nu": {"range": "v", "word": []},
+                                                     "value": "0"}])),
+}
+
+
+@pytest.mark.parametrize("kind, obj", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_input_exits_1(tmp_path, capsys, kind, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(canonical_json(obj), encoding="utf-8")
+    if kind == "graph":
+        argv = ["validate", str(path)]
+    else:
+        argv = ["validate", "builtin:T2", "--cocycle", str(path)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 # --- references and digests --------------------------------------------------
