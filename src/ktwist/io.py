@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 
+from . import __version__
 from .cocycles import (
     BicharacterTable,
     CocycleSpec,
@@ -22,7 +23,6 @@ from .cocycles import (
     PullbackCocycle,
     TableCocycle,
 )
-from . import __version__
 from .kgraph import Edge, KGraph, Square, builtin, validate_kgraph
 from .phases import PhaseExponent, PhaseSyntaxError, format_phase, parse_phase
 
@@ -116,10 +116,10 @@ def graph_from_jsonable(obj) -> KGraph:
         to = _need(s, "to", where)
         if not (isinstance(ij, list) and len(ij) == 2 and all(isinstance(x, int) for x in ij)):
             raise FileFormatError(f"{where}.ij: expected two colors")
-        if not all(isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p) for p in (frm, to)):
+        if not (isinstance(frm, list) and len(frm) == 2 and isinstance(to, list) and len(to) == 2):
             raise FileFormatError(f"{where}: 'from' and 'to' must be edge pairs")
         for eid in frm + to:
-            if eid not in eset:
+            if not isinstance(eid, str) or eid not in eset:
                 raise FileFormatError(f"{where}: unknown edge {eid!r}")
         squares.append(Square(ij[0], ij[1], frm[0], frm[1], to[0], to[1]))
     name = obj.get("name", "")

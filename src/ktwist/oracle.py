@@ -553,10 +553,10 @@ def _elements_at(g: KGraph, v: str, d: Degree) -> list[GroupoidElement]:
 
 
 def _left_factors(g: KGraph, b: GroupoidElement, d: Degree, s: Degree) -> list[GroupoidElement]:
-    """Elements a with a.b defined, grafted onto b's range path shifted by s.
+    """Elements a = (mu, x(0, s), T^s x) with a.b defined, x = b's range path.
 
-    Their first path runs over the box d; the right factors of b are the
-    inverses of the left factors of b's inverse.
+    mu runs over the paths of degree in the box d.  The right factors of b
+    are the inverses of the left factors of b's inverse.
     """
     u = b.range_path()
     us = u.shift(s)
