@@ -22,7 +22,8 @@ All values are PhaseExponent instances; equality is mod-Z exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Union
 
 from . import degrees as dg
@@ -155,20 +156,28 @@ class PhiOmegaCocycle:
 
 @dataclass(frozen=True)
 class TableCocycle:
+    """Explicit values keyed by (range, word) of each side.
+
+    `entries` is the serialised form; lookups go through an index built once
+    from it, in which the first of duplicate keys wins.
+    """
+
     bound: Degree
     entries: tuple[tuple[tuple[str, tuple[str, ...]], tuple[str, tuple[str, ...]], PhaseExponent], ...]
+    _index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        index = {}
+        for a, b, val in self.entries:
+            index.setdefault((a, b), val)
+        object.__setattr__(self, "_index", index)
 
     @property
     def kind(self) -> str:
         return "table"
 
     def lookup(self, mu: Path, nu: Path) -> PhaseExponent | None:
-        key_mu = (mu.range, mu.word)
-        key_nu = (nu.range, nu.word)
-        for a, b, val in self.entries:
-            if a == key_mu and b == key_nu:
-                return val
-        return None
+        return self._index.get(((mu.range, mu.word), (nu.range, nu.word)))
 
 
 CocycleSpec = Union[PullbackCocycle, PhiOmegaCocycle, TableCocycle]
@@ -269,7 +278,13 @@ def validate_product_split(g: KGraph, l: int) -> ValidationReport:
 
 
 def validate_cocycle(c: CocycleSpec, g: KGraph, depth: int) -> ValidationReport:
-    """Exhaustive normalization and 2-cocycle identity check to a total degree."""
+    """Exhaustive normalization and 2-cocycle identity check to a total degree.
+
+    Each composable pair in the depth box is evaluated once per call: its
+    value, or its domain error (reported where the pair is first used), is
+    kept in a dict that lives only as long as the call.  Triples are
+    enumerated by total degree, so none above the depth is built.
+    """
     problems = []
     if isinstance(c, PhiOmegaCocycle):
         split = validate_product_split(g, c.l)
@@ -279,21 +294,29 @@ def validate_cocycle(c: CocycleSpec, g: KGraph, depth: int) -> ValidationReport:
         if not rep.ok:
             return rep
 
-    by_range: dict[str, list[Path]] = {v: [] for v in g.vertices}
+    # graded[v][t]: paths with range v and total degree t, in total_box order
+    graded: dict[str, list[list[Path]]] = {v: [[] for _ in range(depth + 1)] for v in g.vertices}
     for v in g.vertices:
         for n in dg.total_box(g.k, depth):
-            for p in g.paths_from(v, n):
-                by_range[v].append(p)
+            graded[v][dg.total(n)].extend(g.paths_from(v, n))
+
+    values: dict[tuple[Path, Path], PhaseExponent | None] = {}
 
     def val(mu: Path, nu: Path) -> PhaseExponent | None:
         try:
-            return cocycle_value(c, mu, nu)
+            return values[(mu, nu)]
+        except KeyError:
+            pass
+        try:
+            x = cocycle_value(c, mu, nu)
         except CocycleDomainError as err:
             problems.append(str(err))
-            return None
+            x = None
+        values[(mu, nu)] = x
+        return x
 
     for v in g.vertices:
-        for lam in by_range[v]:
+        for lam in chain.from_iterable(graded[v]):
             left = val(lam, g.vertex_path(lam.source))
             right = val(g.vertex_path(lam.range), lam)
             for x, side in ((left, "right unit"), (right, "left unit")):
@@ -301,22 +324,21 @@ def validate_cocycle(c: CocycleSpec, g: KGraph, depth: int) -> ValidationReport:
                     problems.append(f"normalization fails at {lam!r} ({side})")
 
     for v in g.vertices:
-        for lam in by_range[v]:
-            for mu in by_range[lam.source]:
-                t2 = dg.total(lam.degree) + dg.total(mu.degree)
-                if t2 > depth:
-                    continue
-                for nu in by_range[mu.source]:
-                    if t2 + dg.total(nu.degree) > depth:
-                        continue
-                    a = val(mu, nu)
-                    b = val(lam, g.compose(mu, nu))
-                    cc = val(lam, mu)
-                    d = val(g.compose(lam, mu), nu)
-                    if None in (a, b, cc, d):
-                        continue
-                    if not phase_is_trivial((a + b) - (cc + d)):
-                        problems.append(
-                            f"cocycle identity fails on triple ({lam!r}, {mu!r}, {nu!r})"
-                        )
+        for t1, lams in enumerate(graded[v]):
+            for lam in lams:
+                for t2, mus in enumerate(graded[lam.source][: depth - t1 + 1]):
+                    for mu in mus:
+                        lam_mu = g.compose(lam, mu)
+                        for nu in chain.from_iterable(graded[mu.source][: depth - t1 - t2 + 1]):
+                            a = val(mu, nu)
+                            b = val(lam, g.compose(mu, nu))
+                            cc = val(lam, mu)
+                            d = val(lam_mu, nu)
+                            if None in (a, b, cc, d):
+                                continue
+                            # equality of PhaseExponents is equality mod Z
+                            if a + b != cc + d:
+                                problems.append(
+                                    f"cocycle identity fails on triple ({lam!r}, {mu!r}, {nu!r})"
+                                )
     return ValidationReport(tuple(problems))

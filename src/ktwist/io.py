@@ -282,6 +282,8 @@ def cocycle_from_jsonable(obj, g: KGraph) -> CocycleSpec:
                 if not isinstance(side, dict):
                     raise FileFormatError(f"{where}.{key}: expected an object")
                 rng = _need(side, "range", f"{where}.{key}")
+                if not isinstance(rng, str) or rng not in g.vertices:
+                    raise FileFormatError(f"{where}.{key}.range: expected a vertex of the graph")
                 word = tuple(_as_str_list(_need(side, "word", f"{where}.{key}"), f"{where}.{key}.word"))
                 try:
                     g.make_path(rng, list(word))

@@ -572,19 +572,18 @@ def suite_cocycle_identity(
     c: CocycleSpec,
     P: PartitionP,
     depth=1,
-    shift_cap: int = 1,
     max_triples: int | None = None,
 ) -> SuiteResult:
     """sigma(a,b) + sigma(ab,c) = sigma(b,c) + sigma(a,bc) on sampled triples.
 
     The middle element b runs over source-matched pairs over a canonical
-    tail; a and c are grafted onto its boundary paths at small shifts, so
-    all compositions exist by construction.  Values and compositions
-    involving b are hoisted so each extra triple costs two cocycle
-    evaluations.
+    tail; a and c are grafted onto its boundary paths at the shifts 0 and
+    (1, ..., 1), so all compositions exist by construction.  Values and
+    compositions involving b are hoisted so each extra triple costs two
+    cocycle evaluations.
     """
     d = _as_degree(g, depth)
-    shifts = [dg.scale(t, (1,) * g.k) for t in range(shift_cap + 1)]
+    shifts = (dg.zero(g.k), (1,) * g.k)
     checked = 0
     bad = []
     for v in sorted(g.vertices):

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ktwist import degrees as dg
 from ktwist.cocycles import (
@@ -151,10 +153,9 @@ def test_validate_cocycle_phi_omega_b2xt1():
     assert validate_cocycle(c, g, 3).ok
 
 
-def test_validate_cocycle_corrupted_table_names_the_triple():
+def t2_table_entries(base, bound):
+    """Every composable pair of T2 with both degrees in the box up to bound."""
     g = builtin("T2")
-    base = theta_pullback()
-    bound = (2, 2)
     entries = []
     for m in dg.box(bound):
         for mu in g.paths_from("v", m):
@@ -163,6 +164,13 @@ def test_validate_cocycle_corrupted_table_names_the_triple():
                     entries.append(
                         ((mu.range, mu.word), (nu.range, nu.word), cocycle_value(base, mu, nu))
                     )
+    return entries
+
+
+def test_validate_cocycle_corrupted_table_names_the_triple():
+    g = builtin("T2")
+    bound = (2, 2)
+    entries = t2_table_entries(theta_pullback(), bound)
     table = TableCocycle(bound, tuple(entries))
     assert validate_cocycle(table, g, 3).ok
     # corrupt one edge-edge entry; only a genuine three-factor product can
@@ -192,3 +200,91 @@ def test_cocycle_identity_direct_small():
                 lhs = cocycle_value(c, lam, mu) + cocycle_value(c, g.compose(lam, mu), nu)
                 rhs = cocycle_value(c, mu, nu) + cocycle_value(c, lam, g.compose(mu, nu))
                 assert phase_is_trivial(lhs - rhs)
+
+
+def test_missing_table_pair_is_reported_once():
+    g = builtin("T2")
+    bound = (2, 2)
+    b = (g.edge_path("b").range, g.edge_path("b").word)
+    entries = [e for e in t2_table_entries(theta_pullback(), bound) if (e[0], e[1]) != (b, b)]
+    rep = validate_cocycle(TableCocycle(bound, tuple(entries)), g, 3)
+    assert rep.problems.count("table does not cover the pair (b, b)") == 1
+
+
+def test_table_duplicate_pair_first_entry_wins():
+    g = builtin("T2")
+    a, b = g.edge_path("a"), g.edge_path("b")
+    key_a, key_b = (a.range, a.word), (b.range, b.word)
+    first, second = Z(Fraction(1, 3)), Z(Fraction(2, 3))
+    table = TableCocycle((1, 1), ((key_a, key_b, first), (key_a, key_b, second)))
+    assert cocycle_value(table, a, b) == first
+    assert len(table.entries) == 2
+
+
+def reference_problems(c, g, depth):
+    """validate_cocycle's problems by a plain loop: four cocycle_value calls
+    per triple, no memo, triples filtered by total degree."""
+    problems = []
+    by_range = {v: [p for n in dg.total_box(g.k, depth) for p in g.paths_from(v, n)]
+                for v in g.vertices}
+
+    def val(mu, nu):
+        try:
+            return cocycle_value(c, mu, nu)
+        except CocycleDomainError as err:
+            problems.append(str(err))
+            return None
+
+    for v in g.vertices:
+        for lam in by_range[v]:
+            left = val(lam, g.vertex_path(lam.source))
+            right = val(g.vertex_path(lam.range), lam)
+            for x, side in ((left, "right unit"), (right, "left unit")):
+                if x is not None and not phase_is_trivial(x):
+                    problems.append(f"normalization fails at {lam!r} ({side})")
+    for v in g.vertices:
+        for lam in by_range[v]:
+            for mu in by_range[lam.source]:
+                for nu in by_range[mu.source]:
+                    if dg.total(lam.degree) + dg.total(mu.degree) + dg.total(nu.degree) > depth:
+                        continue
+                    a = val(mu, nu)
+                    b = val(lam, g.compose(mu, nu))
+                    cc = val(lam, mu)
+                    d = val(g.compose(lam, mu), nu)
+                    if None in (a, b, cc, d):
+                        continue
+                    if not phase_is_trivial((a + b) - (cc + d)):
+                        problems.append(
+                            f"cocycle identity fails on triple ({lam!r}, {mu!r}, {nu!r})"
+                        )
+    return problems
+
+
+DIFF_BOUND, DIFF_DEPTH = (3, 3), 4
+# entries validate_cocycle reads at DIFF_DEPTH: both sides edges or longer
+DIFF_READ = [i for i, (mu, nu, _) in enumerate(t2_table_entries(theta_pullback(), DIFF_BOUND))
+             if mu[1] and nu[1] and len(mu[1]) + len(nu[1]) <= DIFF_DEPTH]
+rationals = st.builds(lambda q, n: Fraction(n % q, q), st.integers(2, 6), st.integers(0, 5))
+phases = st.builds(lambda r, t: Z(r, theta=t), rationals, st.integers(-2, 2))
+non_integers = st.integers(2, 6).flatmap(
+    lambda q: st.builds(lambda n: Fraction(n, q), st.integers(1, q - 1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rows=st.lists(phases, min_size=4, max_size=4),
+    pick=st.sampled_from(DIFF_READ),
+    shift=non_integers,
+)
+@example(rows=[zero, zero, theta, zero], pick=DIFF_READ[0], shift=Fraction(1, 3))
+def test_validate_cocycle_matches_plain_loop(rows, pick, shift):
+    g = builtin("T2")
+    base = PullbackCocycle((tuple(rows[:2]), tuple(rows[2:])))
+    entries = t2_table_entries(base, DIFF_BOUND)
+    mu, nu, v = entries[pick]
+    entries[pick] = (mu, nu, v + Z(shift))
+    table = TableCocycle(DIFF_BOUND, tuple(entries))
+    want = reference_problems(table, g, DIFF_DEPTH)
+    assert want
+    assert list(validate_cocycle(table, g, DIFF_DEPTH).problems) == want

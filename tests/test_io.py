@@ -180,6 +180,10 @@ MALFORMED = {
     "table entries not a list": ("cocycle", _table(5)),
     "table path not an object": ("cocycle", _table([{"mu": "range", "nu": {"range": "v", "word": []},
                                                      "value": "0"}])),
+    "table range not a vertex": ("cocycle", _table([{"mu": {"range": "nowhere", "word": []},
+                                                     "nu": {"range": "v", "word": []}, "value": "0"}])),
+    "table range not a string": ("cocycle", _table([{"mu": {"range": 5, "word": []},
+                                                     "nu": {"range": "v", "word": []}, "value": "0"}])),
 }
 
 
