@@ -21,6 +21,7 @@ from .decider import (
     NONSIMPLE,
     SIMPLE,
     DecisionBounds,
+    RecheckError,
     SimplicityReport,
     decide_simplicity,
     z_omega_of,
@@ -84,6 +85,7 @@ __all__ = [
     "NONSIMPLE",
     "SIMPLE",
     "DecisionBounds",
+    "RecheckError",
     "SimplicityReport",
     "decide_simplicity",
     "z_omega_of",

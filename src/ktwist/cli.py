@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .cocycles import validate_cocycle
-from .decider import SIMPLE, NONSIMPLE, DecisionBounds, decide_simplicity
+from .decider import SIMPLE, NONSIMPLE, DecisionBounds, RecheckError, decide_simplicity
 from .io import (
     FileFormatError,
     load_cocycle,
@@ -263,6 +263,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except RecheckError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

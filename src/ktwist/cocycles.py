@@ -85,10 +85,15 @@ class BicharacterTable:
 
 @dataclass(frozen=True)
 class OneCocyclePhi:
-    """Edge labeling by length-rank phase vectors, additive on paths."""
+    """Edge labeling by length-rank phase vectors, additive on paths.
+
+    `entries` is the serialised form, sorted by edge id; `edge_value` goes
+    through an index built once from it.
+    """
 
     rank: int
     entries: tuple[tuple[str, PhaseVector], ...]
+    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.entries, dict):
@@ -106,12 +111,11 @@ class OneCocyclePhi:
                 raise ValueError(f"entry {eid!r} has length {len(vec)}, expected {self.rank}")
             norm.append((eid, vec))
         object.__setattr__(self, "entries", tuple(norm))
+        object.__setattr__(self, "_index", dict(norm))
 
     def edge_value(self, eid: str) -> PhaseVector:
-        for key, vec in self.entries:
-            if key == eid:
-                return vec
-        return zero_vector(self.rank)
+        vec = self._index.get(eid)
+        return zero_vector(self.rank) if vec is None else vec
 
     def value(self, p: Path) -> PhaseVector:
         out = zero_vector(self.rank)

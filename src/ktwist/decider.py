@@ -54,6 +54,13 @@ SIMPLE = "CERTIFIED_SIMPLE"
 NONSIMPLE = "CERTIFIED_NONSIMPLE"
 
 
+class RecheckError(RuntimeError):
+    """A certificate failed its independent recheck; no verdict is reported."""
+
+    def __init__(self, certificate: str):
+        super().__init__(f"{certificate} certificate failed its recheck")
+
+
 # --- the degeneracy sublattice ----------------------------------------------
 
 
@@ -330,7 +337,7 @@ def decide_simplicity(
     cof = is_cofinal(g)
     if cof.status == NO:
         if not verify_cofinality(g, cof):
-            raise RuntimeError("cofinality certificate failed its recheck")
+            raise RecheckError("cofinality")
         verdict = Verdict(
             NONSIMPLE,
             certificate={"kind": "not_cofinal", "witness": cof.certificate or {}},
@@ -349,7 +356,7 @@ def decide_simplicity(
     omega = omega_from_oracle(g, c, per_basis, depth=b.depth, retries=b.retries)
     z = z_omega_of(omega)
     if not verify_z_omega(omega, z):
-        raise RuntimeError("degeneracy lattice failed its recheck")
+        raise RecheckError("degeneracy lattice")
 
     if z.is_trivial():
         verdict = Verdict(
@@ -394,7 +401,7 @@ def decide_simplicity(
                 if pot is not None:
                     n, psi = pot
                     if not verify_potential(base, c.phi, z, n, psi):
-                        raise RuntimeError("potential certificate failed its recheck")
+                        raise RecheckError("potential")
                     verdict = Verdict(
                         NONSIMPLE,
                         certificate={
@@ -409,7 +416,7 @@ def decide_simplicity(
                 kron = kronecker_dense(gens, z.rank)
                 if kron.dense:
                     if not verify_kronecker(gens, z.rank, kron):
-                        raise RuntimeError("density certificate failed its recheck")
+                        raise RecheckError("density")
                     verdict = Verdict(
                         SIMPLE,
                         certificate={

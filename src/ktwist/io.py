@@ -284,12 +284,13 @@ def cocycle_from_jsonable(obj, g: KGraph) -> CocycleSpec:
                 rng = _need(side, "range", f"{where}.{key}")
                 if not isinstance(rng, str) or rng not in g.vertices:
                     raise FileFormatError(f"{where}.{key}.range: expected a vertex of the graph")
-                word = tuple(_as_str_list(_need(side, "word", f"{where}.{key}"), f"{where}.{key}.word"))
+                word = _as_str_list(_need(side, "word", f"{where}.{key}"), f"{where}.{key}.word")
                 try:
-                    g.make_path(rng, list(word))
+                    path = g.make_path(rng, word)
                 except (KeyError, ValueError) as err:
                     raise FileFormatError(f"{where}.{key}: not a path ({err})") from err
-                pair.append((rng, word))
+                # lookups key by normal form, whatever colour order the file used
+                pair.append((rng, path.word))
             val = _parse_phase_checked(_need(ent, "value", where), symbols, f"{where}.value")
             rows.append((pair[0], pair[1], val))
         return TableCocycle(tuple(bound), tuple(rows))

@@ -16,6 +16,12 @@ at a time.  Everything is exact and deterministic (edges are always
 enumerated in id order).  Paths are immutable, so each graph memoizes
 composition and factorization by their arguments, and eventually periodic
 paths with the same prefix and cycle share one table of segments.
+
+An eventually periodic path has many representations (a cycle may be
+repeated, or partly folded into the prefix).  Its equality is semantic, and
+its hash is that of its initial segment of the fixed degree
+(HASH_DEPTH, ..., HASH_DEPTH), which every representation of the same
+infinite path shares, so such paths work as dictionary keys.
 """
 
 from __future__ import annotations
@@ -349,6 +355,8 @@ def _hexagon_ok(g: KGraph, f: str, gg: str, h: str) -> bool:
 
 # --- eventually periodic infinite paths -------------------------------------
 
+HASH_DEPTH = 2
+
 
 @dataclass(eq=False)
 class EventuallyPeriodicPath:
@@ -358,7 +366,10 @@ class EventuallyPeriodicPath:
     coordinate >= 1, so segments of any degree can be materialized.  Two
     instances are equal iff they agree as infinite paths, which for this
     class is decided exactly by comparing segments up to
-    join(prefix degrees) + cycle1 degree + cycle2 degree.
+    join(prefix degrees) + cycle1 degree + cycle2 degree.  The hash is taken
+    from the range and the segment of degree (HASH_DEPTH, ..., HASH_DEPTH):
+    equal infinite paths share every initial segment, so equal instances
+    hash alike whatever their prefix and cycle.
     """
 
     graph: KGraph
@@ -414,7 +425,8 @@ class EventuallyPeriodicPath:
         n = dg.add(dg.join(self.prefix.degree, other.prefix.degree), dg.add(self.cycle.degree, other.cycle.degree))
         return self.segment_to(n) == other.segment_to(n)
 
-    __hash__ = None  # semantic equality is not hash-compatible with the representation
+    def __hash__(self) -> int:
+        return hash((self.range, self.segment_to((HASH_DEPTH,) * self.graph.k)))
 
     def __repr__(self):
         return f"EPPath[{self.prefix!r};{self.cycle!r}^oo]"

@@ -5,6 +5,9 @@ paths with a common source and an eventually periodic infinite tail; the
 element is (mu.tail, d(mu)-d(nu), nu.tail).  Equality, inversion and
 composition are computed exactly through eventually periodic path
 arithmetic, so every identity asserted here is checked on the nose.
+Elements hash by value, (degree, range path, source path), so two
+representations of one element, such as (mu.e, nu.e, x) and (mu, nu, e.x),
+are one dictionary key.
 
 A depth-truncated partition of the groupoid into cylinder cells supports
 the central construction: a groupoid 2-cocycle induced by a categorical
@@ -12,8 +15,10 @@ cocycle on the graph.  Its value on a composable pair is resolved through
 the unique cells of the two factors and their product via common
 extensions; the helpers then restrict it to isotropy, build conjugation
 phases, inductive coboundaries, and the bicharacter used by the
-simplicity decider.  Everything raises DepthError (not wrong answers)
-when the truncation is too shallow.
+simplicity decider.  A partition keeps the cell of each element and the
+cocycle value of each pair it has resolved, so each is worked out once
+per partition.  Everything raises DepthError (not wrong answers) when the
+truncation is too shallow; errors are never kept, so they recur.
 """
 
 from __future__ import annotations
@@ -38,9 +43,18 @@ class DepthError(RuntimeError):
 
 @dataclass(eq=False)
 class GroupoidElement:
+    """The element (mu.tail, d(mu) - d(nu), nu.tail).
+
+    The boundary paths and the hash are computed on first use and kept, so
+    the fields must not be reassigned.
+    """
+
     mu: Path
     nu: Path
     tail: EventuallyPeriodicPath
+    _range: EventuallyPeriodicPath | None = field(default=None, init=False, repr=False)
+    _source: EventuallyPeriodicPath | None = field(default=None, init=False, repr=False)
+    _hash: int | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.mu.source != self.nu.source:
@@ -57,13 +71,19 @@ class GroupoidElement:
         return dg.sub(self.mu.degree, self.nu.degree)
 
     def range_path(self) -> EventuallyPeriodicPath:
-        return self.tail.prepend(self.mu)
+        if self._range is None:
+            self._range = self.tail.prepend(self.mu)
+        return self._range
 
     def source_path(self) -> EventuallyPeriodicPath:
-        return self.tail.prepend(self.nu)
+        if self._source is None:
+            self._source = self.tail.prepend(self.nu)
+        return self._source
 
     def inverse(self) -> "GroupoidElement":
-        return GroupoidElement(self.nu, self.mu, self.tail)
+        inv = GroupoidElement(self.nu, self.mu, self.tail)
+        inv._range, inv._source = self._source, self._range
+        return inv
 
     def cancelled(self) -> "GroupoidElement":
         """Strip common source-end edges of mu and nu into the tail."""
@@ -91,7 +111,10 @@ class GroupoidElement:
             and self.source_path() == other.source_path()
         )
 
-    __hash__ = None
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.degree, self.range_path(), self.source_path()))
+        return self._hash
 
     def __repr__(self):
         return f"GElt[{'.'.join(self.mu.word) or '*'}|{'.'.join(self.nu.word) or '*'};{self.degree}]"
@@ -109,11 +132,14 @@ def compose_elements(g1: GroupoidElement, g2: GroupoidElement) -> GroupoidElemen
     z = g2.range_path()
     n1, m2 = g1.nu.degree, g2.mu.degree
     n = dg.join(n1, m2)
-    return GroupoidElement(
+    prod = GroupoidElement(
         g.compose(g1.mu, z.at(n1, n)),
         g.compose(g2.nu, z.at(m2, n)),
         z.shift(n),
     )
+    # The product runs from g1's range path to g2's source path.
+    prod._range, prod._source = g1.range_path(), g2.source_path()
+    return prod
 
 
 def isotropy_element(x: EventuallyPeriodicPath, p: Degree) -> GroupoidElement:
@@ -151,10 +177,19 @@ def cylinders_intersect(g: KGraph, a: tuple[Path, Path], b: tuple[Path, Path]) -
 
 @dataclass(eq=False)
 class PartitionP:
+    """Cylinder cells, with what has been resolved through them.
+
+    `_cell_of` maps each element looked up so far to its cell, and `_sigma`
+    maps id(c) to (c, {(g, h, paddings): sigma_c value}); holding c keeps
+    its id from being reused while the partition lives.
+    """
+
     graph: KGraph
     depth: Degree
     cells: tuple[tuple[Path, Path], ...]
     _by_p: dict = field(default_factory=dict, repr=False)
+    _cell_of: dict = field(default_factory=dict, repr=False)
+    _sigma: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         by_p: dict[Degree, list[tuple[Path, Path]]] = {}
@@ -164,6 +199,9 @@ class PartitionP:
 
     def member(self, gelt: GroupoidElement) -> tuple[Path, Path]:
         """The unique cell whose cylinder contains the element."""
+        cell = self._cell_of.get(gelt)
+        if cell is not None:
+            return cell
         x = gelt.range_path()
         y = gelt.source_path()
         hits = []
@@ -178,6 +216,7 @@ class PartitionP:
             raise DepthError("no partition cell contains the element; increase depth")
         if len(hits) > 1:
             raise RuntimeError("partition cells overlap; internal invariant broken")
+        self._cell_of[gelt] = hits[0]
         return hits[0]
 
 
@@ -268,8 +307,14 @@ def sigma_c(
     picks common extensions out of the shared infinite path, and combines
     six categorical cocycle values.  The result is independent of the
     resolution; every padding in `paddings` re-derives it with a larger
-    extension and the agreement is asserted.
+    extension and the agreement is asserted.  The value is kept on P, so
+    each distinct (gelt, helt, paddings) is resolved once per partition.
     """
+    values = P._sigma.setdefault(id(c), (c, {}))[1]
+    key = (gelt, helt, tuple(paddings))
+    hit = values.get(key)
+    if hit is not None:
+        return hit
     if gelt.source_path() != helt.range_path():
         raise ValueError("elements are not composable")
     prod = compose_elements(gelt, helt)
@@ -300,6 +345,7 @@ def sigma_c(
     for other in vals[1:]:
         if not phase_is_trivial(vals[0] - other):
             raise RuntimeError("cocycle value depended on the resolution choice")
+    values[key] = vals[0]
     return vals[0]
 
 
@@ -468,7 +514,6 @@ class CoboundaryBx:
         self.per_basis = per_basis
         self.omega = omega_target
         self.l = l
-        self._sigma: dict = {}
         self._memo: dict[Degree, PhaseExponent] = {dg.zero(l): PhaseExponent.zero()}
         for i in range(l):
             for j in range(i + 1, l):
@@ -480,13 +525,10 @@ class CoboundaryBx:
                     )
 
     def sigma(self, m: Degree, n: Degree) -> PhaseExponent:
-        """The isotropy cocycle at x on generator coordinates, memoized."""
-        key = (tuple(m), tuple(n))
-        if key not in self._sigma:
-            self._sigma[key] = isotropy_restriction(
-                self.c, self.P, self.x, ambient(self.per_basis, m), ambient(self.per_basis, n)
-            )
-        return self._sigma[key]
+        """The isotropy cocycle at x on generator coordinates (kept on P by sigma_c)."""
+        return isotropy_restriction(
+            self.c, self.P, self.x, ambient(self.per_basis, m), ambient(self.per_basis, n)
+        )
 
     def ctilde(self, m: Degree, n: Degree) -> PhaseExponent:
         return self.sigma(m, n) - self.omega.value(m, n)

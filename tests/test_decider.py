@@ -2,8 +2,11 @@
 
 from fractions import Fraction
 
+import os
+
 import pytest
 
+from ktwist import cli, decider
 from ktwist.cocycles import (
     BicharacterTable,
     OneCocyclePhi,
@@ -222,3 +225,12 @@ def test_report_serialization_shape():
     assert "periods" in doc
     assert "z_omega" in doc
     assert "density_generators" in doc
+
+
+def test_failed_recheck_exits_3_and_names_the_certificate(monkeypatch, capsys):
+    monkeypatch.setattr(decider, "verify_z_omega", lambda omega, z: False)
+    fixture = os.path.join(os.path.dirname(__file__), "..", "fixtures", "pullback_theta.json")
+    assert cli.main(["simplicity", "builtin:T2", "--cocycle", fixture]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: degeneracy lattice certificate failed its recheck\n"
+    assert "verdict" not in captured.out

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ktwist import cli
-from ktwist.cocycles import PullbackCocycle, TableCocycle
+from ktwist.cocycles import PullbackCocycle, TableCocycle, cocycle_value
 from ktwist.io import (
     FileFormatError,
     canonical_json,
@@ -88,6 +88,17 @@ def test_table_cocycle_roundtrip():
     back = loads_cocycle(text, g)
     assert isinstance(back, TableCocycle)
     assert serialize_cocycle(back) == text
+
+
+def test_table_word_in_another_colour_order_is_matched(tmp_path):
+    g = builtin("T2")
+    text = canonical_json(_table([{"mu": {"range": "v", "word": ["b", "a"]},
+                                   "nu": {"range": "v", "word": ["a"]}, "value": "1/3"}]))
+    path = tmp_path / "table.json"
+    path.write_text(text, encoding="utf-8")
+    c, digest = load_cocycle(str(path), g)
+    assert cocycle_value(c, g.make_path("v", ["a", "b"]), g.edge_path("a")) == PhaseExponent.of(Fraction(1, 3))
+    assert digest == digest_text(text)
 
 
 # --- validation and error context -------------------------------------------

@@ -228,3 +228,35 @@ def test_tail_shift_additivity(a, b, c, d):
     g = torus2()
     x = canonical_tail(g, "v")
     assert x.shift((a, b)).shift((c, d)) == x.shift((a + c, b + d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["T2", "B2", "B2xT1", "C3xT1"]), st.data())
+def test_tail_hash_agrees_across_representations(name, data):
+    g = builtin(name)
+    v = data.draw(st.sampled_from(g.vertices))
+    m = data.draw(st.sampled_from(list(dg.box((2,) * g.k))))
+    lam = data.draw(st.sampled_from(g.paths_from(v, m)))
+    x = canonical_tail(g, lam.source).prepend(lam)
+    n = data.draw(st.sampled_from(list(dg.box((3,) * g.k))))
+    reps = [
+        x,
+        EventuallyPeriodicPath(g, x.prefix, g.compose(x.cycle, x.cycle)),
+        EventuallyPeriodicPath(g, g.compose(x.prefix, x.cycle), x.cycle),
+        x.prepend(g.vertex_path(x.range)),
+        x.shift(n).prepend(x.segment_to(n)),
+    ]
+    keyed = {x: "x"}
+    for y in reps:
+        assert y == x and x == y
+        assert hash(y) == hash(x)
+        assert keyed[y] == "x"
+    assert len(set(reps)) == 1
+
+
+def test_tail_hash_tells_different_tails_apart():
+    g = builtin("B2")
+    x = canonical_tail(g, "v")
+    y = x.prepend(g.edge_path("f"))
+    assert x != y
+    assert {x: 1, y: 2}[y] == 2

@@ -1,6 +1,10 @@
 """Brute-force groupoid layer: partition, sigma, conjugation phases, suites."""
 
+import os
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ktwist import degrees as dg
 from ktwist.cocycles import (
@@ -10,11 +14,15 @@ from ktwist.cocycles import (
     PullbackCocycle,
 )
 from ktwist.decider import z_omega_of
+from ktwist.io import load_cocycle
 from ktwist.kgraph import builtin, canonical_tail
 from ktwist.oracle import (
     CoboundaryBx,
     DepthError,
     GroupoidElement,
+    PartitionP,
+    _elements_at,
+    _left_factors,
     build_partition,
     compose_elements,
     cylinders_intersect,
@@ -31,6 +39,8 @@ from ktwist.oracle import (
 )
 from ktwist.phases import PhaseExponent, phase_is_trivial
 from ktwist.structure import per_group
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 Z = PhaseExponent.of
 zero = PhaseExponent.zero()
@@ -97,6 +107,30 @@ def test_element_compose_and_inverse(t2):
     assert prod == unit_at(g1.range_path())
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["T2", "B2", "B2xT1", "C3xT1"]), st.data())
+def test_element_hash_ignores_where_the_tail_starts(name, data):
+    # (mu.e, nu.e, x), (mu, nu, e.x) and the cancelled form are one element
+    g = builtin(name)
+    e = g.edge_path(data.draw(st.sampled_from([e.id for e in g.edges])))
+    box = list(dg.box((1,) * g.k))
+
+    def ending_at(m):
+        return [p for u in g.vertices for p in g.paths_from(u, m) if p.source == e.range]
+
+    mu = data.draw(st.sampled_from(ending_at(data.draw(st.sampled_from(box)))))
+    nu = data.draw(st.sampled_from(ending_at(data.draw(st.sampled_from(box)))))
+    x = canonical_tail(g, e.source)
+    long = GroupoidElement(g.compose(mu, e), g.compose(nu, e), x)
+    reps = [long, GroupoidElement(mu, nu, x.prepend(e)), long.cancelled()]
+    keyed = {long: "long"}
+    for el in reps:
+        assert el == long and long == el
+        assert hash(el) == hash(long)
+        assert keyed[el] == "long"
+    assert len(set(reps)) == 1
+
+
 def test_isotropy_element_requires_tail_periodicity():
     # e.e.e... is shift-periodic even on aperiodic B2, but f.e.e.e... is not
     g = builtin("B2")
@@ -154,8 +188,10 @@ def test_partition_depth_error_beyond_window(t2):
     shallow = build_partition(t2, 1)
     x = canonical_tail(t2, "v")
     deep = GroupoidElement(t2.make_path("v", ["a", "a", "a"]), t2.vertex_path("v"), x)
-    with pytest.raises(DepthError):
-        shallow.member(deep)
+    # a failed lookup is not kept, so asking again fails again
+    for _ in range(2):
+        with pytest.raises(DepthError):
+            shallow.member(deep)
 
 
 def test_partition_pinned_pairs_are_kept(t2):
@@ -183,6 +219,39 @@ def test_sigma_resolution_padding_agreement(t2, t2_cocycle, t2_partition):
     # forcing three window resolutions must not change the value
     val = sigma_c(t2_cocycle, t2_partition, g2, g1, paddings=(0, 1, 2))
     assert val.coeff("theta") == 1
+
+
+def _identity_suite_pairs(g, depth, cap):
+    """The first `cap` triples of the cocycle identity suite, as its four pairs."""
+    d = (depth,) * g.k
+    shifts = (dg.zero(g.k), (1,) * g.k)
+    pairs = []
+    for v in sorted(g.vertices):
+        for b in _elements_at(g, v, d):
+            lefts = [a for s in shifts for a in _left_factors(g, b, d, s)]
+            rights = [x.inverse() for s in shifts for x in _left_factors(g, b.inverse(), d, s)]
+            for a in lefts:
+                for cc in rights:
+                    ab, bc = compose_elements(a, b), compose_elements(b, cc)
+                    pairs += [(a, b), (ab, cc), (b, cc), (a, bc)]
+                    if len(pairs) >= 4 * cap:
+                        return pairs
+    return pairs
+
+
+@pytest.mark.parametrize("name, stem", [("T2", "pullback_theta"), ("B2", "pullback_b2"),
+                                        ("B2xT1", "phi_theta")])
+def test_warm_partition_matches_fresh_partitions(name, stem):
+    # values kept on one partition equal those of a new partition per call
+    g = builtin(name)
+    c, _ = load_cocycle(os.path.join(FIXTURES, stem + ".json"), g)
+    warm = build_partition(g, 3)
+    pairs = _identity_suite_pairs(g, 1, cap=150)
+    for a, b in pairs:
+        fresh = PartitionP(g, warm.depth, warm.cells)
+        assert sigma_c(c, warm, a, b) == sigma_c(c, fresh, a, b)
+        for el in (a, b):
+            assert warm.member(el) == PartitionP(g, warm.depth, warm.cells).member(el)
 
 
 def test_r_sigma_winds_by_theta(t2, t2_cocycle, t2_partition):
