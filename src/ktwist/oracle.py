@@ -9,16 +9,20 @@ Elements hash by value, (degree, range path, source path), so two
 representations of one element, such as (mu.e, nu.e, x) and (mu, nu, e.x),
 are one dictionary key.
 
-A depth-truncated partition of the groupoid into cylinder cells supports
-the central construction: a groupoid 2-cocycle induced by a categorical
+The central construction is a groupoid 2-cocycle induced by a categorical
 cocycle on the graph.  Its value on a composable pair is resolved through
-the unique cells of the two factors and their product via common
+cylinder cells of the two factors and their product via common
 extensions; the helpers then restrict it to isotropy, build conjugation
 phases, inductive coboundaries, and the bicharacter used by the
-simplicity decider.  A partition keeps the cell of each element and the
-cocycle value of each pair it has resolved, so each is worked out once
-per partition.  Everything raises DepthError (not wrong answers) when the
-truncation is too shallow; errors are never kept, so they recur.
+simplicity decider.  The property suites resolve through a
+depth-truncated partition of the groupoid into cylinder cells, and raise
+DepthError (not wrong answers) when its truncation is too shallow; errors
+are never kept, so they recur.  The bicharacter resolves each element
+through its own cancelled cell instead, which needs no partition: the
+two choices of cell give cohomologous isotropy cocycles, hence the same
+antisymmetrization.  Either kind of cell source keeps the cell of each
+element and the cocycle value of each pair it has resolved, so each is
+worked out once.
 """
 
 from __future__ import annotations
@@ -220,6 +224,28 @@ class PartitionP:
         return hits[0]
 
 
+@dataclass(eq=False)
+class CancelledCells:
+    """Each element's own cancelled cell, behind PartitionP's interface.
+
+    The first lookup of an element keeps the (mu, nu) of its cancelled form
+    in `_cell_of`, so the cell is a function of the element.  sigma_c
+    through these cells differs from sigma_c through a partition by a
+    coboundary, which has zero antisymmetrization on the abelian isotropy.
+    """
+
+    graph: KGraph
+    _cell_of: dict = field(default_factory=dict, repr=False)
+    _sigma: dict = field(default_factory=dict, repr=False)
+
+    def member(self, gelt: GroupoidElement) -> tuple[Path, Path]:
+        cell = self._cell_of.get(gelt)
+        if cell is None:
+            red = gelt.cancelled()
+            cell = self._cell_of[gelt] = (red.mu, red.nu)
+        return cell
+
+
 def _as_degree(g: KGraph, depth) -> Degree:
     if isinstance(depth, int):
         return (depth,) * g.k
@@ -296,7 +322,7 @@ def build_partition(g: KGraph, depth, pinned: tuple[tuple[Path, Path], ...] = ()
 
 def sigma_c(
     c: CocycleSpec,
-    P: PartitionP,
+    P: PartitionP | CancelledCells,
     gelt: GroupoidElement,
     helt: GroupoidElement,
     paddings: tuple[int, ...] = (0, 1),
@@ -350,7 +376,7 @@ def sigma_c(
 
 
 def isotropy_restriction(
-    c: CocycleSpec, P: PartitionP, x: EventuallyPeriodicPath, p: Degree, q: Degree
+    c: CocycleSpec, P: PartitionP | CancelledCells, x: EventuallyPeriodicPath, p: Degree, q: Degree
 ) -> PhaseExponent:
     """sigma on the isotropy pair ((x,p,x), (x,q,x))."""
     return sigma_c(c, P, isotropy_element(x, p), isotropy_element(x, q))
@@ -402,10 +428,11 @@ def omega_from_oracle(
 ) -> BicharacterTable:
     """Bicharacter with the isotropy cocycle's antisymmetrization.
 
-    Evaluates the induced cocycle on generator pairs along one eventually
-    periodic path and stores the pair differences in a strictly lower
-    triangular matrix.  Only the antisymmetrization (hence the annihilator
-    lattice) is meaningful; the triangular choice is a canonical gauge.
+    Evaluates the induced cocycle, resolved through cancelled cells, on
+    generator pairs along one eventually periodic path and stores the pair
+    differences in a strictly lower triangular matrix.  Only the
+    antisymmetrization (hence the annihilator lattice) is meaningful; the
+    triangular choice is a canonical gauge.
     """
     l = len(per_basis)
     if l == 0:
@@ -418,13 +445,13 @@ def omega_from_oracle(
     d = _as_degree(g, depth) if depth is not None else initial_oracle_depth(g, per_basis)
     last: Exception | None = None
     for _ in range(retries + 1):
-        part = build_partition(g, d)
+        cells = CancelledCells(g)
         try:
             sig = {}
             for i in range(l):
                 for j in range(l):
                     if i != j:
-                        sig[(i, j)] = isotropy_restriction(c, part, x, per_basis[i], per_basis[j])
+                        sig[(i, j)] = isotropy_restriction(c, cells, x, per_basis[i], per_basis[j])
             zero = PhaseExponent.zero()
             rows = [
                 [sig[(i, j)] - sig[(j, i)] if i > j else zero for j in range(l)]
