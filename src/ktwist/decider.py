@@ -26,7 +26,7 @@ from math import lcm
 
 from . import degrees as dg
 from .degrees import Degree
-from .cocycles import BicharacterTable, CocycleSpec, OneCocyclePhi, PhiOmegaCocycle, phi_tilde, validate_product_split
+from .cocycles import BicharacterTable, CocycleSpec, OneCocyclePhi, PhiOmegaCocycle, validate_product_split
 from .kgraph import KGraph, product_base
 from .lattices import (
     LatticeBasis,
@@ -148,22 +148,32 @@ def orbit_phase_generators(
     Enumerates pairs (mu, nu) with s(mu) = s(nu) and degrees at most the
     bound, pairs each zbasis row with the 1-cochain difference, and reports
     whether the generated torus subgroup was already unchanged between the
-    previous bound and this one.
+    previous bound and this one.  Pairing is linear, so each path is
+    projected onto the zbasis rows once, for both bounds, and a pair's
+    vector is the difference of its two projections.
     """
     if not is_strongly_connected(g):
         raise ValueError("orbit phase enumeration requires a strongly connected graph")
     if bound < 1:
         raise ValueError("bound must be at least 1")
     d = zbasis.rank
+    projected: dict = {}
+
+    def projection(p) -> PhaseVector:
+        out = projected.get(p)
+        if out is None:
+            value = phi.value(p)
+            out = projected[p] = tuple(pair_int(z, value) for z in zbasis.rows)
+        return out
 
     def gens_at(b: int) -> list[PhaseVector]:
         seen = set()
         out: list[PhaseVector] = []
         for v, paths in sorted(_paths_by_source(g, b).items()):
-            for mu in paths:
-                for nu in paths:
-                    diff = phi_tilde(phi, mu, nu)
-                    vec = tuple(pair_int(z, diff) for z in zbasis.rows)
+            projs = [projection(p) for p in paths]
+            for pm in projs:
+                for pn in projs:
+                    vec = tuple(a - c for a, c in zip(pm, pn))
                     key = tuple((e.rat, e.irr) for e in vec)
                     if key not in seen:
                         seen.add(key)
