@@ -22,7 +22,7 @@ from .io import (
     serialize_report,
 )
 from .kgraph import ComposabilityError, validate_kgraph
-from .oracle import DepthError, omega_closedform, omega_from_oracle, run_suites
+from .oracle import DepthError, ResolutionError, omega_closedform, omega_from_oracle, run_suites
 from .phases import format_phase
 from .structure import YES, is_aperiodic, is_cofinal, per_group
 
@@ -257,7 +257,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileFormatError, ComposabilityError, DepthError) as err:
+    except (FileFormatError, ComposabilityError, DepthError, ResolutionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as err:

@@ -22,7 +22,8 @@ through its own cancelled cell instead, which needs no partition: the
 two choices of cell give cohomologous isotropy cocycles, hence the same
 antisymmetrization.  Either kind of cell source keeps the cell of each
 element and the cocycle value of each pair it has resolved, so each is
-worked out once.
+worked out once.  A value that depends on the resolution means the
+categorical cocycle is not a 2-cocycle, and raises ResolutionError.
 """
 
 from __future__ import annotations
@@ -39,7 +40,11 @@ from .structure import YES, is_cofinal, per_group, periodic_at
 
 
 class DepthError(RuntimeError):
-    """The truncation depth cannot resolve the request; increase depth."""
+    """The partition's truncation depth cannot resolve the request; increase depth."""
+
+
+class ResolutionError(RuntimeError):
+    """sigma_c depended on the resolution: the input is not a 2-cocycle."""
 
 
 # --- groupoid elements ------------------------------------------------------
@@ -370,7 +375,9 @@ def sigma_c(
         vals.append(val)
     for other in vals[1:]:
         if not phase_is_trivial(vals[0] - other):
-            raise RuntimeError("cocycle value depended on the resolution choice")
+            raise ResolutionError(
+                "cocycle value depended on the resolution choice; the cocycle is not a 2-cocycle"
+            )
     values[key] = vals[0]
     return vals[0]
 
@@ -696,7 +703,7 @@ def suite_resolution_independence(
             for a in _left_factors(g, b, d, zero):
                 try:
                     sigma_c(c, P, a, b, paddings=(0, 1, 2))
-                except RuntimeError as err:
+                except ResolutionError as err:
                     bad.append(str(err))
                 checked += 1
                 if checked >= max_pairs:

@@ -167,6 +167,15 @@ def t2_table_entries(base, bound):
     return entries
 
 
+def corrupted_t2_table(bound) -> TableCocycle:
+    """The theta pullback table of T2 to bound, with the (a, b) entry off by 1/3."""
+    entries = [
+        (mu, nu, val + Z(Fraction(1, 3)) if (mu[1], nu[1]) == (("a",), ("b",)) else val)
+        for mu, nu, val in t2_table_entries(theta_pullback(), bound)
+    ]
+    return TableCocycle(bound, tuple(entries))
+
+
 def test_validate_cocycle_corrupted_table_names_the_triple():
     g = builtin("T2")
     bound = (2, 2)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,12 @@ from ktwist.io import (
 )
 from ktwist.kgraph import builtin
 from ktwist.phases import PhaseExponent
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+try:
+    from test_cocycles import corrupted_t2_table
+finally:
+    sys.path.pop(0)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 SCHEMAS = os.path.join(os.path.dirname(__file__), "..", "schemas")
@@ -209,6 +216,18 @@ def test_malformed_input_exits_1(tmp_path, capsys, kind, obj):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simplicity", "omega"])
+def test_resolution_dependent_cocycle_exits_1(tmp_path, capsys, command):
+    # the corrupted table is not a 2-cocycle, so two resolutions of one
+    # isotropy pair disagree: an input error, not a traceback
+    path = tmp_path / "table.json"
+    path.write_text(serialize_cocycle(corrupted_t2_table((2, 2))), encoding="utf-8")
+    assert cli.main([command, "builtin:T2", "--cocycle", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "resolution" in err and "Traceback" not in err
+    assert err.count("\n") == 1
 
 
 # --- references and digests --------------------------------------------------

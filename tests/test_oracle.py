@@ -1,6 +1,7 @@
 """Brute-force groupoid layer: partition, sigma, conjugation phases, suites."""
 
 import os
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,12 @@ from ktwist.oracle import (
 )
 from ktwist.phases import PhaseExponent, phase_is_trivial
 from ktwist.structure import per_group
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+try:
+    from test_cocycles import corrupted_t2_table
+finally:
+    sys.path.pop(0)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -386,6 +393,16 @@ def test_suite_resolution(t2, t2_cocycle, t2_partition):
     res = suite_resolution_independence(t2, t2_cocycle, t2_partition, depth=1, max_pairs=100)
     assert res.ok
     assert res.checked == 64
+
+
+def test_suite_resolution_counts_only_resolution_errors(t2):
+    # a 2-cocycle violation is a counted counterexample; a window too
+    # shallow for the elements is not, and escapes
+    res = suite_resolution_independence(t2, corrupted_t2_table((3, 3)), build_partition(t2, 3), depth=1)
+    assert res.checked == 64
+    assert res.violations and all("resolution" in v for v in res.violations)
+    with pytest.raises(DepthError):
+        suite_resolution_independence(t2, PullbackCocycle(((zero,) * 2,) * 2), build_partition(t2, 1), depth=1)
 
 
 @pytest.mark.parametrize("name, pairs", [("T2", 64), ("B2", 27), ("DISJOINT2", 16), ("B2xT1", 200)])
