@@ -142,7 +142,7 @@ def cmd_omega(args) -> int:
     c, cdigest = load_cocycle(args.cocycle, g)
     per = per_group(g, args.bound)
     basis = tuple(per.lattice.rows)
-    om = omega_from_oracle(g, c, basis, depth=args.depth)
+    om = omega_from_oracle(g, c, basis)
     cf = omega_closedform(g, c, basis)
     agree = om.antisymmetrization() == cf.antisymmetrization()
     body = {
@@ -171,7 +171,7 @@ def cmd_simplicity(args) -> int:
     g, gdigest = resolve_graph(args.graph)
     c, cdigest = load_cocycle(args.cocycle, g)
     orbit = args.bound if isinstance(args.bound, int) else (max(args.bound) if args.bound else 4)
-    bounds = DecisionBounds(period=args.bound, orbit=orbit, depth=args.depth)
+    bounds = DecisionBounds(period=args.bound, orbit=orbit)
     report = decide_simplicity(g, c, bounds)
     body = report.to_jsonable()
     lines = [f"verdict: {report.verdict.status}"]
@@ -237,12 +237,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("omega", help="bicharacter on the period lattice")
     common(sp, "required", True, None)
-    sp.add_argument("--depth", type=int, default=None, help="initial oracle window depth")
     sp.set_defaults(func=cmd_omega)
 
     sp = sub.add_parser("simplicity", help="decide simplicity with certificates")
     common(sp, "required", True, None)
-    sp.add_argument("--depth", type=int, default=None, help="initial oracle window depth")
     sp.set_defaults(func=cmd_simplicity)
 
     sp = sub.add_parser("oracle", help="run the brute-force property suites")

@@ -283,15 +283,11 @@ def verify_potential(
 class DecisionBounds:
     period: Degree | int | None = None
     orbit: int = 4
-    depth: Degree | int | None = None
-    retries: int = 3
 
     def to_jsonable(self) -> dict:
-        out: dict = {"orbit": self.orbit, "retries": self.retries}
+        out: dict = {"orbit": self.orbit}
         if self.period is not None:
             out["period"] = list(self.period) if not isinstance(self.period, int) else self.period
-        if self.depth is not None:
-            out["depth"] = list(self.depth) if not isinstance(self.depth, int) else self.depth
         return out
 
 
@@ -363,7 +359,7 @@ def decide_simplicity(
 
     per = per_group(g, b.period)
     per_basis = per.lattice.rows
-    omega = omega_from_oracle(g, c, per_basis, depth=b.depth, retries=b.retries)
+    omega = omega_from_oracle(g, c, per_basis)
     z = z_omega_of(omega)
     if not verify_z_omega(omega, z):
         raise RecheckError("degeneracy lattice")

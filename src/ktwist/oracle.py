@@ -418,20 +418,11 @@ def periodic_base_vertex(g: KGraph, per_basis: tuple[Degree, ...]) -> str:
     raise ValueError("no vertex is locally periodic for every period generator")
 
 
-def initial_oracle_depth(g: KGraph, per_basis: tuple[Degree, ...]) -> Degree:
-    total = dg.zero(g.k)
-    for p in per_basis:
-        total = dg.add(total, dg.add(dg.pos_part(p), dg.neg_part(p)))
-    return dg.add(total, (1,) * g.k)
-
-
 def omega_from_oracle(
     g: KGraph,
     c: CocycleSpec,
     per_basis: tuple[Degree, ...],
     v: str | None = None,
-    depth: Degree | int | None = None,
-    retries: int = 3,
 ) -> BicharacterTable:
     """Bicharacter with the isotropy cocycle's antisymmetrization.
 
@@ -449,26 +440,18 @@ def omega_from_oracle(
     elif not all(periodic_at(g, p, v) for p in per_basis):
         raise ValueError(f"vertex {v!r} is not locally periodic for every generator")
     x = canonical_tail(g, v)
-    d = _as_degree(g, depth) if depth is not None else initial_oracle_depth(g, per_basis)
-    last: Exception | None = None
-    for _ in range(retries + 1):
-        cells = CancelledCells(g)
-        try:
-            sig = {}
-            for i in range(l):
-                for j in range(l):
-                    if i != j:
-                        sig[(i, j)] = isotropy_restriction(c, cells, x, per_basis[i], per_basis[j])
-            zero = PhaseExponent.zero()
-            rows = [
-                [sig[(i, j)] - sig[(j, i)] if i > j else zero for j in range(l)]
-                for i in range(l)
-            ]
-            return BicharacterTable(l, tuple(tuple(r) for r in rows))
-        except DepthError as err:
-            last = err
-            d = dg.add(d, d)
-    raise DepthError(f"depth escalation exhausted: {last}")
+    cells = CancelledCells(g)
+    sig = {}
+    for i in range(l):
+        for j in range(l):
+            if i != j:
+                sig[(i, j)] = isotropy_restriction(c, cells, x, per_basis[i], per_basis[j])
+    zero = PhaseExponent.zero()
+    rows = [
+        [sig[(i, j)] - sig[(j, i)] if i > j else zero for j in range(l)]
+        for i in range(l)
+    ]
+    return BicharacterTable(l, tuple(tuple(r) for r in rows))
 
 
 def omega_closedform(

@@ -343,12 +343,6 @@ def test_omega_closedform_agrees_when_untwisted(b2xt1, b2xt1_cocycle):
     assert om.antisymmetrization() == cf.antisymmetrization()
 
 
-def test_omega_depth_retry_on_shallow_start(t2, t2_cocycle):
-    per = per_group(t2)
-    om = omega_from_oracle(t2, t2_cocycle, tuple(per.lattice.rows), depth=1)
-    assert om.antisymmetrization()[0][1].coeff("theta") == -1
-
-
 # --- coboundary -------------------------------------------------------------
 
 
