@@ -5,13 +5,17 @@ from fractions import Fraction
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ktwist import cli, decider
+from ktwist import degrees as dg
 from ktwist.cocycles import (
     BicharacterTable,
     OneCocyclePhi,
     PhiOmegaCocycle,
     PullbackCocycle,
+    phi_tilde,
 )
 from ktwist.decider import (
     NONSIMPLE,
@@ -27,7 +31,7 @@ from ktwist.decider import (
 from ktwist.kgraph import builtin, product_base
 from ktwist.lattices import LatticeBasis, kronecker_dense
 from ktwist.oracle import omega_from_oracle
-from ktwist.phases import PhaseExponent
+from ktwist.phases import PhaseExponent, pair_int
 from ktwist.structure import UNKNOWN, per_group
 
 Z = PhaseExponent.of
@@ -187,6 +191,56 @@ def test_full_period_density_fails_on_b2xt3():
     res = kronecker_dense(gens, 3)
     assert not res.dense
     assert res.annihilator.member((0, 0, 1))
+
+
+def reference_orbit_generators(g, phi, zbasis, bound):
+    """orbit_phase_generators as a plain phi_tilde loop over path pairs."""
+
+    def gens_at(b):
+        by_source = {v: [] for v in g.vertices}
+        for n in dg.box((b,) * g.k):
+            for v in g.vertices:
+                for p in g.paths_from(v, n):
+                    by_source[p.source].append(p)
+        seen, out = set(), []
+        for v in sorted(by_source):
+            for mu in by_source[v]:
+                for nu in by_source[v]:
+                    vec = tuple(pair_int(z, phi_tilde(phi, mu, nu)) for z in zbasis.rows)
+                    if vec not in seen:
+                        seen.add(vec)
+                        out.append(vec)
+        return out
+
+    d = zbasis.rank
+    gens = gens_at(bound)
+    prev = gens_at(bound - 1) if bound > 1 else [tuple(zero for _ in range(d))]
+    symbols = tuple(sorted({s for v in gens for e in v for s in e.symbols()}))
+    scale = decider._gen_scale(gens)
+    rows = decider._phase_group_rows
+    return gens, rows(prev, d, symbols, scale) == rows(gens, d, symbols, scale)
+
+
+phase_values = st.builds(
+    lambda n, d, s: Z(Fraction(n, d), theta=s),
+    st.integers(-3, 3),
+    st.integers(1, 4),
+    st.integers(-2, 2),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["B2", "C3"]), st.integers(1, 4), st.integers(1, 2), st.data())
+def test_orbit_generators_match_plain_pair_loop(name, bound, l, data):
+    # a random phase on every edge, projected on a random sublattice of Z^l
+    g = builtin(name)
+    phi = OneCocyclePhi(l, {e.id: tuple(data.draw(phase_values) for _ in range(l)) for e in g.edges})
+    rows = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * l), min_size=1, max_size=l))
+    zbasis = LatticeBasis.from_rows(rows, l)
+    gens, stabilized = orbit_phase_generators(g, phi, zbasis, bound)
+    ref_gens, ref_stabilized = reference_orbit_generators(g, phi, zbasis, bound)
+    assert gens == ref_gens
+    assert stabilized == ref_stabilized
 
 
 # --- bounds ------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import os
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +14,13 @@ from ktwist.cocycles import (
     OneCocyclePhi,
     PhiOmegaCocycle,
     PullbackCocycle,
+    validate_phi,
 )
 from ktwist.decider import z_omega_of
 from ktwist.io import load_cocycle
 from ktwist.kgraph import builtin, canonical_tail
 from ktwist.oracle import (
+    CancelledCells,
     CoboundaryBx,
     DepthError,
     GroupoidElement,
@@ -28,8 +31,10 @@ from ktwist.oracle import (
     compose_elements,
     cylinders_intersect,
     isotropy_element,
+    isotropy_restriction,
     omega_closedform,
     omega_from_oracle,
+    periodic_base_vertex,
     r_sigma,
     sigma_c,
     suite_centre_phase_triviality,
@@ -343,6 +348,148 @@ def test_omega_closedform_agrees_when_untwisted(b2xt1, b2xt1_cocycle):
     assert om.antisymmetrization() == cf.antisymmetrization()
 
 
+# --- the bicharacter through cancelled cells --------------------------------
+
+@pytest.fixture(scope="module")
+def graphs():
+    """Builtin graphs with their period bases, made once for this module."""
+    out = {}
+    for name in ("T2", "T3", "C3xT1", "C3xT2"):
+        g = builtin(name)
+        out[name] = (g, tuple(per_group(g).lattice.rows))
+    return out
+
+
+@pytest.fixture(scope="module")
+def partitions():
+    """Reference partitions by (graph name, depth), shared across cocycles."""
+    return {}
+
+
+def omega_by_partition(g, c, per_basis, partitions):
+    """The bicharacter resolved through a cylinder partition: the reference.
+
+    The partition starts at the box of the generators' absolute values plus
+    one, doubling while it is too shallow.  `partitions` keeps them by
+    graph and depth; sharing one across cocycles is sound, since sigma_c
+    keeps its values per cocycle.
+    """
+    l = len(per_basis)
+    x = canonical_tail(g, periodic_base_vertex(g, per_basis))
+    depth = (1,) * g.k
+    for p in per_basis:
+        depth = dg.add(depth, dg.add(dg.pos_part(p), dg.neg_part(p)))
+    for _ in range(4):
+        key = (g.name, depth)
+        if key not in partitions:
+            partitions[key] = build_partition(g, depth)
+        try:
+            sig = {
+                (i, j): isotropy_restriction(c, partitions[key], x, per_basis[i], per_basis[j])
+                for i in range(l)
+                for j in range(l)
+                if i != j
+            }
+            break
+        except DepthError:
+            depth = dg.add(depth, depth)
+    else:
+        raise DepthError("reference partition stayed too shallow")
+    return tuple(
+        tuple(sig[(i, j)] - sig[(j, i)] if i > j else zero for j in range(l)) for i in range(l)
+    )
+
+
+# The bundled pairings with periods; B2 is aperiodic and DISJOINT2 not cofinal.
+PERIODIC_FIXTURE_PAIRINGS = [
+    ("T2", "pullback_theta"),
+    ("T2", "pullback_half"),
+    ("B2xT1", "phi_theta"),
+    ("B2xT1", "phi_zero"),
+    ("B2xT3", "b2t3"),
+]
+
+
+@pytest.mark.parametrize("name, stem", PERIODIC_FIXTURE_PAIRINGS)
+def test_omega_matches_partition_route_on_fixtures(partitions, name, stem):
+    g = builtin(name)
+    c, _ = load_cocycle(os.path.join(FIXTURES, stem + ".json"), g)
+    basis = tuple(per_group(g).lattice.rows)
+    assert basis
+    assert omega_from_oracle(g, c, basis).rows == omega_by_partition(g, c, basis, partitions)
+
+
+phase_values = st.builds(
+    lambda n, d, s, t: Z(Fraction(n, d), s=s, t=t),
+    st.integers(-3, 3),
+    st.integers(1, 6),
+    st.integers(-2, 2),
+    st.integers(-2, 2),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([2, 3]), st.data())
+def test_omega_of_random_torus_pullback(graphs, partitions, k, data):
+    # on T_k the generators are the unit vectors, and the antisymmetrization
+    # of a pullback Theta is Theta - Theta^T
+    g, _ = graphs[f"T{k}"]
+    theta_m = tuple(tuple(data.draw(phase_values) for _ in range(k)) for _ in range(k))
+    c = PullbackCocycle(theta_m)
+    basis = tuple(dg.unit(k, i + 1) for i in range(k))
+    om = omega_from_oracle(g, c, basis)
+    assert om.rows == omega_by_partition(g, c, basis, partitions)
+    anti = om.antisymmetrization()
+    for i in range(k):
+        for j in range(k):
+            assert anti[i][j] == theta_m[i][j] - theta_m[j][i]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["C3xT1", "C3xT2"]), st.data())
+def test_omega_of_random_product_cocycle(graphs, partitions, name, data):
+    # multi-vertex products with a random phase on the base edges (the torus
+    # loops carry none, so the squares hold) and a random torus twist
+    g, basis = graphs[name]
+    l = g.k - 1
+    phi = OneCocyclePhi(l, {
+        e.id: tuple(data.draw(phase_values) if e.color == 1 else zero for _ in range(l))
+        for e in g.edges
+    })
+    assert validate_phi(phi, g).ok
+    om_in = BicharacterTable(
+        l, tuple(tuple(data.draw(phase_values) if i > j else zero for j in range(l)) for i in range(l))
+    )
+    c = PhiOmegaCocycle(l, phi, om_in)
+    assert omega_from_oracle(g, c, basis).rows == omega_by_partition(g, c, basis, partitions)
+
+
+@pytest.mark.parametrize("name", ["T2", "B2xT3", "C3xT2"])
+def test_cancelled_cell_is_a_function_of_the_element(name):
+    # the products both ways and the isotropy element of the sum are one
+    # element, written three ways; they must all resolve to one cell
+    g = builtin(name)
+    basis = tuple(per_group(g).lattice.rows)
+    x = canonical_tail(g, periodic_base_vertex(g, basis))
+    periods = basis + tuple(dg.scale(-1, p) for p in basis)
+    for p in periods:
+        for q in periods:
+            iso_p, iso_q = isotropy_element(x, p), isotropy_element(x, q)
+            forms = [
+                compose_elements(iso_p, iso_q),
+                compose_elements(iso_q, iso_p),
+                isotropy_element(x, dg.add(p, q)),
+            ]
+            cells = CancelledCells(g)
+            found = {cells.member(el) for el in forms}
+            assert len(found) == 1 and len(cells._cell_of) == 1
+            mu, nu = found.pop()
+            for el in forms:
+                assert el.range_path().segment_to(mu.degree) == mu
+                assert el.source_path().segment_to(nu.degree) == nu
+                assert el.range_path().shift(mu.degree) == el.source_path().shift(nu.degree)
+
+
 # --- coboundary -------------------------------------------------------------
 
 
@@ -422,8 +569,6 @@ def test_suite_conjugation(t2, t2_cocycle, t2_partition):
 def test_suite_centre_half_twist(t2, t2_partition):
     # with the half-integer twist the degeneracy lattice is 2Z x 2Z and the
     # phases of isotropy elements on it must all wind to one
-    from fractions import Fraction
-
     c = PullbackCocycle(((zero, zero), (Z(Fraction(1, 2)), zero)))
     per = per_group(t2)
     res = suite_centre_phase_triviality(
