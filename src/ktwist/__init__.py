@@ -54,8 +54,6 @@ from .lattices import (
 )
 from .oracle import (
     GroupoidElement,
-    PartitionP,
-    build_partition,
     isotropy_element,
     omega_closedform,
     omega_from_oracle,
@@ -110,8 +108,6 @@ __all__ = [
     "kronecker_dense",
     "verify_kronecker",
     "GroupoidElement",
-    "PartitionP",
-    "build_partition",
     "isotropy_element",
     "omega_closedform",
     "omega_from_oracle",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cocycles import validate_cocycle
+from .cocycles import PhiOmegaCocycle, validate_cocycle, validate_phi
 from .decider import SIMPLE, NONSIMPLE, DecisionBounds, RecheckError, decide_simplicity
 from .io import (
     FileFormatError,
@@ -21,8 +21,8 @@ from .io import (
     resolve_graph,
     serialize_report,
 )
-from .kgraph import ComposabilityError, validate_kgraph
-from .oracle import DepthError, ResolutionError, omega_closedform, omega_from_oracle, run_suites
+from .kgraph import validate_kgraph
+from .oracle import ResolutionError, omega_closedform, omega_from_oracle, run_suites
 from .phases import format_phase
 from .structure import YES, is_aperiodic, is_cofinal, per_group
 
@@ -61,6 +61,17 @@ def _inputs(args, gdigest: str, cdigest: str | None) -> dict:
     if cdigest is not None:
         inputs["cocycle"] = cdigest
     return inputs
+
+
+def _load_twist(args, g):
+    """The cocycle for omega and simplicity, which trust it: a phi_omega
+    cocycle's phi must agree on both sides of every square."""
+    c, cdigest = load_cocycle(args.cocycle, g)
+    if isinstance(c, PhiOmegaCocycle):
+        rep = validate_phi(c.phi, g)
+        if not rep.ok:
+            raise FileFormatError(f"cocycle.phi: {rep.problems[0]}")
+    return c, cdigest
 
 
 def cmd_validate(args) -> int:
@@ -139,7 +150,7 @@ def cmd_per(args) -> int:
 
 def cmd_omega(args) -> int:
     g, gdigest = resolve_graph(args.graph)
-    c, cdigest = load_cocycle(args.cocycle, g)
+    c, cdigest = _load_twist(args, g)
     per = per_group(g, args.bound)
     basis = tuple(per.lattice.rows)
     om = omega_from_oracle(g, c, basis)
@@ -169,7 +180,7 @@ def cmd_omega(args) -> int:
 
 def cmd_simplicity(args) -> int:
     g, gdigest = resolve_graph(args.graph)
-    c, cdigest = load_cocycle(args.cocycle, g)
+    c, cdigest = _load_twist(args, g)
     orbit = args.bound if isinstance(args.bound, int) else (max(args.bound) if args.bound else 4)
     bounds = DecisionBounds(period=args.bound, orbit=orbit)
     report = decide_simplicity(g, c, bounds)
@@ -255,10 +266,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileFormatError, ComposabilityError, DepthError, ResolutionError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, ResolutionError) as err:  # FileFormatError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 1
     except RecheckError as err:

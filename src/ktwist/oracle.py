@@ -14,16 +14,16 @@ cocycle on the graph.  Its value on a composable pair is resolved through
 cylinder cells of the two factors and their product via common
 extensions; the helpers then restrict it to isotropy, build conjugation
 phases, inductive coboundaries, and the bicharacter used by the
-simplicity decider.  The property suites resolve through a
-depth-truncated partition of the groupoid into cylinder cells, and raise
-DepthError (not wrong answers) when its truncation is too shallow; errors
-are never kept, so they recur.  The bicharacter resolves each element
-through its own cancelled cell instead, which needs no partition: the
-two choices of cell give cohomologous isotropy cocycles, hence the same
-antisymmetrization.  Either kind of cell source keeps the cell of each
-element and the cocycle value of each pair it has resolved, so each is
-worked out once.  A value that depends on the resolution means the
-categorical cocycle is not a 2-cocycle, and raises ResolutionError.
+simplicity decider.  Every command resolves each element through its own
+cancelled cell, which needs no partition.  The tests' reference route is
+a depth-truncated partition into cylinder cells, which raises DepthError
+(not wrong answers) when too shallow.  Any cell that is a function of
+the element changes the cocycle by a coboundary only, so the identities
+of the suites and the bicharacter's antisymmetrization hold through
+either.  Each cell source keeps the cell of each element and the value
+of each pair it has resolved.  A value that depends on the resolution
+means the categorical cocycle is not a 2-cocycle: sigma_c raises
+ResolutionError, and a suite records it against the check that asked.
 """
 
 from __future__ import annotations
@@ -231,12 +231,13 @@ class PartitionP:
 
 @dataclass(eq=False)
 class CancelledCells:
-    """Each element's own cancelled cell, behind PartitionP's interface.
+    """Each element's own cancelled cell: every command's cell source.
 
-    The first lookup of an element keeps the (mu, nu) of its cancelled form
-    in `_cell_of`, so the cell is a function of the element.  sigma_c
+    It has the interface of PartitionP, the tests' reference.  The first
+    lookup of an element keeps the (mu, nu) of its cancelled form in
+    `_cell_of`, so the cell is a function of the element, and sigma_c
     through these cells differs from sigma_c through a partition by a
-    coboundary, which has zero antisymmetrization on the abelian isotropy.
+    coboundary.
     """
 
     graph: KGraph
@@ -269,13 +270,13 @@ def _is_reduced(g: KGraph, mu: Path, nu: Path) -> bool:
     return True
 
 
-def build_partition(g: KGraph, depth, pinned: tuple[tuple[Path, Path], ...] = ()) -> PartitionP:
+def build_partition(g: KGraph, depth) -> PartitionP:
     """Greedy cylinder partition of the groupoid truncated at a degree box.
 
     Starts from the diagonal cells (lambda, source vertex) for every path
-    within the box plus any pinned pairs, then sweeps all reduced
-    source-matched pairs in graded lexicographic order, keeping each one
-    whose cylinder misses everything kept so far.
+    within the box, then sweeps all reduced source-matched pairs in graded
+    lexicographic order, keeping each one whose cylinder misses everything
+    kept so far.
     """
     depth = _as_degree(g, depth)
     paths_by_degree: dict[Degree, list[Path]] = {}
@@ -287,36 +288,26 @@ def build_partition(g: KGraph, depth, pinned: tuple[tuple[Path, Path], ...] = ()
         paths_by_degree[n] = bucket
 
     cells: list[tuple[Path, Path]] = []
+    by_p: dict[Degree, list[tuple[Path, Path]]] = {}  # kept cells by degree difference
     for n in sorted(paths_by_degree, key=lambda n: (dg.total(n), n)):
         for lam in paths_by_degree[n]:
             cells.append((lam, g.vertex_path(lam.source)))
-
-    for mu, nu in pinned:
-        if mu.source != nu.source:
-            raise ValueError(f"pinned pair ({mu!r}, {nu!r}) does not share a source")
-        if any(mu == m and nu == n for m, n in cells):
-            continue
-        for other in cells:
-            if cylinders_intersect(g, (mu, nu), other):
-                raise ValueError(f"pinned pair ({mu!r}, {nu!r}) overlaps {other}")
-        cells.append((mu, nu))
+            by_p.setdefault(n, []).append(cells[-1])
 
     degree_pairs = sorted(
         ((m, n) for m in paths_by_degree for n in paths_by_degree),
         key=lambda mn: (dg.total(mn[0]) + dg.total(mn[1]), mn[0], mn[1]),
     )
-    part = PartitionP(g, depth, tuple(cells))
     for m, n in degree_pairs:
+        same_p = by_p.setdefault(dg.sub(m, n), [])
         for mu in paths_by_degree[m]:
             for nu in paths_by_degree[n]:
                 if nu.source != mu.source:
                     continue
                 if not _is_reduced(g, mu, nu):
                     continue
-                same_p = part._by_p.get(dg.sub(m, n), [])
                 if any(cylinders_intersect(g, (mu, nu), cell) for cell in same_p):
                     continue
-                same_p = part._by_p.setdefault(dg.sub(m, n), [])
                 same_p.append((mu, nu))
                 cells.append((mu, nu))
     return PartitionP(g, depth, tuple(cells))
@@ -389,7 +380,9 @@ def isotropy_restriction(
     return sigma_c(c, P, isotropy_element(x, p), isotropy_element(x, q))
 
 
-def r_sigma(c: CocycleSpec, P: PartitionP, alpha: GroupoidElement, p: Degree) -> PhaseExponent:
+def r_sigma(
+    c: CocycleSpec, P: PartitionP | CancelledCells, alpha: GroupoidElement, p: Degree
+) -> PhaseExponent:
     """Conjugation phase of the period p across the element alpha."""
     iso = isotropy_element(alpha.source_path(), p)
     ai = alpha.inverse()
@@ -571,9 +564,12 @@ class CoboundaryBx:
         for p in dg.signed_box((radius,) * self.l):
             for q in dg.signed_box((radius,) * self.l):
                 checked += 1
-                lhs = (self.value(p) + self.value(q)) - self.value(dg.add(p, q))
-                if not phase_is_trivial(lhs - self.ctilde(p, q)):
-                    bad.append(f"delta b != ctilde at ({p}, {q})")
+                try:
+                    lhs = (self.value(p) + self.value(q)) - self.value(dg.add(p, q))
+                    if not phase_is_trivial(lhs - self.ctilde(p, q)):
+                        bad.append(f"delta b != ctilde at ({p}, {q})")
+                except ResolutionError as err:
+                    bad.append(f"delta b != ctilde at ({p}, {q}): {err}")
         return checked, bad
 
 
@@ -599,6 +595,11 @@ class SuiteResult:
         }
 
 
+def _paths_into(g: KGraph, v: str, m: Degree) -> list[Path]:
+    """The paths of degree m with source v, in order of range vertex."""
+    return [p for w in sorted(g.vertices) for p in g.paths_from(w, m) if p.source == v]
+
+
 def _elements_at(g: KGraph, v: str, d: Degree) -> list[GroupoidElement]:
     """Elements (mu, nu) over the canonical tail at v, both degrees in the box d."""
     z = canonical_tail(g, v)
@@ -606,8 +607,8 @@ def _elements_at(g: KGraph, v: str, d: Degree) -> list[GroupoidElement]:
         GroupoidElement(mu, nu, z)
         for m in dg.box(d)
         for n in dg.box(d)
-        for mu in g.paths_from(v, m)
-        for nu in g.paths_from(v, n)
+        for mu in _paths_into(g, v, m)
+        for nu in _paths_into(g, v, n)
     ]
 
 
@@ -622,14 +623,29 @@ def _left_factors(g: KGraph, b: GroupoidElement, d: Degree, s: Degree) -> list[G
     return [
         GroupoidElement(mu, u.segment_to(s), us)
         for m in dg.box(d)
-        for mu in g.paths_from(us.range, m)
+        for mu in _paths_into(g, us.range, m)
     ]
+
+
+def _sigma_or_error(c: CocycleSpec, P, gelt: GroupoidElement, helt: GroupoidElement):
+    """sigma_c(gelt, helt), or the ResolutionError it raised, for several checks to share."""
+    try:
+        return sigma_c(c, P, gelt, helt)
+    except ResolutionError as err:
+        return err
+
+
+def _resolved(value: PhaseExponent | ResolutionError) -> PhaseExponent:
+    """A shared value, raising its error afresh in each check that uses it."""
+    if isinstance(value, ResolutionError):
+        raise ResolutionError(str(value))
+    return value
 
 
 def suite_cocycle_identity(
     g: KGraph,
     c: CocycleSpec,
-    P: PartitionP,
+    P: PartitionP | CancelledCells,
     depth=1,
     max_triples: int | None = None,
 ) -> SuiteResult:
@@ -648,21 +664,24 @@ def suite_cocycle_identity(
     for v in sorted(g.vertices):
         for b in _elements_at(g, v, d):
             lefts = [
-                (a, sigma_c(c, P, a, b), compose_elements(a, b))
+                (a, _sigma_or_error(c, P, a, b), compose_elements(a, b))
                 for s in shifts
                 for a in _left_factors(g, b, d, s)
             ]
             rights = [
-                (cc, sigma_c(c, P, b, cc), compose_elements(b, cc))
+                (cc, _sigma_or_error(c, P, b, cc), compose_elements(b, cc))
                 for s in shifts
                 for cc in (x.inverse() for x in _left_factors(g, b.inverse(), d, s))
             ]
             for a, s_ab, ab in lefts:
                 for cc, s_bc, bc in rights:
-                    lhs = s_ab + sigma_c(c, P, ab, cc)
-                    rhs = s_bc + sigma_c(c, P, a, bc)
-                    if not phase_is_trivial(lhs - rhs):
-                        bad.append(f"identity fails on ({a!r}, {b!r}, {cc!r})")
+                    try:
+                        lhs = _resolved(s_ab) + sigma_c(c, P, ab, cc)
+                        rhs = _resolved(s_bc) + sigma_c(c, P, a, bc)
+                        if not phase_is_trivial(lhs - rhs):
+                            bad.append(f"identity fails on ({a!r}, {b!r}, {cc!r})")
+                    except ResolutionError as err:
+                        bad.append(f"identity fails on ({a!r}, {b!r}, {cc!r}): {err}")
                     checked += 1
                     if max_triples is not None and checked >= max_triples:
                         return SuiteResult("cocycle_identity", checked, tuple(bad))
@@ -670,7 +689,7 @@ def suite_cocycle_identity(
 
 
 def suite_resolution_independence(
-    g: KGraph, c: CocycleSpec, P: PartitionP, depth=1, max_pairs: int = 200
+    g: KGraph, c: CocycleSpec, P: PartitionP | CancelledCells, depth=1, max_pairs: int = 200
 ) -> SuiteResult:
     """Recompute sigma(a, b) with three paddings; sigma_c asserts agreement.
 
@@ -703,7 +722,7 @@ def _period_samples(per_basis: tuple[Degree, ...], radius: int):
 def suite_conjugation_formula(
     g: KGraph,
     c: CocycleSpec,
-    P: PartitionP,
+    P: PartitionP | CancelledCells,
     per_basis: tuple[Degree, ...],
     depth=1,
     radius: int = 1,
@@ -737,15 +756,18 @@ def suite_conjugation_formula(
             iso_s = {p: isotropy_element(xs, p) for p in periods}
             for p in periods:
                 for q in periods:
-                    lhs = r_cached(dg.add(p, q))
-                    rhs = (
-                        sigma_c(c, P, iso_r[p], iso_r[q])
-                        - sigma_c(c, P, iso_s[p], iso_s[q])
-                        + r_cached(p)
-                        + r_cached(q)
-                    )
-                    if not phase_is_trivial(lhs - rhs):
-                        bad.append(f"conjugation additivity fails at ({a!r}, {p}, {q})")
+                    try:
+                        lhs = r_cached(dg.add(p, q))
+                        rhs = (
+                            sigma_c(c, P, iso_r[p], iso_r[q])
+                            - sigma_c(c, P, iso_s[p], iso_s[q])
+                            + r_cached(p)
+                            + r_cached(q)
+                        )
+                        if not phase_is_trivial(lhs - rhs):
+                            bad.append(f"conjugation additivity fails at ({a!r}, {p}, {q})")
+                    except ResolutionError as err:
+                        bad.append(f"conjugation additivity fails at ({a!r}, {p}, {q}): {err}")
                     checked += 1
                     if max_checks is not None and checked >= max_checks:
                         return SuiteResult("conjugation_formula", checked, tuple(bad))
@@ -755,7 +777,7 @@ def suite_conjugation_formula(
 def suite_centre_phase_triviality(
     g: KGraph,
     c: CocycleSpec,
-    P: PartitionP,
+    P: PartitionP | CancelledCells,
     per_basis: tuple[Degree, ...],
     zbasis: tuple[tuple[int, ...], ...],
     depth=1,
@@ -781,19 +803,18 @@ def suite_centre_phase_triviality(
         base = canonical_tail(g, v)
         tails = [base]
         for m in dg.box(d):
-            if dg.is_zero(m):
-                continue
-            for w in sorted(g.vertices):
-                for mu in g.paths_from(w, m):
-                    if mu.source == v:
-                        tails.append(base.prepend(mu))
+            if not dg.is_zero(m):
+                tails += [base.prepend(mu) for mu in _paths_into(g, v, m)]
         for x in tails:
             for q in _period_samples(per_basis, radius):
                 gamma = isotropy_element(x, q)
                 for p in central:
-                    val = r_sigma(c, P, gamma, p)
-                    if not phase_is_trivial(val):
-                        bad.append(f"nontrivial phase {val!r} at ({gamma!r}, {p})")
+                    try:
+                        val = r_sigma(c, P, gamma, p)
+                        if not phase_is_trivial(val):
+                            bad.append(f"nontrivial phase {val!r} at ({gamma!r}, {p})")
+                    except ResolutionError as err:
+                        bad.append(f"no phase at ({gamma!r}, {p}): {err}")
                     checked += 1
     return SuiteResult("centre_phase_triviality", checked, tuple(bad))
 
@@ -806,15 +827,16 @@ def run_suites(
 ) -> tuple[list[SuiteResult], list[str], tuple[Degree, ...], BicharacterTable | None]:
     """Run every property suite that applies to the graph.
 
-    Elements come from the degree box max(1, depth - 1) and the partition
-    from three times that box; `cap` bounds the sampled identity triples
-    and conjugation checks.  The period-dependent suites need certified
-    cofinality, and the centre and coboundary suites a nontrivial period
-    lattice.  Returns the suites, notes on the suites skipped, the period
-    basis and the bicharacter the suites used (None when none did).
+    Elements come from the degree box max(1, depth - 1), and each resolves
+    through its own cancelled cell; `cap` bounds the sampled identity
+    triples and conjugation checks.  The period-dependent suites need
+    certified cofinality, and the centre and coboundary suites a
+    nontrivial period lattice and a bicharacter that does not depend on
+    the resolution.  Returns the suites, notes on the suites skipped, the
+    period basis and the bicharacter the suites used (None when none did).
     """
     element_depth = max(1, depth - 1)
-    P = build_partition(g, 3 * element_depth)
+    P = CancelledCells(g)
     suites = [
         suite_cocycle_identity(g, c, P, depth=element_depth, max_triples=cap),
         suite_resolution_independence(g, c, P, depth=element_depth),
@@ -825,7 +847,10 @@ def run_suites(
     suites.append(suite_conjugation_formula(g, c, P, basis, depth=element_depth, max_checks=cap))
     if not basis:
         return suites, ["trivial period lattice; centre and coboundary suites are vacuous"], basis, None
-    om = omega_from_oracle(g, c, basis)
+    try:
+        om = omega_from_oracle(g, c, basis)
+    except ResolutionError as err:
+        return suites, [f"no bicharacter ({err}); centre and coboundary suites skipped"], basis, None
     zrows = z_omega_of(om).rows
     suites.append(suite_centre_phase_triviality(g, c, P, basis, zrows, depth=element_depth))
     x = canonical_tail(g, periodic_base_vertex(g, basis))

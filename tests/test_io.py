@@ -230,6 +230,34 @@ def test_resolution_dependent_cocycle_exits_1(tmp_path, capsys, command):
     assert err.count("\n") == 1
 
 
+def test_oracle_reports_a_resolution_dependent_cocycle(tmp_path, capsys):
+    # the suites count each check that the corrupted table fails, and the
+    # report is written, rather than the run stopping at the first one
+    path = tmp_path / "table.json"
+    path.write_text(serialize_cocycle(corrupted_t2_table((3, 3))), encoding="utf-8")
+    emit = tmp_path / "report.json"
+    argv = ["oracle", "builtin:T2", "--cocycle", str(path), "--depth", "1", "--emit", str(emit)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == ""
+    suites = {s["name"]: s for s in json.loads(emit.read_text(encoding="utf-8"))["suites"]}
+    assert not suites["cocycle_identity"]["ok"]
+    assert not suites["resolution_independence"]["ok"]
+    assert suites["resolution_independence"]["checked"] == 64
+
+
+@pytest.mark.parametrize("command", ["simplicity", "omega"])
+def test_phi_breaking_a_square_exits_1(tmp_path, capsys, command):
+    # phi = 1/3 on one torus loop of C3xT1 breaks the squares at that vertex
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps({"variant": "phi_omega", "symbols": [], "l": 1,
+                                "phi": {"t1_v0": ["1/3"]}, "omega": [["0"]]}), encoding="utf-8")
+    assert cli.main([command, "builtin:C3xT1", "--cocycle", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "square (c0,t1_v1)->(t1_v0,c0)" in captured.err
+
+
 # --- references and digests --------------------------------------------------
 
 

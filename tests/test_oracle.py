@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktwist import degrees as dg
+from ktwist import oracle
 from ktwist.cocycles import (
     BicharacterTable,
     OneCocyclePhi,
     PhiOmegaCocycle,
     PullbackCocycle,
+    TableCocycle,
     validate_phi,
 )
 from ktwist.decider import z_omega_of
@@ -48,7 +50,7 @@ from ktwist.structure import per_group
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 try:
-    from test_cocycles import corrupted_t2_table
+    from test_cocycles import corrupted_t2_table, t2_table_entries
 finally:
     sys.path.pop(0)
 
@@ -204,13 +206,6 @@ def test_partition_depth_error_beyond_window(t2):
     for _ in range(2):
         with pytest.raises(DepthError):
             shallow.member(deep)
-
-
-def test_partition_pinned_pairs_are_kept(t2):
-    mu = t2.make_path("v", ["a"])
-    nu = t2.make_path("v", ["b"])
-    P = build_partition(t2, 3, pinned=((mu, nu),))
-    assert any(a.word == mu.word and b.word == nu.word for a, b in P.cells)
 
 
 # --- sigma and the conjugation phase ----------------------------------------
@@ -585,3 +580,74 @@ def test_suite_centre_b2xt1(b2xt1, b2xt1_cocycle, b2xt1_partition):
     )
     assert res.ok
     assert res.checked > 0
+
+
+# --- the suites through either cell source ----------------------------------
+
+
+def _twist_last(k):
+    """The pullback twist with theta in entry [k-1][k-2] only."""
+    return PullbackCocycle(
+        tuple(tuple(theta if (i, j) == (k - 1, k - 2) else zero for j in range(k)) for i in range(k))
+    )
+
+
+def suites_by_cell_source(monkeypatch, g, c, reference_depth):
+    """run_suites at element depth 1, through cancelled cells and then through
+    a partition to `reference_depth`, as (name, checked, ok) rows and notes."""
+    runs = []
+    for cells in (CancelledCells, lambda g: build_partition(g, reference_depth)):
+        monkeypatch.setattr(oracle, "CancelledCells", cells)
+        suites, notes, _, _ = oracle.run_suites(g, c, 2, 500)
+        runs.append(([(s.name, s.checked, s.ok) for s in suites], notes))
+    return runs
+
+
+# The period (3, 0, ...) of the cycle needs a deeper reference box in its colour.
+@pytest.mark.parametrize("name, stem, reference_depth", [
+    pytest.param(name, stem, depth, id=name)
+    for name, stem, depth in (
+        ("T2", "pullback_theta", 3),
+        ("B2", "pullback_b2", 3),
+        ("B2xT1", "phi_theta", 3),
+        ("DISJOINT2", "pullback_b2", 3),
+        ("C3xT1", None, (9, 3)),
+        ("C3xT2", None, (6, 3, 3)),
+    )
+])
+def test_suites_agree_through_either_cell_source(monkeypatch, name, stem, reference_depth):
+    # any cell that is a function of the element changes sigma by a
+    # coboundary, so every suite checks as much and passes alike
+    g = builtin(name)
+    c = load_cocycle(os.path.join(FIXTURES, stem + ".json"), g)[0] if stem else _twist_last(g.k)
+    cancelled, reference = suites_by_cell_source(monkeypatch, g, c, reference_depth)
+    assert cancelled == reference
+    assert all(ok for _, _, ok in cancelled[0])
+
+
+def test_both_cell_sources_flag_the_corrupted_table(monkeypatch, t2):
+    cancelled, reference = suites_by_cell_source(monkeypatch, t2, corrupted_t2_table((3, 3)), 3)
+    assert cancelled == reference
+    rows = {name: (checked, ok) for name, checked, ok in cancelled[0]}
+    assert rows["cocycle_identity"][1] is False
+    assert rows["resolution_independence"] == (64, False)
+
+
+def test_each_suite_counts_its_resolution_errors(t2):
+    # off by 1/3 at (a, a), the half-twist table still resolves the generator
+    # pairs, so the bicharacter exists, and the centre and coboundary suites
+    # meet resolution-dependent pairs of their own
+    half = PullbackCocycle(((zero, zero), (Z(Fraction(1, 2)), zero)))
+    entries = tuple(
+        (mu, nu, val + Z(Fraction(1, 3)) if (mu[1], nu[1]) == (("a",), ("a",)) else val)
+        for mu, nu, val in t2_table_entries(half, (3, 3))
+    )
+    suites, notes, _, om = oracle.run_suites(t2, TableCocycle((3, 3), entries), 1, 200)
+    assert om is not None and not notes
+    assert [s.name for s in suites] == [
+        "cocycle_identity", "resolution_independence", "conjugation_formula",
+        "centre_phase_triviality", "coboundary_box",
+    ]
+    for s in suites:
+        assert any("depended on the resolution" in v for v in s.violations), s.name
+
