@@ -48,6 +48,11 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: json loads true and false as bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _as_list(x, where: str) -> list:
     if not isinstance(x, list):
         raise FileFormatError(f"{where}: expected a list")
@@ -83,7 +88,7 @@ def graph_from_jsonable(obj) -> KGraph:
     if not isinstance(obj, dict):
         raise FileFormatError("graph: expected a JSON object")
     k = _need(obj, "k", "graph")
-    if not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         raise FileFormatError("graph.k: expected a positive integer")
     vertices = tuple(_as_str_list(_need(obj, "vertices", "graph"), "graph.vertices"))
     vset = set(vertices)
@@ -98,7 +103,7 @@ def graph_from_jsonable(obj) -> KGraph:
         src = _need(e, "source", where)
         if not all(isinstance(x, str) for x in (eid, rng, src)):
             raise FileFormatError(f"{where}: id, range and source must be strings")
-        if not isinstance(color, int) or not 1 <= color <= k:
+        if not _is_int(color) or not 1 <= color <= k:
             raise FileFormatError(f"{where} (edge {eid!r}): color {color!r} outside 1..{k}")
         if rng not in vset:
             raise FileFormatError(f"{where} (edge {eid!r}): unknown range vertex {rng!r}")
@@ -114,7 +119,7 @@ def graph_from_jsonable(obj) -> KGraph:
         ij = _need(s, "ij", where)
         frm = _need(s, "from", where)
         to = _need(s, "to", where)
-        if not (isinstance(ij, list) and len(ij) == 2 and all(isinstance(x, int) for x in ij)):
+        if not (isinstance(ij, list) and len(ij) == 2 and all(_is_int(x) for x in ij)):
             raise FileFormatError(f"{where}.ij: expected two colors")
         if not (isinstance(frm, list) and len(frm) == 2 and isinstance(to, list) and len(to) == 2):
             raise FileFormatError(f"{where}: 'from' and 'to' must be edge pairs")
@@ -246,7 +251,7 @@ def cocycle_from_jsonable(obj, g: KGraph) -> CocycleSpec:
         return PullbackCocycle(theta)
     if variant == "phi_omega":
         l = _need(obj, "l", "cocycle")
-        if not isinstance(l, int) or not 1 <= l <= g.k:
+        if not _is_int(l) or not 1 <= l <= g.k:
             raise FileFormatError(f"cocycle.l: expected an integer in 1..{g.k}")
         phi_obj = _need(obj, "phi", "cocycle")
         if not isinstance(phi_obj, dict):
@@ -269,7 +274,7 @@ def cocycle_from_jsonable(obj, g: KGraph) -> CocycleSpec:
         return PhiOmegaCocycle(l, OneCocyclePhi(l, entries), BicharacterTable(l, omega_rows))
     if variant == "table":
         bound = _need(obj, "bound", "cocycle")
-        if not (isinstance(bound, list) and len(bound) == g.k and all(isinstance(x, int) for x in bound)):
+        if not (isinstance(bound, list) and len(bound) == g.k and all(_is_int(x) for x in bound)):
             raise FileFormatError(f"cocycle.bound: expected {g.k} integers")
         rows = []
         for idx, ent in enumerate(_as_list(_need(obj, "entries", "cocycle"), "cocycle.entries")):

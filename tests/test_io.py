@@ -186,8 +186,23 @@ def _malformed_square():
     return obj
 
 
-def _table(entries):
-    return {"variant": "table", "symbols": [], "bound": [1, 1], "entries": entries}
+def _table(entries, bound=(1, 1)):
+    return {"variant": "table", "symbols": [], "bound": list(bound), "entries": entries}
+
+
+def _with_booleans(name, k=False, color=False, ij=False):
+    """The builtin graph with true in place of the integer 1 in the named fields."""
+    obj = graph_to_jsonable(builtin(name))
+    if k:
+        obj["k"] = True
+    if color:
+        for e in obj["edges"]:
+            if e["color"] == 1:
+                e["color"] = True
+    if ij:
+        for sq in obj["squares"]:
+            sq["ij"][0] = True
+    return obj
 
 
 MALFORMED = {
@@ -202,6 +217,12 @@ MALFORMED = {
                                                      "nu": {"range": "v", "word": []}, "value": "0"}])),
     "table range not a string": ("cocycle", _table([{"mu": {"range": 5, "word": []},
                                                      "nu": {"range": "v", "word": []}, "value": "0"}])),
+    "k and color booleans": ("graph", _with_booleans("B2", k=True, color=True)),
+    "color a boolean": ("graph", _with_booleans("T2", color=True)),
+    "ij a boolean": ("graph", _with_booleans("T2", ij=True)),
+    "l a boolean": ("cocycle", {"variant": "phi_omega", "symbols": [], "l": True,
+                                "phi": {}, "omega": [["0"]]}),
+    "bound a boolean": ("cocycle", _table([], bound=(True, 1))),
 }
 
 
@@ -216,6 +237,12 @@ def test_malformed_input_exits_1(tmp_path, capsys, kind, obj):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_boolean_rank_is_named_as_the_rank():
+    # with k = true the color-2 edges of T2 used to take the blame
+    with pytest.raises(FileFormatError, match=r"graph\.k: expected a positive integer"):
+        loads_graph(canonical_json(_with_booleans("T2", k=True)))
 
 
 @pytest.mark.parametrize("command", ["simplicity", "omega"])

@@ -1,19 +1,27 @@
 """Reachability, cofinality, and the shift-period lattice."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ktwist.kgraph import builtin
+from ktwist import degrees as dg
+from ktwist import structure
+from ktwist.kgraph import Edge, KGraph, Path, Square, builtin, validate_kgraph
+from ktwist.lattices import LatticeBasis
 from ktwist.structure import (
     NO,
     UNKNOWN,
     YES,
+    PeriodicityResult,
+    Verdict,
+    default_period_bound,
     is_aperiodic,
     is_cofinal,
     is_strongly_connected,
-    local_periodicity_pair,
-    pair_relation,
+    path_counts,
     per_group,
     periodic_at,
+    periodic_at_offsets,
     verify_cofinality,
 )
 
@@ -127,3 +135,200 @@ def test_per_group_bound_stability():
         small = per_group(g, 2)
         large = per_group(g, 3)
         assert small.lattice.rows == large.lattice.rows, name
+
+
+# --- cross-checks on the periodicity notion ---------------------------------
+
+
+def pair_relation(g: KGraph, mu: Path, nu: Path) -> bool:
+    """Do mu and nu satisfy mu.x = nu.x for every infinite x from their source?
+
+    Decided exactly: with n0 = join(d(mu), d(nu)), the infinite equality is
+    equivalent to prefix agreement over all test paths w of degree
+    join(n0-d(mu), n0-d(nu)) together with shift periodicity at the source
+    with offsets (n0-d(mu), n0-d(nu)).
+    """
+    if mu.source != nu.source or mu.range != nu.range:
+        return False
+    n0 = dg.join(mu.degree, nu.degree)
+    a = dg.sub(n0, mu.degree)
+    b = dg.sub(n0, nu.degree)
+    for w in g.paths_from(mu.source, dg.join(a, b)):
+        left = g.compose(mu, g.factorize(w, a)[0])
+        right = g.compose(nu, g.factorize(w, b)[0])
+        if left != right:
+            return False
+    return periodic_at_offsets(g, mu.source, a, b)
+
+
+def local_periodicity_pair(g: KGraph, bound: int):
+    """Search for mu != nu with equal endpoints, meet-zero degrees, and the
+    property that every bounded extension of the two still has a common
+    extension.  Finding one is evidence against aperiodicity; used as an
+    independent cross-check of the window automaton.
+    """
+    bound = (bound,) * g.k
+    for v in g.vertices:
+        for m in dg.box(bound):
+            for n in dg.box(bound):
+                if not dg.is_zero(dg.meet(m, n)):
+                    continue
+                if dg.is_zero(m) and dg.is_zero(n):
+                    continue
+                for mu in g.paths_from(v, m):
+                    for nu in g.paths_from(v, n):
+                        if mu != nu and mu.source == nu.source:
+                            if _always_commonly_extendable(g, mu, nu, bound):
+                                return mu, nu
+    return None
+
+
+def _always_commonly_extendable(g: KGraph, mu: Path, nu: Path, bound) -> bool:
+    for da in dg.box(bound):
+        for alpha in g.paths_from(mu.source, da):
+            ma = g.compose(mu, alpha)
+            na = g.compose(nu, alpha)
+            n = dg.join(ma.degree, na.degree)
+            ok = False
+            for ext in g.paths_from(ma.range, dg.sub(n, ma.degree)):
+                cand = g.compose(ma, ext)
+                if g.factorize(cand, na.degree)[0] == na:
+                    ok = True
+                    break
+            if not ok:
+                return False
+    return True
+
+
+# --- the pruned period search against the plain box loop --------------------
+
+
+def automaton_hits(g: KGraph, bound) -> list:
+    """Every (candidate, vertex) pair of the box that the window automaton accepts."""
+    return [
+        (p, v)
+        for p in dg.signed_box(bound)
+        if not dg.is_zero(p)
+        for v in g.vertices
+        if periodic_at(g, p, v)
+    ]
+
+
+def reference_per_group(g: KGraph, bound, hits) -> PeriodicityResult:
+    """per_group as the plain box loop over every (candidate, vertex) pair."""
+    candidates = [p for p in dg.signed_box(bound) if not dg.is_zero(p)]
+    per_vertex = {v: {p for p, u in hits if u == v} for v in g.vertices}
+    accepted = [p for p in candidates if all(p in s for s in per_vertex.values())]
+    sets = list(per_vertex.values())
+    agreement = all(s == sets[0] for s in sets)
+    return PeriodicityResult(LatticeBasis.from_rows(accepted, g.k), bound, agreement, len(candidates))
+
+
+def reference_is_aperiodic(bound, hits) -> Verdict:
+    if hits:
+        p, v = hits[0]
+        return Verdict(NO, {"kind": "period_witness", "p": list(p), "vertex": v}, bound)
+    return Verdict(YES, {"kind": "bounded_exhaustive"}, bound)
+
+
+def assert_matches_box_loop(g: KGraph):
+    bound = default_period_bound(g)
+    hits = automaton_hits(g, bound)
+    # the row test never rules out a pair that the automaton accepts
+    counts = path_counts(g)
+    row = {v: t for t, v in enumerate(g.vertices)}
+    for p, v in hits:
+        assert counts(dg.pos_part(p))[row[v]] == counts(dg.neg_part(p))[row[v]], (p, v)
+    assert is_aperiodic(g) == reference_is_aperiodic(bound, hits)
+    if is_cofinal(g).status == YES:
+        assert per_group(g) == reference_per_group(g, bound, hits)
+    else:
+        with pytest.raises(ValueError):
+            per_group(g)
+
+
+@st.composite
+def single_vertex_two_graphs(draw):
+    """One vertex, a red and b blue loops, squares from a drawn bijection.
+
+    With two colours there is no hexagon condition, so every bijection from
+    the red-blue pairs onto the blue-red pairs gives a 2-graph.
+    """
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    reds = [f"r{i}" for i in range(a)]
+    blues = [f"s{j}" for j in range(b)]
+    targets = draw(st.permutations([(h, f) for h in blues for f in reds]))
+    sources = [(f, h) for f in reds for h in blues]
+    edges = tuple(Edge(e, 1, "v", "v") for e in reds) + tuple(Edge(e, 2, "v", "v") for e in blues)
+    squares = tuple(Square(1, 2, f, h, hp, fp) for (f, h), (hp, fp) in zip(sources, targets))
+    return KGraph(2, ("v",), edges, squares, name=f"R{a}x{b}")
+
+
+def two_vertex_flip() -> KGraph:
+    """Two vertices swapped by the one edge of each colour into each.
+
+    Every vertex has one infinite path, and its vertices alternate, so the
+    periods are the p with p1 + p2 even: an index-2 lattice, whose rational
+    span also holds the odd candidates such as (-2, -1).
+    """
+    edges = (
+        Edge("a", 1, "u", "w"), Edge("b", 1, "w", "u"),
+        Edge("c", 2, "u", "w"), Edge("d", 2, "w", "u"),
+    )
+    squares = (Square(1, 2, "a", "d", "c", "b"), Square(1, 2, "b", "c", "d", "a"))
+    return KGraph(2, ("u", "w"), edges, squares, name="FLIP2")
+
+
+def disjoint_torus_and_bouquet() -> KGraph:
+    """T2 at u beside B2xT1 at w: periodic at u only, and not cofinal."""
+    edges = (
+        Edge("a", 1, "u", "u"), Edge("b", 2, "u", "u"),
+        Edge("e", 1, "w", "w"), Edge("f", 1, "w", "w"), Edge("t", 2, "w", "w"),
+    )
+    squares = (
+        Square(1, 2, "a", "b", "b", "a"),
+        Square(1, 2, "e", "t", "t", "e"),
+        Square(1, 2, "f", "t", "t", "f"),
+    )
+    return KGraph(2, ("u", "w"), edges, squares, name="T2+B2xT1")
+
+
+def test_two_vertex_graphs():
+    # both are 2-graphs, and the flip's periods are the p with p1 + p2 even
+    for g in (two_vertex_flip(), disjoint_torus_and_bouquet()):
+        assert validate_kgraph(g).ok, g.name
+    flip = per_group(two_vertex_flip()).lattice
+    assert flip == LatticeBasis.from_rows([(1, 1), (1, -1)], 2)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["T2", "B2", "B3", "C3", "B2xT1", "B3xT1", "B2xT2", "B2xT3", "C2xT1", "C3xT1", "C3xT2", "C2xT2"],
+)
+def test_pruned_period_search_matches_box_loop_on_products(name):
+    assert_matches_box_loop(builtin(name))
+
+
+@pytest.mark.parametrize("make", [two_vertex_flip, disjoint_torus_and_bouquet])
+def test_pruned_period_search_matches_box_loop_on_two_vertices(make):
+    assert_matches_box_loop(make())
+
+
+@settings(max_examples=40, deadline=None)
+@given(single_vertex_two_graphs())
+def test_pruned_period_search_matches_box_loop_on_random_2_graphs(g):
+    assert_matches_box_loop(g)
+
+
+@pytest.mark.parametrize("name", ["C3xT2", "B2xT3"])
+def test_per_group_skips_most_automaton_calls(monkeypatch, name):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return periodic_at_offsets(*args)
+
+    monkeypatch.setattr(structure, "periodic_at_offsets", counted)
+    g = builtin(name)
+    per = per_group(g)
+    assert 0 < len(calls) < per.candidates_checked * len(g.vertices)
