@@ -258,15 +258,17 @@ def path_counts(g: KGraph):
     return counts
 
 
-def _periodic_vertices(g: KGraph, counts, a: Degree, b: Degree):
-    """The vertices v, in order, at which T^a x = T^b x for every x from v.
+def _periodic_vertices(g: KGraph, counts, p: Degree):
+    """The vertices v, in order, at which p is a period of every x from v.
 
-    The automaton runs only where row v of M(a) equals row v of M(b).  If
-    the offsets agree at v, then for any y in w Lambda^infinity the map
-    lambda -> (lambda y)(0, b) is a bijection from v Lambda^a w onto
-    v Lambda^b w; such a y exists because the graph has no sources (which
-    `validate_kgraph` checks), so a row that differs rules v out.
+    With a = p+ and b = p-, the automaton runs only where row v of M(a)
+    equals row v of M(b).  If p is a period at v, then for any y in
+    w Lambda^infinity the map lambda -> (lambda y)(0, b) is a bijection
+    from v Lambda^a w onto v Lambda^b w; such a y exists because the graph
+    has no sources (which `validate_kgraph` checks), so a row that differs
+    rules v out.
     """
+    a, b = dg.pos_part(p), dg.neg_part(p)
     ma, mb = counts(a), counts(b)
     for t, v in enumerate(g.vertices):
         if ma[t] == mb[t] and periodic_at_offsets(g, v, a, b):
@@ -295,7 +297,7 @@ def per_group(g: KGraph, bound: Degree | int | None = None) -> PeriodicityResult
         if span.member(p):
             hits = g.vertices
         else:
-            hits = list(_periodic_vertices(g, counts, dg.pos_part(p), dg.neg_part(p)))
+            hits = list(_periodic_vertices(g, counts, p))
             if len(hits) == len(g.vertices):
                 span = LatticeBasis.from_rows(span.rows + (p,), g.k)
         for v in hits:
@@ -312,7 +314,7 @@ def is_aperiodic(g: KGraph, bound: Degree | int | None = None) -> Verdict:
     for p in dg.signed_box(bound):
         if dg.is_zero(p):
             continue
-        v = next(_periodic_vertices(g, counts, dg.pos_part(p), dg.neg_part(p)), None)
+        v = next(_periodic_vertices(g, counts, p), None)
         if v is not None:
             return Verdict(
                 NO,
