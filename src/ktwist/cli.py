@@ -23,7 +23,7 @@ from .io import (
 )
 from .kgraph import validate_kgraph
 from .oracle import ResolutionError, omega_closedform, omega_from_oracle, run_suites
-from .phases import format_phase
+from .phases import format_phase, format_phase_rows
 from .structure import YES, is_aperiodic, is_cofinal, per_group
 
 
@@ -38,10 +38,6 @@ def _parse_bound(text: str):
     if any(v <= 0 for v in vals):
         raise FileFormatError(f"bounds must be positive, got {text!r}")
     return vals[0] if len(vals) == 1 else tuple(vals)
-
-
-def _phase_rows(rows) -> list[list[str]]:
-    return [[format_phase(x) for x in row] for row in rows]
 
 
 def _emit(args, doc: dict, lines: list[str]) -> None:
@@ -159,11 +155,11 @@ def cmd_omega(args) -> int:
     body = {
         "generators": [list(r) for r in basis],
         "rank": om.rank,
-        "rows": _phase_rows(om.rows),
-        "antisymmetrization": _phase_rows(om.antisymmetrization()),
+        "rows": format_phase_rows(om.rows),
+        "antisymmetrization": format_phase_rows(om.antisymmetrization()),
         "closed_form": {
             "agrees": agree,
-            "antisymmetrization": _phase_rows(cf.antisymmetrization()),
+            "antisymmetrization": format_phase_rows(cf.antisymmetrization()),
         },
     }
     lines = [f"period generators: {[list(r) for r in basis]}"]

@@ -289,6 +289,8 @@ def validate_cocycle(c: CocycleSpec, g: KGraph, depth: int) -> ValidationReport:
     kept in a dict that lives only as long as the call.  Triples are
     enumerated by total degree, so none above the depth is built.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     problems = []
     if isinstance(c, PhiOmegaCocycle):
         split = validate_product_split(g, c.l)

@@ -36,7 +36,7 @@ from .lattices import (
     verify_kronecker,
 )
 from .oracle import omega_from_oracle, z_omega_of
-from .phases import PhaseExponent, PhaseVector, format_phase, pair_int, phase_is_trivial
+from .phases import PhaseExponent, PhaseVector, format_phase, format_phase_rows, pair_int, phase_is_trivial
 from .structure import (
     NO,
     UNKNOWN,
@@ -271,7 +271,7 @@ def verify_potential(
     w = _projected_edge_phases(g, phi, zbasis)
     for e in g.edges:
         lhs = pair_int(n, w[e.id])
-        if not phase_is_trivial(lhs - (psi[e.range] - psi[e.source])):
+        if lhs != psi[e.range] - psi[e.source]:
             return False
     return True
 
@@ -289,10 +289,6 @@ class DecisionBounds:
         if self.period is not None:
             out["period"] = list(self.period) if not isinstance(self.period, int) else self.period
         return out
-
-
-def _phase_matrix_strings(m) -> list[list[str]]:
-    return [[format_phase(x) for x in row] for row in m]
 
 
 @dataclass(frozen=True)
@@ -314,16 +310,14 @@ class SimplicityReport:
                 "per_vertex_agreement": self.per.per_vertex_agreement,
             }
         if self.omega is not None:
-            out["bicharacter"] = _phase_matrix_strings(self.omega.rows)
-            out["bicharacter_antisymmetrization"] = _phase_matrix_strings(
+            out["bicharacter"] = format_phase_rows(self.omega.rows)
+            out["bicharacter_antisymmetrization"] = format_phase_rows(
                 self.omega.antisymmetrization()
             )
         if self.z_omega is not None:
             out["z_omega"] = self.z_omega.to_jsonable()
         if self.density_generators:
-            out["density_generators"] = [
-                [format_phase(x) for x in vec] for vec in self.density_generators
-            ]
+            out["density_generators"] = format_phase_rows(self.density_generators)
         if self.notes:
             out["notes"] = list(self.notes)
         return out
@@ -370,7 +364,7 @@ def decide_simplicity(
             certificate={
                 "kind": "z_omega_trivial",
                 "periods": per.lattice.to_jsonable(),
-                "antisymmetrization": _phase_matrix_strings(omega.antisymmetrization()),
+                "antisymmetrization": format_phase_rows(omega.antisymmetrization()),
             },
             reason="the bicharacter is nondegenerate on the period lattice",
         )

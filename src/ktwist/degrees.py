@@ -25,6 +25,16 @@ def unit(k: int, i: int) -> Degree:
     return tuple(1 if j == i - 1 else 0 for j in range(k))
 
 
+def as_degree(k: int, x, what: str) -> Degree:
+    """x as a degree with k entries; an int n stands for (n, ..., n)."""
+    if isinstance(x, int):
+        return (x,) * k
+    x = tuple(x)
+    if len(x) != k:
+        raise ValueError(f"{what} {x} has wrong length for {k} colors")
+    return x
+
+
 def add(a: Degree, b: Degree) -> Degree:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 

@@ -24,7 +24,7 @@ from .cocycles import (
     TableCocycle,
 )
 from .kgraph import Edge, KGraph, Square, builtin, validate_kgraph
-from .phases import PhaseExponent, PhaseSyntaxError, format_phase, parse_phase
+from .phases import PhaseExponent, PhaseSyntaxError, format_phase, format_phase_rows, parse_phase
 
 
 class FileFormatError(ValueError):
@@ -178,17 +178,13 @@ def _collect_symbols(phases) -> list[str]:
     return sorted(out)
 
 
-def _phase_matrix_to_strings(rows) -> list[list[str]]:
-    return [[format_phase(x) for x in row] for row in rows]
-
-
 def cocycle_to_jsonable(c: CocycleSpec) -> dict:
     if isinstance(c, PullbackCocycle):
         flat = [x for row in c.theta for x in row]
         return {
             "variant": "pullback",
             "symbols": _collect_symbols(flat),
-            "theta_matrix": _phase_matrix_to_strings(c.theta),
+            "theta_matrix": format_phase_rows(c.theta),
         }
     if isinstance(c, PhiOmegaCocycle):
         flat = [x for row in c.omega.rows for x in row]
@@ -199,7 +195,7 @@ def cocycle_to_jsonable(c: CocycleSpec) -> dict:
             "symbols": _collect_symbols(flat),
             "l": c.l,
             "phi": {eid: [format_phase(x) for x in vec] for eid, vec in c.phi.entries},
-            "omega": _phase_matrix_to_strings(c.omega.rows),
+            "omega": format_phase_rows(c.omega.rows),
         }
     if isinstance(c, TableCocycle):
         flat = [val for _, _, val in c.entries]

@@ -14,14 +14,15 @@ nondecreasing along the word.  Composition concatenates and re-sorts via
 the square tables; factorization peels edges off the range end, one color
 at a time.  Everything is exact and deterministic (edges are always
 enumerated in id order).  Paths are immutable, so each graph memoizes
-composition and factorization by their arguments, and eventually periodic
-paths with the same prefix and cycle share one table of segments.
+composition and factorization by their arguments, and equal eventually
+periodic paths share one table of segments.
 
 An eventually periodic path has many representations (a cycle may be
-repeated, or partly folded into the prefix).  Its equality is semantic, and
-its hash is that of its initial segment of the fixed degree
-(HASH_DEPTH, ..., HASH_DEPTH), which every representation of the same
-infinite path shares, so such paths work as dictionary keys.
+repeated, or partly folded into the prefix).  An infinite path is
+determined by its segments of diagonal degree (t, ..., t), which are
+cofinal in N^k, so the constructor keeps one representation: the shortest
+diagonal cycle after the shortest diagonal prefix.  Equality and hashing
+are then structural, and such paths work as dictionary keys.
 """
 
 from __future__ import annotations
@@ -355,34 +356,44 @@ def _hexagon_ok(g: KGraph, f: str, gg: str, h: str) -> bool:
 
 # --- eventually periodic infinite paths -------------------------------------
 
-HASH_DEPTH = 2
 
-
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class EventuallyPeriodicPath:
-    """Infinite path prefix.cycle.cycle.... with a strictly positive cycle.
+    """Infinite path prefix.cycle.cycle... in diagonal normal form.
 
-    The cycle must begin and end at the prefix source and have every degree
-    coordinate >= 1, so segments of any degree can be materialized.  Two
-    instances are equal iff they agree as infinite paths, which for this
-    class is decided exactly by comparing segments up to
-    join(prefix degrees) + cycle1 degree + cycle2 degree.  The hash is taken
-    from the range and the segment of degree (HASH_DEPTH, ..., HASH_DEPTH):
-    equal infinite paths share every initial segment, so equal instances
-    hash alike whatever their prefix and cycle.
+    Write D = (1, ..., 1).  The cycle must be a loop at the prefix source of
+    degree rD with r >= 1.  The constructor rewrites (prefix, cycle) to the
+    least r, then the least s, with x = x(0, sD).x(sD, (s+r)D)^oo.
     """
 
-    graph: KGraph
+    # Compared by identity but left out of the hash, which the graph's id
+    # would change from run to run.
+    graph: KGraph = field(hash=False)
     prefix: Path
     cycle: Path
-    _seg_cache: dict = field(init=False, repr=False)
 
     def __post_init__(self):
+        g, r = self.graph, self.cycle.degree[0]
         if self.prefix.source != self.cycle.range or self.cycle.range != self.cycle.source:
             raise ValueError("cycle must be a loop at the prefix source")
-        if any(x < 1 for x in self.cycle.degree):
-            raise ValueError("cycle degree must be strictly positive in every color")
-        self._seg_cache = self.graph._segment_memo.setdefault((self.prefix, self.cycle), {})
+        if r < 1 or any(x != r for x in self.cycle.degree):
+            raise ValueError("cycle degree must be (r, ..., r) with r >= 1")
+        # x is determined by its diagonal steps x(tD, (t+1)D), which repeat
+        # with period r from s = max(prefix degree) on.
+        diag = (1,) * g.k
+        s = max(self.prefix.degree)
+        mat = self._materialize(dg.scale(s + r, diag))
+        steps, rest = [], mat
+        for _ in range(s + r):
+            step, rest = g.factorize(rest, diag)
+            steps.append(step)
+        cyc = steps[s:]
+        r = next(d for d in range(1, r + 1) if r % d == 0 and cyc[d:] == cyc[:-d])
+        while s and steps[s - 1] == steps[s - 1 + r]:
+            s -= 1
+        head, rest = g.factorize(mat, dg.scale(s, diag))
+        object.__setattr__(self, "prefix", head)
+        object.__setattr__(self, "cycle", g.factorize(rest, dg.scale(r, diag))[0])
 
     @property
     def range(self) -> str:
@@ -399,9 +410,10 @@ class EventuallyPeriodicPath:
 
     def segment_to(self, n: Degree) -> Path:
         """x(0, n)."""
-        if n not in self._seg_cache:
-            self._seg_cache[n] = self.graph.factorize(self._materialize(n), n)[0]
-        return self._seg_cache[n]
+        memo, key = self.graph._segment_memo, (self.prefix, self.cycle, n)
+        if key not in memo:
+            memo[key] = self.graph.factorize(self._materialize(n), n)[0]
+        return memo[key]
 
     def at(self, m: Degree, n: Degree) -> Path:
         """x(m, n)."""
@@ -416,17 +428,6 @@ class EventuallyPeriodicPath:
 
     def prepend(self, p: Path) -> "EventuallyPeriodicPath":
         return EventuallyPeriodicPath(self.graph, self.graph.compose(p, self.prefix), self.cycle)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EventuallyPeriodicPath):
-            return NotImplemented
-        if self.graph is not other.graph or self.range != other.range:
-            return False
-        n = dg.add(dg.join(self.prefix.degree, other.prefix.degree), dg.add(self.cycle.degree, other.cycle.degree))
-        return self.segment_to(n) == other.segment_to(n)
-
-    def __hash__(self) -> int:
-        return hash((self.range, self.segment_to((HASH_DEPTH,) * self.graph.k)))
 
     def __repr__(self):
         return f"EPPath[{self.prefix!r};{self.cycle!r}^oo]"

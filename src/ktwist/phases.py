@@ -169,6 +169,11 @@ def format_phase(p: PhaseExponent) -> str:
     return out
 
 
+def format_phase_rows(rows) -> list[list[str]]:
+    """A matrix of phases as rows of canonical literals."""
+    return [[format_phase(x) for x in row] for row in rows]
+
+
 # --- vectors of phases ------------------------------------------------------
 
 PhaseVector = tuple[PhaseExponent, ...]

@@ -215,17 +215,6 @@ def default_period_bound(g: KGraph) -> Degree:
     return tuple(out)
 
 
-def _as_bound(g: KGraph, bound) -> Degree:
-    if bound is None:
-        return default_period_bound(g)
-    if isinstance(bound, int):
-        return (bound,) * g.k
-    bound = tuple(bound)
-    if len(bound) != g.k:
-        raise ValueError(f"bound {bound} has wrong length for {g.k} colors")
-    return bound
-
-
 def path_counts(g: KGraph):
     """The map n -> M(n) with M(n)[v][w] = |v Lambda^n w|, memoised by degree.
 
@@ -285,7 +274,7 @@ def per_group(g: KGraph, bound: Degree | int | None = None) -> PeriodicityResult
     """
     if is_cofinal(g).status != YES:
         raise ValueError("period group is only computed for certified-cofinal graphs")
-    bound = _as_bound(g, bound)
+    bound = default_period_bound(g) if bound is None else dg.as_degree(g.k, bound, "bound")
     counts = path_counts(g)
     span = LatticeBasis.trivial(g.k)
     per_vertex: dict[str, set[Degree]] = {v: set() for v in g.vertices}
@@ -309,7 +298,7 @@ def per_group(g: KGraph, bound: Degree | int | None = None) -> PeriodicityResult
 
 def is_aperiodic(g: KGraph, bound: Degree | int | None = None) -> Verdict:
     """NO with a witness period if some vertex admits one; YES up to the bound."""
-    bound = _as_bound(g, bound)
+    bound = default_period_bound(g) if bound is None else dg.as_degree(g.k, bound, "bound")
     counts = path_counts(g)
     for p in dg.signed_box(bound):
         if dg.is_zero(p):

@@ -272,6 +272,27 @@ def test_oracle_reports_a_resolution_dependent_cocycle(tmp_path, capsys):
     assert suites["resolution_independence"]["checked"] == 64
 
 
+def test_negative_validate_depth_exits_1(tmp_path, capsys):
+    # at depth -1 no pair was checked, so the corrupted table passed
+    path = tmp_path / "table.json"
+    path.write_text(serialize_cocycle(corrupted_t2_table((2, 2))), encoding="utf-8")
+    assert cli.main(["validate", "builtin:T2", "--cocycle", str(path), "--depth", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: depth must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_nonpositive_triple_cap_exits_1(capsys, cap):
+    # a cap below 1 used to check one triple anyway
+    argv = ["oracle", "builtin:T2", "--cocycle", os.path.join(FIXTURES, "pullback_theta.json"),
+            "--max-triples", cap]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the sample cap must be >= 1, got {cap}\n"
+
+
 @pytest.mark.parametrize("command", ["simplicity", "omega"])
 def test_phi_breaking_a_square_exits_1(tmp_path, capsys, command):
     # phi = 1/3 on one torus loop of C3xT1 breaks the squares at that vertex

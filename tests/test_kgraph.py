@@ -1,5 +1,8 @@
 """Colored-graph skeleton: normal forms, factorization, infinite tails."""
 
+import os
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,12 @@ from ktwist.kgraph import (
     canonical_tail,
     validate_kgraph,
 )
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+try:
+    from test_structure import single_vertex_two_graphs
+finally:
+    sys.path.pop(0)
 
 
 def torus2():
@@ -208,6 +217,22 @@ def test_cycle_must_be_positive():
         EventuallyPeriodicPath(g, g.vertex_path("v"), g.edge_path("e"))
 
 
+def test_non_diagonal_cycle_is_rejected():
+    g = builtin("B2xT1")
+    with pytest.raises(ValueError, match=r"cycle degree must be \(r, ..., r\)"):
+        EventuallyPeriodicPath(g, g.vertex_path("v"), g.make_path("v", ["e", "f", "t1_v"]))
+    x = EventuallyPeriodicPath(g, g.vertex_path("v"), g.make_path("v", ["e", "t1_v", "e", "t1_v"]))
+    assert x.cycle.degree == (1, 1)
+
+
+def test_normal_form_folds_the_prefix_into_a_primitive_cycle():
+    g = builtin("B2xT1")
+    ef = g.make_path("v", ["e", "t1_v", "f", "t1_v"])
+    x = EventuallyPeriodicPath(g, g.compose(g.make_path("v", ["f", "t1_v"]), ef), g.compose(ef, ef))
+    # f.t, then (e.t f.t) repeated, is (f.t e.t) repeated from the start
+    assert (x.prefix, x.cycle) == (g.vertex_path("v"), g.make_path("v", ["f", "t1_v", "e", "t1_v"]))
+
+
 @settings(max_examples=40)
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3),
        st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2))
@@ -248,6 +273,7 @@ def test_tail_hash_agrees_across_representations(name, data):
     ]
     keyed = {x: "x"}
     for y in reps:
+        assert (y.prefix, y.cycle) == (x.prefix, x.cycle)
         assert y == x and x == y
         assert hash(y) == hash(x)
         assert keyed[y] == "x"
@@ -260,3 +286,71 @@ def test_tail_hash_tells_different_tails_apart():
     y = x.prepend(g.edge_path("f"))
     assert x != y
     assert {x: 1, y: 2}[y] == 2
+
+
+# --- the normal form against the segment rule it replaced ---------------------
+
+
+def _unrolled(g, prefix, cycle, n):
+    """prefix.cycle...cycle with the fewest cycles that reach degree n."""
+    out = prefix
+    while not dg.leq(n, out.degree):
+        out = g.compose(out, cycle)
+    return out
+
+
+def _segment(g, prefix, cycle, n):
+    """x(0, n) for x = prefix.cycle.cycle..., from the pair as given."""
+    return g.factorize(_unrolled(g, prefix, cycle, n), n)[0]
+
+
+def _same_tail(g, a, b):
+    """Equality of prefix.cycle^oo by segments up to join(prefix degrees) + both cycle degrees."""
+    (pa, ca), (pb, cb) = a, b
+    if pa.range != pb.range:
+        return False
+    n = dg.add(dg.join(pa.degree, pb.degree), dg.add(ca.degree, cb.degree))
+    return _segment(g, pa, ca, n) == _segment(g, pb, cb, n)
+
+
+def _draw_tail(data, g):
+    """A tail built by prepend/shift, and the same tail as a pair not in normal form."""
+    x = canonical_tail(g, data.draw(st.sampled_from(g.vertices)))
+    raw = (x.prefix, x.cycle)
+    for op in data.draw(st.lists(st.sampled_from(["prepend", "shift"]), min_size=1, max_size=3)):
+        m = data.draw(st.sampled_from(list(dg.box((1,) * g.k))))
+        if op == "prepend":
+            lams = [p for w in g.vertices for p in g.paths_from(w, m) if p.source == x.range]
+            lam = data.draw(st.sampled_from(lams))
+            x, raw = x.prepend(lam), (g.compose(lam, raw[0]), raw[1])
+        else:
+            x, raw = x.shift(m), (g.factorize(_unrolled(g, *raw, m), m)[1], raw[1])
+    return x, raw
+
+
+def _same_tail_spelled_out(data, g, raw):
+    """raw with its cycle repeated, unrolled into the prefix, or both."""
+    prefix, cycle = raw
+    if data.draw(st.booleans()):
+        prefix = g.compose(prefix, cycle)
+    if data.draw(st.booleans()):
+        cycle = g.compose(cycle, cycle)
+    return prefix, cycle
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(st.sampled_from(["T2", "B2xT1", "C3xT2", "B2xT3"]).map(builtin), single_vertex_two_graphs()),
+       st.data())
+def test_structural_equality_matches_the_segment_rule(g, data):
+    x, a = _draw_tail(data, g)
+    if data.draw(st.booleans()):
+        b = _same_tail_spelled_out(data, g, a)
+        y = EventuallyPeriodicPath(g, *b)
+    else:
+        y, b = _draw_tail(data, g)
+    assert x == EventuallyPeriodicPath(g, *a)
+    assert y == EventuallyPeriodicPath(g, *b)
+    assert (x == y) == _same_tail(g, a, b)
+    if x == y:
+        assert hash(x) == hash(y)
+        assert (x.prefix, x.cycle) == (y.prefix, y.cycle)
