@@ -45,6 +45,18 @@ def _as_matrix(rows, n: int, m: int) -> PhaseMatrix:
     return rows
 
 
+def _bilinear(rows: PhaseMatrix, p, q) -> PhaseExponent:
+    """The sum of rows[i][j] * p[i] * q[j]; p and q index the rows and columns."""
+    out = PhaseExponent.zero()
+    for i, pi in enumerate(p):
+        if not pi:
+            continue
+        for j, qj in enumerate(q):
+            if qj:
+                out = out + rows[i][j].scaled(pi * qj)
+    return out
+
+
 @dataclass(frozen=True)
 class BicharacterTable:
     """Bilinear phase pairing on Z^rank given by an exponent matrix."""
@@ -63,14 +75,7 @@ class BicharacterTable:
     def value(self, p, q) -> PhaseExponent:
         if len(p) != self.rank or len(q) != self.rank:
             raise ValueError("vector length does not match bicharacter rank")
-        out = PhaseExponent.zero()
-        for i in range(self.rank):
-            if not p[i]:
-                continue
-            for j in range(self.rank):
-                if q[j]:
-                    out = out + self.rows[i][j].scaled(p[i] * q[j])
-        return out
+        return _bilinear(self.rows, p, q)
 
     def antisymmetrization(self) -> PhaseMatrix:
         """Matrix of value(e_i, e_j) - value(e_j, e_i)."""
@@ -135,10 +140,6 @@ def phi_tilde(phi: OneCocyclePhi, mu: Path, nu: Path) -> PhaseVector:
 class PullbackCocycle:
     theta: PhaseMatrix
 
-    @property
-    def kind(self) -> str:
-        return "pullback"
-
 
 @dataclass(frozen=True)
 class PhiOmegaCocycle:
@@ -149,10 +150,6 @@ class PhiOmegaCocycle:
     def __post_init__(self):
         if self.phi.rank != self.l or self.omega.rank != self.l:
             raise ValueError("phi and omega ranks must equal the torus rank")
-
-    @property
-    def kind(self) -> str:
-        return "phi_omega"
 
     def torus_degree(self, p: Path) -> Degree:
         return p.degree[len(p.degree) - self.l:]
@@ -176,10 +173,6 @@ class TableCocycle:
             index.setdefault((a, b), val)
         object.__setattr__(self, "_index", index)
 
-    @property
-    def kind(self) -> str:
-        return "table"
-
     def lookup(self, mu: Path, nu: Path) -> PhaseExponent | None:
         return self._index.get(((mu.range, mu.word), (nu.range, nu.word)))
 
@@ -198,17 +191,9 @@ def cocycle_value(c: CocycleSpec, mu: Path, nu: Path) -> PhaseExponent:
     if mu.is_vertex() or nu.is_vertex():
         return PhaseExponent.zero()
     if isinstance(c, PullbackCocycle):
-        k = len(mu.degree)
-        if len(c.theta) != k:
+        if len(c.theta) != len(mu.degree):
             raise CocycleDomainError("theta size does not match graph colors")
-        out = PhaseExponent.zero()
-        for i in range(k):
-            if not mu.degree[i]:
-                continue
-            for j in range(k):
-                if nu.degree[j]:
-                    out = out + c.theta[i][j].scaled(mu.degree[i] * nu.degree[j])
-        return out
+        return _bilinear(c.theta, mu.degree, nu.degree)
     if isinstance(c, PhiOmegaCocycle):
         m = c.torus_degree(mu)
         return pair_int(m, c.phi.value(nu)) + c.omega.value(m, c.torus_degree(nu))

@@ -88,28 +88,13 @@ def hnf(rows) -> tuple[IntRow, ...]:
 def kernel(rows, width: int) -> tuple[IntRow, ...]:
     """Basis of {x in Z^t : x * M = 0} for M given as t rows of length width.
 
-    Saturated by construction (it is the full integer kernel).
+    The row lattice of [M | I] is {(xM, x)}.  Its Hermite form ends in the
+    rows whose M-part is zero, and their identity tails are a basis of the
+    kernel, so it is saturated (the full integer kernel).
     """
     t = len(rows)
-    aug = [list(rows[i]) + [1 if j == i else 0 for j in range(t)] for i in range(t)]
-    # eliminate over the M-columns only; identity tail records the combos
-    fixed = 0
-    for col in range(width):
-        piv = next((r for r in range(fixed, t) if aug[r][col]), None)
-        if piv is None:
-            continue
-        aug[fixed], aug[piv] = aug[piv], aug[fixed]
-        for r in range(fixed + 1, t):
-            if aug[r][col] == 0:
-                continue
-            a, b = aug[fixed][col], aug[r][col]
-            g, s, tt = xgcd(a, b)
-            row_f = [s * x + tt * y for x, y in zip(aug[fixed], aug[r])]
-            row_r = [(b // g) * x - (a // g) * y for x, y in zip(aug[fixed], aug[r])]
-            aug[fixed], aug[r] = row_f, row_r
-        fixed += 1
-    gens = [tuple(row[width:]) for row in aug[fixed:]]
-    return hnf(gens) if gens else ()
+    aug = [tuple(rows[i]) + tuple(int(j == i) for j in range(t)) for i in range(t)]
+    return hnf([r[width:] for r in hnf(aug) if not any(r[:width])])
 
 
 @dataclass(frozen=True)

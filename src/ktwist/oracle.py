@@ -20,10 +20,13 @@ a depth-truncated partition into cylinder cells, which raises DepthError
 (not wrong answers) when too shallow.  Any cell that is a function of
 the element changes the cocycle by a coboundary only, so the identities
 of the suites and the bicharacter's antisymmetrization hold through
-either.  Each cell source keeps the cell of each element and the value
-of each pair it has resolved.  A value that depends on the resolution
-means the categorical cocycle is not a 2-cocycle: sigma_c raises
-ResolutionError, and a suite records it against the check that asked.
+either.  The cell source is the one place where values are kept: the
+cell of each element and, per cocycle, the outcome of each sigma_c pair
+and the phase of each r_sigma pair it has resolved.  A value that
+depends on the resolution means the categorical cocycle is not a
+2-cocycle: sigma_c keeps that outcome too and raises ResolutionError on
+every request for the pair, and a suite records it against each check
+that asked.  DepthError is never kept.
 """
 
 from __future__ import annotations
@@ -188,8 +191,10 @@ def cylinders_intersect(g: KGraph, a: tuple[Path, Path], b: tuple[Path, Path]) -
 class PartitionP:
     """Cylinder cells, with what has been resolved through them.
 
-    `_cell_of` maps each element looked up so far to its cell, and `_sigma`
-    maps id(c) to (c, {(g, h, paddings): sigma_c value}); holding c keeps
+    `_cell_of` maps each element looked up so far to its cell, and
+    `_values` maps id(c) to (c, values) for each cocycle c resolved here:
+    values[(g, h, paddings)] is the sigma_c outcome, a ResolutionError
+    included, and values[(alpha, p)] the r_sigma phase.  Holding c keeps
     its id from being reused while the partition lives.
     """
 
@@ -198,7 +203,7 @@ class PartitionP:
     cells: tuple[tuple[Path, Path], ...]
     _by_p: dict = field(default_factory=dict, repr=False)
     _cell_of: dict = field(default_factory=dict, repr=False)
-    _sigma: dict = field(default_factory=dict, repr=False)
+    _values: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         by_p: dict[Degree, list[tuple[Path, Path]]] = {}
@@ -233,16 +238,16 @@ class PartitionP:
 class CancelledCells:
     """Each element's own cancelled cell: every command's cell source.
 
-    It has the interface of PartitionP, the tests' reference.  The first
-    lookup of an element keeps the (mu, nu) of its cancelled form in
-    `_cell_of`, so the cell is a function of the element, and sigma_c
-    through these cells differs from sigma_c through a partition by a
-    coboundary.
+    It has the interface of PartitionP, the tests' reference, and keeps
+    values in `_values` as it does.  The first lookup of an element keeps
+    the (mu, nu) of its cancelled form in `_cell_of`, so the cell is a
+    function of the element, and sigma_c through these cells differs from
+    sigma_c through a partition by a coboundary.
     """
 
     graph: KGraph
     _cell_of: dict = field(default_factory=dict, repr=False)
-    _sigma: dict = field(default_factory=dict, repr=False)
+    _values: dict = field(default_factory=dict, repr=False)
 
     def member(self, gelt: GroupoidElement) -> tuple[Path, Path]:
         cell = self._cell_of.get(gelt)
@@ -307,6 +312,14 @@ def build_partition(g: KGraph, depth) -> PartitionP:
 # --- the induced groupoid cocycle -------------------------------------------
 
 
+def _values_of(c: CocycleSpec, P: PartitionP | CancelledCells) -> dict:
+    """The dict of values that P keeps for c, made on first use."""
+    slot = P._values.get(id(c))
+    if slot is None:
+        slot = P._values[id(c)] = (c, {})
+    return slot[1]
+
+
 def sigma_c(
     c: CocycleSpec,
     P: PartitionP | CancelledCells,
@@ -320,48 +333,50 @@ def sigma_c(
     picks common extensions out of the shared infinite path, and combines
     six categorical cocycle values.  The result is independent of the
     resolution; every padding in `paddings` re-derives it with a larger
-    extension and the agreement is asserted.  The value is kept on P, so
-    each distinct (gelt, helt, paddings) is resolved once per partition.
+    extension, and disagreement raises ResolutionError.  P keeps the
+    outcome, value or error, so each distinct (gelt, helt, paddings) is
+    resolved once per cell source, and a kept error is raised afresh on
+    each request.
     """
-    values = P._sigma.setdefault(id(c), (c, {}))[1]
+    values = _values_of(c, P)
     key = (gelt, helt, tuple(paddings))
-    hit = values.get(key)
-    if hit is not None:
-        return hit
-    if gelt.source_path() != helt.range_path():
-        raise ValueError("elements are not composable")
-    prod = compose_elements(gelt, helt)
-    mu_g, nu_g = P.member(gelt)
-    mu_h, nu_h = P.member(helt)
-    mu_gh, nu_gh = P.member(prod)
-    pg = gelt.degree
-    u = gelt.source_path()
-    z = gelt.range_path()
-    base = dg.join(dg.join(nu_g.degree, mu_h.degree), dg.sub(mu_gh.degree, pg))
-    g = P.graph
-    ones = (1,) * g.k
-    vals = []
-    for pad in paddings:
-        n = dg.add(base, dg.scale(pad, ones))
-        alpha = u.at(nu_g.degree, n)
-        beta = u.at(mu_h.degree, n)
-        gamma = z.at(mu_gh.degree, dg.add(n, pg))
-        val = (
-            cocycle_value(c, mu_g, alpha)
-            - cocycle_value(c, nu_g, alpha)
-            + cocycle_value(c, mu_h, beta)
-            - cocycle_value(c, nu_h, beta)
-            - cocycle_value(c, mu_gh, gamma)
-            + cocycle_value(c, nu_gh, gamma)
-        )
-        vals.append(val)
-    for other in vals[1:]:
-        if vals[0] != other:
-            raise ResolutionError(
+    out = values.get(key)
+    if out is None:
+        if gelt.source_path() != helt.range_path():
+            raise ValueError("elements are not composable")
+        prod = compose_elements(gelt, helt)
+        mu_g, nu_g = P.member(gelt)
+        mu_h, nu_h = P.member(helt)
+        mu_gh, nu_gh = P.member(prod)
+        pg = gelt.degree
+        u = gelt.source_path()
+        z = gelt.range_path()
+        base = dg.join(dg.join(nu_g.degree, mu_h.degree), dg.sub(mu_gh.degree, pg))
+        ones = (1,) * P.graph.k
+        vals = []
+        for pad in paddings:
+            n = dg.add(base, dg.scale(pad, ones))
+            alpha = u.at(nu_g.degree, n)
+            beta = u.at(mu_h.degree, n)
+            gamma = z.at(mu_gh.degree, dg.add(n, pg))
+            vals.append(
+                cocycle_value(c, mu_g, alpha)
+                - cocycle_value(c, nu_g, alpha)
+                + cocycle_value(c, mu_h, beta)
+                - cocycle_value(c, nu_h, beta)
+                - cocycle_value(c, mu_gh, gamma)
+                + cocycle_value(c, nu_gh, gamma)
+            )
+        if all(v == vals[0] for v in vals[1:]):
+            out = vals[0]
+        else:
+            out = ResolutionError(
                 "cocycle value depended on the resolution choice; the cocycle is not a 2-cocycle"
             )
-    values[key] = vals[0]
-    return vals[0]
+        values[key] = out
+    if isinstance(out, ResolutionError):
+        raise ResolutionError(str(out))
+    return out
 
 
 def isotropy_restriction(
@@ -374,13 +389,23 @@ def isotropy_restriction(
 def r_sigma(
     c: CocycleSpec, P: PartitionP | CancelledCells, alpha: GroupoidElement, p: Degree
 ) -> PhaseExponent:
-    """Conjugation phase of the period p across the element alpha."""
-    iso = isotropy_element(alpha.source_path(), p)
-    ai = alpha.inverse()
-    t1 = sigma_c(c, P, alpha, iso)
-    t2 = sigma_c(c, P, compose_elements(alpha, iso), ai)
-    t3 = sigma_c(c, P, alpha, ai)
-    return (t1 + t2) - t3
+    """Conjugation phase of the period p across the element alpha.
+
+    P keeps the phase under (alpha, p), next to the sigma_c values it is
+    made of, so each distinct pair is derived once per cell source.  A
+    ResolutionError is not kept here: sigma_c keeps and re-raises it.
+    """
+    values = _values_of(c, P)
+    key = (alpha, tuple(p))
+    out = values.get(key)
+    if out is None:
+        iso = isotropy_element(alpha.source_path(), p)
+        ai = alpha.inverse()
+        t1 = sigma_c(c, P, alpha, iso)
+        t2 = sigma_c(c, P, compose_elements(alpha, iso), ai)
+        t3 = sigma_c(c, P, alpha, ai)
+        out = values[key] = (t1 + t2) - t3
+    return out
 
 
 # --- bicharacter extraction -------------------------------------------------
@@ -402,12 +427,7 @@ def periodic_base_vertex(g: KGraph, per_basis: tuple[Degree, ...]) -> str:
     raise ValueError("no vertex is locally periodic for every period generator")
 
 
-def omega_from_oracle(
-    g: KGraph,
-    c: CocycleSpec,
-    per_basis: tuple[Degree, ...],
-    v: str | None = None,
-) -> BicharacterTable:
+def omega_from_oracle(g: KGraph, c: CocycleSpec, per_basis: tuple[Degree, ...]) -> BicharacterTable:
     """Bicharacter with the isotropy cocycle's antisymmetrization.
 
     Evaluates the induced cocycle, resolved through cancelled cells, on
@@ -419,11 +439,7 @@ def omega_from_oracle(
     l = len(per_basis)
     if l == 0:
         return BicharacterTable.zero(0)
-    if v is None:
-        v = periodic_base_vertex(g, per_basis)
-    elif not all(periodic_at(g, p, v) for p in per_basis):
-        raise ValueError(f"vertex {v!r} is not locally periodic for every generator")
-    x = canonical_tail(g, v)
+    x = canonical_tail(g, periodic_base_vertex(g, per_basis))
     cells = CancelledCells(g)
     sig = {}
     for i in range(l):
@@ -438,9 +454,7 @@ def omega_from_oracle(
     return BicharacterTable(l, tuple(tuple(r) for r in rows))
 
 
-def omega_closedform(
-    g: KGraph, c: CocycleSpec, per_basis: tuple[Degree, ...], v: str | None = None
-) -> BicharacterTable:
+def omega_closedform(g: KGraph, c: CocycleSpec, per_basis: tuple[Degree, ...]) -> BicharacterTable:
     """The printed single-path product formula for the bicharacter.
 
     Kept as a cross-check target only: the expression is symmetric under
@@ -451,12 +465,10 @@ def omega_closedform(
     l = len(per_basis)
     if l == 0:
         return BicharacterTable.zero(0)
-    if v is None:
-        v = periodic_base_vertex(g, per_basis)
     big = dg.zero(g.k)
     for p in per_basis:
         big = dg.add(big, dg.add(dg.pos_part(p), dg.neg_part(p)))
-    lam = g.paths_from(v, big)[0]
+    lam = g.paths_from(periodic_base_vertex(g, per_basis), big)[0]
 
     def split(m: Degree) -> tuple[Path, Path]:
         return g.factorize(lam, m)
@@ -617,21 +629,6 @@ def _left_factors(g: KGraph, b: GroupoidElement, d: Degree, s: Degree) -> list[G
     ]
 
 
-def _sigma_or_error(c: CocycleSpec, P, gelt: GroupoidElement, helt: GroupoidElement):
-    """sigma_c(gelt, helt), or the ResolutionError it raised, for several checks to share."""
-    try:
-        return sigma_c(c, P, gelt, helt)
-    except ResolutionError as err:
-        return err
-
-
-def _resolved(value: PhaseExponent | ResolutionError) -> PhaseExponent:
-    """A shared value, raising its error afresh in each check that uses it."""
-    if isinstance(value, ResolutionError):
-        raise ResolutionError(str(value))
-    return value
-
-
 def suite_cocycle_identity(
     g: KGraph,
     c: CocycleSpec,
@@ -643,9 +640,9 @@ def suite_cocycle_identity(
 
     The middle element b runs over source-matched pairs over a canonical
     tail; a and c are grafted onto its boundary paths at the shifts 0 and
-    (1, ..., 1), so all compositions exist by construction.  Values and
-    compositions involving b are hoisted so each extra triple costs two
-    cocycle evaluations.
+    (1, ..., 1), so all compositions exist by construction.  Compositions
+    involving b are hoisted, and P keeps the values of the pairs that
+    recur, so each extra triple costs two new sigma_c resolutions.
     """
     d = dg.as_degree(g.k, depth, "depth")
     shifts = (dg.zero(g.k), (1,) * g.k)
@@ -653,21 +650,17 @@ def suite_cocycle_identity(
     bad = []
     for v in sorted(g.vertices):
         for b in _elements_at(g, v, d):
-            lefts = [
-                (a, _sigma_or_error(c, P, a, b), compose_elements(a, b))
-                for s in shifts
-                for a in _left_factors(g, b, d, s)
-            ]
+            lefts = [(a, compose_elements(a, b)) for s in shifts for a in _left_factors(g, b, d, s)]
             rights = [
-                (cc, _sigma_or_error(c, P, b, cc), compose_elements(b, cc))
+                (cc, compose_elements(b, cc))
                 for s in shifts
                 for cc in (x.inverse() for x in _left_factors(g, b.inverse(), d, s))
             ]
-            for a, s_ab, ab in lefts:
-                for cc, s_bc, bc in rights:
+            for a, ab in lefts:
+                for cc, bc in rights:
                     try:
-                        lhs = _resolved(s_ab) + sigma_c(c, P, ab, cc)
-                        rhs = _resolved(s_bc) + sigma_c(c, P, a, bc)
+                        lhs = sigma_c(c, P, a, b) + sigma_c(c, P, ab, cc)
+                        rhs = sigma_c(c, P, b, cc) + sigma_c(c, P, a, bc)
                         if lhs != rhs:
                             bad.append(f"identity fails on ({a!r}, {b!r}, {cc!r})")
                     except ResolutionError as err:
@@ -735,24 +728,17 @@ def suite_conjugation_formula(
         for a in _elements_at(g, v, d):
             xr = a.range_path()
             xs = a.source_path()
-            r_at: dict[Degree, PhaseExponent] = {}
-
-            def r_cached(p: Degree) -> PhaseExponent:
-                if p not in r_at:
-                    r_at[p] = r_sigma(c, P, a, p)
-                return r_at[p]
-
             iso_r = {p: isotropy_element(xr, p) for p in periods}
             iso_s = {p: isotropy_element(xs, p) for p in periods}
             for p in periods:
                 for q in periods:
                     try:
-                        lhs = r_cached(dg.add(p, q))
+                        lhs = r_sigma(c, P, a, dg.add(p, q))
                         rhs = (
                             sigma_c(c, P, iso_r[p], iso_r[q])
                             - sigma_c(c, P, iso_s[p], iso_s[q])
-                            + r_cached(p)
-                            + r_cached(q)
+                            + r_sigma(c, P, a, p)
+                            + r_sigma(c, P, a, q)
                         )
                         if lhs != rhs:
                             bad.append(f"conjugation additivity fails at ({a!r}, {p}, {q})")
@@ -817,14 +803,17 @@ def run_suites(
 ) -> tuple[list[SuiteResult], list[str], tuple[Degree, ...], BicharacterTable | None]:
     """Run every property suite that applies to the graph.
 
-    Elements come from the degree box max(1, depth - 1), and each resolves
-    through its own cancelled cell; `cap` bounds the sampled identity
+    Elements come from the degree box max(1, depth - 1), for a depth of at
+    least 1, and each resolves through its own cancelled cell, which keeps
+    every value the suites share; `cap` bounds the sampled identity
     triples and conjugation checks.  The period-dependent suites need
     certified cofinality, and the centre and coboundary suites a
     nontrivial period lattice and a bicharacter that does not depend on
     the resolution.  Returns the suites, notes on the suites skipped, the
     period basis and the bicharacter the suites used (None when none did).
     """
+    if depth < 1:
+        raise ValueError(f"the depth must be >= 1, got {depth}")
     if cap < 1:
         raise ValueError(f"the sample cap must be >= 1, got {cap}")
     element_depth = max(1, depth - 1)

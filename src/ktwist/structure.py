@@ -215,6 +215,17 @@ def default_period_bound(g: KGraph) -> Degree:
     return tuple(out)
 
 
+def _period_bound(g: KGraph, bound: Degree | int | None) -> Degree:
+    """The candidate box radius: `bound` with every component at least 1,
+    or the default when it is None."""
+    if bound is None:
+        return default_period_bound(g)
+    bound = dg.as_degree(g.k, bound, "bound")
+    if any(r < 1 for r in bound):
+        raise ValueError(f"bounds must be positive, got {list(bound)}")
+    return bound
+
+
 def path_counts(g: KGraph):
     """The map n -> M(n) with M(n)[v][w] = |v Lambda^n w|, memoised by degree.
 
@@ -274,7 +285,7 @@ def per_group(g: KGraph, bound: Degree | int | None = None) -> PeriodicityResult
     """
     if is_cofinal(g).status != YES:
         raise ValueError("period group is only computed for certified-cofinal graphs")
-    bound = default_period_bound(g) if bound is None else dg.as_degree(g.k, bound, "bound")
+    bound = _period_bound(g, bound)
     counts = path_counts(g)
     span = LatticeBasis.trivial(g.k)
     per_vertex: dict[str, set[Degree]] = {v: set() for v in g.vertices}
@@ -298,7 +309,7 @@ def per_group(g: KGraph, bound: Degree | int | None = None) -> PeriodicityResult
 
 def is_aperiodic(g: KGraph, bound: Degree | int | None = None) -> Verdict:
     """NO with a witness period if some vertex admits one; YES up to the bound."""
-    bound = default_period_bound(g) if bound is None else dg.as_degree(g.k, bound, "bound")
+    bound = _period_bound(g, bound)
     counts = path_counts(g)
     for p in dg.signed_box(bound):
         if dg.is_zero(p):

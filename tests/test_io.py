@@ -293,6 +293,17 @@ def test_nonpositive_triple_cap_exits_1(capsys, cap):
     assert captured.err == f"error: the sample cap must be >= 1, got {cap}\n"
 
 
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_nonpositive_oracle_depth_exits_1(capsys, depth):
+    # a depth below 1 used to run the suites on the depth-1 box unannounced
+    argv = ["oracle", "builtin:T2", "--cocycle", os.path.join(FIXTURES, "pullback_theta.json"),
+            "--depth", depth]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the depth must be >= 1, got {depth}\n"
+
+
 @pytest.mark.parametrize("command", ["simplicity", "omega"])
 def test_phi_breaking_a_square_exits_1(tmp_path, capsys, command):
     # phi = 1/3 on one torus loop of C3xT1 breaks the squares at that vertex

@@ -5,6 +5,7 @@ antisymmetric exponent matrices, and density or its failure for subgroups
 of low-dimensional tori generated by symbolic irrationals.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -207,6 +208,13 @@ def test_kernel_rows_annihilate(data):
     for x in ker:
         for j in range(dim):
             assert sum(x[i] * rows[i][j] for i in range(len(rows))) == 0
+    # the kernel is all of it: rank t - rank(M), and every small x with
+    # x M = 0 is a member
+    assert len(ker) == len(rows) - len(hnf(rows))
+    lattice = LatticeBasis(len(rows), ker)
+    for x in itertools.product(range(-2, 3), repeat=len(rows)):
+        if not any(sum(x[i] * rows[i][j] for i in range(len(rows))) for j in range(dim)):
+            assert lattice.member(x)
 
 
 @settings(max_examples=60)

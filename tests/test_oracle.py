@@ -27,6 +27,7 @@ from ktwist.oracle import (
     DepthError,
     GroupoidElement,
     PartitionP,
+    ResolutionError,
     _elements_at,
     _left_factors,
     build_partition,
@@ -273,6 +274,44 @@ def test_r_sigma_trivial_on_same_direction(t2, t2_cocycle, t2_partition):
     x = canonical_tail(t2, "v")
     alpha = isotropy_element(x, (1, 0))
     assert phase_is_trivial(r_sigma(t2_cocycle, t2_partition, alpha, (1, 0)))
+
+
+def _counting(monkeypatch, name):
+    """Replace oracle.<name> by a wrapper; returns the list of its calls."""
+    calls = []
+    real = getattr(oracle, name)
+    monkeypatch.setattr(oracle, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_r_sigma_is_kept_on_the_cell_source(monkeypatch, t2, t2_cocycle):
+    cells = CancelledCells(t2)
+    alpha = isotropy_element(canonical_tail(t2, "v"), (1, 0))
+    first = r_sigma(t2_cocycle, cells, alpha, (0, 1))
+    calls = _counting(monkeypatch, "compose_elements")
+    assert r_sigma(t2_cocycle, cells, alpha, (0, 1)) == first
+    assert calls == []
+    r_sigma(t2_cocycle, cells, alpha, (1, 1))
+    assert calls
+
+
+def test_sigma_c_keeps_a_resolution_error(monkeypatch, t2):
+    # the corrupted table makes the generator pair depend on the resolution;
+    # asking again raises a new error with the same message, unevaluated
+    c = corrupted_t2_table((3, 3))
+    cells = CancelledCells(t2)
+    x = canonical_tail(t2, "v")
+    g1, g2 = isotropy_element(x, (1, 0)), isotropy_element(x, (0, 1))
+    with pytest.raises(ResolutionError) as first:
+        sigma_c(c, cells, g1, g2)
+    calls = _counting(monkeypatch, "cocycle_value")
+    with pytest.raises(ResolutionError) as again:
+        sigma_c(c, cells, g1, g2)
+    assert again.value is not first.value
+    assert str(again.value) == str(first.value)
+    assert calls == []
+    sigma_c(c, cells, g2, g1)
+    assert calls
 
 
 # --- bicharacter extraction -------------------------------------------------

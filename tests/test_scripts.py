@@ -1,5 +1,7 @@
-"""Smoke test of scripts/run_examples.py against the verdicts README lists."""
+"""Smoke tests of the scripts: run_examples.py against the verdicts README lists,
+and oracle_report.py on the bundled pairings."""
 
+import json
 import os
 import re
 import sys
@@ -8,6 +10,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPTS = os.path.join(ROOT, "scripts")
 sys.path.insert(0, SCRIPTS)
 try:
+    import oracle_report
     import run_examples
 finally:
     sys.path.remove(SCRIPTS)
@@ -26,3 +29,13 @@ def test_run_examples_prints_the_readme_verdicts(capsys):
         documented = _verdicts(fh.read())
     assert len(printed) == len(run_examples.PAIRINGS)
     assert printed == documented
+
+
+def test_oracle_report_covers_the_pairings(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["oracle_report.py", "--cap", "20"])
+    assert oracle_report.main() == 0
+    blocks = json.loads(capsys.readouterr().out)["pairings"]
+    assert [(b["graph"], b["cocycle"]) for b in blocks] == oracle_report.PAIRINGS
+    assert all(b["ok"] for b in blocks)
+    # the symmetric closed form misses the theta twist on the torus
+    assert blocks[0]["closed_form_agrees"] is False

@@ -128,6 +128,18 @@ def test_local_periodicity_pair_agrees_with_verdicts():
     assert pair_relation(builtin("B2xT1"), mu, nu)
 
 
+@pytest.mark.parametrize("search, name, bound", [
+    (is_aperiodic, "T2", (0, -2)),
+    (is_aperiodic, "B2xT1", (2, 0)),
+    (per_group, "T2", -1),
+])
+def test_period_search_refuses_a_nonpositive_bound(search, name, bound):
+    # a side below 1 used to certify the truncated box: T2 came out aperiodic
+    # and without periods, B2xT1 aperiodic
+    with pytest.raises(ValueError, match="bounds must be positive"):
+        search(builtin(name), bound)
+
+
 def test_per_group_bound_stability():
     # enlarging the search box does not change the answer on the fixtures
     for name in ("T2", "B2", "B2xT1"):
