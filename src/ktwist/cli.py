@@ -27,8 +27,14 @@ from .phases import format_phase, format_phase_rows
 from .structure import YES, is_aperiodic, is_cofinal, per_group
 
 
-def _parse_bound(text: str):
-    """--bound accepts a single radius or one radius per color."""
+def _parse_bound(text: str | None):
+    """--bound accepts a single radius or one radius per color; None when absent.
+
+    The handlers call this rather than argparse, so a bad value is an input
+    error (one `error:` line, exit 1), not a usage error (exit 2).
+    """
+    if text is None:
+        return None
     parts = [p.strip() for p in text.split(",")]
     vals = []
     for p in parts:
@@ -71,6 +77,8 @@ def _load_twist(args, g):
 
 
 def cmd_validate(args) -> int:
+    if args.depth < 0:
+        raise ValueError(f"depth must be >= 0, got {args.depth}")
     g, gdigest = resolve_graph(args.graph, validate=False)
     rep = validate_kgraph(g)
     body = {"graph": {"ok": rep.ok, "problems": list(rep.problems)}}
@@ -96,13 +104,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    bound = _parse_bound(args.bound)
     g, gdigest = resolve_graph(args.graph)
     cof = is_cofinal(g)
-    aper = is_aperiodic(g, args.bound)
+    aper = is_aperiodic(g, bound)
     per_rows = None
     bound_used = aper.bound
     if cof.status == YES:
-        per = per_group(g, args.bound)
+        per = per_group(g, bound)
         per_rows = [list(r) for r in per.lattice.rows]
         bound_used = per.exhaustive_up_to
     body = {
@@ -124,8 +133,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_per(args) -> int:
+    bound = _parse_bound(args.bound)
     g, gdigest = resolve_graph(args.graph)
-    per = per_group(g, args.bound)
+    per = per_group(g, bound)
     body = {
         "rank": per.lattice.rank,
         "periods": [list(r) for r in per.lattice.rows],
@@ -145,9 +155,10 @@ def cmd_per(args) -> int:
 
 
 def cmd_omega(args) -> int:
+    bound = _parse_bound(args.bound)
     g, gdigest = resolve_graph(args.graph)
     c, cdigest = _load_twist(args, g)
-    per = per_group(g, args.bound)
+    per = per_group(g, bound)
     basis = tuple(per.lattice.rows)
     om = omega_from_oracle(g, c, basis)
     cf = omega_closedform(g, c, basis)
@@ -175,10 +186,11 @@ def cmd_omega(args) -> int:
 
 
 def cmd_simplicity(args) -> int:
+    bound = _parse_bound(args.bound)
     g, gdigest = resolve_graph(args.graph)
     c, cdigest = _load_twist(args, g)
-    orbit = args.bound if isinstance(args.bound, int) else (max(args.bound) if args.bound else 4)
-    bounds = DecisionBounds(period=args.bound, orbit=orbit)
+    orbit = bound if isinstance(bound, int) else (max(bound) if bound else 4)
+    bounds = DecisionBounds(period=bound, orbit=orbit)
     report = decide_simplicity(g, c, bounds)
     body = report.to_jsonable()
     lines = [f"verdict: {report.verdict.status}"]
@@ -223,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
         elif cocycle == "optional":
             sp.add_argument("--cocycle", help="cocycle JSON file")
         if bound:
-            sp.add_argument("--bound", type=_parse_bound, default=None,
+            sp.add_argument("--bound", default=None,
                             help="search radius, one int or comma list per color")
         if depth is not None:
             sp.add_argument("--depth", type=int, default=depth, help="truncation depth")

@@ -320,10 +320,15 @@ def validate_cocycle(c: CocycleSpec, g: KGraph, depth: int) -> ValidationReport:
                 for t2, mus in enumerate(graded[lam.source][: depth - t1 + 1]):
                     for mu in mus:
                         lam_mu = g.compose(lam, mu)
+                        # (lam, mu) is valued once per pair, before the nu loop.
+                        # Problems keep their order: the first nu is the vertex
+                        # path s(mu), whose pair (mu, s(mu)) the normalization
+                        # pass has valued, and mu.s(mu) = mu, so the first new
+                        # pair that loop asked for was (lam, mu) all the same.
+                        cc = val(lam, mu)
                         for nu in chain.from_iterable(graded[mu.source][: depth - t1 - t2 + 1]):
                             a = val(mu, nu)
                             b = val(lam, g.compose(mu, nu))
-                            cc = val(lam, mu)
                             d = val(lam_mu, nu)
                             if None in (a, b, cc, d):
                                 continue

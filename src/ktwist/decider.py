@@ -111,18 +111,18 @@ def _phase_group_rows(gens: list[PhaseVector], d: int, symbols: tuple[str, ...],
 
     Coordinates flatten to (rational part, one block per symbol); unit
     vectors on the rational block encode working mod Z; everything is
-    scaled to integers by the caller-supplied common denominator.
+    scaled to integers by the caller-supplied `scale`, a multiple of every
+    entry's denominator.
     """
     width = d * (1 + len(symbols))
     rows = []
     for v in gens:
-        flat = []
-        for entry in v:
-            flat.append(entry.rat)
+        factors = [scale // entry.den for entry in v]
+        flat = [entry.num * f for entry, f in zip(v, factors)]
+        terms = [dict(entry.terms) for entry in v]
         for s in symbols:
-            for entry in v:
-                flat.append(entry.coeff(s))
-        rows.append(tuple(int(x * scale) for x in flat))
+            flat.extend(t.get(s, 0) * f for t, f in zip(terms, factors))
+        rows.append(tuple(flat))
     for i in range(d):
         unit = [0] * width
         unit[i] = scale
@@ -131,13 +131,7 @@ def _phase_group_rows(gens: list[PhaseVector], d: int, symbols: tuple[str, ...],
 
 
 def _gen_scale(gens: list[PhaseVector]) -> int:
-    dens = [1]
-    for v in gens:
-        for entry in v:
-            dens.append(entry.rat.denominator)
-            for _, coef in entry.irr:
-                dens.append(coef.denominator)
-    return lcm(*dens)
+    return lcm(1, *(entry.den for v in gens for entry in v))
 
 
 def orbit_phase_generators(
@@ -174,9 +168,8 @@ def orbit_phase_generators(
             for pm in projs:
                 for pn in projs:
                     vec = tuple(a - c for a, c in zip(pm, pn))
-                    key = tuple((e.rat, e.irr) for e in vec)
-                    if key not in seen:
-                        seen.add(key)
+                    if vec not in seen:
+                        seen.add(vec)
                         out.append(vec)
         return out
 

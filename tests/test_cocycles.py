@@ -1,5 +1,6 @@
 """Twisting cocycle specs: values, normalization, the 2-term identity."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -230,19 +231,26 @@ def test_table_duplicate_pair_first_entry_wins():
     assert len(table.entries) == 2
 
 
-def reference_problems(c, g, depth):
+def reference_problems(c, g, depth, once=False):
     """validate_cocycle's problems by a plain loop: four cocycle_value calls
-    per triple, no memo, triples filtered by total degree."""
+    per triple, triples filtered by total degree.  With `once`, each pair is
+    valued once and its domain error reported where it is first used, but
+    (lam, mu) is still asked for inside the nu loop."""
     problems = []
     by_range = {v: [p for n in dg.total_box(g.k, depth) for p in g.paths_from(v, n)]
                 for v in g.vertices}
+    seen = {}
 
     def val(mu, nu):
+        if once and (mu, nu) in seen:
+            return seen[(mu, nu)]
         try:
-            return cocycle_value(c, mu, nu)
+            x = cocycle_value(c, mu, nu)
         except CocycleDomainError as err:
             problems.append(str(err))
-            return None
+            x = None
+        seen[(mu, nu)] = x
+        return x
 
     for v in g.vertices:
         for lam in by_range[v]:
@@ -297,3 +305,19 @@ def test_validate_cocycle_matches_plain_loop(rows, pick, shift):
     want = reference_problems(table, g, DIFF_DEPTH)
     assert want
     assert list(validate_cocycle(table, g, DIFF_DEPTH).problems) == want
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_validate_cocycle_problem_order_with_missing_pairs(seed):
+    # validate_cocycle values (lam, mu) once per pair, outside the nu loop;
+    # the problems, missing pairs and failing triples interleaved, must come
+    # in the order of the loop that asks for (lam, mu) with every nu
+    g = builtin("T2")
+    rng = random.Random(seed)
+    entries = [(mu, nu, v) for mu, nu, v in corrupted_t2_table((3, 3)).entries
+               if (mu[1], nu[1]) == (("a",), ("b",)) or rng.random() > 0.15]
+    table = TableCocycle((3, 3), tuple(entries))
+    want = reference_problems(table, g, 4, once=True)
+    assert any("does not cover" in p for p in want)
+    assert any("identity fails" in p for p in want)
+    assert list(validate_cocycle(table, g, 4).problems) == want

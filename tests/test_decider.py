@@ -1,6 +1,7 @@
 """Decision cascade: verdicts, certificates, and their independent rechecks."""
 
 from fractions import Fraction
+from math import lcm
 
 import os
 
@@ -29,7 +30,7 @@ from ktwist.decider import (
     z_omega_of,
 )
 from ktwist.kgraph import builtin, product_base
-from ktwist.lattices import LatticeBasis, kronecker_dense
+from ktwist.lattices import LatticeBasis, hnf, kronecker_dense
 from ktwist.oracle import omega_from_oracle
 from ktwist.phases import PhaseExponent, pair_int
 from ktwist.structure import UNKNOWN, per_group
@@ -241,6 +242,25 @@ def test_orbit_generators_match_plain_pair_loop(name, bound, l, data):
     ref_gens, ref_stabilized = reference_orbit_generators(g, phi, zbasis, bound)
     assert gens == ref_gens
     assert stabilized == ref_stabilized
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_phase_group_rows_flatten_the_fractions(d, data):
+    # the rows read from the integer normal form equal the rational parts
+    # and symbol coefficients, as Fractions, scaled by the common denominator
+    entries = st.builds(lambda r, t, h: Z(r, theta=t, rho=h),
+                        st.fractions(-3, 3, max_denominator=12),
+                        st.fractions(-3, 3, max_denominator=6), st.integers(-2, 2))
+    gens = data.draw(st.lists(st.tuples(*[entries] * d), min_size=1, max_size=4))
+    symbols = ("rho", "theta")
+    scale = decider._gen_scale(gens)
+    assert scale == lcm(*(x.denominator for v in gens for e in v
+                          for x in (e.rat, *(c for _, c in e.irr))))
+    flat = [tuple(int(x * scale) for x in [e.rat for e in v] +
+                  [e.coeff(s) for s in symbols for e in v]) for v in gens]
+    units = [tuple(scale if j == i else 0 for j in range(d * 3)) for i in range(d)]
+    assert decider._phase_group_rows(gens, d, symbols, scale) == hnf(flat + units)
 
 
 # --- bounds ------------------------------------------------------------------

@@ -223,6 +223,8 @@ MALFORMED = {
     "l a boolean": ("cocycle", {"variant": "phi_omega", "symbols": [], "l": True,
                                 "phi": {}, "omega": [["0"]]}),
     "bound a boolean": ("cocycle", _table([], bound=(True, 1))),
+    "zero denominator": ("cocycle", {"variant": "pullback", "symbols": [],
+                                     "theta_matrix": [["0", "1/0"], ["0", "0"]]}),
 }
 
 
@@ -280,6 +282,36 @@ def test_negative_validate_depth_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: depth must be >= 0, got -1\n"
+
+
+def test_negative_validate_depth_exits_1_without_cocycle(capsys):
+    # the graph alone used to be checked and pass with exit 0
+    assert cli.main(["validate", "builtin:T2", "--depth", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: depth must be >= 0, got -1\n"
+
+
+BAD_BOUNDS = {
+    "0": "bounds must be positive, got '0'",
+    "-1": "bounds must be positive, got '-1'",
+    "2,x": "bad bound component 'x'",
+    "2,0": "bounds must be positive, got '2,0'",
+}
+
+
+@pytest.mark.parametrize("bound", sorted(BAD_BOUNDS))
+@pytest.mark.parametrize("command", ["analyze", "per", "omega", "simplicity"])
+def test_bad_bound_exits_1(capsys, command, bound):
+    # argparse used to reject these as usage errors, with exit 2 (the UNKNOWN
+    # code) and a message that hid the reason
+    argv = [command, "builtin:T2", f"--bound={bound}"]
+    if command in ("omega", "simplicity"):
+        argv += ["--cocycle", os.path.join(FIXTURES, "pullback_theta.json")]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {BAD_BOUNDS[bound]}\n"
 
 
 @pytest.mark.parametrize("cap", ["0", "-5"])
