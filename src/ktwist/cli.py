@@ -10,6 +10,7 @@ structured document to a file regardless of the console format.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .cocycles import PhiOmegaCocycle, validate_cocycle, validate_phi
@@ -38,7 +39,7 @@ def _parse_bound(text: str | None):
     parts = [p.strip() for p in text.split(",")]
     vals = []
     for p in parts:
-        if not p.lstrip("-").isdigit():
+        if not re.fullmatch(r"-?[0-9]+", p):
             raise FileFormatError(f"bad bound component {p!r}")
         vals.append(int(p))
     if any(v <= 0 for v in vals):

@@ -52,10 +52,6 @@ def join(a: Degree, b: Degree) -> Degree:
     return tuple(max(x, y) for x, y in zip(a, b, strict=True))
 
 
-def meet(a: Degree, b: Degree) -> Degree:
-    return tuple(min(x, y) for x, y in zip(a, b, strict=True))
-
-
 def pos_part(a: Degree) -> Degree:
     return tuple(max(x, 0) for x in a)
 
@@ -88,16 +84,15 @@ def scale(c: int, a: Degree) -> Degree:
 
 
 def total_box(k: int, cap: int) -> Iterator[Degree]:
-    """All n in N^k with total(n) <= cap, graded lexicographic."""
-    def rec(rem: int, left: int):
-        if left == 0:
-            yield ()
+    """All n in N^k, k >= 1, with total(n) <= cap, graded lexicographic."""
+    def exact(t: int, left: int) -> Iterator[Degree]:
+        # the degrees with `left` entries and total exactly t, lexicographic
+        if left == 1:
+            yield (t,)
             return
-        for x in range(rem + 1):
-            for rest in rec(rem - x, left - 1):
+        for x in range(t + 1):
+            for rest in exact(t - x, left - 1):
                 yield (x,) + rest
 
     for t in range(cap + 1):
-        for n in rec(t, k):
-            if sum(n) == t:
-                yield n
+        yield from exact(t, k)

@@ -244,9 +244,6 @@ class KGraph:
         self._paths_cache[key] = out
         return out
 
-    def count_paths(self, v: str, n: Degree) -> int:
-        return len(self.paths_from(v, n))
-
 
 # --- validation -------------------------------------------------------------
 

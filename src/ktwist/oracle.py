@@ -1,13 +1,12 @@
 """Exact brute-force layer over the path groupoid of a k-colored graph.
 
-Elements of the groupoid are represented as (mu, nu, tail): two finite
-paths with a common source and an eventually periodic infinite tail; the
-element is (mu.tail, d(mu)-d(nu), nu.tail).  Equality, inversion and
-composition are computed exactly through eventually periodic path
-arithmetic, so every identity asserted here is checked on the nose.
-Elements hash by value, (degree, range path, source path), so two
-representations of one element, such as (mu.e, nu.e, x) and (mu, nu, e.x),
-are one dictionary key.
+An element of the groupoid G = {(x, m - n, y) : T^m x = T^n y} is the
+triple (x, p, y) itself: two eventually periodic paths in diagonal normal
+form and their degree difference.  Equality and hashing are structural,
+so every presentation of an element, such as (mu.e.z, p, nu.e.z) built
+from (mu.e, nu.e, z) or from (mu, nu, e.z), is one value and one
+dictionary key.  Inversion and composition touch only the triple;
+`element(mu, nu, tail)` builds one from a pair of paths and a tail.
 
 The central construction is a groupoid 2-cocycle induced by a categorical
 cocycle on the graph.  Its value on a composable pair is resolved through
@@ -15,22 +14,25 @@ cylinder cells of the two factors and their product via common
 extensions; the helpers then restrict it to isotropy, build conjugation
 phases, inductive coboundaries, and the bicharacter used by the
 simplicity decider.  Every command resolves each element through its own
-cancelled cell, which needs no partition.  The tests' reference route is
-a depth-truncated partition into cylinder cells, which raises DepthError
-(not wrong answers) when too shallow.  Any cell that is a function of
-the element changes the cocycle by a coboundary only, so the identities
-of the suites and the bicharacter's antisymmetrization hold through
-either.  The cell source is the one place where values are kept: the
-cell of each element and, per cocycle, the outcome of each sigma_c pair
-and the phase of each r_sigma pair it has resolved.  A value that
-depends on the resolution means the categorical cocycle is not a
-2-cocycle: sigma_c keeps that outcome too and raises ResolutionError on
-every request for the pair, and a suite records it against each check
-that asked.  DepthError is never kept.
+cell, `GroupoidElement.cell`, which needs no partition.  The tests'
+reference route is a depth-truncated partition into cylinder cells,
+which raises DepthError (not wrong answers) when too shallow.  Any cell
+that is a function of the element changes the cocycle by a coboundary
+only (Kumjian-Pask-Sims, "Homology for higher-rank graphs and twisted
+C*-algebras", 2012), so the identities of the suites and the
+bicharacter's antisymmetrization hold through either.  The cell source
+is the one place where values are kept: the cell of each element and,
+per cocycle, the outcome of each sigma_c pair and the phase of each
+r_sigma pair it has resolved.  A value that depends on the resolution
+means the categorical cocycle is not a 2-cocycle: sigma_c keeps that
+outcome too and raises ResolutionError on every request for the pair,
+and a suite records it against each check that asked.  DepthError is
+never kept.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import degrees as dg
@@ -53,113 +55,84 @@ class ResolutionError(RuntimeError):
 # --- groupoid elements ------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class GroupoidElement:
-    """The element (mu.tail, d(mu) - d(nu), nu.tail).
+    """The element (x, p, y) of G = {(x, m - n, y) : T^m x = T^n y}.
 
-    The boundary paths and the hash are computed on first use and kept, so
-    the fields must not be reassigned.
+    Both paths are in diagonal normal form, so == and the hash compare the
+    three fields, and every presentation of an element gives one value.
+    The constructor does not check that T^m x = T^n y for some m - n = p;
+    `element` and the other builders do, and `cell` raises on a triple
+    that fails it.
     """
 
-    mu: Path
-    nu: Path
-    tail: EventuallyPeriodicPath
-    _range: EventuallyPeriodicPath | None = field(default=None, init=False, repr=False)
-    _source: EventuallyPeriodicPath | None = field(default=None, init=False, repr=False)
-    _hash: int | None = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        if self.mu.source != self.nu.source:
-            raise ValueError("pair must share a source vertex")
-        if self.tail.range != self.mu.source:
-            raise ValueError("tail must begin at the pair's source vertex")
-
-    @property
-    def graph(self) -> KGraph:
-        return self.tail.graph
-
-    @property
-    def degree(self) -> Degree:
-        return dg.sub(self.mu.degree, self.nu.degree)
-
-    def range_path(self) -> EventuallyPeriodicPath:
-        if self._range is None:
-            self._range = self.tail.prepend(self.mu)
-        return self._range
-
-    def source_path(self) -> EventuallyPeriodicPath:
-        if self._source is None:
-            self._source = self.tail.prepend(self.nu)
-        return self._source
+    range_path: EventuallyPeriodicPath
+    degree: Degree
+    source_path: EventuallyPeriodicPath
 
     def inverse(self) -> "GroupoidElement":
-        inv = GroupoidElement(self.nu, self.mu, self.tail)
-        inv._range, inv._source = self._source, self._range
-        return inv
+        return GroupoidElement(self.source_path, dg.scale(-1, self.degree), self.range_path)
 
-    def cancelled(self) -> "GroupoidElement":
-        """Strip common source-end edges of mu and nu into the tail."""
-        g = self.graph
-        mu, nu, tail = self.mu, self.nu, self.tail
+    def cell(self) -> tuple[Path, Path]:
+        """The cylinder (mu, nu) that resolves the element: a function of it.
+
+        With D = (1, ..., 1), start from mu = x(0, p+ + tD) and
+        nu = y(0, p- + tD) at the least t >= 0 with T^(p+ + tD) x =
+        T^(p- + tD) y, then strip common source-end edges colour by colour.
+        From t = max(s_x, s_y) on, where s and r are a path's prefix and
+        cycle steps, the pair of shifts repeats with period lcm(r_x, r_y);
+        a triple with no such t below both is not an element.
+        """
+        x, y = self.range_path, self.source_path
+        g = x.graph
+        a, b = dg.pos_part(self.degree), dg.neg_part(self.degree)
+        diag = (1,) * g.k
+        steps = max(x.prefix.degree[0], y.prefix.degree[0])
+        for t in range(steps + math.lcm(x.cycle.degree[0], y.cycle.degree[0])):
+            m, n = dg.add(a, dg.scale(t, diag)), dg.add(b, dg.scale(t, diag))
+            if x.shift(m) == y.shift(n):
+                break
+        else:
+            raise ValueError(f"no shifts of the two paths agree at degree difference {self.degree}")
+        mu, nu = x.segment_to(m), y.segment_to(n)
         changed = True
         while changed:
             changed = False
             for i in range(1, g.k + 1):
-                ei = dg.unit(g.k, i)
                 if mu.degree[i - 1] and nu.degree[i - 1]:
+                    ei = dg.unit(g.k, i)
                     m0, e1 = g.factorize(mu, dg.sub(mu.degree, ei))
                     n0, e2 = g.factorize(nu, dg.sub(nu.degree, ei))
                     if e1 == e2:
-                        mu, nu, tail = m0, n0, tail.prepend(e1)
-                        changed = True
-        return GroupoidElement(mu, nu, tail)
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupoidElement):
-            return NotImplemented
-        return (
-            self.degree == other.degree
-            and self.range_path() == other.range_path()
-            and self.source_path() == other.source_path()
-        )
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.degree, self.range_path(), self.source_path()))
-        return self._hash
+                        mu, nu, changed = m0, n0, True
+        return mu, nu
 
     def __repr__(self):
-        return f"GElt[{'.'.join(self.mu.word) or '*'}|{'.'.join(self.nu.word) or '*'};{self.degree}]"
+        mu, nu = self.cell()
+        return f"GElt[{'.'.join(mu.word) or '*'}|{'.'.join(nu.word) or '*'};{self.degree}]"
 
 
-def unit_at(x: EventuallyPeriodicPath) -> GroupoidElement:
-    v = x.graph.vertex_path(x.range)
-    return GroupoidElement(v, v, x)
+def element(mu: Path, nu: Path, tail: EventuallyPeriodicPath) -> GroupoidElement:
+    """The element (mu.tail, d(mu) - d(nu), nu.tail)."""
+    if mu.source != nu.source:
+        raise ValueError("pair must share a source vertex")
+    if tail.range != mu.source:
+        raise ValueError("tail must begin at the pair's source vertex")
+    return GroupoidElement(tail.prepend(mu), dg.sub(mu.degree, nu.degree), tail.prepend(nu))
 
 
 def compose_elements(g1: GroupoidElement, g2: GroupoidElement) -> GroupoidElement:
-    if g1.source_path() != g2.range_path():
+    """(x, p, y)(y, q, z) = (x, p + q, z)."""
+    if g1.source_path != g2.range_path:
         raise ValueError("elements are not composable")
-    g = g1.graph
-    z = g2.range_path()
-    n1, m2 = g1.nu.degree, g2.mu.degree
-    n = dg.join(n1, m2)
-    prod = GroupoidElement(
-        g.compose(g1.mu, z.at(n1, n)),
-        g.compose(g2.nu, z.at(m2, n)),
-        z.shift(n),
-    )
-    # The product runs from g1's range path to g2's source path.
-    prod._range, prod._source = g1.range_path(), g2.source_path()
-    return prod
+    return GroupoidElement(g1.range_path, dg.add(g1.degree, g2.degree), g2.source_path)
 
 
 def isotropy_element(x: EventuallyPeriodicPath, p: Degree) -> GroupoidElement:
     """The element (x, p, x); requires p to be a shift period along x."""
-    a, b = dg.pos_part(p), dg.neg_part(p)
-    if x.shift(a) != x.shift(b):
+    if x.shift(dg.pos_part(p)) != x.shift(dg.neg_part(p)):
         raise ValueError(f"{p} is not a period along the given path")
-    return GroupoidElement(x.segment_to(a), x.segment_to(b), x.shift(a))
+    return GroupoidElement(x, tuple(p), x)
 
 
 # --- the cylinder partition -------------------------------------------------
@@ -216,8 +189,7 @@ class PartitionP:
         cell = self._cell_of.get(gelt)
         if cell is not None:
             return cell
-        x = gelt.range_path()
-        y = gelt.source_path()
+        x, y = gelt.range_path, gelt.source_path
         hits = []
         for mu, nu in self._by_p.get(gelt.degree, ()):
             if (
@@ -236,13 +208,12 @@ class PartitionP:
 
 @dataclass(eq=False)
 class CancelledCells:
-    """Each element's own cancelled cell: every command's cell source.
+    """Every command's cell source: each element's own `GroupoidElement.cell`.
 
     It has the interface of PartitionP, the tests' reference, and keeps
-    values in `_values` as it does.  The first lookup of an element keeps
-    the (mu, nu) of its cancelled form in `_cell_of`, so the cell is a
-    function of the element, and sigma_c through these cells differs from
-    sigma_c through a partition by a coboundary.
+    values in `_values` as it does; `_cell_of` is a memo of `cell`.  The
+    cell is a function of the element, so sigma_c through these cells
+    differs from sigma_c through a partition by a coboundary.
     """
 
     graph: KGraph
@@ -252,8 +223,7 @@ class CancelledCells:
     def member(self, gelt: GroupoidElement) -> tuple[Path, Path]:
         cell = self._cell_of.get(gelt)
         if cell is None:
-            red = gelt.cancelled()
-            cell = self._cell_of[gelt] = (red.mu, red.nu)
+            cell = self._cell_of[gelt] = gelt.cell()
         return cell
 
 
@@ -342,15 +312,13 @@ def sigma_c(
     key = (gelt, helt, tuple(paddings))
     out = values.get(key)
     if out is None:
-        if gelt.source_path() != helt.range_path():
-            raise ValueError("elements are not composable")
         prod = compose_elements(gelt, helt)
         mu_g, nu_g = P.member(gelt)
         mu_h, nu_h = P.member(helt)
         mu_gh, nu_gh = P.member(prod)
         pg = gelt.degree
-        u = gelt.source_path()
-        z = gelt.range_path()
+        u = gelt.source_path
+        z = gelt.range_path
         base = dg.join(dg.join(nu_g.degree, mu_h.degree), dg.sub(mu_gh.degree, pg))
         ones = (1,) * P.graph.k
         vals = []
@@ -399,7 +367,7 @@ def r_sigma(
     key = (alpha, tuple(p))
     out = values.get(key)
     if out is None:
-        iso = isotropy_element(alpha.source_path(), p)
+        iso = isotropy_element(alpha.source_path, p)
         ai = alpha.inverse()
         t1 = sigma_c(c, P, alpha, iso)
         t2 = sigma_c(c, P, compose_elements(alpha, iso), ai)
@@ -430,7 +398,7 @@ def periodic_base_vertex(g: KGraph, per_basis: tuple[Degree, ...]) -> str:
 def omega_from_oracle(g: KGraph, c: CocycleSpec, per_basis: tuple[Degree, ...]) -> BicharacterTable:
     """Bicharacter with the isotropy cocycle's antisymmetrization.
 
-    Evaluates the induced cocycle, resolved through cancelled cells, on
+    Evaluates the induced cocycle, resolved through each element's cell, on
     generator pairs along one eventually periodic path and stores the pair
     differences in a strictly lower triangular matrix.  Only the
     antisymmetrization (hence the annihilator lattice) is meaningful; the
@@ -606,7 +574,7 @@ def _elements_at(g: KGraph, v: str, d: Degree) -> list[GroupoidElement]:
     """Elements (mu, nu) over the canonical tail at v, both degrees in the box d."""
     z = canonical_tail(g, v)
     return [
-        GroupoidElement(mu, nu, z)
+        element(mu, nu, z)
         for m in dg.box(d)
         for n in dg.box(d)
         for mu in _paths_into(g, v, m)
@@ -615,15 +583,15 @@ def _elements_at(g: KGraph, v: str, d: Degree) -> list[GroupoidElement]:
 
 
 def _left_factors(g: KGraph, b: GroupoidElement, d: Degree, s: Degree) -> list[GroupoidElement]:
-    """Elements a = (mu, x(0, s), T^s x) with a.b defined, x = b's range path.
+    """Elements a = (mu.T^s u, d(mu) - s, u) with a.b defined, u = b's range path.
 
     mu runs over the paths of degree in the box d.  The right factors of b
     are the inverses of the left factors of b's inverse.
     """
-    u = b.range_path()
+    u = b.range_path
     us = u.shift(s)
     return [
-        GroupoidElement(mu, u.segment_to(s), us)
+        GroupoidElement(us.prepend(mu), dg.sub(mu.degree, s), u)
         for m in dg.box(d)
         for mu in _paths_into(g, us.range, m)
     ]
@@ -640,9 +608,9 @@ def suite_cocycle_identity(
 
     The middle element b runs over source-matched pairs over a canonical
     tail; a and c are grafted onto its boundary paths at the shifts 0 and
-    (1, ..., 1), so all compositions exist by construction.  Compositions
-    involving b are hoisted, and P keeps the values of the pairs that
-    recur, so each extra triple costs two new sigma_c resolutions.
+    (1, ..., 1), so all compositions exist by construction.  P keeps the
+    values of the pairs that recur, so each extra triple costs two new
+    sigma_c resolutions.
     """
     d = dg.as_degree(g.k, depth, "depth")
     shifts = (dg.zero(g.k), (1,) * g.k)
@@ -650,17 +618,13 @@ def suite_cocycle_identity(
     bad = []
     for v in sorted(g.vertices):
         for b in _elements_at(g, v, d):
-            lefts = [(a, compose_elements(a, b)) for s in shifts for a in _left_factors(g, b, d, s)]
-            rights = [
-                (cc, compose_elements(b, cc))
-                for s in shifts
-                for cc in (x.inverse() for x in _left_factors(g, b.inverse(), d, s))
-            ]
-            for a, ab in lefts:
-                for cc, bc in rights:
+            lefts = [a for s in shifts for a in _left_factors(g, b, d, s)]
+            rights = [x.inverse() for s in shifts for x in _left_factors(g, b.inverse(), d, s)]
+            for a in lefts:
+                for cc in rights:
                     try:
-                        lhs = sigma_c(c, P, a, b) + sigma_c(c, P, ab, cc)
-                        rhs = sigma_c(c, P, b, cc) + sigma_c(c, P, a, bc)
+                        lhs = sigma_c(c, P, a, b) + sigma_c(c, P, compose_elements(a, b), cc)
+                        rhs = sigma_c(c, P, b, cc) + sigma_c(c, P, a, compose_elements(b, cc))
                         if lhs != rhs:
                             bad.append(f"identity fails on ({a!r}, {b!r}, {cc!r})")
                     except ResolutionError as err:
@@ -726,8 +690,7 @@ def suite_conjugation_formula(
         if not all(periodic_at(g, p, v) for p in per_basis):
             continue
         for a in _elements_at(g, v, d):
-            xr = a.range_path()
-            xs = a.source_path()
+            xr, xs = a.range_path, a.source_path
             iso_r = {p: isotropy_element(xr, p) for p in periods}
             iso_s = {p: isotropy_element(xs, p) for p in periods}
             for p in periods:
@@ -804,8 +767,8 @@ def run_suites(
     """Run every property suite that applies to the graph.
 
     Elements come from the degree box max(1, depth - 1), for a depth of at
-    least 1, and each resolves through its own cancelled cell, which keeps
-    every value the suites share; `cap` bounds the sampled identity
+    least 1, and each resolves through its own cell on one cell source,
+    which keeps every value the suites share; `cap` bounds the sampled identity
     triples and conjugation checks.  The period-dependent suites need
     certified cofinality, and the centre and coboundary suites a
     nontrivial period lattice and a bicharacter that does not depend on

@@ -116,6 +116,32 @@ def test_disjoint_always_nonsimple():
     assert rep.verdict.certificate["kind"] == "not_cofinal"
 
 
+def twist_last(k):
+    """The pullback twist with theta in entry [k-1][k-2] only."""
+    return PullbackCocycle(
+        tuple(tuple(theta if (i, j) == (k - 1, k - 2) else zero for j in range(k)) for i in range(k))
+    )
+
+
+# The periods of C3 x T_l are 3e_1 and the torus units, and those of T3 the
+# units.  Theta - Theta^T pairs only the last two colours, by -+theta, so
+# on C3xT1 the generators pair irrationally and Z_omega is trivial, while
+# on C3xT2 and T3 the first generator pairs trivially with everything and
+# spans Z_omega.
+@pytest.mark.parametrize("name, status, kind, periods, z_rows", [
+    ("C3xT1", SIMPLE, "z_omega_trivial", ((3, 0), (0, 1)), ()),
+    ("C3xT2", NONSIMPLE, "central_period_obstruction", ((3, 0, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0),)),
+    ("T3", NONSIMPLE, "central_period_obstruction", ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0),)),
+])
+def test_twist_of_the_last_two_colours(name, status, kind, periods, z_rows):
+    g = builtin(name)
+    rep = decide_simplicity(g, twist_last(g.k))
+    assert rep.verdict.status == status
+    assert rep.verdict.certificate["kind"] == kind
+    assert tuple(rep.per.lattice.rows) == periods
+    assert tuple(rep.z_omega.rows) == z_rows
+
+
 def test_unhandled_shape_is_unknown():
     # a degree-bilinear twist on a non-torus graph with nontrivial central
     # periods falls outside every certified branch

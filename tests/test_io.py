@@ -297,6 +297,8 @@ BAD_BOUNDS = {
     "-1": "bounds must be positive, got '-1'",
     "2,x": "bad bound component 'x'",
     "2,0": "bounds must be positive, got '2,0'",
+    "²": "bad bound component '²'",
+    "--3": "bad bound component '--3'",
 }
 
 

@@ -20,7 +20,7 @@ from ktwist.cocycles import (
 )
 from ktwist.decider import z_omega_of
 from ktwist.io import load_cocycle
-from ktwist.kgraph import builtin, canonical_tail
+from ktwist.kgraph import EventuallyPeriodicPath, builtin, canonical_tail
 from ktwist.oracle import (
     CancelledCells,
     CoboundaryBx,
@@ -33,6 +33,7 @@ from ktwist.oracle import (
     build_partition,
     compose_elements,
     cylinders_intersect,
+    element,
     isotropy_element,
     isotropy_restriction,
     omega_closedform,
@@ -44,7 +45,6 @@ from ktwist.oracle import (
     suite_cocycle_identity,
     suite_conjugation_formula,
     suite_resolution_independence,
-    unit_at,
 )
 from ktwist.phases import PhaseExponent, phase_is_trivial
 from ktwist.structure import per_group
@@ -104,28 +104,29 @@ def test_element_equality_cancels_common_tails(t2):
     a = t2.make_path("v", ["a"])
     ab = t2.make_path("v", ["a", "b"])
     b = t2.make_path("v", ["b"])
-    g1 = GroupoidElement(a, b, x)
-    g2 = GroupoidElement(ab, t2.make_path("v", ["b", "b"]), x)
+    g1 = element(a, b, x)
+    g2 = element(ab, t2.make_path("v", ["b", "b"]), x)
     # same degree (1,-1) and same infinite paths on the torus
     assert g1.degree == (1, -1)
     assert g1 == g2
-    assert g1.cancelled() == g1
+    assert g1.cell() == g2.cell() == (a, b)
 
 
 def test_element_compose_and_inverse(t2):
     x = canonical_tail(t2, "v")
     a = t2.make_path("v", ["a"])
-    g1 = GroupoidElement(a, t2.vertex_path("v"), x)
+    g1 = element(a, t2.vertex_path("v"), x)
     g2 = g1.inverse()
     prod = compose_elements(g1, g2)
     assert prod.degree == (0, 0)
-    assert prod == unit_at(g1.range_path())
+    assert prod == GroupoidElement(g1.range_path, (0, 0), g1.range_path)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(["T2", "B2", "B2xT1", "C3xT1"]), st.data())
 def test_element_hash_ignores_where_the_tail_starts(name, data):
-    # (mu.e, nu.e, x), (mu, nu, e.x) and the cancelled form are one element
+    # (mu.e, nu.e, x), (mu, nu, e.x) and the element's cell over its tail
+    # are one element, with one cell that contains it and is reduced
     g = builtin(name)
     e = g.edge_path(data.draw(st.sampled_from([e.id for e in g.edges])))
     box = list(dg.box((1,) * g.k))
@@ -136,14 +137,33 @@ def test_element_hash_ignores_where_the_tail_starts(name, data):
     mu = data.draw(st.sampled_from(ending_at(data.draw(st.sampled_from(box)))))
     nu = data.draw(st.sampled_from(ending_at(data.draw(st.sampled_from(box)))))
     x = canonical_tail(g, e.source)
-    long = GroupoidElement(g.compose(mu, e), g.compose(nu, e), x)
-    reps = [long, GroupoidElement(mu, nu, x.prepend(e)), long.cancelled()]
+    long = element(g.compose(mu, e), g.compose(nu, e), x)
+    cmu, cnu = long.cell()
+    reps = [long, element(mu, nu, x.prepend(e)), element(cmu, cnu, long.range_path.shift(cmu.degree))]
     keyed = {long: "long"}
     for el in reps:
         assert el == long and long == el
         assert hash(el) == hash(long)
         assert keyed[el] == "long"
+        assert el.cell() == (cmu, cnu)
     assert len(set(reps)) == 1
+    xr, xs = long.range_path, long.source_path
+    assert xr.segment_to(cmu.degree) == cmu and xs.segment_to(cnu.degree) == cnu
+    assert xr.shift(cmu.degree) == xs.shift(cnu.degree)
+    for i in range(1, g.k + 1):
+        if cmu.degree[i - 1] and cnu.degree[i - 1]:
+            ei = dg.unit(g.k, i)
+            assert g.factorize(cmu, dg.sub(cmu.degree, ei))[1] != g.factorize(cnu, dg.sub(cnu.degree, ei))[1]
+
+
+def test_cell_rejects_a_triple_that_is_not_an_element():
+    # e.e.e... and f.f.f... on B2 have no shifts in common
+    g = builtin("B2")
+    v = g.vertex_path("v")
+    ee = EventuallyPeriodicPath(g, v, g.edge_path("e"))
+    ff = EventuallyPeriodicPath(g, v, g.edge_path("f"))
+    with pytest.raises(ValueError):
+        GroupoidElement(ee, (0,), ff).cell()
 
 
 def test_isotropy_element_requires_tail_periodicity():
@@ -160,8 +180,8 @@ def test_isotropy_element_on_torus(t2):
     x = canonical_tail(t2, "v")
     iso = isotropy_element(x, (1, 0))
     assert iso.degree == (1, 0)
-    assert iso.range_path() == x
-    assert iso.source_path() == x.shift((1, 0))
+    assert iso.range_path == x
+    assert iso.source_path == x.shift((1, 0))
 
 
 # --- the partition ----------------------------------------------------------
@@ -192,17 +212,17 @@ def test_partition_member_resolves_and_is_unique(t2, t2_partition):
     for word_mu, word_nu in ((["a"], ["b"]), (["a", "b"], []), ([], [])):
         mu = t2.make_path("v", word_mu)
         nu = t2.make_path("v", word_nu)
-        el = GroupoidElement(mu, nu, x)
+        el = element(mu, nu, x)
         cell_mu, cell_nu = t2_partition.member(el)
         # membership means the element lies in the chosen cylinder
-        assert el.range_path().segment_to(cell_mu.degree).word == cell_mu.word
-        assert el.source_path().segment_to(cell_nu.degree).word == cell_nu.word
+        assert el.range_path.segment_to(cell_mu.degree).word == cell_mu.word
+        assert el.source_path.segment_to(cell_nu.degree).word == cell_nu.word
 
 
 def test_partition_depth_error_beyond_window(t2):
     shallow = build_partition(t2, 1)
     x = canonical_tail(t2, "v")
-    deep = GroupoidElement(t2.make_path("v", ["a", "a", "a"]), t2.vertex_path("v"), x)
+    deep = element(t2.make_path("v", ["a", "a", "a"]), t2.vertex_path("v"), x)
     # a failed lookup is not kept, so asking again fails again
     for _ in range(2):
         with pytest.raises(DepthError):
@@ -519,9 +539,9 @@ def test_cancelled_cell_is_a_function_of_the_element(name):
             assert len(found) == 1 and len(cells._cell_of) == 1
             mu, nu = found.pop()
             for el in forms:
-                assert el.range_path().segment_to(mu.degree) == mu
-                assert el.source_path().segment_to(nu.degree) == nu
-                assert el.range_path().shift(mu.degree) == el.source_path().shift(nu.degree)
+                assert el.range_path.segment_to(mu.degree) == mu
+                assert el.source_path.segment_to(nu.degree) == nu
+                assert el.range_path.shift(mu.degree) == el.source_path.shift(nu.degree)
 
 
 # --- coboundary -------------------------------------------------------------

@@ -183,7 +183,7 @@ def local_periodicity_pair(g: KGraph, bound: int):
     for v in g.vertices:
         for m in dg.box(bound):
             for n in dg.box(bound):
-                if not dg.is_zero(dg.meet(m, n)):
+                if not dg.is_zero(tuple(map(min, m, n))):
                     continue
                 if dg.is_zero(m) and dg.is_zero(n):
                     continue
