@@ -54,6 +54,7 @@ from .lattices import (
 )
 from .oracle import (
     GroupoidElement,
+    InducedCocycle,
     isotropy_element,
     omega_closedform,
     omega_from_oracle,
@@ -108,6 +109,7 @@ __all__ = [
     "kronecker_dense",
     "verify_kronecker",
     "GroupoidElement",
+    "InducedCocycle",
     "isotropy_element",
     "omega_closedform",
     "omega_from_oracle",

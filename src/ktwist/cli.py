@@ -59,7 +59,7 @@ def _emit(args, doc: dict, lines: list[str]) -> None:
             print(line)
 
 
-def _inputs(args, gdigest: str, cdigest: str | None) -> dict:
+def _inputs(gdigest: str, cdigest: str | None) -> dict:
     inputs = {"graph": gdigest}
     if cdigest is not None:
         inputs["cocycle"] = cdigest
@@ -99,7 +99,7 @@ def cmd_validate(args) -> int:
         else:
             body["cocycle"] = {"ok": False, "problems": ["graph invalid, cocycle not checked"]}
             lines.append("cocycle: skipped (graph invalid)")
-    doc = report_document("validate", _inputs(args, gdigest, cdigest), body)
+    doc = report_document("validate", _inputs(gdigest, cdigest), body)
     _emit(args, doc, lines)
     return code
 
@@ -128,7 +128,7 @@ def cmd_analyze(args) -> int:
         f"per_basis: {per_rows if per_rows is not None else 'not computed (needs certified cofinality)'}",
         f"period bound: {list(bound_used)}",
     ]
-    doc = report_document("analyze", _inputs(args, gdigest, None), body)
+    doc = report_document("analyze", _inputs(gdigest, None), body)
     _emit(args, doc, lines)
     return 0
 
@@ -150,7 +150,7 @@ def cmd_per(args) -> int:
         f"exhaustive up to: {list(per.exhaustive_up_to)}",
         f"per-vertex agreement: {per.per_vertex_agreement}",
     ]
-    doc = report_document("per", _inputs(args, gdigest, None), body)
+    doc = report_document("per", _inputs(gdigest, None), body)
     _emit(args, doc, lines)
     return 0
 
@@ -181,7 +181,7 @@ def cmd_omega(args) -> int:
     lines.append(f"closed form agrees: {agree}")
     if not agree:
         lines.append("  flag: closed-form antisymmetrization differs; oracle value is authoritative")
-    doc = report_document("omega", _inputs(args, gdigest, cdigest), body)
+    doc = report_document("omega", _inputs(gdigest, cdigest), body)
     _emit(args, doc, lines)
     return 0
 
@@ -199,7 +199,7 @@ def cmd_simplicity(args) -> int:
         lines.append(f"certificate: {report.verdict.certificate.get('kind', '?')}")
     for note in report.notes:
         lines.append(f"note: {note}")
-    doc = report_document("simplicity", _inputs(args, gdigest, cdigest), body)
+    doc = report_document("simplicity", _inputs(gdigest, cdigest), body)
     _emit(args, doc, lines)
     return 0 if report.verdict.status in (SIMPLE, NONSIMPLE) else 2
 
@@ -217,7 +217,7 @@ def cmd_oracle(args) -> int:
             lines.append(f"  counterexample: {vdump}")
     for note in notes:
         lines.append(f"note: {note}")
-    doc = report_document("oracle", _inputs(args, gdigest, cdigest), body)
+    doc = report_document("oracle", _inputs(gdigest, cdigest), body)
     _emit(args, doc, lines)
     return 0 if all(s.ok for s in suites) else 1
 

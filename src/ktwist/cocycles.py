@@ -29,7 +29,7 @@ from typing import Union
 from . import degrees as dg
 from .degrees import Degree
 from .kgraph import KGraph, Path, ValidationReport
-from .phases import PhaseExponent, PhaseVector, pair_int, phase_is_trivial, vec_add, vec_sub, zero_vector
+from .phases import PhaseExponent, PhaseVector, pair_int, vec_add, vec_sub, zero_vector
 
 PhaseMatrix = tuple[tuple[PhaseExponent, ...], ...]
 
@@ -220,7 +220,7 @@ def validate_phi(phi: OneCocyclePhi, g: KGraph) -> ValidationReport:
         left = vec_add(phi.edge_value(sq.f), phi.edge_value(sq.g))
         right = vec_add(phi.edge_value(sq.gp), phi.edge_value(sq.fp))
         diff = vec_sub(left, right)
-        if not all(phase_is_trivial(x) for x in diff):
+        if not all(x.is_trivial() for x in diff):
             problems.append(
                 f"square ({sq.f},{sq.g})->({sq.gp},{sq.fp}): phi values differ by {diff}"
             )
@@ -311,7 +311,7 @@ def validate_cocycle(c: CocycleSpec, g: KGraph, depth: int) -> ValidationReport:
             left = val(lam, g.vertex_path(lam.source))
             right = val(g.vertex_path(lam.range), lam)
             for x, side in ((left, "right unit"), (right, "left unit")):
-                if x is not None and not phase_is_trivial(x):
+                if x is not None and not x.is_trivial():
                     problems.append(f"normalization fails at {lam!r} ({side})")
 
     for v in g.vertices:

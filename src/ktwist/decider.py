@@ -3,6 +3,8 @@
 The decision cascade glues the independently tested components:
 
 1. a graph that is not cofinal is never simple (unreachable-cycle witness);
+   one whose vertices have different periods stays UNKNOWN, since the
+   intersection of their periods is not the period group;
 2. a trivial degeneracy sublattice of the extracted bicharacter certifies
    simplicity;
 3. on single-path bases (exactly one path of every degree from every
@@ -36,7 +38,7 @@ from .lattices import (
     verify_kronecker,
 )
 from .oracle import omega_from_oracle, z_omega_of
-from .phases import PhaseExponent, PhaseVector, format_phase, format_phase_rows, pair_int, phase_is_trivial
+from .phases import PhaseExponent, PhaseVector, format_phase, format_phase_rows, pair_int
 from .structure import (
     NO,
     UNKNOWN,
@@ -75,12 +77,12 @@ def verify_z_omega(omega: BicharacterTable, z: LatticeBasis, radius: int = 2) ->
         return False
     units = [dg.unit(l, i + 1) for i in range(l)]
     for row in z.rows:
-        if not all(phase_is_trivial(omega.commutator(row, u)) for u in units):
+        if not all(omega.commutator(row, u).is_trivial() for u in units):
             return False
     if l == 0:
         return True
     for p in dg.signed_box((radius,) * l):
-        central = all(phase_is_trivial(omega.commutator(p, u)) for u in units)
+        central = all(omega.commutator(p, u).is_trivial() for u in units)
         if central != z.member(p):
             return False
     return True
@@ -345,6 +347,13 @@ def decide_simplicity(
         return SimplicityReport(verdict, bounds=b, notes=(cof.reason,) if cof.reason else ())
 
     per = per_group(g, b.period)
+    if not per.per_vertex_agreement:
+        verdict = Verdict(
+            UNKNOWN,
+            reason="the periods differ from vertex to vertex (no per_vertex_agreement); "
+            "their intersection is not the period group, so no criterion applies",
+        )
+        return SimplicityReport(verdict, per, bounds=b)
     per_basis = per.lattice.rows
     omega = omega_from_oracle(g, c, per_basis)
     z = z_omega_of(omega)

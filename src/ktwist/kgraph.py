@@ -249,7 +249,7 @@ class KGraph:
 
 
 def validate_kgraph(g: KGraph) -> ValidationReport:
-    problems: list[str] = []
+    problems: list[str] = [] if g.vertices else ["graph has no vertices"]
     seen_v = set()
     for v in g.vertices:
         if not v or not isinstance(v, str):

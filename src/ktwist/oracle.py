@@ -13,34 +13,36 @@ cocycle on the graph.  Its value on a composable pair is resolved through
 cylinder cells of the two factors and their product via common
 extensions; the helpers then restrict it to isotropy, build conjugation
 phases, inductive coboundaries, and the bicharacter used by the
-simplicity decider.  Every command resolves each element through its own
-cell, `GroupoidElement.cell`, which needs no partition.  The tests'
-reference route is a depth-truncated partition into cylinder cells,
+simplicity decider.  One `InducedCocycle` holds a categorical cocycle c
+and the rule that gives each element its cell; by default that is
+`GroupoidElement.cell`, which needs no partition.  The tests' reference
+rule is membership in a depth-truncated partition into cylinder cells,
 which raises DepthError (not wrong answers) when too shallow.  Any cell
 that is a function of the element changes the cocycle by a coboundary
 only (Kumjian-Pask-Sims, "Homology for higher-rank graphs and twisted
 C*-algebras", 2012), so the identities of the suites and the
-bicharacter's antisymmetrization hold through either.  The cell source
-is the one place where values are kept: the cell of each element and,
-per cocycle, the outcome of each sigma_c pair and the phase of each
-r_sigma pair it has resolved.  A value that depends on the resolution
-means the categorical cocycle is not a 2-cocycle: sigma_c keeps that
-outcome too and raises ResolutionError on every request for the pair,
-and a suite records it against each check that asked.  DepthError is
-never kept.
+bicharacter's antisymmetrization hold through either.  The
+InducedCocycle is the one place where values are kept: the cell of each
+element, the outcome of each sigma_c pair and the phase of each r_sigma
+pair it has resolved.
+A value that depends on the resolution means the categorical cocycle is
+not a 2-cocycle: sigma_c keeps that outcome too and raises
+ResolutionError on every request for the pair, and a suite records it
+against each check that asked.  DepthError is never kept.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import degrees as dg
 from .degrees import Degree
 from .cocycles import BicharacterTable, CocycleSpec, cocycle_value
 from .kgraph import EventuallyPeriodicPath, KGraph, Path, canonical_tail
 from .lattices import LatticeBasis, annihilator_lattice
-from .phases import PhaseExponent, phase_is_trivial
+from .phases import PhaseExponent
 from .structure import YES, is_cofinal, per_group, periodic_at
 
 
@@ -162,21 +164,12 @@ def cylinders_intersect(g: KGraph, a: tuple[Path, Path], b: tuple[Path, Path]) -
 
 @dataclass(eq=False)
 class PartitionP:
-    """Cylinder cells, with what has been resolved through them.
-
-    `_cell_of` maps each element looked up so far to its cell, and
-    `_values` maps id(c) to (c, values) for each cocycle c resolved here:
-    values[(g, h, paddings)] is the sigma_c outcome, a ResolutionError
-    included, and values[(alpha, p)] the r_sigma phase.  Holding c keeps
-    its id from being reused while the partition lives.
-    """
+    """Cylinder cells, indexed by degree difference for `member`."""
 
     graph: KGraph
     depth: Degree
     cells: tuple[tuple[Path, Path], ...]
     _by_p: dict = field(default_factory=dict, repr=False)
-    _cell_of: dict = field(default_factory=dict, repr=False)
-    _values: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         by_p: dict[Degree, list[tuple[Path, Path]]] = {}
@@ -186,9 +179,6 @@ class PartitionP:
 
     def member(self, gelt: GroupoidElement) -> tuple[Path, Path]:
         """The unique cell whose cylinder contains the element."""
-        cell = self._cell_of.get(gelt)
-        if cell is not None:
-            return cell
         x, y = gelt.range_path, gelt.source_path
         hits = []
         for mu, nu in self._by_p.get(gelt.degree, ()):
@@ -202,29 +192,7 @@ class PartitionP:
             raise DepthError("no partition cell contains the element; increase depth")
         if len(hits) > 1:
             raise RuntimeError("partition cells overlap; internal invariant broken")
-        self._cell_of[gelt] = hits[0]
         return hits[0]
-
-
-@dataclass(eq=False)
-class CancelledCells:
-    """Every command's cell source: each element's own `GroupoidElement.cell`.
-
-    It has the interface of PartitionP, the tests' reference, and keeps
-    values in `_values` as it does; `_cell_of` is a memo of `cell`.  The
-    cell is a function of the element, so sigma_c through these cells
-    differs from sigma_c through a partition by a coboundary.
-    """
-
-    graph: KGraph
-    _cell_of: dict = field(default_factory=dict, repr=False)
-    _values: dict = field(default_factory=dict, repr=False)
-
-    def member(self, gelt: GroupoidElement) -> tuple[Path, Path]:
-        cell = self._cell_of.get(gelt)
-        if cell is None:
-            cell = self._cell_of[gelt] = gelt.cell()
-        return cell
 
 
 def _is_reduced(g: KGraph, mu: Path, nu: Path) -> bool:
@@ -282,45 +250,59 @@ def build_partition(g: KGraph, depth) -> PartitionP:
 # --- the induced groupoid cocycle -------------------------------------------
 
 
-def _values_of(c: CocycleSpec, P: PartitionP | CancelledCells) -> dict:
-    """The dict of values that P keeps for c, made on first use."""
-    slot = P._values.get(id(c))
-    if slot is None:
-        slot = P._values[id(c)] = (c, {})
-    return slot[1]
+@dataclass(eq=False)
+class InducedCocycle:
+    """The groupoid 2-cocycle sigma_c induced by the categorical cocycle c.
+
+    `cell` gives each element the cylinder (mu, nu) that resolves it.
+    `_cells` keeps the cell of each element looked up so far, and `_values`
+    the outcome of each sigma_c pair under (g, h, paddings), a
+    ResolutionError included, and the phase of each r_sigma pair under
+    (alpha, p).  An error raised by `cell` propagates before anything is
+    kept.
+    """
+
+    c: CocycleSpec
+    cell: Callable[[GroupoidElement], tuple[Path, Path]] = GroupoidElement.cell
+    _cells: dict = field(default_factory=dict, repr=False)
+    _values: dict = field(default_factory=dict, repr=False)
+
+    def cell_of(self, gelt: GroupoidElement) -> tuple[Path, Path]:
+        cell = self._cells.get(gelt)
+        if cell is None:
+            cell = self._cells[gelt] = self.cell(gelt)
+        return cell
 
 
 def sigma_c(
-    c: CocycleSpec,
-    P: PartitionP | CancelledCells,
+    s: InducedCocycle,
     gelt: GroupoidElement,
     helt: GroupoidElement,
     paddings: tuple[int, ...] = (0, 1),
 ) -> PhaseExponent:
     """Value of the induced groupoid 2-cocycle on a composable pair.
 
-    Resolves both factors and their product through their partition cells,
-    picks common extensions out of the shared infinite path, and combines
-    six categorical cocycle values.  The result is independent of the
+    Resolves both factors and their product through their cells, picks
+    common extensions out of the shared infinite path, and combines six
+    categorical cocycle values.  The result is independent of the
     resolution; every padding in `paddings` re-derives it with a larger
-    extension, and disagreement raises ResolutionError.  P keeps the
+    extension, and disagreement raises ResolutionError.  s keeps the
     outcome, value or error, so each distinct (gelt, helt, paddings) is
-    resolved once per cell source, and a kept error is raised afresh on
-    each request.
+    resolved once, and a kept error is raised afresh on each request.
     """
-    values = _values_of(c, P)
     key = (gelt, helt, tuple(paddings))
-    out = values.get(key)
+    out = s._values.get(key)
     if out is None:
+        c = s.c
         prod = compose_elements(gelt, helt)
-        mu_g, nu_g = P.member(gelt)
-        mu_h, nu_h = P.member(helt)
-        mu_gh, nu_gh = P.member(prod)
+        mu_g, nu_g = s.cell_of(gelt)
+        mu_h, nu_h = s.cell_of(helt)
+        mu_gh, nu_gh = s.cell_of(prod)
         pg = gelt.degree
         u = gelt.source_path
         z = gelt.range_path
         base = dg.join(dg.join(nu_g.degree, mu_h.degree), dg.sub(mu_gh.degree, pg))
-        ones = (1,) * P.graph.k
+        ones = (1,) * len(pg)
         vals = []
         for pad in paddings:
             n = dg.add(base, dg.scale(pad, ones))
@@ -341,38 +323,35 @@ def sigma_c(
             out = ResolutionError(
                 "cocycle value depended on the resolution choice; the cocycle is not a 2-cocycle"
             )
-        values[key] = out
+        s._values[key] = out
     if isinstance(out, ResolutionError):
         raise ResolutionError(str(out))
     return out
 
 
 def isotropy_restriction(
-    c: CocycleSpec, P: PartitionP | CancelledCells, x: EventuallyPeriodicPath, p: Degree, q: Degree
+    s: InducedCocycle, x: EventuallyPeriodicPath, p: Degree, q: Degree
 ) -> PhaseExponent:
     """sigma on the isotropy pair ((x,p,x), (x,q,x))."""
-    return sigma_c(c, P, isotropy_element(x, p), isotropy_element(x, q))
+    return sigma_c(s, isotropy_element(x, p), isotropy_element(x, q))
 
 
-def r_sigma(
-    c: CocycleSpec, P: PartitionP | CancelledCells, alpha: GroupoidElement, p: Degree
-) -> PhaseExponent:
+def r_sigma(s: InducedCocycle, alpha: GroupoidElement, p: Degree) -> PhaseExponent:
     """Conjugation phase of the period p across the element alpha.
 
-    P keeps the phase under (alpha, p), next to the sigma_c values it is
-    made of, so each distinct pair is derived once per cell source.  A
+    s keeps the phase under (alpha, p), next to the sigma_c values it is
+    made of, so each distinct pair is derived once.  A
     ResolutionError is not kept here: sigma_c keeps and re-raises it.
     """
-    values = _values_of(c, P)
     key = (alpha, tuple(p))
-    out = values.get(key)
+    out = s._values.get(key)
     if out is None:
         iso = isotropy_element(alpha.source_path, p)
         ai = alpha.inverse()
-        t1 = sigma_c(c, P, alpha, iso)
-        t2 = sigma_c(c, P, compose_elements(alpha, iso), ai)
-        t3 = sigma_c(c, P, alpha, ai)
-        out = values[key] = (t1 + t2) - t3
+        t1 = sigma_c(s, alpha, iso)
+        t2 = sigma_c(s, compose_elements(alpha, iso), ai)
+        t3 = sigma_c(s, alpha, ai)
+        out = s._values[key] = (t1 + t2) - t3
     return out
 
 
@@ -408,12 +387,12 @@ def omega_from_oracle(g: KGraph, c: CocycleSpec, per_basis: tuple[Degree, ...]) 
     if l == 0:
         return BicharacterTable.zero(0)
     x = canonical_tail(g, periodic_base_vertex(g, per_basis))
-    cells = CancelledCells(g)
+    s = InducedCocycle(c)
     sig = {}
     for i in range(l):
         for j in range(l):
             if i != j:
-                sig[(i, j)] = isotropy_restriction(c, cells, x, per_basis[i], per_basis[j])
+                sig[(i, j)] = isotropy_restriction(s, x, per_basis[i], per_basis[j])
     zero = PhaseExponent.zero()
     rows = [
         [sig[(i, j)] - sig[(j, i)] if i > j else zero for j in range(l)]
@@ -484,13 +463,12 @@ class CoboundaryBx:
     the top nonzero coordinate peels one generator off.
     """
 
-    def __init__(self, omega_target: BicharacterTable, c, P, x, per_basis):
+    def __init__(self, omega_target: BicharacterTable, s: InducedCocycle, x, per_basis):
         per_basis = tuple(per_basis)
         l = len(per_basis)
         if omega_target.rank != l:
             raise ValueError("target rank does not match the generator count")
-        self.c = c
-        self.P = P
+        self.s = s
         self.x = x
         self.per_basis = per_basis
         self.omega = omega_target
@@ -505,10 +483,8 @@ class CoboundaryBx:
                     )
 
     def sigma(self, m: Degree, n: Degree) -> PhaseExponent:
-        """The isotropy cocycle at x on generator coordinates (kept on P by sigma_c)."""
-        return isotropy_restriction(
-            self.c, self.P, self.x, ambient(self.per_basis, m), ambient(self.per_basis, n)
-        )
+        """The isotropy cocycle at x on generator coordinates (kept on s by sigma_c)."""
+        return isotropy_restriction(self.s, self.x, ambient(self.per_basis, m), ambient(self.per_basis, n))
 
     def ctilde(self, m: Degree, n: Degree) -> PhaseExponent:
         return self.sigma(m, n) - self.omega.value(m, n)
@@ -599,8 +575,7 @@ def _left_factors(g: KGraph, b: GroupoidElement, d: Degree, s: Degree) -> list[G
 
 def suite_cocycle_identity(
     g: KGraph,
-    c: CocycleSpec,
-    P: PartitionP | CancelledCells,
+    s: InducedCocycle,
     depth=1,
     max_triples: int | None = None,
 ) -> SuiteResult:
@@ -608,7 +583,7 @@ def suite_cocycle_identity(
 
     The middle element b runs over source-matched pairs over a canonical
     tail; a and c are grafted onto its boundary paths at the shifts 0 and
-    (1, ..., 1), so all compositions exist by construction.  P keeps the
+    (1, ..., 1), so all compositions exist by construction.  s keeps the
     values of the pairs that recur, so each extra triple costs two new
     sigma_c resolutions.
     """
@@ -618,13 +593,13 @@ def suite_cocycle_identity(
     bad = []
     for v in sorted(g.vertices):
         for b in _elements_at(g, v, d):
-            lefts = [a for s in shifts for a in _left_factors(g, b, d, s)]
-            rights = [x.inverse() for s in shifts for x in _left_factors(g, b.inverse(), d, s)]
+            lefts = [a for t in shifts for a in _left_factors(g, b, d, t)]
+            rights = [x.inverse() for t in shifts for x in _left_factors(g, b.inverse(), d, t)]
             for a in lefts:
                 for cc in rights:
                     try:
-                        lhs = sigma_c(c, P, a, b) + sigma_c(c, P, compose_elements(a, b), cc)
-                        rhs = sigma_c(c, P, b, cc) + sigma_c(c, P, a, compose_elements(b, cc))
+                        lhs = sigma_c(s, a, b) + sigma_c(s, compose_elements(a, b), cc)
+                        rhs = sigma_c(s, b, cc) + sigma_c(s, a, compose_elements(b, cc))
                         if lhs != rhs:
                             bad.append(f"identity fails on ({a!r}, {b!r}, {cc!r})")
                     except ResolutionError as err:
@@ -636,7 +611,7 @@ def suite_cocycle_identity(
 
 
 def suite_resolution_independence(
-    g: KGraph, c: CocycleSpec, P: PartitionP | CancelledCells, depth=1, max_pairs: int = 200
+    g: KGraph, s: InducedCocycle, depth=1, max_pairs: int = 200
 ) -> SuiteResult:
     """Recompute sigma(a, b) with three paddings; sigma_c asserts agreement.
 
@@ -651,7 +626,7 @@ def suite_resolution_independence(
         for b in _elements_at(g, v, d):
             for a in _left_factors(g, b, d, zero):
                 try:
-                    sigma_c(c, P, a, b, paddings=(0, 1, 2))
+                    sigma_c(s, a, b, paddings=(0, 1, 2))
                 except ResolutionError as err:
                     bad.append(str(err))
                 checked += 1
@@ -668,8 +643,7 @@ def _period_samples(per_basis: tuple[Degree, ...], radius: int):
 
 def suite_conjugation_formula(
     g: KGraph,
-    c: CocycleSpec,
-    P: PartitionP | CancelledCells,
+    s: InducedCocycle,
     per_basis: tuple[Degree, ...],
     depth=1,
     radius: int = 1,
@@ -696,12 +670,12 @@ def suite_conjugation_formula(
             for p in periods:
                 for q in periods:
                     try:
-                        lhs = r_sigma(c, P, a, dg.add(p, q))
+                        lhs = r_sigma(s, a, dg.add(p, q))
                         rhs = (
-                            sigma_c(c, P, iso_r[p], iso_r[q])
-                            - sigma_c(c, P, iso_s[p], iso_s[q])
-                            + r_sigma(c, P, a, p)
-                            + r_sigma(c, P, a, q)
+                            sigma_c(s, iso_r[p], iso_r[q])
+                            - sigma_c(s, iso_s[p], iso_s[q])
+                            + r_sigma(s, a, p)
+                            + r_sigma(s, a, q)
                         )
                         if lhs != rhs:
                             bad.append(f"conjugation additivity fails at ({a!r}, {p}, {q})")
@@ -715,8 +689,7 @@ def suite_conjugation_formula(
 
 def suite_centre_phase_triviality(
     g: KGraph,
-    c: CocycleSpec,
-    P: PartitionP | CancelledCells,
+    s: InducedCocycle,
     per_basis: tuple[Degree, ...],
     zbasis: tuple[tuple[int, ...], ...],
     depth=1,
@@ -749,8 +722,8 @@ def suite_centre_phase_triviality(
                 gamma = isotropy_element(x, q)
                 for p in central:
                     try:
-                        val = r_sigma(c, P, gamma, p)
-                        if not phase_is_trivial(val):
+                        val = r_sigma(s, gamma, p)
+                        if not val.is_trivial():
                             bad.append(f"nontrivial phase {val!r} at ({gamma!r}, {p})")
                     except ResolutionError as err:
                         bad.append(f"no phase at ({gamma!r}, {p}): {err}")
@@ -767,9 +740,9 @@ def run_suites(
     """Run every property suite that applies to the graph.
 
     Elements come from the degree box max(1, depth - 1), for a depth of at
-    least 1, and each resolves through its own cell on one cell source,
-    which keeps every value the suites share; `cap` bounds the sampled identity
-    triples and conjugation checks.  The period-dependent suites need
+    least 1, and each resolves through its own cell on one InducedCocycle,
+    which keeps every value the suites share; `cap` bounds the sampled
+    identity triples and conjugation checks.  The period-dependent suites need
     certified cofinality, and the centre and coboundary suites a
     nontrivial period lattice and a bicharacter that does not depend on
     the resolution.  Returns the suites, notes on the suites skipped, the
@@ -780,15 +753,15 @@ def run_suites(
     if cap < 1:
         raise ValueError(f"the sample cap must be >= 1, got {cap}")
     element_depth = max(1, depth - 1)
-    P = CancelledCells(g)
+    s = InducedCocycle(c)
     suites = [
-        suite_cocycle_identity(g, c, P, depth=element_depth, max_triples=cap),
-        suite_resolution_independence(g, c, P, depth=element_depth),
+        suite_cocycle_identity(g, s, depth=element_depth, max_triples=cap),
+        suite_resolution_independence(g, s, depth=element_depth),
     ]
     if is_cofinal(g).status != YES:
         return suites, ["cofinality not certified; period-dependent suites skipped"], (), None
     basis = tuple(per_group(g).lattice.rows)
-    suites.append(suite_conjugation_formula(g, c, P, basis, depth=element_depth, max_checks=cap))
+    suites.append(suite_conjugation_formula(g, s, basis, depth=element_depth, max_checks=cap))
     if not basis:
         return suites, ["trivial period lattice; centre and coboundary suites are vacuous"], basis, None
     try:
@@ -796,8 +769,8 @@ def run_suites(
     except ResolutionError as err:
         return suites, [f"no bicharacter ({err}); centre and coboundary suites skipped"], basis, None
     zrows = z_omega_of(om).rows
-    suites.append(suite_centre_phase_triviality(g, c, P, basis, zrows, depth=element_depth))
+    suites.append(suite_centre_phase_triviality(g, s, basis, zrows, depth=element_depth))
     x = canonical_tail(g, periodic_base_vertex(g, basis))
-    checked, bad = CoboundaryBx(om, c, P, x, basis).verify_box(element_depth)
+    checked, bad = CoboundaryBx(om, s, x, basis).verify_box(element_depth)
     suites.append(SuiteResult("coboundary_box", checked, tuple(bad)))
     return suites, [], basis, om

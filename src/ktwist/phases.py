@@ -305,6 +305,3 @@ def pair_int(n: Iterable[int], v: PhaseVector) -> PhaseExponent:
             acc = acc + vj.scaled(nj)
     return acc
 
-
-def phase_is_trivial(p: PhaseExponent) -> bool:
-    return p.is_trivial()

@@ -22,6 +22,7 @@ from ktwist.io import load_cocycle, resolve_graph
 from ktwist.kgraph import product_base
 from ktwist.lattices import LatticeBasis, kronecker_dense, verify_kronecker
 from ktwist.oracle import (
+    InducedCocycle,
     build_partition,
     omega_closedform,
     omega_from_oracle,
@@ -170,7 +171,7 @@ def test_criterion_7_groupoid_oracle_suites():
         ):
             g, c = _pair(gname, cstem)
             P = build_partition(g, 3)
-            s = suite_cocycle_identity(g, c, P, depth=1, max_triples=None)
+            s = suite_cocycle_identity(g, InducedCocycle(c, P.member), depth=1, max_triples=None)
             assert s.ok, (gname, s.violations[:3])
             total += s.checked
         assert total >= 1000
@@ -178,7 +179,7 @@ def test_criterion_7_groupoid_oracle_suites():
         g, c = _pair("T2", "pullback_theta")
         basis = tuple(per_group(g).lattice.rows)
         P3 = build_partition(g, 3)
-        s = suite_conjugation_formula(g, c, P3, basis, depth=1, radius=1)
+        s = suite_conjugation_formula(g, InducedCocycle(c, P3.member), basis, depth=1, radius=1)
         assert s.ok and s.checked >= 100
 
         # centre phases on isotropy elements, exhaustive per case
@@ -194,7 +195,7 @@ def test_criterion_7_groupoid_oracle_suites():
             assert z.rows == zrows, (gname, z.rows)
             P = build_partition(g, pdepth)
             s = suite_centre_phase_triviality(
-                g, c, P, basis, z.rows, depth=depth, radius=1
+                g, InducedCocycle(c, P.member), basis, z.rows, depth=depth, radius=1
             )
             assert s.ok, (gname, s.violations[:3])
             assert s.checked == want, (gname, s.checked)
@@ -204,7 +205,7 @@ def test_criterion_7_groupoid_oracle_suites():
         basis = tuple(per_group(g).lattice.rows)
         om = omega_from_oracle(g, c, basis)
         x = canonical_tail(g, "v")
-        bx = CoboundaryBx(om, c, build_partition(g, 6), x, basis)
+        bx = CoboundaryBx(om, InducedCocycle(c, build_partition(g, 6).member), x, basis)
         checked, problems = bx.verify_box(3)
         assert not problems
         assert checked == 49 * 49

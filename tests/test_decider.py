@@ -29,7 +29,8 @@ from ktwist.decider import (
     verify_z_omega,
     z_omega_of,
 )
-from ktwist.kgraph import builtin, product_base
+from ktwist.io import serialize_cocycle, serialize_graph
+from ktwist.kgraph import Edge, KGraph, builtin, product_base
 from ktwist.lattices import LatticeBasis, hnf, kronecker_dense
 from ktwist.oracle import omega_from_oracle
 from ktwist.phases import PhaseExponent, pair_int
@@ -149,6 +150,24 @@ def test_unhandled_shape_is_unknown():
     c = PullbackCocycle(((zero, zero), (theta, zero)))
     rep = decide_simplicity(g, c)
     assert rep.verdict.status == UNKNOWN
+
+
+def test_periods_that_differ_by_vertex_are_unknown(tmp_path, capsys):
+    # a loop a at v and one edge b with range w and source v: cofinal, every
+    # degree is a period at v and none at w, and the algebra is M_2(C(T)),
+    # which is not simple; the intersection of the periods is trivial, so
+    # z_omega_trivial would certify it simple
+    g = KGraph(1, ("v", "w"), (Edge("a", 1, "v", "v"), Edge("b", 1, "w", "v")), (), name="TAIL")
+    rep = decide_simplicity(g, PullbackCocycle(((zero,),)))
+    assert rep.verdict.status == UNKNOWN
+    assert "per_vertex_agreement" in rep.verdict.reason
+    assert rep.per.per_vertex_agreement is False and rep.omega is None
+    graph = tmp_path / "tail.json"
+    graph.write_text(serialize_graph(g), encoding="utf-8")
+    cocycle = tmp_path / "zero.json"
+    cocycle.write_text(serialize_cocycle(PullbackCocycle(((zero,),))), encoding="utf-8")
+    assert cli.main(["simplicity", str(graph), "--cocycle", str(cocycle)]) == 2
+    assert capsys.readouterr().out == "verdict: UNKNOWN\n"
 
 
 # --- certificate rechecks ----------------------------------------------------

@@ -241,6 +241,20 @@ def test_malformed_input_exits_1(tmp_path, capsys, kind, obj):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["validate", "analyze", "per", "omega", "simplicity", "oracle"])
+def test_graph_with_no_vertices_exits_1(tmp_path, capsys, command):
+    # it used to pass validation and fail later with "max() arg is an empty sequence"
+    path = tmp_path / "empty.json"
+    path.write_text(canonical_json({"k": 1, "vertices": [], "edges": []}), encoding="utf-8")
+    argv = [command, str(path)]
+    if command in ("omega", "simplicity", "oracle"):
+        argv += ["--cocycle", os.path.join(FIXTURES, "pullback_b2.json")]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert "graph has no vertices" in captured.out + captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_boolean_rank_is_named_as_the_rank():
     # with k = true the color-2 edges of T2 used to take the blame
     with pytest.raises(FileFormatError, match=r"graph\.k: expected a positive integer"):

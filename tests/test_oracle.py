@@ -22,11 +22,10 @@ from ktwist.decider import z_omega_of
 from ktwist.io import load_cocycle
 from ktwist.kgraph import EventuallyPeriodicPath, builtin, canonical_tail
 from ktwist.oracle import (
-    CancelledCells,
     CoboundaryBx,
     DepthError,
     GroupoidElement,
-    PartitionP,
+    InducedCocycle,
     ResolutionError,
     _elements_at,
     _left_factors,
@@ -46,7 +45,7 @@ from ktwist.oracle import (
     suite_conjugation_formula,
     suite_resolution_independence,
 )
-from ktwist.phases import PhaseExponent, phase_is_trivial
+from ktwist.phases import PhaseExponent
 from ktwist.structure import per_group
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -79,6 +78,12 @@ def t2_partition(t2):
 
 
 @pytest.fixture(scope="module")
+def t2_sigma(t2_cocycle, t2_partition):
+    """The T2 twist resolved through the reference partition."""
+    return InducedCocycle(t2_cocycle, t2_partition.member)
+
+
+@pytest.fixture(scope="module")
 def b2xt1():
     return builtin("B2xT1")
 
@@ -94,6 +99,11 @@ def b2xt1_cocycle(b2xt1):
 @pytest.fixture(scope="module")
 def b2xt1_partition(b2xt1):
     return build_partition(b2xt1, 3)
+
+
+@pytest.fixture(scope="module")
+def b2xt1_sigma(b2xt1_cocycle, b2xt1_partition):
+    return InducedCocycle(b2xt1_cocycle, b2xt1_partition.member)
 
 
 # --- groupoid elements ------------------------------------------------------
@@ -224,28 +234,30 @@ def test_partition_depth_error_beyond_window(t2):
     x = canonical_tail(t2, "v")
     deep = element(t2.make_path("v", ["a", "a", "a"]), t2.vertex_path("v"), x)
     # a failed lookup is not kept, so asking again fails again
+    s = InducedCocycle(PullbackCocycle(((zero,) * 2,) * 2), shallow.member)
     for _ in range(2):
         with pytest.raises(DepthError):
-            shallow.member(deep)
+            s.cell_of(deep)
+    assert not s._cells
 
 
 # --- sigma and the conjugation phase ----------------------------------------
 
 
-def test_sigma_on_torus_generators(t2, t2_cocycle, t2_partition):
+def test_sigma_on_torus_generators(t2, t2_sigma):
     x = canonical_tail(t2, "v")
     g1 = isotropy_element(x, (1, 0))
     g2 = isotropy_element(x, (0, 1))
-    assert phase_is_trivial(sigma_c(t2_cocycle, t2_partition, g1, g2))
-    assert sigma_c(t2_cocycle, t2_partition, g2, g1).coeff("theta") == 1
+    assert sigma_c(t2_sigma, g1, g2).is_trivial()
+    assert sigma_c(t2_sigma, g2, g1).coeff("theta") == 1
 
 
-def test_sigma_resolution_padding_agreement(t2, t2_cocycle, t2_partition):
+def test_sigma_resolution_padding_agreement(t2, t2_sigma):
     x = canonical_tail(t2, "v")
     g1 = isotropy_element(x, (1, 0))
     g2 = isotropy_element(x, (0, 1))
     # forcing three window resolutions must not change the value
-    val = sigma_c(t2_cocycle, t2_partition, g2, g1, paddings=(0, 1, 2))
+    val = sigma_c(t2_sigma, g2, g1, paddings=(0, 1, 2))
     assert val.coeff("theta") == 1
 
 
@@ -270,30 +282,46 @@ def _identity_suite_pairs(g, depth, cap):
 @pytest.mark.parametrize("name, stem", [("T2", "pullback_theta"), ("B2", "pullback_b2"),
                                         ("B2xT1", "phi_theta")])
 def test_warm_partition_matches_fresh_partitions(name, stem):
-    # values kept on one partition equal those of a new partition per call
+    # values kept on one store over a partition equal those of a new store
+    # per call, and the cells it keeps equal the partition's
     g = builtin(name)
     c, _ = load_cocycle(os.path.join(FIXTURES, stem + ".json"), g)
-    warm = build_partition(g, 3)
+    P = build_partition(g, 3)
+    warm = InducedCocycle(c, P.member)
     pairs = _identity_suite_pairs(g, 1, cap=150)
     for a, b in pairs:
-        fresh = PartitionP(g, warm.depth, warm.cells)
-        assert sigma_c(c, warm, a, b) == sigma_c(c, fresh, a, b)
+        assert sigma_c(warm, a, b) == sigma_c(InducedCocycle(c, P.member), a, b)
         for el in (a, b):
-            assert warm.member(el) == PartitionP(g, warm.depth, warm.cells).member(el)
+            assert warm.cell_of(el) == P.member(el)
 
 
-def test_r_sigma_winds_by_theta(t2, t2_cocycle, t2_partition):
+def test_one_partition_serves_two_cocycles(t2, t2_partition):
+    # two stores over one partition each keep the values of their own
+    # cocycle, asked in turn for the same pairs
+    x = canonical_tail(t2, "v")
+    g1, g2 = isotropy_element(x, (1, 0)), isotropy_element(x, (0, 1))
+    stores = [
+        InducedCocycle(PullbackCocycle(((zero, zero), (t, zero))), t2_partition.member)
+        for t in (theta, rho)
+    ]
+    for _ in range(2):
+        for s, t in zip(stores, (theta, rho)):
+            assert sigma_c(s, g2, g1) == t
+            assert r_sigma(s, g1, (0, 1)) == -t
+
+
+def test_r_sigma_winds_by_theta(t2, t2_sigma):
     x = canonical_tail(t2, "v")
     alpha = isotropy_element(x, (1, 0))
-    val = r_sigma(t2_cocycle, t2_partition, alpha, (0, 1))
+    val = r_sigma(t2_sigma, alpha, (0, 1))
     assert val.coeff("theta") == -1
     assert val.rat == 0
 
 
-def test_r_sigma_trivial_on_same_direction(t2, t2_cocycle, t2_partition):
+def test_r_sigma_trivial_on_same_direction(t2, t2_sigma):
     x = canonical_tail(t2, "v")
     alpha = isotropy_element(x, (1, 0))
-    assert phase_is_trivial(r_sigma(t2_cocycle, t2_partition, alpha, (1, 0)))
+    assert r_sigma(t2_sigma, alpha, (1, 0)).is_trivial()
 
 
 def _counting(monkeypatch, name):
@@ -305,13 +333,13 @@ def _counting(monkeypatch, name):
 
 
 def test_r_sigma_is_kept_on_the_cell_source(monkeypatch, t2, t2_cocycle):
-    cells = CancelledCells(t2)
+    s = InducedCocycle(t2_cocycle)
     alpha = isotropy_element(canonical_tail(t2, "v"), (1, 0))
-    first = r_sigma(t2_cocycle, cells, alpha, (0, 1))
+    first = r_sigma(s, alpha, (0, 1))
     calls = _counting(monkeypatch, "compose_elements")
-    assert r_sigma(t2_cocycle, cells, alpha, (0, 1)) == first
+    assert r_sigma(s, alpha, (0, 1)) == first
     assert calls == []
-    r_sigma(t2_cocycle, cells, alpha, (1, 1))
+    r_sigma(s, alpha, (1, 1))
     assert calls
 
 
@@ -319,18 +347,18 @@ def test_sigma_c_keeps_a_resolution_error(monkeypatch, t2):
     # the corrupted table makes the generator pair depend on the resolution;
     # asking again raises a new error with the same message, unevaluated
     c = corrupted_t2_table((3, 3))
-    cells = CancelledCells(t2)
+    s = InducedCocycle(c)
     x = canonical_tail(t2, "v")
     g1, g2 = isotropy_element(x, (1, 0)), isotropy_element(x, (0, 1))
     with pytest.raises(ResolutionError) as first:
-        sigma_c(c, cells, g1, g2)
+        sigma_c(s, g1, g2)
     calls = _counting(monkeypatch, "cocycle_value")
     with pytest.raises(ResolutionError) as again:
-        sigma_c(c, cells, g1, g2)
+        sigma_c(s, g1, g2)
     assert again.value is not first.value
     assert str(again.value) == str(first.value)
     assert calls == []
-    sigma_c(c, cells, g2, g1)
+    sigma_c(s, g2, g1)
     assert calls
 
 
@@ -376,8 +404,8 @@ def test_omega_oracle_b2xt3():
     om = omega_from_oracle(g, c, tuple(per.lattice.rows))
     assert om.rank == 3
     assert om.rows[2][1].coeff("rho") == 1
-    assert phase_is_trivial(om.rows[1][0])
-    assert phase_is_trivial(om.rows[2][0])
+    assert om.rows[1][0].is_trivial()
+    assert om.rows[2][0].is_trivial()
     z = z_omega_of(om)
     assert z.rank == 1
     assert z.member((1, 0, 0))
@@ -389,7 +417,7 @@ def test_omega_closedform_symmetric_discrepancy(t2, t2_cocycle):
     per = per_group(t2)
     basis = tuple(per.lattice.rows)
     cf = omega_closedform(t2, t2_cocycle, basis)
-    assert all(phase_is_trivial(x) for row in cf.antisymmetrization() for x in row)
+    assert all(x.is_trivial() for row in cf.antisymmetrization() for x in row)
     om = omega_from_oracle(t2, t2_cocycle, basis)
     assert om.antisymmetrization() != cf.antisymmetrization()
 
@@ -425,8 +453,8 @@ def omega_by_partition(g, c, per_basis, partitions):
 
     The partition starts at the box of the generators' absolute values plus
     one, doubling while it is too shallow.  `partitions` keeps them by
-    graph and depth; sharing one across cocycles is sound, since sigma_c
-    keeps its values per cocycle.
+    graph and depth; sharing one across cocycles is sound, since each
+    InducedCocycle keeps the values of its own cocycle.
     """
     l = len(per_basis)
     x = canonical_tail(g, periodic_base_vertex(g, per_basis))
@@ -437,9 +465,10 @@ def omega_by_partition(g, c, per_basis, partitions):
         key = (g.name, depth)
         if key not in partitions:
             partitions[key] = build_partition(g, depth)
+        s = InducedCocycle(c, partitions[key].member)
         try:
             sig = {
-                (i, j): isotropy_restriction(c, partitions[key], x, per_basis[i], per_basis[j])
+                (i, j): isotropy_restriction(s, x, per_basis[i], per_basis[j])
                 for i in range(l)
                 for j in range(l)
                 if i != j
@@ -534,9 +563,8 @@ def test_cancelled_cell_is_a_function_of_the_element(name):
                 compose_elements(iso_q, iso_p),
                 isotropy_element(x, dg.add(p, q)),
             ]
-            cells = CancelledCells(g)
-            found = {cells.member(el) for el in forms}
-            assert len(found) == 1 and len(cells._cell_of) == 1
+            found = {el.cell() for el in forms}
+            assert len(found) == 1
             mu, nu = found.pop()
             for el in forms:
                 assert el.range_path.segment_to(mu.degree) == mu
@@ -552,40 +580,38 @@ def test_coboundary_box_t2(t2, t2_cocycle):
     basis = tuple(per.lattice.rows)
     om = omega_from_oracle(t2, t2_cocycle, basis)
     P6 = build_partition(t2, 6)
-    bx = CoboundaryBx(om, t2_cocycle, P6, canonical_tail(t2, "v"), basis)
+    bx = CoboundaryBx(om, InducedCocycle(t2_cocycle, P6.member), canonical_tail(t2, "v"), basis)
     checked, bad = bx.verify_box(3)
     assert checked == 49 * 49
     assert not bad
 
 
-def test_coboundary_rejects_wrong_target(t2, t2_cocycle, t2_partition):
+def test_coboundary_rejects_wrong_target(t2, t2_sigma):
     per = per_group(t2)
     basis = tuple(per.lattice.rows)
     wrong = BicharacterTable.zero(2)
     with pytest.raises(ValueError):
-        CoboundaryBx(wrong, t2_cocycle, t2_partition, canonical_tail(t2, "v"), basis)
+        CoboundaryBx(wrong, t2_sigma, canonical_tail(t2, "v"), basis)
 
 
 # --- property suites --------------------------------------------------------
 
 
-def test_suite_identity_t2(t2, t2_cocycle, t2_partition):
-    res = suite_cocycle_identity(t2, t2_cocycle, t2_partition, depth=1, max_triples=500)
+def test_suite_identity_t2(t2, t2_sigma):
+    res = suite_cocycle_identity(t2, t2_sigma, depth=1, max_triples=500)
     assert res.ok
     assert res.checked == 500
 
 
-def test_suite_identity_b2xt1(b2xt1, b2xt1_cocycle, b2xt1_partition):
-    res = suite_cocycle_identity(
-        b2xt1, b2xt1_cocycle, b2xt1_partition, depth=1, max_triples=400
-    )
+def test_suite_identity_b2xt1(b2xt1, b2xt1_sigma):
+    res = suite_cocycle_identity(b2xt1, b2xt1_sigma, depth=1, max_triples=400)
     assert res.ok
     assert res.checked == 400
 
 
-def test_suite_resolution(t2, t2_cocycle, t2_partition):
+def test_suite_resolution(t2, t2_sigma):
     # T2 has 64 distinct pairs at depth 1, fewer than the cap
-    res = suite_resolution_independence(t2, t2_cocycle, t2_partition, depth=1, max_pairs=100)
+    res = suite_resolution_independence(t2, t2_sigma, depth=1, max_pairs=100)
     assert res.ok
     assert res.checked == 64
 
@@ -593,11 +619,13 @@ def test_suite_resolution(t2, t2_cocycle, t2_partition):
 def test_suite_resolution_counts_only_resolution_errors(t2):
     # a 2-cocycle violation is a counted counterexample; a window too
     # shallow for the elements is not, and escapes
-    res = suite_resolution_independence(t2, corrupted_t2_table((3, 3)), build_partition(t2, 3), depth=1)
+    corrupted = InducedCocycle(corrupted_t2_table((3, 3)), build_partition(t2, 3).member)
+    res = suite_resolution_independence(t2, corrupted, depth=1)
     assert res.checked == 64
     assert res.violations and all("resolution" in v for v in res.violations)
     with pytest.raises(DepthError):
-        suite_resolution_independence(t2, PullbackCocycle(((zero,) * 2,) * 2), build_partition(t2, 1), depth=1)
+        shallow = InducedCocycle(PullbackCocycle(((zero,) * 2,) * 2), build_partition(t2, 1).member)
+        suite_resolution_independence(t2, shallow, depth=1)
 
 
 @pytest.mark.parametrize("name, pairs", [("T2", 64), ("B2", 27), ("DISJOINT2", 16), ("B2xT1", 200)])
@@ -606,16 +634,14 @@ def test_suite_resolution_checks_each_pair_once(name, pairs):
     # 36 * 6; the last stops at the default cap of 200
     g = builtin(name)
     c = PullbackCocycle(((zero,) * g.k,) * g.k)
-    res = suite_resolution_independence(g, c, build_partition(g, 3), depth=1)
+    res = suite_resolution_independence(g, InducedCocycle(c, build_partition(g, 3).member), depth=1)
     assert res.ok
     assert res.checked == pairs
 
 
-def test_suite_conjugation(t2, t2_cocycle, t2_partition):
+def test_suite_conjugation(t2, t2_sigma):
     per = per_group(t2)
-    res = suite_conjugation_formula(
-        t2, t2_cocycle, t2_partition, tuple(per.lattice.rows), depth=1, max_checks=150
-    )
+    res = suite_conjugation_formula(t2, t2_sigma, tuple(per.lattice.rows), depth=1, max_checks=150)
     assert res.ok
     assert res.checked == 150
 
@@ -626,17 +652,15 @@ def test_suite_centre_half_twist(t2, t2_partition):
     c = PullbackCocycle(((zero, zero), (Z(Fraction(1, 2)), zero)))
     per = per_group(t2)
     res = suite_centre_phase_triviality(
-        t2, c, t2_partition, tuple(per.lattice.rows), ((2, 0), (0, 2)), depth=1
+        t2, InducedCocycle(c, t2_partition.member), tuple(per.lattice.rows), ((2, 0), (0, 2)), depth=1
     )
     assert res.ok
     assert res.checked > 0
 
 
-def test_suite_centre_b2xt1(b2xt1, b2xt1_cocycle, b2xt1_partition):
+def test_suite_centre_b2xt1(b2xt1, b2xt1_sigma):
     per = per_group(b2xt1)
-    res = suite_centre_phase_triviality(
-        b2xt1, b2xt1_cocycle, b2xt1_partition, tuple(per.lattice.rows), ((1,),), depth=1
-    )
+    res = suite_centre_phase_triviality(b2xt1, b2xt1_sigma, tuple(per.lattice.rows), ((1,),), depth=1)
     assert res.ok
     assert res.checked > 0
 
@@ -652,11 +676,12 @@ def _twist_last(k):
 
 
 def suites_by_cell_source(monkeypatch, g, c, reference_depth):
-    """run_suites at element depth 1, through cancelled cells and then through
+    """run_suites at element depth 1, through element cells and then through
     a partition to `reference_depth`, as (name, checked, ok) rows and notes."""
     runs = []
-    for cells in (CancelledCells, lambda g: build_partition(g, reference_depth)):
-        monkeypatch.setattr(oracle, "CancelledCells", cells)
+    P = build_partition(g, reference_depth)
+    for store in (InducedCocycle, lambda c: InducedCocycle(c, P.member)):
+        monkeypatch.setattr(oracle, "InducedCocycle", store)
         suites, notes, _, _ = oracle.run_suites(g, c, 2, 500)
         runs.append(([(s.name, s.checked, s.ok) for s in suites], notes))
     return runs

@@ -19,7 +19,6 @@ from ktwist.phases import (
     format_phase,
     pair_int,
     parse_phase,
-    phase_is_trivial,
     vec_add,
     vec_sub,
     zero_vector,
@@ -71,15 +70,15 @@ def test_arithmetic():
     b = PhaseExponent.of(Fraction(1, 2), theta=-1)
     assert (a + b).rat == 0  # 1/2 + 1/2 winds around
     assert (a + b).coeff("theta") == 0
-    assert phase_is_trivial(a - a)
+    assert (a - a).is_trivial()
     assert (-a).coeff("theta") == -1
 
 
 def test_triviality_is_mod_one_on_the_rational_part():
     # integer rational part with no symbol content winds to the trivial phase
-    assert phase_is_trivial(PhaseExponent.of(3))
-    assert not phase_is_trivial(PhaseExponent.of(Fraction(1, 2)))
-    assert not phase_is_trivial(PhaseExponent.of(0, theta=1))
+    assert PhaseExponent.of(3).is_trivial()
+    assert not PhaseExponent.of(Fraction(1, 2)).is_trivial()
+    assert not PhaseExponent.of(0, theta=1).is_trivial()
 
 
 def test_pair_int():
