@@ -10,29 +10,28 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-from ktwist.decider import DecisionBounds, decide_simplicity
+from ktwist.decider import decide_simplicity
 from ktwist.io import load_cocycle, resolve_graph
 
 PAIRINGS = [
-    ("T2.json", "pullback_theta.json", None),
-    ("T2.json", "pullback_half.json", None),
-    ("B2xT1.json", "phi_theta.json", 4),
-    ("B2xT1.json", "phi_zero.json", None),
-    ("B2xT3.json", "b2t3.json", None),
-    ("DISJOINT2.json", "pullback_b2.json", None),
+    ("T2.json", "pullback_theta.json"),
+    ("T2.json", "pullback_half.json"),
+    ("B2xT1.json", "phi_theta.json"),
+    ("B2xT1.json", "phi_zero.json"),
+    ("B2xT3.json", "b2t3.json"),
+    ("DISJOINT2.json", "pullback_b2.json"),
 ]
 
 
 def main() -> int:
     fixtures = ROOT / "fixtures"
     failures = 0
-    for gname, cname, orbit in PAIRINGS:
+    for gname, cname in PAIRINGS:
         g, _ = resolve_graph(str(fixtures / gname))
         c, _ = load_cocycle(str(fixtures / cname), g)
-        bounds = DecisionBounds(orbit=orbit) if orbit else DecisionBounds()
         t0 = time.time()
         try:
-            report = decide_simplicity(g, c, bounds)
+            report = decide_simplicity(g, c)
         except Exception as err:
             print(f"{gname} + {cname}: ERROR {err}")
             failures += 1

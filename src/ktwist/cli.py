@@ -110,11 +110,15 @@ def cmd_analyze(args) -> int:
     cof = is_cofinal(g)
     aper = is_aperiodic(g, bound)
     per_rows = None
+    why = "not computed (needs certified cofinality)"
     bound_used = aper.bound
     if cof.status == YES:
         per = per_group(g, bound)
-        per_rows = [list(r) for r in per.lattice.rows]
         bound_used = per.exhaustive_up_to
+        if per.per_vertex_agreement:
+            per_rows = [list(r) for r in per.lattice.rows]
+        else:
+            why = "not computed (the periods differ from vertex to vertex)"
     body = {
         "cofinal": cof.status,
         "aperiodic": aper.status,
@@ -125,7 +129,7 @@ def cmd_analyze(args) -> int:
     lines = [
         f"cofinal: {cof.status}",
         f"aperiodic: {aper.status}",
-        f"per_basis: {per_rows if per_rows is not None else 'not computed (needs certified cofinality)'}",
+        f"per_basis: {per_rows if per_rows is not None else why}",
         f"period bound: {list(bound_used)}",
     ]
     doc = report_document("analyze", _inputs(gdigest, None), body)
@@ -160,6 +164,10 @@ def cmd_omega(args) -> int:
     g, gdigest = resolve_graph(args.graph)
     c, cdigest = _load_twist(args, g)
     per = per_group(g, bound)
+    if not per.per_vertex_agreement:
+        raise ValueError(
+            "the periods differ from vertex to vertex; their intersection is not the period group"
+        )
     basis = tuple(per.lattice.rows)
     om = omega_from_oracle(g, c, basis)
     cf = omega_closedform(g, c, basis)
@@ -190,8 +198,10 @@ def cmd_simplicity(args) -> int:
     bound = _parse_bound(args.bound)
     g, gdigest = resolve_graph(args.graph)
     c, cdigest = _load_twist(args, g)
-    orbit = bound if isinstance(bound, int) else (max(bound) if bound else 4)
-    bounds = DecisionBounds(period=bound, orbit=orbit)
+    if bound is None:
+        bounds = DecisionBounds()
+    else:
+        bounds = DecisionBounds(period=bound, orbit=bound if isinstance(bound, int) else max(bound))
     report = decide_simplicity(g, c, bounds)
     body = report.to_jsonable()
     lines = [f"verdict: {report.verdict.status}"]

@@ -144,39 +144,31 @@ def orbit_phase_generators(
     Enumerates pairs (mu, nu) with s(mu) = s(nu) and degrees at most the
     bound, pairs each zbasis row with the 1-cochain difference, and reports
     whether the generated torus subgroup was already unchanged between the
-    previous bound and this one.  Pairing is linear, so each path is
-    projected onto the zbasis rows once, for both bounds, and a pair's
-    vector is the difference of its two projections.
+    previous bound and this one.  The pairs at the previous bound are those
+    whose two paths both have every degree coordinate below the bound, so
+    one enumeration gives both lists.  Pairing is linear, so each path is
+    projected onto the zbasis rows once, and a pair's vector is the
+    difference of its two projections.
     """
     if not is_strongly_connected(g):
         raise ValueError("orbit phase enumeration requires a strongly connected graph")
     if bound < 1:
         raise ValueError("bound must be at least 1")
     d = zbasis.rank
-    projected: dict = {}
-
-    def projection(p) -> PhaseVector:
-        out = projected.get(p)
-        if out is None:
-            value = phi.value(p)
-            out = projected[p] = tuple(pair_int(z, value) for z in zbasis.rows)
-        return out
-
-    def gens_at(b: int) -> list[PhaseVector]:
-        seen = set()
-        out: list[PhaseVector] = []
-        for v, paths in sorted(_paths_by_source(g, b).items()):
-            projs = [projection(p) for p in paths]
-            for pm in projs:
-                for pn in projs:
-                    vec = tuple(a - c for a, c in zip(pm, pn))
-                    if vec not in seen:
-                        seen.add(vec)
-                        out.append(vec)
-        return out
-
-    gens = gens_at(bound)
-    prev = gens_at(bound - 1) if bound > 1 else [tuple(PhaseExponent.zero() for _ in range(d))]
+    gens: dict[PhaseVector, None] = {}
+    prev: dict[PhaseVector, None] = {}
+    for v, paths in sorted(_paths_by_source(g, bound).items()):
+        projs = [
+            (max(p.degree) < bound, tuple(pair_int(z, phi.value(p)) for z in zbasis.rows))
+            for p in paths
+        ]
+        for short_m, pm in projs:
+            for short_n, pn in projs:
+                vec = tuple(a - c for a, c in zip(pm, pn))
+                gens[vec] = None
+                if short_m and short_n:
+                    prev[vec] = None
+    gens, prev = list(gens), list(prev)
     symbols = tuple(sorted({s for v in gens for e in v for s in e.symbols()}))
     scale = _gen_scale(gens)
     stabilized = _phase_group_rows(prev, d, symbols, scale) == _phase_group_rows(gens, d, symbols, scale)
@@ -323,11 +315,79 @@ def _torus_unit_lattice(k: int, l: int) -> LatticeBasis:
     return LatticeBasis.from_rows(rows, k)
 
 
+def _decide_degenerate(
+    g: KGraph, c: CocycleSpec, per: PeriodicityResult, omega: BicharacterTable, z: LatticeBasis, orbit: int
+) -> tuple[Verdict, tuple[PhaseVector, ...], str | None]:
+    """Steps 2-5 of the cascade, once the degeneracy lattice z is known.
+
+    Returns the verdict, the density generators it rests on and a note on
+    why the torus step did not apply, if it did not.
+    """
+    if z.is_trivial():
+        certificate = {
+            "kind": "z_omega_trivial",
+            "periods": per.lattice.to_jsonable(),
+            "antisymmetrization": format_phase_rows(omega.antisymmetrization()),
+        }
+        reason = "the bicharacter is nondegenerate on the period lattice"
+        return Verdict(SIMPLE, certificate, reason=reason), (), None
+
+    if is_single_path_base(g):
+        certificate = {
+            "kind": "central_period_obstruction",
+            "z_omega": z.to_jsonable(),
+            "periods": per.lattice.to_jsonable(),
+        }
+        reason = "single-path base with degenerate directions: orbit phases cannot move them"
+        return Verdict(NONSIMPLE, certificate, reason=reason), (), None
+
+    unknown = Verdict(UNKNOWN, reason="degenerate directions present and no applicable density reduction")
+    if not isinstance(c, PhiOmegaCocycle):
+        return unknown, (), None
+    split = validate_product_split(g, c.l)
+    if not split.ok:
+        return unknown, (), "not a recognizable torus product: " + split.problems[0]
+    if per.lattice != _torus_unit_lattice(g.k, c.l):
+        return unknown, (), "period lattice is not exactly the torus directions; orbit reduction unavailable"
+    base = product_base(g, c.l)
+    if is_aperiodic(base).status != YES:
+        return unknown, (), "base graph is not certified aperiodic; orbit reduction unavailable"
+    if not is_strongly_connected(base):
+        return unknown, (), "base graph is not strongly connected; orbit reduction unavailable"
+
+    pot = potential_certificate(base, c.phi, z)
+    if pot is not None:
+        n, psi = pot
+        if not verify_potential(base, c.phi, z, n, psi):
+            raise RecheckError("potential")
+        psi_text = {v: format_phase(psi[v]) for v in sorted(psi)}
+        certificate = {"kind": "orbit_potential", "n": list(n), "psi": psi_text}
+        reason = "a character coordinate of the orbit is a function of the range vertex"
+        return Verdict(NONSIMPLE, certificate, reason=reason), (), None
+    gens, stabilized = orbit_phase_generators(base, c.phi, z, orbit)
+    kron = kronecker_dense(gens, z.rank)
+    if kron.dense:
+        if not verify_kronecker(gens, z.rank, kron):
+            raise RecheckError("density")
+        certificate = {"kind": "kronecker_dense", "dimension": z.rank, "witness": kron.certificate}
+        reason = "orbit phase group is dense in the degenerate directions"
+        return Verdict(SIMPLE, certificate, reason=reason), tuple(gens), None
+    evidence = {
+        "kind": "nonsimple_evidence",
+        "annihilator": kron.annihilator.to_jsonable(),
+        "stabilized": stabilized,
+        "bound": orbit,
+    }
+    reason = "orbit phase group not dense at the bound"
+    if stabilized:
+        reason += "; generators stabilized, but no potential certificate exists"
+    return Verdict(UNKNOWN, evidence, reason=reason), tuple(gens), None
+
+
 def decide_simplicity(
     g: KGraph, c: CocycleSpec, bounds: DecisionBounds | None = None
 ) -> SimplicityReport:
     b = bounds or DecisionBounds()
-    notes: list[str] = []
 
     cof = is_cofinal(g)
     if cof.status == NO:
@@ -354,96 +414,9 @@ def decide_simplicity(
             "their intersection is not the period group, so no criterion applies",
         )
         return SimplicityReport(verdict, per, bounds=b)
-    per_basis = per.lattice.rows
-    omega = omega_from_oracle(g, c, per_basis)
+    omega = omega_from_oracle(g, c, per.lattice.rows)
     z = z_omega_of(omega)
     if not verify_z_omega(omega, z):
         raise RecheckError("degeneracy lattice")
-
-    if z.is_trivial():
-        verdict = Verdict(
-            SIMPLE,
-            certificate={
-                "kind": "z_omega_trivial",
-                "periods": per.lattice.to_jsonable(),
-                "antisymmetrization": format_phase_rows(omega.antisymmetrization()),
-            },
-            reason="the bicharacter is nondegenerate on the period lattice",
-        )
-        return SimplicityReport(verdict, per, omega, z, (), b)
-
-    if is_single_path_base(g):
-        verdict = Verdict(
-            NONSIMPLE,
-            certificate={
-                "kind": "central_period_obstruction",
-                "z_omega": z.to_jsonable(),
-                "periods": per.lattice.to_jsonable(),
-            },
-            reason="single-path base with degenerate directions: orbit phases cannot move them",
-        )
-        return SimplicityReport(verdict, per, omega, z, (), b)
-
-    if isinstance(c, PhiOmegaCocycle):
-        l = c.l
-        split = validate_product_split(g, l)
-        if not split.ok:
-            notes.append("not a recognizable torus product: " + split.problems[0])
-        elif per.lattice != _torus_unit_lattice(g.k, l):
-            notes.append("period lattice is not exactly the torus directions; orbit reduction unavailable")
-        else:
-            base = product_base(g, l)
-            ap = is_aperiodic(base)
-            if ap.status != YES:
-                notes.append("base graph is not certified aperiodic; orbit reduction unavailable")
-            elif not is_strongly_connected(base):
-                notes.append("base graph is not strongly connected; orbit reduction unavailable")
-            else:
-                pot = potential_certificate(base, c.phi, z)
-                if pot is not None:
-                    n, psi = pot
-                    if not verify_potential(base, c.phi, z, n, psi):
-                        raise RecheckError("potential")
-                    verdict = Verdict(
-                        NONSIMPLE,
-                        certificate={
-                            "kind": "orbit_potential",
-                            "n": list(n),
-                            "psi": {v: format_phase(psi[v]) for v in sorted(psi)},
-                        },
-                        reason="a character coordinate of the orbit is a function of the range vertex",
-                    )
-                    return SimplicityReport(verdict, per, omega, z, (), b, tuple(notes))
-                gens, stabilized = orbit_phase_generators(base, c.phi, z, b.orbit)
-                kron = kronecker_dense(gens, z.rank)
-                if kron.dense:
-                    if not verify_kronecker(gens, z.rank, kron):
-                        raise RecheckError("density")
-                    verdict = Verdict(
-                        SIMPLE,
-                        certificate={
-                            "kind": "kronecker_dense",
-                            "dimension": z.rank,
-                            "witness": kron.certificate,
-                        },
-                        reason="orbit phase group is dense in the degenerate directions",
-                    )
-                    return SimplicityReport(verdict, per, omega, z, tuple(gens), b, tuple(notes))
-                evidence = {
-                    "kind": "nonsimple_evidence",
-                    "annihilator": kron.annihilator.to_jsonable(),
-                    "stabilized": stabilized,
-                    "bound": b.orbit,
-                }
-                reason = (
-                    "orbit phase group not dense at the bound"
-                    + ("; generators stabilized, but no potential certificate exists" if stabilized else "")
-                )
-                verdict = Verdict(UNKNOWN, certificate=evidence, reason=reason)
-                return SimplicityReport(verdict, per, omega, z, tuple(gens), b, tuple(notes))
-
-    verdict = Verdict(
-        UNKNOWN,
-        reason="degenerate directions present and no applicable density reduction",
-    )
-    return SimplicityReport(verdict, per, omega, z, (), b, tuple(notes))
+    verdict, gens, note = _decide_degenerate(g, c, per, omega, z, b.orbit)
+    return SimplicityReport(verdict, per, omega, z, gens, b, (note,) if note else ())

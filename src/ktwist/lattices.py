@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
-from .phases import PhaseExponent, PhaseVector, pair_int
+from .phases import PhaseVector, pair_int
 
 IntRow = tuple[int, ...]
 
@@ -159,44 +159,43 @@ def _symbol_columns(gens: list[PhaseVector], d: int):
 
 
 def integral_pairing_lattice(gens: list[PhaseVector], d: int) -> LatticeBasis:
-    """{n in Z^d : <n, v> is an integer for every generator v}."""
+    """{n in Z^d : <n, v> is an integer for every generator v}.
+
+    Write each generator v over the least common denominator S of its
+    entries: entry j is (a_j + sum_s b_js xi_s) / S with integers a_j and
+    b_js.  The symbols are independent over Q together with 1, so <n, v>
+    is an integer iff sum_j n_j b_js = 0 for every symbol s and
+    sum_j n_j a_j = -k S for some integer k.  Stacking these conditions
+    for all generators, (n, k) runs over the integer kernel of
+
+        [ B | A       ]   (one row per coordinate j of n)
+        [ 0 | diag(S) ]   (one row per generator),
+
+    and the lattice is the projection of that kernel on its first d
+    coordinates.
+    """
     if d == 0:
         return LatticeBasis.trivial(0)
-    cols = _symbol_columns(gens, d)
-    if cols:
-        int_cols = []
-        for _, _, col in cols:
-            den = lcm(*(c.denominator for c in col)) if col else 1
-            int_cols.append(tuple(int(c * den) for c in col))
-        rows = [tuple(col[j] for col in int_cols) for j in range(d)]
-        K = kernel(rows, len(int_cols))
-    else:
-        K = LatticeBasis.full(d).rows
-    if not K:
-        return LatticeBasis.trivial(d)
-    # congruences from the rational parts, inside the span of K
-    t = len(K)
-    C: list[list[Fraction]] = [[Fraction(0)] * len(gens) for _ in range(t)]
-    for a, krow in enumerate(K):
-        for i, v in enumerate(gens):
-            C[a][i] = sum((Fraction(krow[j]) * v[j].rat for j in range(d)), Fraction(0))
-    dens = [c.denominator for row in C for c in row]
-    D = lcm(*dens) if dens else 1
-    if D == 1:
-        U = LatticeBasis.full(t).rows
-    else:
-        Ci = [tuple(int(c * D) for c in row) for row in C]
-        stacked = list(Ci) + [tuple(D if j == i else 0 for j in range(len(gens))) for i in range(len(gens))]
-        ker = kernel(stacked, len(gens))
-        U = hnf([x[:t] for x in ker])
-    rows = []
-    for u in U:
-        vec = [0] * d
-        for coef, krow in zip(u, K):
-            for j in range(d):
-                vec[j] += coef * krow[j]
-        rows.append(tuple(vec))
-    return LatticeBasis.from_rows(rows, d)
+    b_cols: list[list[int]] = []
+    a_cols: list[list[int]] = []
+    scales: list[int] = []
+    for i, v in enumerate(gens):
+        if len(v) != d:
+            raise ValueError(f"generator {i} has length {len(v)}, expected {d}")
+        S = lcm(*(entry.den for entry in v))
+        factors = [S // entry.den for entry in v]
+        terms = [dict(entry.terms) for entry in v]
+        for s in sorted({s for t in terms for s in t}):
+            b_cols.append([t.get(s, 0) * f for t, f in zip(terms, factors)])
+        a_cols.append([entry.num * f for entry, f in zip(v, factors)])
+        scales.append(S)
+    cols = b_cols + a_cols
+    rows = [tuple(col[j] for col in cols) for j in range(d)]
+    rows += [
+        (0,) * len(b_cols) + tuple(S if t == i else 0 for t in range(len(gens)))
+        for i, S in enumerate(scales)
+    ]
+    return LatticeBasis.from_rows([x[:d] for x in kernel(rows, len(cols))], d)
 
 
 def annihilator_lattice(A, dim: int) -> LatticeBasis:
@@ -217,16 +216,20 @@ def annihilator_lattice(A, dim: int) -> LatticeBasis:
 # --- Kronecker density with certificates ------------------------------------
 
 
-def _eliminate(rows: list[list[Fraction]]) -> tuple[int, Fraction]:
-    """Rank of the rows by Fraction elimination, and the determinant when square.
+def _eliminate(rows: list[list[Fraction]]) -> tuple[list[int], Fraction]:
+    """Pivot columns of the rows by Fraction elimination, and the determinant
+    when square.
 
-    The determinant is 0 when the rank is below the row count.
+    The pivot columns are the greedy choice of columns, left to right, that
+    each enlarge the rank.  The determinant is 0 when the rank is below the
+    row count.
     """
     rows = [row[:] for row in rows]
-    rank = 0
+    pivots: list[int] = []
     det = Fraction(1)
     ncols = len(rows[0]) if rows else 0
     for c in range(ncols):
+        rank = len(pivots)
         piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
         if piv is None:
             continue
@@ -239,8 +242,8 @@ def _eliminate(rows: list[list[Fraction]]) -> tuple[int, Fraction]:
             if rows[r][c]:
                 f = rows[r][c] * inv
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank, det if rank == len(rows) else Fraction(0)
+        pivots.append(c)
+    return pivots, det if len(pivots) == len(rows) else Fraction(0)
 
 
 def det_cofactor(M: list[list[Fraction]]) -> Fraction:
@@ -274,6 +277,9 @@ def kronecker_dense(gens: list[PhaseVector], d: int) -> KroneckerResult:
     Dense iff the only integer annihilator is 0.  The result always carries
     a machine-checkable certificate: a nonzero annihilating vector when not
     dense, a full-rank witness on the symbol-coefficient matrix when dense.
+    The witness columns are the pivot columns of one elimination of that
+    d x ncols matrix, and a second elimination gives the determinant of
+    the minor they form.
     """
     ann = integral_pairing_lattice(gens, d)
     if d == 0:
@@ -281,21 +287,13 @@ def kronecker_dense(gens: list[PhaseVector], d: int) -> KroneckerResult:
     if not ann.is_trivial():
         n = ann.rows[0]
         return KroneckerResult(False, d, ann, {"kind": "annihilator_vector", "n": list(n)})
-    # dense: exhibit d independent columns of the symbol coefficient matrix
+    # dense: the pivot columns of the d x ncols symbol matrix are d
+    # independent columns, the first that each enlarge the rank
     cols = _symbol_columns(gens, d)
-    chosen: list[int] = []
-    basis: list[list[Fraction]] = []
-    for idx, (_, _, col) in enumerate(cols):
-        if len(chosen) == d:
-            break
-        # rank probe: keep the column iff it enlarges the rank
-        if _eliminate(basis + [list(col)])[0] > len(basis):
-            basis.append(list(col))
-            chosen.append(idx)
+    chosen, _ = _eliminate([[col[r] for _, _, col in cols] for r in range(d)])
     if len(chosen) != d:
         raise AssertionError("annihilator trivial but full-rank witness not found")
-    minor = [[basis[r][c] for r in range(d)] for c in range(d)]
-    _, det = _eliminate(minor)
+    _, det = _eliminate([[cols[i][2][r] for i in chosen] for r in range(d)])
     cert = {
         "kind": "irrational_full_rank",
         "columns": [[cols[i][0], cols[i][1]] for i in chosen],

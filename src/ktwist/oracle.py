@@ -43,7 +43,7 @@ from .cocycles import BicharacterTable, CocycleSpec, cocycle_value
 from .kgraph import EventuallyPeriodicPath, KGraph, Path, canonical_tail
 from .lattices import LatticeBasis, annihilator_lattice
 from .phases import PhaseExponent
-from .structure import YES, is_cofinal, per_group, periodic_at
+from .structure import YES, is_cofinal, per_group
 
 
 class DepthError(RuntimeError):
@@ -367,26 +367,20 @@ def ambient(per_basis: tuple[Degree, ...], m) -> Degree:
     return out
 
 
-def periodic_base_vertex(g: KGraph, per_basis: tuple[Degree, ...]) -> str:
-    for v in sorted(g.vertices):
-        if all(periodic_at(g, p, v) for p in per_basis):
-            return v
-    raise ValueError("no vertex is locally periodic for every period generator")
-
-
 def omega_from_oracle(g: KGraph, c: CocycleSpec, per_basis: tuple[Degree, ...]) -> BicharacterTable:
     """Bicharacter with the isotropy cocycle's antisymmetrization.
 
     Evaluates the induced cocycle, resolved through each element's cell, on
-    generator pairs along one eventually periodic path and stores the pair
-    differences in a strictly lower triangular matrix.  Only the
-    antisymmetrization (hence the annihilator lattice) is meaningful; the
-    triangular choice is a canonical gauge.
+    generator pairs along the canonical tail at the least vertex and stores
+    the pair differences in a strictly lower triangular matrix.  per_basis
+    must be rows from `per_group`, which are periods at every vertex, so any
+    vertex serves.  Only the antisymmetrization (hence the annihilator
+    lattice) is meaningful; the triangular choice is a canonical gauge.
     """
     l = len(per_basis)
     if l == 0:
         return BicharacterTable.zero(0)
-    x = canonical_tail(g, periodic_base_vertex(g, per_basis))
+    x = canonical_tail(g, min(g.vertices))
     s = InducedCocycle(c)
     sig = {}
     for i in range(l):
@@ -415,7 +409,7 @@ def omega_closedform(g: KGraph, c: CocycleSpec, per_basis: tuple[Degree, ...]) -
     big = dg.zero(g.k)
     for p in per_basis:
         big = dg.add(big, dg.add(dg.pos_part(p), dg.neg_part(p)))
-    lam = g.paths_from(periodic_base_vertex(g, per_basis), big)[0]
+    lam = g.paths_from(min(g.vertices), big)[0]
 
     def split(m: Degree) -> tuple[Path, Path]:
         return g.factorize(lam, m)
@@ -610,13 +604,14 @@ def suite_cocycle_identity(
     return SuiteResult("cocycle_identity", checked, tuple(bad))
 
 
-def suite_resolution_independence(
-    g: KGraph, s: InducedCocycle, depth=1, max_pairs: int = 200
-) -> SuiteResult:
+RESOLUTION_PAIRS = 200
+
+
+def suite_resolution_independence(g: KGraph, s: InducedCocycle, depth=1) -> SuiteResult:
     """Recompute sigma(a, b) with three paddings; sigma_c asserts agreement.
 
-    Runs over distinct pairs: b as in the cocycle identity suite, a over
-    its unshifted left factors.
+    Runs over at most RESOLUTION_PAIRS distinct pairs: b as in the cocycle
+    identity suite, a over its unshifted left factors.
     """
     d = dg.as_degree(g.k, depth, "depth")
     zero = dg.zero(g.k)
@@ -630,14 +625,14 @@ def suite_resolution_independence(
                 except ResolutionError as err:
                     bad.append(str(err))
                 checked += 1
-                if checked >= max_pairs:
+                if checked >= RESOLUTION_PAIRS:
                     return SuiteResult("resolution_independence", checked, tuple(bad))
     return SuiteResult("resolution_independence", checked, tuple(bad))
 
 
-def _period_samples(per_basis: tuple[Degree, ...], radius: int):
-    l = len(per_basis)
-    for coeffs in dg.signed_box((radius,) * l):
+def _period_samples(per_basis: tuple[Degree, ...]):
+    """The periods whose generator coordinates all lie in {-1, 0, 1}."""
+    for coeffs in dg.signed_box((1,) * len(per_basis)):
         yield ambient(per_basis, coeffs)
 
 
@@ -646,23 +641,21 @@ def suite_conjugation_formula(
     s: InducedCocycle,
     per_basis: tuple[Degree, ...],
     depth=1,
-    radius: int = 1,
     max_checks: int | None = None,
 ) -> SuiteResult:
     """r(a, p+q) = sigma_r(p,q) - sigma_s(p,q) + r(a,p) + r(a,q) on samples.
 
-    Elements a run over source-matched pairs at vertices that carry every
-    period generator; p and q run over small integer combinations.
+    Elements a run over source-matched pairs at every vertex; p and q run
+    over the periods with generator coordinates in {-1, 0, 1}.  per_basis
+    must be rows from `per_group`, which are periods at every vertex.
     """
     if not per_basis:
         return SuiteResult("conjugation_formula", 0, ())
     checked = 0
     bad = []
     d = dg.as_degree(g.k, depth, "depth")
-    periods = list(_period_samples(per_basis, radius))
+    periods = list(_period_samples(per_basis))
     for v in sorted(g.vertices):
-        if not all(periodic_at(g, p, v) for p in per_basis):
-            continue
         for a in _elements_at(g, v, d):
             xr, xs = a.range_path, a.source_path
             iso_r = {p: isotropy_element(xr, p) for p in periods}
@@ -693,15 +686,16 @@ def suite_centre_phase_triviality(
     per_basis: tuple[Degree, ...],
     zbasis: tuple[tuple[int, ...], ...],
     depth=1,
-    radius: int = 1,
 ) -> SuiteResult:
     """Conjugation phases of isotropy elements vanish on central periods.
 
     zbasis rows are generator coordinates of periods annihilated by the
     bicharacter commutator.  Across isotropy elements (x, q, x), with x
-    ranging over dressed canonical tails, the r-phase of every central
-    period must be trivial.  Non-isotropy elements are exempt: their
-    phases are exactly what moves orbits.
+    ranging over dressed canonical tails at every vertex and q over the
+    periods with generator coordinates in {-1, 0, 1}, the r-phase of every
+    central period must be trivial.  per_basis must be rows from
+    `per_group`, which are periods at every vertex.  Non-isotropy elements
+    are exempt: their phases are exactly what moves orbits.
     """
     checked = 0
     bad = []
@@ -710,15 +704,13 @@ def suite_centre_phase_triviality(
     if not central:
         return SuiteResult("centre_phase_triviality", 0, ())
     for v in sorted(g.vertices):
-        if not all(periodic_at(g, p, v) for p in per_basis):
-            continue
         base = canonical_tail(g, v)
         tails = [base]
         for m in dg.box(d):
             if not dg.is_zero(m):
                 tails += [base.prepend(mu) for mu in _paths_into(g, v, m)]
         for x in tails:
-            for q in _period_samples(per_basis, radius):
+            for q in _period_samples(per_basis):
                 gamma = isotropy_element(x, q)
                 for p in central:
                     try:
@@ -742,11 +734,12 @@ def run_suites(
     Elements come from the degree box max(1, depth - 1), for a depth of at
     least 1, and each resolves through its own cell on one InducedCocycle,
     which keeps every value the suites share; `cap` bounds the sampled
-    identity triples and conjugation checks.  The period-dependent suites need
-    certified cofinality, and the centre and coboundary suites a
-    nontrivial period lattice and a bicharacter that does not depend on
-    the resolution.  Returns the suites, notes on the suites skipped, the
-    period basis and the bicharacter the suites used (None when none did).
+    identity triples and conjugation checks.  The period-dependent suites
+    need certified cofinality and periods that agree at every vertex, and
+    the centre and coboundary suites a nontrivial period lattice and a
+    bicharacter that does not depend on the resolution.  Returns the
+    suites, notes on the suites skipped, the period basis and the
+    bicharacter the suites used (None when none did).
     """
     if depth < 1:
         raise ValueError(f"the depth must be >= 1, got {depth}")
@@ -760,7 +753,10 @@ def run_suites(
     ]
     if is_cofinal(g).status != YES:
         return suites, ["cofinality not certified; period-dependent suites skipped"], (), None
-    basis = tuple(per_group(g).lattice.rows)
+    per = per_group(g)
+    if not per.per_vertex_agreement:
+        return suites, ["the periods differ from vertex to vertex; period-dependent suites skipped"], (), None
+    basis = tuple(per.lattice.rows)
     suites.append(suite_conjugation_formula(g, s, basis, depth=element_depth, max_checks=cap))
     if not basis:
         return suites, ["trivial period lattice; centre and coboundary suites are vacuous"], basis, None
@@ -770,7 +766,7 @@ def run_suites(
         return suites, [f"no bicharacter ({err}); centre and coboundary suites skipped"], basis, None
     zrows = z_omega_of(om).rows
     suites.append(suite_centre_phase_triviality(g, s, basis, zrows, depth=element_depth))
-    x = canonical_tail(g, periodic_base_vertex(g, basis))
+    x = canonical_tail(g, min(g.vertices))
     checked, bad = CoboundaryBx(om, s, x, basis).verify_box(element_depth)
     suites.append(SuiteResult("coboundary_box", checked, tuple(bad)))
     return suites, [], basis, om

@@ -179,7 +179,7 @@ def test_criterion_7_groupoid_oracle_suites():
         g, c = _pair("T2", "pullback_theta")
         basis = tuple(per_group(g).lattice.rows)
         P3 = build_partition(g, 3)
-        s = suite_conjugation_formula(g, InducedCocycle(c, P3.member), basis, depth=1, radius=1)
+        s = suite_conjugation_formula(g, InducedCocycle(c, P3.member), basis, depth=1)
         assert s.ok and s.checked >= 100
 
         # centre phases on isotropy elements, exhaustive per case
@@ -195,7 +195,7 @@ def test_criterion_7_groupoid_oracle_suites():
             assert z.rows == zrows, (gname, z.rows)
             P = build_partition(g, pdepth)
             s = suite_centre_phase_triviality(
-                g, InducedCocycle(c, P.member), basis, z.rows, depth=depth, radius=1
+                g, InducedCocycle(c, P.member), basis, z.rows, depth=depth
             )
             assert s.ok, (gname, s.violations[:3])
             assert s.checked == want, (gname, s.checked)

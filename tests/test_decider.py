@@ -1,5 +1,6 @@
 """Decision cascade: verdicts, certificates, and their independent rechecks."""
 
+import json
 from fractions import Fraction
 from math import lcm
 
@@ -152,22 +153,48 @@ def test_unhandled_shape_is_unknown():
     assert rep.verdict.status == UNKNOWN
 
 
+# a loop a at v and one edge b with range w and source v: cofinal, every
+# degree is a period at v and none at w, and the algebra is M_2(C(T)), which
+# is not simple
+TAIL = KGraph(1, ("v", "w"), (Edge("a", 1, "v", "v"), Edge("b", 1, "w", "v")), (), name="TAIL")
+
+
+def tail_files(tmp_path):
+    """The tail graph and a zero pullback cocycle on it, as file paths."""
+    graph = tmp_path / "tail.json"
+    graph.write_text(serialize_graph(TAIL), encoding="utf-8")
+    cocycle = tmp_path / "zero.json"
+    cocycle.write_text(serialize_cocycle(PullbackCocycle(((zero,),))), encoding="utf-8")
+    return str(graph), str(cocycle)
+
+
 def test_periods_that_differ_by_vertex_are_unknown(tmp_path, capsys):
-    # a loop a at v and one edge b with range w and source v: cofinal, every
-    # degree is a period at v and none at w, and the algebra is M_2(C(T)),
-    # which is not simple; the intersection of the periods is trivial, so
-    # z_omega_trivial would certify it simple
-    g = KGraph(1, ("v", "w"), (Edge("a", 1, "v", "v"), Edge("b", 1, "w", "v")), (), name="TAIL")
-    rep = decide_simplicity(g, PullbackCocycle(((zero,),)))
+    # the intersection of the periods is trivial, so z_omega_trivial would
+    # certify the tail graph simple
+    rep = decide_simplicity(TAIL, PullbackCocycle(((zero,),)))
     assert rep.verdict.status == UNKNOWN
     assert "per_vertex_agreement" in rep.verdict.reason
     assert rep.per.per_vertex_agreement is False and rep.omega is None
-    graph = tmp_path / "tail.json"
-    graph.write_text(serialize_graph(g), encoding="utf-8")
-    cocycle = tmp_path / "zero.json"
-    cocycle.write_text(serialize_cocycle(PullbackCocycle(((zero,),))), encoding="utf-8")
-    assert cli.main(["simplicity", str(graph), "--cocycle", str(cocycle)]) == 2
+    graph, cocycle = tail_files(tmp_path)
+    assert cli.main(["simplicity", graph, "--cocycle", cocycle]) == 2
     assert capsys.readouterr().out == "verdict: UNKNOWN\n"
+
+
+def test_omega_analyze_and_oracle_refuse_periods_that_differ_by_vertex(tmp_path, capsys):
+    graph, cocycle = tail_files(tmp_path)
+    assert cli.main(["omega", graph, "--cocycle", cocycle]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: the periods differ from vertex to vertex") and err.count("\n") == 1
+    assert cli.main(["analyze", graph, "--format", "structured"]) == 0
+    assert json.loads(capsys.readouterr().out)["per_basis"] is None
+    assert cli.main(["analyze", graph]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "per_basis: not computed (the periods differ from vertex to vertex)" in lines
+    assert cli.main(["oracle", graph, "--cocycle", cocycle, "--format", "structured"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [s["name"] for s in doc["suites"]] == ["cocycle_identity", "resolution_independence"]
+    assert doc["notes"] == ["the periods differ from vertex to vertex; period-dependent suites skipped"]
 
 
 # --- certificate rechecks ----------------------------------------------------

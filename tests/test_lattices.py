@@ -6,11 +6,13 @@ of low-dimensional tori generated by symbolic irrationals.
 """
 
 import itertools
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ktwist.lattices import (
@@ -24,6 +26,12 @@ from ktwist.lattices import (
     xgcd,
 )
 from ktwist.phases import PhaseExponent, pair_int
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+try:
+    from fraction_lattices import fraction_integral_pairing_lattice, greedy_witness
+finally:
+    sys.path.pop(0)
 
 Z = PhaseExponent.of
 half = Fraction(1, 2)
@@ -148,6 +156,50 @@ def test_integral_pairing_mixed_example():
     assert lat.member((0, 2))
     assert not lat.member((0, 1))
     assert not lat.member((1, 0))
+
+
+# rational parts and symbol coefficients with denominators up to 12; a
+# symbol may be listed twice in one entry, and the constructor merges it
+fractions12 = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+entries = st.builds(
+    lambda rat, irr: PhaseExponent(rat, tuple(irr)),
+    fractions12,
+    st.lists(st.tuples(st.sampled_from(("rho", "theta")), fractions12), max_size=3),
+)
+
+
+@st.composite
+def phase_generators(draw, min_d=0):
+    d = draw(st.integers(min_d, 4))
+    gens = draw(st.lists(st.tuples(*[entries] * d), max_size=5))
+    return gens, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(phase_generators())
+@example(([], 0))
+@example(([(), ()], 0))
+@example(([], 3))
+@example(([(Z(half, theta=1), Z(0, theta=-1)), (Z(0, theta=2), Z(Fraction(1, 3), theta=-2))], 2))
+def test_integral_pairing_matches_fraction_reference(data):
+    gens, d = data
+    lat = integral_pairing_lattice(gens, d)
+    assert lat == fraction_integral_pairing_lattice(gens, d)
+    for n in lat.rows:
+        assert all(pair_int(n, v).is_trivial() for v in gens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(phase_generators(min_d=1))
+@example(([(Z(0, theta=1), Z(0, theta=2)), (Z(0, rho=1), Z(0, rho=1, theta=1))], 2))
+def test_kronecker_witness_matches_greedy_columns(data):
+    gens, d = data
+    res = kronecker_dense(gens, d)
+    assert res.dense == fraction_integral_pairing_lattice(gens, d).is_trivial()
+    if res.dense:
+        columns, det = greedy_witness(gens, d)
+        assert res.certificate == {"kind": "irrational_full_rank", "columns": columns, "det": det}
+        assert verify_kronecker(gens, d, res)
 
 
 # --- raw integer routines ---------------------------------------------------
