@@ -2,9 +2,10 @@
 
 The decision cascade glues the independently tested components:
 
-1. a graph that is not cofinal is never simple (unreachable-cycle witness);
-   one whose vertices have different periods stays UNKNOWN, since the
-   intersection of their periods is not the period group;
+1. a graph that is not cofinal is never simple (unreachable-cycle witness:
+   a vertex and a loop through every colour that avoids its reach); a
+   cofinal one whose vertices have different periods stays UNKNOWN, since
+   the intersection of their periods is not the period group;
 2. a trivial degeneracy sublattice of the extracted bicharacter certifies
    simplicity;
 3. on single-path bases (exactly one path of every degree from every
@@ -395,16 +396,10 @@ def decide_simplicity(
             raise RecheckError("cofinality")
         verdict = Verdict(
             NONSIMPLE,
-            certificate={"kind": "not_cofinal", "witness": cof.certificate or {}},
+            certificate={"kind": "not_cofinal", "witness": cof.certificate},
             reason="the graph is not cofinal",
         )
         return SimplicityReport(verdict, bounds=b)
-    if cof.status == UNKNOWN:
-        verdict = Verdict(
-            UNKNOWN,
-            reason="cofinality is undecided for this shape; no simplicity criterion applies",
-        )
-        return SimplicityReport(verdict, bounds=b, notes=(cof.reason,) if cof.reason else ())
 
     per = per_group(g, b.period)
     if not per.per_vertex_agreement:

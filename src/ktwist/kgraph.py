@@ -224,24 +224,25 @@ class KGraph:
     def paths_from(self, v: str, n: Degree) -> list[Path]:
         """All paths with range v and degree n, in deterministic order.
 
-        Cached per (vertex, degree); callers must not mutate the result.
+        Built one colour block at a time, each degree extending the one
+        below it at the source end; cached per (vertex, degree), every
+        degree on the way included.  Callers must not mutate the result.
         """
         if len(n) != self.k or any(x < 0 for x in n):
             raise ValueError(f"bad degree {n}")
-        key = (v, n)
-        hit = self._paths_cache.get(key)
-        if hit is not None:
-            return hit
-        if dg.is_zero(n):
-            out = [self.vertex_path(v)]
-        else:
-            i = next(c for c in range(1, self.k + 1) if n[c - 1])
-            rest = dg.sub(n, dg.unit(self.k, i))
-            out = []
-            for e in self.in_edges(v, i):
-                for tail in self.paths_from(e.source, rest):
-                    out.append(Path(v, tail.source, n, (e.id,) + tail.word))
-        self._paths_cache[key] = out
+        chain = []
+        while (v, n) not in self._paths_cache:
+            if dg.is_zero(n):
+                self._paths_cache[v, n] = [self.vertex_path(v)]
+                break
+            i = max(c for c in range(1, self.k + 1) if n[c - 1])
+            chain.append((n, i))
+            n = dg.sub(n, dg.unit(self.k, i))
+        out = self._paths_cache[v, n]
+        for m, i in reversed(chain):
+            out = self._paths_cache[v, m] = [
+                Path(v, e.source, m, p.word + (e.id,)) for p in out for e in self.in_edges(p.source, i)
+            ]
         return out
 
 

@@ -1,11 +1,11 @@
 """Structural tests on k-colored graphs: cofinality and shift periodicity.
 
 Cofinality asks whether every infinite path eventually meets the forward
-reach of every vertex.  Strong connectivity settles it immediately; for
-one-color graphs the general case reduces to finding a cycle avoiding the
-reach of some vertex, which gives a checkable NO certificate.  With two or
-more colors and a disconnected reach relation we return UNKNOWN rather
-than guess.
+reach of every vertex.  One rule decides it for every rank: a path avoids
+the reach of v exactly when the vertices outside that reach have a
+nonempty core, where every vertex receives an edge of every colour from
+the core.  A closed word through every colour inside the core is a
+checkable NO certificate.
 
 Periodicity of the shift action is decided exactly per vertex by a finite
 automaton on sliding windows: a window of degree join(a, b) determines
@@ -78,62 +78,67 @@ def is_strongly_connected(g: KGraph) -> bool:
 # --- cofinality -------------------------------------------------------------
 
 
-def _find_cycle(vertices: frozenset[str], arcs: dict[str, list[tuple[str, str]]]) -> list[str] | None:
-    """A cycle (as an edge id list) in the sub-digraph on the given vertices."""
-    color = {v: 0 for v in vertices}
-    stack_edges: list[str] = []
-    stack_vs: list[str] = []
+def _core(g: KGraph, vertices: frozenset[str], out_edges: dict[str, list]) -> set[str]:
+    """The largest subset of `vertices` in which every vertex is the range
+    of an edge of every colour whose source is in the subset."""
+    need = {u: [0] * g.k for u in vertices}
+    for u in vertices:
+        for e in out_edges[u]:
+            if e.range in need:
+                need[e.range][e.color - 1] += 1
+    drop = [u for u, counts in need.items() if 0 in counts]
+    while drop:
+        u = drop.pop()
+        if need.pop(u, None) is None:
+            continue
+        for e in out_edges[u]:
+            counts = need.get(e.range)
+            if counts is not None:
+                counts[e.color - 1] -= 1
+                if not counts[e.color - 1]:
+                    drop.append(e.range)
+    return set(need)
 
-    def visit(v: str) -> list[str] | None:
-        color[v] = 1
-        stack_vs.append(v)
-        for (u, eid) in arcs.get(v, ()):
-            if u not in vertices:
-                continue
-            if color[u] == 1:
-                t = stack_vs.index(u)
-                return stack_edges[t:] + [eid]
-            if color[u] == 0:
-                stack_edges.append(eid)
-                got = visit(u)
-                if got is not None:
-                    return got
-                stack_edges.pop()
-        stack_vs.pop()
-        color[v] = 2
-        return None
 
-    for v in sorted(vertices):
-        if color[v] == 0:
-            got = visit(v)
-            if got is not None:
-                return got
-    return None
+def _core_cycle(g: KGraph, core: set[str]) -> list[str]:
+    """A closed word in the core with the colours in rotation: from min(core),
+    take the least in-edge of the next colour whose source is in the core,
+    until a (vertex, step mod k) pair repeats."""
+    cur, seen, word = min(core), {}, []
+    while (cur, len(word) % g.k) not in seen:
+        seen[cur, len(word) % g.k] = len(word)
+        e = next(e for e in g.in_edges(cur, len(word) % g.k + 1) if e.source in core)
+        word.append(e.id)
+        cur = e.source
+    return word[seen[cur, len(word) % g.k]:]
 
 
 def is_cofinal(g: KGraph) -> Verdict:
-    if is_strongly_connected(g):
-        return Verdict(YES, {"kind": "strongly_connected"})
-    if g.k == 1:
-        arcs: dict[str, list[tuple[str, str]]] = {}
-        for e in g.edges:
-            arcs.setdefault(e.range, []).append((e.source, e.id))
-        for v in sorted(g.vertices):
-            outside = frozenset(g.vertices) - reach_set(g, v)
-            if not outside:
-                continue
-            cyc = _find_cycle(outside, arcs)
-            if cyc is not None:
-                return Verdict(
-                    NO,
-                    {"kind": "unreachable_cycle", "vertex": v, "cycle": cyc},
-                    reason=f"a cycle avoids the forward reach of {v!r}",
-                )
-        return Verdict(YES, {"kind": "k1_tail_check"})
-    return Verdict(
-        UNKNOWN,
-        reason="not strongly connected and more than one color; no decision procedure",
-    )
+    """Does every infinite path meet the reach of every vertex?
+
+    For each vertex v, in sorted order, let O = V - reach(v).  An infinite
+    path stays in O exactly when O has a nonempty core: the largest subset
+    in which every vertex is the range of an edge of every colour whose
+    source is in the subset.
+    (<=) Inside the core, chain paths of degree (1, ..., 1) forever.  Every
+    x(n) is the range of a path whose source is in the core, and the
+    complement of reach(v) is closed under taking ranges, so every x(n)
+    stays outside reach(v).
+    (=>) The vertices of such a path form such a subset.
+    For k = 1, a nonempty core means that O contains a cycle.
+    """
+    out_edges: dict[str, list] = {v: [] for v in g.vertices}
+    for e in g.edges:
+        out_edges[e.source].append(e)
+    connected = True
+    for v in sorted(g.vertices):
+        outside = frozenset(g.vertices) - reach_set(g, v)
+        connected = connected and not outside
+        core = _core(g, outside, out_edges)
+        if core:
+            cert = {"kind": "unreachable_cycle", "vertex": v, "cycle": _core_cycle(g, core)}
+            return Verdict(NO, cert, reason=f"a cycle avoids the forward reach of {v!r}")
+    return Verdict(YES, {"kind": "strongly_connected" if connected else "tail_check"})
 
 
 def verify_cofinality(g: KGraph, res: Verdict) -> bool:
@@ -141,12 +146,13 @@ def verify_cofinality(g: KGraph, res: Verdict) -> bool:
     cert = res.certificate
     if res.status == YES and cert is not None and cert.get("kind") == "strongly_connected":
         return is_strongly_connected(g)
-    if res.status == YES and cert is not None and cert.get("kind") == "k1_tail_check":
-        return g.k == 1 and is_cofinal(g).status == YES
+    if res.status == YES and cert is not None and cert.get("kind") == "tail_check":
+        return is_cofinal(g).status == YES
     if res.status == NO and cert is not None and cert.get("kind") == "unreachable_cycle":
         v = cert["vertex"]
         cyc = list(cert["cycle"])
-        if v not in g.vertices or not cyc:
+        # a loop that misses a colour repeats to no infinite path
+        if v not in g.vertices or {g.edge(eid).color for eid in cyc} != set(range(1, g.k + 1)):
             return False
         reach = reach_set(g, v)
         cur = g.edge(cyc[0]).range
@@ -191,11 +197,6 @@ def periodic_at_offsets(g: KGraph, v: str, a: Degree, b: Degree) -> bool:
                         nxt.append(new)
         frontier = nxt
     return True
-
-
-def periodic_at(g: KGraph, p: Degree, v: str) -> bool:
-    """Is the integer vector p a shift period for every infinite path from v?"""
-    return periodic_at_offsets(g, v, dg.pos_part(p), dg.neg_part(p))
 
 
 @dataclass(frozen=True)
@@ -245,13 +246,16 @@ def path_counts(g: KGraph):
     memo = {dg.zero(g.k): tuple(tuple(int(t == u) for u in range(size)) for t in range(size))}
 
     def counts(n: Degree) -> tuple[tuple[int, ...], ...]:
-        hit = memo.get(n)
-        if hit is None:
+        # walk down the last nonzero coordinate to a known degree, then back up
+        chain = []
+        while n not in memo:
             i = max(c for c in range(g.k) if n[c])
-            prev = counts(n[:i] + (n[i] - 1,) + n[i + 1:])
-            a = coord[i]
-            hit = memo[n] = tuple(
-                tuple(sum(row[u] * a[u][w] for u in range(size)) for w in range(size)) for row in prev
+            chain.append((n, coord[i]))
+            n = n[:i] + (n[i] - 1,) + n[i + 1:]
+        hit = memo[n]
+        for m, a in reversed(chain):
+            hit = memo[m] = tuple(
+                tuple(sum(row[u] * a[u][w] for u in range(size)) for w in range(size)) for row in hit
             )
         return hit
 
@@ -281,29 +285,28 @@ def per_group(g: KGraph, bound: Degree | int | None = None) -> PeriodicityResult
     Only defined for cofinal graphs; refuses otherwise.  There Per is a
     group, and T^m = T^n whenever m - n lies in it (Carlsen-Kang-Shotwell-
     Sims, JFA 2014), so a candidate in the span of the periods already
-    found is a period at every vertex with no automaton call.
+    found is a period at every vertex with no automaton call.  The vertices
+    agree on their periods when each candidate holds at all of them or at
+    none.
     """
     if is_cofinal(g).status != YES:
         raise ValueError("period group is only computed for certified-cofinal graphs")
     bound = _period_bound(g, bound)
     counts = path_counts(g)
     span = LatticeBasis.trivial(g.k)
-    per_vertex: dict[str, set[Degree]] = {v: set() for v in g.vertices}
+    agreement = True
     checked = 0
     for p in dg.signed_box(bound):
         if dg.is_zero(p):
             continue
         checked += 1
         if span.member(p):
-            hits = g.vertices
-        else:
-            hits = list(_periodic_vertices(g, counts, p))
-            if len(hits) == len(g.vertices):
-                span = LatticeBasis.from_rows(span.rows + (p,), g.k)
-        for v in hits:
-            per_vertex[v].add(p)
-    sets = list(per_vertex.values())
-    agreement = all(s == sets[0] for s in sets)
+            continue
+        hits = sum(1 for _ in _periodic_vertices(g, counts, p))
+        if hits == len(g.vertices):
+            span = LatticeBasis.from_rows(span.rows + (p,), g.k)
+        elif hits:
+            agreement = False
     return PeriodicityResult(span, bound, agreement, checked)
 
 

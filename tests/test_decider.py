@@ -31,7 +31,7 @@ from ktwist.decider import (
     z_omega_of,
 )
 from ktwist.io import serialize_cocycle, serialize_graph
-from ktwist.kgraph import Edge, KGraph, builtin, product_base
+from ktwist.kgraph import Edge, KGraph, builtin, product_base, product_with_Tl
 from ktwist.lattices import LatticeBasis, hnf, kronecker_dense
 from ktwist.oracle import omega_from_oracle
 from ktwist.phases import PhaseExponent, pair_int
@@ -178,6 +178,27 @@ def test_periods_that_differ_by_vertex_are_unknown(tmp_path, capsys):
     graph, cocycle = tail_files(tmp_path)
     assert cli.main(["simplicity", graph, "--cocycle", cocycle]) == 2
     assert capsys.readouterr().out == "verdict: UNKNOWN\n"
+
+
+def test_cofinal_rank_two_graph_with_periods_that_differ_by_vertex_is_unknown():
+    # TAIL x T1 is cofinal without being strongly connected, so it reaches
+    # the period search, whose agreement guard declines it
+    g = product_with_Tl(TAIL, 1)
+    rep = decide_simplicity(g, PullbackCocycle(((zero, zero), (zero, zero))))
+    assert rep.verdict.status == UNKNOWN
+    assert "per_vertex_agreement" in rep.verdict.reason
+
+
+def test_non_cofinal_rank_two_graph_is_certified_nonsimple(tmp_path, capsys):
+    # no path from w reaches u, and w carries a loop of each colour
+    cocycle = tmp_path / "zero.json"
+    cocycle.write_text(serialize_cocycle(PullbackCocycle(((zero, zero), (zero, zero)))), encoding="utf-8")
+    args = ["simplicity", "builtin:DISJOINT2xT1", "--cocycle", str(cocycle), "--format", "structured"]
+    assert cli.main(args) == 0
+    verdict = json.loads(capsys.readouterr().out)["verdict"]
+    assert verdict["status"] == NONSIMPLE and verdict["certificate"]["kind"] == "not_cofinal"
+    assert cli.main(["analyze", "builtin:DISJOINT2xT1"]) == 0
+    assert "cofinal: NO_CERTIFIED" in capsys.readouterr().out.splitlines()
 
 
 def test_omega_analyze_and_oracle_refuse_periods_that_differ_by_vertex(tmp_path, capsys):

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ktwist import cli
 from ktwist import degrees as dg
 from ktwist import structure
-from ktwist.kgraph import Edge, KGraph, Path, Square, builtin, validate_kgraph
+from ktwist.kgraph import Edge, KGraph, Path, Square, builtin, product_with_Tl, validate_kgraph
 from ktwist.lattices import LatticeBasis
 from ktwist.structure import (
     NO,
@@ -20,8 +21,8 @@ from ktwist.structure import (
     is_strongly_connected,
     path_counts,
     per_group,
-    periodic_at,
     periodic_at_offsets,
+    reach_set,
     verify_cofinality,
 )
 
@@ -42,23 +43,61 @@ def test_cofinality_verdicts():
 
 
 def test_cofinality_certificates_recheck():
-    for name in ("T2", "B2", "DISJOINT2"):
+    for name in ("T2", "B2", "DISJOINT2", "DISJOINT2xT1"):
         g = builtin(name)
         v = is_cofinal(g)
         assert verify_cofinality(g, v)
 
 
+def test_cofinality_of_rank_two_graphs_that_are_not_strongly_connected():
+    # with two colours the loop that avoids the reach of u uses both
+    bad = is_cofinal(builtin("DISJOINT2xT1"))
+    assert bad.certificate == {"kind": "unreachable_cycle", "vertex": "u", "cycle": ["lw", "t1_w"]}
+    assert is_cofinal(disjoint_torus_and_bouquet()).status == NO
+    tail = product_with_Tl(TAIL, 1)
+    good = is_cofinal(tail)
+    assert good == Verdict(YES, {"kind": "tail_check"})
+    assert verify_cofinality(tail, good)
+
+
+def test_forged_one_colour_cycle_is_rejected():
+    # lw alone has degree (1, 0): repeating it never grows in the torus colour
+    g = builtin("DISJOINT2xT1")
+    forged = Verdict(NO, {"kind": "unreachable_cycle", "vertex": "u", "cycle": ["lw"]})
+    assert not verify_cofinality(g, forged)
+    assert verify_cofinality(builtin("DISJOINT2"), forged)
+
+
+def chain(n: int) -> KGraph:
+    """v0 <- v1 <- ... <- v(n-1), with a loop at the far end: cofinal."""
+    vs = tuple(f"v{i}" for i in range(n))
+    edges = tuple(Edge(f"e{i}", 1, vs[i], vs[i + 1]) for i in range(n - 1)) + (Edge("z", 1, vs[-1], vs[-1]),)
+    return KGraph(1, vs, edges, (), name=f"CHAIN{n}")
+
+
+def test_cofinality_of_a_long_chain_does_not_recurse():
+    # deeper than the default recursion limit
+    assert is_cofinal(chain(1100)) == Verdict(YES, {"kind": "tail_check"})
+
+
+@pytest.mark.parametrize("name", ["B2", "T1"])
+def test_period_search_at_a_large_bound_does_not_recurse(name, capsys):
+    # a degree of 1,200 in one colour is deeper than the default recursion limit
+    assert cli.main(["per", f"builtin:{name}", "--bound", "1200"]) == 0
+    assert "exhaustive up to: [1200]" in capsys.readouterr().out.splitlines()
+
+
 def test_periodic_at_torus():
     g = builtin("T2")
-    assert periodic_at(g, (1, 0), "v")
-    assert periodic_at(g, (0, 1), "v")
-    assert periodic_at(g, (1, -1), "v")
+    assert periodic_at_offsets(g, "v", (1, 0), (0, 0))
+    assert periodic_at_offsets(g, "v", (0, 1), (0, 0))
+    assert periodic_at_offsets(g, "v", (1, 0), (0, 1))
 
 
 def test_periodic_at_b2_fails():
     # two loops of one color: distinct tails break every nonzero period
     g = builtin("B2")
-    assert not periodic_at(g, (1,), "v")
+    assert not periodic_at_offsets(g, "v", (1,), (0,))
 
 
 def test_per_group_torus_is_full():
@@ -222,7 +261,7 @@ def automaton_hits(g: KGraph, bound) -> list:
         for p in dg.signed_box(bound)
         if not dg.is_zero(p)
         for v in g.vertices
-        if periodic_at(g, p, v)
+        if periodic_at_offsets(g, v, dg.pos_part(p), dg.neg_part(p))
     ]
 
 
@@ -276,6 +315,83 @@ def single_vertex_two_graphs(draw):
     return KGraph(2, ("v",), edges, squares, name=f"R{a}x{b}")
 
 
+@st.composite
+def rank_one_graphs(draw):
+    """One to seven vertices, each the range of an edge, plus 0-3 extra edges."""
+    n = draw(st.integers(1, 7))
+    vs = tuple(f"v{i}" for i in range(n))
+    pick = st.sampled_from(vs)
+    ends = [(v, draw(pick)) for v in vs]
+    ends += draw(st.lists(st.tuples(pick, pick), max_size=3))
+    edges = tuple(Edge(f"e{t}", 1, r, s) for t, (r, s) in enumerate(ends))
+    return KGraph(1, vs, edges, (), name=f"G{n}")
+
+
+def reference_is_cofinal(g: KGraph) -> Verdict:
+    """Cofinality of a 1-graph by depth-first search for a cycle outside
+    the reach of each vertex in turn."""
+    arcs: dict[str, list[tuple[str, str]]] = {}
+    for e in g.edges:
+        arcs.setdefault(e.range, []).append((e.source, e.id))
+    for v in sorted(g.vertices):
+        outside = frozenset(g.vertices) - reach_set(g, v)
+        cyc = _find_cycle(outside, arcs) if outside else None
+        if cyc is not None:
+            return Verdict(
+                NO,
+                {"kind": "unreachable_cycle", "vertex": v, "cycle": cyc},
+                reason=f"a cycle avoids the forward reach of {v!r}",
+            )
+    return Verdict(YES)
+
+
+def _find_cycle(vertices: frozenset[str], arcs: dict[str, list[tuple[str, str]]]) -> list[str] | None:
+    color = {v: 0 for v in vertices}
+    stack_edges: list[str] = []
+    stack_vs: list[str] = []
+
+    def visit(v: str) -> list[str] | None:
+        color[v] = 1
+        stack_vs.append(v)
+        for (u, eid) in arcs.get(v, ()):
+            if u not in vertices:
+                continue
+            if color[u] == 1:
+                return stack_edges[stack_vs.index(u):] + [eid]
+            if color[u] == 0:
+                stack_edges.append(eid)
+                got = visit(u)
+                if got is not None:
+                    return got
+                stack_edges.pop()
+        stack_vs.pop()
+        color[v] = 2
+        return None
+
+    for v in sorted(vertices):
+        if color[v] == 0:
+            got = visit(v)
+            if got is not None:
+                return got
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_one_graphs())
+def test_cofinality_matches_the_cycle_search_on_random_1_graphs(g):
+    got, ref = is_cofinal(g), reference_is_cofinal(g)
+    assert (got.status, got.reason) == (ref.status, ref.reason)
+    if got.status == NO:
+        assert got.certificate["vertex"] == ref.certificate["vertex"]
+        assert verify_cofinality(g, got)
+    for l in (1, 2):
+        h = product_with_Tl(g, l)
+        prod = is_cofinal(h)
+        assert prod.status == got.status
+        if prod.status == NO:
+            assert verify_cofinality(h, prod)
+
+
 def two_vertex_flip() -> KGraph:
     """Two vertices swapped by the one edge of each colour into each.
 
@@ -303,6 +419,11 @@ def disjoint_torus_and_bouquet() -> KGraph:
         Square(1, 2, "f", "t", "t", "f"),
     )
     return KGraph(2, ("u", "w"), edges, squares, name="T2+B2xT1")
+
+
+# a loop a at v and one edge b with range w and source v: cofinal, but not
+# strongly connected
+TAIL = KGraph(1, ("v", "w"), (Edge("a", 1, "v", "v"), Edge("b", 1, "w", "v")), (), name="TAIL")
 
 
 def test_two_vertex_graphs():
