@@ -113,7 +113,7 @@ def cmd_analyze(args) -> int:
     why = "not computed (needs certified cofinality)"
     bound_used = aper.bound
     if cof.status == YES:
-        per = per_group(g, bound)
+        per = per_group(g, cof, bound)
         bound_used = per.exhaustive_up_to
         if per.per_vertex_agreement:
             per_rows = [list(r) for r in per.lattice.rows]
@@ -140,7 +140,7 @@ def cmd_analyze(args) -> int:
 def cmd_per(args) -> int:
     bound = _parse_bound(args.bound)
     g, gdigest = resolve_graph(args.graph)
-    per = per_group(g, bound)
+    per = per_group(g, is_cofinal(g), bound)
     body = {
         "rank": per.lattice.rank,
         "periods": [list(r) for r in per.lattice.rows],
@@ -163,7 +163,7 @@ def cmd_omega(args) -> int:
     bound = _parse_bound(args.bound)
     g, gdigest = resolve_graph(args.graph)
     c, cdigest = _load_twist(args, g)
-    per = per_group(g, bound)
+    per = per_group(g, is_cofinal(g), bound)
     if not per.per_vertex_agreement:
         raise ValueError(
             "the periods differ from vertex to vertex; their intersection is not the period group"

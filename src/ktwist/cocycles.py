@@ -15,7 +15,13 @@ Three concrete families are supported.
   Torus loops commute with base edges without renaming them, so the base
   edge multiset of a path is well defined and phi extends additively.
 * Table: explicit values on composable pairs up to a degree bound, for
-  adversarial tests; validate_cocycle checks the 2-cocycle identity.
+  adversarial tests.
+
+validate_cocycle checks normalization on every path up to a total degree,
+and the 2-cocycle identity by what each family's value depends on: a
+pullback once per triple of (range, degree, source) classes of paths,
+phi-omega as additivity of phi on composable pairs, and a table on every
+triple of paths.
 
 All values are PhaseExponent instances; equality is mod-Z exact.
 """
@@ -269,14 +275,49 @@ def validate_product_split(g: KGraph, l: int) -> ValidationReport:
 def validate_cocycle(c: CocycleSpec, g: KGraph, depth: int) -> ValidationReport:
     """Exhaustive normalization and 2-cocycle identity check to a total degree.
 
-    Each composable pair in the depth box is evaluated once per call: its
-    value, or its domain error (reported where the pair is first used), is
-    kept in a dict that lives only as long as the call.  Triples are
-    enumerated by total degree, so none above the depth is built.
+    The identity on a composable triple (lam, mu, nu) is
+
+        c(mu, nu) + c(lam, mu.nu) = c(lam, mu) + c(lam.mu, nu)   (mod Z),
+
+    checked on every triple of total degree at most `depth`; what is
+    enumerated depends on what the value depends on.
+
+    * Pullback: c(mu, nu) = Theta(d(mu), d(nu)), so the outcome on a triple
+      depends only on its degrees.  Each path falls in a (range, degree,
+      source) class, and the identity is evaluated once per composable
+      triple of classes, on the first path of each.  Classes are taken in
+      the order of their first paths, so a failing class would be reported
+      as its first triple in the order of the path-triple loop.  A Theta
+      that is not k x k is one problem, and nothing else is checked.
+    * Phi-omega: c(mu, nu) = <t(mu), phi(nu)> + omega(t(mu), t(nu)) with t
+      the torus degree, which also holds when a side is a vertex (both
+      terms are 0).  t is additive and omega bilinear, so the omega terms
+      cancel and
+
+          c(mu, nu) + c(lam, mu.nu) - c(lam, mu) - c(lam.mu, nu)
+              = <t(lam), phi(mu.nu) - phi(mu) - phi(nu)>.
+
+      A vertex factor makes this 0.  If phi is additive (mod Z) on every
+      composable pair of non-vertex paths with total degree at most
+      depth - 1, no triple fails.  If it is not on (mu, nu), lam = the torus
+      loop at r(mu) of a colour where the difference is nonzero fails, and
+      the path-triple loop runs to report every failing triple.  After
+      `validate_phi` this cannot happen with exact arithmetic.
+    * Table: the value depends on the whole path, so every triple of paths
+      is checked.
+
+    Normalization is checked on every path.  Each composable pair is
+    evaluated at most once per call: its value, or its domain error
+    (reported where the pair is first used), is kept in a dict that lives
+    only as long as the call.  Triples are enumerated by total degree, so
+    none above the depth is built.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    problems = []
+    if isinstance(c, PullbackCocycle) and (
+        len(c.theta) != g.k or any(len(row) != g.k for row in c.theta)
+    ):
+        return ValidationReport(("theta size does not match graph colors",))
     if isinstance(c, PhiOmegaCocycle):
         split = validate_product_split(g, c.l)
         if not split.ok:
@@ -291,6 +332,7 @@ def validate_cocycle(c: CocycleSpec, g: KGraph, depth: int) -> ValidationReport:
         for n in dg.total_box(g.k, depth):
             graded[v][dg.total(n)].extend(g.paths_from(v, n))
 
+    problems = []
     values: dict[tuple[Path, Path], PhaseExponent | None] = {}
 
     def val(mu: Path, nu: Path) -> PhaseExponent | None:
@@ -314,6 +356,43 @@ def validate_cocycle(c: CocycleSpec, g: KGraph, depth: int) -> ValidationReport:
                 if x is not None and not x.is_trivial():
                     problems.append(f"normalization fails at {lam!r} ({side})")
 
+    if isinstance(c, PullbackCocycle):
+        _check_triples(g, _class_representatives(graded), depth, val, problems)
+    elif not (isinstance(c, PhiOmegaCocycle) and _phi_additive(c.phi, g, graded, depth)):
+        _check_triples(g, graded, depth, val, problems)
+    return ValidationReport(tuple(problems))
+
+
+def _class_representatives(graded: dict[str, list[list[Path]]]) -> dict[str, list[list[Path]]]:
+    """The first path of each (degree, source) class in every graded[v][t]."""
+    out = {}
+    for v, layers in graded.items():
+        out[v] = []
+        for paths in layers:
+            first: dict[tuple[Degree, str], Path] = {}
+            for p in paths:
+                first.setdefault((p.degree, p.source), p)
+            out[v].append(list(first.values()))
+    return out
+
+
+def _phi_additive(phi: OneCocyclePhi, g: KGraph, graded, depth: int) -> bool:
+    """phi(mu.nu) = phi(mu) + phi(nu) (mod Z) on every composable pair of
+    non-vertex paths in `graded` with total degree at most depth - 1?"""
+    values = {p: phi.value(p) for layers in graded.values() for p in chain.from_iterable(layers[:depth])}
+    for v in g.vertices:
+        for t1, mus in enumerate(graded[v][1:depth], start=1):
+            for mu in mus:
+                for nu in chain.from_iterable(graded[mu.source][1:depth - t1]):
+                    # equality of PhaseExponents is equality mod Z
+                    if values[g.compose(mu, nu)] != vec_add(values[mu], values[nu]):
+                        return False
+    return True
+
+
+def _check_triples(g: KGraph, graded, depth: int, val, problems: list[str]) -> None:
+    """The 2-cocycle identity on every composable triple drawn from `graded`
+    (paths by range and total degree) with total degree at most `depth`."""
     for v in g.vertices:
         for t1, lams in enumerate(graded[v]):
             for lam in lams:
@@ -337,4 +416,3 @@ def validate_cocycle(c: CocycleSpec, g: KGraph, depth: int) -> ValidationReport:
                                 problems.append(
                                     f"cocycle identity fails on triple ({lam!r}, {mu!r}, {nu!r})"
                                 )
-    return ValidationReport(tuple(problems))

@@ -401,7 +401,7 @@ def decide_simplicity(
         )
         return SimplicityReport(verdict, bounds=b)
 
-    per = per_group(g, b.period)
+    per = per_group(g, cof, b.period)
     if not per.per_vertex_agreement:
         verdict = Verdict(
             UNKNOWN,

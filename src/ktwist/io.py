@@ -273,6 +273,9 @@ def cocycle_from_jsonable(obj, g: KGraph) -> CocycleSpec:
         if not (isinstance(bound, list) and len(bound) == g.k and all(_is_int(x) for x in bound)):
             raise FileFormatError(f"cocycle.bound: expected {g.k} integers")
         rows = []
+        # the normal form of each (range, word) side seen so far; only
+        # successes are kept, so a side that is no path fails at its own entry
+        sides: dict[tuple[str, tuple[str, ...]], tuple[str, ...]] = {}
         for idx, ent in enumerate(_as_list(_need(obj, "entries", "cocycle"), "cocycle.entries")):
             where = f"cocycle.entries[{idx}]"
             if not isinstance(ent, dict):
@@ -285,13 +288,15 @@ def cocycle_from_jsonable(obj, g: KGraph) -> CocycleSpec:
                 rng = _need(side, "range", f"{where}.{key}")
                 if not isinstance(rng, str) or rng not in g.vertices:
                     raise FileFormatError(f"{where}.{key}.range: expected a vertex of the graph")
-                word = _as_str_list(_need(side, "word", f"{where}.{key}"), f"{where}.{key}.word")
-                try:
-                    path = g.make_path(rng, word)
-                except (KeyError, ValueError) as err:
-                    raise FileFormatError(f"{where}.{key}: not a path ({err})") from err
-                # lookups key by normal form, whatever colour order the file used
-                pair.append((rng, path.word))
+                word = tuple(_as_str_list(_need(side, "word", f"{where}.{key}"), f"{where}.{key}.word"))
+                if (rng, word) not in sides:
+                    try:
+                        path = g.make_path(rng, word)
+                    except (KeyError, ValueError) as err:
+                        raise FileFormatError(f"{where}.{key}: not a path ({err})") from err
+                    # lookups key by normal form, whatever colour order the file used
+                    sides[rng, word] = path.word
+                pair.append((rng, sides[rng, word]))
             val = _parse_phase_checked(_need(ent, "value", where), symbols, f"{where}.value")
             rows.append((pair[0], pair[1], val))
         return TableCocycle(tuple(bound), tuple(rows))

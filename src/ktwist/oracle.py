@@ -751,9 +751,10 @@ def run_suites(
         suite_cocycle_identity(g, s, depth=element_depth, max_triples=cap),
         suite_resolution_independence(g, s, depth=element_depth),
     ]
-    if is_cofinal(g).status != YES:
+    cof = is_cofinal(g)
+    if cof.status != YES:
         return suites, ["cofinality not certified; period-dependent suites skipped"], (), None
-    per = per_group(g)
+    per = per_group(g, cof)
     if not per.per_vertex_agreement:
         return suites, ["the periods differ from vertex to vertex; period-dependent suites skipped"], (), None
     basis = tuple(per.lattice.rows)

@@ -279,17 +279,18 @@ def _periodic_vertices(g: KGraph, counts, p: Degree):
             yield v
 
 
-def per_group(g: KGraph, bound: Degree | int | None = None) -> PeriodicityResult:
+def per_group(g: KGraph, cofinal: Verdict, bound: Degree | int | None = None) -> PeriodicityResult:
     """Lattice of shift periods holding at every vertex, over a candidate box.
 
-    Only defined for cofinal graphs; refuses otherwise.  There Per is a
+    Only defined for cofinal graphs: `cofinal` is the caller's verdict of
+    `is_cofinal(g)`, and anything but YES is refused.  There Per is a
     group, and T^m = T^n whenever m - n lies in it (Carlsen-Kang-Shotwell-
     Sims, JFA 2014), so a candidate in the span of the periods already
     found is a period at every vertex with no automaton call.  The vertices
     agree on their periods when each candidate holds at all of them or at
     none.
     """
-    if is_cofinal(g).status != YES:
+    if cofinal.status != YES:
         raise ValueError("period group is only computed for certified-cofinal graphs")
     bound = _period_bound(g, bound)
     counts = path_counts(g)

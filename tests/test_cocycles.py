@@ -1,12 +1,16 @@
 """Twisting cocycle specs: values, normalization, the 2-term identity."""
 
+import os
 import random
+import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ktwist import cocycles
 from ktwist import degrees as dg
 from ktwist.cocycles import (
     BicharacterTable,
@@ -21,8 +25,22 @@ from ktwist.cocycles import (
     validate_phi,
     validate_product_split,
 )
-from ktwist.kgraph import Edge, KGraph, Square, builtin
+from ktwist.kgraph import (
+    Edge,
+    KGraph,
+    Square,
+    ValidationReport,
+    builtin,
+    product_with_Tl,
+    validate_kgraph,
+)
 from ktwist.phases import PhaseExponent
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+try:
+    from test_structure import single_vertex_two_graphs
+finally:
+    sys.path.pop(0)
 
 Z = PhaseExponent.of
 zero = PhaseExponent.zero()
@@ -110,24 +128,18 @@ def test_validate_phi_on_b2_trivially_passes():
     assert validate_phi(phi, g).ok
 
 
-def test_validate_phi_square_compatibility():
-    # one vertex, two loops per color, squares crossing y swap the x loops,
-    # so phi must give both x loops the same value
-    edges = (
-        Edge("x1", 1, "v", "v"),
-        Edge("x2", 1, "v", "v"),
-        Edge("y1", 2, "v", "v"),
-        Edge("y2", 2, "v", "v"),
-    )
-    squares = (
-        Square(1, 2, "x1", "y1", "y1", "x2"),
-        Square(1, 2, "x2", "y1", "y1", "x1"),
-        Square(1, 2, "x1", "y2", "y2", "x2"),
-        Square(1, 2, "x2", "y2", "y2", "x1"),
-    )
-    g = KGraph(2, ("v",), edges, squares)
-    from ktwist.kgraph import validate_kgraph
+def swapped_loops():
+    """One vertex, loops x1, x2 of colour 1 and y1, y2 of colour 2; each y
+    swaps the x loops, so phi must give x1 and x2 the same value."""
+    edges = (Edge("x1", 1, "v", "v"), Edge("x2", 1, "v", "v"),
+             Edge("y1", 2, "v", "v"), Edge("y2", 2, "v", "v"))
+    squares = tuple(Square(1, 2, f, h, h, fp) for h in ("y1", "y2")
+                    for f, fp in (("x1", "x2"), ("x2", "x1")))
+    return KGraph(2, ("v",), edges, squares, name="SWAP")
 
+
+def test_validate_phi_square_compatibility():
+    g = swapped_loops()
     assert validate_kgraph(g).ok
     good = OneCocyclePhi(1, {"x1": (theta,), "x2": (theta,), "y1": (zero,), "y2": (zero,)})
     assert validate_phi(good, g).ok
@@ -231,21 +243,24 @@ def test_table_duplicate_pair_first_entry_wins():
     assert len(table.entries) == 2
 
 
-def reference_problems(c, g, depth, once=False):
-    """validate_cocycle's problems by a plain loop: four cocycle_value calls
-    per triple, triples filtered by total degree.  With `once`, each pair is
+def reference_problems(c, g, depth, once=False, value=cocycle_value, classes=False):
+    """validate_cocycle's problems by a plain loop: four `value` calls per
+    triple, triples filtered by total degree.  With `once`, each pair is
     valued once and its domain error reported where it is first used, but
-    (lam, mu) is still asked for inside the nu loop."""
+    (lam, mu) is still asked for inside the nu loop.  With `classes`, only
+    the first failing triple of each triple of (range, degree, source)
+    classes is reported."""
     problems = []
     by_range = {v: [p for n in dg.total_box(g.k, depth) for p in g.paths_from(v, n)]
                 for v in g.vertices}
     seen = {}
+    failed = set()
 
     def val(mu, nu):
         if once and (mu, nu) in seen:
             return seen[(mu, nu)]
         try:
-            x = cocycle_value(c, mu, nu)
+            x = value(c, mu, nu)
         except CocycleDomainError as err:
             problems.append(str(err))
             x = None
@@ -262,6 +277,8 @@ def reference_problems(c, g, depth, once=False):
     for v in g.vertices:
         for lam in by_range[v]:
             for mu in by_range[lam.source]:
+                if dg.total(lam.degree) + dg.total(mu.degree) > depth:
+                    continue
                 for nu in by_range[mu.source]:
                     if dg.total(lam.degree) + dg.total(mu.degree) + dg.total(nu.degree) > depth:
                         continue
@@ -272,6 +289,11 @@ def reference_problems(c, g, depth, once=False):
                     if None in (a, b, cc, d):
                         continue
                     if not ((a + b) - (cc + d)).is_trivial():
+                        key = (lam.range, lam.degree, lam.source, mu.degree, mu.source,
+                               nu.degree, nu.source)
+                        if classes and key in failed:
+                            continue
+                        failed.add(key)
                         problems.append(
                             f"cocycle identity fails on triple ({lam!r}, {mu!r}, {nu!r})"
                         )
@@ -321,3 +343,130 @@ def test_validate_cocycle_problem_order_with_missing_pairs(seed):
     assert any("does not cover" in p for p in want)
     assert any("identity fails" in p for p in want)
     assert list(validate_cocycle(table, g, 4).problems) == want
+
+
+# --- per-variant enumeration against the plain loop --------------------------
+
+
+def bent(c, mu, nu, at, shift):
+    """cocycle_value plus `shift` on the pairs whose degrees are `at`: a value
+    that depends only on degrees but is not a 2-cocycle."""
+    x = cocycle_value(c, mu, nu)
+    return x + Z(shift) if (mu.degree, nu.degree) == at else x
+
+
+def random_phase(rng):
+    return Z(Fraction(rng.randrange(12), 12), theta=rng.randrange(-2, 3), rho=rng.randrange(-1, 2))
+
+
+def random_pullback(rng, k):
+    return PullbackCocycle(tuple(tuple(random_phase(rng) for _ in range(k)) for _ in range(k)))
+
+
+def random_phi_omega(rng, g, l, same=()):
+    """Random phi and omega; the edges named in `same` share one phi value."""
+    values = {e.id: tuple(random_phase(rng) for _ in range(l)) for e in g.edges}
+    values.update({eid: values[same[0]] for eid in same})
+    phi = OneCocyclePhi(l, values)
+    omega = BicharacterTable(l, tuple(tuple(random_phase(rng) for _ in range(l)) for _ in range(l)))
+    return PhiOmegaCocycle(l, phi, omega)
+
+
+def x_loops_apart(g, l):
+    """A phi-omega cocycle on g whose phi tells x1 from x2, so it breaks the
+    squares of `swapped_loops`."""
+    phi = OneCocyclePhi(l, {e.id: ((theta if e.id == "x1" else zero),) * l for e in g.edges})
+    return PhiOmegaCocycle(l, phi, BicharacterTable.zero(l))
+
+
+@settings(max_examples=15, deadline=None)
+@given(g=single_vertex_two_graphs(), rows=st.lists(phases, min_size=4, max_size=4),
+       shift=non_integers)
+def test_pullback_classes_match_plain_loop_on_two_graphs(g, rows, shift):
+    c = PullbackCocycle((tuple(rows[:2]), tuple(rows[2:])))
+    assert list(validate_cocycle(c, g, 3).problems) == reference_problems(c, g, 3) == []
+    # a value of degrees alone that fails the identity: each failing class
+    # is reported once, as its first triple in the plain loop's order
+    fake = partial(bent, at=((1, 0), (0, 1)), shift=shift)
+    want = reference_problems(c, g, 3, value=fake, classes=True)
+    assert want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cocycles, "cocycle_value", fake)
+        assert list(validate_cocycle(c, g, 3).problems) == want
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name, depth", [("C3xT1", 4), ("C3xT2", 4), ("DISJOINT2", 5)])
+def test_pullback_classes_match_plain_loop_on_multi_vertex_graphs(monkeypatch, name, depth, seed):
+    g = builtin(name)
+    c = random_pullback(random.Random(seed), g.k)
+    assert list(validate_cocycle(c, g, depth).problems) == reference_problems(c, g, depth) == []
+    fake = partial(bent, at=(dg.unit(g.k, 1), dg.unit(g.k, g.k)), shift=Fraction(1, 3))
+    want = reference_problems(c, g, depth, value=fake, classes=True)
+    assert want
+    monkeypatch.setattr(cocycles, "cocycle_value", fake)
+    assert list(validate_cocycle(c, g, depth).problems) == want
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name, l, depth", [("B2xT1", 1, 4), ("B2xT3", 3, 3)])
+def test_phi_omega_pairs_match_plain_loop(name, l, depth, seed):
+    g = builtin(name)
+    c = random_phi_omega(random.Random(seed), g, l)
+    assert validate_phi(c.phi, g).ok
+    assert list(validate_cocycle(c, g, depth).problems) == reference_problems(c, g, depth) == []
+
+
+def test_phi_that_breaks_a_square_matches_plain_loop(monkeypatch):
+    g = product_with_Tl(swapped_loops(), 1)
+    assert validate_kgraph(g).ok
+    c = x_loops_apart(g, 1)
+    rep = validate_phi(c.phi, g)
+    assert not rep.ok
+    assert validate_cocycle(c, g, 3) == rep
+    # past the square check, phi is not additive and every failing triple
+    # is reported as the plain loop reports it
+    monkeypatch.setattr(cocycles, "validate_phi", lambda phi, g: ValidationReport(()))
+    want = reference_problems(c, g, 3)
+    assert any("identity fails" in p for p in want)
+    assert list(validate_cocycle(c, g, 3).problems) == want
+
+
+def test_graph_without_product_split_matches_plain_loop(monkeypatch):
+    g = swapped_loops()
+    good = random_phi_omega(random.Random(0), g, 1, same=("x1", "x2"))
+    split = validate_product_split(g, 1)
+    assert not split.ok
+    assert validate_cocycle(good, g, 3) == split
+    monkeypatch.setattr(cocycles, "validate_product_split", lambda g, l: ValidationReport(()))
+    assert validate_phi(good.phi, g).ok
+    assert list(validate_cocycle(good, g, 3).problems) == reference_problems(good, g, 3) == []
+    bad = x_loops_apart(g, 1)
+    monkeypatch.setattr(cocycles, "validate_phi", lambda phi, g: ValidationReport(()))
+    want = reference_problems(bad, g, 3)
+    assert any("identity fails" in p for p in want)
+    assert list(validate_cocycle(bad, g, 3).problems) == want
+
+
+def test_pullback_validation_cost_follows_degree_triples(monkeypatch):
+    # a pullback is checked once per class of paths, so the pairs with no
+    # vertex side (which the normalization pass never asks for) stay below
+    # the number of degree triples; a loop over path triples asks for 516
+    g, depth = builtin("B2"), 6
+    calls = []
+
+    def counted(c, mu, nu):
+        if not (mu.is_vertex() or nu.is_vertex()):
+            calls.append((mu, nu))
+        return cocycle_value(c, mu, nu)
+
+    monkeypatch.setattr(cocycles, "cocycle_value", counted)
+    assert validate_cocycle(PullbackCocycle(((theta,),)), g, depth).ok
+    triples = sum(1 for a in range(depth + 1) for b in range(depth + 1 - a) for _ in range(depth + 1 - a - b))
+    assert 0 < len(calls) <= triples
+
+
+@pytest.mark.parametrize("rows", [((zero,),), ((zero,), (zero,)), ((zero, zero), (zero,))])
+def test_theta_size_mismatch_is_one_problem(rows):
+    rep = validate_cocycle(PullbackCocycle(rows), builtin("T2"), 3)
+    assert rep.problems == ("theta size does not match graph colors",)

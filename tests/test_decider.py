@@ -35,7 +35,7 @@ from ktwist.kgraph import Edge, KGraph, builtin, product_base, product_with_Tl
 from ktwist.lattices import LatticeBasis, hnf, kronecker_dense
 from ktwist.oracle import omega_from_oracle
 from ktwist.phases import PhaseExponent, pair_int
-from ktwist.structure import UNKNOWN, per_group
+from ktwist.structure import UNKNOWN, is_cofinal, per_group
 
 Z = PhaseExponent.of
 zero = PhaseExponent.zero()
@@ -223,7 +223,7 @@ def test_omega_analyze_and_oracle_refuse_periods_that_differ_by_vertex(tmp_path,
 
 def test_verify_z_omega_accepts_the_real_lattice_only():
     g = builtin("T2")
-    per = per_group(g)
+    per = per_group(g, is_cofinal(g))
     om = omega_from_oracle(g, t2_pullback(half), tuple(per.lattice.rows))
     z = z_omega_of(om)
     assert verify_z_omega(om, z)
@@ -370,7 +370,7 @@ def test_z_omega_invariant_under_symmetric_perturbation():
     # adding a symmetric table changes omega but not its antisymmetrization,
     # hence not the degeneracy lattice
     g = builtin("T2")
-    per = per_group(g)
+    per = per_group(g, is_cofinal(g))
     om = omega_from_oracle(g, t2_pullback(half), tuple(per.lattice.rows))
     sym = BicharacterTable(
         2, ((Z(0, s=1), Z(0, t=1)), (Z(0, t=1), Z(Fraction(1, 3))))

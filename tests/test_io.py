@@ -108,6 +108,28 @@ def test_table_word_in_another_colour_order_is_matched(tmp_path):
     assert digest == digest_text(text)
 
 
+def test_table_side_is_normalized_once_per_load(monkeypatch):
+    g = builtin("T2")
+    table = corrupted_t2_table((3, 3))
+    text = serialize_cocycle(table)
+    sides = {side for mu, nu, _ in table.entries for side in (mu, nu)}
+    calls = []
+    make_path = g.make_path
+    monkeypatch.setattr(g, "make_path", lambda v, word: calls.append((v, word)) or make_path(v, word))
+    assert loads_cocycle(text, g).entries == table.entries
+    assert len(calls) == len(sides) == 16
+
+
+def test_table_side_that_is_no_path_names_its_own_entry():
+    g = builtin("T2")
+    side = {"range": "v", "word": ["a"]}
+    bad = {"range": "v", "word": ["a", "z"]}
+    entries = [{"mu": side, "nu": side, "value": "0"}, {"mu": side, "nu": side, "value": "0"},
+               {"mu": side, "nu": bad, "value": "0"}, {"mu": bad, "nu": side, "value": "0"}]
+    with pytest.raises(FileFormatError, match=r"^cocycle\.entries\[2\]\.nu: not a path"):
+        loads_cocycle(canonical_json(_table(entries)), g)
+
+
 # --- validation and error context -------------------------------------------
 
 

@@ -45,7 +45,7 @@ from ktwist.oracle import (
     suite_resolution_independence,
 )
 from ktwist.phases import PhaseExponent
-from ktwist.structure import per_group
+from ktwist.structure import is_cofinal, per_group
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 try:
@@ -365,7 +365,7 @@ def test_sigma_c_keeps_a_resolution_error(monkeypatch, t2):
 
 
 def test_omega_oracle_t2(t2, t2_cocycle):
-    per = per_group(t2)
+    per = per_group(t2, is_cofinal(t2))
     om = omega_from_oracle(t2, t2_cocycle, tuple(per.lattice.rows))
     assert om.rank == 2
     anti = om.antisymmetrization()
@@ -377,7 +377,7 @@ def test_omega_oracle_matches_pullback_antisymmetry(t2):
     # for a degree-bilinear cocycle on the torus the commutator of the
     # extracted table must match the antisymmetrized exponent matrix
     c = PullbackCocycle(((Z(0, a=1), Z(0, b=1)), (Z(0, c=1), Z(0, d=1))))
-    per = per_group(t2)
+    per = per_group(t2, is_cofinal(t2))
     om = omega_from_oracle(t2, c, tuple(per.lattice.rows))
     anti = om.antisymmetrization()
     # theta12 - theta21 = b - c
@@ -399,7 +399,7 @@ def test_omega_oracle_b2xt3():
         3, ((zero, zero, zero), (zero, zero, zero), (zero, rho, zero))
     )
     c = PhiOmegaCocycle(3, phi, om_in)
-    per = per_group(g)
+    per = per_group(g, is_cofinal(g))
     om = omega_from_oracle(g, c, tuple(per.lattice.rows))
     assert om.rank == 3
     assert om.rows[2][1].coeff("rho") == 1
@@ -413,7 +413,7 @@ def test_omega_oracle_b2xt3():
 def test_omega_closedform_symmetric_discrepancy(t2, t2_cocycle):
     # the verbatim closed form is symmetric, so its antisymmetrization
     # vanishes and disagrees with the oracle exactly when twisting is real
-    per = per_group(t2)
+    per = per_group(t2, is_cofinal(t2))
     basis = tuple(per.lattice.rows)
     cf = omega_closedform(t2, t2_cocycle, basis)
     assert all(x.is_trivial() for row in cf.antisymmetrization() for x in row)
@@ -422,7 +422,7 @@ def test_omega_closedform_symmetric_discrepancy(t2, t2_cocycle):
 
 
 def test_omega_closedform_agrees_when_untwisted(b2xt1, b2xt1_cocycle):
-    per = per_group(b2xt1)
+    per = per_group(b2xt1, is_cofinal(b2xt1))
     basis = tuple(per.lattice.rows)
     om = omega_from_oracle(b2xt1, b2xt1_cocycle, basis)
     cf = omega_closedform(b2xt1, b2xt1_cocycle, basis)
@@ -437,7 +437,7 @@ def graphs():
     out = {}
     for name in ("T2", "T3", "C3xT1", "C3xT2"):
         g = builtin(name)
-        out[name] = (g, tuple(per_group(g).lattice.rows))
+        out[name] = (g, tuple(per_group(g, is_cofinal(g)).lattice.rows))
     return out
 
 
@@ -496,7 +496,7 @@ PERIODIC_FIXTURE_PAIRINGS = [
 def test_omega_matches_partition_route_on_fixtures(partitions, name, stem):
     g = builtin(name)
     c, _ = load_cocycle(os.path.join(FIXTURES, stem + ".json"), g)
-    basis = tuple(per_group(g).lattice.rows)
+    basis = tuple(per_group(g, is_cofinal(g)).lattice.rows)
     assert basis
     assert omega_from_oracle(g, c, basis).rows == omega_by_partition(g, c, basis, partitions)
 
@@ -551,7 +551,7 @@ def test_cancelled_cell_is_a_function_of_the_element(name):
     # the products both ways and the isotropy element of the sum are one
     # element, written three ways; they must all resolve to one cell
     g = builtin(name)
-    basis = tuple(per_group(g).lattice.rows)
+    basis = tuple(per_group(g, is_cofinal(g)).lattice.rows)
     x = canonical_tail(g, min(g.vertices))
     periods = basis + tuple(dg.scale(-1, p) for p in basis)
     for p in periods:
@@ -575,7 +575,7 @@ def test_cancelled_cell_is_a_function_of_the_element(name):
 
 
 def test_coboundary_box_t2(t2, t2_cocycle):
-    per = per_group(t2)
+    per = per_group(t2, is_cofinal(t2))
     basis = tuple(per.lattice.rows)
     om = omega_from_oracle(t2, t2_cocycle, basis)
     P6 = build_partition(t2, 6)
@@ -586,7 +586,7 @@ def test_coboundary_box_t2(t2, t2_cocycle):
 
 
 def test_coboundary_rejects_wrong_target(t2, t2_sigma):
-    per = per_group(t2)
+    per = per_group(t2, is_cofinal(t2))
     basis = tuple(per.lattice.rows)
     wrong = BicharacterTable.zero(2)
     with pytest.raises(ValueError):
@@ -639,7 +639,7 @@ def test_suite_resolution_checks_each_pair_once(name, pairs):
 
 
 def test_suite_conjugation(t2, t2_sigma):
-    per = per_group(t2)
+    per = per_group(t2, is_cofinal(t2))
     res = suite_conjugation_formula(t2, t2_sigma, tuple(per.lattice.rows), depth=1, max_checks=150)
     assert res.ok
     assert res.checked == 150
@@ -649,7 +649,7 @@ def test_suite_centre_half_twist(t2, t2_partition):
     # with the half-integer twist the degeneracy lattice is 2Z x 2Z and the
     # phases of isotropy elements on it must all wind to one
     c = PullbackCocycle(((zero, zero), (Z(Fraction(1, 2)), zero)))
-    per = per_group(t2)
+    per = per_group(t2, is_cofinal(t2))
     res = suite_centre_phase_triviality(
         t2, InducedCocycle(c, t2_partition.member), tuple(per.lattice.rows), ((2, 0), (0, 2)), depth=1
     )
@@ -658,7 +658,7 @@ def test_suite_centre_half_twist(t2, t2_partition):
 
 
 def test_suite_centre_b2xt1(b2xt1, b2xt1_sigma):
-    per = per_group(b2xt1)
+    per = per_group(b2xt1, is_cofinal(b2xt1))
     res = suite_centre_phase_triviality(b2xt1, b2xt1_sigma, tuple(per.lattice.rows), ((1,),), depth=1)
     assert res.ok
     assert res.checked > 0

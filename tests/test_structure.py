@@ -101,7 +101,8 @@ def test_periodic_at_b2_fails():
 
 
 def test_per_group_torus_is_full():
-    per = per_group(builtin("T2"))
+    g = builtin("T2")
+    per = per_group(g, is_cofinal(g))
     assert per.lattice.rank == 2
     assert per.lattice.member((1, 0))
     assert per.lattice.member((0, 1))
@@ -109,13 +110,15 @@ def test_per_group_torus_is_full():
 
 
 def test_per_group_b2_trivial():
-    per = per_group(builtin("B2"))
+    g = builtin("B2")
+    per = per_group(g, is_cofinal(g))
     assert per.lattice.rank == 0
     assert per.lattice.is_trivial()
 
 
 def test_per_group_b2xt1_is_torus_direction():
-    per = per_group(builtin("B2xT1"))
+    g = builtin("B2xT1")
+    per = per_group(g, is_cofinal(g))
     assert per.lattice.rank == 1
     assert per.lattice.member((0, 1))
     assert not per.lattice.member((1, 0))
@@ -123,7 +126,8 @@ def test_per_group_b2xt1_is_torus_direction():
 
 
 def test_per_group_b2xt3_is_torus_block():
-    per = per_group(builtin("B2xT3"))
+    g = builtin("B2xT3")
+    per = per_group(g, is_cofinal(g))
     assert per.lattice.rank == 3
     for row in per.lattice.rows:
         assert row[0] == 0
@@ -135,7 +139,8 @@ def test_per_group_b2xt3_is_torus_block():
 
 def test_per_group_refuses_non_cofinal():
     with pytest.raises(ValueError):
-        per_group(builtin("DISJOINT2"))
+        g = builtin("DISJOINT2")
+        per_group(g, is_cofinal(g))
 
 
 def test_aperiodicity_verdicts():
@@ -170,7 +175,8 @@ def test_local_periodicity_pair_agrees_with_verdicts():
 @pytest.mark.parametrize("search, name, bound", [
     (is_aperiodic, "T2", (0, -2)),
     (is_aperiodic, "B2xT1", (2, 0)),
-    (per_group, "T2", -1),
+    pytest.param(lambda g, bound: per_group(g, is_cofinal(g), bound), "T2", -1,
+                 id="per_group-T2--1"),
 ])
 def test_period_search_refuses_a_nonpositive_bound(search, name, bound):
     # a side below 1 used to certify the truncated box: T2 came out aperiodic
@@ -183,8 +189,8 @@ def test_per_group_bound_stability():
     # enlarging the search box does not change the answer on the fixtures
     for name in ("T2", "B2", "B2xT1"):
         g = builtin(name)
-        small = per_group(g, 2)
-        large = per_group(g, 3)
+        small = per_group(g, is_cofinal(g), 2)
+        large = per_group(g, is_cofinal(g), 3)
         assert small.lattice.rows == large.lattice.rows, name
 
 
@@ -291,11 +297,12 @@ def assert_matches_box_loop(g: KGraph):
     for p, v in hits:
         assert counts(dg.pos_part(p))[row[v]] == counts(dg.neg_part(p))[row[v]], (p, v)
     assert is_aperiodic(g) == reference_is_aperiodic(bound, hits)
-    if is_cofinal(g).status == YES:
-        assert per_group(g) == reference_per_group(g, bound, hits)
+    cof = is_cofinal(g)
+    if cof.status == YES:
+        assert per_group(g, cof) == reference_per_group(g, bound, hits)
     else:
         with pytest.raises(ValueError):
-            per_group(g)
+            per_group(g, cof)
 
 
 @st.composite
@@ -430,8 +437,8 @@ def test_two_vertex_graphs():
     # both are 2-graphs, and the flip's periods are the p with p1 + p2 even
     for g in (two_vertex_flip(), disjoint_torus_and_bouquet()):
         assert validate_kgraph(g).ok, g.name
-    flip = per_group(two_vertex_flip()).lattice
-    assert flip == LatticeBasis.from_rows([(1, 1), (1, -1)], 2)
+    flip = two_vertex_flip()
+    assert per_group(flip, is_cofinal(flip)).lattice == LatticeBasis.from_rows([(1, 1), (1, -1)], 2)
 
 
 @pytest.mark.parametrize(
@@ -463,5 +470,5 @@ def test_per_group_skips_most_automaton_calls(monkeypatch, name):
 
     monkeypatch.setattr(structure, "periodic_at_offsets", counted)
     g = builtin(name)
-    per = per_group(g)
+    per = per_group(g, is_cofinal(g))
     assert 0 < len(calls) < per.candidates_checked * len(g.vertices)
