@@ -14,14 +14,14 @@ Three concrete families are supported.
 
   Torus loops commute with base edges without renaming them, so the base
   edge multiset of a path is well defined and phi extends additively.
+  This is a cocycle once phi respects every commuting square.
 * Table: explicit values on composable pairs up to a degree bound, for
-  adversarial tests.
+  adversarial tests.  An entry with a vertex side must be 0.
 
-validate_cocycle checks normalization on every path up to a total degree,
-and the 2-cocycle identity by what each family's value depends on: a
-pullback once per triple of (range, degree, source) classes of paths,
-phi-omega as additivity of phi on composable pairs, and a table on every
-triple of paths.
+Every value with a vertex side is 0, so each family is normalized.
+validate_cocycle checks what can fail: the shape of Theta, the product
+split and square compatibility of phi, and for a table the 2-cocycle
+identity on every triple of paths up to a total degree.
 
 All values are PhaseExponent instances; equality is mod-Z exact.
 """
@@ -35,7 +35,7 @@ from typing import Union
 from . import degrees as dg
 from .degrees import Degree
 from .kgraph import KGraph, Path, ValidationReport
-from .phases import PhaseExponent, PhaseVector, pair_int, vec_add, vec_sub, zero_vector
+from .phases import PhaseExponent, PhaseVector, format_phase, pair_int, vec_add, vec_sub, zero_vector
 
 PhaseMatrix = tuple[tuple[PhaseExponent, ...], ...]
 
@@ -144,7 +144,13 @@ def phi_tilde(phi: OneCocyclePhi, mu: Path, nu: Path) -> PhaseVector:
 
 @dataclass(frozen=True)
 class PullbackCocycle:
+    """Theta(d(mu), d(nu)) for a square exponent matrix Theta."""
+
     theta: PhaseMatrix
+
+    def __post_init__(self):
+        rows = tuple(self.theta)
+        object.__setattr__(self, "theta", _as_matrix(rows, len(rows), len(rows)))
 
 
 @dataclass(frozen=True)
@@ -166,7 +172,8 @@ class TableCocycle:
     """Explicit values keyed by (range, word) of each side.
 
     `entries` is the serialised form; lookups go through an index built once
-    from it, in which the first of duplicate keys wins.
+    from it, in which the first of duplicate keys wins.  An entry with a
+    vertex side must have value 0, the value every cocycle takes there.
     """
 
     bound: Degree
@@ -175,7 +182,12 @@ class TableCocycle:
 
     def __post_init__(self):
         index = {}
-        for a, b, val in self.entries:
+        for i, (a, b, val) in enumerate(self.entries):
+            if not (a[1] and b[1]) and not val.is_trivial():
+                raise ValueError(
+                    f"entries[{i}]: a side is a vertex path, so the value must be 0, "
+                    f"not {format_phase(val)}"
+                )
             index.setdefault((a, b), val)
         object.__setattr__(self, "_index", index)
 
@@ -273,58 +285,52 @@ def validate_product_split(g: KGraph, l: int) -> ValidationReport:
 
 
 def validate_cocycle(c: CocycleSpec, g: KGraph, depth: int) -> ValidationReport:
-    """Exhaustive normalization and 2-cocycle identity check to a total degree.
+    """Check that c is a 2-cocycle on g; only a table needs `depth`.
 
     The identity on a composable triple (lam, mu, nu) is
 
-        c(mu, nu) + c(lam, mu.nu) = c(lam, mu) + c(lam.mu, nu)   (mod Z),
+        c(mu, nu) + c(lam, mu.nu) = c(lam, mu) + c(lam.mu, nu)   (mod Z).
 
-    checked on every triple of total degree at most `depth`; what is
-    enumerated depends on what the value depends on.
+    Normalization, c = 0 when a side is a vertex path, holds for every
+    family: `cocycle_value` returns 0 there, and a table rejects any other
+    value for such an entry when it is built.
 
-    * Pullback: c(mu, nu) = Theta(d(mu), d(nu)), so the outcome on a triple
-      depends only on its degrees.  Each path falls in a (range, degree,
-      source) class, and the identity is evaluated once per composable
-      triple of classes, on the first path of each.  Classes are taken in
-      the order of their first paths, so a failing class would be reported
-      as its first triple in the order of the path-triple loop.  A Theta
-      that is not k x k is one problem, and nothing else is checked.
+    * Pullback: c(mu, nu) = Theta(d(mu), d(nu)), which is 0 on a vertex
+      side too, since its degree is 0.  Theta is bilinear and the degree d
+      additive, so both sides of the identity expand to
+
+          Theta(d(lam), d(mu)) + Theta(d(lam), d(nu)) + Theta(d(mu), d(nu)).
+
+      The only thing to check is that Theta is k x k; a mismatch is one
+      problem.  The verdict holds at every depth.
     * Phi-omega: c(mu, nu) = <t(mu), phi(nu)> + omega(t(mu), t(nu)) with t
-      the torus degree, which also holds when a side is a vertex (both
-      terms are 0).  t is additive and omega bilinear, so the omega terms
-      cancel and
+      the torus degree; both terms are 0 on a vertex side.  The product
+      split is checked first, then that phi agrees on both factorizations
+      of every square.  Once it does, phi is additive on paths, since the
+      normal form of mu.nu is reached from the word of mu followed by that
+      of nu through squares.  t is additive and omega bilinear, so both
+      sides expand to
 
-          c(mu, nu) + c(lam, mu.nu) - c(lam, mu) - c(lam.mu, nu)
-              = <t(lam), phi(mu.nu) - phi(mu) - phi(nu)>.
+          <t(lam), phi(mu) + phi(nu)> + <t(mu), phi(nu)>
+          + omega(t(lam), t(mu)) + omega(t(lam), t(nu)) + omega(t(mu), t(nu)).
 
-      A vertex factor makes this 0.  If phi is additive (mod Z) on every
-      composable pair of non-vertex paths with total degree at most
-      depth - 1, no triple fails.  If it is not on (mu, nu), lam = the torus
-      loop at r(mu) of a colour where the difference is nonzero fails, and
-      the path-triple loop runs to report every failing triple.  After
-      `validate_phi` this cannot happen with exact arithmetic.
-    * Table: the value depends on the whole path, so every triple of paths
-      is checked.
-
-    Normalization is checked on every path.  Each composable pair is
-    evaluated at most once per call: its value, or its domain error
-    (reported where the pair is first used), is kept in a dict that lives
-    only as long as the call.  Triples are enumerated by total degree, so
-    none above the depth is built.
+      The problems of those two checks are the report, at every depth.
+    * Table: the value depends on the whole path, so the identity is
+      checked on every composable triple of total degree at most `depth`.
+      Triples are enumerated by total degree, so none above the depth is
+      built.  Each composable pair is evaluated at most once per call: its
+      value, or its domain error (reported where the pair is first used),
+      is kept in a dict that lives only as long as the call.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    if isinstance(c, PullbackCocycle) and (
-        len(c.theta) != g.k or any(len(row) != g.k for row in c.theta)
-    ):
-        return ValidationReport(("theta size does not match graph colors",))
+    if isinstance(c, PullbackCocycle):
+        if len(c.theta) != g.k:
+            return ValidationReport(("theta size does not match graph colors",))
+        return ValidationReport(())
     if isinstance(c, PhiOmegaCocycle):
         split = validate_product_split(g, c.l)
-        if not split.ok:
-            return split
-        rep = validate_phi(c.phi, g)
-        if not rep.ok:
-            return rep
+        return validate_phi(c.phi, g) if split.ok else split
 
     # graded[v][t]: paths with range v and total degree t, in total_box order
     graded: dict[str, list[list[Path]]] = {v: [[] for _ in range(depth + 1)] for v in g.vertices}
@@ -349,61 +355,16 @@ def validate_cocycle(c: CocycleSpec, g: KGraph, depth: int) -> ValidationReport:
         return x
 
     for v in g.vertices:
-        for lam in chain.from_iterable(graded[v]):
-            left = val(lam, g.vertex_path(lam.source))
-            right = val(g.vertex_path(lam.range), lam)
-            for x, side in ((left, "right unit"), (right, "left unit")):
-                if x is not None and not x.is_trivial():
-                    problems.append(f"normalization fails at {lam!r} ({side})")
-
-    if isinstance(c, PullbackCocycle):
-        _check_triples(g, _class_representatives(graded), depth, val, problems)
-    elif not (isinstance(c, PhiOmegaCocycle) and _phi_additive(c.phi, g, graded, depth)):
-        _check_triples(g, graded, depth, val, problems)
-    return ValidationReport(tuple(problems))
-
-
-def _class_representatives(graded: dict[str, list[list[Path]]]) -> dict[str, list[list[Path]]]:
-    """The first path of each (degree, source) class in every graded[v][t]."""
-    out = {}
-    for v, layers in graded.items():
-        out[v] = []
-        for paths in layers:
-            first: dict[tuple[Degree, str], Path] = {}
-            for p in paths:
-                first.setdefault((p.degree, p.source), p)
-            out[v].append(list(first.values()))
-    return out
-
-
-def _phi_additive(phi: OneCocyclePhi, g: KGraph, graded, depth: int) -> bool:
-    """phi(mu.nu) = phi(mu) + phi(nu) (mod Z) on every composable pair of
-    non-vertex paths in `graded` with total degree at most depth - 1?"""
-    values = {p: phi.value(p) for layers in graded.values() for p in chain.from_iterable(layers[:depth])}
-    for v in g.vertices:
-        for t1, mus in enumerate(graded[v][1:depth], start=1):
-            for mu in mus:
-                for nu in chain.from_iterable(graded[mu.source][1:depth - t1]):
-                    # equality of PhaseExponents is equality mod Z
-                    if values[g.compose(mu, nu)] != vec_add(values[mu], values[nu]):
-                        return False
-    return True
-
-
-def _check_triples(g: KGraph, graded, depth: int, val, problems: list[str]) -> None:
-    """The 2-cocycle identity on every composable triple drawn from `graded`
-    (paths by range and total degree) with total degree at most `depth`."""
-    for v in g.vertices:
         for t1, lams in enumerate(graded[v]):
             for lam in lams:
                 for t2, mus in enumerate(graded[lam.source][: depth - t1 + 1]):
                     for mu in mus:
                         lam_mu = g.compose(lam, mu)
                         # (lam, mu) is valued once per pair, before the nu loop.
-                        # Problems keep their order: the first nu is the vertex
-                        # path s(mu), whose pair (mu, s(mu)) the normalization
-                        # pass has valued, and mu.s(mu) = mu, so the first new
-                        # pair that loop asked for was (lam, mu) all the same.
+                        # Problems keep the order of a loop that asks for it with
+                        # every nu: there the first nu is the vertex path s(mu),
+                        # whose pair (mu, s(mu)) is 0 and reports nothing, and
+                        # mu.s(mu) = mu, so the first pair asked for was (lam, mu).
                         cc = val(lam, mu)
                         for nu in chain.from_iterable(graded[mu.source][: depth - t1 - t2 + 1]):
                             a = val(mu, nu)
@@ -416,3 +377,4 @@ def _check_triples(g: KGraph, graded, depth: int, val, problems: list[str]) -> N
                                 problems.append(
                                     f"cocycle identity fails on triple ({lam!r}, {mu!r}, {nu!r})"
                                 )
+    return ValidationReport(tuple(problems))

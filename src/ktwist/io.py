@@ -299,7 +299,10 @@ def cocycle_from_jsonable(obj, g: KGraph) -> CocycleSpec:
                 pair.append((rng, sides[rng, word]))
             val = _parse_phase_checked(_need(ent, "value", where), symbols, f"{where}.value")
             rows.append((pair[0], pair[1], val))
-        return TableCocycle(tuple(bound), tuple(rows))
+        try:
+            return TableCocycle(tuple(bound), tuple(rows))
+        except ValueError as err:
+            raise FileFormatError(f"cocycle.{err}") from err
     raise FileFormatError(f"cocycle.variant: unknown variant {variant!r}")
 
 

@@ -43,6 +43,7 @@ COCYCLE_FIXTURES = {
     "phi_theta": "B2xT1",
     "phi_zero": "B2xT1",
     "b2t3": "B2xT3",
+    "t2_table": "T2",
 }
 
 
@@ -372,6 +373,29 @@ def test_nonpositive_oracle_depth_exits_1(capsys, depth):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: the depth must be >= 1, got {depth}\n"
+
+
+def test_table_fixture_is_the_corrupted_t2_table():
+    assert _read(FIXTURES, "t2_table") == serialize_cocycle(corrupted_t2_table((2, 2)))
+
+
+@pytest.mark.parametrize("command", ["validate", "omega", "simplicity", "oracle"])
+def test_table_with_a_nonzero_vertex_entry_exits_1(tmp_path, capsys, command):
+    # c(v, a) = 1/3 used to load, pass `validate` and be read as 0 everywhere
+    doc = json.loads(_read(FIXTURES, "t2_table"))
+    idx = next(i for i, e in enumerate(doc["entries"])
+               if e["mu"]["word"] == [] and e["nu"]["word"] == ["a"])
+    doc["entries"][idx]["value"] = "1/3"
+    path = tmp_path / "table.json"
+    path.write_text(canonical_json(doc), encoding="utf-8")
+    with pytest.raises(FileFormatError, match=rf"^cocycle\.entries\[{idx}\]: "):
+        loads_cocycle(path.read_text(encoding="utf-8"), builtin("T2"))
+    assert cli.main([command, "builtin:T2", "--cocycle", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: cocycle.entries[{idx}]: a side is a vertex path, so the value must be 0, not 1/3\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["simplicity", "omega"])
