@@ -48,6 +48,11 @@ def _cases() -> dict[str, list[str]]:
         cases[f"omega {gname} {cname}"] = ["omega", graph, *cocycle]
         cases[f"simplicity {gname} {cname}"] = ["simplicity", graph, *cocycle]
         cases[f"oracle {gname} {cname}"] = ["oracle", graph, *cocycle, *ORACLE_ARGS]
+    # the one family whose validation enumerates paths, at a depth that
+    # reaches the corrupted entry
+    cases["validate T2 t2_table"] = [
+        "validate", "fixtures/T2.json", "--cocycle", "fixtures/t2_table.json", "--depth", "3",
+    ]
     return cases
 
 
