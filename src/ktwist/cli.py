@@ -77,6 +77,17 @@ def _load_twist(args, g):
     return c, cdigest
 
 
+SHOWN_PROBLEMS = 5
+
+
+def _problem_lines(problems) -> list[str]:
+    """The first SHOWN_PROBLEMS problems, then how many were left out."""
+    lines = [f"  problem: {p}" for p in problems[:SHOWN_PROBLEMS]]
+    if len(problems) > SHOWN_PROBLEMS:
+        lines.append(f"  ... {len(problems) - SHOWN_PROBLEMS} more problems not shown (see --format structured)")
+    return lines
+
+
 def cmd_validate(args) -> int:
     if args.depth < 0:
         raise ValueError(f"depth must be >= 0, got {args.depth}")
@@ -84,7 +95,7 @@ def cmd_validate(args) -> int:
     rep = validate_kgraph(g)
     body = {"graph": {"ok": rep.ok, "problems": list(rep.problems)}}
     lines = [f"graph: {'OK' if rep.ok else 'INVALID'}"]
-    lines += [f"  problem: {p}" for p in rep.problems[:5]]
+    lines += _problem_lines(rep.problems)
     code = 0 if rep.ok else 1
     cdigest = None
     if args.cocycle:
@@ -93,7 +104,7 @@ def cmd_validate(args) -> int:
             crep = validate_cocycle(c, g, args.depth)
             body["cocycle"] = {"ok": crep.ok, "problems": list(crep.problems)}
             lines.append(f"cocycle: {'OK' if crep.ok else 'INVALID'} (depth {args.depth})")
-            lines += [f"  problem: {p}" for p in crep.problems[:5]]
+            lines += _problem_lines(crep.problems)
             if not crep.ok:
                 code = 1
         else:

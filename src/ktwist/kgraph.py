@@ -13,9 +13,11 @@ Paths are words of edge ids, range end first, kept in normal form: colors
 nondecreasing along the word.  Composition concatenates and re-sorts via
 the square tables; factorization peels edges off the range end, one color
 at a time.  Everything is exact and deterministic (edges are always
-enumerated in id order).  Paths are immutable, so each graph memoizes
-composition and factorization by their arguments, and equal eventually
-periodic paths share one table of segments.
+enumerated in id order).  Paths are immutable and hash once, when they
+are built, so each graph memoizes composition and factorization by their
+arguments, and equal eventually periodic paths share one table of
+segments and one table of shifts and prepends.  The tables live as long
+as the graph.
 
 An eventually periodic path has many representations (a cycle may be
 repeated, or partly folded into the prefix).  An infinite path is
@@ -57,10 +59,18 @@ class Square:
 
 @dataclass(frozen=True)
 class Path:
+    """A finite path in normal form; its hash is computed once, when built."""
+
     range: str
     source: str
     degree: Degree
     word: tuple[str, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.range, self.source, self.degree, self.word)))
+
+    def __hash__(self):
+        return self._hash
 
     def is_vertex(self) -> bool:
         return not self.word
@@ -98,6 +108,7 @@ class KGraph:
     _compose_memo: dict = field(default_factory=dict, repr=False)
     _factorize_memo: dict = field(default_factory=dict, repr=False)
     _segment_memo: dict = field(default_factory=dict, repr=False)
+    _tail_memo: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.vertices = tuple(self.vertices)
@@ -362,6 +373,11 @@ class EventuallyPeriodicPath:
     Write D = (1, ..., 1).  The cycle must be a loop at the prefix source of
     degree rD with r >= 1.  The constructor rewrites (prefix, cycle) to the
     least r, then the least s, with x = x(0, sD).x(sD, (s+r)D)^oo.
+
+    The hash of (prefix, cycle) is computed once, after that rewrite.
+    `shift` and `prepend` keep their results in the graph's `_tail_memo`,
+    keyed by (prefix, cycle, argument), so each is normalized once per
+    graph, and `segment_to` keeps its segments in `_segment_memo`.
     """
 
     # Compared by identity but left out of the hash, which the graph's id
@@ -392,6 +408,10 @@ class EventuallyPeriodicPath:
         head, rest = g.factorize(mat, dg.scale(s, diag))
         object.__setattr__(self, "prefix", head)
         object.__setattr__(self, "cycle", g.factorize(rest, dg.scale(r, diag))[0])
+        object.__setattr__(self, "_hash", hash((self.prefix, self.cycle)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def range(self) -> str:
@@ -420,12 +440,21 @@ class EventuallyPeriodicPath:
 
     def shift(self, n: Degree) -> "EventuallyPeriodicPath":
         """The path T^n x."""
-        mat = self._materialize(n)
-        _, rest = self.graph.factorize(mat, n)
-        return EventuallyPeriodicPath(self.graph, rest, self.cycle)
+        # a degree key never equals a path key, so shifts and prepends share the table
+        memo, key = self.graph._tail_memo, (self.prefix, self.cycle, n)
+        hit = memo.get(key)
+        if hit is None:
+            _, rest = self.graph.factorize(self._materialize(n), n)
+            hit = memo[key] = EventuallyPeriodicPath(self.graph, rest, self.cycle)
+        return hit
 
     def prepend(self, p: Path) -> "EventuallyPeriodicPath":
-        return EventuallyPeriodicPath(self.graph, self.graph.compose(p, self.prefix), self.cycle)
+        """The path p.x."""
+        memo, key = self.graph._tail_memo, (self.prefix, self.cycle, p)
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = EventuallyPeriodicPath(self.graph, self.graph.compose(p, self.prefix), self.cycle)
+        return hit
 
     def __repr__(self):
         return f"EPPath[{self.prefix!r};{self.cycle!r}^oo]"

@@ -23,12 +23,16 @@ only (Kumjian-Pask-Sims, "Homology for higher-rank graphs and twisted
 C*-algebras", 2012), so the identities of the suites and the
 bicharacter's antisymmetrization hold through either.  The
 InducedCocycle is the one place where values are kept: the cell of each
-element, the outcome of each sigma_c pair and the phase of each r_sigma
-pair it has resolved.
+element, the outcome of each sigma_c pair, the phase of each r_sigma
+pair and the categorical value c(mu, nu) of each pair of paths that
+sigma_c has asked for.  Below it, paths and elements hash once, when
+they are built, and the graph keeps each shift and prepend of an
+eventually periodic path, so a value already seen costs one lookup.
 A value that depends on the resolution means the categorical cocycle is
 not a 2-cocycle: sigma_c keeps that outcome too and raises
 ResolutionError on every request for the pair, and a suite records it
-against each check that asked.  DepthError is never kept.
+against each check that asked.  DepthError and CocycleDomainError are
+never kept.
 """
 
 from __future__ import annotations
@@ -63,7 +67,8 @@ class GroupoidElement:
 
     Both paths are in diagonal normal form, so == and the hash compare the
     three fields, and every presentation of an element gives one value.
-    The constructor does not check that T^m x = T^n y for some m - n = p;
+    The hash is computed once, when the element is built.  The
+    constructor does not check that T^m x = T^n y for some m - n = p;
     `element` and the other builders do, and `cell` raises on a triple
     that fails it.
     """
@@ -71,6 +76,12 @@ class GroupoidElement:
     range_path: EventuallyPeriodicPath
     degree: Degree
     source_path: EventuallyPeriodicPath
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.range_path, self.degree, self.source_path)))
+
+    def __hash__(self):
+        return self._hash
 
     def inverse(self) -> "GroupoidElement":
         return GroupoidElement(self.source_path, dg.scale(-1, self.degree), self.range_path)
@@ -255,23 +266,34 @@ class InducedCocycle:
     """The groupoid 2-cocycle sigma_c induced by the categorical cocycle c.
 
     `cell` gives each element the cylinder (mu, nu) that resolves it.
-    `_cells` keeps the cell of each element looked up so far, and `_values`
+    `_cells` keeps the cell of each element looked up so far; `_values`
     the outcome of each sigma_c pair under (g, h, paddings), a
     ResolutionError included, and the phase of each r_sigma pair under
-    (alpha, p).  An error raised by `cell` propagates before anything is
-    kept.
+    (alpha, p); `_categorical` the value c(mu, nu) of each pair of paths
+    that sigma_c has asked for.  An error raised by `cell` or by
+    `cocycle_value` propagates before anything is kept, so it is raised
+    afresh on every request.
     """
 
     c: CocycleSpec
     cell: Callable[[GroupoidElement], tuple[Path, Path]] = GroupoidElement.cell
     _cells: dict = field(default_factory=dict, repr=False)
     _values: dict = field(default_factory=dict, repr=False)
+    _categorical: dict = field(default_factory=dict, repr=False)
 
     def cell_of(self, gelt: GroupoidElement) -> tuple[Path, Path]:
         cell = self._cells.get(gelt)
         if cell is None:
             cell = self._cells[gelt] = self.cell(gelt)
         return cell
+
+    def value_of(self, mu: Path, nu: Path) -> PhaseExponent:
+        """c(mu, nu), evaluated once per pair."""
+        key = (mu, nu)
+        val = self._categorical.get(key)
+        if val is None:
+            val = self._categorical[key] = cocycle_value(self.c, mu, nu)
+        return val
 
 
 def sigma_c(
@@ -288,12 +310,13 @@ def sigma_c(
     resolution; every padding in `paddings` re-derives it with a larger
     extension, and disagreement raises ResolutionError.  s keeps the
     outcome, value or error, so each distinct (gelt, helt, paddings) is
-    resolved once, and a kept error is raised afresh on each request.
+    resolved once, and a kept error is raised afresh on each request; it
+    also keeps the six categorical values, which recur across pairs.
     """
     key = (gelt, helt, tuple(paddings))
     out = s._values.get(key)
     if out is None:
-        c = s.c
+        c = s.value_of
         prod = compose_elements(gelt, helt)
         mu_g, nu_g = s.cell_of(gelt)
         mu_h, nu_h = s.cell_of(helt)
@@ -310,12 +333,12 @@ def sigma_c(
             beta = u.at(mu_h.degree, n)
             gamma = z.at(mu_gh.degree, dg.add(n, pg))
             vals.append(
-                cocycle_value(c, mu_g, alpha)
-                - cocycle_value(c, nu_g, alpha)
-                + cocycle_value(c, mu_h, beta)
-                - cocycle_value(c, nu_h, beta)
-                - cocycle_value(c, mu_gh, gamma)
-                + cocycle_value(c, nu_gh, gamma)
+                c(mu_g, alpha)
+                - c(nu_g, alpha)
+                + c(mu_h, beta)
+                - c(nu_h, beta)
+                - c(mu_gh, gamma)
+                + c(nu_gh, gamma)
             )
         if all(v == vals[0] for v in vals[1:]):
             out = vals[0]

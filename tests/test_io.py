@@ -329,6 +329,40 @@ def test_negative_validate_depth_exits_1_without_cocycle(capsys):
     assert captured.err == "error: depth must be >= 0, got -1\n"
 
 
+def _validate_lines(capsys, argv):
+    """Human and structured validate output: (exit code, lines, problems by section)."""
+    code = cli.main(["validate", *argv])
+    lines = capsys.readouterr().out.splitlines()
+    assert cli.main(["validate", *argv, "--format", "structured"]) == code
+    doc = json.loads(capsys.readouterr().out)
+    return code, lines, {key: doc[key]["problems"] for key in ("graph", "cocycle") if key in doc}
+
+
+def test_validate_counts_the_problems_it_leaves_out(tmp_path, capsys):
+    table = os.path.join(FIXTURES, "t2_table.json")
+    code, lines, problems = _validate_lines(capsys, ["builtin:T2", "--cocycle", table, "--depth", "4"])
+    assert code == 1 and len(problems["cocycle"]) == 16
+    assert lines[1:] == (
+        ["cocycle: INVALID (depth 4)"]
+        + [f"  problem: {p}" for p in problems["cocycle"][:5]]
+        + ["  ... 11 more problems not shown (see --format structured)"]
+    )
+    # at depth 3 the four failing triples are all printed
+    code, lines, problems = _validate_lines(capsys, ["builtin:T2", "--cocycle", table, "--depth", "3"])
+    assert len(problems["cocycle"]) == 4
+    assert lines[2:] == [f"  problem: {p}" for p in problems["cocycle"]]
+    # seven vertices that are the range of no edge of either colour
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps({"k": 2, "vertices": [f"v{i}" for i in range(7)], "edges": []}), encoding="utf-8")
+    code, lines, problems = _validate_lines(capsys, [str(path)])
+    assert code == 1 and len(problems["graph"]) == 14
+    assert lines == (
+        ["graph: INVALID"]
+        + [f"  problem: {p}" for p in problems["graph"][:5]]
+        + ["  ... 9 more problems not shown (see --format structured)"]
+    )
+
+
 BAD_BOUNDS = {
     "0": "bounds must be positive, got '0'",
     "-1": "bounds must be positive, got '-1'",

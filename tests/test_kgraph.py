@@ -13,6 +13,7 @@ from ktwist.kgraph import (
     Edge,
     EventuallyPeriodicPath,
     KGraph,
+    Path,
     Square,
     builtin,
     canonical_tail,
@@ -285,6 +286,84 @@ def test_tail_hash_agrees_across_representations(name, data):
         assert hash(y) == hash(x)
         assert keyed[y] == "x"
     assert len(set(reps)) == 1
+
+
+GRAPHS = st.one_of(st.sampled_from(["B2", "T2", "B2xT1", "C3xT2", "B2xT3"]).map(builtin), single_vertex_two_graphs())
+
+
+@settings(max_examples=60, deadline=None)
+@given(GRAPHS, st.data())
+def test_equal_paths_and_tails_hash_alike_by_every_route(g, data):
+    # a hash is computed once, when the value is built; every route to an
+    # equal value must give the hash of the same fields
+    v = data.draw(st.sampled_from(g.vertices))
+    n = data.draw(st.sampled_from(list(dg.box((2,) * g.k))))
+    p = data.draw(st.sampled_from(g.paths_from(v, n)))
+    m = data.draw(st.sampled_from(list(dg.box(n))))
+    head, tail = g.factorize(p, m)
+    e = data.draw(st.sampled_from([e.id for c in range(1, g.k + 1) for e in g.in_edges(p.source, c)]))
+    paths = [
+        p,
+        Path(p.range, p.source, p.degree, p.word),
+        g.make_path(v, p.word),
+        g.make_path(v, head.word + tail.word),
+        g.compose(head, tail),
+        g.factorize(g.compose(p, g.edge_path(e)), n)[0],
+    ]
+    for q in paths:
+        assert q == p
+        assert hash(q) == hash(p) == hash((p.range, p.source, p.degree, p.word))
+    assert len(set(paths)) == 1
+
+    z = canonical_tail(g, p.source)
+    x = z.prepend(p)
+    lam = x.segment_to(dg.add(n, (1,) * g.k))
+    f = g.edge_path(data.draw(st.sampled_from([e.id for e in g.edges if e.source == v])))
+    tails = [
+        x,
+        z.prepend(tail).prepend(head),
+        EventuallyPeriodicPath(g, g.compose(p, z.prefix), z.cycle),
+        EventuallyPeriodicPath(g, g.compose(g.compose(p, z.prefix), z.cycle), g.compose(z.cycle, z.cycle)),
+        x.shift(lam.degree).prepend(lam),
+        x.prepend(f).shift(f.degree),
+    ]
+    for y in tails:
+        assert y == x
+        assert hash(y) == hash(x) == hash((x.prefix, x.cycle))
+    assert len(set(tails)) == 1
+
+
+def _fresh_shift(g, x, n):
+    """T^n x built from x's pair, past the graph's table of shifts."""
+    return EventuallyPeriodicPath(g, g.factorize(_unrolled(g, x.prefix, x.cycle, n), n)[1], x.cycle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(GRAPHS, st.data())
+def test_kept_shifts_and_prepends_equal_fresh_tails(g, data):
+    # several tails on one graph, some with one prefix and different cycles,
+    # so the table can only serve a result to an equal tail and argument
+    diag = (1,) * g.k
+    tails = [canonical_tail(g, v) for v in g.vertices]
+    tails += [
+        EventuallyPeriodicPath(g, g.vertex_path(v), c)
+        for v in g.vertices
+        for c in g.paths_from(v, diag)
+        if c.source == v
+    ]
+    for _ in range(8):
+        x = data.draw(st.sampled_from(tails))
+        m = data.draw(st.sampled_from(list(dg.box((2,) * g.k))))
+        if data.draw(st.booleans()):
+            kept, fresh = x.shift(m), _fresh_shift(g, x, m)
+            assert x.shift(m) is kept
+        else:
+            lam = data.draw(st.sampled_from([q for w in g.vertices for q in g.paths_from(w, m) if q.source == x.range]))
+            kept, fresh = x.prepend(lam), EventuallyPeriodicPath(g, g.compose(lam, x.prefix), x.cycle)
+            assert x.prepend(lam) is kept
+        assert kept == fresh
+        assert (kept.prefix, kept.cycle) == (fresh.prefix, fresh.cycle)
+        tails.append(kept)
 
 
 def test_tail_hash_tells_different_tails_apart():

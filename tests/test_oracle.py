@@ -16,6 +16,7 @@ from ktwist.cocycles import (
     PhiOmegaCocycle,
     PullbackCocycle,
     TableCocycle,
+    cocycle_value,
     validate_phi,
 )
 from ktwist.decider import z_omega_of
@@ -50,6 +51,7 @@ from ktwist.structure import is_cofinal, per_group
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 try:
     from test_cocycles import corrupted_t2_table, t2_table_entries
+    from test_structure import single_vertex_two_graphs
 finally:
     sys.path.pop(0)
 
@@ -163,6 +165,38 @@ def test_element_hash_ignores_where_the_tail_starts(name, data):
         if cmu.degree[i - 1] and cnu.degree[i - 1]:
             ei = dg.unit(g.k, i)
             assert g.factorize(cmu, dg.sub(cmu.degree, ei))[1] != g.factorize(cnu, dg.sub(cnu.degree, ei))[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["T2", "B2", "B2xT1", "C3xT1"]), st.data())
+def test_equal_elements_hash_alike_by_every_route(name, data):
+    # the hash is computed once, when the element is built, from the same
+    # three fields as ==, whether it comes from element, the constructor,
+    # a product, an inverse or a later start of the tail
+    g = builtin(name)
+    v = data.draw(st.sampled_from(g.vertices))
+    box = list(dg.box((1,) * g.k))
+
+    def into_v(m):
+        return [p for u in g.vertices for p in g.paths_from(u, m) if p.source == v]
+
+    mu, nu, rho = (data.draw(st.sampled_from(into_v(data.draw(st.sampled_from(box)))))
+                   for _ in range(3))
+    x = canonical_tail(g, v)
+    el = element(mu, nu, x)
+    lam = x.segment_to(data.draw(st.sampled_from(box)))
+    reps = [
+        el,
+        GroupoidElement(x.prepend(mu), dg.sub(mu.degree, nu.degree), x.prepend(nu)),
+        element(g.compose(mu, lam), g.compose(nu, lam), x.shift(lam.degree)),
+        compose_elements(element(mu, rho, x), element(rho, nu, x)),
+        compose_elements(el, element(nu, nu, x)),
+        el.inverse().inverse(),
+    ]
+    for r in reps:
+        assert r == el
+        assert hash(r) == hash(el) == hash((el.range_path, el.degree, el.source_path))
+    assert len(set(reps)) == 1
 
 
 def test_cell_rejects_a_triple_that_is_not_an_element():
@@ -357,8 +391,54 @@ def test_sigma_c_keeps_a_resolution_error(monkeypatch, t2):
     assert again.value is not first.value
     assert str(again.value) == str(first.value)
     assert calls == []
+    resolved = _counting(monkeypatch, "compose_elements")
     sigma_c(s, g2, g1)
-    assert calls
+    assert resolved
+
+
+def _suite_cocycles(monkeypatch, g, c, depth):
+    """run_suites at `depth`; returns every InducedCocycle it built."""
+    built = []
+
+    def build(*args):
+        built.append(InducedCocycle(*args))
+        return built[-1]
+
+    monkeypatch.setattr(oracle, "InducedCocycle", build)
+    oracle.run_suites(g, c, depth, 200)
+    return built
+
+
+def _assert_kept_values_are_fresh(built, c):
+    assert any(s._categorical for s in built)
+    for s in built:
+        for (mu, nu), val in s._categorical.items():
+            assert val == cocycle_value(c, mu, nu), (mu, nu)
+
+
+@pytest.mark.parametrize("name, stem", [
+    ("T2", "pullback_theta"), ("B2xT1", "phi_theta"), ("B2xT3", "b2t3"),
+])
+def test_kept_categorical_values_equal_fresh_ones(monkeypatch, name, stem):
+    g = builtin(name)
+    c = load_cocycle(os.path.join(FIXTURES, stem + ".json"), g)[0]
+    _assert_kept_values_are_fresh(_suite_cocycles(monkeypatch, g, c, 2), c)
+
+
+@settings(max_examples=8, deadline=None)
+@given(single_vertex_two_graphs(), st.data())
+def test_kept_categorical_values_equal_fresh_ones_on_random_2_graphs(g, data):
+    c = PullbackCocycle(tuple(tuple(data.draw(phase_values) for _ in range(2)) for _ in range(2)))
+    with pytest.MonkeyPatch.context() as mp:
+        _assert_kept_values_are_fresh(_suite_cocycles(mp, g, c, 2), c)
+
+
+def test_run_suites_evaluates_each_categorical_pair_once(monkeypatch, b2xt1):
+    c = load_cocycle(os.path.join(FIXTURES, "phi_theta.json"), b2xt1)[0]
+    calls = _counting(monkeypatch, "cocycle_value")
+    oracle.run_suites(b2xt1, c, 2, 200)
+    pairs = [(mu, nu) for _, mu, nu in calls]
+    assert pairs and len(pairs) == len(set(pairs))
 
 
 # --- bicharacter extraction -------------------------------------------------
