@@ -102,7 +102,7 @@ def cmd_validate(args) -> int:
         if rep.ok:
             c, cdigest = load_cocycle(args.cocycle, g)
             crep = validate_cocycle(c, g, args.depth)
-            body["cocycle"] = {"ok": crep.ok, "problems": list(crep.problems)}
+            body["cocycle"] = {"ok": crep.ok, "depth": args.depth, "problems": list(crep.problems)}
             lines.append(f"cocycle: {'OK' if crep.ok else 'INVALID'} (depth {args.depth})")
             lines += _problem_lines(crep.problems)
             if not crep.ok:

@@ -363,6 +363,15 @@ def test_validate_counts_the_problems_it_leaves_out(tmp_path, capsys):
     )
 
 
+def test_validate_report_records_its_depth(capsys):
+    # a table verdict holds only up to the depth, so the report carries it
+    table = os.path.join(FIXTURES, "t2_table.json")
+    for depth in (0, 1, 2):
+        assert cli.main(["validate", "builtin:T2", "--cocycle", table, "--depth", str(depth),
+                         "--format", "structured"]) == 0
+        assert json.loads(capsys.readouterr().out)["cocycle"] == {"ok": True, "depth": depth, "problems": []}
+
+
 BAD_BOUNDS = {
     "0": "bounds must be positive, got '0'",
     "-1": "bounds must be positive, got '-1'",
