@@ -53,6 +53,14 @@ def _cases() -> dict[str, list[str]]:
     cases["validate T2 t2_table"] = [
         "validate", "fixtures/T2.json", "--cocycle", "fixtures/t2_table.json", "--depth", "3",
     ]
+    # explicit search bounds, one radius and one per colour
+    theta = ("--cocycle", "fixtures/phi_theta.json")
+    for bound in ("3", "2,3"):
+        cases[f"simplicity B2xT1 phi_theta --bound {bound}"] = [
+            "simplicity", "fixtures/B2xT1.json", *theta, "--bound", bound,
+        ]
+    # a product whose period lattice is larger than its torus directions: a note
+    cases["simplicity B2xT3 phi_theta"] = ["simplicity", "fixtures/B2xT3.json", *theta]
     return cases
 
 
