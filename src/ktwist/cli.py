@@ -23,7 +23,7 @@ from .io import (
     serialize_report,
 )
 from .kgraph import validate_kgraph
-from .oracle import ResolutionError, omega_closedform, omega_from_oracle, run_suites
+from .oracle import InducedCocycle, ResolutionError, omega_closedform, omega_from_oracle, run_suites
 from .phases import format_phase, format_phase_rows
 from .structure import YES, is_aperiodic, is_cofinal, per_group
 
@@ -122,10 +122,8 @@ def cmd_analyze(args) -> int:
     aper = is_aperiodic(g, bound)
     per_rows = None
     why = "not computed (needs certified cofinality)"
-    bound_used = aper.bound
     if cof.status == YES:
         per = per_group(g, cof, bound)
-        bound_used = per.exhaustive_up_to
         if per.per_vertex_agreement:
             per_rows = [list(r) for r in per.lattice.rows]
         else:
@@ -134,14 +132,14 @@ def cmd_analyze(args) -> int:
         "cofinal": cof.status,
         "aperiodic": aper.status,
         "per_basis": per_rows,
-        "bounds": {"period": list(bound_used)},
+        "bounds": {"period": list(aper.bound)},
         "certificates": {"cofinal": cof.certificate, "aperiodic": aper.certificate},
     }
     lines = [
         f"cofinal: {cof.status}",
         f"aperiodic: {aper.status}",
         f"per_basis: {per_rows if per_rows is not None else why}",
-        f"period bound: {list(bound_used)}",
+        f"period bound: {list(aper.bound)}",
     ]
     doc = report_document("analyze", _inputs(gdigest, None), body)
     _emit(args, doc, lines)
@@ -180,7 +178,7 @@ def cmd_omega(args) -> int:
             "the periods differ from vertex to vertex; their intersection is not the period group"
         )
     basis = tuple(per.lattice.rows)
-    om = omega_from_oracle(g, c, basis)
+    om = omega_from_oracle(g, InducedCocycle(c), basis)
     cf = omega_closedform(g, c, basis)
     agree = om.antisymmetrization() == cf.antisymmetrization()
     body = {

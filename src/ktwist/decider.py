@@ -38,7 +38,7 @@ from .lattices import (
     kronecker_dense,
     verify_kronecker,
 )
-from .oracle import omega_from_oracle, z_omega_of
+from .oracle import InducedCocycle, omega_from_oracle, z_omega_of
 from .phases import PhaseExponent, PhaseVector, format_phase, format_phase_rows, pair_int
 from .structure import (
     NO,
@@ -80,8 +80,6 @@ def verify_z_omega(omega: BicharacterTable, z: LatticeBasis, radius: int = 2) ->
     for row in z.rows:
         if not all(omega.commutator(row, u).is_trivial() for u in units):
             return False
-    if l == 0:
-        return True
     for p in dg.signed_box((radius,) * l):
         central = all(omega.commutator(p, u).is_trivial() for u in units)
         if central != z.member(p):
@@ -199,8 +197,6 @@ def potential_certificate(
     the integral pairing lattice of the fundamental cycle phase vectors.
     """
     d = zbasis.rank
-    if d == 0:
-        return None
     w = _projected_edge_phases(g, phi, zbasis)
     zero_vec = tuple(PhaseExponent.zero() for _ in range(d))
 
@@ -409,7 +405,7 @@ def decide_simplicity(
             "their intersection is not the period group, so no criterion applies",
         )
         return SimplicityReport(verdict, per, bounds=b)
-    omega = omega_from_oracle(g, c, per.lattice.rows)
+    omega = omega_from_oracle(g, InducedCocycle(c), per.lattice.rows)
     z = z_omega_of(omega)
     if not verify_z_omega(omega, z):
         raise RecheckError("degeneracy lattice")

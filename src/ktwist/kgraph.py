@@ -460,32 +460,35 @@ class EventuallyPeriodicPath:
         return f"EPPath[{self.prefix!r};{self.cycle!r}^oo]"
 
 
-def canonical_tail(g: KGraph, v: str) -> EventuallyPeriodicPath:
-    """A deterministic eventually periodic path with range v.
+def rotation_walk(g: KGraph, v: str, within=None) -> tuple[list[str], list[str]]:
+    """The walk from v that takes the least edge of each color in rotation.
 
-    Follows the least edge of each color in rotation until a state repeats;
-    the repeat closes a cycle containing every color equally often.
+    Step t takes the least edge of color t mod k + 1 with range the current
+    vertex, among those whose source lies in `within` (any source when it
+    is None), until a (vertex, t mod k) state repeats.  Returns the edge
+    ids before the repeated state and the closed word from it, which holds
+    every color equally often.
     """
     word: list[str] = []
     cur = v
     seen: dict[tuple[str, int], int] = {}
-    t = 0
-    while True:
-        key = (cur, t % g.k)
-        if key in seen:
-            t0 = seen[key]
-            prefix = g.make_path(v, word[:t0])
-            cycle = g.make_path(cur, word[t0:])
-            return EventuallyPeriodicPath(g, prefix, cycle)
-        seen[key] = t
-        color = (t % g.k) + 1
-        opts = g.in_edges(cur, color)
-        if not opts:
+    while (cur, len(word) % g.k) not in seen:
+        seen[cur, len(word) % g.k] = len(word)
+        color = len(word) % g.k + 1
+        e = next((e for e in g.in_edges(cur, color) if within is None or e.source in within), None)
+        if e is None:
             raise ValueError(f"vertex {cur!r} has no color-{color} edge; graph has sources")
-        e = opts[0]
         word.append(e.id)
         cur = e.source
-        t += 1
+    t0 = seen[cur, len(word) % g.k]
+    return word[:t0], word[t0:]
+
+
+def canonical_tail(g: KGraph, v: str) -> EventuallyPeriodicPath:
+    """A deterministic eventually periodic path with range v: the rotation
+    walk from v, then its closed word forever."""
+    prefix, cycle = rotation_walk(g, v)
+    return EventuallyPeriodicPath(g, g.make_path(v, prefix), g.make_path(g.edge(cycle[0]).range, cycle))
 
 
 # --- builtins and products --------------------------------------------------

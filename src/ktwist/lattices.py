@@ -217,12 +217,14 @@ def annihilator_lattice(A, dim: int) -> LatticeBasis:
 
 
 def _eliminate(rows: list[list[Fraction]]) -> tuple[list[int], Fraction]:
-    """Pivot columns of the rows by Fraction elimination, and the determinant
-    when square.
+    """Pivot columns of the rows by Fraction elimination, and the
+    determinant of the minor in those columns.
 
     The pivot columns are the greedy choice of columns, left to right, that
-    each enlarge the rank.  The determinant is 0 when the rank is below the
-    row count.
+    each enlarge the rank.  The row operations that clear below each pivot
+    bring that minor to upper-triangular form, and each row swap flips its
+    sign, so its determinant is the signed product of the pivots.  It is
+    reported as 0 when the rank is below the row count.
     """
     rows = [row[:] for row in rows]
     pivots: list[int] = []
@@ -277,9 +279,8 @@ def kronecker_dense(gens: list[PhaseVector], d: int) -> KroneckerResult:
     Dense iff the only integer annihilator is 0.  The result always carries
     a machine-checkable certificate: a nonzero annihilating vector when not
     dense, a full-rank witness on the symbol-coefficient matrix when dense.
-    The witness columns are the pivot columns of one elimination of that
-    d x ncols matrix, and a second elimination gives the determinant of
-    the minor they form.
+    The witness columns and the determinant of the minor they form come
+    from one elimination of that d x ncols matrix.
     """
     ann = integral_pairing_lattice(gens, d)
     if d == 0:
@@ -290,10 +291,9 @@ def kronecker_dense(gens: list[PhaseVector], d: int) -> KroneckerResult:
     # dense: the pivot columns of the d x ncols symbol matrix are d
     # independent columns, the first that each enlarge the rank
     cols = _symbol_columns(gens, d)
-    chosen, _ = _eliminate([[col[r] for _, _, col in cols] for r in range(d)])
+    chosen, det = _eliminate([[col[r] for _, _, col in cols] for r in range(d)])
     if len(chosen) != d:
         raise AssertionError("annihilator trivial but full-rank witness not found")
-    _, det = _eliminate([[cols[i][2][r] for i in chosen] for r in range(d)])
     cert = {
         "kind": "irrational_full_rank",
         "columns": [[cols[i][0], cols[i][1]] for i in chosen],

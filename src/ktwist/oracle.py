@@ -25,7 +25,9 @@ bicharacter's antisymmetrization hold through either.  The
 InducedCocycle is the one place where values are kept: the cell of each
 element, the outcome of each sigma_c pair, the phase of each r_sigma
 pair and the categorical value c(mu, nu) of each pair of paths that
-sigma_c has asked for.  Below it, paths and elements hash once, when
+sigma_c has asked for.  A command builds one: `run_suites` hands its own
+to `omega_from_oracle`, and `omega` and `simplicity` each build one for
+the bicharacter.  Below it, paths and elements hash once, when
 they are built, and the graph keeps each shift and prepend of an
 eventually periodic path, so a value already seen costs one lookup.
 A value that depends on the resolution means the categorical cocycle is
@@ -390,21 +392,18 @@ def ambient(per_basis: tuple[Degree, ...], m) -> Degree:
     return out
 
 
-def omega_from_oracle(g: KGraph, c: CocycleSpec, per_basis: tuple[Degree, ...]) -> BicharacterTable:
+def omega_from_oracle(g: KGraph, s: InducedCocycle, per_basis: tuple[Degree, ...]) -> BicharacterTable:
     """Bicharacter with the isotropy cocycle's antisymmetrization.
 
-    Evaluates the induced cocycle, resolved through each element's cell, on
-    generator pairs along the canonical tail at the least vertex and stores
-    the pair differences in a strictly lower triangular matrix.  per_basis
-    must be rows from `per_group`, which are periods at every vertex, so any
-    vertex serves.  Only the antisymmetrization (hence the annihilator
-    lattice) is meaningful; the triangular choice is a canonical gauge.
+    Evaluates the induced cocycle s, which keeps the values, on generator
+    pairs along the canonical tail at the least vertex and stores the pair
+    differences in a strictly lower triangular matrix.  per_basis must be
+    rows from `per_group`, which are periods at every vertex, so any vertex
+    serves.  Only the antisymmetrization (hence the annihilator lattice) is
+    meaningful; the triangular choice is a canonical gauge.
     """
     l = len(per_basis)
-    if l == 0:
-        return BicharacterTable.zero(0)
     x = canonical_tail(g, min(g.vertices))
-    s = InducedCocycle(c)
     sig = {}
     for i in range(l):
         for j in range(l):
@@ -427,8 +426,6 @@ def omega_closedform(g: KGraph, c: CocycleSpec, per_basis: tuple[Degree, ...]) -
     The comparison is reported by callers; the oracle is authoritative.
     """
     l = len(per_basis)
-    if l == 0:
-        return BicharacterTable.zero(0)
     big = dg.zero(g.k)
     for p in per_basis:
         big = dg.add(big, dg.add(dg.pos_part(p), dg.neg_part(p)))
@@ -723,7 +720,7 @@ def suite_centre_phase_triviality(
     checked = 0
     bad = []
     d = dg.as_degree(g.k, depth, "depth")
-    central = [ambient(per_basis, row) for row in zbasis] if per_basis else []
+    central = [ambient(per_basis, row) for row in zbasis]
     if not central:
         return SuiteResult("centre_phase_triviality", 0, ())
     for v in sorted(g.vertices):
@@ -756,13 +753,13 @@ def run_suites(
 
     Elements come from the degree box max(1, depth - 1), for a depth of at
     least 1, and each resolves through its own cell on one InducedCocycle,
-    which keeps every value the suites share; `cap` bounds the sampled
-    identity triples and conjugation checks.  The period-dependent suites
-    need certified cofinality and periods that agree at every vertex, and
-    the centre and coboundary suites a nontrivial period lattice and a
-    bicharacter that does not depend on the resolution.  Returns the
-    suites, notes on the suites skipped, the period basis and the
-    bicharacter the suites used (None when none did).
+    which keeps every value the suites and the bicharacter share; `cap`
+    bounds the sampled identity triples and conjugation checks.  The
+    period-dependent suites need certified cofinality and periods that
+    agree at every vertex, and the centre and coboundary suites a
+    nontrivial period lattice and a bicharacter that does not depend on
+    the resolution.  Returns the suites, notes on the suites skipped, the
+    period basis and the bicharacter the suites used (None when none did).
     """
     if depth < 1:
         raise ValueError(f"the depth must be >= 1, got {depth}")
@@ -785,7 +782,7 @@ def run_suites(
     if not basis:
         return suites, ["trivial period lattice; centre and coboundary suites are vacuous"], basis, None
     try:
-        om = omega_from_oracle(g, c, basis)
+        om = omega_from_oracle(g, s, basis)
     except ResolutionError as err:
         return suites, [f"no bicharacter ({err}); centre and coboundary suites skipped"], basis, None
     zrows = z_omega_of(om).rows

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from . import degrees as dg
 from .degrees import Degree
-from .kgraph import KGraph
+from .kgraph import KGraph, rotation_walk
 from .lattices import LatticeBasis
 
 YES = "YES_CERTIFIED"
@@ -100,19 +100,6 @@ def _core(g: KGraph, vertices: frozenset[str], out_edges: dict[str, list]) -> se
     return set(need)
 
 
-def _core_cycle(g: KGraph, core: set[str]) -> list[str]:
-    """A closed word in the core with the colours in rotation: from min(core),
-    take the least in-edge of the next colour whose source is in the core,
-    until a (vertex, step mod k) pair repeats."""
-    cur, seen, word = min(core), {}, []
-    while (cur, len(word) % g.k) not in seen:
-        seen[cur, len(word) % g.k] = len(word)
-        e = next(e for e in g.in_edges(cur, len(word) % g.k + 1) if e.source in core)
-        word.append(e.id)
-        cur = e.source
-    return word[seen[cur, len(word) % g.k]:]
-
-
 def is_cofinal(g: KGraph) -> Verdict:
     """Does every infinite path meet the reach of every vertex?
 
@@ -136,7 +123,7 @@ def is_cofinal(g: KGraph) -> Verdict:
         connected = connected and not outside
         core = _core(g, outside, out_edges)
         if core:
-            cert = {"kind": "unreachable_cycle", "vertex": v, "cycle": _core_cycle(g, core)}
+            cert = {"kind": "unreachable_cycle", "vertex": v, "cycle": rotation_walk(g, min(core), core)[1]}
             return Verdict(NO, cert, reason=f"a cycle avoids the forward reach of {v!r}")
     return Verdict(YES, {"kind": "strongly_connected" if connected else "tail_check"})
 

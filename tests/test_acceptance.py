@@ -190,7 +190,7 @@ def test_criterion_7_groupoid_oracle_suites():
         ):
             g, c = _pair(gname, cstem)
             basis = tuple(per_group(g, is_cofinal(g)).lattice.rows)
-            om = omega_from_oracle(g, c, basis)
+            om = omega_from_oracle(g, InducedCocycle(c), basis)
             z = z_omega_of(om)
             assert z.rows == zrows, (gname, z.rows)
             P = build_partition(g, pdepth)
@@ -203,7 +203,7 @@ def test_criterion_7_groupoid_oracle_suites():
         # coboundary box on the torus fixture out to radius 3
         g, c = _pair("T2", "pullback_theta")
         basis = tuple(per_group(g, is_cofinal(g)).lattice.rows)
-        om = omega_from_oracle(g, c, basis)
+        om = omega_from_oracle(g, InducedCocycle(c), basis)
         x = canonical_tail(g, "v")
         bx = CoboundaryBx(om, InducedCocycle(c, build_partition(g, 6).member), x, basis)
         checked, problems = bx.verify_box(3)
@@ -230,7 +230,7 @@ def test_criterion_8_closed_form_is_flagged_against_the_oracle():
             basis = tuple(per_group(g, is_cofinal(g)).lattice.rows)
             if not basis:
                 continue  # aperiodic: no bicharacter to compare
-            om = omega_from_oracle(g, c, basis)
+            om = omega_from_oracle(g, InducedCocycle(c), basis)
             cf = omega_closedform(g, c, basis)
             if not _tables_agree(om.antisymmetrization(), cf.antisymmetrization()):
                 disagree.add((gname, cstem))

@@ -33,7 +33,7 @@ from ktwist.decider import (
 from ktwist.io import serialize_cocycle, serialize_graph
 from ktwist.kgraph import Edge, KGraph, builtin, product_base, product_with_Tl
 from ktwist.lattices import LatticeBasis, hnf, kronecker_dense
-from ktwist.oracle import omega_from_oracle
+from ktwist.oracle import InducedCocycle, omega_from_oracle
 from ktwist.phases import PhaseExponent, pair_int
 from ktwist.structure import UNKNOWN, is_cofinal, per_group
 
@@ -224,7 +224,7 @@ def test_omega_analyze_and_oracle_refuse_periods_that_differ_by_vertex(tmp_path,
 def test_verify_z_omega_accepts_the_real_lattice_only():
     g = builtin("T2")
     per = per_group(g, is_cofinal(g))
-    om = omega_from_oracle(g, t2_pullback(half), tuple(per.lattice.rows))
+    om = omega_from_oracle(g, InducedCocycle(t2_pullback(half)), tuple(per.lattice.rows))
     z = z_omega_of(om)
     assert verify_z_omega(om, z)
     wrong = LatticeBasis.from_rows([(1, 0), (0, 1)], 2)
@@ -371,7 +371,7 @@ def test_z_omega_invariant_under_symmetric_perturbation():
     # hence not the degeneracy lattice
     g = builtin("T2")
     per = per_group(g, is_cofinal(g))
-    om = omega_from_oracle(g, t2_pullback(half), tuple(per.lattice.rows))
+    om = omega_from_oracle(g, InducedCocycle(t2_pullback(half)), tuple(per.lattice.rows))
     sym = BicharacterTable(
         2, ((Z(0, s=1), Z(0, t=1)), (Z(0, t=1), Z(Fraction(1, 3))))
     )

@@ -424,7 +424,7 @@ def test_run_suites_evaluates_each_categorical_pair_once(monkeypatch, b2xt1):
 
 def test_omega_oracle_t2(t2, t2_cocycle):
     per = per_group(t2, is_cofinal(t2))
-    om = omega_from_oracle(t2, t2_cocycle, tuple(per.lattice.rows))
+    om = omega_from_oracle(t2, InducedCocycle(t2_cocycle), tuple(per.lattice.rows))
     assert om.rank == 2
     anti = om.antisymmetrization()
     assert anti[0][1].coeff("theta") == -1
@@ -436,7 +436,7 @@ def test_omega_oracle_matches_pullback_antisymmetry(t2):
     # extracted table must match the antisymmetrized exponent matrix
     c = PullbackCocycle(((Z(0, a=1), Z(0, b=1)), (Z(0, c=1), Z(0, d=1))))
     per = per_group(t2, is_cofinal(t2))
-    om = omega_from_oracle(t2, c, tuple(per.lattice.rows))
+    om = omega_from_oracle(t2, InducedCocycle(c), tuple(per.lattice.rows))
     anti = om.antisymmetrization()
     # theta12 - theta21 = b - c
     assert anti[0][1].coeff("b") == 1
@@ -458,7 +458,7 @@ def test_omega_oracle_b2xt3():
     )
     c = PhiOmegaCocycle(3, phi, om_in)
     per = per_group(g, is_cofinal(g))
-    om = omega_from_oracle(g, c, tuple(per.lattice.rows))
+    om = omega_from_oracle(g, InducedCocycle(c), tuple(per.lattice.rows))
     assert om.rank == 3
     assert om.rows[2][1].coeff("rho") == 1
     assert om.rows[1][0].is_trivial()
@@ -475,14 +475,14 @@ def test_omega_closedform_symmetric_discrepancy(t2, t2_cocycle):
     basis = tuple(per.lattice.rows)
     cf = omega_closedform(t2, t2_cocycle, basis)
     assert all(x.is_trivial() for row in cf.antisymmetrization() for x in row)
-    om = omega_from_oracle(t2, t2_cocycle, basis)
+    om = omega_from_oracle(t2, InducedCocycle(t2_cocycle), basis)
     assert om.antisymmetrization() != cf.antisymmetrization()
 
 
 def test_omega_closedform_agrees_when_untwisted(b2xt1, b2xt1_cocycle):
     per = per_group(b2xt1, is_cofinal(b2xt1))
     basis = tuple(per.lattice.rows)
-    om = omega_from_oracle(b2xt1, b2xt1_cocycle, basis)
+    om = omega_from_oracle(b2xt1, InducedCocycle(b2xt1_cocycle), basis)
     cf = omega_closedform(b2xt1, b2xt1_cocycle, basis)
     assert om.antisymmetrization() == cf.antisymmetrization()
 
@@ -556,7 +556,7 @@ def test_omega_matches_partition_route_on_fixtures(partitions, name, stem):
     c, _ = load_cocycle(os.path.join(FIXTURES, stem + ".json"), g)
     basis = tuple(per_group(g, is_cofinal(g)).lattice.rows)
     assert basis
-    assert omega_from_oracle(g, c, basis).rows == omega_by_partition(g, c, basis, partitions)
+    assert omega_from_oracle(g, InducedCocycle(c), basis).rows == omega_by_partition(g, c, basis, partitions)
 
 
 phase_values = st.builds(
@@ -577,7 +577,7 @@ def test_omega_of_random_torus_pullback(graphs, partitions, k, data):
     theta_m = tuple(tuple(data.draw(phase_values) for _ in range(k)) for _ in range(k))
     c = PullbackCocycle(theta_m)
     basis = tuple(dg.unit(k, i + 1) for i in range(k))
-    om = omega_from_oracle(g, c, basis)
+    om = omega_from_oracle(g, InducedCocycle(c), basis)
     assert om.rows == omega_by_partition(g, c, basis, partitions)
     anti = om.antisymmetrization()
     for i in range(k):
@@ -601,7 +601,7 @@ def test_omega_of_random_product_cocycle(graphs, partitions, name, data):
         l, tuple(tuple(data.draw(phase_values) if i > j else zero for j in range(l)) for i in range(l))
     )
     c = PhiOmegaCocycle(l, phi, om_in)
-    assert omega_from_oracle(g, c, basis).rows == omega_by_partition(g, c, basis, partitions)
+    assert omega_from_oracle(g, InducedCocycle(c), basis).rows == omega_by_partition(g, c, basis, partitions)
 
 
 @pytest.mark.parametrize("name", ["T2", "B2xT3", "C3xT2"])
@@ -635,7 +635,7 @@ def test_cancelled_cell_is_a_function_of_the_element(name):
 def test_coboundary_box_t2(t2, t2_cocycle):
     per = per_group(t2, is_cofinal(t2))
     basis = tuple(per.lattice.rows)
-    om = omega_from_oracle(t2, t2_cocycle, basis)
+    om = omega_from_oracle(t2, InducedCocycle(t2_cocycle), basis)
     P6 = build_partition(t2, 6)
     bx = CoboundaryBx(om, InducedCocycle(t2_cocycle, P6.member), canonical_tail(t2, "v"), basis)
     checked, bad = bx.verify_box(3)
