@@ -387,9 +387,9 @@ def decide_simplicity(
     b = bounds or DecisionBounds()
 
     cof = is_cofinal(g)
+    if not verify_cofinality(g, cof):
+        raise RecheckError("cofinality")
     if cof.status == NO:
-        if not verify_cofinality(g, cof):
-            raise RecheckError("cofinality")
         verdict = Verdict(
             NONSIMPLE,
             certificate={"kind": "not_cofinal", "witness": cof.certificate},

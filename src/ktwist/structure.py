@@ -5,7 +5,13 @@ reach of every vertex.  One rule decides it for every rank: a path avoids
 the reach of v exactly when the vertices outside that reach have a
 nonempty core, where every vertex receives an edge of every colour from
 the core.  A closed word through every colour inside the core is a
-checkable NO certificate.
+checkable NO certificate.  A YES verdict is rechecked by a rule that
+never runs that per-vertex loop: the rotation walk from the least vertex
+closes a cycle at some vertex c, and the graph is cofinal iff c lies in
+the reach of every vertex and the complement of reach(c) has an empty
+core.  That is two searches and one pruning; the loop stays for NO,
+whose certificate names the least failing vertex.  A command decides
+cofinality once, and `per_group` takes that verdict.
 
 Periodicity of the shift action is decided exactly per vertex by a finite
 automaton on sliding windows: a window of degree join(a, b) determines
@@ -57,22 +63,40 @@ class Verdict:
 # --- reachability -----------------------------------------------------------
 
 
-def reach_set(g: KGraph, v: str) -> frozenset[str]:
-    """Vertices u such that some path has range v and source u."""
+def _closure(v: str, step) -> frozenset[str]:
+    """The vertices reached from v by repeating `step`."""
     seen = {v}
     frontier = [v]
     while frontier:
-        cur = frontier.pop()
-        for c in range(1, g.k + 1):
-            for e in g.in_edges(cur, c):
-                if e.source not in seen:
-                    seen.add(e.source)
-                    frontier.append(e.source)
+        for u in step(frontier.pop()):
+            if u not in seen:
+                seen.add(u)
+                frontier.append(u)
     return frozenset(seen)
 
 
+def reach_set(g: KGraph, v: str) -> frozenset[str]:
+    """Vertices u such that some path has range v and source u."""
+    return _closure(v, lambda cur: (e.source for c in range(1, g.k + 1) for e in g.in_edges(cur, c)))
+
+
+def _reached_from(v: str, out_edges: dict[str, list]) -> frozenset[str]:
+    """Vertices u such that some path has range u and source v."""
+    return _closure(v, lambda cur: (e.range for e in out_edges[cur]))
+
+
+def _out_edges(g: KGraph) -> dict[str, list]:
+    """The edges with source v, for each vertex v."""
+    out_edges: dict[str, list] = {v: [] for v in g.vertices}
+    for e in g.edges:
+        out_edges[e.source].append(e)
+    return out_edges
+
+
 def is_strongly_connected(g: KGraph) -> bool:
-    return all(reach_set(g, v) == frozenset(g.vertices) for v in g.vertices)
+    """Two searches from one vertex: everything reaches it, and it reaches everything."""
+    v, every = min(g.vertices), frozenset(g.vertices)
+    return reach_set(g, v) == every and _reached_from(v, _out_edges(g)) == every
 
 
 # --- cofinality -------------------------------------------------------------
@@ -114,9 +138,7 @@ def is_cofinal(g: KGraph) -> Verdict:
     (=>) The vertices of such a path form such a subset.
     For k = 1, a nonempty core means that O contains a cycle.
     """
-    out_edges: dict[str, list] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        out_edges[e.source].append(e)
+    out_edges = _out_edges(g)
     connected = True
     for v in sorted(g.vertices):
         outside = frozenset(g.vertices) - reach_set(g, v)
@@ -128,13 +150,39 @@ def is_cofinal(g: KGraph) -> Verdict:
     return Verdict(YES, {"kind": "strongly_connected" if connected else "tail_check"})
 
 
+def _rotation_kind(g: KGraph) -> str | None:
+    """The YES certificate kind by the rotation rule; None when not cofinal.
+
+    Let x be the infinite path that repeats the closed word of
+    `rotation_walk(g, min V)`, and c the vertex where that word closes.
+    The rule: Lambda is cofinal iff c is in reach(v) for every v and
+    V - reach(c) has an empty core (the notion of `is_cofinal`).
+    (<=) c in reach(v) gives reach(c) within reach(v), so
+    core(V - reach(v)) lies in core(V - reach(c)), which is empty.
+    (=>) c recurs along x at degrees as large as we like, so c is in
+    reach(x(n)) for every n.  If c is not in reach(v), then no x(n) lies
+    in reach(v), and the x(n), each the range of an edge of every colour
+    from another, lie in the core of V - reach(v), which is then nonempty.
+    Two searches from c and one pruning decide it, in linear time.  A
+    cofinal graph is strongly connected iff reach(c) = V as well.
+    """
+    every = frozenset(g.vertices)
+    out_edges = _out_edges(g)
+    c = g.edge(rotation_walk(g, min(every))[1][0]).range
+    reach = reach_set(g, c)
+    if _reached_from(c, out_edges) != every or _core(g, every - reach, out_edges):
+        return None
+    return "strongly_connected" if reach == every else "tail_check"
+
+
 def verify_cofinality(g: KGraph, res: Verdict) -> bool:
-    """Independent recheck of a cofinality certificate."""
+    """Independent recheck of a cofinality certificate: YES by the rotation
+    rule, which never runs the per-vertex loop of `is_cofinal`; NO by
+    walking the claimed loop outside the claimed vertex's reach."""
     cert = res.certificate
-    if res.status == YES and cert is not None and cert.get("kind") == "strongly_connected":
-        return is_strongly_connected(g)
-    if res.status == YES and cert is not None and cert.get("kind") == "tail_check":
-        return is_cofinal(g).status == YES
+    if res.status == YES:
+        kind = _rotation_kind(g)
+        return kind is not None and cert == {"kind": kind}
     if res.status == NO and cert is not None and cert.get("kind") == "unreachable_cycle":
         v = cert["vertex"]
         cyc = list(cert["cycle"])

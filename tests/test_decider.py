@@ -18,11 +18,13 @@ from ktwist.cocycles import (
     PhiOmegaCocycle,
     PullbackCocycle,
     phi_tilde,
+    validate_product_split,
 )
 from ktwist.decider import (
     NONSIMPLE,
     SIMPLE,
     DecisionBounds,
+    RecheckError,
     decide_simplicity,
     orbit_phase_generators,
     potential_certificate,
@@ -35,7 +37,7 @@ from ktwist.kgraph import Edge, KGraph, builtin, product_base, product_with_Tl
 from ktwist.lattices import LatticeBasis, hnf, kronecker_dense
 from ktwist.oracle import InducedCocycle, omega_from_oracle
 from ktwist.phases import PhaseExponent, pair_int
-from ktwist.structure import UNKNOWN, is_cofinal, per_group
+from ktwist.structure import UNKNOWN, YES, Verdict, is_cofinal, is_strongly_connected, per_group
 
 Z = PhaseExponent.of
 zero = PhaseExponent.zero()
@@ -401,3 +403,60 @@ def test_failed_recheck_exits_3_and_names_the_certificate(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: degeneracy lattice certificate failed its recheck\n"
     assert "verdict" not in captured.out
+
+
+def test_human_report_prints_the_note(capsys):
+    fixture = os.path.join(os.path.dirname(__file__), "..", "fixtures", "phi_theta.json")
+    assert cli.main(["simplicity", "builtin:B2xT3", "--cocycle", fixture]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "verdict: UNKNOWN",
+        "note: period lattice is not exactly the torus directions; orbit reduction unavailable",
+    ]
+
+
+def test_a_forged_yes_cofinality_verdict_fails_its_recheck(monkeypatch):
+    # DISJOINT2 is not cofinal: a YES claim for it must not reach the cascade
+    monkeypatch.setattr(decider, "is_cofinal", lambda g: Verdict(YES, {"kind": "tail_check"}))
+    with pytest.raises(RecheckError, match="^cofinality certificate failed its recheck$"):
+        decide_simplicity(builtin("DISJOINT2"), PullbackCocycle(((zero,),)))
+
+
+# --- the orbit step on a two-vertex base -------------------------------------
+
+
+def two_vertex_product(ids: tuple[str, str], phases: dict[str, PhaseExponent]):
+    """The base u <-> w with a loop l at u, times T1, and phi_omega with l = 1, omega = 0.
+
+    ids names the edge with source u and range w, then the one back; their
+    order decides whether the spanning forest leaves the root u along its
+    first edge outward or inward.
+    """
+    out, back = ids
+    base = KGraph(1, ("u", "w"), (Edge(out, 1, "w", "u"), Edge(back, 1, "u", "w"), Edge("l", 1, "u", "u")), ())
+    g = product_with_Tl(base, 1)
+    phi = OneCocyclePhi(1, {e.id: (phases.get(e.id, zero),) for e in g.edges})
+    return g, PhiOmegaCocycle(1, phi, BicharacterTable.zero(1))
+
+
+@pytest.mark.parametrize("ids", [("a", "b"), ("b", "a")], ids=["outward", "inward"])
+def test_orbit_step_on_a_two_vertex_base(ids):
+    out, back = ids
+    third = Z(Fraction(1, 3))
+
+    def decide(phases):
+        g, c = two_vertex_product(ids, phases)
+        assert validate_product_split(g, 1).ok and is_strongly_connected(product_base(g, 1))
+        return decide_simplicity(g, c).verdict
+
+    got = decide({})
+    assert got.status == NONSIMPLE
+    assert got.certificate == {"kind": "orbit_potential", "n": [1], "psi": {"u": "0", "w": "0"}}
+    # phi = delta psi with psi(u) = 0 and psi(w) = 1/3
+    got = decide({out: third, back: -third})
+    assert got.certificate == {"kind": "orbit_potential", "n": [1], "psi": {"u": "0", "w": "1/3"}}
+    got = decide({"l": theta})
+    assert (got.status, got.certificate["kind"]) == (SIMPLE, "kronecker_dense")
+    for edge in ids:
+        got = decide({edge: third})
+        assert got.status == NONSIMPLE
+        assert (got.certificate["kind"], got.certificate["n"]) == ("orbit_potential", [3])

@@ -12,12 +12,14 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ktwist.lattices import (
     LatticeBasis,
+    _symbol_columns,
     annihilator_lattice,
+    det_cofactor,
     hnf,
     integral_pairing_lattice,
     kernel,
@@ -200,6 +202,32 @@ def test_kronecker_witness_matches_greedy_columns(data):
         columns, det = greedy_witness(gens, d)
         assert res.certificate == {"kind": "irrational_full_rank", "columns": columns, "det": det}
         assert verify_kronecker(gens, d, res)
+
+
+# four symbols and at least d generators: most draws are dense
+dense_entries = st.builds(
+    lambda rat, irr: PhaseExponent(rat, tuple(irr)),
+    fractions12,
+    st.lists(st.tuples(st.sampled_from(("a", "b", "c", "d")), fractions12), min_size=1, max_size=4),
+)
+
+
+@st.composite
+def dense_generators(draw):
+    d = draw(st.integers(1, 4))
+    return draw(st.lists(st.tuples(*[dense_entries] * d), min_size=d, max_size=6)), d
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_generators())
+def test_kronecker_det_is_the_cofactor_determinant_of_its_minor(data):
+    # the determinant comes from the elimination that chose the columns
+    gens, d = data
+    res = kronecker_dense(gens, d)
+    assume(res.dense)
+    by_key = {(i, s): col for i, s, col in _symbol_columns(gens, d)}
+    minor = [[by_key[i, s][r] for i, s in res.certificate["columns"]] for r in range(d)]
+    assert Fraction(res.certificate["det"]) == det_cofactor(minor) != 0
 
 
 # --- raw integer routines ---------------------------------------------------

@@ -19,7 +19,8 @@ from ktwist.cocycles import (
     cocycle_value,
     validate_phi,
 )
-from ktwist.decider import z_omega_of
+from ktwist.decider import potential_certificate, verify_z_omega, z_omega_of
+from ktwist.lattices import LatticeBasis
 from ktwist.io import load_cocycle
 from ktwist.kgraph import EventuallyPeriodicPath, builtin, canonical_tail
 from ktwist.oracle import (
@@ -417,6 +418,37 @@ def test_run_suites_evaluates_each_categorical_pair_once(monkeypatch, b2xt1):
     oracle.run_suites(b2xt1, c, 2, 200)
     pairs = [(mu, nu) for _, mu, nu in calls]
     assert pairs and len(pairs) == len(set(pairs))
+
+
+@pytest.mark.parametrize("name, stem, pairs", [("T2", "pullback_theta", 115), ("B2xT3", "b2t3", 1350)])
+def test_run_suites_keeps_one_store_for_the_suites_and_the_bicharacter(monkeypatch, name, stem, pairs):
+    # the bicharacter reads the suites' store, so its generator pairs are not resolved again
+    g = builtin(name)
+    c = load_cocycle(os.path.join(FIXTURES, stem + ".json"), g)[0]
+    stores = []
+    init = InducedCocycle.__init__
+    monkeypatch.setattr(InducedCocycle, "__init__", lambda self, *a, **k: stores.append(self) or init(self, *a, **k))
+    calls = _counting(monkeypatch, "cocycle_value")
+    suites, notes, _, om = oracle.run_suites(g, c, 2, 1500)
+    assert om is not None and not notes and all(s.ok for s in suites)
+    assert len(stores) == 1
+    assert len(calls) == len({(mu, nu) for _, mu, nu in calls}) == pairs
+
+
+def test_rank_zero_takes_the_general_path():
+    g = builtin("B2")
+    c = load_cocycle(os.path.join(FIXTURES, "pullback_b2.json"), g)[0]
+    assert per_group(g, is_cofinal(g)).lattice.rows == ()
+    empty, none = BicharacterTable.zero(0), LatticeBasis.trivial(0)
+    assert omega_from_oracle(g, InducedCocycle(c), ()) == empty
+    assert omega_closedform(g, c, ()) == empty
+    assert z_omega_of(empty) == none
+    assert verify_z_omega(empty, none)
+    assert not verify_z_omega(empty, LatticeBasis.trivial(1))
+    phi = OneCocyclePhi(1, {e.id: (theta,) for e in g.edges})
+    assert potential_certificate(g, phi, none) is None
+    centre = suite_centre_phase_triviality(g, InducedCocycle(c), (), none.rows)
+    assert (centre.name, centre.checked, centre.violations) == ("centre_phase_triviality", 0, ())
 
 
 # --- bicharacter extraction -------------------------------------------------

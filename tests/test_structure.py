@@ -1,5 +1,7 @@
 """Reachability, cofinality, and the shift-period lattice."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -397,6 +399,40 @@ def test_cofinality_matches_the_cycle_search_on_random_1_graphs(g):
         assert prod.status == got.status
         if prod.status == NO:
             assert verify_cofinality(h, prod)
+
+
+YES_KINDS = ("strongly_connected", "tail_check")
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_one_graphs())
+def test_yes_recheck_agrees_with_the_per_vertex_rule(g):
+    # the rotation rule accepts exactly the YES certificate is_cofinal gives
+    for h in (g, product_with_Tl(g, 1), product_with_Tl(g, 2)):
+        got = is_cofinal(h)
+        for kind in YES_KINDS:
+            claim = Verdict(YES, {"kind": kind})
+            assert verify_cofinality(h, claim) == (got == claim)
+
+
+def test_forged_yes_certificates_are_rejected():
+    for g in (builtin("DISJOINT2"), builtin("T2")):
+        assert not verify_cofinality(g, Verdict(YES, {"kind": "tail_check"}))
+    tail = product_with_Tl(TAIL, 1)
+    assert not verify_cofinality(tail, Verdict(YES, {"kind": "strongly_connected"}))
+    assert not verify_cofinality(builtin("T2"), Verdict(YES, {"kind": "strongly_connected", "extra": 1}))
+
+
+def test_yes_recheck_of_a_long_chain_is_linear():
+    # two searches and one pruning, where the per-vertex rule of is_cofinal is quadratic
+    g = chain(5000)
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        assert verify_cofinality(g, Verdict(YES, {"kind": "tail_check"}))
+        times.append(time.perf_counter() - t0)
+    assert min(times) < 0.05
+    assert is_strongly_connected(builtin("C3xT1")) and not is_strongly_connected(g)
 
 
 def two_vertex_flip() -> KGraph:
