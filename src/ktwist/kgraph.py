@@ -460,7 +460,7 @@ class EventuallyPeriodicPath:
         return f"EPPath[{self.prefix!r};{self.cycle!r}^oo]"
 
 
-def rotation_walk(g: KGraph, v: str, within=None) -> tuple[list[str], list[str]]:
+def rotation_walk(g: KGraph, v: str, within: set[str] | None = None) -> tuple[list[str], list[str]]:
     """The walk from v that takes the least edge of each color in rotation.
 
     Step t takes the least edge of color t mod k + 1 with range the current
