@@ -16,8 +16,10 @@ at a time.  Everything is exact and deterministic (edges are always
 enumerated in id order).  Paths are immutable and hash once, when they
 are built, so each graph memoizes composition and factorization by their
 arguments, and equal eventually periodic paths share one table of
-segments and one table of shifts and prepends.  The tables live as long
-as the graph.
+segments and one table of shifts and prepends.  Each graph also keeps one
+canonical object per value of the infinite paths (and the oracle's
+groupoid elements) that its builders make, so equal ones are identical.
+The tables live as long as the graph.
 
 An eventually periodic path has many representations (a cycle may be
 repeated, or partly folded into the prefix).  An infinite path is
@@ -95,6 +97,17 @@ class ComposabilityError(ValueError):
 
 @dataclass(eq=False)
 class KGraph:
+    """A k-colored graph with its square tables, compared by identity.
+
+    Besides the indexes built from the edges and squares, a graph keeps
+    per-graph tables that live as long as it does: its paths by range and
+    degree, compositions, factorizations, the segments and the shifts and
+    prepends of its infinite paths, and `_canonical`, one object per value
+    of the infinite paths and groupoid elements its builders make (see
+    `canonical`).  Two graphs share no table and no canonical object, even
+    when they are equal as data.
+    """
+
     k: int
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
@@ -109,6 +122,7 @@ class KGraph:
     _factorize_memo: dict = field(default_factory=dict, repr=False)
     _segment_memo: dict = field(default_factory=dict, repr=False)
     _tail_memo: dict = field(default_factory=dict, repr=False)
+    _canonical: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.vertices = tuple(self.vertices)
@@ -131,6 +145,17 @@ class KGraph:
         self._in = {k: tuple(v) for k, v in inn.items()}
         self._fwd = fwd
         self._inv = inv
+
+    def canonical(self, obj):
+        """The one object of obj's value built on this graph so far.
+
+        The first object of a value that reaches this table becomes its
+        canonical object, and every later equal one is exchanged for it.
+        Infinite paths and groupoid elements pass through here when a
+        builder makes them, so equal ones are identical and a lookup keyed
+        by them hits on identity.
+        """
+        return self._canonical.setdefault(obj, obj)
 
     # --- basic access -------------------------------------------------------
 
@@ -378,6 +403,10 @@ class EventuallyPeriodicPath:
     `shift` and `prepend` keep their results in the graph's `_tail_memo`,
     keyed by (prefix, cycle, argument), so each is normalized once per
     graph, and `segment_to` keeps its segments in `_segment_memo`.
+    `shift`, `prepend` and `canonical_tail` return the graph's canonical
+    object for the value (`KGraph.canonical`), so two equal paths they make
+    are one object.  The constructor makes a new object; == stays
+    structural, so such a path still equals the canonical one.
     """
 
     # Compared by identity but left out of the hash, which the graph's id
@@ -445,7 +474,7 @@ class EventuallyPeriodicPath:
         hit = memo.get(key)
         if hit is None:
             _, rest = self.graph.factorize(self._materialize(n), n)
-            hit = memo[key] = EventuallyPeriodicPath(self.graph, rest, self.cycle)
+            hit = memo[key] = self.graph.canonical(EventuallyPeriodicPath(self.graph, rest, self.cycle))
         return hit
 
     def prepend(self, p: Path) -> "EventuallyPeriodicPath":
@@ -453,7 +482,8 @@ class EventuallyPeriodicPath:
         memo, key = self.graph._tail_memo, (self.prefix, self.cycle, p)
         hit = memo.get(key)
         if hit is None:
-            hit = memo[key] = EventuallyPeriodicPath(self.graph, self.graph.compose(p, self.prefix), self.cycle)
+            tail = EventuallyPeriodicPath(self.graph, self.graph.compose(p, self.prefix), self.cycle)
+            hit = memo[key] = self.graph.canonical(tail)
         return hit
 
     def __repr__(self):
@@ -488,7 +518,8 @@ def canonical_tail(g: KGraph, v: str) -> EventuallyPeriodicPath:
     """A deterministic eventually periodic path with range v: the rotation
     walk from v, then its closed word forever."""
     prefix, cycle = rotation_walk(g, v)
-    return EventuallyPeriodicPath(g, g.make_path(v, prefix), g.make_path(g.edge(cycle[0]).range, cycle))
+    tail = EventuallyPeriodicPath(g, g.make_path(v, prefix), g.make_path(g.edge(cycle[0]).range, cycle))
+    return g.canonical(tail)
 
 
 # --- builtins and products --------------------------------------------------

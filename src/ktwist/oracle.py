@@ -5,8 +5,9 @@ triple (x, p, y) itself: two eventually periodic paths in diagonal normal
 form and their degree difference.  Equality and hashing are structural,
 so every presentation of an element, such as (mu.e.z, p, nu.e.z) built
 from (mu.e, nu.e, z) or from (mu, nu, e.z), is one value and one
-dictionary key.  Inversion and composition touch only the triple;
-`element(mu, nu, tail)` builds one from a pair of paths and a tail.
+dictionary key; the builders also hand out one object for it.  Inversion
+and composition touch only the triple; `element(mu, nu, tail)` builds one
+from a pair of paths and a tail.
 
 The central construction is a groupoid 2-cocycle induced by a categorical
 cocycle on the graph.  Its value on a composable pair is resolved through
@@ -29,7 +30,14 @@ sigma_c has asked for.  A command builds one: `run_suites` hands its own
 to `omega_from_oracle`, and `omega` and `simplicity` each build one for
 the bicharacter.  Below it, paths and elements hash once, when
 they are built, and the graph keeps each shift and prepend of an
-eventually periodic path, so a value already seen costs one lookup.
+eventually periodic path.  Every infinite path and element that a
+builder makes (`shift`, `prepend`, `canonical_tail`, `element`,
+`inverse`, `compose_elements`, `isotropy_element`) is the one object of
+its value on its graph, from `KGraph.canonical`.  So the stores above
+find an element by identity, and a value already seen costs one lookup
+with no field-by-field comparison.  Equality stays structural: an
+element built by the constructor is equal to the canonical one, is found
+by the same lookups, and only costs a comparison.
 A value that depends on the resolution means the categorical cocycle is
 not a 2-cocycle: sigma_c keeps that outcome too and raises
 ResolutionError on every request for the pair, and a suite records it
@@ -69,10 +77,13 @@ class GroupoidElement:
 
     Both paths are in diagonal normal form, so == and the hash compare the
     three fields, and every presentation of an element gives one value.
-    The hash is computed once, when the element is built.  The
-    constructor does not check that T^m x = T^n y for some m - n = p;
-    `element` and the other builders do, and `cell` raises on a triple
-    that fails it.
+    The hash is computed once, when the element is built.  The builders
+    (`element`, `inverse`, `compose_elements`, `isotropy_element`) return
+    the graph's canonical object for the value, so equal elements they
+    make are identical; the constructor itself makes a new object, equal
+    to the canonical one.  The constructor does not check that
+    T^m x = T^n y for some m - n = p; `element` and the other builders do,
+    and `cell` raises on a triple that fails it.
     """
 
     range_path: EventuallyPeriodicPath
@@ -86,7 +97,7 @@ class GroupoidElement:
         return self._hash
 
     def inverse(self) -> "GroupoidElement":
-        return GroupoidElement(self.source_path, dg.scale(-1, self.degree), self.range_path)
+        return _canonical_element(self.source_path, dg.scale(-1, self.degree), self.range_path)
 
     def cell(self) -> tuple[Path, Path]:
         """The cylinder (mu, nu) that resolves the element: a function of it.
@@ -105,7 +116,8 @@ class GroupoidElement:
         steps = max(x.prefix.degree[0], y.prefix.degree[0])
         for t in range(steps + math.lcm(x.cycle.degree[0], y.cycle.degree[0])):
             m, n = dg.add(a, dg.scale(t, diag)), dg.add(b, dg.scale(t, diag))
-            if x.shift(m) == y.shift(n):
+            # shift returns the canonical path of its value, so equal shifts are one object
+            if x.shift(m) is y.shift(n):
                 break
         else:
             raise ValueError(f"no shifts of the two paths agree at degree difference {self.degree}")
@@ -127,27 +139,34 @@ class GroupoidElement:
         return f"GElt[{'.'.join(mu.word) or '*'}|{'.'.join(nu.word) or '*'};{self.degree}]"
 
 
+def _canonical_element(x: EventuallyPeriodicPath, p: Degree, y: EventuallyPeriodicPath) -> GroupoidElement:
+    """The canonical element (x, p, y) of x's graph."""
+    return x.graph.canonical(GroupoidElement(x, p, y))
+
+
 def element(mu: Path, nu: Path, tail: EventuallyPeriodicPath) -> GroupoidElement:
     """The element (mu.tail, d(mu) - d(nu), nu.tail)."""
     if mu.source != nu.source:
         raise ValueError("pair must share a source vertex")
     if tail.range != mu.source:
         raise ValueError("tail must begin at the pair's source vertex")
-    return GroupoidElement(tail.prepend(mu), dg.sub(mu.degree, nu.degree), tail.prepend(nu))
+    return _canonical_element(tail.prepend(mu), dg.sub(mu.degree, nu.degree), tail.prepend(nu))
 
 
 def compose_elements(g1: GroupoidElement, g2: GroupoidElement) -> GroupoidElement:
     """(x, p, y)(y, q, z) = (x, p + q, z)."""
-    if g1.source_path != g2.range_path:
+    # the identity test settles canonical paths; elements built directly are compared
+    if g1.source_path is not g2.range_path and g1.source_path != g2.range_path:
         raise ValueError("elements are not composable")
-    return GroupoidElement(g1.range_path, dg.add(g1.degree, g2.degree), g2.source_path)
+    return _canonical_element(g1.range_path, dg.add(g1.degree, g2.degree), g2.source_path)
 
 
 def isotropy_element(x: EventuallyPeriodicPath, p: Degree) -> GroupoidElement:
     """The element (x, p, x); requires p to be a shift period along x."""
-    if x.shift(dg.pos_part(p)) != x.shift(dg.neg_part(p)):
+    # shift returns the canonical path of its value, so equal shifts are one object
+    if x.shift(dg.pos_part(p)) is not x.shift(dg.neg_part(p)):
         raise ValueError(f"{p} is not a period along the given path")
-    return GroupoidElement(x, tuple(p), x)
+    return _canonical_element(x, tuple(p), x)
 
 
 # --- the cylinder partition -------------------------------------------------
@@ -198,7 +217,8 @@ class PartitionP:
             if (
                 x.segment_to(mu.degree) == mu
                 and y.segment_to(nu.degree) == nu
-                and x.shift(mu.degree) == y.shift(nu.degree)
+                # shift returns the canonical path of its value: equal shifts are one object
+                and x.shift(mu.degree) is y.shift(nu.degree)
             ):
                 hits.append((mu, nu))
         if not hits:
@@ -272,7 +292,9 @@ class InducedCocycle:
     the outcome of each sigma_c pair under (g, h, paddings), a
     ResolutionError included, and the phase of each r_sigma pair under
     (alpha, p); `_categorical` the value c(mu, nu) of each pair of paths
-    that sigma_c has asked for.  An error raised by `cell` or by
+    that sigma_c has asked for.  The elements and paths that key these
+    stores come from the graph's builders, so a repeated request finds
+    its key by identity.  An error raised by `cell` or by
     `cocycle_value` propagates before anything is kept, so it is raised
     afresh on every request.
     """
@@ -581,7 +603,7 @@ def _left_factors(g: KGraph, b: GroupoidElement, d: Degree, s: Degree) -> list[G
     u = b.range_path
     us = u.shift(s)
     return [
-        GroupoidElement(us.prepend(mu), dg.sub(mu.degree, s), u)
+        _canonical_element(us.prepend(mu), dg.sub(mu.degree, s), u)
         for m in dg.box(d)
         for mu in _paths_into(g, us.range, m)
     ]
