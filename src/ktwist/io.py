@@ -276,6 +276,8 @@ def cocycle_from_jsonable(obj, g: KGraph) -> CocycleSpec:
         # the normal form of each (range, word) side seen so far; only
         # successes are kept, so a side that is no path fails at its own entry
         sides: dict[tuple[str, tuple[str, ...]], tuple[str, ...]] = {}
+        # the phase of each literal text seen so far, kept the same way
+        literals: dict[str, PhaseExponent] = {}
         for idx, ent in enumerate(_as_list(_need(obj, "entries", "cocycle"), "cocycle.entries")):
             where = f"cocycle.entries[{idx}]"
             if not isinstance(ent, dict):
@@ -297,8 +299,10 @@ def cocycle_from_jsonable(obj, g: KGraph) -> CocycleSpec:
                     # lookups key by normal form, whatever colour order the file used
                     sides[rng, word] = path.word
                 pair.append((rng, sides[rng, word]))
-            val = _parse_phase_checked(_need(ent, "value", where), symbols, f"{where}.value")
-            rows.append((pair[0], pair[1], val))
+            text = _need(ent, "value", where)
+            if not (isinstance(text, str) and text in literals):
+                literals[text] = _parse_phase_checked(text, symbols, f"{where}.value")
+            rows.append((pair[0], pair[1], literals[text]))
         try:
             return TableCocycle(tuple(bound), tuple(rows))
         except ValueError as err:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from ktwist import cli
+from ktwist import io as io_module
 from ktwist.cocycles import PullbackCocycle, TableCocycle, cocycle_value
 from ktwist.io import (
     FileFormatError,
@@ -128,6 +129,29 @@ def test_table_side_that_is_no_path_names_its_own_entry():
     entries = [{"mu": side, "nu": side, "value": "0"}, {"mu": side, "nu": side, "value": "0"},
                {"mu": side, "nu": bad, "value": "0"}, {"mu": bad, "nu": side, "value": "0"}]
     with pytest.raises(FileFormatError, match=r"^cocycle\.entries\[2\]\.nu: not a path"):
+        loads_cocycle(canonical_json(_table(entries)), g)
+
+
+def test_table_literal_is_parsed_once_per_load(monkeypatch):
+    g = builtin("T2")
+    with open(os.path.join(FIXTURES, "t2_table.json"), encoding="utf-8") as fh:
+        text = fh.read()
+    literals = [ent["value"] for ent in json.loads(text)["entries"]]
+    expected = loads_cocycle(text, g).entries
+    calls = []
+    parse = io_module.parse_phase
+    monkeypatch.setattr(io_module, "parse_phase", lambda t, symbols: calls.append(t) or parse(t, symbols))
+    assert loads_cocycle(text, g).entries == expected
+    # 81 entries hold 5 distinct literals
+    assert sorted(calls) == sorted(set(literals)) and len(calls) == 5 < len(literals) == 81
+
+
+@pytest.mark.parametrize("value, message", [("1/0", "zero denominator"), (7, "expected a phase literal string")])
+def test_repeated_bad_table_literal_names_its_first_entry(value, message):
+    g = builtin("T2")
+    side = {"range": "v", "word": ["a"]}
+    entries = [{"mu": side, "nu": side, "value": v} for v in ("0", value, "1/2", value)]
+    with pytest.raises(FileFormatError, match=rf"^cocycle\.entries\[1\]\.value: {message}"):
         loads_cocycle(canonical_json(_table(entries)), g)
 
 
