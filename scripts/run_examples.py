@@ -16,6 +16,7 @@ from ktwist.io import load_cocycle, resolve_graph
 PAIRINGS = [
     ("T2.json", "pullback_theta.json"),
     ("T2.json", "pullback_half.json"),
+    ("B2.json", "pullback_b2.json"),
     ("B2xT1.json", "phi_theta.json"),
     ("B2xT1.json", "phi_zero.json"),
     ("B2xT3.json", "b2t3.json"),
