@@ -15,11 +15,10 @@ the square tables; factorization peels edges off the range end, one color
 at a time.  Everything is exact and deterministic (edges are always
 enumerated in id order).  Paths are immutable and hash once, when they
 are built, so each graph memoizes composition and factorization by their
-arguments, and equal eventually periodic paths share one table of
-segments and one table of shifts and prepends.  Each graph also keeps one
-canonical object per value of the infinite paths (and the oracle's
-groupoid elements) that its builders make, so equal ones are identical.
-The tables live as long as the graph.
+arguments.  Infinite paths (and the oracle's groupoid elements) are one
+object per value, by construction: the constructor looks the normal form
+up in the graph's interning table.  Each infinite path keeps its own
+shifts and segments.  The tables live as long as the graph.
 
 An eventually periodic path has many representations (a cycle may be
 repeated, or partly folded into the prefix).  An infinite path is
@@ -100,12 +99,11 @@ class KGraph:
     """A k-colored graph with its square tables, compared by identity.
 
     Besides the indexes built from the edges and squares, a graph keeps
-    per-graph tables that live as long as it does: its paths by range and
-    degree, compositions, factorizations, the segments and the shifts and
-    prepends of its infinite paths, and `_canonical`, one object per value
-    of the infinite paths and groupoid elements its builders make (see
-    `canonical`).  Two graphs share no table and no canonical object, even
-    when they are equal as data.
+    tables that live as long as it does: its paths by range and degree,
+    compositions, factorizations, and `_interned`, the one object of each
+    infinite path and groupoid element made on it, keyed by its normal-form
+    fields.  Two graphs share no table and no object, even when they are
+    equal as data.
     """
 
     k: int
@@ -120,9 +118,7 @@ class KGraph:
     _paths_cache: dict = field(default_factory=dict, repr=False)
     _compose_memo: dict = field(default_factory=dict, repr=False)
     _factorize_memo: dict = field(default_factory=dict, repr=False)
-    _segment_memo: dict = field(default_factory=dict, repr=False)
-    _tail_memo: dict = field(default_factory=dict, repr=False)
-    _canonical: dict = field(default_factory=dict, repr=False)
+    _interned: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.vertices = tuple(self.vertices)
@@ -145,17 +141,6 @@ class KGraph:
         self._in = {k: tuple(v) for k, v in inn.items()}
         self._fwd = fwd
         self._inv = inv
-
-    def canonical(self, obj):
-        """The one object of obj's value built on this graph so far.
-
-        The first object of a value that reaches this table becomes its
-        canonical object, and every later equal one is exchanged for it.
-        Infinite paths and groupoid elements pass through here when a
-        builder makes them, so equal ones are identical and a lookup keyed
-        by them hits on identity.
-        """
-        return self._canonical.setdefault(obj, obj)
 
     # --- basic access -------------------------------------------------------
 
@@ -391,22 +376,27 @@ def _hexagon_ok(g: KGraph, f: str, gg: str, h: str) -> bool:
 # --- eventually periodic infinite paths -------------------------------------
 
 
-@dataclass(frozen=True)
+def _materialize(g: KGraph, prefix: Path, cycle: Path, n: Degree) -> Path:
+    """prefix.cycle...cycle with the fewest cycles that reach degree n."""
+    need = dg.sub(n, prefix.degree)
+    reps = max((x + c - 1) // c if x > 0 else 0 for x, c in zip(need, cycle.degree))
+    out = prefix
+    for _ in range(reps):
+        out = g.compose(out, cycle)
+    return out
+
+
+@dataclass(frozen=True, init=False)
 class EventuallyPeriodicPath:
     """Infinite path prefix.cycle.cycle... in diagonal normal form.
 
     Write D = (1, ..., 1).  The cycle must be a loop at the prefix source of
     degree rD with r >= 1.  The constructor rewrites (prefix, cycle) to the
-    least r, then the least s, with x = x(0, sD).x(sD, (s+r)D)^oo.
-
-    The hash of (prefix, cycle) is computed once, after that rewrite.
-    `shift` and `prepend` keep their results in the graph's `_tail_memo`,
-    keyed by (prefix, cycle, argument), so each is normalized once per
-    graph, and `segment_to` keeps its segments in `_segment_memo`.
-    `shift`, `prepend` and `canonical_tail` return the graph's canonical
-    object for the value (`KGraph.canonical`), so two equal paths they make
-    are one object.  The constructor makes a new object; == stays
-    structural, so such a path still equals the canonical one.
+    least r, then the least s, with x = x(0, sD).x(sD, (s+r)D)^oo, and
+    returns the graph's one object for that pair, so equal paths are
+    identical.  The hash of (prefix, cycle) is computed once, when the
+    object is made.  Each path keeps its own shifts and prepends and its
+    own segments, so each is worked out once.
     """
 
     # Compared by identity but left out of the hash, which the graph's id
@@ -415,17 +405,17 @@ class EventuallyPeriodicPath:
     prefix: Path
     cycle: Path
 
-    def __post_init__(self):
-        g, r = self.graph, self.cycle.degree[0]
-        if self.prefix.source != self.cycle.range or self.cycle.range != self.cycle.source:
+    def __new__(cls, graph: KGraph, prefix: Path, cycle: Path):
+        g, r = graph, cycle.degree[0]
+        if prefix.source != cycle.range or cycle.range != cycle.source:
             raise ValueError("cycle must be a loop at the prefix source")
-        if r < 1 or any(x != r for x in self.cycle.degree):
+        if r < 1 or any(x != r for x in cycle.degree):
             raise ValueError("cycle degree must be (r, ..., r) with r >= 1")
         # x is determined by its diagonal steps x(tD, (t+1)D), which repeat
         # with period r from s = max(prefix degree) on.
         diag = (1,) * g.k
-        s = max(self.prefix.degree)
-        mat = self._materialize(dg.scale(s + r, diag))
+        s = max(prefix.degree)
+        mat = _materialize(g, prefix, cycle, dg.scale(s + r, diag))
         steps, rest = [], mat
         for _ in range(s + r):
             step, rest = g.factorize(rest, diag)
@@ -435,9 +425,12 @@ class EventuallyPeriodicPath:
         while s and steps[s - 1] == steps[s - 1 + r]:
             s -= 1
         head, rest = g.factorize(mat, dg.scale(s, diag))
-        object.__setattr__(self, "prefix", head)
-        object.__setattr__(self, "cycle", g.factorize(rest, dg.scale(r, diag))[0])
-        object.__setattr__(self, "_hash", hash((self.prefix, self.cycle)))
+        key = (head, g.factorize(rest, dg.scale(r, diag))[0])
+        self = g._interned.get(key)
+        if self is None:
+            self = g._interned[key] = object.__new__(cls)
+            self.__dict__.update(graph=g, prefix=key[0], cycle=key[1], _hash=hash(key), _tails={}, _segments={})
+        return self
 
     def __hash__(self):
         return self._hash
@@ -446,21 +439,13 @@ class EventuallyPeriodicPath:
     def range(self) -> str:
         return self.prefix.range
 
-    def _materialize(self, n: Degree) -> Path:
-        g = self.graph
-        need = dg.sub(n, self.prefix.degree)
-        reps = max((x + c - 1) // c if x > 0 else 0 for x, c in zip(need, self.cycle.degree))
-        out = self.prefix
-        for _ in range(reps):
-            out = g.compose(out, self.cycle)
-        return out
-
     def segment_to(self, n: Degree) -> Path:
         """x(0, n)."""
-        memo, key = self.graph._segment_memo, (self.prefix, self.cycle, n)
-        if key not in memo:
-            memo[key] = self.graph.factorize(self._materialize(n), n)[0]
-        return memo[key]
+        seg = self._segments.get(n)
+        if seg is None:
+            g = self.graph
+            seg = self._segments[n] = g.factorize(_materialize(g, self.prefix, self.cycle, n), n)[0]
+        return seg
 
     def at(self, m: Degree, n: Degree) -> Path:
         """x(m, n)."""
@@ -470,20 +455,19 @@ class EventuallyPeriodicPath:
     def shift(self, n: Degree) -> "EventuallyPeriodicPath":
         """The path T^n x."""
         # a degree key never equals a path key, so shifts and prepends share the table
-        memo, key = self.graph._tail_memo, (self.prefix, self.cycle, n)
-        hit = memo.get(key)
+        hit = self._tails.get(n)
         if hit is None:
-            _, rest = self.graph.factorize(self._materialize(n), n)
-            hit = memo[key] = self.graph.canonical(EventuallyPeriodicPath(self.graph, rest, self.cycle))
+            g = self.graph
+            _, rest = g.factorize(_materialize(g, self.prefix, self.cycle, n), n)
+            hit = self._tails[n] = EventuallyPeriodicPath(g, rest, self.cycle)
         return hit
 
     def prepend(self, p: Path) -> "EventuallyPeriodicPath":
         """The path p.x."""
-        memo, key = self.graph._tail_memo, (self.prefix, self.cycle, p)
-        hit = memo.get(key)
+        hit = self._tails.get(p)
         if hit is None:
-            tail = EventuallyPeriodicPath(self.graph, self.graph.compose(p, self.prefix), self.cycle)
-            hit = memo[key] = self.graph.canonical(tail)
+            g = self.graph
+            hit = self._tails[p] = EventuallyPeriodicPath(g, g.compose(p, self.prefix), self.cycle)
         return hit
 
     def __repr__(self):
@@ -518,8 +502,7 @@ def canonical_tail(g: KGraph, v: str) -> EventuallyPeriodicPath:
     """A deterministic eventually periodic path with range v: the rotation
     walk from v, then its closed word forever."""
     prefix, cycle = rotation_walk(g, v)
-    tail = EventuallyPeriodicPath(g, g.make_path(v, prefix), g.make_path(g.edge(cycle[0]).range, cycle))
-    return g.canonical(tail)
+    return EventuallyPeriodicPath(g, g.make_path(v, prefix), g.make_path(g.edge(cycle[0]).range, cycle))
 
 
 # --- builtins and products --------------------------------------------------

@@ -2,10 +2,9 @@
 
 An element of the groupoid G = {(x, m - n, y) : T^m x = T^n y} is the
 triple (x, p, y) itself: two eventually periodic paths in diagonal normal
-form and their degree difference.  Equality and hashing are structural,
-so every presentation of an element, such as (mu.e.z, p, nu.e.z) built
-from (mu.e, nu.e, z) or from (mu, nu, e.z), is one value and one
-dictionary key; the builders also hand out one object for it.  Inversion
+form and their degree difference.  Every presentation of an element,
+such as (mu.e.z, p, nu.e.z) built from (mu.e, nu.e, z) or from
+(mu, nu, e.z), is one value and, by construction, one object.  Inversion
 and composition touch only the triple; `element(mu, nu, tail)` builds one
 from a pair of paths and a tail.
 
@@ -29,15 +28,11 @@ pair and the categorical value c(mu, nu) of each pair of paths that
 sigma_c has asked for.  A command builds one: `run_suites` hands its own
 to `omega_from_oracle`, and `omega` and `simplicity` each build one for
 the bicharacter.  Below it, paths and elements hash once, when
-they are built, and the graph keeps each shift and prepend of an
-eventually periodic path.  Every infinite path and element that a
-builder makes (`shift`, `prepend`, `canonical_tail`, `element`,
-`inverse`, `compose_elements`, `isotropy_element`) is the one object of
-its value on its graph, from `KGraph.canonical`.  So the stores above
-find an element by identity, and a value already seen costs one lookup
-with no field-by-field comparison.  Equality stays structural: an
-element built by the constructor is equal to the canonical one, is found
-by the same lookups, and only costs a comparison.
+they are built.  Infinite paths and elements are one object per value,
+by construction: their constructors return the graph's one object for
+the normal form, and each infinite path keeps its own shifts and
+segments.  So the stores above find an element by identity, and a value
+already seen costs one lookup with no field-by-field comparison.
 A value that depends on the resolution means the categorical cocycle is
 not a 2-cocycle: sigma_c keeps that outcome too and raises
 ResolutionError on every request for the pair, and a suite records it
@@ -71,33 +66,36 @@ class ResolutionError(RuntimeError):
 # --- groupoid elements ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GroupoidElement:
     """The element (x, p, y) of G = {(x, m - n, y) : T^m x = T^n y}.
 
-    Both paths are in diagonal normal form, so == and the hash compare the
-    three fields, and every presentation of an element gives one value.
-    The hash is computed once, when the element is built.  The builders
-    (`element`, `inverse`, `compose_elements`, `isotropy_element`) return
-    the graph's canonical object for the value, so equal elements they
-    make are identical; the constructor itself makes a new object, equal
-    to the canonical one.  The constructor does not check that
-    T^m x = T^n y for some m - n = p; `element` and the other builders do,
-    and `cell` raises on a triple that fails it.
+    Both paths are in diagonal normal form, so every presentation of an
+    element gives the same three fields, and the constructor returns the
+    graph's one object for them: equal elements are identical.  The hash
+    is computed once, when the object is made.  The constructor does not
+    check that T^m x = T^n y for some m - n = p; `element` and the other
+    builders do, and `cell` raises on a triple that fails it.
     """
 
     range_path: EventuallyPeriodicPath
     degree: Degree
     source_path: EventuallyPeriodicPath
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.range_path, self.degree, self.source_path)))
+    def __new__(cls, range_path: EventuallyPeriodicPath, degree: Degree, source_path: EventuallyPeriodicPath):
+        key = (range_path, tuple(degree), source_path)
+        table = range_path.graph._interned
+        self = table.get(key)
+        if self is None:
+            self = table[key] = object.__new__(cls)
+            self.__dict__.update(range_path=range_path, degree=key[1], source_path=source_path, _hash=hash(key))
+        return self
 
     def __hash__(self):
         return self._hash
 
     def inverse(self) -> "GroupoidElement":
-        return _canonical_element(self.source_path, dg.scale(-1, self.degree), self.range_path)
+        return GroupoidElement(self.source_path, dg.scale(-1, self.degree), self.range_path)
 
     def cell(self) -> tuple[Path, Path]:
         """The cylinder (mu, nu) that resolves the element: a function of it.
@@ -116,7 +114,7 @@ class GroupoidElement:
         steps = max(x.prefix.degree[0], y.prefix.degree[0])
         for t in range(steps + math.lcm(x.cycle.degree[0], y.cycle.degree[0])):
             m, n = dg.add(a, dg.scale(t, diag)), dg.add(b, dg.scale(t, diag))
-            # shift returns the canonical path of its value, so equal shifts are one object
+            # equal infinite paths are one object
             if x.shift(m) is y.shift(n):
                 break
         else:
@@ -139,34 +137,29 @@ class GroupoidElement:
         return f"GElt[{'.'.join(mu.word) or '*'}|{'.'.join(nu.word) or '*'};{self.degree}]"
 
 
-def _canonical_element(x: EventuallyPeriodicPath, p: Degree, y: EventuallyPeriodicPath) -> GroupoidElement:
-    """The canonical element (x, p, y) of x's graph."""
-    return x.graph.canonical(GroupoidElement(x, p, y))
-
-
 def element(mu: Path, nu: Path, tail: EventuallyPeriodicPath) -> GroupoidElement:
     """The element (mu.tail, d(mu) - d(nu), nu.tail)."""
     if mu.source != nu.source:
         raise ValueError("pair must share a source vertex")
     if tail.range != mu.source:
         raise ValueError("tail must begin at the pair's source vertex")
-    return _canonical_element(tail.prepend(mu), dg.sub(mu.degree, nu.degree), tail.prepend(nu))
+    return GroupoidElement(tail.prepend(mu), dg.sub(mu.degree, nu.degree), tail.prepend(nu))
 
 
 def compose_elements(g1: GroupoidElement, g2: GroupoidElement) -> GroupoidElement:
     """(x, p, y)(y, q, z) = (x, p + q, z)."""
-    # the identity test settles canonical paths; elements built directly are compared
-    if g1.source_path is not g2.range_path and g1.source_path != g2.range_path:
+    # equal infinite paths are one object
+    if g1.source_path is not g2.range_path:
         raise ValueError("elements are not composable")
-    return _canonical_element(g1.range_path, dg.add(g1.degree, g2.degree), g2.source_path)
+    return GroupoidElement(g1.range_path, dg.add(g1.degree, g2.degree), g2.source_path)
 
 
 def isotropy_element(x: EventuallyPeriodicPath, p: Degree) -> GroupoidElement:
     """The element (x, p, x); requires p to be a shift period along x."""
-    # shift returns the canonical path of its value, so equal shifts are one object
+    # equal infinite paths are one object
     if x.shift(dg.pos_part(p)) is not x.shift(dg.neg_part(p)):
         raise ValueError(f"{p} is not a period along the given path")
-    return _canonical_element(x, tuple(p), x)
+    return GroupoidElement(x, p, x)
 
 
 # --- the cylinder partition -------------------------------------------------
@@ -217,7 +210,7 @@ class PartitionP:
             if (
                 x.segment_to(mu.degree) == mu
                 and y.segment_to(nu.degree) == nu
-                # shift returns the canonical path of its value: equal shifts are one object
+                # equal infinite paths are one object
                 and x.shift(mu.degree) is y.shift(nu.degree)
             ):
                 hits.append((mu, nu))
@@ -292,9 +285,8 @@ class InducedCocycle:
     the outcome of each sigma_c pair under (g, h, paddings), a
     ResolutionError included, and the phase of each r_sigma pair under
     (alpha, p); `_categorical` the value c(mu, nu) of each pair of paths
-    that sigma_c has asked for.  The elements and paths that key these
-    stores come from the graph's builders, so a repeated request finds
-    its key by identity.  An error raised by `cell` or by
+    that sigma_c has asked for.  Equal elements are one object, so a
+    repeated request finds its key by identity.  An error raised by `cell` or by
     `cocycle_value` propagates before anything is kept, so it is raised
     afresh on every request.
     """
@@ -603,7 +595,7 @@ def _left_factors(g: KGraph, b: GroupoidElement, d: Degree, s: Degree) -> list[G
     u = b.range_path
     us = u.shift(s)
     return [
-        _canonical_element(us.prepend(mu), dg.sub(mu.degree, s), u)
+        GroupoidElement(us.prepend(mu), dg.sub(mu.degree, s), u)
         for m in dg.box(d)
         for mu in _paths_into(g, us.range, m)
     ]
