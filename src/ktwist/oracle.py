@@ -657,7 +657,7 @@ def suite_resolution_independence(g: KGraph, s: InducedCocycle, depth=1) -> Suit
                 try:
                     sigma_c(s, a, b, paddings=(0, 1, 2))
                 except ResolutionError as err:
-                    bad.append(str(err))
+                    bad.append(f"resolution fails on ({a!r}, {b!r}): {err}")
                 checked += 1
                 if checked >= RESOLUTION_PAIRS:
                     return SuiteResult("resolution_independence", checked, tuple(bad))

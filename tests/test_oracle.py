@@ -327,6 +327,17 @@ def test_sigma_resolution_padding_agreement(t2, t2_sigma):
     assert val.coeff("theta") == 1
 
 
+def test_resolution_suite_names_the_failing_pair(t2):
+    # each violation says which pair (a, b) depended on the resolution, so
+    # the first three, which the human report prints, are three lines
+    res = suite_resolution_independence(t2, InducedCocycle(corrupted_t2_table((3, 3))), depth=1)
+    assert res.checked == 64 and res.violations
+    for line in res.violations:
+        assert line.startswith("resolution fails on (GElt[")
+        assert line.endswith("): cocycle value depended on the resolution choice; the cocycle is not a 2-cocycle")
+    assert len(set(res.violations[:3])) == 3
+
+
 def _identity_suite_pairs(g, depth, cap):
     """The first `cap` triples of the cocycle identity suite, as its four pairs."""
     d = (depth,) * g.k
