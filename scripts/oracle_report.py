@@ -21,7 +21,9 @@ PAIRINGS = [
     ("T2.json", "pullback_half.json"),
     ("B2.json", "pullback_b2.json"),
     ("B2xT1.json", "phi_theta.json"),
+    ("B2xT1.json", "phi_zero.json"),
     ("B2xT3.json", "b2t3.json"),
+    ("DISJOINT2.json", "pullback_b2.json"),
 ]
 
 

@@ -1,11 +1,17 @@
 """File format tests: canonical JSON, round-trips, error context."""
 
+import contextlib
+import copy
+import io
 import json
 import os
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ktwist import cli
 from ktwist import io as io_module
@@ -286,6 +292,75 @@ def test_malformed_input_exits_1(tmp_path, capsys, kind, obj):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# values of the wrong type, or of the right type but out of place
+ODD_VALUES = (None, True, False, 0, -1, 3, 1.5, "", "x", "1/0", [], {}, [1], {"x": 1})
+FUZZ_PAIRINGS = (("T2", "pullback_theta"), ("T2", "t2_table"), ("B2", "pullback_b2"),
+                 ("B2xT1", "phi_theta"), ("DISJOINT2", "pullback_b2"))
+
+
+def _locations(node, at=()):
+    """The path of every value below the root of a JSON document."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield at + (key,)
+        yield from _locations(child, at + (key,))
+
+
+@st.composite
+def _mutated(draw, doc):
+    """doc with one or two values set to an odd value, deleted, or repeated in their list."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 2))):
+        where = draw(st.sampled_from(list(_locations(doc)) or [None]))
+        if where is None:
+            break
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        key = where[-1]
+        how = draw(st.sampled_from(["set", "delete" if isinstance(parent, dict) else "repeat"]))
+        if how == "set":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+        elif how == "delete":
+            del parent[key]
+        else:
+            parent.insert(key, copy.deepcopy(parent[key]))
+    return doc
+
+
+@st.composite
+def _fuzzed_inputs(draw):
+    gname, cname = draw(st.sampled_from(FUZZ_PAIRINGS))
+    docs = [json.loads(_read(FIXTURES, gname)), json.loads(_read(FIXTURES, cname))]
+    which = draw(st.integers(0, 1))
+    docs[which] = draw(_mutated(docs[which]))
+    return docs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fuzzed_inputs())
+def test_mutated_input_gives_a_report_or_an_error_line(docs):
+    # a mutated fixture either still makes a report or exits 1 with one
+    # `error:` line; no command lets an exception escape
+    with tempfile.TemporaryDirectory() as tmp:
+        gpath, cpath = os.path.join(tmp, "graph.json"), os.path.join(tmp, "cocycle.json")
+        for path, doc in ((gpath, docs[0]), (cpath, docs[1])):
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        for command in ("validate", "analyze", "per", "omega", "simplicity"):
+            argv = [command, gpath, "--format", "structured"]
+            if command in ("validate", "omega", "simplicity"):
+                argv += ["--cocycle", cpath]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            if err.getvalue():
+                assert code == 1 and out.getvalue() == "", argv
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+            else:
+                assert json.loads(out.getvalue())["command"] == command
 
 
 @pytest.mark.parametrize("command", ["validate", "analyze", "per", "omega", "simplicity", "oracle"])

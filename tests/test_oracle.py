@@ -1,7 +1,9 @@
 """Brute-force groupoid layer: partition, sigma, conjugation phases, suites."""
 
+import gc
 import os
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,7 @@ from ktwist.cocycles import (
     cocycle_value,
     validate_phi,
 )
-from ktwist.decider import potential_certificate, verify_z_omega, z_omega_of
+from ktwist.decider import decide_simplicity, potential_certificate, verify_z_omega, z_omega_of
 from ktwist.lattices import LatticeBasis
 from ktwist.io import load_cocycle
 from ktwist.kgraph import EventuallyPeriodicPath, builtin, canonical_tail
@@ -214,6 +216,21 @@ def test_two_loads_of_a_graph_share_no_canonical_object():
     assert not {id(o) for o in g1._interned.values()} & {id(o) for o in g2._interned.values()}
     owners = {o.graph if isinstance(o, EventuallyPeriodicPath) else o.range_path.graph for o in g1._interned.values()}
     assert owners == {g1}
+
+
+def test_no_module_state_keeps_a_graph_alive():
+    # the interned paths and elements, the memos and the kept values all
+    # hang off the graph or a command's InducedCocycle, so once the caller
+    # drops the graph the collector frees it
+    g = builtin("B2xT1")
+    c = load_cocycle(os.path.join(FIXTURES, "phi_theta.json"), g)[0]
+    assert oracle.run_suites(g, c, 2, 200)[3] is not None
+    assert decide_simplicity(g, c).verdict.status
+    assert g._interned
+    alive = weakref.ref(g)
+    del g, c
+    gc.collect()
+    assert alive() is None
 
 
 @pytest.mark.parametrize("name, stem, calls", [("B2xT1", "phi_theta", 0), ("T2", "pullback_theta", 0)])

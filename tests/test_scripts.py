@@ -36,6 +36,8 @@ def test_oracle_report_covers_the_pairings(monkeypatch, capsys):
     assert oracle_report.main() == 0
     blocks = json.loads(capsys.readouterr().out)["pairings"]
     assert [(b["graph"], b["cocycle"]) for b in blocks] == oracle_report.PAIRINGS
+    # the same seven bundled pairings that run_examples.py decides
+    assert oracle_report.PAIRINGS == run_examples.PAIRINGS
     assert all(b["ok"] for b in blocks)
     # the symmetric closed form misses the theta twist on the torus
     assert blocks[0]["closed_form_agrees"] is False
