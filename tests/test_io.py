@@ -313,9 +313,7 @@ def _mutated(draw, doc):
     """doc with one or two values set to an odd value, deleted, or repeated in their list."""
     doc = copy.deepcopy(doc)
     for _ in range(draw(st.integers(1, 2))):
-        where = draw(st.sampled_from(list(_locations(doc)) or [None]))
-        if where is None:
-            break
+        where = draw(st.sampled_from(list(_locations(doc))))
         parent = doc
         for key in where[:-1]:
             parent = parent[key]
