@@ -346,7 +346,7 @@ def test_sigma_resolution_padding_agreement(t2, t2_sigma):
 
 def test_resolution_suite_names_the_failing_pair(t2):
     # each violation says which pair (a, b) depended on the resolution, so
-    # the first three, which the human report prints, are three lines
+    # the first three, which the human report prints, are three different lines
     res = suite_resolution_independence(t2, InducedCocycle(corrupted_t2_table((3, 3))), depth=1)
     assert res.checked == 64 and res.violations
     for line in res.violations:
