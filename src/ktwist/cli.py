@@ -290,8 +290,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Built once per process: parsing leaves the parser as it was, so a caller
+# that runs many commands in one process builds it only once.
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, ResolutionError) as err:  # FileFormatError is a ValueError

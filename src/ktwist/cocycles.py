@@ -29,7 +29,7 @@ All values are PhaseExponent instances; equality is mod-Z exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Union
 
 from . import degrees as dg
@@ -318,9 +318,12 @@ def validate_cocycle(c: CocycleSpec, g: KGraph, depth: int) -> ValidationReport:
     * Table: the value depends on the whole path, so the identity is
       checked on every composable triple of total degree at most `depth`.
       Triples are enumerated by total degree, so none above the depth is
-      built.  Each composable pair is evaluated at most once per call: its
-      value, or its domain error (reported where the pair is first used),
-      is kept in a dict that lives only as long as the call.
+      built.  Each composable pair within the depth is composed once, before
+      the triples, and valued at most once per call: c(x, .) is kept in a
+      row per path x, keyed by the word of the second path, and filled on
+      first use, so a domain error is reported where its pair is first used,
+      in the order of a loop that values every pair of every triple.  The
+      rows live only as long as the call.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
@@ -337,44 +340,55 @@ def validate_cocycle(c: CocycleSpec, g: KGraph, depth: int) -> ValidationReport:
     for v in g.vertices:
         for n in dg.total_box(g.k, depth):
             graded[v][dg.total(n)].extend(g.paths_from(v, n))
+    # flat[v]: the paths with range v in graded order; upto[v][t]: how many
+    # of them have total degree at most t
+    flat = {v: list(chain.from_iterable(graded[v])) for v in g.vertices}
+    upto = {v: list(accumulate(map(len, graded[v]))) for v in g.vertices}
+    # after[p]: each nu that can follow p within the depth, with p.nu; every
+    # composable pair within the depth is composed here, once
+    after: dict[Path, list[tuple[Path, Path]]] = {
+        p: [(nu, g.compose(p, nu)) for nu in flat[p.source][: upto[p.source][depth - t]]]
+        for v in g.vertices
+        for t, ps in enumerate(graded[v])
+        for p in ps
+    }
 
     problems = []
-    values: dict[tuple[Path, Path], PhaseExponent | None] = {}
+    rows: dict[Path, dict[tuple[str, ...], PhaseExponent | None]] = {}
 
-    def val(mu: Path, nu: Path) -> PhaseExponent | None:
+    def value(x: Path, y: Path, row: dict) -> PhaseExponent | None:
+        """c(x, y), kept in x's row; a domain error is reported and kept as None."""
         try:
-            return values[(mu, nu)]
-        except KeyError:
-            pass
-        try:
-            x = cocycle_value(c, mu, nu)
+            out = cocycle_value(c, x, y)
         except CocycleDomainError as err:
             problems.append(str(err))
-            x = None
-        values[(mu, nu)] = x
-        return x
+            out = None
+        row[y.word] = out
+        return out
 
     for v in g.vertices:
         for t1, lams in enumerate(graded[v]):
             for lam in lams:
-                for t2, mus in enumerate(graded[lam.source][: depth - t1 + 1]):
-                    for mu in mus:
-                        lam_mu = g.compose(lam, mu)
-                        # (lam, mu) is valued once per pair, before the nu loop.
-                        # Problems keep the order of a loop that asks for it with
-                        # every nu: there the first nu is the vertex path s(mu),
-                        # whose pair (mu, s(mu)) is 0 and reports nothing, and
-                        # mu.s(mu) = mu, so the first pair asked for was (lam, mu).
-                        cc = val(lam, mu)
-                        for nu in chain.from_iterable(graded[mu.source][: depth - t1 - t2 + 1]):
-                            a = val(mu, nu)
-                            b = val(lam, g.compose(mu, nu))
-                            d = val(lam_mu, nu)
-                            if None in (a, b, cc, d):
-                                continue
-                            # equality of PhaseExponents is equality mod Z
-                            if a + b != cc + d:
-                                problems.append(
-                                    f"cocycle identity fails on triple ({lam!r}, {mu!r}, {nu!r})"
-                                )
+                row_lam = rows.setdefault(lam, {})
+                for mu, lam_mu in after[lam]:
+                    # (lam, mu) is valued once per pair, before the nu loop.
+                    # Problems keep the order of a loop that asks for it with
+                    # every nu: there the first nu is the vertex path s(mu),
+                    # whose pair (mu, s(mu)) is 0 and reports nothing, and
+                    # mu.s(mu) = mu, so the first pair asked for was (lam, mu).
+                    cc = row_lam[mu.word] if mu.word in row_lam else value(lam, mu, row_lam)
+                    row_mu = rows.setdefault(mu, {})
+                    row_lm = rows.setdefault(lam_mu, {})
+                    for nu, mu_nu in after[mu][: upto[mu.source][depth - t1 - dg.total(mu.degree)]]:
+                        w = nu.word
+                        a = row_mu[w] if w in row_mu else value(mu, nu, row_mu)
+                        b = row_lam[mu_nu.word] if mu_nu.word in row_lam else value(lam, mu_nu, row_lam)
+                        d = row_lm[w] if w in row_lm else value(lam_mu, nu, row_lm)
+                        if None in (a, b, cc, d):
+                            continue
+                        # equality of PhaseExponents is equality mod Z
+                        if a + b != cc + d:
+                            problems.append(
+                                f"cocycle identity fails on triple ({lam!r}, {mu!r}, {nu!r})"
+                            )
     return ValidationReport(tuple(problems))

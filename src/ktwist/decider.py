@@ -136,9 +136,12 @@ def _gen_scale(gens: list[PhaseVector]) -> int:
 
 
 def orbit_phase_generators(
-    g: KGraph, phi: OneCocyclePhi, zbasis: LatticeBasis, bound: int
+    g: KGraph, strongly_connected: bool, phi: OneCocyclePhi, zbasis: LatticeBasis, bound: int
 ) -> tuple[list[PhaseVector], bool]:
     """Phase vectors of all source-matched path pairs, in zbasis coordinates.
+
+    `strongly_connected` is the caller's `is_strongly_connected(g)`; the
+    enumeration needs it to be True.
 
     Enumerates pairs (mu, nu) with s(mu) = s(nu) and degrees at most the
     bound, pairs each zbasis row with the 1-cochain difference, and reports
@@ -149,7 +152,7 @@ def orbit_phase_generators(
     projected onto the zbasis rows once, and a pair's vector is the
     difference of its two projections.
     """
-    if not is_strongly_connected(g):
+    if not strongly_connected:
         raise ValueError("orbit phase enumeration requires a strongly connected graph")
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -349,7 +352,8 @@ def _decide_degenerate(
     base = product_base(g, c.l)
     if is_aperiodic(base).status != YES:
         return unknown, (), "base graph is not certified aperiodic; orbit reduction unavailable"
-    if not is_strongly_connected(base):
+    connected = is_strongly_connected(base)
+    if not connected:
         return unknown, (), "base graph is not strongly connected; orbit reduction unavailable"
 
     pot = potential_certificate(base, c.phi, z)
@@ -361,7 +365,7 @@ def _decide_degenerate(
         certificate = {"kind": "orbit_potential", "n": list(n), "psi": psi_text}
         reason = "a character coordinate of the orbit is a function of the range vertex"
         return Verdict(NONSIMPLE, certificate, reason=reason), (), None
-    gens, stabilized = orbit_phase_generators(base, c.phi, z, orbit)
+    gens, stabilized = orbit_phase_generators(base, connected, c.phi, z, orbit)
     kron = kronecker_dense(gens, z.rank)
     if kron.dense:
         if not verify_kronecker(gens, z.rank, kron):

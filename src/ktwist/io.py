@@ -235,6 +235,27 @@ def _parse_phase_matrix(rows, n: int, m: int, symbols, where: str):
     return tuple(out)
 
 
+def _table_side(ent: dict, key: str, where: str, g: KGraph, sides: dict) -> tuple[str, tuple[str, ...]]:
+    """Check the side `key` of a table entry; its range and normal-form word.
+
+    A side that passes is kept in `sides` under its range and word as written.
+    """
+    side = _need(ent, key, where)
+    if not isinstance(side, dict):
+        raise FileFormatError(f"{where}.{key}: expected an object")
+    rng = _need(side, "range", f"{where}.{key}")
+    if not isinstance(rng, str) or rng not in g.vertices:
+        raise FileFormatError(f"{where}.{key}.range: expected a vertex of the graph")
+    word = tuple(_as_str_list(_need(side, "word", f"{where}.{key}"), f"{where}.{key}.word"))
+    try:
+        path = g.make_path(rng, word)
+    except (KeyError, ValueError) as err:
+        raise FileFormatError(f"{where}.{key}: not a path ({err})") from err
+    # lookups key by normal form, whatever colour order the file used
+    out = sides[rng, word] = (rng, path.word)
+    return out
+
+
 def cocycle_from_jsonable(obj, g: KGraph) -> CocycleSpec:
     if not isinstance(obj, dict):
         raise FileFormatError("cocycle: expected a JSON object")
@@ -273,35 +294,31 @@ def cocycle_from_jsonable(obj, g: KGraph) -> CocycleSpec:
         if not (isinstance(bound, list) and len(bound) == g.k and all(_is_int(x) for x in bound)):
             raise FileFormatError(f"cocycle.bound: expected {g.k} integers")
         rows = []
-        # the normal form of each (range, word) side seen so far; only
-        # successes are kept, so a side that is no path fails at its own entry
-        sides: dict[tuple[str, tuple[str, ...]], tuple[str, ...]] = {}
-        # the phase of each literal text seen so far, kept the same way
+        # The normal form of each (range, word) side checked so far, and the
+        # phase of each literal parsed so far.  Only successes are kept, so
+        # an input that fails, fails at its own entry.  A side is looked up
+        # before it is checked: only a list word can match a key, and a key
+        # is made only of strings, so a hit is a side that would pass every
+        # check.  The field names of an error are built only when one is
+        # raised.
+        sides: dict[tuple[str, tuple[str, ...]], tuple[str, tuple[str, ...]]] = {}
         literals: dict[str, PhaseExponent] = {}
         for idx, ent in enumerate(_as_list(_need(obj, "entries", "cocycle"), "cocycle.entries")):
-            where = f"cocycle.entries[{idx}]"
             if not isinstance(ent, dict):
-                raise FileFormatError(f"{where}: expected an object")
+                raise FileFormatError(f"cocycle.entries[{idx}]: expected an object")
             pair = []
             for key in ("mu", "nu"):
-                side = _need(ent, key, where)
-                if not isinstance(side, dict):
-                    raise FileFormatError(f"{where}.{key}: expected an object")
-                rng = _need(side, "range", f"{where}.{key}")
-                if not isinstance(rng, str) or rng not in g.vertices:
-                    raise FileFormatError(f"{where}.{key}.range: expected a vertex of the graph")
-                word = tuple(_as_str_list(_need(side, "word", f"{where}.{key}"), f"{where}.{key}.word"))
-                if (rng, word) not in sides:
+                side, hit = ent.get(key), None
+                if type(side) is dict and type(word := side.get("word")) is list:
                     try:
-                        path = g.make_path(rng, word)
-                    except (KeyError, ValueError) as err:
-                        raise FileFormatError(f"{where}.{key}: not a path ({err})") from err
-                    # lookups key by normal form, whatever colour order the file used
-                    sides[rng, word] = path.word
-                pair.append((rng, sides[rng, word]))
-            text = _need(ent, "value", where)
-            if not (isinstance(text, str) and text in literals):
-                literals[text] = _parse_phase_checked(text, symbols, f"{where}.value")
+                        hit = sides.get((side.get("range"), tuple(word)))
+                    except TypeError:  # an unhashable range or letter: the checks name it
+                        pass
+                pair.append(hit or _table_side(ent, key, f"cocycle.entries[{idx}]", g, sides))
+            text = ent.get("value")
+            if not (type(text) is str and text in literals):
+                text = _need(ent, "value", f"cocycle.entries[{idx}]")
+                literals[text] = _parse_phase_checked(text, symbols, f"cocycle.entries[{idx}].value")
             rows.append((pair[0], pair[1], literals[text]))
         try:
             return TableCocycle(tuple(bound), tuple(rows))

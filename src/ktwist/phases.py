@@ -42,7 +42,7 @@ from math import gcd, lcm
 from typing import Iterable
 
 _SYMBOL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 
 class PhaseSyntaxError(ValueError):
@@ -219,9 +219,9 @@ def _combine(x: PhaseExponent, y: PhaseExponent, sign: int) -> PhaseExponent:
 _ZERO = _new(0, 1, ())
 
 
-def _parse_rational(text: str) -> tuple[int, int]:
-    """(p, q) with q >= 1 from a literal p or p/q."""
-    p, _, q = text.partition("/")
+def _rational(m: re.Match, text: str) -> tuple[int, int]:
+    """(p, q) with q >= 1 from the `_RATIONAL_RE` match of p or p/q on `text`."""
+    p, q = m.group(1, 2)
     den = int(q) if q else 1
     if den == 0:
         raise PhaseSyntaxError(f"zero denominator in {text!r}")
@@ -235,10 +235,15 @@ def parse_phase(text: str, symbols: Iterable[str] | None = None) -> PhaseExponen
     rationals written p or p/q with optional leading minus.  When `symbols`
     is given, any symbol outside it is rejected.  A symbol may appear in
     more than one term; its coefficients add up.
+
+    An empty part makes the whole literal malformed, whatever its other
+    parts hold.  Then each term, in order, is matched once; a symbol term
+    is checked for its coefficient, its symbol, the declaration and then
+    the denominator.
     """
     allowed = None if symbols is None else set(symbols)
     parts = [p.strip() for p in text.split("+")]
-    if not parts or any(not p for p in parts):
+    if not all(parts):
         raise PhaseSyntaxError(f"malformed phase literal {text!r}")
     rat = (0, 1)
     irr: list[tuple[str, int, int]] = []
@@ -246,19 +251,21 @@ def parse_phase(text: str, symbols: Iterable[str] | None = None) -> PhaseExponen
         if "*" in part:
             coef_s, _, sym = part.partition("*")
             coef_s, sym = coef_s.strip(), sym.strip()
-            if not _RATIONAL_RE.match(coef_s):
+            m = _RATIONAL_RE.match(coef_s)
+            if m is None:
                 raise PhaseSyntaxError(f"bad coefficient {coef_s!r} in {text!r}")
             if not _SYMBOL_RE.match(sym):
                 raise PhaseSyntaxError(f"bad symbol {sym!r} in {text!r}")
             if allowed is not None and sym not in allowed:
                 raise PhaseSyntaxError(f"undeclared symbol {sym!r} in {text!r}")
-            irr.append((sym, *_parse_rational(coef_s)))
+            irr.append((sym, *_rational(m, coef_s)))
         else:
             if pos != 0:
                 raise PhaseSyntaxError(f"rational term allowed only first in {text!r}")
-            if not _RATIONAL_RE.match(part):
+            m = _RATIONAL_RE.match(part)
+            if m is None:
                 raise PhaseSyntaxError(f"bad rational {part!r} in {text!r}")
-            rat = _parse_rational(part)
+            rat = _rational(m, part)
     den = lcm(rat[1], *(q for _, _, q in irr))
     merged: dict[str, int] = {}
     for sym, p, q in irr:

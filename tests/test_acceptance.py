@@ -33,7 +33,7 @@ from ktwist.oracle import (
 )
 from ktwist.kgraph import canonical_tail
 from ktwist.phases import PhaseExponent
-from ktwist.structure import is_cofinal, per_group
+from ktwist.structure import is_cofinal, is_strongly_connected, per_group
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -141,7 +141,8 @@ def test_criterion_5_three_torus_product_with_partial_twist():
         # without restricting to the degenerate directions, density fails:
         # the untouched torus coordinate carries no irrational phase
         zfull = LatticeBasis.full(3)
-        gens, _ = orbit_phase_generators(product_base(g, 3), c.phi, zfull, 3)
+        base = product_base(g, 3)
+        gens, _ = orbit_phase_generators(base, is_strongly_connected(base), c.phi, zfull, 3)
         res = kronecker_dense(gens, 3)
         assert not res.dense
         assert res.annihilator.member((0, 0, 1))

@@ -320,6 +320,20 @@ def test_validate_cocycle_matches_plain_loop(rows, pick, shift):
     assert list(validate_cocycle(table, g, DIFF_DEPTH).problems) == want
 
 
+def test_table_validation_composes_each_pair_once(monkeypatch):
+    # the benchmark's shape: a T2 table to bound (8, 8) at depth 8 has 3,003
+    # triples but only 495 composable pairs within the depth
+    table = corrupted_t2_table((8, 8))
+    want = reference_problems(table, builtin("T2"), 8, once=True)
+    g = builtin("T2")
+    calls = []
+    compose = g.compose
+    monkeypatch.setattr(g, "compose", lambda p, q: calls.append((p, q)) or compose(p, q))
+    assert list(validate_cocycle(table, g, 8).problems) == want
+    pairs = sum((t1 + 1) * (t2 + 1) for t1 in range(9) for t2 in range(9 - t1))
+    assert len(calls) == len(set(calls)) == pairs == 495
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_validate_cocycle_problem_order_with_missing_pairs(seed):
     # validate_cocycle values (lam, mu) once per pair, outside the nu loop;

@@ -264,7 +264,8 @@ def test_orbit_generators_stabilize_on_b2xt1():
     # the decision procedure enumerates orbits on the torus-free base graph
     g, c = b2xt1_phi(theta)
     zfull = LatticeBasis.from_rows([(1,)], 1)
-    gens, stabilized = orbit_phase_generators(product_base(g, 1), c.phi, zfull, 4)
+    base = product_base(g, 1)
+    gens, stabilized = orbit_phase_generators(base, is_strongly_connected(base), c.phi, zfull, 4)
     assert stabilized
     assert any(any(x.coeff("theta") for x in vec) for vec in gens)
     res = kronecker_dense(gens, 1)
@@ -275,7 +276,7 @@ def test_orbit_generators_require_strong_connectivity():
     g = builtin("DISJOINT2")
     phi = OneCocyclePhi(1, {"lu": (zero,), "lw": (zero,)})
     with pytest.raises(ValueError):
-        orbit_phase_generators(g, phi, LatticeBasis.from_rows([(1,)], 1), 2)
+        orbit_phase_generators(g, is_strongly_connected(g), phi, LatticeBasis.from_rows([(1,)], 1), 2)
 
 
 def test_full_period_density_fails_on_b2xt3():
@@ -283,7 +284,8 @@ def test_full_period_density_fails_on_b2xt3():
     # the whole period block the third coordinate stays rational
     g, c = b2xt3_cocycle()
     zfull = LatticeBasis.from_rows([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
-    gens, _ = orbit_phase_generators(product_base(g, 3), c.phi, zfull, 3)
+    base = product_base(g, 3)
+    gens, _ = orbit_phase_generators(base, is_strongly_connected(base), c.phi, zfull, 3)
     res = kronecker_dense(gens, 3)
     assert not res.dense
     assert res.annihilator.member((0, 0, 1))
@@ -333,7 +335,7 @@ def test_orbit_generators_match_plain_pair_loop(name, bound, l, data):
     phi = OneCocyclePhi(l, {e.id: tuple(data.draw(phase_values) for _ in range(l)) for e in g.edges})
     rows = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * l), min_size=1, max_size=l))
     zbasis = LatticeBasis.from_rows(rows, l)
-    gens, stabilized = orbit_phase_generators(g, phi, zbasis, bound)
+    gens, stabilized = orbit_phase_generators(g, is_strongly_connected(g), phi, zbasis, bound)
     ref_gens, ref_stabilized = reference_orbit_generators(g, phi, zbasis, bound)
     assert gens == ref_gens
     assert stabilized == ref_stabilized

@@ -117,15 +117,21 @@ def test_table_word_in_another_colour_order_is_matched(tmp_path):
 
 
 def test_table_side_is_normalized_once_per_load(monkeypatch):
+    # the benchmark's shape: a T2 table to bound (8, 8) has 6,561 entries,
+    # so 13,122 sides, of which 81 differ; a repeated side is neither
+    # checked nor normalized again
     g = builtin("T2")
-    table = corrupted_t2_table((3, 3))
+    table = corrupted_t2_table((8, 8))
     text = serialize_cocycle(table)
     sides = {side for mu, nu, _ in table.entries for side in (mu, nu)}
-    calls = []
+    calls, checks = [], []
     make_path = g.make_path
     monkeypatch.setattr(g, "make_path", lambda v, word: calls.append((v, word)) or make_path(v, word))
+    check = io_module._as_str_list
+    monkeypatch.setattr(io_module, "_as_str_list", lambda x, where: checks.append(where) or check(x, where))
     assert loads_cocycle(text, g).entries == table.entries
-    assert len(calls) == len(sides) == 16
+    words = [where for where in checks if where.endswith(".word")]
+    assert len(calls) == len(words) == len(sides) == 81 and len(table.entries) == 6561
 
 
 def test_table_side_that_is_no_path_names_its_own_entry():
@@ -292,6 +298,67 @@ def test_malformed_input_exits_1(tmp_path, capsys, kind, obj):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _side(word, rng="v"):
+    return {"range": rng, "word": word}
+
+
+_AB = {"mu": _side(["a", "b"]), "nu": _side(["a"]), "value": "1/3"}
+_GOOD = [{"mu": _side(w), "nu": _side(["b"]), "value": f"{i}/101"}
+         for i, w in enumerate([["a"], ["b"], ["a", "b"], ["b", "a"]] * 25)]
+
+# The exact `error:` line of each way a table entry can fail, most of them
+# after a valid entry whose side or literal a lookup could wrongly reuse.
+TABLE_ERRORS = {
+    "entries not a list": (5, "cocycle.entries: expected a list"),
+    "entry not an object": ([_AB, 5], "cocycle.entries[1]: expected an object"),
+    "missing mu": ([_AB, {"nu": _side(["a"]), "value": "0"}], "cocycle.entries[1]: missing key 'mu'"),
+    "side not an object": ([_AB, {"mu": "range", "nu": _side([]), "value": "0"}],
+                           "cocycle.entries[1].mu: expected an object"),
+    "side a list": ([_AB, {"mu": ["v", ["a", "b"]], "nu": _side(["a"]), "value": "0"}],
+                    "cocycle.entries[1].mu: expected an object"),
+    "missing range": ([_AB, {"mu": {"word": ["a", "b"]}, "nu": _side(["a"]), "value": "0"}],
+                      "cocycle.entries[1].mu: missing key 'range'"),
+    "range not a vertex": ([{"mu": _side([], "nowhere"), "nu": _side([]), "value": "0"}],
+                           "cocycle.entries[0].mu.range: expected a vertex of the graph"),
+    "range not a string": ([{"mu": _side([], 5), "nu": _side([]), "value": "0"}],
+                           "cocycle.entries[0].mu.range: expected a vertex of the graph"),
+    "range a list": ([_AB, {"mu": _side(["a", "b"], ["v"]), "nu": _side(["a"]), "value": "0"}],
+                     "cocycle.entries[1].mu.range: expected a vertex of the graph"),
+    "missing word": ([_AB, {"mu": {"range": "v"}, "nu": _side(["a"]), "value": "0"}],
+                     "cocycle.entries[1].mu: missing key 'word'"),
+    "word a string": ([_AB, {"mu": _side("ab"), "nu": _side(["a"]), "value": "1/3"}],
+                      "cocycle.entries[1].mu.word: expected a list of strings"),
+    "word holds an int": ([_AB, {"mu": _side(["a", "b"]), "nu": _side(["a", 1]), "value": "0"}],
+                          "cocycle.entries[1].nu.word: expected a list of strings"),
+    "word holds a dict": ([_AB, {"mu": _side(["a", {"b": 1}]), "nu": _side(["a"]), "value": "0"}],
+                          "cocycle.entries[1].mu.word: expected a list of strings"),
+    "word not a path": ([_AB, {"mu": _side(["a", "z"]), "nu": _side(["a"]), "value": "0"}],
+                        "cocycle.entries[1].mu: not a path ('z')"),
+    "value a list": ([{"mu": _side(["a"]), "nu": _side(["b"]), "value": []}],
+                     "cocycle.entries[0].value: expected a phase literal string"),
+    "value an object": ([{"mu": _side(["a"]), "nu": _side(["b"]), "value": {}}],
+                        "cocycle.entries[0].value: expected a phase literal string"),
+    "missing value": ([_AB, {"mu": _side(["a", "b"]), "nu": _side(["a"])}],
+                      "cocycle.entries[1]: missing key 'value'"),
+    "bad literal": ([_AB, {"mu": _side(["a", "b"]), "nu": _side(["a"]), "value": "1/3 +"}],
+                    "cocycle.entries[1].value: malformed phase literal '1/3 +'"),
+    "bad side after 100 entries": (_GOOD + [{"mu": _side(["b"]), "nu": _side(["b", "z"]), "value": "0"}],
+                                   "cocycle.entries[100].nu: not a path ('z')"),
+    "bad word after 100 entries": (_GOOD + [{"mu": _side(["a"]), "nu": _side("b"), "value": "0"}],
+                                   "cocycle.entries[100].nu.word: expected a list of strings"),
+    "nonzero vertex entry": ([_AB, {"mu": _side([]), "nu": _side(["a"]), "value": "1/2"}],
+                             "cocycle.entries[1]: a side is a vertex path, so the value must be 0, not 1/2"),
+}
+
+
+@pytest.mark.parametrize("entries, line", TABLE_ERRORS.values(), ids=list(TABLE_ERRORS))
+def test_table_error_line(tmp_path, capsys, entries, line):
+    path = tmp_path / "bad.json"
+    path.write_text(canonical_json(_table(entries, bound=(2, 2))), encoding="utf-8")
+    assert cli.main(["validate", "builtin:T2", "--cocycle", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {line}\n")
 
 
 # values of the wrong type, or of the right type but out of place

@@ -245,3 +245,66 @@ def test_cancelling_literal_is_the_rational_part():
     assert p == PhaseExponent.of(Fraction(1, 2))
     assert (p.num, p.den, p.terms) == (1, 2, ())
     assert format_phase(p) == "1/2"
+
+
+# Every PhaseSyntaxError of the literal grammar, with symbols=["theta"]: an
+# empty part makes the whole literal malformed, before any term is read; a
+# term is checked for its rational or coefficient, its symbol, the
+# declaration and then the denominator.
+BAD_LITERALS = [
+    ("", "malformed phase literal ''"),
+    (" ", "malformed phase literal ' '"),
+    ("+", "malformed phase literal '+'"),
+    ("+1", "malformed phase literal '+1'"),
+    ("1 +", "malformed phase literal '1 +'"),
+    ("x + ", "malformed phase literal 'x + '"),
+    ("1/0 + ", "malformed phase literal '1/0 + '"),
+    ("1 + 2 + ", "malformed phase literal '1 + 2 + '"),
+    ("2*rho +", "malformed phase literal '2*rho +'"),
+    ("1/2 +  + 1*theta", "malformed phase literal '1/2 +  + 1*theta'"),
+    ("theta", "bad rational 'theta' in 'theta'"),
+    ("--1", "bad rational '--1' in '--1'"),
+    ("0x1", "bad rational '0x1' in '0x1'"),
+    ("1.5", "bad rational '1.5' in '1.5'"),
+    ("1_0", "bad rational '1_0' in '1_0'"),
+    ("1/-2", "bad rational '1/-2' in '1/-2'"),
+    ("1/2/3", "bad rational '1/2/3' in '1/2/3'"),
+    ("1/0/0", "bad rational '1/0/0' in '1/0/0'"),
+    ("1/ 2", "bad rational '1/ 2' in '1/ 2'"),
+    ("1 /2", "bad rational '1 /2' in '1 /2'"),
+    ("a/b", "bad rational 'a/b' in 'a/b'"),
+    ("1 + 2", "rational term allowed only first in '1 + 2'"),
+    ("1 + theta", "rational term allowed only first in '1 + theta'"),
+    ("1 + -", "rational term allowed only first in '1 + -'"),
+    ("1*theta + 1/2", "rational term allowed only first in '1*theta + 1/2'"),
+    ("*theta", "bad coefficient '' in '*theta'"),
+    ("x*theta", "bad coefficient 'x' in 'x*theta'"),
+    ("1/2 + x*theta", "bad coefficient 'x' in '1/2 + x*theta'"),
+    ("1*", "bad symbol '' in '1*'"),
+    ("1/0*9", "bad symbol '9' in '1/0*9'"),
+    ("1/2 + 1*9a", "bad symbol '9a' in '1/2 + 1*9a'"),
+    ("0 + 1*theta*theta", "bad symbol 'theta*theta' in '0 + 1*theta*theta'"),
+    ("1/2 + 1*rho", "undeclared symbol 'rho' in '1/2 + 1*rho'"),
+    ("1/0*rho", "undeclared symbol 'rho' in '1/0*rho'"),
+    ("1/0", "zero denominator in '1/0'"),
+    ("1/00", "zero denominator in '1/00'"),
+    ("1/0*theta", "zero denominator in '1/0'"),
+    ("0 + 2/0*theta", "zero denominator in '2/0'"),
+    ("1 + 1/0*theta", "zero denominator in '1/0'"),
+]
+
+
+@pytest.mark.parametrize("text, message", BAD_LITERALS, ids=[repr(t) for t, _ in BAD_LITERALS])
+def test_syntax_error_message_and_precedence(text, message):
+    with pytest.raises(PhaseSyntaxError) as err:
+        parse_phase(text, symbols=["theta"])
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, expected", [
+    (" 1/2 ", "1/2"), ("1/2+1*theta", "1/2 + 1*theta"), ("2 * theta", "0 + 2*theta"),
+    ("1/2\n + 1*theta", "1/2 + 1*theta"), ("-0/3", "0"), ("１/２", "1/2"),
+])
+def test_literals_that_parse(text, expected):
+    # spaces around a term and its parts, and any Unicode decimal digits
+    assert format_phase(parse_phase(text, symbols=["theta"])) == expected
