@@ -11,11 +11,12 @@ The decision cascade glues the independently tested components:
 3. on single-path bases (exactly one path of every degree from every
    vertex) the converse holds, so a nontrivial degeneracy sublattice
    certifies nonsimplicity;
-4. for torus-product presentations carrying an edge phase 1-cochain over
-   an aperiodic strongly connected base, density of the orbit phase group
-   in the degenerate directions decides the question: a vertex potential
-   freezing some character is a nonsimple certificate, and a full-rank
-   Kronecker witness a simple one;
+4. for torus products with an edge phase 1-cochain, periods exactly the
+   torus directions and cofinality kind `strongly_connected` (so a base
+   strongly connected, and aperiodic over the period box), density of the orbit phase group
+   in the degenerate directions decides: a vertex potential freezing some
+   character certifies nonsimplicity, a full-rank Kronecker witness
+   simplicity;
 5. everything else stays UNKNOWN with the computed invariants attached.
 
 Every certified verdict carries a certificate, and the decider recertifies
@@ -43,12 +44,9 @@ from .phases import PhaseExponent, PhaseVector, format_phase, format_phase_rows,
 from .structure import (
     NO,
     UNKNOWN,
-    YES,
     PeriodicityResult,
     Verdict,
-    is_aperiodic,
     is_cofinal,
-    is_strongly_connected,
     per_group,
     verify_cofinality,
 )
@@ -98,15 +96,6 @@ def is_single_path_base(g: KGraph) -> bool:
 # --- orbit phase groups for torus products -----------------------------------
 
 
-def _paths_by_source(g: KGraph, bound: int):
-    by_source: dict[str, list] = {v: [] for v in g.vertices}
-    for n in dg.box((bound,) * g.k):
-        for v in g.vertices:
-            for p in g.paths_from(v, n):
-                by_source[p.source].append(p)
-    return by_source
-
-
 def _phase_group_rows(gens: list[PhaseVector], d: int, symbols: tuple[str, ...], scale: int):
     """Integer rows presenting the generated subgroup of the d-torus.
 
@@ -140,40 +129,41 @@ def orbit_phase_generators(
 ) -> tuple[list[PhaseVector], bool]:
     """Phase vectors of all source-matched path pairs, in zbasis coordinates.
 
-    `strongly_connected` is the caller's `is_strongly_connected(g)`; the
-    enumeration needs it to be True.
+    `strongly_connected` is the caller's certificate, read off the
+    cofinality kind; the enumeration needs it to be True.
 
-    Enumerates pairs (mu, nu) with s(mu) = s(nu) and degrees at most the
-    bound, pairs each zbasis row with the 1-cochain difference, and reports
-    whether the generated torus subgroup was already unchanged between the
-    previous bound and this one.  The pairs at the previous bound are those
-    whose two paths both have every degree coordinate below the bound, so
-    one enumeration gives both lists.  Pairing is linear, so each path is
-    projected onto the zbasis rows once, and a pair's vector is the
-    difference of its two projections.
+    A pair (mu, nu) with s(mu) = s(nu) and degrees at most the bound has
+    the vector P(mu) - P(nu), where P pairs each zbasis row with phi.  So
+    the generators are the differences of the distinct projections at each
+    source, sources sorted and projections in order of first path: the
+    list and order, as reports print them, of a loop over all path pairs,
+    which first meets each vector at the first paths of its projections.
+    Each source's first path is its vertex path, projecting to 0, so the
+    projections generate the group their differences do; `stabilized`
+    compares it with the group of the paths whose every degree coordinate
+    is below the bound (the group at the previous bound).
     """
     if not strongly_connected:
         raise ValueError("orbit phase enumeration requires a strongly connected graph")
     if bound < 1:
         raise ValueError("bound must be at least 1")
     d = zbasis.rank
-    gens: dict[PhaseVector, None] = {}
-    prev: dict[PhaseVector, None] = {}
-    for v, paths in sorted(_paths_by_source(g, bound).items()):
-        projs = [
-            (max(p.degree) < bound, tuple(pair_int(z, phi.value(p)) for z in zbasis.rows))
-            for p in paths
-        ]
-        for short_m, pm in projs:
-            for short_n, pn in projs:
-                vec = tuple(a - c for a, c in zip(pm, pn))
-                gens[vec] = None
-                if short_m and short_n:
-                    prev[vec] = None
-    gens, prev = list(gens), list(prev)
+    projs: dict[str, dict[PhaseVector, None]] = {v: {} for v in g.vertices}
+    short: dict[PhaseVector, None] = {}
+    for n in dg.box((bound,) * g.k):
+        for v in g.vertices:
+            for p in g.paths_from(v, n):
+                pm = tuple(pair_int(z, phi.value(p)) for z in zbasis.rows)
+                projs[p.source][pm] = None
+                if max(n) < bound:
+                    short[pm] = None
+    gens = list({
+        tuple(a - c for a, c in zip(pm, pn)): None for v in sorted(projs) for pm in projs[v] for pn in projs[v]
+    })
+    every = list({pm: None for v in projs for pm in projs[v]})
     symbols = tuple(sorted({s for v in gens for e in v for s in e.symbols()}))
     scale = _gen_scale(gens)
-    stabilized = _phase_group_rows(prev, d, symbols, scale) == _phase_group_rows(gens, d, symbols, scale)
+    stabilized = _phase_group_rows(list(short), d, symbols, scale) == _phase_group_rows(every, d, symbols, scale)
     return gens, stabilized
 
 
@@ -316,12 +306,26 @@ def _torus_unit_lattice(k: int, l: int) -> LatticeBasis:
 
 
 def _decide_degenerate(
-    g: KGraph, c: CocycleSpec, per: PeriodicityResult, omega: BicharacterTable, z: LatticeBasis, orbit: int
+    g: KGraph, c: CocycleSpec, cof: Verdict, per: PeriodicityResult,
+    omega: BicharacterTable, z: LatticeBasis, orbit: int,
 ) -> tuple[Verdict, tuple[PhaseVector, ...], str | None]:
     """Steps 2-5 of the cascade, once the degeneracy lattice z is known.
 
     Returns the verdict, the density generators it rests on and a note on
     why the torus step did not apply, if it did not.
+
+    The torus step rests on facts certified on the product g once
+    `validate_product_split` passed, and searches the base no more:
+    - the base is strongly connected iff the cofinality kind `cof` is
+      `strongly_connected`: torus edges are loops, so g and its base have
+      the same reach sets, and that kind means every reach set is V;
+    - no base vertex has a period p != 0 within the reported box
+      `per.exhaustive_up_to`: the torus edges are one loop of each colour
+      at each vertex, so an infinite path of g is fixed by its base factor
+      and such a p at v gives the period (p, 0) of g at v, a candidate of
+      that box; per-vertex agreement makes it a period everywhere, so it
+      lies in Per(g) = 0 + Z^l and p = 0 (Per(Lambda x T_l) = Per(Lambda)
+      + Z^l, as in Carlsen-Kang-Shotwell-Sims, JFA 2014).
     """
     if z.is_trivial():
         certificate = {
@@ -349,12 +353,10 @@ def _decide_degenerate(
         return unknown, (), "not a recognizable torus product: " + split.problems[0]
     if per.lattice != _torus_unit_lattice(g.k, c.l):
         return unknown, (), "period lattice is not exactly the torus directions; orbit reduction unavailable"
-    base = product_base(g, c.l)
-    if is_aperiodic(base).status != YES:
-        return unknown, (), "base graph is not certified aperiodic; orbit reduction unavailable"
-    connected = is_strongly_connected(base)
+    connected = cof.certificate == {"kind": "strongly_connected"}
     if not connected:
         return unknown, (), "base graph is not strongly connected; orbit reduction unavailable"
+    base = product_base(g, c.l)
 
     pot = potential_certificate(base, c.phi, z)
     if pot is not None:
@@ -413,5 +415,5 @@ def decide_simplicity(
     z = z_omega_of(omega)
     if not verify_z_omega(omega, z):
         raise RecheckError("degeneracy lattice")
-    verdict, gens, note = _decide_degenerate(g, c, per, omega, z, b.orbit)
+    verdict, gens, note = _decide_degenerate(g, c, cof, per, omega, z, b.orbit)
     return SimplicityReport(verdict, per, omega, z, gens, b, (note,) if note else ())

@@ -112,10 +112,6 @@ class LatticeBasis:
         return LatticeBasis(dim, hnf(rows))
 
     @staticmethod
-    def full(dim: int) -> "LatticeBasis":
-        return LatticeBasis(dim, tuple(tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)))
-
-    @staticmethod
     def trivial(dim: int) -> "LatticeBasis":
         return LatticeBasis(dim, ())
 

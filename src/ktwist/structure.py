@@ -93,13 +93,6 @@ def _out_edges(g: KGraph) -> dict[str, list]:
     return out_edges
 
 
-def is_strongly_connected(g: KGraph) -> bool:
-    """One vertex v has every vertex in reach(v) and lies in the reach of
-    every vertex: two searches."""
-    v, every = min(g.vertices), frozenset(g.vertices)
-    return reach_set(g, v) == every and _reached_from(v, _out_edges(g)) == every
-
-
 # --- cofinality -------------------------------------------------------------
 
 

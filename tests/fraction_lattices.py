@@ -17,6 +17,10 @@ from math import lcm
 from ktwist.lattices import LatticeBasis, _symbol_columns, det_cofactor, hnf, kernel
 
 
+def _identity(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
+
+
 def fraction_integral_pairing_lattice(gens, d: int) -> LatticeBasis:
     """{n in Z^d : <n, v> is an integer for every generator v}."""
     if d == 0:
@@ -30,7 +34,7 @@ def fraction_integral_pairing_lattice(gens, d: int) -> LatticeBasis:
         rows = [tuple(col[j] for col in int_cols) for j in range(d)]
         K = kernel(rows, len(int_cols))
     else:
-        K = LatticeBasis.full(d).rows
+        K = _identity(d)
     if not K:
         return LatticeBasis.trivial(d)
     # congruences from the rational parts, inside the span of K
@@ -38,7 +42,7 @@ def fraction_integral_pairing_lattice(gens, d: int) -> LatticeBasis:
     C = [[sum((Fraction(krow[j]) * v[j].rat for j in range(d)), Fraction(0)) for v in gens] for krow in K]
     D = lcm(1, *(c.denominator for row in C for c in row))
     if D == 1:
-        U = LatticeBasis.full(t).rows
+        U = _identity(t)
     else:
         Ci = [tuple(int(c * D) for c in row) for row in C]
         stacked = Ci + [tuple(D if j == i else 0 for j in range(len(gens))) for i in range(len(gens))]

@@ -33,7 +33,7 @@ from ktwist.oracle import (
 )
 from ktwist.kgraph import canonical_tail
 from ktwist.phases import PhaseExponent
-from ktwist.structure import is_cofinal, is_strongly_connected, per_group
+from ktwist.structure import is_cofinal, per_group
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -97,7 +97,7 @@ def test_criterion_2_half_twist_is_nonsimple_with_congruence_centre():
         assert rep.z_omega.rows == ((2, 0), (0, 2))
         # brute membership-versus-pairing cross-check over |p_i| <= 4
         assert verify_z_omega(rep.omega, rep.z_omega, radius=4)
-        assert not verify_z_omega(rep.omega, LatticeBasis.full(2), radius=2)
+        assert not verify_z_omega(rep.omega, LatticeBasis.from_rows([(1, 0), (0, 1)], 2), radius=2)
 
     _run(2, "half twist certified nonsimple via even-congruence centre", 1.0, body)
 
@@ -140,9 +140,10 @@ def test_criterion_5_three_torus_product_with_partial_twist():
         assert rep.z_omega.rank == 1 and rep.z_omega.member((1, 0, 0))
         # without restricting to the degenerate directions, density fails:
         # the untouched torus coordinate carries no irrational phase
-        zfull = LatticeBasis.full(3)
+        zfull = LatticeBasis.from_rows([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
         base = product_base(g, 3)
-        gens, _ = orbit_phase_generators(base, is_strongly_connected(base), c.phi, zfull, 3)
+        connected = is_cofinal(g).certificate == {"kind": "strongly_connected"}
+        gens, _ = orbit_phase_generators(base, connected, c.phi, zfull, 3)
         res = kronecker_dense(gens, 3)
         assert not res.dense
         assert res.annihilator.member((0, 0, 1))

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import lcm
 
 import os
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -32,12 +33,20 @@ from ktwist.decider import (
     verify_z_omega,
     z_omega_of,
 )
-from ktwist.io import serialize_cocycle, serialize_graph
+from ktwist.io import load_cocycle, resolve_graph, serialize_cocycle, serialize_graph
 from ktwist.kgraph import Edge, KGraph, builtin, product_base, product_with_Tl
 from ktwist.lattices import LatticeBasis, hnf, kronecker_dense
 from ktwist.oracle import InducedCocycle, omega_from_oracle
 from ktwist.phases import PhaseExponent, pair_int
-from ktwist.structure import UNKNOWN, YES, Verdict, is_cofinal, is_strongly_connected, per_group
+from ktwist.structure import UNKNOWN, YES, Verdict, is_aperiodic, is_cofinal, per_group
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+try:
+    from test_structure import single_vertex_two_graphs
+finally:
+    sys.path.pop(0)
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 Z = PhaseExponent.of
 zero = PhaseExponent.zero()
@@ -54,6 +63,11 @@ def b2xt1_phi(f_phase):
     g = builtin("B2xT1")
     phi = OneCocyclePhi(1, {e.id: ((f_phase if e.id == "f" else zero),) for e in g.edges})
     return g, PhiOmegaCocycle(1, phi, BicharacterTable.zero(1))
+
+
+def strongly_connected(g):
+    """The cofinality kind, as the cascade reads strong connectivity."""
+    return is_cofinal(g).certificate == {"kind": "strongly_connected"}
 
 
 def b2xt3_cocycle():
@@ -265,7 +279,7 @@ def test_orbit_generators_stabilize_on_b2xt1():
     g, c = b2xt1_phi(theta)
     zfull = LatticeBasis.from_rows([(1,)], 1)
     base = product_base(g, 1)
-    gens, stabilized = orbit_phase_generators(base, is_strongly_connected(base), c.phi, zfull, 4)
+    gens, stabilized = orbit_phase_generators(base, strongly_connected(base), c.phi, zfull, 4)
     assert stabilized
     assert any(any(x.coeff("theta") for x in vec) for vec in gens)
     res = kronecker_dense(gens, 1)
@@ -276,7 +290,7 @@ def test_orbit_generators_require_strong_connectivity():
     g = builtin("DISJOINT2")
     phi = OneCocyclePhi(1, {"lu": (zero,), "lw": (zero,)})
     with pytest.raises(ValueError):
-        orbit_phase_generators(g, is_strongly_connected(g), phi, LatticeBasis.from_rows([(1,)], 1), 2)
+        orbit_phase_generators(g, strongly_connected(g), phi, LatticeBasis.from_rows([(1,)], 1), 2)
 
 
 def test_full_period_density_fails_on_b2xt3():
@@ -285,7 +299,7 @@ def test_full_period_density_fails_on_b2xt3():
     g, c = b2xt3_cocycle()
     zfull = LatticeBasis.from_rows([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
     base = product_base(g, 3)
-    gens, _ = orbit_phase_generators(base, is_strongly_connected(base), c.phi, zfull, 3)
+    gens, _ = orbit_phase_generators(base, strongly_connected(base), c.phi, zfull, 3)
     res = kronecker_dense(gens, 3)
     assert not res.dense
     assert res.annihilator.member((0, 0, 1))
@@ -320,25 +334,53 @@ def reference_orbit_generators(g, phi, zbasis, bound):
 
 
 phase_values = st.builds(
-    lambda n, d, s: Z(Fraction(n, d), theta=s),
+    lambda n, d, s, r: Z(Fraction(n, d), theta=s, rho=r),
     st.integers(-3, 3),
     st.integers(1, 4),
+    st.integers(-2, 2),
     st.integers(-2, 2),
 )
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from(["B2", "C3"]), st.integers(1, 4), st.integers(1, 2), st.data())
+def orbit_base(name):
+    """A strongly connected base: a builtin one, or UW of the two-vertex products below."""
+    return two_vertex_base(("a", "b")) if name == "UW" else builtin(name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["B2", "B3", "C3", "UW"]), st.integers(1, 4), st.integers(1, 2), st.data())
 def test_orbit_generators_match_plain_pair_loop(name, bound, l, data):
     # a random phase on every edge, projected on a random sublattice of Z^l
-    g = builtin(name)
+    g = orbit_base(name)
     phi = OneCocyclePhi(l, {e.id: tuple(data.draw(phase_values) for _ in range(l)) for e in g.edges})
     rows = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * l), min_size=1, max_size=l))
     zbasis = LatticeBasis.from_rows(rows, l)
-    gens, stabilized = orbit_phase_generators(g, is_strongly_connected(g), phi, zbasis, bound)
+    gens, stabilized = orbit_phase_generators(g, strongly_connected(g), phi, zbasis, bound)
     ref_gens, ref_stabilized = reference_orbit_generators(g, phi, zbasis, bound)
     assert gens == ref_gens
     assert stabilized == ref_stabilized
+
+
+def test_orbit_generators_subtract_once_per_pair_of_projections(monkeypatch):
+    # the base of B2xT1 has 31 paths of degree at most 4 and, under
+    # phi_theta, 5 distinct projections: 25 differences, not 961 path pairs
+    g, _ = resolve_graph(os.path.join(FIXTURES, "B2xT1.json"))
+    c, _ = load_cocycle(os.path.join(FIXTURES, "phi_theta.json"), g)
+    base = product_base(g, 1)
+    zbasis = LatticeBasis.from_rows([(1,)], 1)
+    want = reference_orbit_generators(base, c.phi, zbasis, 4)
+    connected = strongly_connected(base)
+    calls = []
+    sub = PhaseExponent.__sub__
+
+    def counted(a, b):
+        calls.append(None)
+        return sub(a, b)
+
+    monkeypatch.setattr(PhaseExponent, "__sub__", counted)
+    got = orbit_phase_generators(base, connected, c.phi, zbasis, 4)
+    assert got == want and len(got[0]) == 9
+    assert len(calls) <= 25
 
 
 @settings(max_examples=50, deadline=None)
@@ -426,16 +468,19 @@ def test_a_forged_yes_cofinality_verdict_fails_its_recheck(monkeypatch):
 # --- the orbit step on a two-vertex base -------------------------------------
 
 
-def two_vertex_product(ids: tuple[str, str], phases: dict[str, PhaseExponent]):
-    """The base u <-> w with a loop l at u, times T1, and phi_omega with l = 1, omega = 0.
-
-    ids names the edge with source u and range w, then the one back; their
-    order decides whether the spanning forest leaves the root u along its
-    first edge outward or inward.
-    """
+def two_vertex_base(ids: tuple[str, str]) -> KGraph:
+    """u <-> w with a loop l at u; ids names the edge with source u and range w, then the one back."""
     out, back = ids
-    base = KGraph(1, ("u", "w"), (Edge(out, 1, "w", "u"), Edge(back, 1, "u", "w"), Edge("l", 1, "u", "u")), ())
-    g = product_with_Tl(base, 1)
+    return KGraph(1, ("u", "w"), (Edge(out, 1, "w", "u"), Edge(back, 1, "u", "w"), Edge("l", 1, "u", "u")), ())
+
+
+def two_vertex_product(ids: tuple[str, str], phases: dict[str, PhaseExponent]):
+    """The two-vertex base, times T1, and phi_omega with l = 1, omega = 0.
+
+    The order of ids decides whether the spanning forest leaves the root u
+    along its first edge outward or inward.
+    """
+    g = product_with_Tl(two_vertex_base(ids), 1)
     phi = OneCocyclePhi(1, {e.id: (phases.get(e.id, zero),) for e in g.edges})
     return g, PhiOmegaCocycle(1, phi, BicharacterTable.zero(1))
 
@@ -447,7 +492,7 @@ def test_orbit_step_on_a_two_vertex_base(ids):
 
     def decide(phases):
         g, c = two_vertex_product(ids, phases)
-        assert validate_product_split(g, 1).ok and is_strongly_connected(product_base(g, 1))
+        assert validate_product_split(g, 1).ok and strongly_connected(g)
         return decide_simplicity(g, c).verdict
 
     got = decide({})
@@ -462,3 +507,60 @@ def test_orbit_step_on_a_two_vertex_base(ids):
         got = decide({edge: third})
         assert got.status == NONSIMPLE
         assert (got.certificate["kind"], got.certificate["n"]) == ("orbit_potential", [3])
+
+
+# B2 with a tail: loops e and f at u and one edge b with range w and source u
+B2_TAIL = KGraph(
+    1, ("u", "w"), (Edge("e", 1, "u", "u"), Edge("f", 1, "u", "u"), Edge("b", 1, "w", "u")), (), name="B2TAIL"
+)
+
+
+def test_torus_step_needs_a_strongly_connected_base(tmp_path, capsys):
+    # B2TAIL x T1 is cofinal with kind tail_check and every vertex has the
+    # periods 0 + Z, so the cascade reaches the torus step, which declines it
+    g = product_with_Tl(B2_TAIL, 1)
+    cof = is_cofinal(g)
+    assert cof == Verdict(YES, {"kind": "tail_check"})
+    per = per_group(g, cof)
+    assert per.per_vertex_agreement and per.lattice == LatticeBasis.from_rows([(0, 1)], 2)
+    phi = OneCocyclePhi(1, {e.id: ((theta if e.id == "f" else zero),) for e in g.edges})
+    graph, cocycle = tmp_path / "b2tail.json", tmp_path / "phi.json"
+    graph.write_text(serialize_graph(g), encoding="utf-8")
+    cocycle.write_text(serialize_cocycle(PhiOmegaCocycle(1, phi, BicharacterTable.zero(1))), encoding="utf-8")
+    assert cli.main(["simplicity", str(graph), "--cocycle", str(cocycle)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "verdict: UNKNOWN",
+        "note: base graph is not strongly connected; orbit reduction unavailable",
+    ]
+
+
+def reaches_torus_step(h: KGraph, l: int) -> bool:
+    """Does h, at default bounds, pass the period guards the torus step checks?"""
+    cof = is_cofinal(h)
+    if cof.status != YES or not validate_product_split(h, l).ok:
+        return False
+    per = per_group(h, cof)
+    return per.per_vertex_agreement and per.lattice == decider._torus_unit_lattice(h.k, l)
+
+
+def assert_base_aperiodic_where_the_step_is_reached(base: KGraph, l: int) -> bool:
+    h = product_with_Tl(base, l)
+    reached = reaches_torus_step(h, l)
+    if reached:
+        assert is_aperiodic(product_base(h, l)).status == YES
+    return reached
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_torus_step_implies_an_aperiodic_base(l):
+    # the step no longer searches the base for periods: its guards imply
+    # there are none in the default box
+    bases = [builtin("B2"), builtin("B3"), two_vertex_base(("a", "b")), B2_TAIL, TAIL, builtin("C3")]
+    reached = [assert_base_aperiodic_where_the_step_is_reached(base, l) for base in bases]
+    assert reached == [True, True, True, True, False, False]
+
+
+@settings(max_examples=20, deadline=None)
+@given(single_vertex_two_graphs(), st.integers(1, 2))
+def test_torus_step_implies_an_aperiodic_base_on_random_2_graphs(base, l):
+    assert_base_aperiodic_where_the_step_is_reached(base, l)

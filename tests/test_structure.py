@@ -20,7 +20,6 @@ from ktwist.structure import (
     default_period_bound,
     is_aperiodic,
     is_cofinal,
-    is_strongly_connected,
     path_counts,
     per_group,
     periodic_at_offsets,
@@ -30,9 +29,10 @@ from ktwist.structure import (
 
 
 def test_strong_connectivity():
-    assert is_strongly_connected(builtin("T2"))
-    assert is_strongly_connected(builtin("B2"))
-    assert not is_strongly_connected(builtin("DISJOINT2"))
+    # read off the cofinality kind, as the decision cascade does
+    for name in ("T2", "B2"):
+        assert is_cofinal(builtin(name)) == Verdict(YES, {"kind": "strongly_connected"}), name
+    assert is_cofinal(builtin("DISJOINT2")).status == NO
 
 
 def test_cofinality_verdicts():
@@ -432,7 +432,8 @@ def test_yes_recheck_of_a_long_chain_is_linear():
         assert verify_cofinality(g, Verdict(YES, {"kind": "tail_check"}))
         times.append(time.perf_counter() - t0)
     assert min(times) < 0.05
-    assert is_strongly_connected(builtin("C3xT1")) and not is_strongly_connected(g)
+    assert is_cofinal(builtin("C3xT1")) == Verdict(YES, {"kind": "strongly_connected"})
+    assert not verify_cofinality(g, Verdict(YES, {"kind": "strongly_connected"}))
 
 
 def two_vertex_flip() -> KGraph:
