@@ -1,9 +1,9 @@
 """Run the brute-force property suites over the bundled fixtures.
 
 Writes a combined JSON document to stdout (or --out FILE) with one block
-per fixture pairing: suite pass/fail counts plus the closed-form versus
-oracle bicharacter comparison.  Exits nonzero when any suite reports a
-violation.
+per pairing of run_examples.py: suite pass/fail counts plus the
+closed-form versus oracle bicharacter comparison.  Exits nonzero when any
+suite reports a violation.
 """
 
 import argparse
@@ -15,16 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 from ktwist.io import canonical_json, load_cocycle, resolve_graph
 from ktwist.oracle import omega_closedform, run_suites
 from ktwist.phases import format_phase
-
-PAIRINGS = [
-    ("T2.json", "pullback_theta.json"),
-    ("T2.json", "pullback_half.json"),
-    ("B2.json", "pullback_b2.json"),
-    ("B2xT1.json", "phi_theta.json"),
-    ("B2xT1.json", "phi_zero.json"),
-    ("B2xT3.json", "b2t3.json"),
-    ("DISJOINT2.json", "pullback_b2.json"),
-]
+from run_examples import PAIRINGS
 
 
 def run_pairing(gname: str, cname: str, cap: int) -> dict:
