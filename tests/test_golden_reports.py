@@ -43,6 +43,13 @@ PAIRINGS = (
 
 ORACLE_ARGS = ("--depth", "1", "--max-triples", "50")
 
+DEPTH2_ORACLE = (
+    ("T2", "pullback_theta"),
+    ("B2xT1", "phi_theta"),
+    ("B2", "pullback_b2"),
+    ("B2xT3", "b2t3"),
+)
+
 
 def _cases() -> dict[str, list[str]]:
     cases = {}
@@ -68,6 +75,12 @@ def _cases() -> dict[str, list[str]]:
         ]
     # a product whose period lattice is larger than its torus directions: a note
     cases["simplicity B2xT3 phi_theta"] = ["simplicity", "fixtures/B2xT3.json", *theta]
+    # the oracle at the benchmark's depth, with the default cap, on the
+    # benchmark's pairings and the B2xT3 pairing it leaves out
+    for gname, cname in DEPTH2_ORACLE:
+        cases[f"oracle {gname} {cname} --depth 2"] = [
+            "oracle", f"fixtures/{gname}.json", "--cocycle", f"fixtures/{cname}.json", "--depth", "2",
+        ]
     return cases
 
 
