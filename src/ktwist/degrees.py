@@ -4,11 +4,19 @@ A degree is a plain tuple of ints, one entry per color.  Path degrees live in
 N^k, period vectors in Z^k.  Everything here is total and allocation-light;
 the rest of the package leans on these instead of numpy so that all
 arithmetic stays over exact ints.
+
+The two-operand helpers `add`, `sub` and `join` check that both degrees
+have the same length and raise ValueError when they do not.  They sit under
+every path composition, factorization and sigma_c resolution, so they and
+the one-operand helpers `scale`, `pos_part` and `neg_part` build their
+tuples with `map` or a list comprehension: a generator expression costs
+more than twice as much per call on these short vectors.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from operator import add as _plus, sub as _minus
 from typing import Iterator
 
 Degree = tuple[int, ...]
@@ -35,12 +43,20 @@ def as_degree(k: int, x, what: str) -> Degree:
     return x
 
 
+def _length_error(a: Degree, b: Degree) -> ValueError:
+    return ValueError(f"degrees {a} and {b} differ in length")
+
+
 def add(a: Degree, b: Degree) -> Degree:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise _length_error(a, b)
+    return tuple(map(_plus, a, b))
 
 
 def sub(a: Degree, b: Degree) -> Degree:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise _length_error(a, b)
+    return tuple(map(_minus, a, b))
 
 
 def leq(a: Degree, b: Degree) -> bool:
@@ -49,16 +65,18 @@ def leq(a: Degree, b: Degree) -> bool:
 
 
 def join(a: Degree, b: Degree) -> Degree:
-    return tuple(max(x, y) for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise _length_error(a, b)
+    return tuple(map(max, a, b))
 
 
 def pos_part(a: Degree) -> Degree:
-    return tuple(max(x, 0) for x in a)
+    return tuple([x if x > 0 else 0 for x in a])
 
 
 def neg_part(a: Degree) -> Degree:
     # a = pos_part(a) - neg_part(a)
-    return tuple(max(-x, 0) for x in a)
+    return tuple([-x if x < 0 else 0 for x in a])
 
 
 def total(a: Degree) -> int:
@@ -80,7 +98,7 @@ def signed_box(radius: Degree) -> Iterator[Degree]:
 
 
 def scale(c: int, a: Degree) -> Degree:
-    return tuple(c * x for x in a)
+    return tuple([c * x for x in a])
 
 
 def total_box(k: int, cap: int) -> Iterator[Degree]:

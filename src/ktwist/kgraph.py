@@ -212,13 +212,14 @@ class KGraph:
     def factorize(self, p: Path, m: Degree) -> tuple[Path, Path]:
         """Unique head/tail split p = head.tail with degree(head) = m.
 
-        Memoized per (p, m) once the degree check passed.
+        Memoized per (p, m); the degree check runs on a miss, before the
+        split is kept, so a kept (p, m) has passed it.
         """
-        if not all(0 <= x <= y for x, y in zip(m, p.degree, strict=True)):
-            raise ValueError(f"degree {m} not between 0 and {p.degree}")
         key = (p, m)
         hit = self._factorize_memo.get(key)
         if hit is None:
+            if not all(0 <= x <= y for x, y in zip(m, p.degree, strict=True)):
+                raise ValueError(f"degree {m} not between 0 and {p.degree}")
             hit = self._factorize_memo[key] = self._split(p, m)
         return hit
 
@@ -396,7 +397,8 @@ class EventuallyPeriodicPath:
     returns the graph's one object for that pair, so equal paths are
     identical.  The hash of (prefix, cycle) is computed once, when the
     object is made.  Each path keeps its own shifts and prepends and its
-    own segments, so each is worked out once.
+    own segments, x(0, n) under n and x(m, n) under (m, n), so each is
+    worked out once.
     """
 
     # Compared by identity but left out of the hash, which the graph's id
@@ -449,8 +451,12 @@ class EventuallyPeriodicPath:
 
     def at(self, m: Degree, n: Degree) -> Path:
         """x(m, n)."""
-        seg = self.segment_to(n)
-        return self.graph.factorize(seg, m)[1]
+        # a pair key never equals a degree key, so both kinds of segment share the table
+        key = (m, n)
+        seg = self._segments.get(key)
+        if seg is None:
+            seg = self._segments[key] = self.graph.factorize(self.segment_to(n), m)[1]
+        return seg
 
     def shift(self, n: Degree) -> "EventuallyPeriodicPath":
         """The path T^n x."""

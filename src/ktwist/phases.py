@@ -190,6 +190,11 @@ def _reduced(num: int, den: int, terms: tuple) -> PhaseExponent:
 
 def _combine(x: PhaseExponent, y: PhaseExponent, sign: int) -> PhaseExponent:
     """x + sign * y for sign = 1 or -1."""
+    # den 1 with no terms is the normal form of 0, so the other side is the answer
+    if y.den == 1 and not y.terms:
+        return x
+    if x.den == 1 and not x.terms:
+        return y if sign == 1 else -y
     d, e = x.den, y.den
     if d == e:
         mx = my = 1

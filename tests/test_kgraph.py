@@ -93,19 +93,39 @@ def test_factorize_round_trip_t2():
     assert g.compose(head, tail).word == p.word
 
 
+class CountedDegree(tuple):
+    """A degree that counts how often it is iterated over."""
+
+    iterations = 0
+
+    def __iter__(self):
+        CountedDegree.iterations += 1
+        return super().__iter__()
+
+
 def test_factorize_needs_leq_degree():
     g = torus2()
     p = g.make_path("v", ["a"])
-    with pytest.raises(ValueError):
-        g.factorize(p, (0, 1))
+    bad = ((0, 1), (2, 0), (-1, 0), (1,))
+    # the check runs on a memo miss, before the split is kept, so a degree
+    # that fails it fails on every call
+    for m in bad:
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                g.factorize(p, m)
     # factorization is memoized; valid splits of the same path must not let
     # an out-of-range degree through afterwards
     for m in ((0, 0), (1, 0), (1, 0)):
         head, tail = g.factorize(p, m)
         assert g.compose(head, tail) == p
-    for bad in ((0, 1), (2, 0), (-1, 0)):
+    for m in bad:
         with pytest.raises(ValueError):
-            g.factorize(p, bad)
+            g.factorize(p, m)
+        assert (p, m) not in g._factorize_memo
+    # a hit was checked when it was kept, so its degree is not read again
+    CountedDegree.iterations = 0
+    assert g.factorize(p, CountedDegree((1, 0))) is g.factorize(p, (1, 0))
+    assert CountedDegree.iterations == 0
 
 
 def test_segment_associativity_b2xt1():
@@ -199,6 +219,24 @@ def test_tail_shift_then_segment():
     x = canonical_tail(g, "v")
     s = x.shift((2, 1))
     assert s.segment_to((1, 0)).word == x.at((2, 1), (3, 1)).word
+
+
+@pytest.mark.parametrize("name", ["T2", "B2xT1"])
+def test_tail_keeps_its_segments_between_two_degrees(name, monkeypatch):
+    g = builtin(name)
+    tails = [canonical_tail(g, "v")]
+    tails.append(tails[0].prepend(g.paths_from("v", (1,) * g.k)[-1]))
+    pairs = [(m, n) for n in dg.box((2,) * g.k) for m in dg.box(n)]
+    for x in tails:
+        want = {(m, n): g.factorize(x.segment_to(n), m)[1] for m, n in pairs}
+        assert {(m, n): x.at(m, n) for m, n in pairs} == want
+    calls = []
+    factorize = g.factorize
+    monkeypatch.setattr(g, "factorize", lambda p, m: calls.append(m) or factorize(p, m))
+    for x in tails:
+        for m, n in pairs:
+            assert x.at(m, n) is x.at(m, n)
+    assert calls == []
 
 
 def test_tail_segment_prefix_consistency():

@@ -212,6 +212,36 @@ def test_arithmetic_agrees_with_fraction_reference(r1, t1, r2, t2, m):
     assert_agrees(pair_int((m, 1), (a, b)), ra.scaled(m) + rb)
 
 
+def zeros(rat, terms):
+    """0 three ways: the constant, a parsed integer and a - a for the given a."""
+    a = PhaseExponent(rat, tuple(terms))
+    return (PhaseExponent.zero(), parse_phase("3"), a - a)
+
+
+@example(*CANCELLING[0], Fraction(1, 3), [("rho", 2)])
+@example(Fraction(0), [], Fraction(0), [])
+@given(rats, term_lists, rats, term_lists)
+def test_zero_operands_agree_with_fraction_reference(r1, t1, r2, t2):
+    x, rx = both(r1, t1)
+    rzero = FractionPhase()
+    for zero in zeros(r2, t2):
+        assert_agrees(zero, rzero)
+        assert_agrees(x + zero, rx + rzero)
+        assert_agrees(x - zero, rx - rzero)
+        assert_agrees(zero + x, rzero + rx)
+        assert_agrees(zero - x, rzero - rx)
+        assert zero + x == x == x - zero and zero - x == -x
+
+
+def test_adding_zero_returns_the_other_operand():
+    # the zero shortcut builds nothing: the nonzero operand itself comes back
+    a = PhaseExponent.of(Fraction(2, 3), theta=1)
+    for zero in zeros(Fraction(1, 2), [("rho", 1)]):
+        assert a + zero is a
+        assert a - zero is a
+        assert zero + a is a
+
+
 @example(*CANCELLING[0], 1, [("theta", 0)])
 @example(*CANCELLING[1], 0, [("xi", 1), ("xi", -1)])
 @given(rats, term_lists, st.integers(-3, 3), term_lists)
