@@ -46,6 +46,7 @@ from .structure import (
     UNKNOWN,
     PeriodicityResult,
     Verdict,
+    default_period_bound,
     is_cofinal,
     per_group,
     verify_cofinality,
@@ -387,6 +388,18 @@ def _decide_degenerate(
     return Verdict(UNKNOWN, evidence, reason=reason), tuple(gens), None
 
 
+def _period_box_notes(g: KGraph, box: Degree) -> tuple[str, ...]:
+    """A note when the period box is below the default box in some colour.
+
+    Every verdict rests on the periods found in the box, so a smaller box
+    than the default may miss periods that the default would find.
+    """
+    default = default_period_bound(g)
+    if dg.leq(default, box):
+        return ()
+    return (f"period box {list(box)} is below the default {list(default)}; periods outside it are not excluded",)
+
+
 def decide_simplicity(
     g: KGraph, c: CocycleSpec, bounds: DecisionBounds | None = None
 ) -> SimplicityReport:
@@ -404,16 +417,17 @@ def decide_simplicity(
         return SimplicityReport(verdict, bounds=b)
 
     per = per_group(g, cof, b.period)
+    notes = _period_box_notes(g, per.exhaustive_up_to)
     if not per.per_vertex_agreement:
         verdict = Verdict(
             UNKNOWN,
             reason="the periods differ from vertex to vertex (no per_vertex_agreement); "
             "their intersection is not the period group, so no criterion applies",
         )
-        return SimplicityReport(verdict, per, bounds=b)
+        return SimplicityReport(verdict, per, bounds=b, notes=notes)
     omega = omega_from_oracle(g, InducedCocycle(c), per.lattice.rows)
     z = z_omega_of(omega)
     if not verify_z_omega(omega, z):
         raise RecheckError("degeneracy lattice")
     verdict, gens, note = _decide_degenerate(g, c, cof, per, omega, z, b.orbit)
-    return SimplicityReport(verdict, per, omega, z, gens, b, (note,) if note else ())
+    return SimplicityReport(verdict, per, omega, z, gens, b, notes + ((note,) if note else ()))

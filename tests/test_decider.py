@@ -34,11 +34,11 @@ from ktwist.decider import (
     z_omega_of,
 )
 from ktwist.io import load_cocycle, resolve_graph, serialize_cocycle, serialize_graph
-from ktwist.kgraph import Edge, KGraph, builtin, product_base, product_with_Tl
+from ktwist.kgraph import Edge, KGraph, Square, builtin, product_base, product_with_Tl, validate_kgraph
 from ktwist.lattices import LatticeBasis, hnf, kronecker_dense
 from ktwist.oracle import InducedCocycle, omega_from_oracle
 from ktwist.phases import PhaseExponent, pair_int
-from ktwist.structure import UNKNOWN, YES, Verdict, is_aperiodic, is_cofinal, per_group
+from ktwist.structure import UNKNOWN, YES, Verdict, default_period_bound, is_aperiodic, is_cofinal, per_group
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 try:
@@ -564,3 +564,45 @@ def test_torus_step_implies_an_aperiodic_base(l):
 @given(single_vertex_two_graphs(), st.integers(1, 2))
 def test_torus_step_implies_an_aperiodic_base_on_random_2_graphs(base, l):
     assert_base_aperiodic_where_the_step_is_reached(base, l)
+
+
+# --- a period box below the default -----------------------------------------
+
+# one red loop r0 and blue loops s0, s1, s2 whose squares swap s0 and s1 and
+# fix s2: the base period (2, 0) lies outside the box of radius 1
+R1X3 = KGraph(
+    2,
+    ("v",),
+    (Edge("r0", 1, "v", "v"), Edge("s0", 2, "v", "v"), Edge("s1", 2, "v", "v"), Edge("s2", 2, "v", "v")),
+    (
+        Square(1, 2, "r0", "s0", "s1", "r0"),
+        Square(1, 2, "r0", "s1", "s0", "r0"),
+        Square(1, 2, "r0", "s2", "s2", "r0"),
+    ),
+    name="R1x3",
+)
+
+
+def test_a_period_box_below_the_default_is_noted(tmp_path, capsys):
+    g = product_with_Tl(R1X3, 1)
+    assert validate_kgraph(g).ok and default_period_bound(g) == (2, 3, 2)
+    phi = OneCocyclePhi(1, {e.id: ((theta if e.id == "r0" else zero),) for e in g.edges})
+    graph, cocycle = tmp_path / "r1x3xt1.json", tmp_path / "phi.json"
+    graph.write_text(serialize_graph(g), encoding="utf-8")
+    cocycle.write_text(serialize_cocycle(PhiOmegaCocycle(1, phi, BicharacterTable.zero(1))), encoding="utf-8")
+    note = "period box [1, 1, 1] is below the default [2, 3, 2]; periods outside it are not excluded"
+    args = ["simplicity", str(graph), "--cocycle", str(cocycle)]
+    assert cli.main([*args, "--bound", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "verdict: CERTIFIED_SIMPLE", "certificate: kronecker_dense", f"note: {note}",
+    ]
+    assert cli.main([*args, "--bound", "1", "--format", "structured"]) == 0
+    assert json.loads(capsys.readouterr().out)["notes"] == [note]
+    # one colour below the default is enough; the default box gives no note
+    rep = decide_simplicity(g, PhiOmegaCocycle(1, phi, BicharacterTable.zero(1)), DecisionBounds(period=(2, 2, 2)))
+    assert rep.notes == ("period box [2, 2, 2] is below the default [2, 3, 2]; periods outside it are not excluded",)
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out.splitlines() == ["verdict: CERTIFIED_SIMPLE", "certificate: z_omega_trivial"]
+    for bound in ("3", "2,3,2"):
+        assert cli.main([*args, "--bound", bound]) == 0
+        assert not any(line.startswith("note: ") for line in capsys.readouterr().out.splitlines())
