@@ -644,8 +644,9 @@ RESOLUTION_PAIRS = 200
 def suite_resolution_independence(g: KGraph, s: InducedCocycle, depth=1) -> SuiteResult:
     """Recompute sigma(a, b) with three paddings; sigma_c asserts agreement.
 
-    Runs over at most RESOLUTION_PAIRS distinct pairs: b as in the cocycle
-    identity suite, a over its unshifted left factors.
+    Makes at most RESOLUTION_PAIRS checks: b as in the cocycle identity
+    suite, a over its unshifted left factors.  `_elements_at` can yield one
+    element twice, so a pair may be checked, and counted, more than once.
     """
     d = dg.as_degree(g.k, depth, "depth")
     zero = dg.zero(g.k)
