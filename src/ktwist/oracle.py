@@ -27,12 +27,12 @@ element, the outcome of each sigma_c pair, the phase of each r_sigma
 pair and the categorical value c(mu, nu) of each pair of paths that
 sigma_c has asked for.  A command builds one: `run_suites` hands its own
 to `omega_from_oracle`, and `omega` and `simplicity` each build one for
-the bicharacter.  Below it, paths and elements hash once, when
-they are built.  Infinite paths and elements are one object per value,
-by construction: their constructors return the graph's one object for
-the normal form, and each infinite path keeps its own shifts and
-segments.  So the stores above find an element by identity, and a value
-already seen costs one lookup with no field-by-field comparison.
+the bicharacter.  Below it, finite paths hash once, when they are
+built.  Infinite paths and elements are one object per value, by
+construction: their constructors return the graph's one object for the
+normal form, so they are hashed and compared by identity, and each
+infinite path keeps its own shifts and segments.  A value already seen
+costs the stores above one lookup with no field-by-field comparison.
 A value that depends on the resolution means the categorical cocycle is
 not a 2-cocycle: sigma_c keeps that outcome too and raises
 ResolutionError on every request for the pair, and a suite records it
@@ -66,14 +66,14 @@ class ResolutionError(RuntimeError):
 # --- groupoid elements ------------------------------------------------------
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class GroupoidElement:
     """The element (x, p, y) of G = {(x, m - n, y) : T^m x = T^n y}.
 
     Both paths are in diagonal normal form, so every presentation of an
     element gives the same three fields, and the constructor returns the
-    graph's one object for them: equal elements are identical.  The hash
-    is computed once, when the object is made.  The constructor does not
+    graph's one object for them: equal elements are identical, and the
+    element is compared and hashed by identity.  The constructor does not
     check that T^m x = T^n y for some m - n = p; `element` and the other
     builders do, and `cell` raises on a triple that fails it.
     """
@@ -88,11 +88,8 @@ class GroupoidElement:
         self = table.get(key)
         if self is None:
             self = table[key] = object.__new__(cls)
-            self.__dict__.update(range_path=range_path, degree=key[1], source_path=source_path, _hash=hash(key))
+            self.__dict__.update(range_path=range_path, degree=key[1], source_path=source_path)
         return self
-
-    def __hash__(self):
-        return self._hash
 
     def inverse(self) -> "GroupoidElement":
         return GroupoidElement(self.source_path, dg.scale(-1, self.degree), self.range_path)
@@ -114,7 +111,6 @@ class GroupoidElement:
         steps = max(x.prefix.degree[0], y.prefix.degree[0])
         for t in range(steps + math.lcm(x.cycle.degree[0], y.cycle.degree[0])):
             m, n = dg.add(a, dg.scale(t, diag)), dg.add(b, dg.scale(t, diag))
-            # equal infinite paths are one object
             if x.shift(m) is y.shift(n):
                 break
         else:
@@ -148,7 +144,6 @@ def element(mu: Path, nu: Path, tail: EventuallyPeriodicPath) -> GroupoidElement
 
 def compose_elements(g1: GroupoidElement, g2: GroupoidElement) -> GroupoidElement:
     """(x, p, y)(y, q, z) = (x, p + q, z)."""
-    # equal infinite paths are one object
     if g1.source_path is not g2.range_path:
         raise ValueError("elements are not composable")
     return GroupoidElement(g1.range_path, dg.add(g1.degree, g2.degree), g2.source_path)
@@ -156,7 +151,6 @@ def compose_elements(g1: GroupoidElement, g2: GroupoidElement) -> GroupoidElemen
 
 def isotropy_element(x: EventuallyPeriodicPath, p: Degree) -> GroupoidElement:
     """The element (x, p, x); requires p to be a shift period along x."""
-    # equal infinite paths are one object
     if x.shift(dg.pos_part(p)) is not x.shift(dg.neg_part(p)):
         raise ValueError(f"{p} is not a period along the given path")
     return GroupoidElement(x, p, x)
@@ -210,7 +204,6 @@ class PartitionP:
             if (
                 x.segment_to(mu.degree) == mu
                 and y.segment_to(nu.degree) == nu
-                # equal infinite paths are one object
                 and x.shift(mu.degree) is y.shift(nu.degree)
             ):
                 hits.append((mu, nu))
@@ -285,10 +278,10 @@ class InducedCocycle:
     the outcome of each sigma_c pair under (g, h, paddings), a
     ResolutionError included, and the phase of each r_sigma pair under
     (alpha, p); `_categorical` the value c(mu, nu) of each pair of paths
-    that sigma_c has asked for.  Equal elements are one object, so a
-    repeated request finds its key by identity.  An error raised by `cell` or by
-    `cocycle_value` propagates before anything is kept, so it is raised
-    afresh on every request.
+    that sigma_c has asked for.  Elements are hashed and compared by
+    identity, so a repeated request finds its key with no field-by-field
+    work.  An error raised by `cell` or by `cocycle_value` propagates
+    before anything is kept, so it is raised afresh on every request.
     """
 
     c: CocycleSpec

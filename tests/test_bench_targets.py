@@ -11,10 +11,12 @@ import sys
 
 import pytest
 
+from ktwist import cli
+
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 sys.path.insert(0, PERFBENCH)
 try:
-    from tracer import TARGETS
+    from tracer import TARGETS, Tracer
 finally:
     sys.path.remove(PERFBENCH)
 
@@ -27,3 +29,26 @@ def test_tracer_target_resolves(modname, attr):
         assert callable(getattr(owner, cls_name).__dict__[meth])
     else:
         assert callable(getattr(owner, attr))
+
+
+def test_traced_oracle_runs_agree(capsys):
+    # two traced passes over the same command, each on a freshly built
+    # graph, make the same calls and counts; identity-hashed paths and
+    # elements must not make the work depend on the run
+    for modname in {t[1] for t in TARGETS}:
+        importlib.import_module(modname)
+    fixture = os.path.join(os.path.dirname(PERFBENCH), "fixtures", "phi_theta.json")
+    args = ["oracle", "builtin:B2xT1", "--cocycle", fixture, "--depth", "1", "--max-triples", "50"]
+    tracer = Tracer()
+    tracer.install()
+    try:
+        runs = []
+        for _ in range(2):
+            tracer.reset()
+            assert cli.main(args) == 0
+            runs.append((tracer.raw()[0], tracer.counts()))
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert runs[0] == runs[1]
+    assert sum(runs[0][0]) > 0

@@ -140,8 +140,9 @@ def test_element_compose_and_inverse(t2):
 @given(st.sampled_from(["T2", "B2", "B2xT1", "C3xT1"]), st.data())
 def test_element_hash_ignores_where_the_tail_starts(name, data):
     # (mu.e, nu.e, x), (mu, nu, e.x), the element's cell over its tail, the
-    # constructor, products and a double inverse give one element, hashed
-    # once from its three fields, with one cell that contains it and is reduced
+    # constructor, products and a double inverse give one element, the
+    # graph's one object for the value, with one cell that contains it and is
+    # reduced
     g = builtin(name)
     e = g.edge_path(data.draw(st.sampled_from([e.id for e in g.edges])))
     box = list(dg.box((1,) * g.k))
@@ -167,13 +168,10 @@ def test_element_hash_ignores_where_the_tail_starts(name, data):
     keyed = {long: "long"}
     for el in reps:
         assert el == long and long == el
-        assert hash(el) == hash(long) == hash((long.range_path, long.degree, long.source_path))
+        assert el is long
         assert keyed[el] == "long"
         assert el.cell() == (cmu, cnu)
     assert len(set(reps)) == 1
-    # every builder, the constructor included, hands out the graph's one
-    # object for the value
-    assert all(el is long for el in reps)
     assert long.range_path is x.prepend(mue) and long.source_path is x.prepend(nue)
     xr, xs = long.range_path, long.source_path
     assert xr.segment_to(cmu.degree) == cmu and xs.segment_to(cnu.degree) == cnu
