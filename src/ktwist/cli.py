@@ -25,7 +25,7 @@ from .io import (
 from .kgraph import validate_kgraph
 from .oracle import InducedCocycle, ResolutionError, omega_closedform, omega_from_oracle, run_suites
 from .phases import format_phase, format_phase_rows
-from .structure import YES, is_aperiodic, is_cofinal, per_group
+from .structure import YES, is_aperiodic, is_cofinal, per_group, period_box_notes
 
 
 def _parse_bound(text: str | None):
@@ -198,6 +198,10 @@ def cmd_omega(args) -> int:
     lines.append(f"closed form agrees: {agree}")
     if not agree:
         lines.append("  flag: closed-form antisymmetrization differs; oracle value is authoritative")
+    notes = period_box_notes(g, per.exhaustive_up_to)
+    if notes:
+        body["notes"] = list(notes)
+    lines.extend(f"note: {note}" for note in notes)
     doc = report_document("omega", _inputs(gdigest, cdigest), body)
     _emit(args, doc, lines)
     return 0

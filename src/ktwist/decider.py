@@ -46,9 +46,9 @@ from .structure import (
     UNKNOWN,
     PeriodicityResult,
     Verdict,
-    default_period_bound,
     is_cofinal,
     per_group,
+    period_box_notes,
     verify_cofinality,
 )
 
@@ -388,18 +388,6 @@ def _decide_degenerate(
     return Verdict(UNKNOWN, evidence, reason=reason), tuple(gens), None
 
 
-def _period_box_notes(g: KGraph, box: Degree) -> tuple[str, ...]:
-    """A note when the period box is below the default box in some colour.
-
-    Every verdict rests on the periods found in the box, so a smaller box
-    than the default may miss periods that the default would find.
-    """
-    default = default_period_bound(g)
-    if dg.leq(default, box):
-        return ()
-    return (f"period box {list(box)} is below the default {list(default)}; periods outside it are not excluded",)
-
-
 def decide_simplicity(
     g: KGraph, c: CocycleSpec, bounds: DecisionBounds | None = None
 ) -> SimplicityReport:
@@ -417,7 +405,7 @@ def decide_simplicity(
         return SimplicityReport(verdict, bounds=b)
 
     per = per_group(g, cof, b.period)
-    notes = _period_box_notes(g, per.exhaustive_up_to)
+    notes = period_box_notes(g, per.exhaustive_up_to)
     if not per.per_vertex_agreement:
         verdict = Verdict(
             UNKNOWN,

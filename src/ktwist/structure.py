@@ -245,6 +245,18 @@ def default_period_bound(g: KGraph) -> Degree:
     return tuple(out)
 
 
+def period_box_notes(g: KGraph, box: Degree) -> tuple[str, ...]:
+    """A note when the period box is below the default box in some colour.
+
+    A verdict or bicharacter read off the periods found in the box may
+    miss periods that the default box would find.
+    """
+    default = default_period_bound(g)
+    if dg.leq(default, box):
+        return ()
+    return (f"period box {list(box)} is below the default {list(default)}; periods outside it are not excluded",)
+
+
 def _period_bound(g: KGraph, bound: Degree | int | None) -> Degree:
     """The candidate box radius: `bound` with every component at least 1,
     or the default when it is None."""

@@ -583,21 +583,30 @@ R1X3 = KGraph(
 )
 
 
-def test_a_period_box_below_the_default_is_noted(tmp_path, capsys):
+BOX_1_NOTE = "period box [1, 1, 1] is below the default [2, 3, 2]; periods outside it are not excluded"
+
+
+def _r1x3_theta_files(tmp_path):
+    """R1x3 times T1 with theta on r0 and omega = 0, written to graph and
+    cocycle files; its default period box is (2, 3, 2)."""
     g = product_with_Tl(R1X3, 1)
     assert validate_kgraph(g).ok and default_period_bound(g) == (2, 3, 2)
     phi = OneCocyclePhi(1, {e.id: ((theta if e.id == "r0" else zero),) for e in g.edges})
     graph, cocycle = tmp_path / "r1x3xt1.json", tmp_path / "phi.json"
     graph.write_text(serialize_graph(g), encoding="utf-8")
     cocycle.write_text(serialize_cocycle(PhiOmegaCocycle(1, phi, BicharacterTable.zero(1))), encoding="utf-8")
-    note = "period box [1, 1, 1] is below the default [2, 3, 2]; periods outside it are not excluded"
-    args = ["simplicity", str(graph), "--cocycle", str(cocycle)]
+    return g, phi, [str(graph), "--cocycle", str(cocycle)]
+
+
+def test_a_period_box_below_the_default_is_noted(tmp_path, capsys):
+    g, phi, files = _r1x3_theta_files(tmp_path)
+    args = ["simplicity", *files]
     assert cli.main([*args, "--bound", "1"]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "verdict: CERTIFIED_SIMPLE", "certificate: kronecker_dense", f"note: {note}",
+        "verdict: CERTIFIED_SIMPLE", "certificate: kronecker_dense", f"note: {BOX_1_NOTE}",
     ]
     assert cli.main([*args, "--bound", "1", "--format", "structured"]) == 0
-    assert json.loads(capsys.readouterr().out)["notes"] == [note]
+    assert json.loads(capsys.readouterr().out)["notes"] == [BOX_1_NOTE]
     # one colour below the default is enough; the default box gives no note
     rep = decide_simplicity(g, PhiOmegaCocycle(1, phi, BicharacterTable.zero(1)), DecisionBounds(period=(2, 2, 2)))
     assert rep.notes == ("period box [2, 2, 2] is below the default [2, 3, 2]; periods outside it are not excluded",)
@@ -606,3 +615,19 @@ def test_a_period_box_below_the_default_is_noted(tmp_path, capsys):
     for bound in ("3", "2,3,2"):
         assert cli.main([*args, "--bound", bound]) == 0
         assert not any(line.startswith("note: ") for line in capsys.readouterr().out.splitlines())
+
+
+def test_omega_notes_a_period_box_below_the_default(tmp_path, capsys):
+    args = ["omega", *_r1x3_theta_files(tmp_path)[2]]
+    assert cli.main([*args, "--bound", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "period generators: [[0, 0, 1]]" and lines[-1] == f"note: {BOX_1_NOTE}"
+    assert cli.main([*args, "--bound", "1", "--format", "structured"]) == 0
+    assert json.loads(capsys.readouterr().out)["notes"] == [BOX_1_NOTE]
+    # the default box gives no note, and the structured report no notes key
+    assert cli.main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "period generators: [[2, 0, 0], [0, 0, 1]]"
+    assert not any(line.startswith("note: ") for line in lines)
+    assert cli.main([*args, "--format", "structured"]) == 0
+    assert "notes" not in json.loads(capsys.readouterr().out)
