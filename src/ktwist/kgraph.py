@@ -192,9 +192,13 @@ class KGraph:
         return w
 
     def compose(self, p: Path, q: Path) -> Path:
-        """p.q in normal form."""
+        """p.q in normal form; a vertex path factor gives back the other one."""
         if p.source != q.range:
             raise ComposabilityError(f"cannot compose: source {p.source!r} != range {q.range!r}")
+        if not q.word:
+            return p
+        if not p.word:
+            return q
         return Path(p.range, q.source, dg.add(p.degree, q.degree), tuple(self._normalize(p.word + q.word)))
 
     def _pull_color_front(self, word: list[str], color: int) -> list[str]:

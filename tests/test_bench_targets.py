@@ -33,8 +33,8 @@ def test_tracer_target_resolves(modname, attr):
 
 def test_traced_oracle_runs_agree(capsys):
     # two traced passes over the same command, each on a freshly built
-    # graph, make the same calls and counts; identity-hashed paths and
-    # elements must not make the work depend on the run
+    # graph, must make the same calls and counts: a traced bench run
+    # whose passes disagree is refused
     for modname in {t[1] for t in TARGETS}:
         importlib.import_module(modname)
     fixture = os.path.join(os.path.dirname(PERFBENCH), "fixtures", "phi_theta.json")
