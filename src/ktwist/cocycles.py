@@ -206,7 +206,7 @@ def cocycle_value(c: CocycleSpec, mu: Path, nu: Path) -> PhaseExponent:
     """The twisting phase exponent of a composable pair."""
     if mu.source != nu.range:
         raise CocycleDomainError(f"pair not composable: {mu!r} then {nu!r}")
-    if mu.is_vertex() or nu.is_vertex():
+    if not mu.word or not nu.word:
         return PhaseExponent.zero()
     if isinstance(c, PullbackCocycle):
         if len(c.theta) != len(mu.degree):

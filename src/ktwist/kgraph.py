@@ -15,9 +15,9 @@ edge of the second factor left past higher-color edges via the square
 tables; by unique factorization the result does not depend on the order
 of the rewrites.  Factorization peels edges off the range end, one color
 at a time.  Everything is exact and deterministic (edges are always
-enumerated in id order).  Finite paths are immutable, compared by value
-and hash once, when they are built, so each graph memoizes factorization
-by its arguments.
+enumerated in id order).  A finite path is the graph's one object for
+its (range, source, degree, word), so paths are compared and hashed by
+identity, and each path keeps its own splits.
 
 An eventually periodic path has many representations (a cycle may be
 repeated, or partly folded into the prefix).  An infinite path is
@@ -60,23 +60,24 @@ class Square:
     fp: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Path:
-    """A finite path in normal form; its hash is computed once, when built."""
+    """A finite path in normal form: the graph's one object for its four
+    fields, so its identity is its equality and hash.  It does not hold its
+    graph, and keeps its own splits by head degree for `KGraph.factorize`."""
 
     range: str
     source: str
     degree: Degree
     word: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.range, self.source, self.degree, self.word)))
-
-    def __hash__(self):
-        return self._hash
-
-    def is_vertex(self) -> bool:
-        return not self.word
+    def __new__(cls, graph: "KGraph", range: str, source: str, degree: Degree, word: tuple[str, ...]):
+        key = (range, source, degree, word)
+        self = graph._interned.get(key)
+        if self is None:
+            self = graph._interned[key] = object.__new__(cls)
+            self.__dict__.update(range=range, source=source, degree=degree, word=word, _splits={})
+        return self
 
     def __repr__(self):
         body = ".".join(self.word) if self.word else f"({self.range})"
@@ -101,11 +102,11 @@ class KGraph:
     """A k-colored graph with its square tables, compared by identity.
 
     Besides the indexes built from the edges and squares, a graph keeps
-    three tables that live as long as it does: its paths by range and
-    degree, factorizations, and `_interned`, the one object of each
-    infinite path and groupoid element made on it, keyed by its normal-form
-    fields.  Two graphs share no table and no object, even when they are
-    equal as data.
+    two tables that live as long as it does: its paths by range and
+    degree, and `_interned`, the one object of each finite path, infinite
+    path and groupoid element made on it, keyed by its normal-form fields.
+    Two graphs share no table and no object, even when they are equal as
+    data.
     """
 
     k: int
@@ -118,7 +119,6 @@ class KGraph:
     _fwd: dict = field(default_factory=dict, repr=False)
     _inv: dict = field(default_factory=dict, repr=False)
     _paths_cache: dict = field(default_factory=dict, repr=False)
-    _factorize_memo: dict = field(default_factory=dict, repr=False)
     _interned: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -155,11 +155,11 @@ class KGraph:
     def vertex_path(self, v: str) -> Path:
         if v not in self.vertices:
             raise ValueError(f"unknown vertex {v!r}")
-        return Path(v, v, dg.zero(self.k), ())
+        return Path(self, v, v, dg.zero(self.k), ())
 
     def edge_path(self, eid: str) -> Path:
         e = self.edge(eid)
-        return Path(e.range, e.source, dg.unit(self.k, e.color), (eid,))
+        return Path(self, e.range, e.source, dg.unit(self.k, e.color), (eid,))
 
     def make_path(self, range_vertex: str, word: Iterable[str]) -> Path:
         """Build a path from a composable word, normalizing the color order."""
@@ -172,7 +172,7 @@ class KGraph:
                 raise ComposabilityError(f"edge {eid!r} has range {e.range!r}, expected {cur!r}")
             deg[e.color - 1] += 1
             cur = e.source
-        return Path(range_vertex, cur, tuple(deg), tuple(self._normalize(word)))
+        return Path(self, range_vertex, cur, tuple(deg), tuple(self._normalize(word)))
 
     # --- normal form --------------------------------------------------------
 
@@ -199,7 +199,7 @@ class KGraph:
             return p
         if not p.word:
             return q
-        return Path(p.range, q.source, dg.add(p.degree, q.degree), tuple(self._normalize(p.word + q.word)))
+        return Path(self, p.range, q.source, dg.add(p.degree, q.degree), tuple(self._normalize(p.word + q.word)))
 
     def _pull_color_front(self, word: list[str], color: int) -> list[str]:
         t = next(i for i, eid in enumerate(word) if self.edge(eid).color == color)
@@ -212,15 +212,14 @@ class KGraph:
     def factorize(self, p: Path, m: Degree) -> tuple[Path, Path]:
         """Unique head/tail split p = head.tail with degree(head) = m.
 
-        Memoized per (p, m); the degree check runs on a miss, before the
-        split is kept, so a kept (p, m) has passed it.
+        Kept on p under m; the degree check runs on a miss, before the
+        split is kept, so a kept split has passed it.
         """
-        key = (p, m)
-        hit = self._factorize_memo.get(key)
+        hit = p._splits.get(m)
         if hit is None:
             if not all(0 <= x <= y for x, y in zip(m, p.degree, strict=True)):
                 raise ValueError(f"degree {m} not between 0 and {p.degree}")
-            hit = self._factorize_memo[key] = self._split(p, m)
+            hit = p._splits[m] = self._split(p, m)
         return hit
 
     def _split(self, p: Path, m: Degree) -> tuple[Path, Path]:
@@ -231,8 +230,8 @@ class KGraph:
                 word = self._pull_color_front(word, color)
                 head.append(word.pop(0))
         head_src = self.edge(head[-1]).source if head else p.range
-        hp = Path(p.range, head_src, m, tuple(head))
-        tp = Path(head_src, p.source, dg.sub(p.degree, m), tuple(word))
+        hp = Path(self, p.range, head_src, m, tuple(head))
+        tp = Path(self, head_src, p.source, dg.sub(p.degree, m), tuple(word))
         return hp, tp
 
     def segment(self, p: Path, m: Degree, n: Degree) -> Path:
@@ -263,7 +262,7 @@ class KGraph:
         out = self._paths_cache[v, n]
         for m, i in reversed(chain):
             out = self._paths_cache[v, m] = [
-                Path(v, e.source, m, p.word + (e.id,)) for p in out for e in self.in_edges(p.source, i)
+                Path(self, v, e.source, m, p.word + (e.id,)) for p in out for e in self.in_edges(p.source, i)
             ]
         return out
 
@@ -396,8 +395,8 @@ class EventuallyPeriodicPath:
     least r, then the least s, with x = x(0, sD).x(sD, (s+r)D)^oo, and
     returns the graph's one object for that pair, so equal paths are
     identical and the object's identity is its equality and hash.  Each
-    path keeps its own shifts and prepends and its own segments, x(0, n)
-    under n and x(m, n) under (m, n), so each is worked out once.
+    path keeps its own shifts, prepends and segments x(0, n), so each is
+    worked out once; x(m, n) is a split that x(0, n) keeps.
     """
 
     graph: KGraph
@@ -449,12 +448,7 @@ class EventuallyPeriodicPath:
 
     def at(self, m: Degree, n: Degree) -> Path:
         """x(m, n)."""
-        # a pair key never equals a degree key, so both kinds of segment share the table
-        key = (m, n)
-        seg = self._segments.get(key)
-        if seg is None:
-            seg = self._segments[key] = self.graph.factorize(self.segment_to(n), m)[1]
-        return seg
+        return self.graph.factorize(self.segment_to(n), m)[1]
 
     def shift(self, n: Degree) -> "EventuallyPeriodicPath":
         """The path T^n x."""

@@ -27,11 +27,11 @@ element, the outcome of each sigma_c pair, the phase of each r_sigma
 pair and the categorical value c(mu, nu) of each pair of paths that
 sigma_c has asked for.  A command builds one: `run_suites` hands its own
 to `omega_from_oracle`, and `omega` and `simplicity` each build one for
-the bicharacter.  Below it, finite paths hash once, when they are
-built.  Infinite paths and elements are one object per value, by
-construction: their constructors return the graph's one object for the
-normal form, so they are hashed and compared by identity, and each
-infinite path keeps its own shifts and segments.  A value already seen
+the bicharacter.  Below it, finite paths, infinite paths and elements
+are one object per value, by construction: their constructors return
+the graph's one object for the normal form, so they are hashed and
+compared by identity.  Each finite path keeps its own splits and each
+infinite path its own shifts and segments.  A value already seen
 costs the stores above one lookup with no field-by-field comparison.
 A value that depends on the resolution means the categorical cocycle is
 not a 2-cocycle: sigma_c keeps that outcome too and raises

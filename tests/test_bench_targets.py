@@ -31,14 +31,21 @@ def test_tracer_target_resolves(modname, attr):
         assert callable(getattr(owner, attr))
 
 
-def test_traced_oracle_runs_agree(capsys):
+FIXTURES = os.path.join(os.path.dirname(PERFBENCH), "fixtures")
+
+
+@pytest.mark.parametrize("args", [
+    ["oracle", "builtin:B2xT1", "--cocycle", "phi_theta.json", "--depth", "1", "--max-triples", "50"],
+    ["simplicity", "builtin:B2xT1", "--cocycle", "phi_theta.json"],
+    ["validate", "B2xT3.json", "--cocycle", "b2t3.json"],
+], ids=lambda args: args[0])
+def test_traced_oracle_runs_agree(capsys, args):
     # two traced passes over the same command, each on a freshly built
     # graph, must make the same calls and counts: a traced bench run
     # whose passes disagree is refused
     for modname in {t[1] for t in TARGETS}:
         importlib.import_module(modname)
-    fixture = os.path.join(os.path.dirname(PERFBENCH), "fixtures", "phi_theta.json")
-    args = ["oracle", "builtin:B2xT1", "--cocycle", fixture, "--depth", "1", "--max-triples", "50"]
+    args = [os.path.join(FIXTURES, a) if a.endswith(".json") else a for a in args]
     tracer = Tracer()
     tracer.install()
     try:

@@ -24,7 +24,7 @@ from ktwist.cocycles import (
 from ktwist.decider import decide_simplicity, potential_certificate, verify_z_omega, z_omega_of
 from ktwist.lattices import LatticeBasis
 from ktwist.io import load_cocycle
-from ktwist.kgraph import EventuallyPeriodicPath, builtin, canonical_tail
+from ktwist.kgraph import EventuallyPeriodicPath, Path, builtin, canonical_tail
 from ktwist.oracle import (
     CoboundaryBx,
     DepthError,
@@ -212,8 +212,13 @@ def test_two_loads_of_a_graph_share_no_canonical_object():
     assert e1 is not e2 and e1 != e2
     assert e1.range_path.graph is g1 and e2.range_path.graph is g2
     assert not {id(o) for o in g1._interned.values()} & {id(o) for o in g2._interned.values()}
-    owners = {o.graph if isinstance(o, EventuallyPeriodicPath) else o.range_path.graph for o in g1._interned.values()}
+    owners = {
+        o.graph if isinstance(o, EventuallyPeriodicPath) else o.range_path.graph
+        for o in g1._interned.values() if not isinstance(o, Path)
+    }
     assert owners == {g1}
+    # finite paths hold no graph, but are bound to theirs all the same
+    assert a1 is not a2 and a1 != a2
 
 
 def test_no_module_state_keeps_a_graph_alive():
@@ -225,10 +230,10 @@ def test_no_module_state_keeps_a_graph_alive():
     assert oracle.run_suites(g, c, 2, 200)[3] is not None
     assert decide_simplicity(g, c).verdict.status
     assert g._interned
-    alive = weakref.ref(g)
+    alive, path_alive = weakref.ref(g), weakref.ref(g.edge_path("e"))
     del g, c
     gc.collect()
-    assert alive() is None
+    assert alive() is None and path_alive() is None
 
 
 @pytest.mark.parametrize("name, stem, calls", [("B2xT1", "phi_theta", 0), ("T2", "pullback_theta", 0)])
@@ -282,7 +287,7 @@ def test_partition_contains_diagonal_cells(t2, t2_partition):
     for n in dg.box((3, 3)):
         for lam in t2.paths_from("v", n):
             found = any(
-                mu.word == lam.word and nu.is_vertex() for mu, nu in t2_partition.cells
+                mu.word == lam.word and not nu.word for mu, nu in t2_partition.cells
             ) or any(mu.word == lam.word for mu, nu in t2_partition.cells)
             assert found
 

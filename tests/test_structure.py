@@ -168,10 +168,11 @@ def test_local_periodicity_pair_agrees_with_verdicts():
     # a witness pair exists exactly where the window automaton finds periods
     assert local_periodicity_pair(builtin("T2"), 2) is not None
     assert local_periodicity_pair(builtin("B2"), 2) is None
-    pair = local_periodicity_pair(builtin("B2xT1"), 2)
+    g = builtin("B2xT1")
+    pair = local_periodicity_pair(g, 2)
     assert pair is not None
     mu, nu = pair
-    assert pair_relation(builtin("B2xT1"), mu, nu)
+    assert pair_relation(g, mu, nu)
 
 
 @pytest.mark.parametrize("search, name, bound", [
