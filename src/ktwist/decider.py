@@ -13,10 +13,13 @@ The decision cascade glues the independently tested components:
    certifies nonsimplicity;
 4. for torus products with an edge phase 1-cochain, periods exactly the
    torus directions and cofinality kind `strongly_connected` (so a base
-   strongly connected, and aperiodic over the period box), density of the orbit phase group
-   in the degenerate directions decides: a vertex potential freezing some
-   character certifies nonsimplicity, a full-rank Kronecker witness
-   simplicity;
+   strongly connected, and aperiodic over the period box), density of the
+   orbit phase group in the degenerate directions decides, completely: a
+   vertex potential freezing some character certifies nonsimplicity, and
+   without one the group is dense, with a full-rank Kronecker witness, so
+   simple.  The generators span the edge projections <P(e)>, and an n != 0
+   with n . P(e) in Z on every edge would make psi = 0 a potential; the
+   orbit bound only sets which generators the report lists;
 5. everything else stays UNKNOWN with the computed invariants attached.
 
 Every certified verdict carries a certificate, and the decider recertifies
@@ -26,7 +29,6 @@ it through an independent verifier before reporting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
 
 from . import degrees as dg
 from .degrees import Degree
@@ -34,7 +36,6 @@ from .cocycles import BicharacterTable, CocycleSpec, OneCocyclePhi, PhiOmegaCocy
 from .kgraph import KGraph, product_base
 from .lattices import (
     LatticeBasis,
-    hnf,
     integral_pairing_lattice,
     kronecker_dense,
     verify_kronecker,
@@ -97,41 +98,10 @@ def is_single_path_base(g: KGraph) -> bool:
 # --- orbit phase groups for torus products -----------------------------------
 
 
-def _phase_group_rows(gens: list[PhaseVector], d: int, symbols: tuple[str, ...], scale: int):
-    """Integer rows presenting the generated subgroup of the d-torus.
-
-    Coordinates flatten to (rational part, one block per symbol); unit
-    vectors on the rational block encode working mod Z; everything is
-    scaled to integers by the caller-supplied `scale`, a multiple of every
-    entry's denominator.
-    """
-    width = d * (1 + len(symbols))
-    rows = []
-    for v in gens:
-        factors = [scale // entry.den for entry in v]
-        flat = [entry.num * f for entry, f in zip(v, factors)]
-        terms = [dict(entry.terms) for entry in v]
-        for s in symbols:
-            flat.extend(t.get(s, 0) * f for t, f in zip(terms, factors))
-        rows.append(tuple(flat))
-    for i in range(d):
-        unit = [0] * width
-        unit[i] = scale
-        rows.append(tuple(unit))
-    return hnf(rows)
-
-
-def _gen_scale(gens: list[PhaseVector]) -> int:
-    return lcm(1, *(entry.den for v in gens for entry in v))
-
-
 def orbit_phase_generators(
-    g: KGraph, strongly_connected: bool, phi: OneCocyclePhi, zbasis: LatticeBasis, bound: int
-) -> tuple[list[PhaseVector], bool]:
+    g: KGraph, phi: OneCocyclePhi, zbasis: LatticeBasis, bound: int
+) -> list[PhaseVector]:
     """Phase vectors of all source-matched path pairs, in zbasis coordinates.
-
-    `strongly_connected` is the caller's certificate, read off the
-    cofinality kind; the enumeration needs it to be True.
 
     A pair (mu, nu) with s(mu) = s(nu) and degrees at most the bound has
     the vector P(mu) - P(nu), where P pairs each zbasis row with phi.  So
@@ -139,33 +109,23 @@ def orbit_phase_generators(
     source, sources sorted and projections in order of first path: the
     list and order, as reports print them, of a loop over all path pairs,
     which first meets each vector at the first paths of its projections.
-    Each source's first path is its vertex path, projecting to 0, so the
-    projections generate the group their differences do; `stabilized`
-    compares it with the group of the paths whose every degree coordinate
-    is below the bound (the group at the previous bound).
+
+    With bound >= 1 they span exactly the group of the edge projections
+    P(e): each source's first path is its vertex path, projecting to 0, so
+    the pair (e, s(e)) gives P(e), and P is additive along paths.  The
+    bound therefore sets only which generators are listed, never the group
+    they span.
     """
-    if not strongly_connected:
-        raise ValueError("orbit phase enumeration requires a strongly connected graph")
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    d = zbasis.rank
     projs: dict[str, dict[PhaseVector, None]] = {v: {} for v in g.vertices}
-    short: dict[PhaseVector, None] = {}
     for n in dg.box((bound,) * g.k):
         for v in g.vertices:
             for p in g.paths_from(v, n):
-                pm = tuple(pair_int(z, phi.value(p)) for z in zbasis.rows)
-                projs[p.source][pm] = None
-                if max(n) < bound:
-                    short[pm] = None
-    gens = list({
+                projs[p.source][tuple(pair_int(z, phi.value(p)) for z in zbasis.rows)] = None
+    return list({
         tuple(a - c for a, c in zip(pm, pn)): None for v in sorted(projs) for pm in projs[v] for pn in projs[v]
     })
-    every = list({pm: None for v in projs for pm in projs[v]})
-    symbols = tuple(sorted({s for v in gens for e in v for s in e.symbols()}))
-    scale = _gen_scale(gens)
-    stabilized = _phase_group_rows(list(short), d, symbols, scale) == _phase_group_rows(every, d, symbols, scale)
-    return gens, stabilized
 
 
 # --- potential certificates of non-density -----------------------------------
@@ -313,7 +273,10 @@ def _decide_degenerate(
     """Steps 2-5 of the cascade, once the degeneracy lattice z is known.
 
     Returns the verdict, the density generators it rests on and a note on
-    why the torus step did not apply, if it did not.
+    why the torus step did not apply, if it did not.  Once reached, the
+    torus step always decides: without a potential the generators are
+    dense (see `orbit_phase_generators`), and a non-dense result is a
+    broken invariant, raised as a failed density recheck.
 
     The torus step rests on facts certified on the product g once
     `validate_product_split` passed, and searches the base no more:
@@ -354,8 +317,7 @@ def _decide_degenerate(
         return unknown, (), "not a recognizable torus product: " + split.problems[0]
     if per.lattice != _torus_unit_lattice(g.k, c.l):
         return unknown, (), "period lattice is not exactly the torus directions; orbit reduction unavailable"
-    connected = cof.certificate == {"kind": "strongly_connected"}
-    if not connected:
+    if cof.certificate != {"kind": "strongly_connected"}:
         return unknown, (), "base graph is not strongly connected; orbit reduction unavailable"
     base = product_base(g, c.l)
 
@@ -368,24 +330,13 @@ def _decide_degenerate(
         certificate = {"kind": "orbit_potential", "n": list(n), "psi": psi_text}
         reason = "a character coordinate of the orbit is a function of the range vertex"
         return Verdict(NONSIMPLE, certificate, reason=reason), (), None
-    gens, stabilized = orbit_phase_generators(base, connected, c.phi, z, orbit)
+    gens = orbit_phase_generators(base, c.phi, z, orbit)
     kron = kronecker_dense(gens, z.rank)
-    if kron.dense:
-        if not verify_kronecker(gens, z.rank, kron):
-            raise RecheckError("density")
-        certificate = {"kind": "kronecker_dense", "dimension": z.rank, "witness": kron.certificate}
-        reason = "orbit phase group is dense in the degenerate directions"
-        return Verdict(SIMPLE, certificate, reason=reason), tuple(gens), None
-    evidence = {
-        "kind": "nonsimple_evidence",
-        "annihilator": kron.annihilator.to_jsonable(),
-        "stabilized": stabilized,
-        "bound": orbit,
-    }
-    reason = "orbit phase group not dense at the bound"
-    if stabilized:
-        reason += "; generators stabilized, but no potential certificate exists"
-    return Verdict(UNKNOWN, evidence, reason=reason), tuple(gens), None
+    if not kron.dense or not verify_kronecker(gens, z.rank, kron):
+        raise RecheckError("density")
+    certificate = {"kind": "kronecker_dense", "dimension": z.rank, "witness": kron.certificate}
+    reason = "orbit phase group is dense in the degenerate directions"
+    return Verdict(SIMPLE, certificate, reason=reason), tuple(gens), None
 
 
 def decide_simplicity(

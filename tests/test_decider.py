@@ -2,7 +2,6 @@
 
 import json
 from fractions import Fraction
-from math import lcm
 
 import os
 import sys
@@ -35,7 +34,7 @@ from ktwist.decider import (
 )
 from ktwist.io import load_cocycle, resolve_graph, serialize_cocycle, serialize_graph
 from ktwist.kgraph import Edge, KGraph, Square, builtin, product_base, product_with_Tl, validate_kgraph
-from ktwist.lattices import LatticeBasis, hnf, kronecker_dense
+from ktwist.lattices import LatticeBasis, kronecker_dense
 from ktwist.oracle import InducedCocycle, omega_from_oracle
 from ktwist.phases import PhaseExponent, pair_int
 from ktwist.structure import UNKNOWN, YES, Verdict, default_period_bound, is_aperiodic, is_cofinal, per_group
@@ -245,6 +244,9 @@ def test_verify_z_omega_accepts_the_real_lattice_only():
     assert verify_z_omega(om, z)
     wrong = LatticeBasis.from_rows([(1, 0), (0, 1)], 2)
     assert not verify_z_omega(om, wrong)
+    # central generators that miss (2, 0): only the box finds it
+    assert z.member((2, 0))
+    assert not verify_z_omega(om, LatticeBasis.from_rows([(4, 0), (0, 2)], 2))
 
 
 def test_potential_certificate_and_verifier():
@@ -269,28 +271,26 @@ def test_verify_potential_rejects_false_claim():
     g0, c0 = b2xt1_phi(zero)
     psi0 = {v: zero for v in g0.vertices}
     assert not verify_potential(g0, c0.phi, zfull, (0,), psi0)
+    # the true potential of the untwisted cocycle, with a vertex left out
+    assert verify_potential(g0, c0.phi, zfull, (1,), psi0)
+    assert not verify_potential(g0, c0.phi, zfull, (1,), {})
 
 
 # --- orbit phase group -------------------------------------------------------
 
 
-def test_orbit_generators_stabilize_on_b2xt1():
+def test_orbit_generators_are_dense_on_b2xt1():
     # the decision procedure enumerates orbits on the torus-free base graph
     g, c = b2xt1_phi(theta)
     zfull = LatticeBasis.from_rows([(1,)], 1)
     base = product_base(g, 1)
-    gens, stabilized = orbit_phase_generators(base, strongly_connected(base), c.phi, zfull, 4)
-    assert stabilized
+    gens = orbit_phase_generators(base, c.phi, zfull, 4)
     assert any(any(x.coeff("theta") for x in vec) for vec in gens)
     res = kronecker_dense(gens, 1)
     assert res.dense
-
-
-def test_orbit_generators_require_strong_connectivity():
-    g = builtin("DISJOINT2")
-    phi = OneCocyclePhi(1, {"lu": (zero,), "lw": (zero,)})
-    with pytest.raises(ValueError):
-        orbit_phase_generators(g, strongly_connected(g), phi, LatticeBasis.from_rows([(1,)], 1), 2)
+    # the span argument needs every edge among the pairs
+    with pytest.raises(ValueError, match="^bound must be at least 1$"):
+        orbit_phase_generators(base, c.phi, zfull, 0)
 
 
 def test_full_period_density_fails_on_b2xt3():
@@ -299,7 +299,7 @@ def test_full_period_density_fails_on_b2xt3():
     g, c = b2xt3_cocycle()
     zfull = LatticeBasis.from_rows([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
     base = product_base(g, 3)
-    gens, _ = orbit_phase_generators(base, strongly_connected(base), c.phi, zfull, 3)
+    gens = orbit_phase_generators(base, c.phi, zfull, 3)
     res = kronecker_dense(gens, 3)
     assert not res.dense
     assert res.annihilator.member((0, 0, 1))
@@ -307,30 +307,20 @@ def test_full_period_density_fails_on_b2xt3():
 
 def reference_orbit_generators(g, phi, zbasis, bound):
     """orbit_phase_generators as a plain phi_tilde loop over path pairs."""
-
-    def gens_at(b):
-        by_source = {v: [] for v in g.vertices}
-        for n in dg.box((b,) * g.k):
-            for v in g.vertices:
-                for p in g.paths_from(v, n):
-                    by_source[p.source].append(p)
-        seen, out = set(), []
-        for v in sorted(by_source):
-            for mu in by_source[v]:
-                for nu in by_source[v]:
-                    vec = tuple(pair_int(z, phi_tilde(phi, mu, nu)) for z in zbasis.rows)
-                    if vec not in seen:
-                        seen.add(vec)
-                        out.append(vec)
-        return out
-
-    d = zbasis.rank
-    gens = gens_at(bound)
-    prev = gens_at(bound - 1) if bound > 1 else [tuple(zero for _ in range(d))]
-    symbols = tuple(sorted({s for v in gens for e in v for s in e.symbols()}))
-    scale = decider._gen_scale(gens)
-    rows = decider._phase_group_rows
-    return gens, rows(prev, d, symbols, scale) == rows(gens, d, symbols, scale)
+    by_source = {v: [] for v in g.vertices}
+    for n in dg.box((bound,) * g.k):
+        for v in g.vertices:
+            for p in g.paths_from(v, n):
+                by_source[p.source].append(p)
+    seen, out = set(), []
+    for v in sorted(by_source):
+        for mu in by_source[v]:
+            for nu in by_source[v]:
+                vec = tuple(pair_int(z, phi_tilde(phi, mu, nu)) for z in zbasis.rows)
+                if vec not in seen:
+                    seen.add(vec)
+                    out.append(vec)
+    return out
 
 
 phase_values = st.builds(
@@ -355,10 +345,15 @@ def test_orbit_generators_match_plain_pair_loop(name, bound, l, data):
     phi = OneCocyclePhi(l, {e.id: tuple(data.draw(phase_values) for _ in range(l)) for e in g.edges})
     rows = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * l), min_size=1, max_size=l))
     zbasis = LatticeBasis.from_rows(rows, l)
-    gens, stabilized = orbit_phase_generators(g, strongly_connected(g), phi, zbasis, bound)
-    ref_gens, ref_stabilized = reference_orbit_generators(g, phi, zbasis, bound)
-    assert gens == ref_gens
-    assert stabilized == ref_stabilized
+    gens = orbit_phase_generators(g, phi, zbasis, bound)
+    assert gens == reference_orbit_generators(g, phi, zbasis, bound)
+    # the fact step 4 rests on: every edge projection P(e) is a generator,
+    # so the generators are dense unless some n != 0 has n . P(e) in Z on
+    # every edge, and then psi = 0 is a potential
+    for e in g.edges:
+        assert tuple(pair_int(z, phi.edge_value(e.id)) for z in zbasis.rows) in gens
+    if potential_certificate(g, phi, zbasis) is None:
+        assert kronecker_dense(gens, zbasis.rank).dense
 
 
 def test_orbit_generators_subtract_once_per_pair_of_projections(monkeypatch):
@@ -369,7 +364,6 @@ def test_orbit_generators_subtract_once_per_pair_of_projections(monkeypatch):
     base = product_base(g, 1)
     zbasis = LatticeBasis.from_rows([(1,)], 1)
     want = reference_orbit_generators(base, c.phi, zbasis, 4)
-    connected = strongly_connected(base)
     calls = []
     sub = PhaseExponent.__sub__
 
@@ -378,38 +372,31 @@ def test_orbit_generators_subtract_once_per_pair_of_projections(monkeypatch):
         return sub(a, b)
 
     monkeypatch.setattr(PhaseExponent, "__sub__", counted)
-    got = orbit_phase_generators(base, connected, c.phi, zbasis, 4)
-    assert got == want and len(got[0]) == 9
+    got = orbit_phase_generators(base, c.phi, zbasis, 4)
+    assert got == want and len(got) == 9
     assert len(calls) <= 25
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(1, 3), st.data())
-def test_phase_group_rows_flatten_the_fractions(d, data):
-    # the rows read from the integer normal form equal the rational parts
-    # and symbol coefficients, as Fractions, scaled by the common denominator
-    entries = st.builds(lambda r, t, h: Z(r, theta=t, rho=h),
-                        st.fractions(-3, 3, max_denominator=12),
-                        st.fractions(-3, 3, max_denominator=6), st.integers(-2, 2))
-    gens = data.draw(st.lists(st.tuples(*[entries] * d), min_size=1, max_size=4))
-    symbols = ("rho", "theta")
-    scale = decider._gen_scale(gens)
-    assert scale == lcm(*(x.denominator for v in gens for e in v
-                          for x in (e.rat, *(c for _, c in e.irr))))
-    flat = [tuple(int(x * scale) for x in [e.rat for e in v] +
-                  [e.coeff(s) for s in symbols for e in v]) for v in gens]
-    units = [tuple(scale if j == i else 0 for j in range(d * 3)) for i in range(d)]
-    assert decider._phase_group_rows(gens, d, symbols, scale) == hnf(flat + units)
 
 
 # --- bounds ------------------------------------------------------------------
 
 
-def test_verdict_stable_under_larger_orbit_bound():
-    g, c = b2xt1_phi(theta)
-    r4 = decide_simplicity(g, c, DecisionBounds(orbit=4))
-    r5 = decide_simplicity(g, c, DecisionBounds(orbit=5))
-    assert r4.verdict.status == r5.verdict.status == SIMPLE
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["B2", "B3", "UW"]), st.integers(1, 2), st.data())
+def test_verdict_stable_under_larger_orbit_bound(name, l, data):
+    # a random phi on a strongly connected base, 0 on the torus loops, times
+    # T_l reaches the torus step, which decides it at every orbit bound: the
+    # bound only sets which generators are listed
+    base = orbit_base(name)
+    g = product_with_Tl(base, l)
+    on_base = {e.id: tuple(data.draw(phase_values) for _ in range(l)) for e in base.edges}
+    phi = OneCocyclePhi(l, {e.id: on_base.get(e.id, (zero,) * l) for e in g.edges})
+    c = PhiOmegaCocycle(l, phi, BicharacterTable.zero(l))
+    got = {
+        (r.verdict.status, r.verdict.certificate["kind"])
+        for r in (decide_simplicity(g, c, DecisionBounds(orbit=b)) for b in range(1, 6))
+    }
+    assert len(got) == 1
+    assert got <= {(SIMPLE, "z_omega_trivial"), (NONSIMPLE, "orbit_potential"), (SIMPLE, "kronecker_dense")}
 
 
 def test_z_omega_invariant_under_symmetric_perturbation():
@@ -447,14 +434,50 @@ def test_failed_recheck_exits_3_and_names_the_certificate(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: degeneracy lattice certificate failed its recheck\n"
     assert "verdict" not in captured.out
+    # the torus step: a broken invariant exits 3, never UNKNOWN; a group
+    # without a potential that is not dense is one, since the proof rules it out
+    monkeypatch.undo()
+    for name, forged, cocycle, certificate in (
+        ("verify_potential", lambda *args: False, "phi_zero.json", "potential"),
+        ("kronecker_dense", lambda gens, d: kronecker_dense([], d), "phi_theta.json", "density"),
+        ("verify_kronecker", lambda *args: False, "phi_theta.json", "density"),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(decider, name, forged)
+            assert cli.main(["simplicity", "builtin:B2xT1", "--cocycle", os.path.join(FIXTURES, cocycle)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {certificate} certificate failed its recheck\n"
+        assert "verdict" not in captured.out
 
 
-def test_human_report_prints_the_note(capsys):
+# one vertex, red loops a and b, one blue loop t, with a.t = t.b and b.t = t.a:
+# a blue loop at every vertex, but not a product with T1, since t swaps a and b
+SWAP_T = KGraph(
+    2,
+    ("v",),
+    (Edge("a", 1, "v", "v"), Edge("b", 1, "v", "v"), Edge("t", 2, "v", "v")),
+    (Square(1, 2, "a", "t", "t", "b"), Square(1, 2, "b", "t", "t", "a")),
+    name="SWAPT",
+)
+
+
+def test_human_report_prints_the_note(tmp_path, capsys):
     fixture = os.path.join(os.path.dirname(__file__), "..", "fixtures", "phi_theta.json")
     assert cli.main(["simplicity", "builtin:B2xT3", "--cocycle", fixture]) == 2
     assert capsys.readouterr().out.splitlines() == [
         "verdict: UNKNOWN",
         "note: period lattice is not exactly the torus directions; orbit reduction unavailable",
+    ]
+    assert validate_kgraph(SWAP_T).ok
+    c = PhiOmegaCocycle(1, OneCocyclePhi(1, {e.id: (zero,) for e in SWAP_T.edges}), BicharacterTable.zero(1))
+    assert decide_simplicity(SWAP_T, c).per.lattice == LatticeBasis.from_rows([(0, 2)], 2)
+    graph, cocycle = tmp_path / "swapt.json", tmp_path / "phi.json"
+    graph.write_text(serialize_graph(SWAP_T), encoding="utf-8")
+    cocycle.write_text(serialize_cocycle(c), encoding="utf-8")
+    assert cli.main(["simplicity", str(graph), "--cocycle", str(cocycle)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "verdict: UNKNOWN",
+        "note: not a recognizable torus product: square of ('a', torus color 2) does not commute plainly",
     ]
 
 

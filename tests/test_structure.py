@@ -67,7 +67,17 @@ def test_forged_one_colour_cycle_is_rejected():
     g = builtin("DISJOINT2xT1")
     forged = Verdict(NO, {"kind": "unreachable_cycle", "vertex": "u", "cycle": ["lw"]})
     assert not verify_cofinality(g, forged)
-    assert verify_cofinality(builtin("DISJOINT2"), forged)
+    disjoint = builtin("DISJOINT2")
+    assert verify_cofinality(disjoint, forged)
+    # a loop inside the claimed vertex's reach, a walk that does not chain,
+    # and a kind or status that no rule checks
+    for forged in (
+        Verdict(NO, {"kind": "unreachable_cycle", "vertex": "w", "cycle": ["lw"]}),
+        Verdict(NO, {"kind": "unreachable_cycle", "vertex": "u", "cycle": ["lw", "lu"]}),
+        Verdict(NO, {"kind": "other"}),
+        Verdict(UNKNOWN, {"kind": "unreachable_cycle", "vertex": "u", "cycle": ["lw"]}),
+    ):
+        assert not verify_cofinality(disjoint, forged)
 
 
 def chain(n: int) -> KGraph:
