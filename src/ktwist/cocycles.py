@@ -240,7 +240,8 @@ def validate_phi(phi: OneCocyclePhi, g: KGraph) -> ValidationReport:
         diff = vec_sub(left, right)
         if not all(x.is_trivial() for x in diff):
             problems.append(
-                f"square ({sq.f},{sq.g})->({sq.gp},{sq.fp}): phi values differ by {diff}"
+                f"square ({sq.f},{sq.g})->({sq.gp},{sq.fp}): phi values differ by "
+                f"({', '.join(map(format_phase, diff))})"
             )
     return ValidationReport(tuple(problems))
 

@@ -71,20 +71,23 @@ def verify_z_omega(omega: BicharacterTable, z: LatticeBasis, radius: int = 2) ->
     """Recheck the degeneracy lattice without the congruence solver.
 
     Every claimed generator must commute with all unit vectors, and within
-    a brute-force box every vector must be classified consistently.
+    a brute-force box every vector must be classified consistently.  The
+    commutator is bilinear, so [p, e_j] = sum_i p_i [e_i, e_j]: each vector
+    is read off the l x l table of `omega.commutator` on unit vectors,
+    which never goes through `antisymmetrization`.
     """
     l = omega.rank
     if z.dim != l:
         return False
     units = [dg.unit(l, i + 1) for i in range(l)]
-    for row in z.rows:
-        if not all(omega.commutator(row, u).is_trivial() for u in units):
-            return False
-    for p in dg.signed_box((radius,) * l):
-        central = all(omega.commutator(p, u).is_trivial() for u in units)
-        if central != z.member(p):
-            return False
-    return True
+    columns = [tuple(omega.commutator(u, w) for u in units) for w in units]
+
+    def central(p) -> bool:
+        return all(pair_int(p, col).is_trivial() for col in columns)
+
+    if not all(central(row) for row in z.rows):
+        return False
+    return all(central(p) == z.member(p) for p in dg.signed_box((radius,) * l))
 
 
 # --- single-path bases -------------------------------------------------------

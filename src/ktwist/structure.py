@@ -21,21 +21,27 @@ a window where the slices differ.  The group of periods is the
 lattice of integer vectors accepted at every vertex, computed over a box
 of candidates and canonicalized.
 
-Two exact skips spare most automaton calls without changing the box, the
+Exact skips spare most automaton calls without changing the box, the
 candidate count or any answer: p cannot be a period at v when row v of
-the path-count matrix M(p+) differs from row v of M(p-), and on a
-cofinal graph a candidate in the span of the periods already found is a
-period everywhere.
+the path-count matrix M(p+) differs from row v of M(p-); on a cofinal
+graph a candidate in the span of the periods already found is a period
+everywhere; and where the in-degrees pin the periods to a row-sum
+lattice U, a candidate outside U is a period nowhere.  On a strongly
+connected graph U can settle the whole box: once the least in-box
+multiples of U's rows that are periods span a lattice F of full rank in
+U, and no representative of U/F is a period, the periods are exactly F.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from math import prod
 
 from . import degrees as dg
 from .degrees import Degree
 from .kgraph import KGraph, rotation_walk
-from .lattices import LatticeBasis
+from .lattices import LatticeBasis, kernel
 
 YES = "YES_CERTIFIED"
 NO = "NO_CERTIFIED"
@@ -206,8 +212,6 @@ def periodic_at_offsets(g: KGraph, v: str, a: Degree, b: Degree) -> bool:
     extension the two compared slices both sit inside the extended window,
     so a reachable mismatch is exactly a violation.
     """
-    if a == b:
-        return True
     c = dg.join(a, b)
     frontier = list(g.paths_from(v, c))
     seen = set(frontier)
@@ -269,55 +273,141 @@ def _period_bound(g: KGraph, bound: Degree | int | None) -> Degree:
 
 
 def path_counts(g: KGraph):
-    """The map n -> M(n) with M(n)[v][w] = |v Lambda^n w|, memoised by degree.
+    """The map (n, t) -> row t of M(n), with M(n)[v][w] = |v Lambda^n w|,
+    memoised by degree and row.
 
     Rows and columns follow `g.vertices`.  M(n) is the product of the
     coordinate matrices A_i^(n_i), which commute by unique factorization,
-    so no path is enumerated.
+    so row t of M(n) is row t of M(n - e_i) times A_i: one pass over the
+    edges of colour i per step, and no path is enumerated.
     """
     idx = {v: t for t, v in enumerate(g.vertices)}
     size = len(g.vertices)
-    coord = []
-    for c in range(1, g.k + 1):
-        a = [[0] * size for _ in range(size)]
-        for e in g.edges:
-            if e.color == c:
-                a[idx[e.range]][idx[e.source]] += 1
-        coord.append(a)
-    memo = {dg.zero(g.k): tuple(tuple(int(t == u) for u in range(size)) for t in range(size))}
+    arcs = [[] for _ in range(g.k)]
+    for e in g.edges:
+        arcs[e.color - 1].append((idx[e.range], idx[e.source]))
+    zero = dg.zero(g.k)
+    memo: dict[int, dict] = {}
 
-    def counts(n: Degree) -> tuple[tuple[int, ...], ...]:
+    def counts(n: Degree, t: int) -> tuple[int, ...]:
+        rows = memo.setdefault(t, {zero: tuple(int(t == u) for u in range(size))})
         # walk down the last nonzero coordinate to a known degree, then back up
         chain = []
-        while n not in memo:
+        while n not in rows:
             i = max(c for c in range(g.k) if n[c])
-            chain.append((n, coord[i]))
+            chain.append((n, i))
             n = n[:i] + (n[i] - 1,) + n[i + 1:]
-        hit = memo[n]
-        for m, a in reversed(chain):
-            hit = memo[m] = tuple(
-                tuple(sum(row[u] * a[u][w] for u in range(size)) for w in range(size)) for row in hit
-            )
+        hit = rows[n]
+        for m, i in reversed(chain):
+            row = [0] * size
+            for r, s in arcs[i]:
+                row[s] += hit[r]
+            hit = rows[m] = tuple(row)
         return hit
 
     return counts
 
 
-def _periodic_vertices(g: KGraph, counts, p: Degree):
-    """The vertices v, in order, at which p is a period of every x from v.
+def _prime_exponents(r: int) -> dict[int, int]:
+    """The prime factorisation of r >= 1, as prime -> exponent."""
+    out: dict[int, int] = {}
+    q = 2
+    while q * q <= r:
+        while r % q == 0:
+            out[q] = out.get(q, 0) + 1
+            r //= q
+        q += 1
+    if r > 1:
+        out[r] = out.get(r, 0) + 1
+    return out
 
-    With a = p+ and b = p-, the automaton runs only where row v of M(a)
-    equals row v of M(b).  If p is a period at v, then for any y in
+
+def row_sum_lattice(g: KGraph) -> LatticeBasis | None:
+    """A lattice U holding every p that is a period at some vertex, or None.
+
+    Write r_i(v) for the in-degree of colour i at v, the row sums of A_i;
+    each is at least 1, since the graph has no sources (None otherwise).  A
+    period p at v has equal rows v of M(p+) and M(p-) (see `_period_at`).
+    - Constant in-degrees r_i: row v of M(n) sums to prod r_i^(n_i), the
+      number of paths of degree n with range v, so equal rows give
+      prod r_i^(p_i) = 1, and U = {p : prod r_i^(p_i) = 1}: the integer
+      kernel of the prime exponents of the r_i.
+    - A strongly connected graph with one colour i of non-constant
+      in-degree and every other colour of in-degree 1: the commuting A_j
+      share a positive eigenvector x with A_j x = rho_j x (an Huef-Laca-
+      Raeburn-Sims, "KMS states on the C*-algebras associated to
+      higher-rank graphs", 2014), and, applied to the opposite graph,
+      whose coordinate matrices are the transposes, a positive left one y.
+      Then rho_j (y.1) = y A_j 1 = sum_v y_v r_j(v), so rho_j = 1 where
+      r_j is 1 everywhere, and rho_i > 1, since r_i >= 1 everywhere and
+      > 1 somewhere.  Equal rows v give prod rho_j^(p+_j) x_v =
+      prod rho_j^(p-_j) x_v, so rho_i^(p_i) = 1 and U = {p : p_i = 0}.
+    Every other graph gets None, and its period search walks the box.
+    """
+    degrees = [{len(g.in_edges(v, i)) for v in g.vertices} for i in range(1, g.k + 1)]
+    if any(0 in ds for ds in degrees):
+        return None
+    varying = [i for i, ds in enumerate(degrees) if len(ds) > 1]
+    if not varying:
+        exps = [_prime_exponents(min(ds)) for ds in degrees]
+        primes = sorted({q for e in exps for q in e})
+        rows = [[e.get(q, 0) for q in primes] for e in exps]
+        return LatticeBasis.from_rows(kernel(rows, len(primes)), g.k)
+    if len(varying) == 1 and all(ds == {1} for i, ds in enumerate(degrees) if i != varying[0]) and (
+        _rotation_kind(g) == "strongly_connected"
+    ):
+        return LatticeBasis.from_rows([dg.unit(g.k, j + 1) for j in range(g.k) if j != varying[0]], g.k)
+    return None
+
+
+def _period_at(g: KGraph, counts, t: int, p: Degree) -> bool:
+    """Is p a period of every x from the vertex of row t?
+
+    With a = p+ and b = p-, the automaton runs only where row t of M(a)
+    equals row t of M(b).  If p is a period at v, then for any y in
     w Lambda^infinity the map lambda -> (lambda y)(0, b) is a bijection
     from v Lambda^a w onto v Lambda^b w; such a y exists because the graph
     has no sources (which `validate_kgraph` checks), so a row that differs
     rules v out.
     """
     a, b = dg.pos_part(p), dg.neg_part(p)
-    ma, mb = counts(a), counts(b)
-    for t, v in enumerate(g.vertices):
-        if ma[t] == mb[t] and periodic_at_offsets(g, v, a, b):
-            yield v
+    return counts(a, t) == counts(b, t) and periodic_at_offsets(g, g.vertices[t], a, b)
+
+
+def _periodic_vertices(g: KGraph, counts, p: Degree):
+    """The vertices v, in order, at which p is a period of every x from v."""
+    return (v for t, v in enumerate(g.vertices) if _period_at(g, counts, t, p))
+
+
+def _settled_periods(g: KGraph, counts, upper: LatticeBasis, bound: Degree):
+    """The periods F found from the rows of U = `upper`, and whether F = Per.
+
+    Only for a strongly connected graph, where a period at one vertex is
+    a period at every vertex: if p holds at v and lambda is a path with
+    range v and source u, then for x from u, T^a x = T^(a + d(lambda))
+    (lambda x) = T^(b + d(lambda)) (lambda x) = T^b x.  So the first
+    vertex speaks for all.  F is spanned by the least multiple t_j u_j of
+    each row u_j of U that lies in the box and is a period.  When every
+    row has one, the sums of c_j u_j with 0 <= c_j < t_j are one
+    representative of each coset of U/F.  Per is a group with
+    F <= Per <= U, so x in Per has a representative x - f in Per; if no
+    nonzero representative is a period, then Per = F.
+    """
+    mults = []
+    for u in upper.rows:
+        limit = min(r // abs(x) for x, r in zip(u, bound) if x)
+        t = next((t for t in range(1, limit + 1) if _period_at(g, counts, 0, dg.scale(t, u))), None)
+        mults.append(t)
+    found = [(t, u) for t, u in zip(mults, upper.rows) if t is not None]
+    span = LatticeBasis.from_rows([dg.scale(t, u) for t, u in found], g.k)
+    if len(found) < upper.rank:
+        return span, False
+    reps = (
+        tuple(sum(c * u[i] for c, u in zip(cs, upper.rows)) for i in range(g.k))
+        for cs in product(*(range(t) for t in mults))
+        if any(cs)
+    )
+    return span, not any(_period_at(g, counts, 0, r) for r in reps)
 
 
 def per_group(g: KGraph, cofinal: Verdict, bound: Degree | int | None = None) -> PeriodicityResult:
@@ -329,20 +419,30 @@ def per_group(g: KGraph, cofinal: Verdict, bound: Degree | int | None = None) ->
     Sims, JFA 2014), so a candidate in the span of the periods already
     found is a period at every vertex with no automaton call.  The vertices
     agree on their periods when each candidate holds at all of them or at
-    none.
+    none.  A candidate outside `row_sum_lattice` is a period nowhere.
+
+    The result is <Per & box>, whatever the order of the walk: each box
+    vector that is a period everywhere is either in the span when the walk
+    reaches it or joins it, and nothing else joins.  So on a strongly
+    connected graph the periods found from the rows of U seed the span,
+    and when they settle Per (see `_settled_periods`) the walk is not
+    needed: there F lies in <Per & box>, which lies in Per = F, the
+    vertices agree, and every box vector counts as checked.
     """
     if cofinal.status != YES:
         raise ValueError("period group is only computed for certified-cofinal graphs")
     bound = _period_bound(g, bound)
     counts = path_counts(g)
+    checked = prod(2 * r + 1 for r in bound) - 1
+    upper = row_sum_lattice(g)
     span = LatticeBasis.trivial(g.k)
+    if upper is not None and cofinal.certificate == {"kind": "strongly_connected"}:
+        span, settled = _settled_periods(g, counts, upper, bound)
+        if settled:
+            return PeriodicityResult(span, bound, True, checked)
     agreement = True
-    checked = 0
     for p in dg.signed_box(bound):
-        if dg.is_zero(p):
-            continue
-        checked += 1
-        if span.member(p):
+        if dg.is_zero(p) or span.member(p) or (upper is not None and not upper.member(p)):
             continue
         hits = sum(1 for _ in _periodic_vertices(g, counts, p))
         if hits == len(g.vertices):
@@ -353,11 +453,16 @@ def per_group(g: KGraph, cofinal: Verdict, bound: Degree | int | None = None) ->
 
 
 def is_aperiodic(g: KGraph, bound: Degree | int | None = None) -> Verdict:
-    """NO with a witness period if some vertex admits one; YES up to the bound."""
+    """NO with a witness period if some vertex admits one; YES up to the bound.
+
+    Candidates outside `row_sum_lattice` are periods nowhere and are
+    skipped, so the witness is the first period in the box's order.
+    """
     bound = _period_bound(g, bound)
     counts = path_counts(g)
+    upper = row_sum_lattice(g)
     for p in dg.signed_box(bound):
-        if dg.is_zero(p):
+        if dg.is_zero(p) or (upper is not None and not upper.member(p)):
             continue
         v = next(_periodic_vertices(g, counts, p), None)
         if v is not None:

@@ -654,3 +654,18 @@ def test_omega_notes_a_period_box_below_the_default(tmp_path, capsys):
     assert not any(line.startswith("note: ") for line in lines)
     assert cli.main([*args, "--format", "structured"]) == 0
     assert "notes" not in json.loads(capsys.readouterr().out)
+
+
+def test_a_square_mismatch_is_worded_in_phase_literals(tmp_path, capsys):
+    # phi = rho on the torus loop at u only breaks the squares of both base
+    # edges between u and w
+    g = product_with_Tl(two_vertex_base(("a", "b")), 1)
+    phi = OneCocyclePhi(1, {e.id: ((rho if e.id == "t1_u" else zero),) for e in g.edges})
+    graph, cocycle = tmp_path / "uwt1.json", tmp_path / "phi.json"
+    graph.write_text(serialize_graph(g), encoding="utf-8")
+    cocycle.write_text(serialize_cocycle(PhiOmegaCocycle(1, phi, BicharacterTable.zero(1))), encoding="utf-8")
+    assert cli.main(["simplicity", str(graph), "--cocycle", str(cocycle)]) == 1
+    captured = capsys.readouterr()
+    text = captured.out + captured.err
+    assert "square (a,t1_u)->(t1_w,a): phi values differ by (0 + 1*rho)" in text
+    assert "PhaseExponent(" not in text

@@ -1,5 +1,5 @@
 """Smoke tests of the scripts: run_examples.py against the verdicts README lists,
-and oracle_report.py on the bundled pairings."""
+oracle_report.py on the bundled pairings, and period_scale.py at n = 10."""
 
 import json
 import os
@@ -11,6 +11,7 @@ SCRIPTS = os.path.join(ROOT, "scripts")
 sys.path.insert(0, SCRIPTS)
 try:
     import oracle_report
+    import period_scale
     import run_examples
 finally:
     sys.path.remove(SCRIPTS)
@@ -41,3 +42,10 @@ def test_oracle_report_covers_the_pairings(monkeypatch, capsys):
     assert all(b["ok"] for b in blocks)
     # the symmetric closed form misses the theta twist on the torus
     assert blocks[0]["closed_form_agrees"] is False
+
+
+def test_period_scale_at_ten_vertices(capsys):
+    # the in-degrees pin the periods to 0 + Z, and one automaton call finds it
+    assert period_scale.main(["10"]) == 0
+    line = capsys.readouterr().out.strip()
+    assert re.fullmatch(r"n=10: UNKNOWN automaton_calls=1 seconds=\d+\.\d{3}", line), line

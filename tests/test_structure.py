@@ -1,6 +1,10 @@
 """Reachability, cofinality, and the shift-period lattice."""
 
+import os
+import sys
 import time
+from functools import lru_cache, reduce
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +28,16 @@ from ktwist.structure import (
     per_group,
     periodic_at_offsets,
     reach_set,
+    row_sum_lattice,
     verify_cofinality,
 )
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+sys.path.insert(0, SCRIPTS)
+try:
+    from period_scale import scale_base, scale_graph
+finally:
+    sys.path.remove(SCRIPTS)
 
 
 def test_strong_connectivity():
@@ -80,6 +92,30 @@ def test_forged_one_colour_cycle_is_rejected():
         assert not verify_cofinality(disjoint, forged)
 
 
+# x carries a loop of each colour; w receives one edge of each colour from
+# x, and u one of each from w: cofinal, with every path ending at x
+FUNNEL = KGraph(
+    2,
+    ("u", "w", "x"),
+    (
+        Edge("p", 1, "x", "x"), Edge("q", 2, "x", "x"),
+        Edge("r", 1, "w", "x"), Edge("s", 2, "w", "x"),
+        Edge("a", 1, "u", "w"), Edge("b", 2, "u", "w"),
+    ),
+    (Square(1, 2, "p", "q", "q", "p"), Square(1, 2, "r", "q", "s", "p"), Square(1, 2, "a", "s", "b", "r")),
+    name="FUNNEL",
+)
+
+
+def test_pruning_drops_a_vertex_queued_twice_once():
+    # reach(x) = {x}; of u and w outside it, w receives nothing from them and
+    # is dropped first, which takes both colours from u: queued twice, dropped once
+    assert validate_kgraph(FUNNEL).ok
+    assert structure._core(FUNNEL, frozenset({"u", "w"}), structure._out_edges(FUNNEL)) == set()
+    cof = is_cofinal(FUNNEL)
+    assert cof == Verdict(YES, {"kind": "tail_check"}) and verify_cofinality(FUNNEL, cof)
+
+
 def chain(n: int) -> KGraph:
     """v0 <- v1 <- ... <- v(n-1), with a loop at the far end: cofinal."""
     vs = tuple(f"v{i}" for i in range(n))
@@ -104,6 +140,8 @@ def test_periodic_at_torus():
     assert periodic_at_offsets(g, "v", (1, 0), (0, 0))
     assert periodic_at_offsets(g, "v", (0, 1), (0, 0))
     assert periodic_at_offsets(g, "v", (1, 0), (0, 1))
+    # equal offsets agree on every path, with no shortcut for them
+    assert periodic_at_offsets(builtin("B2"), "v", (1,), (1,))
 
 
 def test_periodic_at_b2_fails():
@@ -273,14 +311,17 @@ def _always_commonly_extendable(g: KGraph, mu: Path, nu: Path, bound) -> bool:
 # --- the pruned period search against the plain box loop --------------------
 
 
-def automaton_hits(g: KGraph, bound) -> list:
-    """Every (candidate, vertex) pair of the box that the window automaton accepts."""
+def automaton_hits(g: KGraph, bound, counts=None) -> list:
+    """Every (candidate, vertex) pair of the box that the window automaton
+    accepts.  Given `counts`, the automaton runs only where the rows of path
+    counts agree, which never loses a pair (see `structure._period_at`)."""
     return [
         (p, v)
         for p in dg.signed_box(bound)
         if not dg.is_zero(p)
-        for v in g.vertices
-        if periodic_at_offsets(g, v, dg.pos_part(p), dg.neg_part(p))
+        for t, v in enumerate(g.vertices)
+        if (counts is None or counts(dg.pos_part(p), t) == counts(dg.neg_part(p), t))
+        and periodic_at_offsets(g, v, dg.pos_part(p), dg.neg_part(p))
     ]
 
 
@@ -301,21 +342,42 @@ def reference_is_aperiodic(bound, hits) -> Verdict:
     return Verdict(YES, {"kind": "bounded_exhaustive"}, bound)
 
 
-def assert_matches_box_loop(g: KGraph):
-    bound = default_period_bound(g)
-    hits = automaton_hits(g, bound)
-    # the row test never rules out a pair that the automaton accepts
+def every_bound(g: KGraph) -> list:
+    """Every box radius from 1 up to the default in each colour."""
+    return list(product(*(range(1, r + 1) for r in default_period_bound(g))))
+
+
+def assert_matches_box_loop(g: KGraph, bounds=None, rows_first=False):
+    """per_group and is_aperiodic give what the plain box loop gives, at
+    each bound (the default box when None).
+
+    The loop's hits are found once, over the join of the bounds, and cut
+    down to each bound; the box order is kept, so the first hit in a
+    smaller box is the first in the larger one that lies in it.  With
+    `rows_first` the loop, too, runs the automaton only where the rows of
+    path counts agree: for graphs whose large windows are too many to
+    enumerate at every candidate.
+    """
+    bounds = bounds or [default_period_bound(g)]
     counts = path_counts(g)
-    row = {v: t for t, v in enumerate(g.vertices)}
-    for p, v in hits:
-        assert counts(dg.pos_part(p))[row[v]] == counts(dg.neg_part(p))[row[v]], (p, v)
-    assert is_aperiodic(g) == reference_is_aperiodic(bound, hits)
+    hits = automaton_hits(g, reduce(dg.join, bounds), counts if rows_first else None)
+    if not rows_first:
+        # the row test never rules out a pair that the automaton accepts
+        for p, v in hits:
+            t = g.vertices.index(v)
+            assert counts(dg.pos_part(p), t) == counts(dg.neg_part(p), t), (p, v)
+    # the row-sum lattice holds every period found at any vertex
+    upper = row_sum_lattice(g)
+    assert upper is None or all(upper.member(p) for p, _ in hits)
     cof = is_cofinal(g)
-    if cof.status == YES:
-        assert per_group(g, cof) == reference_per_group(g, bound, hits)
-    else:
-        with pytest.raises(ValueError):
-            per_group(g, cof)
+    for bound in bounds:
+        inside = [(p, v) for p, v in hits if all(abs(x) <= r for x, r in zip(p, bound))]
+        assert is_aperiodic(g, bound) == reference_is_aperiodic(bound, inside), bound
+        if cof.status == YES:
+            assert per_group(g, cof, bound) == reference_per_group(g, bound, inside), bound
+        else:
+            with pytest.raises(ValueError):
+                per_group(g, cof, bound)
 
 
 @st.composite
@@ -497,9 +559,31 @@ def test_pruned_period_search_matches_box_loop_on_products(name):
     assert_matches_box_loop(builtin(name))
 
 
+@pytest.mark.parametrize("name", ["C3xT2", "B2xT3"])
+def test_pruned_period_search_matches_box_loop_at_every_bound(name):
+    g = builtin(name)
+    assert_matches_box_loop(g, every_bound(g))
+
+
+def test_a_box_can_miss_periods():
+    # the box (2, 2, 2) holds no multiple of C3's period (3, 0, 0)
+    g = builtin("C3xT2")
+    cof = is_cofinal(g)
+    assert per_group(g, cof).lattice == LatticeBasis.from_rows([(3, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+    assert per_group(g, cof, 2).lattice == LatticeBasis.from_rows([(0, 1, 0), (0, 0, 1)], 3)
+
+
 @pytest.mark.parametrize("make", [two_vertex_flip, disjoint_torus_and_bouquet])
 def test_pruned_period_search_matches_box_loop_on_two_vertices(make):
-    assert_matches_box_loop(make())
+    g = make()
+    assert_matches_box_loop(g, every_bound(g))
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_pruned_period_search_matches_box_loop_on_the_scale_family(n):
+    g = scale_graph(n)
+    assert row_sum_lattice(g) == LatticeBasis.from_rows([(0, 1)], 2)
+    assert_matches_box_loop(g, rows_first=True)
 
 
 @settings(max_examples=40, deadline=None)
@@ -508,8 +592,47 @@ def test_pruned_period_search_matches_box_loop_on_random_2_graphs(g):
     assert_matches_box_loop(g)
 
 
-@pytest.mark.parametrize("name", ["C3xT2", "B2xT3"])
-def test_per_group_skips_most_automaton_calls(monkeypatch, name):
+@lru_cache(maxsize=None)
+def one_vertex_three_graphs() -> tuple[KGraph, ...]:
+    """Every one-vertex 3-graph with two loops per colour, in a fixed order.
+
+    Each colour pair gets one of the 24 bijections from its i-j pairs onto
+    its j-i pairs; `validate_kgraph` keeps those whose squares satisfy the
+    associativity condition.
+    """
+    loops = {c: (f"{name}0", f"{name}1") for c, name in ((1, "x"), (2, "y"), (3, "z"))}
+    edges = tuple(Edge(e, c, "v", "v") for c in (1, 2, 3) for e in loops[c])
+    pairs = ((1, 2), (1, 3), (2, 3))
+
+    def squares(i, j, targets):
+        sources = [(f, h) for f in loops[i] for h in loops[j]]
+        return tuple(Square(i, j, f, h, hp, fp) for (f, h), (hp, fp) in zip(sources, targets))
+
+    choices = [list(permutations([(h, f) for h in loops[j] for f in loops[i]])) for i, j in pairs]
+    out = []
+    for picks in product(*choices):
+        sq = sum((squares(i, j, t) for (i, j), t in zip(pairs, picks)), ())
+        g = KGraph(3, ("v",), edges, sq, name=f"X{len(out)}")
+        if validate_kgraph(g).ok:
+            out.append(g)
+    return tuple(out)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 751))
+def test_pruned_period_search_matches_box_loop_on_one_vertex_3_graphs(i):
+    ground = one_vertex_three_graphs()
+    assert len(ground) == 752
+    assert_matches_box_loop(ground[i])
+
+
+def box_size(bound) -> int:
+    """The nonzero candidates of the signed box."""
+    return len(list(dg.signed_box(bound))) - 1
+
+
+def counted_automaton(monkeypatch) -> list:
+    """The argument tuples of every window automaton call from now on."""
     calls = []
 
     def counted(*args):
@@ -517,6 +640,74 @@ def test_per_group_skips_most_automaton_calls(monkeypatch, name):
         return periodic_at_offsets(*args)
 
     monkeypatch.setattr(structure, "periodic_at_offsets", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, periods", [
+    ("C3xT2", [(3, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    ("B2xT3", [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
+], ids=["C3xT2", "B2xT3"])
+def test_per_group_skips_most_automaton_calls(monkeypatch, name, periods):
+    # one call per row of the row-sum lattice settles the box, where the
+    # box walk ran the automaton at 504 of B2xT3's 624 candidates
     g = builtin(name)
-    per = per_group(g, is_cofinal(g))
-    assert 0 < len(calls) < per.candidates_checked * len(g.vertices)
+    cof = is_cofinal(g)
+    calls = counted_automaton(monkeypatch)
+    per = per_group(g, cof)
+    assert 0 < len(calls) <= 8
+    bound = default_period_bound(g)
+    assert per == PeriodicityResult(LatticeBasis.from_rows(periods, g.k), bound, True, box_size(bound))
+
+
+def test_is_aperiodic_on_b2_makes_no_automaton_call(monkeypatch):
+    # the row-sum lattice of B2 is 0, so no candidate is left to test
+    calls = counted_automaton(monkeypatch)
+    verdict = is_aperiodic(builtin("B2"))
+    assert calls == []
+    assert verdict.to_jsonable() == {"status": YES, "certificate": {"kind": "bounded_exhaustive"}, "bound": [2]}
+
+
+def test_per_group_settles_the_200_vertex_scale_member(monkeypatch):
+    g = scale_graph(200)
+    cof = is_cofinal(g)
+    assert cof == Verdict(YES, {"kind": "strongly_connected"})
+    bound = default_period_bound(g)
+    calls = counted_automaton(monkeypatch)
+    per = per_group(g, cof)
+    assert len(calls) <= 4
+    assert per == PeriodicityResult(LatticeBasis.from_rows([(0, 1)], 2), bound, True, box_size(bound))
+
+
+def two_coloured_copies(base: KGraph) -> KGraph:
+    """A red and a blue copy of each edge of a 1-graph; the red-blue path
+    e f is the blue-red path of the same edges, colours swapped."""
+    edges = tuple(Edge(f"{e.id}_{c}", n, e.range, e.source) for c, n in (("r", 1), ("b", 2)) for e in base.edges)
+    squares = tuple(
+        Square(1, 2, f"{e.id}_r", f"{f.id}_b", f"{e.id}_b", f"{f.id}_r")
+        for e in base.edges for f in base.edges if f.range == e.source
+    )
+    return KGraph(2, base.vertices, edges, squares, name=f"{base.name}x2")
+
+
+def test_row_sum_lattice():
+    # constant in-degrees 2 and 4 on one vertex: 2^p1 4^p2 = 1 iff p1 = -2 p2
+    edges = tuple(Edge(f"r{i}", 1, "v", "v") for i in range(2)) + tuple(Edge(f"s{j}", 2, "v", "v") for j in range(4))
+    squares = tuple(
+        Square(1, 2, f"r{i}", f"s{j}", f"s{(2 * j + i) % 4}", f"r{(2 * j + i) // 4}")
+        for i in range(2) for j in range(4)
+    )
+    r2x4 = KGraph(2, ("v",), edges, squares, name="R2x4")
+    assert validate_kgraph(r2x4).ok
+    assert row_sum_lattice(r2x4) == LatticeBasis.from_rows([(2, -1)], 2)
+    assert_matches_box_loop(r2x4)
+    # one colour of non-constant in-degree, on a strongly connected graph
+    assert row_sum_lattice(scale_base(6)) == LatticeBasis.trivial(1)
+    # the same in-degrees without strong connectivity give no bound
+    b2_tail = KGraph(1, ("u", "w"), (Edge("e", 1, "u", "u"), Edge("f", 1, "u", "u"), Edge("b", 1, "w", "u")), ())
+    assert row_sum_lattice(product_with_Tl(b2_tail, 1)) is None
+    # nor do two colours of non-constant in-degree
+    doubled = two_coloured_copies(scale_base(6))
+    assert validate_kgraph(doubled).ok and is_cofinal(doubled) == Verdict(YES, {"kind": "strongly_connected"})
+    assert row_sum_lattice(doubled) is None
+    assert_matches_box_loop(doubled, [(2, 2)])
+
