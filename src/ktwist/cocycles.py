@@ -385,7 +385,8 @@ def validate_cocycle(c: CocycleSpec, g: KGraph, depth: int) -> ValidationReport:
                         a = row_mu[w] if w in row_mu else value(mu, nu, row_mu)
                         b = row_lam[mu_nu.word] if mu_nu.word in row_lam else value(lam, mu_nu, row_lam)
                         d = row_lm[w] if w in row_lm else value(lam_mu, nu, row_lm)
-                        if None in (a, b, cc, d):
+                        # four identity tests: `in` would call PhaseExponent.__eq__ on each
+                        if a is None or b is None or cc is None or d is None:
                             continue
                         # equality of PhaseExponents is equality mod Z
                         if a + b != cc + d:

@@ -11,21 +11,24 @@ from a pair of paths and a tail.
 The central construction is a groupoid 2-cocycle induced by a categorical
 cocycle on the graph.  Its value on a composable pair is resolved through
 cylinder cells of the two factors and their product via common
-extensions; the helpers then restrict it to isotropy, build conjugation
-phases, inductive coboundaries, and the bicharacter used by the
-simplicity decider.  One `InducedCocycle` holds a categorical cocycle c
-and the rule that gives each element its cell; by default that is
-`GroupoidElement.cell`, which needs no partition.  The tests' reference
-rule is membership in a depth-truncated partition into cylinder cells,
-which raises DepthError (not wrong answers) when too shallow.  Any cell
-that is a function of the element changes the cocycle by a coboundary
-only (Kumjian-Pask-Sims, "Homology for higher-rank graphs and twisted
-C*-algebras", 2012), so the identities of the suites and the
-bicharacter's antisymmetrization hold through either.  The
-InducedCocycle is the one place where values are kept: the cell of each
+extensions, where it is the coboundary b(g) + b(h) - b(gh) of one term
+per element at a common extension degree (Kumjian-Pask-Sims, "On twisted
+higher-rank graph C*-algebras", 2015); the helpers then restrict it to
+isotropy, build conjugation phases, inductive coboundaries, and the
+bicharacter used by the simplicity decider.  One `InducedCocycle` holds
+a categorical cocycle c and the rule that gives each element its cell;
+by default that is `GroupoidElement.cell`, which needs no partition.
+The tests' reference rule is membership in a depth-truncated partition
+into cylinder cells, which raises DepthError (not wrong answers) when
+too shallow.  Any cell that is a function of the element changes the
+cocycle by a coboundary only (Kumjian-Pask-Sims, "Homology for
+higher-rank graphs and twisted C*-algebras", 2012), so the identities of
+the suites and the bicharacter's antisymmetrization hold through either.
+The InducedCocycle is the one place where values are kept: the cell of each
 element, the outcome of each sigma_c pair, the phase of each r_sigma
-pair and the categorical value c(mu, nu) of each pair of paths that
-sigma_c has asked for.  A command builds one: `run_suites` hands its own
+pair, the term b(e, m) of each element and degree that sigma_c has
+summed, and the categorical value c(mu, nu) of each pair of paths that
+a term has asked for.  A command builds one: `run_suites` hands its own
 to `omega_from_oracle`, and `omega` and `simplicity` each build one for
 the bicharacter.  Below it, finite paths, infinite paths and elements
 are one object per value, by construction: their constructors return
@@ -277,17 +280,21 @@ class InducedCocycle:
     `_cells` keeps the cell of each element looked up so far; `_values`
     the outcome of each sigma_c pair under (g, h, paddings), a
     ResolutionError included, and the phase of each r_sigma pair under
-    (alpha, p); `_categorical` the value c(mu, nu) of each pair of paths
-    that sigma_c has asked for.  Elements are hashed and compared by
-    identity, so a repeated request finds its key with no field-by-field
-    work.  An error raised by `cell` or by `cocycle_value` propagates
-    before anything is kept, so it is raised afresh on every request.
+    (alpha, p); `_terms` the per-element term b(e, m) under (e, m), which
+    sigma_c sums; `_categorical` the value c(mu, nu) of each pair of paths
+    that a term has asked for.  `_terms` is a store of its own because a
+    key (e, m) could equal an r_sigma key (alpha, p).  Elements are hashed
+    and compared by identity, so a repeated request finds its key with no
+    field-by-field work.  An error raised by `cell` or by `cocycle_value`
+    propagates before anything is kept, so it is raised afresh on every
+    request.
     """
 
     c: CocycleSpec
     cell: Callable[[GroupoidElement], tuple[Path, Path]] = GroupoidElement.cell
     _cells: dict = field(default_factory=dict, repr=False)
     _values: dict = field(default_factory=dict, repr=False)
+    _terms: dict = field(default_factory=dict, repr=False)
     _categorical: dict = field(default_factory=dict, repr=False)
 
     def cell_of(self, gelt: GroupoidElement) -> tuple[Path, Path]:
@@ -304,6 +311,19 @@ class InducedCocycle:
             val = self._categorical[key] = cocycle_value(self.c, mu, nu)
         return val
 
+    def term(self, e: GroupoidElement, m: Degree) -> PhaseExponent:
+        """b(e, m) = c(mu_e, w) - c(nu_e, w), w = x_e(d(mu_e), m), evaluated once.
+
+        (mu_e, nu_e) is the cell of e = (x_e, p, y_e), and m >= d(mu_e).
+        """
+        key = (e, m)
+        val = self._terms.get(key)
+        if val is None:
+            mu, nu = self.cell_of(e)
+            w = e.range_path.at(mu.degree, m)
+            val = self._terms[key] = self.value_of(mu, w) - self.value_of(nu, w)
+        return val
+
 
 def sigma_c(
     s: InducedCocycle,
@@ -313,42 +333,51 @@ def sigma_c(
 ) -> PhaseExponent:
     """Value of the induced groupoid 2-cocycle on a composable pair.
 
-    Resolves both factors and their product through their cells, picks
-    common extensions out of the shared infinite path, and combines six
-    categorical cocycle values.  The result is independent of the
-    resolution; every padding in `paddings` re-derives it with a larger
-    extension, and disagreement raises ResolutionError.  s keeps the
-    outcome, value or error, so each distinct (gelt, helt, paddings) is
-    resolved once, and a kept error is raised afresh on each request; it
-    also keeps the six categorical values, which recur across pairs.
+    Resolves both factors and their product through their cells and, at
+    each padding, a common extension degree n >= d(nu_g), d(mu_h),
+    d(mu_gh) - p_g, where g = (x_g, p_g, y_g).  With u = y_g = x_h the
+    six categorical values are
+
+        c(mu_g, alpha) - c(nu_g, alpha) + c(mu_h, beta) - c(nu_h, beta)
+            - c(mu_gh, gamma) + c(nu_gh, gamma),
+        alpha = u(d(nu_g), n),  beta = u(d(mu_h), n),
+        gamma = x_g(d(mu_gh), n + p_g),
+
+    and they pair up into the per-element terms of `InducedCocycle.term`:
+    sigma_c(g, h) = b(g, n + p_g) + b(h, n) - b(gh, n + p_g).  The cell
+    resolves g, so x_g = mu_g.w and y_g = nu_g.w for one infinite path w;
+    hence alpha = w(0, n - d(nu_g)) = x_g(d(mu_g), n + p_g), as p_g =
+    d(mu_g) - d(nu_g), and the first pair is b(g, n + p_g).  Since
+    x_h = y_g, beta = x_h(d(mu_h), n) and the second pair is b(h, n);
+    since x_gh = x_g, gamma = x_gh(d(mu_gh), n + p_g) and the third is
+    -b(gh, n + p_g).  Each term's degree is at least its cell's d(mu), by
+    the bound on n.  Phase sums are exact, so the value is the six-term
+    value, and a term asks for its two categorical values in the order
+    the six-term sum did, so the first CocycleDomainError is the same.
+
+    The result is independent of the resolution; every padding in
+    `paddings` re-derives it with a larger extension, and disagreement
+    raises ResolutionError.  s keeps the outcome, value or error, so each
+    distinct (gelt, helt, paddings) is resolved once, and a kept error is
+    raised afresh on each request; it also keeps the terms, which recur
+    across pairs far more often than pairs do.
     """
     key = (gelt, helt, tuple(paddings))
     out = s._values.get(key)
     if out is None:
-        c = s.value_of
+        b = s.term
         prod = compose_elements(gelt, helt)
-        mu_g, nu_g = s.cell_of(gelt)
-        mu_h, nu_h = s.cell_of(helt)
-        mu_gh, nu_gh = s.cell_of(prod)
+        _, nu_g = s.cell_of(gelt)
+        mu_h, _ = s.cell_of(helt)
+        mu_gh, _ = s.cell_of(prod)
         pg = gelt.degree
-        u = gelt.source_path
-        z = gelt.range_path
         base = dg.join(dg.join(nu_g.degree, mu_h.degree), dg.sub(mu_gh.degree, pg))
         ones = (1,) * len(pg)
         vals = []
         for pad in paddings:
             n = dg.add(base, dg.scale(pad, ones))
-            alpha = u.at(nu_g.degree, n)
-            beta = u.at(mu_h.degree, n)
-            gamma = z.at(mu_gh.degree, dg.add(n, pg))
-            vals.append(
-                c(mu_g, alpha)
-                - c(nu_g, alpha)
-                + c(mu_h, beta)
-                - c(nu_h, beta)
-                - c(mu_gh, gamma)
-                + c(nu_gh, gamma)
-            )
+            m = dg.add(n, pg)
+            vals.append(b(gelt, m) + b(helt, n) - b(prod, m))
         if all(v == vals[0] for v in vals[1:]):
             out = vals[0]
         else:
@@ -604,9 +633,13 @@ def suite_cocycle_identity(
 
     The middle element b runs over source-matched pairs over a canonical
     tail; a and c are grafted onto its boundary paths at the shifts 0 and
-    (1, ..., 1), so all compositions exist by construction.  s keeps the
-    values of the pairs that recur, so each extra triple costs two new
-    sigma_c resolutions.
+    (1, ..., 1), so all compositions exist by construction.  For each b,
+    sigma(a, b) and ab are worked out once per a and sigma(b, c) and bc
+    once per c, each when the loop first asks for it, so every cap checks
+    the same triples and the first error that is not a ResolutionError is
+    the same; s keeps the sigma_c values, so each extra triple costs two
+    new sigma_c resolutions.  A ResolutionError is not kept here: sigma_c
+    keeps and re-raises it.
     """
     d = dg.as_degree(g.k, depth, "depth")
     shifts = (dg.zero(g.k), (1,) * g.k)
@@ -616,11 +649,18 @@ def suite_cocycle_identity(
         for b in _elements_at(g, v, d):
             lefts = [a for t in shifts for a in _left_factors(g, b, d, t)]
             rights = [x.inverse() for t in shifts for x in _left_factors(g, b.inverse(), d, t)]
+            with_c: dict = {}  # c -> (sigma(b, c), bc)
             for a in lefts:
+                a_b = None  # (sigma(a, b), ab)
                 for cc in rights:
                     try:
-                        lhs = sigma_c(s, a, b) + sigma_c(s, compose_elements(a, b), cc)
-                        rhs = sigma_c(s, b, cc) + sigma_c(s, a, compose_elements(b, cc))
+                        if a_b is None:
+                            a_b = (sigma_c(s, a, b), compose_elements(a, b))
+                        lhs = a_b[0] + sigma_c(s, a_b[1], cc)
+                        b_c = with_c.get(cc)
+                        if b_c is None:
+                            b_c = with_c[cc] = (sigma_c(s, b, cc), compose_elements(b, cc))
+                        rhs = b_c[0] + sigma_c(s, a, b_c[1])
                         if lhs != rhs:
                             bad.append(f"identity fails on ({a!r}, {b!r}, {cc!r})")
                     except ResolutionError as err:

@@ -14,6 +14,7 @@ from ktwist import degrees as dg
 from ktwist import oracle
 from ktwist.cocycles import (
     BicharacterTable,
+    CocycleDomainError,
     OneCocyclePhi,
     PhiOmegaCocycle,
     PullbackCocycle,
@@ -59,6 +60,7 @@ finally:
     sys.path.pop(0)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 Z = PhaseExponent.of
 zero = PhaseExponent.zero()
@@ -534,6 +536,190 @@ def test_rank_zero_takes_the_general_path():
     assert potential_certificate(g, phi, none) is None
     centre = suite_centre_phase_triviality(g, InducedCocycle(c), (), none.rows)
     assert (centre.name, centre.checked, centre.violations) == ("centre_phase_triviality", 0, ())
+
+
+# --- sigma_c as a sum of per-element terms ----------------------------------
+
+RESOLUTION_TEXT = "cocycle value depended on the resolution choice; the cocycle is not a 2-cocycle"
+
+
+def _six_term_sigma(s, gelt, helt, paddings):
+    """The six-term body sigma_c had before it summed per-element terms,
+    keeping nothing: six categorical values per padding."""
+
+    def c(mu, nu):
+        return cocycle_value(s.c, mu, nu)
+
+    prod = compose_elements(gelt, helt)
+    mu_g, nu_g = s.cell(gelt)
+    mu_h, nu_h = s.cell(helt)
+    mu_gh, nu_gh = s.cell(prod)
+    pg = gelt.degree
+    u, z = gelt.source_path, gelt.range_path
+    base = dg.join(dg.join(nu_g.degree, mu_h.degree), dg.sub(mu_gh.degree, pg))
+    vals = []
+    for pad in paddings:
+        n = dg.add(base, (pad,) * len(pg))
+        alpha = u.at(nu_g.degree, n)
+        beta = u.at(mu_h.degree, n)
+        gamma = z.at(mu_gh.degree, dg.add(n, pg))
+        vals.append(
+            c(mu_g, alpha) - c(nu_g, alpha) + c(mu_h, beta) - c(nu_h, beta)
+            - c(mu_gh, gamma) + c(nu_gh, gamma)
+        )
+    if any(v != vals[0] for v in vals[1:]):
+        raise ResolutionError(RESOLUTION_TEXT)
+    return vals[0]
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the type and text of the ResolutionError it raised."""
+    try:
+        return fn(*args)
+    except ResolutionError as err:
+        return ("ResolutionError", str(err))
+
+
+def _factor_pairs(g, depth=1, limit=400):
+    """Composable pairs (a, b) and (b, c) as the identity suite builds them:
+    b from `_elements_at`, a and c from `_left_factors` at the shifts 0 and
+    (1, ..., 1); every n-th pair, so that at most `limit` spread over all b."""
+    d = (depth,) * g.k
+    shifts = (dg.zero(g.k), (1,) * g.k)
+    pairs = []
+    for v in sorted(g.vertices):
+        for b in _elements_at(g, v, d):
+            for t in shifts:
+                pairs += [(a, b) for a in _left_factors(g, b, d, t)]
+                pairs += [(b, x.inverse()) for x in _left_factors(g, b.inverse(), d, t)]
+    return pairs[:: -(-len(pairs) // limit)]
+
+
+def _assert_terms_match_six_terms(s, pairs):
+    # one store for every pair, so later pairs read terms that earlier ones kept
+    assert pairs
+    for a, b in pairs:
+        for paddings in ((0, 1), (0, 1, 2)):
+            assert _outcome(sigma_c, s, a, b, paddings) == _outcome(_six_term_sigma, s, a, b, paddings), (a, b)
+
+
+@pytest.mark.parametrize("name, stem", [
+    ("T2", "pullback_theta"), ("B2xT1", "phi_theta"), ("B2xT3", "b2t3"), ("C3xT1", None),
+])
+def test_sigma_c_sums_the_six_categorical_values(name, stem):
+    g = builtin(name)
+    c = load_cocycle(os.path.join(FIXTURES, stem + ".json"), g)[0] if stem else _twist_last(g.k)
+    _assert_terms_match_six_terms(InducedCocycle(c), _factor_pairs(g))
+
+
+@pytest.mark.parametrize("name, stem", [("T2", "pullback_theta"), ("B2xT1", "phi_theta")])
+def test_sigma_c_sums_the_six_categorical_values_through_a_partition(name, stem):
+    g = builtin(name)
+    c = load_cocycle(os.path.join(FIXTURES, stem + ".json"), g)[0]
+    _assert_terms_match_six_terms(InducedCocycle(c, build_partition(g, 3).member), _factor_pairs(g))
+
+
+@settings(max_examples=8, deadline=None)
+@given(single_vertex_two_graphs(), st.data())
+def test_sigma_c_sums_the_six_categorical_values_on_random_2_graphs(g, data):
+    c = PullbackCocycle(tuple(tuple(data.draw(phase_values) for _ in range(2)) for _ in range(2)))
+    _assert_terms_match_six_terms(InducedCocycle(c), _factor_pairs(g, limit=150))
+
+
+def test_sigma_c_sums_the_six_categorical_values_on_the_corrupted_table(t2):
+    c = load_cocycle(os.path.join(GOLDEN, "t2_table_corrupt.json"), t2)[0]
+    s = InducedCocycle(c)
+    pairs = _factor_pairs(t2, limit=1000)
+    _assert_terms_match_six_terms(s, pairs)
+    # the table is corrupt where these pairs reach it, and both routes say so alike
+    errors = [p for p in pairs if isinstance(_outcome(sigma_c, s, *p), tuple)]
+    assert errors and len(errors) < len(pairs)
+    assert _outcome(sigma_c, s, *errors[0]) == ("ResolutionError", RESOLUTION_TEXT)
+
+
+def _identity_suite_reference(g, s, depth=1, max_triples=None):
+    """The cocycle identity suite as it was before it kept sigma(a, b), ab,
+    sigma(b, c) and bc per factor: four sigma_c calls for every triple."""
+    d = dg.as_degree(g.k, depth, "depth")
+    shifts = (dg.zero(g.k), (1,) * g.k)
+    checked = 0
+    bad = []
+    for v in sorted(g.vertices):
+        for b in _elements_at(g, v, d):
+            lefts = [a for t in shifts for a in _left_factors(g, b, d, t)]
+            rights = [x.inverse() for t in shifts for x in _left_factors(g, b.inverse(), d, t)]
+            for a in lefts:
+                for cc in rights:
+                    try:
+                        lhs = sigma_c(s, a, b) + sigma_c(s, compose_elements(a, b), cc)
+                        rhs = sigma_c(s, b, cc) + sigma_c(s, a, compose_elements(b, cc))
+                        if lhs != rhs:
+                            bad.append(f"identity fails on ({a!r}, {b!r}, {cc!r})")
+                    except ResolutionError as err:
+                        bad.append(f"identity fails on ({a!r}, {b!r}, {cc!r}): {err}")
+                    checked += 1
+                    if max_triples is not None and checked >= max_triples:
+                        return oracle.SuiteResult("cocycle_identity", checked, tuple(bad))
+    return oracle.SuiteResult("cocycle_identity", checked, tuple(bad))
+
+
+@pytest.mark.parametrize("name, stem", [
+    ("T2", "pullback_theta"), ("B2", "pullback_b2"), ("B2xT1", "phi_theta"), ("T2", None),
+])
+@pytest.mark.parametrize("cap", [1, 7, 64, 1500])
+def test_identity_suite_matches_the_four_call_loop(name, stem, cap):
+    # None: the corrupted golden table, whose violations must read the same
+    g = builtin(name)
+    path = os.path.join(FIXTURES, stem + ".json") if stem else os.path.join(GOLDEN, "t2_table_corrupt.json")
+    c = load_cocycle(path, g)[0]
+    kept = suite_cocycle_identity(g, InducedCocycle(c), depth=1, max_triples=cap)
+    assert kept == _identity_suite_reference(g, InducedCocycle(c), depth=1, max_triples=cap)
+    assert bool(kept.violations) == (stem is None and cap >= 64)
+
+
+def _suite_outcome(route, g, c, cap):
+    """The SuiteResult of one route, or the text of the CocycleDomainError it raised."""
+    try:
+        return route(g, InducedCocycle(c), depth=1, max_triples=cap)
+    except CocycleDomainError as err:
+        return ("CocycleDomainError", str(err))
+
+
+@pytest.mark.parametrize("missing", ["beyond_2_2", "pairs_ab_ab"])
+def test_identity_suite_raises_the_same_domain_error_on_a_truncated_table(t2, missing):
+    # the first triples are covered and later ones are not, so a route that
+    # worked out sigma(b, c) before the loop asked for it would raise under a
+    # cap that the four-call loop stays within
+    base = PullbackCocycle(((zero, zero), (theta, zero)))
+    if missing == "beyond_2_2":
+        table = TableCocycle((2, 2), tuple(t2_table_entries(base, (2, 2))))
+    else:
+        table = TableCocycle((3, 3), tuple(
+            e for e in t2_table_entries(base, (3, 3))
+            if (sorted(e[0][1]), sorted(e[1][1])) != (["a", "b"], ["a", "b"])
+        ))
+    for cap in (1, 2, 3, 8, 64, None):
+        kept = _suite_outcome(suite_cocycle_identity, t2, table, cap)
+        assert kept == _suite_outcome(_identity_suite_reference, t2, table, cap), cap
+    assert _suite_outcome(suite_cocycle_identity, t2, table, 1).checked == 1
+    assert kept[0] == "CocycleDomainError" and kept[1].startswith("table does not cover the pair")
+
+
+def test_run_suites_asks_two_categorical_values_per_term(monkeypatch, b2xt1):
+    # every categorical value a run asks for belongs to one kept term
+    c = load_cocycle(os.path.join(FIXTURES, "phi_theta.json"), b2xt1)[0]
+    stores = []
+    init = InducedCocycle.__init__
+    monkeypatch.setattr(InducedCocycle, "__init__", lambda self, *a, **k: stores.append(self) or init(self, *a, **k))
+    calls = []
+    value_of = InducedCocycle.value_of
+    monkeypatch.setattr(
+        InducedCocycle, "value_of", lambda self, mu, nu: calls.append((mu, nu)) or value_of(self, mu, nu)
+    )
+    oracle.run_suites(b2xt1, c, 2, 200)
+    (s,) = stores
+    assert s._terms and len(calls) == 2 * len(s._terms)
+    assert set(calls) == set(s._categorical)
 
 
 # --- bicharacter extraction -------------------------------------------------
