@@ -29,7 +29,6 @@ All values are PhaseExponent instances; equality is mod-Z exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
 from typing import Union
 
 from . import degrees as dg
@@ -240,7 +239,7 @@ def validate_phi(phi: OneCocyclePhi, g: KGraph) -> ValidationReport:
         diff = vec_sub(left, right)
         if not all(x.is_trivial() for x in diff):
             problems.append(
-                f"square ({sq.f},{sq.g})->({sq.gp},{sq.fp}): phi values differ by "
+                f"square {sq}: phi values differ by "
                 f"({', '.join(map(format_phase, diff))})"
             )
     return ValidationReport(tuple(problems))
@@ -317,14 +316,11 @@ def validate_cocycle(c: CocycleSpec, g: KGraph, depth: int) -> ValidationReport:
 
       The problems of those two checks are the report, at every depth.
     * Table: the value depends on the whole path, so the identity is
-      checked on every composable triple of total degree at most `depth`.
-      Triples are enumerated by total degree, so none above the depth is
-      built.  Each composable pair within the depth is composed once, before
-      the triples, and valued at most once per call: c(x, .) is kept in a
-      row per path x, keyed by the word of the second path, and filled on
-      first use, so a domain error is reported where its pair is first used,
-      in the order of a loop that values every pair of every triple.  The
-      rows live only as long as the call.
+      checked on every composable triple of total degree at most `depth`,
+      in the order of a plain triple loop.  Each composable pair within the
+      depth is composed once, and each pair is valued once, when the loop
+      first asks for it, so a domain error is reported once, there.  Both
+      are kept by the path pair, first path outermost, for the call.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
@@ -336,61 +332,50 @@ def validate_cocycle(c: CocycleSpec, g: KGraph, depth: int) -> ValidationReport:
         split = validate_product_split(g, c.l)
         return validate_phi(c.phi, g) if split.ok else split
 
-    # graded[v][t]: paths with range v and total degree t, in total_box order
-    graded: dict[str, list[list[Path]]] = {v: [[] for _ in range(depth + 1)] for v in g.vertices}
-    for v in g.vertices:
-        for n in dg.total_box(g.k, depth):
-            graded[v][dg.total(n)].extend(g.paths_from(v, n))
-    # flat[v]: the paths with range v in graded order; upto[v][t]: how many
-    # of them have total degree at most t
-    flat = {v: list(chain.from_iterable(graded[v])) for v in g.vertices}
-    upto = {v: list(accumulate(map(len, graded[v]))) for v in g.vertices}
-    # after[p]: each nu that can follow p within the depth, with p.nu; every
-    # composable pair within the depth is composed here, once
-    after: dict[Path, list[tuple[Path, Path]]] = {
-        p: [(nu, g.compose(p, nu)) for nu in flat[p.source][: upto[p.source][depth - t]]]
-        for v in g.vertices
-        for t, ps in enumerate(graded[v])
-        for p in ps
-    }
-
+    # by_range[v]: the paths with range v up to the depth, each with its
+    # total degree, in order of total degree
+    by_range = {v: [(dg.total(n), p) for n in dg.total_box(g.k, depth) for p in g.paths_from(v, n)]
+                for v in g.vertices}
+    # composed[x][y]: x.y, for each composable pair within the depth
+    composed = {x: {y: g.compose(x, y) for t2, y in by_range[x.source] if t1 + t2 <= depth}
+                for v in g.vertices for t1, x in by_range[v]}
+    # values[x][y]: c(x, y), kept once asked for
+    values: dict[Path, dict[Path, PhaseExponent | None]] = {x: {} for x in composed}
     problems = []
-    rows: dict[Path, dict[tuple[str, ...], PhaseExponent | None]] = {}
 
-    def value(x: Path, y: Path, row: dict) -> PhaseExponent | None:
-        """c(x, y), kept in x's row; a domain error is reported and kept as None."""
+    def value(x: Path, y: Path) -> PhaseExponent | None:
+        """c(x, y), kept; a domain error is reported and kept as None."""
         try:
             out = cocycle_value(c, x, y)
         except CocycleDomainError as err:
             problems.append(str(err))
             out = None
-        row[y.word] = out
+        values[x][y] = out
         return out
 
     for v in g.vertices:
-        for t1, lams in enumerate(graded[v]):
-            for lam in lams:
-                row_lam = rows.setdefault(lam, {})
-                for mu, lam_mu in after[lam]:
-                    # (lam, mu) is valued once per pair, before the nu loop.
-                    # Problems keep the order of a loop that asks for it with
-                    # every nu: there the first nu is the vertex path s(mu),
-                    # whose pair (mu, s(mu)) is 0 and reports nothing, and
-                    # mu.s(mu) = mu, so the first pair asked for was (lam, mu).
-                    cc = row_lam[mu.word] if mu.word in row_lam else value(lam, mu, row_lam)
-                    row_mu = rows.setdefault(mu, {})
-                    row_lm = rows.setdefault(lam_mu, {})
-                    for nu, mu_nu in after[mu][: upto[mu.source][depth - t1 - dg.total(mu.degree)]]:
-                        w = nu.word
-                        a = row_mu[w] if w in row_mu else value(mu, nu, row_mu)
-                        b = row_lam[mu_nu.word] if mu_nu.word in row_lam else value(lam, mu_nu, row_lam)
-                        d = row_lm[w] if w in row_lm else value(lam_mu, nu, row_lm)
-                        # four identity tests: `in` would call PhaseExponent.__eq__ on each
-                        if a is None or b is None or cc is None or d is None:
-                            continue
-                        # equality of PhaseExponents is equality mod Z
-                        if a + b != cc + d:
-                            problems.append(
-                                f"cocycle identity fails on triple ({lam!r}, {mu!r}, {nu!r})"
-                            )
+        for t1, lam in by_range[v]:
+            c_lam = values[lam]
+            for t2, mu in by_range[lam.source]:
+                room = depth - t1 - t2
+                if room < 0:
+                    break
+                lam_mu, mu_then = composed[lam][mu], composed[mu]
+                c_mu, c_lam_mu = values[mu], values[lam_mu]
+                for t3, nu in by_range[mu.source]:
+                    if t3 > room:
+                        break
+                    mu_nu = mu_then[nu]
+                    a = c_mu[nu] if nu in c_mu else value(mu, nu)
+                    b = c_lam[mu_nu] if mu_nu in c_lam else value(lam, mu_nu)
+                    cc = c_lam[mu] if mu in c_lam else value(lam, mu)
+                    d = c_lam_mu[nu] if nu in c_lam_mu else value(lam_mu, nu)
+                    # four identity tests: `in` would call PhaseExponent.__eq__ on each
+                    if a is None or b is None or cc is None or d is None:
+                        continue
+                    # equality of PhaseExponents is equality mod Z
+                    if a + b != cc + d:
+                        problems.append(
+                            f"cocycle identity fails on triple ({lam!r}, {mu!r}, {nu!r})"
+                        )
     return ValidationReport(tuple(problems))

@@ -321,9 +321,20 @@ def cocycle_from_jsonable(obj, g: KGraph) -> CocycleSpec:
                 literals[text] = _parse_phase_checked(text, symbols, f"cocycle.entries[{idx}].value")
             rows.append((pair[0], pair[1], literals[text]))
         try:
-            return TableCocycle(tuple(bound), tuple(rows))
+            table = TableCocycle(tuple(bound), tuple(rows))
         except ValueError as err:
             raise FileFormatError(f"cocycle.{err}") from err
+        if len(table._index) < len(rows):
+            # the index keeps one value per pair, so some pair is listed
+            # twice; the table would drop its later value unseen
+            first = {}
+            for idx, (mu, nu, _) in enumerate(rows):
+                j = first.setdefault((mu, nu), idx)
+                if j != idx:
+                    raise FileFormatError(
+                        f"cocycle.entries[{idx}]: lists the pair of cocycle.entries[{j}] again"
+                    )
+        return table
     raise FileFormatError(f"cocycle.variant: unknown variant {variant!r}")
 
 

@@ -59,6 +59,9 @@ class Square:
     gp: str
     fp: str
 
+    def __str__(self):
+        return f"({self.f},{self.g})->({self.gp},{self.fp})"
+
 
 @dataclass(frozen=True, init=False, eq=False)
 class Path:
@@ -335,8 +338,7 @@ def validate_kgraph(g: KGraph) -> ValidationReport:
             outputs = [g._fwd[p] for p in sorted_pairs if p in g._fwd]
             if len(outputs) != len(set(outputs)):
                 problems.append(f"colors ({i},{j}): square table not injective")
-            extra = set(outputs) - anti_pairs
-            for p in extra:
+            for p in sorted(set(outputs) - anti_pairs):
                 problems.append(f"colors ({i},{j}): square output {p} is not a composable reversed pair")
             if not missing and len(set(outputs)) == len(sorted_pairs) and len(sorted_pairs) != len(anti_pairs):
                 problems.append(f"colors ({i},{j}): square table cannot be bijective ({len(sorted_pairs)} vs {len(anti_pairs)} pairs)")

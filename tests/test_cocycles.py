@@ -245,8 +245,7 @@ def reference_problems(c, g, depth, once=False):
     """Normalization and the 2-cocycle identity by a plain loop over every
     path and every triple of paths, four `cocycle_value` calls per triple,
     triples filtered by total degree.  With `once`, each pair is valued once
-    and its domain error reported where it is first used, but (lam, mu) is
-    still asked for inside the nu loop."""
+    and its domain error reported where it is first used."""
     problems = []
     by_range = {v: [p for n in dg.total_box(g.k, depth) for p in g.paths_from(v, n)]
                 for v in g.vertices}
@@ -336,9 +335,9 @@ def test_table_validation_composes_each_pair_once(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_validate_cocycle_problem_order_with_missing_pairs(seed):
-    # validate_cocycle values (lam, mu) once per pair, outside the nu loop;
-    # the problems, missing pairs and failing triples interleaved, must come
-    # in the order of the loop that asks for (lam, mu) with every nu
+    # validate_cocycle values each pair once; the problems, missing pairs and
+    # failing triples interleaved, must come in the order of the plain loop
+    # that asks for every pair of every triple
     g = builtin("T2")
     rng = random.Random(seed)
     entries = [(mu, nu, v) for mu, nu, v in corrupted_t2_table((3, 3)).entries

@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction
@@ -350,6 +351,8 @@ TABLE_ERRORS = {
                                    "cocycle.entries[100].nu.word: expected a list of strings"),
     "nonzero vertex entry": ([_AB, {"mu": _side([]), "nu": _side(["a"]), "value": "1/2"}],
                              "cocycle.entries[1]: a side is a vertex path, so the value must be 0, not 1/2"),
+    "pair listed twice": ([_AB, {"mu": _side(["b", "a"]), "nu": _side(["a"]), "value": "1/2"}],
+                          "cocycle.entries[1]: lists the pair of cocycle.entries[0] again"),
 }
 
 
@@ -359,6 +362,63 @@ def test_table_error_line(tmp_path, capsys, entries, line):
     path.write_text(canonical_json(_table(entries, bound=(2, 2))), encoding="utf-8")
     assert cli.main(["validate", "builtin:T2", "--cocycle", str(path)]) == 1
     assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
+def test_table_listing_a_pair_twice_exits_1(tmp_path, capsys):
+    # the pair (a, a.b) again, its second side in the other colour order and
+    # valued 1/2: the table used to keep the first value and pass at depth 2
+    doc = json.loads(_read(FIXTURES, "t2_table"))
+    first = next(i for i, e in enumerate(doc["entries"])
+                 if (e["mu"]["word"], e["nu"]["word"]) == (["a"], ["a", "b"]))
+    doc["entries"].append({"mu": _side(["a"]), "nu": _side(["b", "a"]), "value": "1/2"})
+    path = tmp_path / "twice.json"
+    path.write_text(canonical_json(doc), encoding="utf-8")
+    assert cli.main(["validate", "builtin:T2", "--cocycle", str(path), "--depth", "2"]) == 1
+    last = len(doc["entries"]) - 1
+    assert capsys.readouterr() == (
+        "", f"error: cocycle.entries[{last}]: lists the pair of cocycle.entries[{first}] again\n")
+
+
+def _graph_doc(k, vertices, edges, squares=()):
+    """A graph file: edges as (id, color, range, source), squares as (i, j, f, g, gp, fp)."""
+    return {"k": k, "vertices": vertices,
+            "edges": [{"id": e, "color": c, "range": r, "source": s} for e, c, r, s in edges],
+            "squares": [{"ij": [i, j], "from": [f, g], "to": [gp, fp]} for i, j, f, g, gp, fp in squares]}
+
+
+T2_EDGES = [("a", 1, "v", "v"), ("b", 2, "v", "v")]
+
+
+# Input errors of each kind, as file text, and the error line each gives.
+INPUT_ERRORS = {
+    "graph not an object": ("graph", "[1, 2]\n", "graph: expected a JSON object"),
+    "cocycle not an object": ("cocycle", '"table"\n', "cocycle: expected a JSON object"),
+    "edge with an unknown range": ("graph", canonical_json(_graph_doc(1, ["v"], [("a", 1, "w", "v")])),
+                                   "graph.edges[0] (edge 'a'): unknown range vertex 'w'"),
+    "square not an object": ("graph", canonical_json({**_graph_doc(2, ["v"], T2_EDGES), "squares": [5]}),
+                             "graph.squares[0]: expected an object"),
+    "name not a string": ("graph", canonical_json({**_graph_doc(2, ["v"], T2_EDGES), "name": 5}),
+                          "graph.name: expected a string"),
+    "duplicate edge id": ("graph", canonical_json(_graph_doc(2, ["v"], [("a", 1, "v", "v"), ("a", 2, "v", "v")])),
+                          "graph: duplicate edge id 'a'"),
+    "phi not an object": ("cocycle", canonical_json({"variant": "phi_omega", "symbols": [], "l": 1,
+                                                     "phi": [], "omega": [["0"]]}),
+                          "cocycle.phi: expected an object"),
+    "cocycle not JSON": ("cocycle", "{\n", "cocycle: invalid JSON ("),
+}
+
+
+@pytest.mark.parametrize("kind, text, line", INPUT_ERRORS.values(), ids=list(INPUT_ERRORS))
+def test_input_error_names_its_field(tmp_path, capsys, kind, text, line):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    if kind == "graph":
+        argv = ["validate", str(path)]
+    else:
+        argv = ["validate", "builtin:T2", "--cocycle", str(path)]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {line}") and err.count("\n") == 1
 
 
 # values of the wrong type, or of the right type but out of place
@@ -525,6 +585,82 @@ def test_validate_counts_the_problems_it_leaves_out(tmp_path, capsys):
         + [f"  problem: {p}" for p in problems["graph"][:5]]
         + ["  ... 9 more problems not shown (see --format structured)"]
     )
+
+
+# a loop of each colour at each of two vertices u and w
+LOOPS2 = [("a_u", 1, "u", "u"), ("a_w", 1, "w", "w"), ("b_u", 2, "u", "u"), ("b_w", 2, "w", "w")]
+SQUARE_W = (1, 2, "a_w", "b_w", "b_w", "a_w")
+# three colour-1-then-2 paths but two colour-2-then-1 paths
+UNEVEN = [("a", 1, "u", "u"), ("a2", 1, "u", "w"), ("x", 1, "w", "u"), ("b", 2, "u", "w"), ("y", 2, "w", "w")]
+
+# Each graph problem that a file which loads can have, and one problem it gives.
+GRAPH_PROBLEMS = {
+    "empty vertex name": (_graph_doc(1, [""], [("e", 1, "", "")]), "bad vertex name ''"),
+    "duplicate vertex": (_graph_doc(1, ["v", "v"], [("e", 1, "v", "v")]), "duplicate vertex 'v'"),
+    "square colours out of order": (_graph_doc(2, ["v"], T2_EDGES, [(2, 1, "a", "b", "b", "a")]),
+                                    "square (a,b)->(b,a): colors must satisfy 1 <= i < j <= k"),
+    "square edge of the wrong colour": (_graph_doc(2, ["v"], T2_EDGES, [(1, 2, "b", "a", "a", "b")]),
+                                        "square (b,a)->(a,b): edge 'b' has color 2, expected 1"),
+    "input pair not composable": (_graph_doc(2, ["u", "w"], LOOPS2, [(1, 2, "a_u", "b_w", "b_u", "a_w")]),
+                                  "square (a_u,b_w)->(b_u,a_w): input pair not composable"),
+    "output pair not composable": (_graph_doc(2, ["u", "w"], LOOPS2, [(1, 2, "a_u", "b_w", "b_u", "a_w")]),
+                                   "square (a_u,b_w)->(b_u,a_w): output pair not composable"),
+    "output endpoints": (_graph_doc(2, ["u", "w"], LOOPS2, [(1, 2, "a_u", "b_u", "b_w", "a_w"), SQUARE_W]),
+                         "square (a_u,b_u)->(b_w,a_w): output endpoints do not match input"),
+    "duplicate square entries": (_graph_doc(2, ["v"], T2_EDGES, [(1, 2, "a", "b", "b", "a")] * 2),
+                                 "colors (1,2): duplicate square entries"),
+    "table not injective": (_graph_doc(2, ["v"], [("a1", 1, "v", "v"), ("a2", 1, "v", "v"), ("b", 2, "v", "v")],
+                                       [(1, 2, "a1", "b", "b", "a1"), (1, 2, "a2", "b", "b", "a1")]),
+                            "colors (1,2): square table not injective"),
+    "output not a reversed pair": (_graph_doc(2, ["u", "w"], LOOPS2,
+                                              [(1, 2, "a_u", "b_u", "b_u", "a_w"), SQUARE_W]),
+                                   "colors (1,2): square output ('b_u', 'a_w') is not a composable reversed pair"),
+    "table cannot be bijective": (_graph_doc(2, ["u", "w"], UNEVEN,
+                                             [(1, 2, "a", "b", "b", "x"), (1, 2, "a2", "y", "y", "x"),
+                                              (1, 2, "x", "b", "b", "a")]),
+                                  "colors (1,2): square table cannot be bijective (3 vs 2 pairs)"),
+}
+
+
+@pytest.mark.parametrize("doc, problem", GRAPH_PROBLEMS.values(), ids=list(GRAPH_PROBLEMS))
+def test_validate_names_each_graph_problem(tmp_path, capsys, doc, problem):
+    path = tmp_path / "graph.json"
+    path.write_text(canonical_json(doc), encoding="utf-8")
+    code, lines, problems = _validate_lines(capsys, [str(path)])
+    assert code == 1 and lines[0] == "graph: INVALID"
+    assert problem in problems["graph"]
+    assert not any("Square(" in p for p in problems["graph"])
+
+
+def test_graph_problems_do_not_depend_on_the_hash_seed(tmp_path):
+    # two outputs that are not composable reversed pairs came in set order,
+    # which PYTHONHASHSEED=4 reversed
+    doc = _graph_doc(2, ["u", "w"], LOOPS2, [(1, 2, "a_u", "b_u", "b_u", "a_w"), (1, 2, "a_w", "b_w", "b_w", "a_u")])
+    path = tmp_path / "graph.json"
+    path.write_text(canonical_json(doc), encoding="utf-8")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    outs = []
+    for seed in ("0", "4"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        run = subprocess.run([sys.executable, "-m", "ktwist.cli", "validate", str(path), "--format", "structured"],
+                             env=env, capture_output=True, text=True, timeout=60)
+        outs.append([p for p in json.loads(run.stdout)["graph"]["problems"] if "reversed pair" in p])
+    assert outs[0] == outs[1] == [
+        f"colors (1,2): square output {p} is not a composable reversed pair" for p in [("b_u", "a_w"), ("b_w", "a_u")]
+    ]
+
+
+def test_validate_skips_the_cocycle_of_an_invalid_graph(tmp_path, capsys):
+    doc, _ = GRAPH_PROBLEMS["square colours out of order"]
+    path = tmp_path / "graph.json"
+    path.write_text(canonical_json(doc), encoding="utf-8")
+    cocycle = os.path.join(FIXTURES, "pullback_theta.json")
+    code, lines, problems = _validate_lines(capsys, [str(path), "--cocycle", cocycle])
+    assert code == 1
+    assert lines == ["graph: INVALID",
+                     "  problem: square (a,b)->(b,a): colors must satisfy 1 <= i < j <= k",
+                     "cocycle: skipped (graph invalid)"]
+    assert problems["cocycle"] == ["graph invalid, cocycle not checked"]
 
 
 def test_validate_report_records_its_depth(capsys):

@@ -5,6 +5,7 @@ antisymmetric exponent matrices, and density or its failure for subgroups
 of low-dimensional tori generated by symbolic irrationals.
 """
 
+import dataclasses
 import itertools
 import os
 import random
@@ -146,6 +147,38 @@ def test_kronecker_certificates_recheck_randomized():
         rounds += 1
     assert rounds == 200
     assert 0 < dense_seen < 200  # the sampler hits both outcomes
+
+
+# (theta, 2 theta) is annihilated by (2, -1); (theta, 0) and (0, rho) are dense
+COLINEAR = [(Z(0, theta=1), Z(0, theta=2))]
+INDEPENDENT = [(Z(0, theta=1), Z(0)), (Z(0), Z(0, rho=1))]
+FORGED = {
+    "n missing": (COLINEAR, 2, False, {"kind": "annihilator_vector"}),
+    "n zero": (COLINEAR, 2, False, {"kind": "annihilator_vector", "n": [0, 0]}),
+    "n too short": (COLINEAR, 2, False, {"kind": "annihilator_vector", "n": [2]}),
+    "n too long": (COLINEAR, 2, False, {"kind": "annihilator_vector", "n": [2, -1, 0]}),
+    "n does not annihilate": (COLINEAR, 2, False, {"kind": "annihilator_vector", "n": [1, 1]}),
+    "zero_dimensional at d = 1": ([(Z(0, theta=1),)], 1, True, {"kind": "zero_dimensional"}),
+    "zero_dimensional at d = 2": (INDEPENDENT, 2, True, {"kind": "zero_dimensional"}),
+    "no columns": (INDEPENDENT, 2, True, {"kind": "irrational_full_rank", "det": "1"}),
+    "too few columns": (INDEPENDENT, 2, True,
+                        {"kind": "irrational_full_rank", "columns": [[0, "theta"]], "det": "1"}),
+    "column of no generator": (INDEPENDENT, 2, True,
+                               {"kind": "irrational_full_rank", "columns": [[0, "theta"], [5, "rho"]],
+                                "det": "1"}),
+    "column of no symbol": (INDEPENDENT, 2, True,
+                            {"kind": "irrational_full_rank", "columns": [[0, "theta"], [1, "phi"]],
+                             "det": "1"}),
+    "wrong det": (INDEPENDENT, 2, True,
+                  {"kind": "irrational_full_rank", "columns": [[0, "theta"], [1, "rho"]], "det": "2"}),
+}
+
+
+@pytest.mark.parametrize("gens, d, dense, cert", FORGED.values(), ids=list(FORGED))
+def test_forged_kronecker_certificate_is_rejected(gens, d, dense, cert):
+    honest = kronecker_dense(gens, d)
+    assert honest.dense == dense and verify_kronecker(gens, d, honest)
+    assert not verify_kronecker(gens, d, dataclasses.replace(honest, certificate=cert))
 
 
 # --- integral pairing -------------------------------------------------------

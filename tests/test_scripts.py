@@ -1,9 +1,11 @@
 """Smoke tests of the scripts: run_examples.py against the verdicts README lists,
-oracle_report.py on the bundled pairings, and period_scale.py at n = 10."""
+oracle_report.py on the bundled pairings, period_scale.py at n = 10, and
+unreached.py on one test module."""
 
 import json
 import os
 import re
+import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -15,6 +17,8 @@ try:
     import run_examples
 finally:
     sys.path.remove(SCRIPTS)
+
+from ktwist import degrees
 
 VERDICT_LINE = re.compile(r"^\s*\S+\.json \+ \S+\.json: \S+ \[\S+\]")
 
@@ -46,3 +50,18 @@ def test_period_scale_at_ten_vertices(capsys):
     assert period_scale.main(["10"]) == 0
     line = capsys.readouterr().out.strip()
     assert re.fullmatch(r"n=10: UNKNOWN automaton_calls=1 seconds=\d+\.\d{3}", line), line
+
+
+def test_unreached_lists_what_one_test_module_leaves_out():
+    # a traced pytest run of test_degrees.py, in a child process so that
+    # its tracer and its pytest session stay out of this one
+    run = subprocess.run([sys.executable, os.path.join(SCRIPTS, "unreached.py"), "tests/test_degrees.py"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    listed = run.stdout.splitlines()
+    assert all(re.match(r"src/ktwist/\w+\.py:\d+: \S", line) for line in listed)
+    # degrees.add is tested there, and nothing there calls into the oracle
+    first = degrees.add.__code__.co_firstlineno
+    assert not any(line.startswith(f"src/ktwist/degrees.py:{n}:") for line in listed for n in range(first, first + 4))
+    assert any(line.startswith("src/ktwist/oracle.py:") for line in listed)
+    assert run.stderr.rstrip().endswith(f"{len(listed)} unreached lines in src/ktwist")
