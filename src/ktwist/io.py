@@ -5,6 +5,10 @@ JSON with a trailing newline; parse and serialize round-trip to identical
 bytes on canonical input.  Graph references on the command line accept
 either a file path or "builtin:NAME".
 
+This module is where a file's names, references, ranks and lengths are
+checked, each with a located `error:` message; `validate_kgraph`,
+`validate_phi` and `validate_product_split` then check structure only.
+
 Reports are deterministic: tool version, input digests, bounds, verdicts
 and certificates, never timestamps.
 """

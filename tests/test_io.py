@@ -390,21 +390,36 @@ T2_EDGES = [("a", 1, "v", "v"), ("b", 2, "v", "v")]
 
 
 # Input errors of each kind, as file text, and the error line each gives.
+# The kind is "graph" for a graph file, else the builtin graph that a
+# cocycle file is read against.
 INPUT_ERRORS = {
     "graph not an object": ("graph", "[1, 2]\n", "graph: expected a JSON object"),
-    "cocycle not an object": ("cocycle", '"table"\n', "cocycle: expected a JSON object"),
+    "cocycle not an object": ("T2", '"table"\n', "cocycle: expected a JSON object"),
+    "edge not an object": ("graph", canonical_json({"k": 1, "vertices": ["v"], "edges": [5]}),
+                           "graph.edges[0]: expected an object"),
     "edge with an unknown range": ("graph", canonical_json(_graph_doc(1, ["v"], [("a", 1, "w", "v")])),
                                    "graph.edges[0] (edge 'a'): unknown range vertex 'w'"),
     "square not an object": ("graph", canonical_json({**_graph_doc(2, ["v"], T2_EDGES), "squares": [5]}),
                              "graph.squares[0]: expected an object"),
+    "square from one edge": ("graph", canonical_json({**_graph_doc(2, ["v"], T2_EDGES), "squares": [
+                                 {"ij": [1, 2], "from": ["a"], "to": ["b", "a"]}]}),
+                             "graph.squares[0]: 'from' and 'to' must be edge pairs"),
     "name not a string": ("graph", canonical_json({**_graph_doc(2, ["v"], T2_EDGES), "name": 5}),
                           "graph.name: expected a string"),
     "duplicate edge id": ("graph", canonical_json(_graph_doc(2, ["v"], [("a", 1, "v", "v"), ("a", 2, "v", "v")])),
                           "graph: duplicate edge id 'a'"),
-    "phi not an object": ("cocycle", canonical_json({"variant": "phi_omega", "symbols": [], "l": 1,
-                                                     "phi": [], "omega": [["0"]]}),
+    "phi not an object": ("T2", canonical_json({"variant": "phi_omega", "symbols": [], "l": 1,
+                                                "phi": [], "omega": [["0"]]}),
                           "cocycle.phi: expected an object"),
-    "cocycle not JSON": ("cocycle", "{\n", "cocycle: invalid JSON ("),
+    "phi vector of the wrong length": ("B2xT1", canonical_json({"variant": "phi_omega", "symbols": [], "l": 1,
+                                                                "phi": {"e": ["0", "0"]}, "omega": [["0"]]}),
+                                       "cocycle.phi['e']: expected 1 phase literals"),
+    "table word that does not compose": ("C3xT1", canonical_json(_table([{"mu": _side(["c1"], "v0"),
+                                                                          "nu": _side([], "v1"), "value": "0"}])),
+                                         "cocycle.entries[0].mu: not a path (edge 'c1' has range 'v1', expected 'v0')"),
+    "unknown variant": ("T2", canonical_json({"variant": "twisted"}), "cocycle.variant: unknown variant 'twisted'"),
+    "cocycle not JSON": ("T2", "{\n", "cocycle: invalid JSON "
+                         "(Expecting property name enclosed in double quotes: line 2 column 1 (char 2))"),
 }
 
 
@@ -415,10 +430,32 @@ def test_input_error_names_its_field(tmp_path, capsys, kind, text, line):
     if kind == "graph":
         argv = ["validate", str(path)]
     else:
-        argv = ["validate", "builtin:T2", "--cocycle", str(path)]
+        argv = ["validate", f"builtin:{kind}", "--cocycle", str(path)]
     assert cli.main(argv) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith(f"error: {line}") and err.count("\n") == 1
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
+# Each builtin name that parses but names no graph, and its error line.
+BAD_BUILTINS = {
+    "T9": "unsupported rank in 'T9'",
+    "B1": "unsupported loop count in 'B1'",
+    "C0": "bad cycle length in 'C0'",
+    "NOPE": "unknown builtin graph 'NOPE'",
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_BUILTINS))
+def test_bad_builtin_name_exits_1(capsys, name):
+    assert cli.main(["per", f"builtin:{name}"]) == 1
+    assert capsys.readouterr() == ("", f"error: {BAD_BUILTINS[name]}\n")
+
+
+def test_product_with_no_torus_colors_is_the_base(capsys):
+    assert serialize_graph(builtin("B2xT0")) == serialize_graph(builtin("B2"))
+    assert cli.main(["per", "builtin:B2xT0", "--format", "structured"]) == 0
+    out = capsys.readouterr().out
+    assert cli.main(["per", "builtin:B2", "--format", "structured"]) == 0
+    assert capsys.readouterr().out == out
 
 
 # values of the wrong type, or of the right type but out of place
@@ -607,6 +644,7 @@ GRAPH_PROBLEMS = {
                                    "square (a_u,b_w)->(b_u,a_w): output pair not composable"),
     "output endpoints": (_graph_doc(2, ["u", "w"], LOOPS2, [(1, 2, "a_u", "b_u", "b_w", "a_w"), SQUARE_W]),
                          "square (a_u,b_u)->(b_w,a_w): output endpoints do not match input"),
+    "table not total": (_graph_doc(2, ["v"], T2_EDGES), "colors (1,2): square table not total, missing pair (a,b)"),
     "duplicate square entries": (_graph_doc(2, ["v"], T2_EDGES, [(1, 2, "a", "b", "b", "a")] * 2),
                                  "colors (1,2): duplicate square entries"),
     "table not injective": (_graph_doc(2, ["v"], [("a1", 1, "v", "v"), ("a2", 1, "v", "v"), ("b", 2, "v", "v")],
@@ -614,7 +652,7 @@ GRAPH_PROBLEMS = {
                             "colors (1,2): square table not injective"),
     "output not a reversed pair": (_graph_doc(2, ["u", "w"], LOOPS2,
                                               [(1, 2, "a_u", "b_u", "b_u", "a_w"), SQUARE_W]),
-                                   "colors (1,2): square output ('b_u', 'a_w') is not a composable reversed pair"),
+                                   "colors (1,2): square output (b_u,a_w) is not a composable reversed pair"),
     "table cannot be bijective": (_graph_doc(2, ["u", "w"], UNEVEN,
                                              [(1, 2, "a", "b", "b", "x"), (1, 2, "a2", "y", "y", "x"),
                                               (1, 2, "x", "b", "b", "a")]),
@@ -632,6 +670,31 @@ def test_validate_names_each_graph_problem(tmp_path, capsys, doc, problem):
     assert not any("Square(" in p for p in problems["graph"])
 
 
+def test_validate_accepts_a_multi_vertex_3_graph_file(tmp_path, capsys):
+    # the hexagon check meets colour pairs that do not compose on C3xT2
+    path = tmp_path / "c3xt2.json"
+    path.write_text(serialize_graph(builtin("C3xT2")), encoding="utf-8")
+    assert _validate_lines(capsys, [str(path)]) == (0, ["graph: OK"], {"graph": []})
+
+
+def test_validate_names_a_torus_colour_that_is_no_loop(tmp_path, capsys):
+    # a valid 2-graph on two vertices whose colour 2 is a 2-cycle, not loops
+    edges = [("c0", 1, "v0", "v1"), ("c1", 1, "v1", "v0"), ("d0", 2, "v0", "v1"), ("d1", 2, "v1", "v0")]
+    doc = _graph_doc(2, ["v0", "v1"], edges, [(1, 2, "c0", "d1", "d0", "c1"), (1, 2, "c1", "d0", "d1", "c0")])
+    graph, cocycle = tmp_path / "graph.json", tmp_path / "phi.json"
+    graph.write_text(canonical_json(doc), encoding="utf-8")
+    cocycle.write_text(canonical_json({"variant": "phi_omega", "symbols": [], "l": 1, "phi": {}, "omega": [["0"]]}),
+                       encoding="utf-8")
+    code, lines, problems = _validate_lines(capsys, [str(graph), "--cocycle", str(cocycle)])
+    assert code == 1 and lines[:2] == ["graph: OK", "cocycle: INVALID (depth 2)"]
+    assert problems["cocycle"] == [
+        "color 2 at vertex 'v0': expected exactly one loop",
+        "color 2 at vertex 'v1': expected exactly one loop",
+        "edge 'd0' of torus color 2 is not a loop",
+        "edge 'd1' of torus color 2 is not a loop",
+    ]
+
+
 def test_graph_problems_do_not_depend_on_the_hash_seed(tmp_path):
     # two outputs that are not composable reversed pairs came in set order,
     # which PYTHONHASHSEED=4 reversed
@@ -646,7 +709,7 @@ def test_graph_problems_do_not_depend_on_the_hash_seed(tmp_path):
                              env=env, capture_output=True, text=True, timeout=60)
         outs.append([p for p in json.loads(run.stdout)["graph"]["problems"] if "reversed pair" in p])
     assert outs[0] == outs[1] == [
-        f"colors (1,2): square output {p} is not a composable reversed pair" for p in [("b_u", "a_w"), ("b_w", "a_u")]
+        f"colors (1,2): square output {p} is not a composable reversed pair" for p in ["(b_u,a_w)", "(b_w,a_u)"]
     ]
 
 
@@ -679,6 +742,7 @@ BAD_BOUNDS = {
     "2,0": "bounds must be positive, got '2,0'",
     "²": "bad bound component '²'",
     "--3": "bad bound component '--3'",
+    "1,2,3": "bound (1, 2, 3) has wrong length for 2 colors",
 }
 
 

@@ -267,6 +267,7 @@ def test_tail_prepend():
     y = x.prepend(p)
     assert y.segment_to((1,)).word == ("f",)
     assert y.shift((1,)) == x
+    assert repr(y) == "EPPath[Path[f];Path[e]^oo]"
 
 
 def test_cycle_must_be_positive():

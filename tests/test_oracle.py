@@ -1,6 +1,7 @@
 """Brute-force groupoid layer: partition, sigma, conjugation phases, suites."""
 
 import gc
+import json
 import os
 import sys
 import weakref
@@ -24,7 +25,7 @@ from ktwist.cocycles import (
 )
 from ktwist.decider import decide_simplicity, potential_certificate, verify_z_omega, z_omega_of
 from ktwist.lattices import LatticeBasis
-from ktwist.io import load_cocycle
+from ktwist.io import cocycle_from_jsonable, load_cocycle
 from ktwist.kgraph import EventuallyPeriodicPath, Path, builtin, canonical_tail
 from ktwist.oracle import (
     CoboundaryBx,
@@ -43,6 +44,7 @@ from ktwist.oracle import (
     omega_closedform,
     omega_from_oracle,
     r_sigma,
+    run_suites,
     sigma_c,
     suite_centre_phase_triviality,
     suite_cocycle_identity,
@@ -298,10 +300,7 @@ def test_partition_cylinders_pairwise_disjoint_sample(b2xt1, b2xt1_partition):
     cells = list(b2xt1_partition.cells)[:40]
     for i, a in enumerate(cells):
         for b in cells[i + 1 :]:
-            pa = dg.sub(a[0].degree, a[1].degree)
-            pb = dg.sub(b[0].degree, b[1].degree)
-            if pa != pb:
-                continue
+            # cells whose degree differences differ are disjoint by degree alone
             assert not cylinders_intersect(b2xt1, a, b)
 
 
@@ -676,6 +675,30 @@ def test_identity_suite_matches_the_four_call_loop(name, stem, cap):
     assert kept == _identity_suite_reference(g, InducedCocycle(c), depth=1, max_triples=cap)
     assert bool(kept.violations) == (stem is None and cap >= 64)
 
+
+
+def test_suites_fail_on_a_perturbed_table_by_inequality(t2):
+    # c(a, a.b.b) moved from 0 to 1/3 in the corrupted golden table: the
+    # bicharacter no longer depends on the resolution, and the identity,
+    # conjugation and coboundary suites each find triples where both sides
+    # resolve and differ
+    with open(os.path.join(GOLDEN, "t2_table_corrupt.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    idx = next(i for i, e in enumerate(doc["entries"])
+               if (e["mu"]["word"], e["nu"]["word"]) == (["a"], ["a", "b", "b"]))
+    assert doc["entries"][idx]["value"] == "0"
+    doc["entries"][idx]["value"] = "1/3"
+    suites, notes, _, om = run_suites(t2, cocycle_from_jsonable(doc, t2), 2, 200)
+    assert notes == [] and om is not None
+    found = {s.name: (s.checked, len(s.violations), s.violations[0] if s.violations else None) for s in suites}
+    assert found == {
+        "cocycle_identity": (200, 20, "identity fails on (GElt[a.b|*;(1, 1)], GElt[*|b;(0, -1)], GElt[*|a.b;(-1, -1)])"),
+        "resolution_independence": (64, 7, "resolution fails on (GElt[a.b|*;(1, 1)], GElt[*|b;(0, -1)]): "
+                                            + RESOLUTION_TEXT),
+        "conjugation_formula": (200, 44, "conjugation additivity fails at (GElt[*|b;(0, -1)], (-1, -1), (-1, 0))"),
+        "centre_phase_triviality": (0, 0, None),
+        "coboundary_box": (81, 13, "delta b != ctilde at ((-1, -1), (-1, 0))"),
+    }
 
 def _suite_outcome(route, g, c, cap):
     """The SuiteResult of one route, or the text of the CocycleDomainError it raised."""
@@ -1094,4 +1117,3 @@ def test_each_suite_counts_its_resolution_errors(t2):
     ]
     for s in suites:
         assert any("depended on the resolution" in v for v in s.violations), s.name
-

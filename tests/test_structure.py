@@ -709,5 +709,7 @@ def test_row_sum_lattice():
     doubled = two_coloured_copies(scale_base(6))
     assert validate_kgraph(doubled).ok and is_cofinal(doubled) == Verdict(YES, {"kind": "strongly_connected"})
     assert row_sum_lattice(doubled) is None
+    # nor does a graph with a source, which validate_kgraph rejects
+    assert row_sum_lattice(KGraph(1, ("u", "w"), (Edge("e", 1, "u", "u"),), ())) is None
     assert_matches_box_loop(doubled, [(2, 2)])
 
