@@ -20,7 +20,6 @@ from .cocycles import (
 from .decider import (
     NONSIMPLE,
     SIMPLE,
-    DecisionBounds,
     RecheckError,
     SimplicityReport,
     decide_simplicity,
@@ -83,7 +82,6 @@ __all__ = [
     "validate_cocycle",
     "NONSIMPLE",
     "SIMPLE",
-    "DecisionBounds",
     "RecheckError",
     "SimplicityReport",
     "decide_simplicity",

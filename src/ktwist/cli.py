@@ -14,7 +14,7 @@ import re
 import sys
 
 from .cocycles import PhiOmegaCocycle, validate_cocycle, validate_phi
-from .decider import SIMPLE, NONSIMPLE, DecisionBounds, RecheckError, decide_simplicity
+from .decider import SIMPLE, NONSIMPLE, RecheckError, decide_simplicity
 from .io import (
     FileFormatError,
     load_cocycle,
@@ -211,11 +211,7 @@ def cmd_simplicity(args) -> int:
     bound = _parse_bound(args.bound)
     g, gdigest = resolve_graph(args.graph)
     c, cdigest = _load_twist(args, g)
-    if bound is None:
-        bounds = DecisionBounds()
-    else:
-        bounds = DecisionBounds(period=bound, orbit=bound if isinstance(bound, int) else max(bound))
-    report = decide_simplicity(g, c, bounds)
+    report = decide_simplicity(g, c, bound)
     body = report.to_jsonable()
     lines = [f"verdict: {report.verdict.status}"]
     if report.verdict.certificate is not None:
@@ -234,6 +230,9 @@ def cmd_oracle(args) -> int:
     body = {"suites": [s.to_jsonable() for s in suites], "notes": notes}
     lines = []
     for s in suites:
+        if s.stopped is not None:
+            lines.append(f"suite {s.name}: STOPPED ({s.stopped})")
+            continue
         status = "pass" if s.ok else "FAIL"
         lines.append(f"suite {s.name}: {status} ({s.checked} checks)")
         for vdump in s.violations[:3]:
@@ -260,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--cocycle", help="cocycle JSON file")
         if bound:
             sp.add_argument("--bound", default=None,
-                            help="search radius, one int or comma list per color")
+                            help="period search radius, one int or comma list per color")
         if depth is not None:
             sp.add_argument("--depth", type=int, default=depth, help="truncation depth")
         sp.add_argument("--format", choices=("human", "structured"), default="human")

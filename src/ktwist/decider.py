@@ -17,9 +17,9 @@ The decision cascade glues the independently tested components:
    orbit phase group in the degenerate directions decides, completely: a
    vertex potential freezing some character certifies nonsimplicity, and
    without one the group is dense, with a full-rank Kronecker witness, so
-   simple.  The generators span the edge projections <P(e)>, and an n != 0
-   with n . P(e) in Z on every edge would make psi = 0 a potential; the
-   orbit bound only sets which generators the report lists;
+   simple.  The generators are the edge projections P(e), which span the
+   group, and an n != 0 with n . P(e) in Z on every edge would make
+   psi = 0 a potential;
 5. everything else stays UNKNOWN with the computed invariants attached.
 
 Every certified verdict carries a certificate, and the decider recertifies
@@ -28,7 +28,7 @@ it through an independent verifier before reporting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import degrees as dg
 from .degrees import Degree
@@ -102,43 +102,21 @@ def is_single_path_base(g: KGraph) -> bool:
 
 
 def orbit_phase_generators(
-    g: KGraph, phi: OneCocyclePhi, zbasis: LatticeBasis, bound: int
-) -> list[PhaseVector]:
-    """Phase vectors of all source-matched path pairs, in zbasis coordinates.
+    g: KGraph, phi: OneCocyclePhi, zbasis: LatticeBasis
+) -> dict[str, PhaseVector]:
+    """The projection P(e) of each edge's phase on the zbasis rows.
 
-    A pair (mu, nu) with s(mu) = s(nu) and degrees at most the bound has
-    the vector P(mu) - P(nu), where P pairs each zbasis row with phi.  So
-    the generators are the differences of the distinct projections at each
-    source, sources sorted and projections in order of first path: the
-    list and order, as reports print them, of a loop over all path pairs,
-    which first meets each vector at the first paths of its projections.
-
-    With bound >= 1 they span exactly the group of the edge projections
-    P(e): each source's first path is its vertex path, projecting to 0, so
-    the pair (e, s(e)) gives P(e), and P is additive along paths.  The
-    bound therefore sets only which generators are listed, never the group
-    they span.
+    Keyed by edge id, in id order.  These span the orbit phase group: a
+    source-matched path pair (mu, nu) moves the phase by P(mu) - P(nu), P
+    is additive along paths, and the pair (e, s(e)) gives P(e) itself.
     """
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
-    projs: dict[str, dict[PhaseVector, None]] = {v: {} for v in g.vertices}
-    for n in dg.box((bound,) * g.k):
-        for v in g.vertices:
-            for p in g.paths_from(v, n):
-                projs[p.source][tuple(pair_int(z, phi.value(p)) for z in zbasis.rows)] = None
-    return list({
-        tuple(a - c for a, c in zip(pm, pn)): None for v in sorted(projs) for pm in projs[v] for pn in projs[v]
-    })
+    return {
+        e.id: tuple(pair_int(z, phi.edge_value(e.id)) for z in zbasis.rows)
+        for e in sorted(g.edges, key=lambda e: e.id)
+    }
 
 
 # --- potential certificates of non-density -----------------------------------
-
-
-def _projected_edge_phases(g: KGraph, phi: OneCocyclePhi, zbasis: LatticeBasis):
-    return {
-        e.id: tuple(pair_int(z, phi.edge_value(e.id)) for z in zbasis.rows)
-        for e in g.edges
-    }
 
 
 def potential_certificate(
@@ -151,46 +129,33 @@ def potential_certificate(
     exists, the n-th character coordinate of any orbit point depends on the
     range vertex alone, so orbit closures miss almost every character:
     a nonsimplicity certificate.  Solved exactly via a spanning forest and
-    the integral pairing lattice of the fundamental cycle phase vectors.
+    the integral pairing lattice of the edge gaps P(e) - (offset(r(e)) -
+    offset(s(e))): zero on the forest edges, the fundamental cycle phase
+    vectors on the others.
     """
     d = zbasis.rank
-    w = _projected_edge_phases(g, phi, zbasis)
-    zero_vec = tuple(PhaseExponent.zero() for _ in range(d))
-
-    adj: dict[str, list] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        adj[e.source].append((e.range, e, 1))
-        adj[e.range].append((e.source, e, -1))
+    w = orbit_phase_generators(g, phi, zbasis)
+    edges = sorted(g.edges, key=lambda e: e.id)
+    adj: dict[str, list[tuple[str, PhaseVector]]] = {v: [] for v in g.vertices}
+    for e in edges:
+        adj[e.source].append((e.range, w[e.id]))
+        adj[e.range].append((e.source, tuple(-x for x in w[e.id])))
 
     offset: dict[str, PhaseVector] = {}
-    tree_edges: set[str] = set()
     for root in sorted(g.vertices):
         if root in offset:
             continue
-        offset[root] = zero_vec
+        offset[root] = tuple(PhaseExponent.zero() for _ in range(d))
         stack = [root]
         while stack:
             v = stack.pop()
-            for other, e, sign in sorted(adj[v], key=lambda t: t[1].id):
-                if other in offset:
-                    continue
-                # traversing v -> other; the edge runs source -> range
-                if sign == 1:
-                    offset[other] = tuple(a + b for a, b in zip(offset[v], w[e.id]))
-                else:
-                    offset[other] = tuple(a - b for a, b in zip(offset[v], w[e.id]))
-                tree_edges.add(e.id)
-                stack.append(other)
+            for other, step in adj[v]:
+                if other not in offset:
+                    offset[other] = tuple(a + b for a, b in zip(offset[v], step))
+                    stack.append(other)
 
-    cycles: list[PhaseVector] = []
-    for e in sorted(g.edges, key=lambda e: e.id):
-        if e.id in tree_edges:
-            continue
-        gap = tuple(
-            a - (b - c) for a, b, c in zip(w[e.id], offset[e.range], offset[e.source])
-        )
-        cycles.append(gap)
-    valid = integral_pairing_lattice(cycles, d)
+    gaps = [tuple(a - (b - c) for a, b, c in zip(w[e.id], offset[e.range], offset[e.source])) for e in edges]
+    valid = integral_pairing_lattice(gaps, d)
     if valid.is_trivial():
         return None
     n = valid.rows[0]
@@ -205,31 +170,13 @@ def verify_potential(
     n: tuple[int, ...],
     psi: dict[str, PhaseExponent],
 ) -> bool:
-    if len(n) != zbasis.rank or not any(n):
+    if len(n) != zbasis.rank or not any(n) or set(psi) != set(g.vertices):
         return False
-    if set(psi) != set(g.vertices):
-        return False
-    w = _projected_edge_phases(g, phi, zbasis)
-    for e in g.edges:
-        lhs = pair_int(n, w[e.id])
-        if lhs != psi[e.range] - psi[e.source]:
-            return False
-    return True
+    w = orbit_phase_generators(g, phi, zbasis)
+    return all(pair_int(n, w[e.id]) == psi[e.range] - psi[e.source] for e in g.edges)
 
 
 # --- the decision cascade ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DecisionBounds:
-    period: Degree | int | None = None
-    orbit: int = 4
-
-    def to_jsonable(self) -> dict:
-        out: dict = {"orbit": self.orbit}
-        if self.period is not None:
-            out["period"] = list(self.period) if not isinstance(self.period, int) else self.period
-        return out
 
 
 @dataclass(frozen=True)
@@ -239,11 +186,10 @@ class SimplicityReport:
     omega: BicharacterTable | None = None
     z_omega: LatticeBasis | None = None
     density_generators: tuple[PhaseVector, ...] = ()
-    bounds: DecisionBounds = field(default_factory=DecisionBounds)
     notes: tuple[str, ...] = ()
 
     def to_jsonable(self) -> dict:
-        out: dict = {"verdict": self.verdict.to_jsonable(), "bounds": self.bounds.to_jsonable()}
+        out: dict = {"verdict": self.verdict.to_jsonable()}
         if self.per is not None:
             out["periods"] = {
                 "lattice": self.per.lattice.to_jsonable(),
@@ -271,15 +217,17 @@ def _torus_unit_lattice(k: int, l: int) -> LatticeBasis:
 
 def _decide_degenerate(
     g: KGraph, c: CocycleSpec, cof: Verdict, per: PeriodicityResult,
-    omega: BicharacterTable, z: LatticeBasis, orbit: int,
+    omega: BicharacterTable, z: LatticeBasis,
 ) -> tuple[Verdict, tuple[PhaseVector, ...], str | None]:
     """Steps 2-5 of the cascade, once the degeneracy lattice z is known.
 
-    Returns the verdict, the density generators it rests on and a note on
-    why the torus step did not apply, if it did not.  Once reached, the
-    torus step always decides: without a potential the generators are
-    dense (see `orbit_phase_generators`), and a non-dense result is a
-    broken invariant, raised as a failed density recheck.
+    Returns the verdict, the density generators it rests on (the base
+    edge projections P(e), in edge id order) and a note on why the torus
+    step did not apply, if it did not.  Once reached, the torus step
+    always decides: an n != 0 with n . P(e) in Z on every edge would make
+    psi = 0 a potential, so without one the generators are dense, and a
+    non-dense result is a broken invariant, raised as a failed density
+    recheck.
 
     The torus step rests on facts certified on the product g once
     `validate_product_split` passed, and searches the base no more:
@@ -333,7 +281,7 @@ def _decide_degenerate(
         certificate = {"kind": "orbit_potential", "n": list(n), "psi": psi_text}
         reason = "a character coordinate of the orbit is a function of the range vertex"
         return Verdict(NONSIMPLE, certificate, reason=reason), (), None
-    gens = orbit_phase_generators(base, c.phi, z, orbit)
+    gens = list(orbit_phase_generators(base, c.phi, z).values())
     kron = kronecker_dense(gens, z.rank)
     if not kron.dense or not verify_kronecker(gens, z.rank, kron):
         raise RecheckError("density")
@@ -342,11 +290,8 @@ def _decide_degenerate(
     return Verdict(SIMPLE, certificate, reason=reason), tuple(gens), None
 
 
-def decide_simplicity(
-    g: KGraph, c: CocycleSpec, bounds: DecisionBounds | None = None
-) -> SimplicityReport:
-    b = bounds or DecisionBounds()
-
+def decide_simplicity(g: KGraph, c: CocycleSpec, bound: Degree | int | None = None) -> SimplicityReport:
+    """Run the cascade; `bound` is the period search box, as for `per_group`."""
     cof = is_cofinal(g)
     if not verify_cofinality(g, cof):
         raise RecheckError("cofinality")
@@ -356,9 +301,9 @@ def decide_simplicity(
             certificate={"kind": "not_cofinal", "witness": cof.certificate},
             reason="the graph is not cofinal",
         )
-        return SimplicityReport(verdict, bounds=b)
+        return SimplicityReport(verdict)
 
-    per = per_group(g, cof, b.period)
+    per = per_group(g, cof, bound)
     notes = period_box_notes(g, per.exhaustive_up_to)
     if not per.per_vertex_agreement:
         verdict = Verdict(
@@ -366,10 +311,10 @@ def decide_simplicity(
             reason="the periods differ from vertex to vertex (no per_vertex_agreement); "
             "their intersection is not the period group, so no criterion applies",
         )
-        return SimplicityReport(verdict, per, bounds=b, notes=notes)
+        return SimplicityReport(verdict, per, notes=notes)
     omega = omega_from_oracle(g, InducedCocycle(c), per.lattice.rows)
     z = z_omega_of(omega)
     if not verify_z_omega(omega, z):
         raise RecheckError("degeneracy lattice")
-    verdict, gens, note = _decide_degenerate(g, c, cof, per, omega, z, b.orbit)
-    return SimplicityReport(verdict, per, omega, z, gens, b, notes + ((note,) if note else ()))
+    verdict, gens, note = _decide_degenerate(g, c, cof, per, omega, z)
+    return SimplicityReport(verdict, per, omega, z, gens, notes + ((note,) if note else ()))

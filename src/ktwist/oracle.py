@@ -51,7 +51,7 @@ from typing import Callable
 
 from . import degrees as dg
 from .degrees import Degree
-from .cocycles import BicharacterTable, CocycleSpec, cocycle_value
+from .cocycles import BicharacterTable, CocycleDomainError, CocycleSpec, cocycle_value
 from .kgraph import EventuallyPeriodicPath, KGraph, Path, canonical_tail
 from .lattices import LatticeBasis, annihilator_lattice
 from .phases import PhaseExponent
@@ -577,18 +577,22 @@ class SuiteResult:
     name: str
     checked: int
     violations: tuple[str, ...]
+    stopped: str | None = None  # why the suite could not finish, if it could not
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.violations and self.stopped is None
 
     def to_jsonable(self):
-        return {
+        out = {
             "name": self.name,
             "checked": self.checked,
             "ok": self.ok,
             "violations": list(self.violations),
         }
+        if self.stopped is not None:
+            out["stopped"] = self.stopped
+        return out
 
 
 def _paths_into(g: KGraph, v: str, m: Degree) -> list[Path]:
@@ -806,7 +810,9 @@ def run_suites(
     period-dependent suites need certified cofinality and periods that
     agree at every vertex, and the centre and coboundary suites a
     nontrivial period lattice and a bicharacter that does not depend on
-    the resolution.  Returns the suites, notes on the suites skipped, the
+    the resolution.  A suite that asks a table for a pair it does not
+    cover stops there, with no checks and the table's message, and the
+    others still run.  Returns the suites, notes on the suites skipped, the
     period basis and the bicharacter the suites used (None when none did).
     """
     if depth < 1:
@@ -815,10 +821,16 @@ def run_suites(
         raise ValueError(f"the sample cap must be >= 1, got {cap}")
     element_depth = max(1, depth - 1)
     s = InducedCocycle(c)
-    suites = [
-        suite_cocycle_identity(g, s, depth=element_depth, max_triples=cap),
-        suite_resolution_independence(g, s, depth=element_depth),
-    ]
+    suites: list[SuiteResult] = []
+
+    def run(name: str, suite: Callable[[], SuiteResult]) -> None:
+        try:
+            suites.append(suite())
+        except CocycleDomainError as err:
+            suites.append(SuiteResult(name, 0, (), stopped=str(err)))
+
+    run("cocycle_identity", lambda: suite_cocycle_identity(g, s, depth=element_depth, max_triples=cap))
+    run("resolution_independence", lambda: suite_resolution_independence(g, s, depth=element_depth))
     cof = is_cofinal(g)
     if cof.status != YES:
         return suites, ["cofinality not certified; period-dependent suites skipped"], (), None
@@ -826,7 +838,7 @@ def run_suites(
     if not per.per_vertex_agreement:
         return suites, ["the periods differ from vertex to vertex; period-dependent suites skipped"], (), None
     basis = tuple(per.lattice.rows)
-    suites.append(suite_conjugation_formula(g, s, basis, depth=element_depth, max_checks=cap))
+    run("conjugation_formula", lambda: suite_conjugation_formula(g, s, basis, depth=element_depth, max_checks=cap))
     if not basis:
         return suites, ["trivial period lattice; centre and coboundary suites are vacuous"], basis, None
     try:
@@ -834,8 +846,11 @@ def run_suites(
     except ResolutionError as err:
         return suites, [f"no bicharacter ({err}); centre and coboundary suites skipped"], basis, None
     zrows = z_omega_of(om).rows
-    suites.append(suite_centre_phase_triviality(g, s, basis, zrows, depth=element_depth))
-    x = canonical_tail(g, min(g.vertices))
-    checked, bad = CoboundaryBx(om, s, x, basis).verify_box(element_depth)
-    suites.append(SuiteResult("coboundary_box", checked, tuple(bad)))
+    run("centre_phase_triviality", lambda: suite_centre_phase_triviality(g, s, basis, zrows, depth=element_depth))
+
+    def coboundary_box() -> SuiteResult:
+        checked, bad = CoboundaryBx(om, s, canonical_tail(g, min(g.vertices)), basis).verify_box(element_depth)
+        return SuiteResult("coboundary_box", checked, tuple(bad))
+
+    run("coboundary_box", coboundary_box)
     return suites, [], basis, om

@@ -12,7 +12,6 @@ import time
 from fractions import Fraction
 
 from ktwist.decider import (
-    DecisionBounds,
     decide_simplicity,
     orbit_phase_generators,
     verify_z_omega,
@@ -77,7 +76,7 @@ def _tables_agree(a, b):
 def test_criterion_1_irrational_torus_twist_is_simple():
     def body():
         g, c = _pair("T2", "pullback_theta")
-        rep = decide_simplicity(g, c, DecisionBounds())
+        rep = decide_simplicity(g, c)
         assert rep.verdict.status == "CERTIFIED_SIMPLE"
         assert rep.verdict.certificate["kind"] == "z_omega_trivial"
         anti = rep.omega.antisymmetrization()
@@ -91,7 +90,7 @@ def test_criterion_1_irrational_torus_twist_is_simple():
 def test_criterion_2_half_twist_is_nonsimple_with_congruence_centre():
     def body():
         g, c = _pair("T2", "pullback_half")
-        rep = decide_simplicity(g, c, DecisionBounds())
+        rep = decide_simplicity(g, c)
         assert rep.verdict.status == "CERTIFIED_NONSIMPLE"
         assert rep.verdict.certificate["kind"] == "central_period_obstruction"
         assert rep.z_omega.rows == ((2, 0), (0, 2))
@@ -105,7 +104,7 @@ def test_criterion_2_half_twist_is_nonsimple_with_congruence_centre():
 def test_criterion_3_twisted_product_is_simple_by_density():
     def body():
         g, c = _pair("B2xT1", "phi_theta")
-        rep = decide_simplicity(g, c, DecisionBounds(orbit=4))
+        rep = decide_simplicity(g, c)
         assert rep.verdict.status == "CERTIFIED_SIMPLE"
         assert rep.verdict.certificate["kind"] == "kronecker_dense"
         assert any(
@@ -118,7 +117,7 @@ def test_criterion_3_twisted_product_is_simple_by_density():
 def test_criterion_4_untwisted_product_has_orbit_potential():
     def body():
         g, c = _pair("B2xT1", "phi_zero")
-        rep = decide_simplicity(g, c, DecisionBounds())
+        rep = decide_simplicity(g, c)
         assert rep.verdict.status == "CERTIFIED_NONSIMPLE"
         cert = rep.verdict.certificate
         assert cert["kind"] == "orbit_potential"
@@ -131,7 +130,7 @@ def test_criterion_4_untwisted_product_has_orbit_potential():
 def test_criterion_5_three_torus_product_with_partial_twist():
     def body():
         g, c = _pair("B2xT3", "b2t3")
-        rep = decide_simplicity(g, c, DecisionBounds())
+        rep = decide_simplicity(g, c)
         assert rep.verdict.status == "CERTIFIED_SIMPLE"
         lat = rep.per.lattice
         assert lat.rank == 3
@@ -142,7 +141,7 @@ def test_criterion_5_three_torus_product_with_partial_twist():
         # the untouched torus coordinate carries no irrational phase
         zfull = LatticeBasis.from_rows([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
         base = product_base(g, 3)
-        gens = orbit_phase_generators(base, c.phi, zfull, 3)
+        gens = list(orbit_phase_generators(base, c.phi, zfull).values())
         res = kronecker_dense(gens, 3)
         assert not res.dense
         assert res.annihilator.member((0, 0, 1))
@@ -153,7 +152,7 @@ def test_criterion_5_three_torus_product_with_partial_twist():
 def test_criterion_6_disconnected_graph_is_nonsimple():
     def body():
         g, c = _pair("DISJOINT2", "pullback_b2")
-        rep = decide_simplicity(g, c, DecisionBounds())
+        rep = decide_simplicity(g, c)
         assert rep.verdict.status == "CERTIFIED_NONSIMPLE"
         assert rep.verdict.certificate["kind"] == "not_cofinal"
 

@@ -23,7 +23,6 @@ from ktwist.cocycles import (
 from ktwist.decider import (
     NONSIMPLE,
     SIMPLE,
-    DecisionBounds,
     RecheckError,
     decide_simplicity,
     orbit_phase_generators,
@@ -34,7 +33,7 @@ from ktwist.decider import (
 )
 from ktwist.io import load_cocycle, resolve_graph, serialize_cocycle, serialize_graph
 from ktwist.kgraph import Edge, KGraph, Square, builtin, product_base, product_with_Tl, validate_kgraph
-from ktwist.lattices import LatticeBasis, kronecker_dense
+from ktwist.lattices import LatticeBasis, integral_pairing_lattice, kronecker_dense
 from ktwist.oracle import InducedCocycle, omega_from_oracle
 from ktwist.phases import PhaseExponent, pair_int
 from ktwist.structure import UNKNOWN, YES, Verdict, default_period_bound, is_aperiodic, is_cofinal, per_group
@@ -100,7 +99,7 @@ def test_torus_half_twist_nonsimple():
 
 def test_b2xt1_twisted_flow_simple():
     g, c = b2xt1_phi(theta)
-    rep = decide_simplicity(g, c, DecisionBounds(orbit=4))
+    rep = decide_simplicity(g, c)
     assert rep.verdict.status == SIMPLE
     assert rep.verdict.certificate["kind"] == "kronecker_dense"
     # the projected orbit phase group must mention the irrational slope
@@ -284,13 +283,10 @@ def test_orbit_generators_are_dense_on_b2xt1():
     g, c = b2xt1_phi(theta)
     zfull = LatticeBasis.from_rows([(1,)], 1)
     base = product_base(g, 1)
-    gens = orbit_phase_generators(base, c.phi, zfull, 4)
+    gens = list(orbit_phase_generators(base, c.phi, zfull).values())
     assert any(any(x.coeff("theta") for x in vec) for vec in gens)
     res = kronecker_dense(gens, 1)
     assert res.dense
-    # the span argument needs every edge among the pairs
-    with pytest.raises(ValueError, match="^bound must be at least 1$"):
-        orbit_phase_generators(base, c.phi, zfull, 0)
 
 
 def test_full_period_density_fails_on_b2xt3():
@@ -299,14 +295,14 @@ def test_full_period_density_fails_on_b2xt3():
     g, c = b2xt3_cocycle()
     zfull = LatticeBasis.from_rows([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
     base = product_base(g, 3)
-    gens = orbit_phase_generators(base, c.phi, zfull, 3)
+    gens = list(orbit_phase_generators(base, c.phi, zfull).values())
     res = kronecker_dense(gens, 3)
     assert not res.dense
     assert res.annihilator.member((0, 0, 1))
 
 
 def reference_orbit_generators(g, phi, zbasis, bound):
-    """orbit_phase_generators as a plain phi_tilde loop over path pairs."""
+    """The orbit phases of all source-matched path pairs up to the bound, by a plain phi_tilde loop."""
     by_source = {v: [] for v in g.vertices}
     for n in dg.box((bound,) * g.k):
         for v in g.vertices:
@@ -345,58 +341,34 @@ def test_orbit_generators_match_plain_pair_loop(name, bound, l, data):
     phi = OneCocyclePhi(l, {e.id: tuple(data.draw(phase_values) for _ in range(l)) for e in g.edges})
     rows = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * l), min_size=1, max_size=l))
     zbasis = LatticeBasis.from_rows(rows, l)
-    gens = orbit_phase_generators(g, phi, zbasis, bound)
-    assert gens == reference_orbit_generators(g, phi, zbasis, bound)
-    # the fact step 4 rests on: every edge projection P(e) is a generator,
-    # so the generators are dense unless some n != 0 has n . P(e) in Z on
-    # every edge, and then psi = 0 is a potential
-    for e in g.edges:
-        assert tuple(pair_int(z, phi.edge_value(e.id)) for z in zbasis.rows) in gens
+    proj = orbit_phase_generators(g, phi, zbasis)
+    assert list(proj) == sorted(e.id for e in g.edges)
+    # the edge projections span the group of the path pairs at every bound
+    gens, ref = list(proj.values()), reference_orbit_generators(g, phi, zbasis, bound)
+    assert integral_pairing_lattice(gens, zbasis.rank) == integral_pairing_lattice(ref, zbasis.rank)
+    assert kronecker_dense(gens, zbasis.rank).dense == kronecker_dense(ref, zbasis.rank).dense
+    # the fact step 4 rests on: the projections are dense unless some
+    # n != 0 has n . P(e) in Z on every edge, and then psi = 0 is a potential
     if potential_certificate(g, phi, zbasis) is None:
         assert kronecker_dense(gens, zbasis.rank).dense
-
-
-def test_orbit_generators_subtract_once_per_pair_of_projections(monkeypatch):
-    # the base of B2xT1 has 31 paths of degree at most 4 and, under
-    # phi_theta, 5 distinct projections: 25 differences, not 961 path pairs
-    g, _ = resolve_graph(os.path.join(FIXTURES, "B2xT1.json"))
-    c, _ = load_cocycle(os.path.join(FIXTURES, "phi_theta.json"), g)
-    base = product_base(g, 1)
-    zbasis = LatticeBasis.from_rows([(1,)], 1)
-    want = reference_orbit_generators(base, c.phi, zbasis, 4)
-    calls = []
-    sub = PhaseExponent.__sub__
-
-    def counted(a, b):
-        calls.append(None)
-        return sub(a, b)
-
-    monkeypatch.setattr(PhaseExponent, "__sub__", counted)
-    got = orbit_phase_generators(base, c.phi, zbasis, 4)
-    assert got == want and len(got) == 9
-    assert len(calls) <= 25
 
 
 # --- bounds ------------------------------------------------------------------
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.sampled_from(["B2", "B3", "UW"]), st.integers(1, 2), st.data())
-def test_verdict_stable_under_larger_orbit_bound(name, l, data):
-    # a random phi on a strongly connected base, 0 on the torus loops, times
-    # T_l reaches the torus step, which decides it at every orbit bound: the
-    # bound only sets which generators are listed
-    base = orbit_base(name)
-    g = product_with_Tl(base, l)
-    on_base = {e.id: tuple(data.draw(phase_values) for _ in range(l)) for e in base.edges}
-    phi = OneCocyclePhi(l, {e.id: on_base.get(e.id, (zero,) * l) for e in g.edges})
-    c = PhiOmegaCocycle(l, phi, BicharacterTable.zero(l))
-    got = {
-        (r.verdict.status, r.verdict.certificate["kind"])
-        for r in (decide_simplicity(g, c, DecisionBounds(orbit=b)) for b in range(1, 6))
-    }
-    assert len(got) == 1
-    assert got <= {(SIMPLE, "z_omega_trivial"), (NONSIMPLE, "orbit_potential"), (SIMPLE, "kronecker_dense")}
+def test_bound_sets_only_the_period_box_of_a_density_certificate(capsys):
+    # one generator per base edge, whatever the box: the bound reaches the
+    # report only as exhaustive_up_to
+    args = ["simplicity", os.path.join(FIXTURES, "B2xT1.json"), "--cocycle", os.path.join(FIXTURES, "phi_theta.json")]
+    docs = []
+    for extra in ([], ["--bound", "3"], ["--bound", "2,3"]):
+        assert cli.main([*args, *extra, "--format", "structured"]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    boxes = [doc["periods"].pop("exhaustive_up_to") for doc in docs]
+    assert boxes == [[2, 2], [3, 3], [2, 3]]
+    assert docs[0] == docs[1] == docs[2]
+    assert docs[0]["verdict"]["certificate"]["kind"] == "kronecker_dense"
+    assert docs[0]["density_generators"] == [["0"], ["0 + 1*theta"]]
 
 
 def test_z_omega_invariant_under_symmetric_perturbation():
@@ -631,7 +603,7 @@ def test_a_period_box_below_the_default_is_noted(tmp_path, capsys):
     assert cli.main([*args, "--bound", "1", "--format", "structured"]) == 0
     assert json.loads(capsys.readouterr().out)["notes"] == [BOX_1_NOTE]
     # one colour below the default is enough; the default box gives no note
-    rep = decide_simplicity(g, PhiOmegaCocycle(1, phi, BicharacterTable.zero(1)), DecisionBounds(period=(2, 2, 2)))
+    rep = decide_simplicity(g, PhiOmegaCocycle(1, phi, BicharacterTable.zero(1)), (2, 2, 2))
     assert rep.notes == ("period box [2, 2, 2] is below the default [2, 3, 2]; periods outside it are not excluded",)
     assert cli.main(args) == 0
     assert capsys.readouterr().out.splitlines() == ["verdict: CERTIFIED_SIMPLE", "certificate: z_omega_trivial"]

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktwist import degrees as dg
-from ktwist import oracle
+from ktwist import cli, oracle
 from ktwist.cocycles import (
     BicharacterTable,
     CocycleDomainError,
@@ -25,7 +25,7 @@ from ktwist.cocycles import (
 )
 from ktwist.decider import decide_simplicity, potential_certificate, verify_z_omega, z_omega_of
 from ktwist.lattices import LatticeBasis
-from ktwist.io import cocycle_from_jsonable, load_cocycle
+from ktwist.io import cocycle_from_jsonable, load_cocycle, serialize_cocycle
 from ktwist.kgraph import EventuallyPeriodicPath, Path, builtin, canonical_tail
 from ktwist.oracle import (
     CoboundaryBx,
@@ -726,6 +726,34 @@ def test_identity_suite_raises_the_same_domain_error_on_a_truncated_table(t2, mi
         assert kept == _suite_outcome(_identity_suite_reference, t2, table, cap), cap
     assert _suite_outcome(suite_cocycle_identity, t2, table, 1).checked == 1
     assert kept[0] == "CocycleDomainError" and kept[1].startswith("table does not cover the pair")
+
+
+def test_oracle_reports_the_suites_a_table_lets_finish(tmp_path, capsys):
+    # the exact table of a 2-cocycle to bound (3, 3) covers every pair but
+    # those the centre suite asks for, past the bound: that suite stops,
+    # naming the pair, and the others still report
+    base = PullbackCocycle(((zero, zero), (Z(Fraction(1, 3)), zero)))
+    path = tmp_path / "t2_third.json"
+    path.write_text(serialize_cocycle(TableCocycle((3, 3), tuple(t2_table_entries(base, (3, 3))))), encoding="utf-8")
+    stopped = "table does not cover the pair (a, a.b.b.b.b)"
+    for depth in ("1", "2"):
+        args = ["oracle", "builtin:T2", "--cocycle", str(path), "--depth", depth]
+        assert cli.main(args) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines() == [
+            "suite cocycle_identity: pass (1024 checks)",
+            "suite resolution_independence: pass (64 checks)",
+            "suite conjugation_formula: pass (1296 checks)",
+            f"suite centre_phase_triviality: STOPPED ({stopped})",
+            "suite coboundary_box: pass (81 checks)",
+        ]
+    assert cli.main([*args, "--format", "structured"]) == 1
+    suites = json.loads(capsys.readouterr().out)["suites"]
+    assert suites[3] == {
+        "name": "centre_phase_triviality", "checked": 0, "ok": False, "violations": [], "stopped": stopped,
+    }
+    assert all(s["ok"] and "stopped" not in s for i, s in enumerate(suites) if i != 3)
 
 
 def test_run_suites_asks_two_categorical_values_per_term(monkeypatch, b2xt1):
