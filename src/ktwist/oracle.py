@@ -812,7 +812,8 @@ def run_suites(
     nontrivial period lattice and a bicharacter that does not depend on
     the resolution.  A suite that asks a table for a pair it does not
     cover stops there, with no checks and the table's message, and the
-    others still run.  Returns the suites, notes on the suites skipped, the
+    others still run; the centre and coboundary suites both stop when the
+    bicharacter asks for such a pair.  Returns the suites, notes on the suites skipped, the
     period basis and the bicharacter the suites used (None when none did).
     """
     if depth < 1:
@@ -845,6 +846,10 @@ def run_suites(
         om = omega_from_oracle(g, s, basis)
     except ResolutionError as err:
         return suites, [f"no bicharacter ({err}); centre and coboundary suites skipped"], basis, None
+    except CocycleDomainError as err:
+        # both suites left need the bicharacter, so both stop where it did
+        suites += [SuiteResult(name, 0, (), stopped=str(err)) for name in ("centre_phase_triviality", "coboundary_box")]
+        return suites, [], basis, None
     zrows = z_omega_of(om).rows
     run("centre_phase_triviality", lambda: suite_centre_phase_triviality(g, s, basis, zrows, depth=element_depth))
 

@@ -31,7 +31,7 @@ from ktwist.decider import (
     verify_z_omega,
     z_omega_of,
 )
-from ktwist.io import load_cocycle, resolve_graph, serialize_cocycle, serialize_graph
+from ktwist.io import serialize_cocycle, serialize_graph
 from ktwist.kgraph import Edge, KGraph, Square, builtin, product_base, product_with_Tl, validate_kgraph
 from ktwist.lattices import LatticeBasis, integral_pairing_lattice, kronecker_dense
 from ktwist.oracle import InducedCocycle, omega_from_oracle

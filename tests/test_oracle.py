@@ -754,6 +754,15 @@ def test_oracle_reports_the_suites_a_table_lets_finish(tmp_path, capsys):
         "name": "centre_phase_triviality", "checked": 0, "ok": False, "violations": [], "stopped": stopped,
     }
     assert all(s["ok"] and "stopped" not in s for i, s in enumerate(suites) if i != 3)
+    # to bound (1, 1) the bicharacter stops too, and both suites that need it
+    path.write_text(serialize_cocycle(TableCocycle((1, 1), tuple(t2_table_entries(base, (1, 1))))), encoding="utf-8")
+    assert cli.main(["oracle", "builtin:T2", "--cocycle", str(path), "--depth", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and [line.split(": ")[1].split(" (")[0] for line in out.splitlines()] == ["STOPPED"] * 5
+    assert out.splitlines()[3:] == [
+        "suite centre_phase_triviality: STOPPED (table does not cover the pair (a, a.b.b))",
+        "suite coboundary_box: STOPPED (table does not cover the pair (a, a.b.b))",
+    ]
 
 
 def test_run_suites_asks_two_categorical_values_per_term(monkeypatch, b2xt1):
