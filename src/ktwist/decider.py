@@ -29,6 +29,8 @@ it through an independent verifier before reporting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
+from typing import Callable, Sequence
 
 from . import degrees as dg
 from .degrees import Degree
@@ -41,7 +43,7 @@ from .lattices import (
     verify_kronecker,
 )
 from .oracle import InducedCocycle, omega_from_oracle, z_omega_of
-from .phases import PhaseExponent, PhaseVector, format_phase, format_phase_rows, pair_int
+from .phases import PhaseExponent, PhaseVector, format_phase, format_phase_rows, integer_rows, pair_int
 from .structure import (
     NO,
     UNKNOWN,
@@ -67,27 +69,31 @@ class RecheckError(RuntimeError):
 # --- the degeneracy sublattice ----------------------------------------------
 
 
+def _centre_rule(omega: BicharacterTable) -> Callable[[Sequence[int]], bool]:
+    """p is central iff, for each column (S, a, b) of the commutator table
+    on unit vectors (`integer_rows`), p . a = 0 mod S and every p . b_s = 0;
+    a column with S = 1 has a = 0, so it gives no congruence."""
+    units = [dg.unit(omega.rank, i + 1) for i in range(omega.rank)]
+    columns = [integer_rows(tuple(omega.commutator(u, w) for u in units)) for w in units]
+    mods = [(S, a) for S, a, _ in columns if S > 1]
+    eqs = [row for _, _, b in columns for row in b]
+    return lambda p: all(not sum(map(mul, p, a)) % S for S, a in mods) and not any(sum(map(mul, p, r)) for r in eqs)
+
+
 def verify_z_omega(omega: BicharacterTable, z: LatticeBasis, radius: int = 2) -> bool:
     """Recheck the degeneracy lattice without the congruence solver.
 
-    Every claimed generator must commute with all unit vectors, and within
-    a brute-force box every vector must be classified consistently.  The
-    commutator is bilinear, so [p, e_j] = sum_i p_i [e_i, e_j]: each vector
-    is read off the l x l table of `omega.commutator` on unit vectors,
-    which never goes through `antisymmetrization`.
+    Every claimed generator must be central, and every vector of the
+    radius box must be central iff it lies in z.  The commutator is
+    bilinear, so [p, e_j] = sum_i p_i [e_i, e_j]: `_centre_rule` reads p
+    off the l x l table on unit vectors in integer dot products, and never
+    goes through `antisymmetrization`, `kernel`/`hnf` or the solver.
     """
-    l = omega.rank
-    if z.dim != l:
+    if z.dim != omega.rank:
         return False
-    units = [dg.unit(l, i + 1) for i in range(l)]
-    columns = [tuple(omega.commutator(u, w) for u in units) for w in units]
-
-    def central(p) -> bool:
-        return all(pair_int(p, col).is_trivial() for col in columns)
-
-    if not all(central(row) for row in z.rows):
-        return False
-    return all(central(p) == z.member(p) for p in dg.signed_box((radius,) * l))
+    central = _centre_rule(omega)
+    box = dg.signed_box((radius,) * omega.rank)
+    return all(central(row) for row in z.rows) and all(central(p) == z.member(p) for p in box)
 
 
 # --- single-path bases -------------------------------------------------------

@@ -14,11 +14,13 @@ Paths are words of edge ids, range end first, kept in normal form: colors
 nondecreasing along the word.  Composition concatenates and moves each
 edge of the second factor left past higher-color edges via the square
 tables; by unique factorization the result does not depend on the order
-of the rewrites.  Factorization peels edges off the range end, one color
-at a time.  Everything is exact and deterministic (edges are always
-enumerated in id order).  A finite path is the graph's one object for
-its (range, source, degree, word), so paths are compared and hashed by
-identity, and each path keeps its own splits.
+of the rewrites.  Factorization at degree m pulls edges to the range end
+one color c at a time without scanning the word: the first color-c edge
+left always sits at index sum over i < c of (d_i - m_i), d the path's
+degree (see `KGraph._split`).  Everything is exact and deterministic
+(edges are always enumerated in id order).  A finite path is the graph's
+one object for its (range, source, degree, word), so paths are compared
+and hashed by identity, and each path keeps its own splits.
 
 An eventually periodic path has many representations (a cycle may be
 repeated, or partly folded into the prefix).  An infinite path is
@@ -205,14 +207,6 @@ class KGraph:
             return q
         return Path(self, p.range, q.source, dg.add(p.degree, q.degree), tuple(self._normalize(p.word + q.word)))
 
-    def _pull_color_front(self, word: list[str], color: int) -> list[str]:
-        t = next(i for i, eid in enumerate(word) if self.edge(eid).color == color)
-        for j in range(t, 0, -1):
-            # word[j-1].word[j] is color-sorted here; rewrite to put our edge first
-            gp, fp = self._fwd[(word[j - 1], word[j])]
-            word[j - 1], word[j] = gp, fp
-        return word
-
     def factorize(self, p: Path, m: Degree) -> tuple[Path, Path]:
         """Unique head/tail split p = head.tail with degree(head) = m.
 
@@ -227,12 +221,25 @@ class KGraph:
         return hit
 
     def _split(self, p: Path, m: Degree) -> tuple[Path, Path]:
+        """The head of degree m and the tail of p, one color c at a time.
+
+        Before the color-c edges are pulled, the rest of the word is
+        color-sorted with d_i - m_i edges of each color i < c (d = degree(p)),
+        so its first color-c edge is at t = sum over i < c of (d_i - m_i).
+        A square rewrite of a lower-color edge and a color-c edge swaps the
+        order of their colors, so t rewrites bring it to the front and keep
+        the rest sorted.  Popping it leaves t as it was, and the d_c - m_c
+        color-c edges left after m_c pulls move t on for c + 1.
+        """
         word = list(p.word)
         head: list[str] = []
-        for color in range(1, self.k + 1):
-            for _ in range(m[color - 1]):
-                word = self._pull_color_front(word, color)
+        fwd, t = self._fwd, 0
+        for d_c, m_c in zip(p.degree, m):
+            for _ in range(m_c):
+                for j in range(t, 0, -1):
+                    word[j - 1], word[j] = fwd[word[j - 1], word[j]]
                 head.append(word.pop(0))
+            t += d_c - m_c
         head_src = self.edge(head[-1]).source if head else p.range
         hp = Path(self, p.range, head_src, m, tuple(head))
         tp = Path(self, head_src, p.source, dg.sub(p.degree, m), tuple(word))

@@ -25,9 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .phases import PhaseVector, pair_int
+from .phases import PhaseVector, integer_rows, pair_int
 
 IntRow = tuple[int, ...]
 
@@ -158,10 +157,9 @@ def integral_pairing_lattice(gens: list[PhaseVector], d: int) -> LatticeBasis:
     """{n in Z^d : <n, v> is an integer for every generator v}.
 
     Write each generator v over the least common denominator S of its
-    entries: entry j is (a_j + sum_s b_js xi_s) / S with integers a_j and
-    b_js.  The symbols are independent over Q together with 1, so <n, v>
-    is an integer iff sum_j n_j b_js = 0 for every symbol s and
-    sum_j n_j a_j = -k S for some integer k.  Stacking these conditions
+    entries, entry j as (a_j + sum_s b_js xi_s) / S (`integer_rows`).
+    Then <n, v> is an integer iff sum_j n_j b_js = 0 for every symbol s
+    and sum_j n_j a_j = -k S for some integer k.  Stacking these conditions
     for all generators, (n, k) runs over the integer kernel of
 
         [ B | A       ]   (one row per coordinate j of n)
@@ -172,24 +170,16 @@ def integral_pairing_lattice(gens: list[PhaseVector], d: int) -> LatticeBasis:
     """
     if d == 0:
         return LatticeBasis.trivial(0)
-    b_cols: list[list[int]] = []
-    a_cols: list[list[int]] = []
-    scales: list[int] = []
     for i, v in enumerate(gens):
         if len(v) != d:
             raise ValueError(f"generator {i} has length {len(v)}, expected {d}")
-        S = lcm(*(entry.den for entry in v))
-        factors = [S // entry.den for entry in v]
-        terms = [dict(entry.terms) for entry in v]
-        for s in sorted({s for t in terms for s in t}):
-            b_cols.append([t.get(s, 0) * f for t, f in zip(terms, factors)])
-        a_cols.append([entry.num * f for entry, f in zip(v, factors)])
-        scales.append(S)
-    cols = b_cols + a_cols
+    parts = [integer_rows(v) for v in gens]
+    b_cols = [row for _, _, b in parts for row in b]
+    cols = b_cols + [a for _, a, _ in parts]
     rows = [tuple(col[j] for col in cols) for j in range(d)]
     rows += [
         (0,) * len(b_cols) + tuple(S if t == i else 0 for t in range(len(gens)))
-        for i, S in enumerate(scales)
+        for i, (S, _, _) in enumerate(parts)
     ]
     return LatticeBasis.from_rows([x[:d] for x in kernel(rows, len(cols))], d)
 

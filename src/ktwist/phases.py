@@ -309,6 +309,18 @@ def vec_sub(a: PhaseVector, b: PhaseVector) -> PhaseVector:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
+def integer_rows(v: PhaseVector) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """v over the least common denominator S of its entries: (S, a, b), entry
+    j being (a[j] + sum_s b_s[j] * xi_s) / S, one row b_s per symbol, sorted.
+    The symbols are independent over Q together with 1, so for integer n,
+    <n, v> is an integer iff n . a = 0 mod S and every n . b_s = 0."""
+    S = lcm(*(x.den for x in v))
+    f = [S // x.den for x in v]
+    terms = [dict(x.terms) for x in v]
+    b = tuple(tuple(t.get(s, 0) * k for t, k in zip(terms, f)) for s in sorted({s for t in terms for s in t}))
+    return S, tuple(x.num * k for x, k in zip(v, f)), b
+
+
 def pair_int(n: Iterable[int], v: PhaseVector) -> PhaseExponent:
     """<n, v> = sum n_j v_j for an integer vector n."""
     acc = PhaseExponent.zero()

@@ -35,7 +35,7 @@ from ktwist.io import serialize_cocycle, serialize_graph
 from ktwist.kgraph import Edge, KGraph, Square, builtin, product_base, product_with_Tl, validate_kgraph
 from ktwist.lattices import LatticeBasis, integral_pairing_lattice, kronecker_dense
 from ktwist.oracle import InducedCocycle, omega_from_oracle
-from ktwist.phases import PhaseExponent, pair_int
+from ktwist.phases import PhaseExponent, integer_rows, pair_int
 from ktwist.structure import UNKNOWN, YES, Verdict, default_period_bound, is_aperiodic, is_cofinal, per_group
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -246,6 +246,93 @@ def test_verify_z_omega_accepts_the_real_lattice_only():
     # central generators that miss (2, 0): only the box finds it
     assert z.member((2, 0))
     assert not verify_z_omega(om, LatticeBasis.from_rows([(4, 0), (0, 2)], 2))
+
+
+def commutator_columns(omega):
+    """Column j of the l x l commutator table: [e_i, e_j] over i."""
+    units = [dg.unit(omega.rank, i + 1) for i in range(omega.rank)]
+    return [tuple(omega.commutator(u, w) for u in units) for w in units]
+
+
+def phase_rule(omega):
+    """The earlier centre test, in phase arithmetic: p is central iff it
+    pairs every commutator column into the integers."""
+    columns = commutator_columns(omega)
+    return lambda p: all(pair_int(p, col).is_trivial() for col in columns)
+
+
+def phase_verify_z_omega(omega, z, radius=2):
+    """The earlier `verify_z_omega`, on `phase_rule`."""
+    central = phase_rule(omega)
+    box = dg.signed_box((radius,) * omega.rank)
+    return all(central(r) for r in z.rows) and all(central(p) == z.member(p) for p in box)
+
+
+def dot(p, a):
+    return sum(x * y for x, y in zip(p, a, strict=True))
+
+
+@st.composite
+def bicharacters(draw):
+    """l x l tables, l = 1..3: rational parts with denominators 1..6, and
+    0 to 2 symbols whose coefficients are often 0."""
+    l = draw(st.integers(1, 3))
+    symbols = ("theta", "rho")[: draw(st.integers(0, 2))]
+
+    def entry():
+        rat = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 6)))
+        irr = tuple((s, Fraction(draw(st.sampled_from([0, 0, 1, -1, 2])), draw(st.integers(1, 6)))) for s in symbols)
+        return PhaseExponent(rat, irr)
+
+    return BicharacterTable(l, tuple(tuple(entry() for _ in range(l)) for _ in range(l)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bicharacters())
+def test_integer_centre_rule_matches_phase_rule(om):
+    l = om.rank
+    box = list(dg.signed_box((2,) * l))
+    central, reference = decider._centre_rule(om), phase_rule(om)
+    assert [central(p) for p in box] == [reference(p) for p in box]
+    # the shared column decomposition gives back pair_int exactly
+    for col in commutator_columns(om):
+        S, a, b = integer_rows(col)
+        symbols = sorted({s for x in col for s in x.symbols()})
+        for p in box:
+            irr = tuple((s, Fraction(dot(p, row), S)) for s, row in zip(symbols, b, strict=True))
+            assert PhaseExponent(Fraction(dot(p, a), S), irr) == pair_int(p, col)
+    z = z_omega_of(om)
+    assert verify_z_omega(om, z)
+    forged = [z.rows[:i] + (tuple(2 * x for x in r),) + z.rows[i + 1:] for i, r in enumerate(z.rows)]
+    forged += [z.rows[:i] + z.rows[i + 1:] for i in range(z.rank)]
+    forged += [z.rows + (dg.unit(l, j + 1),) for j in range(l)]
+    for rows in forged:
+        lat = LatticeBasis.from_rows(rows, l)
+        accepted = verify_z_omega(om, lat)
+        assert accepted == phase_verify_z_omega(om, lat)
+        if lat == z:
+            assert accepted
+        elif any(lat.member(p) != z.member(p) for p in box):
+            assert not accepted
+
+
+def test_verify_z_omega_does_no_phase_arithmetic_after_its_columns(monkeypatch):
+    g = builtin("C3xT2")
+    per = per_group(g, is_cofinal(g))
+    om = omega_from_oracle(g, InducedCocycle(twist_last(3)), per.lattice.rows)
+    z = z_omega_of(om)
+    calls = []
+    for name in ("scaled", "__add__"):
+        method = getattr(PhaseExponent, name)
+        monkeypatch.setattr(PhaseExponent, name, lambda x, y, f=method, n=name: calls.append(n) or f(x, y))
+    rows = decider.integer_rows
+    monkeypatch.setattr(decider, "integer_rows", lambda v: calls.append("column") or rows(v))
+    assert verify_z_omega(om, z)
+    assert calls.count("column") == 3
+    last = len(calls) - calls[::-1].index("column")
+    # the commutator table is built in phase arithmetic, the box walk is not
+    assert {"scaled", "__add__"} <= set(calls[:last])
+    assert calls[last:] == []
 
 
 def test_potential_certificate_and_verifier():

@@ -23,6 +23,7 @@ from ktwist.kgraph import (
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 try:
     from test_structure import single_vertex_two_graphs
+    from three_graphs import one_vertex_three_graphs, pull_front_split
 finally:
     sys.path.pop(0)
 
@@ -372,6 +373,31 @@ def test_equal_paths_hash_alike_by_every_route(g, data):
         assert q is p
     assert g.factorize(p, dg.zero(g.k))[0] is g.vertex_path(v)
     assert g.factorize(g.compose(p, g.edge_path(e)), n)[1] is g.edge_path(e)
+
+
+def assert_splits_match_pull_front(g: KGraph, bound) -> None:
+    """Every split of every path of degree at most `bound`, against the
+    scanning reference, on a copy of g whose paths keep no split yet."""
+    g = KGraph(g.k, g.vertices, g.edges, g.squares, name=g.name)
+    for v in g.vertices:
+        for n in dg.box(bound):
+            for p in g.paths_from(v, n):
+                for m in dg.box(n):
+                    head, tail = g.factorize(p, m)
+                    assert (head.word, tail.word) == pull_front_split(g, p, m)
+                    assert head.degree == m
+                    assert g.compose(head, tail) is p
+
+
+@settings(max_examples=24, deadline=None)
+@given(st.integers(0, 751))
+def test_split_by_block_index_matches_pull_front_on_one_vertex_3_graphs(i):
+    assert_splits_match_pull_front(one_vertex_three_graphs()[i], (2, 2, 2))
+
+
+@pytest.mark.parametrize("name, bound", [("C3xT2", (3, 2, 2)), ("B2xT3", (2, 2, 2, 2))])
+def test_split_by_block_index_matches_pull_front(name, bound):
+    assert_splits_match_pull_front(builtin(name), bound)
 
 
 def _bubble_normalize(g, word):

@@ -3,8 +3,8 @@
 import os
 import sys
 import time
-from functools import lru_cache, reduce
-from itertools import permutations, product
+from functools import reduce
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +38,11 @@ try:
     from period_scale import scale_base, scale_graph
 finally:
     sys.path.remove(SCRIPTS)
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+try:
+    from three_graphs import one_vertex_three_graphs
+finally:
+    sys.path.pop(0)
 
 
 def test_strong_connectivity():
@@ -590,32 +595,6 @@ def test_pruned_period_search_matches_box_loop_on_the_scale_family(n):
 @given(single_vertex_two_graphs())
 def test_pruned_period_search_matches_box_loop_on_random_2_graphs(g):
     assert_matches_box_loop(g)
-
-
-@lru_cache(maxsize=None)
-def one_vertex_three_graphs() -> tuple[KGraph, ...]:
-    """Every one-vertex 3-graph with two loops per colour, in a fixed order.
-
-    Each colour pair gets one of the 24 bijections from its i-j pairs onto
-    its j-i pairs; `validate_kgraph` keeps those whose squares satisfy the
-    associativity condition.
-    """
-    loops = {c: (f"{name}0", f"{name}1") for c, name in ((1, "x"), (2, "y"), (3, "z"))}
-    edges = tuple(Edge(e, c, "v", "v") for c in (1, 2, 3) for e in loops[c])
-    pairs = ((1, 2), (1, 3), (2, 3))
-
-    def squares(i, j, targets):
-        sources = [(f, h) for f in loops[i] for h in loops[j]]
-        return tuple(Square(i, j, f, h, hp, fp) for (f, h), (hp, fp) in zip(sources, targets))
-
-    choices = [list(permutations([(h, f) for h in loops[j] for f in loops[i]])) for i, j in pairs]
-    out = []
-    for picks in product(*choices):
-        sq = sum((squares(i, j, t) for (i, j), t in zip(pairs, picks)), ())
-        g = KGraph(3, ("v",), edges, sq, name=f"X{len(out)}")
-        if validate_kgraph(g).ok:
-            out.append(g)
-    return tuple(out)
 
 
 @settings(max_examples=12, deadline=None)
