@@ -261,10 +261,10 @@ def phase_rule(omega):
     return lambda p: all(pair_int(p, col).is_trivial() for col in columns)
 
 
-def phase_verify_z_omega(omega, z, radius=2):
+def phase_verify_z_omega(omega, z):
     """The earlier `verify_z_omega`, on `phase_rule`."""
     central = phase_rule(omega)
-    box = dg.signed_box((radius,) * omega.rank)
+    box = dg.signed_box((2,) * omega.rank)
     return all(central(r) for r in z.rows) and all(central(p) == z.member(p) for p in box)
 
 
