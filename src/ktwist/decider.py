@@ -29,6 +29,7 @@ it through an independent verifier before reporting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import mul
 from typing import Callable, Sequence
 
@@ -38,6 +39,7 @@ from .cocycles import BicharacterTable, CocycleSpec, OneCocyclePhi, PhiOmegaCocy
 from .kgraph import KGraph, product_base
 from .lattices import (
     LatticeBasis,
+    _eliminate,
     integral_pairing_lattice,
     kronecker_dense,
     verify_kronecker,
@@ -49,6 +51,7 @@ from .structure import (
     UNKNOWN,
     PeriodicityResult,
     Verdict,
+    _prime_exponents,
     is_cofinal,
     per_group,
     period_box_notes,
@@ -69,31 +72,83 @@ class RecheckError(RuntimeError):
 # --- the degeneracy sublattice ----------------------------------------------
 
 
-def _centre_rule(omega: BicharacterTable) -> Callable[[Sequence[int]], bool]:
-    """p is central iff, for each column (S, a, b) of the commutator table
-    on unit vectors (`integer_rows`), p . a = 0 mod S and every p . b_s = 0;
-    a column with S = 1 has a = 0, so it gives no congruence."""
+def _integer_columns(omega: BicharacterTable) -> tuple[list[tuple[int, tuple[int, ...]]], list[tuple[int, ...]]]:
+    """The commutator table on unit vectors in integers: for each column
+    (S, a, b) of it (`integer_rows`), the congruence (S, a) when S > 1, and
+    the symbol rows b.  A column with S = 1 has integer a, so it gives no
+    congruence."""
     units = [dg.unit(omega.rank, i + 1) for i in range(omega.rank)]
     columns = [integer_rows(tuple(omega.commutator(u, w) for u in units)) for w in units]
-    mods = [(S, a) for S, a, _ in columns if S > 1]
-    eqs = [row for _, _, b in columns for row in b]
+    return [(S, a) for S, a, _ in columns if S > 1], [row for _, _, b in columns for row in b]
+
+
+def _centre_rule(mods, eqs) -> Callable[[Sequence[int]], bool]:
+    """p is central iff p . a = 0 mod S for each congruence (S, a) and
+    p . b = 0 for each symbol row b of `_integer_columns`."""
     return lambda p: all(not sum(map(mul, p, a)) % S for S, a in mods) and not any(sum(map(mul, p, r)) for r in eqs)
 
 
-def verify_z_omega(omega: BicharacterTable, z: LatticeBasis, radius: int = 2) -> bool:
-    """Recheck the degeneracy lattice without the congruence solver.
+def _rank_mod(rows: list[list[int]], q: int) -> int:
+    """The rank over F_q of integer rows, q prime."""
+    rows = [[x % q for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, q)
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] * inv % q
+            if f:
+                rows[r] = [(x - f * y) % q for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
-    Every claimed generator must be central, and every vector of the
-    radius box must be central iff it lies in z.  The commutator is
-    bilinear, so [p, e_j] = sum_i p_i [e_i, e_j]: `_centre_rule` reads p
-    off the l x l table on unit vectors in integer dot products, and never
-    goes through `antisymmetrization`, `kernel`/`hnf` or the solver.
+
+def verify_z_omega(omega: BicharacterTable, z: LatticeBasis) -> bool:
+    """Recheck the degeneracy lattice exactly, without the congruence solver.
+
+    The commutator is bilinear, so [p, e_w] = sum_i p_i [e_i, e_w]: p is
+    central iff p . a_w = 0 mod S_w and p . b = 0 for every column w of the
+    l x l table on unit vectors in integers (`_integer_columns`) and each
+    of its symbol rows b.  z = Z_omega iff:
+    - every generator of z is central, so z <= Z_omega;
+    - rank: rank(z) = l - rank(B), B the symbol rows of every column
+      (Fraction elimination).  Z_omega lies in ker B, and S ker B lies in
+      Z_omega for S the lcm of the S_w, so Z_omega has that rank.  Then z
+      and Z_omega span the same Q-space, and Z_omega lies in the
+      saturation sat(z) = Q z & Z^l;
+    - index: for each prime q dividing d, there is no c != 0 in F_q^r
+      with sum c_i z_i = 0 mod q and sum c_i t_wi = 0 mod q for every w
+      with S_w > 1, where r = rank(z), t_wi = (z_i . a_w) / S_w, and d is
+      the r x r minor of z in the pivot columns of its Fraction
+      elimination.  If Z_omega / z is not trivial, it is finite, so it
+      holds an element p of prime order q: q p = sum c_i z_i with c != 0
+      mod q, as p is not in z.  Then q divides the order of sat(z) / z,
+      which is the gcd of the r x r minors of z, and so divides d; p is
+      integral iff sum c_i z_i = 0 mod q; p . b = 0 as each z_i . b = 0;
+      and p . a_w / S_w = (1/q) sum c_i t_wi is an integer iff the second
+      congruence holds.  Conversely such a c gives such a p.  So the test
+      is one rank over F_q per prime: the r rows (z_i, t_wi) must keep
+      rank r.  A prime of d that does not divide the index passes, as the
+      z_i alone keep rank r mod q.  Rows of z that are dependent give
+      d = 0, and are refused.
+    It uses `integer_rows` and integer and Fraction arithmetic only: no
+    `antisymmetrization`, `kernel`/`hnf` or solver.
     """
     if z.dim != omega.rank:
         return False
-    central = _centre_rule(omega)
-    box = dg.signed_box((radius,) * omega.rank)
-    return all(central(row) for row in z.rows) and all(central(p) == z.member(p) for p in box)
+    mods, eqs = _integer_columns(omega)
+    central = _centre_rule(mods, eqs)
+    if not all(central(row) for row in z.rows):
+        return False
+    rank_b = len(_eliminate([[Fraction(x) for x in row] for row in eqs])[0])
+    if z.rank != omega.rank - rank_b:
+        return False
+    minor = abs(_eliminate([[Fraction(x) for x in row] for row in z.rows])[1])
+    rows = [list(row) + [sum(map(mul, row, a)) // S for S, a in mods] for row in z.rows]
+    return minor > 0 and all(_rank_mod(rows, q) == z.rank for q in _prime_exponents(int(minor)))
 
 
 # --- single-path bases -------------------------------------------------------

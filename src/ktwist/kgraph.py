@@ -17,8 +17,8 @@ tables; by unique factorization the result does not depend on the order
 of the rewrites.  Factorization at degree m pulls edges to the range end
 one color c at a time without scanning the word: the first color-c edge
 left always sits at index sum over i < c of (d_i - m_i), d the path's
-degree (see `KGraph._split`).  Everything is exact and deterministic
-(edges are always enumerated in id order).  A finite path is the graph's
+degree (see `KGraph.split_word`, which works on bare words).  Everything
+is exact and deterministic (edges are always enumerated in id order).  A finite path is the graph's
 one object for its (range, source, degree, word), so paths are compared
 and hashed by identity, and each path keeps its own splits.
 
@@ -220,26 +220,33 @@ class KGraph:
             hit = p._splits[m] = self._split(p, m)
         return hit
 
-    def _split(self, p: Path, m: Degree) -> tuple[Path, Path]:
-        """The head of degree m and the tail of p, one color c at a time.
+    def split_word(self, word, degree: Degree, m: Degree) -> tuple[list[str], list[str]]:
+        """The words of the head of degree m and the tail of a normal-form
+        word of the given degree, one color c at a time.
 
         Before the color-c edges are pulled, the rest of the word is
-        color-sorted with d_i - m_i edges of each color i < c (d = degree(p)),
+        color-sorted with d_i - m_i edges of each color i < c (d = degree),
         so its first color-c edge is at t = sum over i < c of (d_i - m_i).
         A square rewrite of a lower-color edge and a color-c edge swaps the
         order of their colors, so t rewrites bring it to the front and keep
         the rest sorted.  Popping it leaves t as it was, and the d_c - m_c
         color-c edges left after m_c pulls move t on for c + 1.
         """
-        word = list(p.word)
+        word = list(word)
         head: list[str] = []
         fwd, t = self._fwd, 0
-        for d_c, m_c in zip(p.degree, m):
+        for d_c, m_c in zip(degree, m):
             for _ in range(m_c):
                 for j in range(t, 0, -1):
                     word[j - 1], word[j] = fwd[word[j - 1], word[j]]
                 head.append(word.pop(0))
             t += d_c - m_c
+        return head, word
+
+    def _split(self, p: Path, m: Degree) -> tuple[Path, Path]:
+        """The head of degree m and the tail of p: `split_word` on its word,
+        with both pieces interned."""
+        head, word = self.split_word(p.word, p.degree, m)
         head_src = self.edge(head[-1]).source if head else p.range
         hp = Path(self, p.range, head_src, m, tuple(head))
         tp = Path(self, head_src, p.source, dg.sub(p.degree, m), tuple(word))

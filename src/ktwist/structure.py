@@ -15,7 +15,7 @@ cofinality once, and `per_group` takes that verdict.
 
 Periodicity of the shift action is decided exactly per vertex by a finite
 automaton on sliding windows: a window of degree join(a, b) determines
-both compared slices of every one-step extension, so a BFS over reachable
+both compared slices of every one-step extension, so a walk over reachable
 windows either proves T^a x = T^b x for all x from the vertex or reaches
 a window where the slices differ.  The group of periods is the
 lattice of integer vectors accepted at every vertex, computed over a box
@@ -205,30 +205,70 @@ def verify_cofinality(g: KGraph, res: Verdict) -> bool:
 # --- shift periodicity ------------------------------------------------------
 
 
+def _words_from(g: KGraph, v: str, n: Degree):
+    """The normal-form words of degree n with range v, lazily: one colour
+    block after another from v, depth first, each edge in id order."""
+    colours = [i for i, x in enumerate(n, 1) for _ in range(x)]
+    word: list[str] = []
+    edges = [iter(g.in_edges(v, colours[0]))]
+    while edges:
+        e = next(edges[-1], None)
+        if e is None:
+            edges.pop()
+            if word:
+                word.pop()
+        elif len(word) + 1 == len(colours):
+            yield (*word, e.id)
+        else:
+            word.append(e.id)
+            edges.append(iter(g.in_edges(e.source, colours[len(word)])))
+
+
 def periodic_at_offsets(g: KGraph, v: str, a: Degree, b: Degree) -> bool:
     """Does every infinite path x from v satisfy T^a x = T^b x?
 
     Explores windows w = x(u, u+c) with c = join(a, b); on each one-step
     extension the two compared slices both sit inside the extended window,
-    so a reachable mismatch is exactly a violation.
+    so a reachable mismatch is exactly a violation.  A window is its word
+    of edge ids in normal form.  Extending it by an edge e of colour i
+    inserts e once, past the higher-colour edges, through the square
+    tables; the colour-i slices at a and b and the next window are read
+    off that word by `KGraph.split_word`.  The first windows are built
+    lazily from v, and the windows are walked depth first, so the walk
+    stops at the first mismatch.  Nothing is interned or cached on g: the
+    windows seen live for this call only.  a = b holds for every x; it is
+    the one case with c = 0, whose windows have no edge to read a vertex
+    off.
     """
+    if a == b:
+        return True
     c = dg.join(a, b)
-    frontier = list(g.paths_from(v, c))
-    seen = set(frontier)
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i in range(1, g.k + 1):
-                ei = dg.unit(g.k, i)
-                for e in g.in_edges(w.source, i):
-                    lam = g.compose(w, g.edge_path(e.id))
-                    if g.segment(lam, a, dg.add(a, ei)) != g.segment(lam, b, dg.add(b, ei)):
+    steps = []
+    for i in range(1, g.k + 1):
+        ei = dg.unit(g.k, i)
+        d = dg.add(c, ei)
+        steps.append((i, ei, d, dg.sub(d, a), dg.sub(d, b), sum(c[:i])))
+    inv, split = g._inv, g.split_word
+    seen: set[tuple[str, ...]] = set()
+    for first in _words_from(g, v, c):
+        if first in seen:
+            continue
+        seen.add(first)
+        stack = [first]
+        while stack:
+            w = stack.pop()
+            src = g.edge(w[-1]).source
+            for i, ei, d, da, db, at in steps:
+                for e in g.in_edges(src, i):
+                    lam = [*w, e.id]
+                    for j in range(len(w), at, -1):
+                        lam[j - 1], lam[j] = inv[lam[j - 1], lam[j]]
+                    if split(split(lam, d, a)[1], da, ei)[0] != split(split(lam, d, b)[1], db, ei)[0]:
                         return False
-                    new = g.segment(lam, ei, dg.add(c, ei))
+                    new = tuple(split(lam, d, ei)[1])
                     if new not in seen:
                         seen.add(new)
-                        nxt.append(new)
-        frontier = nxt
+                        stack.append(new)
     return True
 
 

@@ -5,6 +5,7 @@ gate is readable straight off a pytest run.  Budgets are asserted; a slow
 pass is a failure.
 """
 
+import itertools
 import os
 import random
 import sys
@@ -94,9 +95,13 @@ def test_criterion_2_half_twist_is_nonsimple_with_congruence_centre():
         assert rep.verdict.status == "CERTIFIED_NONSIMPLE"
         assert rep.verdict.certificate["kind"] == "central_period_obstruction"
         assert rep.z_omega.rows == ((2, 0), (0, 2))
+        assert verify_z_omega(rep.omega, rep.z_omega)
+        assert not verify_z_omega(rep.omega, LatticeBasis.from_rows([(1, 0), (0, 1)], 2))
         # brute membership-versus-pairing cross-check over |p_i| <= 4
-        assert verify_z_omega(rep.omega, rep.z_omega, radius=4)
-        assert not verify_z_omega(rep.omega, LatticeBasis.from_rows([(1, 0), (0, 1)], 2), radius=2)
+        units = [(1, 0), (0, 1)]
+        for p in itertools.product(range(-4, 5), repeat=2):
+            central = all(rep.omega.commutator(p, u).is_trivial() for u in units)
+            assert rep.z_omega.member(p) == central
 
     _run(2, "half twist certified nonsimple via even-congruence centre", 1.0, body)
 

@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -227,6 +228,9 @@ def test_cocycle_wrong_matrix_shape():
     bad = {"variant": "pullback", "symbols": [], "theta_matrix": [["0"]]}
     with pytest.raises(FileFormatError, match="expected 2 rows"):
         loads_cocycle(canonical_json(bad), g)
+    ragged = {"variant": "pullback", "symbols": [], "theta_matrix": [["0", "0"], ["0"]]}
+    with pytest.raises(FileFormatError, match=re.escape("cocycle.theta_matrix[1]: expected 2 entries")):
+        loads_cocycle(canonical_json(ragged), g)
 
 
 def test_cocycle_phase_literal_with_rational_and_symbol():

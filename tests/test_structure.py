@@ -3,6 +3,7 @@
 import os
 import sys
 import time
+import tracemalloc
 from functools import reduce
 from itertools import product
 
@@ -40,7 +41,7 @@ finally:
     sys.path.remove(SCRIPTS)
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 try:
-    from three_graphs import one_vertex_three_graphs
+    from three_graphs import one_vertex_three_graphs, path_window_automaton
 finally:
     sys.path.pop(0)
 
@@ -603,6 +604,57 @@ def test_pruned_period_search_matches_box_loop_on_one_vertex_3_graphs(i):
     ground = one_vertex_three_graphs()
     assert len(ground) == 752
     assert_matches_box_loop(ground[i])
+
+
+# --- the word-level window automaton against the path-based one -----------
+
+
+def assert_automata_agree(g: KGraph, bound) -> None:
+    """Both automata give the same answer at every nonzero offset of the
+    box and every vertex, and the word-level one leaves g's tables as they
+    were.  The path-based one runs on a fresh copy, whose tables it fills."""
+    fresh = KGraph(g.k, g.vertices, g.edges, g.squares, name=g.name)
+    for p in dg.signed_box(bound):
+        if dg.is_zero(p):
+            continue
+        a, b = dg.pos_part(p), dg.neg_part(p)
+        for v in g.vertices:
+            sizes = (len(g._paths_cache), len(g._interned))
+            assert periodic_at_offsets(g, v, a, b) == path_window_automaton(fresh, v, a, b), (g.name, v, p)
+            assert (len(g._paths_cache), len(g._interned)) == sizes
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 751))
+def test_window_automaton_matches_the_path_automaton_on_one_vertex_3_graphs(i):
+    assert_automata_agree(one_vertex_three_graphs()[i], (1, 1, 1))
+
+
+@pytest.mark.parametrize("name", [
+    "T1", "T2", "T3", "B2", "B3", "C2", "C3", "DISJOINT2",
+    "B2xT1", "B3xT1", "B2xT2", "B2xT3", "C2xT1", "C3xT1", "C2xT2", "C3xT2",
+])
+def test_window_automaton_matches_the_path_automaton_on_builtins(name):
+    g = builtin(name)
+    assert_automata_agree(g, (2,) * min(g.k, 3) + (1,) * (g.k - 3))
+
+
+@pytest.mark.parametrize("n", [10, 12, 20])
+def test_window_automaton_matches_the_path_automaton_on_the_scale_family(n):
+    assert_automata_agree(scale_graph(n), (3, 2))
+
+
+def test_window_automaton_keeps_no_paths_on_a_false_answer():
+    # the path automaton listed and kept 777 paths here (a 1.7 MB peak) to answer False
+    g = scale_graph(12)
+    tracemalloc.start()
+    try:
+        assert not periodic_at_offsets(g, "v0", (20, 0), (0, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert not g._paths_cache and not g._interned
 
 
 def box_size(bound) -> int:

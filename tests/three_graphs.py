@@ -1,4 +1,5 @@
-"""A test ground at rank 3, and the reference route for `KGraph._split`.
+"""A test ground at rank 3, and the reference routes for `KGraph._split`
+and the window automaton.
 
 `one_vertex_three_graphs` enumerates every one-vertex 3-graph with two
 loops per colour; rank 3 is where the associativity condition on the
@@ -6,7 +7,10 @@ squares applies (Hazlewood-Raeburn-Sims-Webster, PEMS 2013).
 `pull_front_split` is the earlier split: for each colour it scans the word
 for the first edge of that colour and rewrites it to the front.
 `KGraph.factorize` must give the same head and tail, reading that index
-off the degrees instead.
+off the degrees instead.  `path_window_automaton` is the earlier
+`periodic_at_offsets`: a breadth-first walk over interned window paths,
+whose first windows come from `KGraph.paths_from`.  The word-level
+automaton must give the same answer.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations, product
 
+from ktwist import degrees as dg
 from ktwist.kgraph import Edge, KGraph, Path, Square, validate_kgraph
 
 
@@ -54,3 +59,26 @@ def pull_front_split(g: KGraph, p: Path, m) -> tuple[tuple[str, ...], tuple[str,
                 word[j - 1], word[j] = g._fwd[(word[j - 1], word[j])]
             head.append(word.pop(0))
     return tuple(head), tuple(word)
+
+
+def path_window_automaton(g: KGraph, v: str, a, b) -> bool:
+    """Does every infinite path x from v satisfy T^a x = T^b x, by windows
+    x(u, u + join(a, b)) kept as paths."""
+    c = dg.join(a, b)
+    frontier = list(g.paths_from(v, c))
+    seen = set(frontier)
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for i in range(1, g.k + 1):
+                ei = dg.unit(g.k, i)
+                for e in g.in_edges(w.source, i):
+                    lam = g.compose(w, g.edge_path(e.id))
+                    if g.segment(lam, a, dg.add(a, ei)) != g.segment(lam, b, dg.add(b, ei)):
+                        return False
+                    new = g.segment(lam, ei, dg.add(c, ei))
+                    if new not in seen:
+                        seen.add(new)
+                        nxt.append(new)
+        frontier = nxt
+    return True
