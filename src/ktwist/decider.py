@@ -76,9 +76,9 @@ def _integer_columns(omega: BicharacterTable) -> tuple[list[tuple[int, tuple[int
     """The commutator table on unit vectors in integers: for each column
     (S, a, b) of it (`integer_rows`), the congruence (S, a) when S > 1, and
     the symbol rows b.  A column with S = 1 has integer a, so it gives no
-    congruence."""
-    units = [dg.unit(omega.rank, i + 1) for i in range(omega.rank)]
-    columns = [integer_rows(tuple(omega.commutator(u, w) for u in units)) for w in units]
+    congruence.  Entry i of column w is [e_i, e_w] = rows[i][w] - rows[w][i]."""
+    rows, l = omega.rows, omega.rank
+    columns = [integer_rows(tuple(rows[i][w] - rows[w][i] for i in range(l))) for w in range(l)]
     return [(S, a) for S, a, _ in columns if S > 1], [row for _, _, b in columns for row in b]
 
 

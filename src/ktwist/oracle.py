@@ -24,18 +24,23 @@ too shallow.  Any cell that is a function of the element changes the
 cocycle by a coboundary only (Kumjian-Pask-Sims, "Homology for
 higher-rank graphs and twisted C*-algebras", 2012), so the identities of
 the suites and the bicharacter's antisymmetrization hold through either.
-The InducedCocycle is the one place where values are kept: the cell of each
-element, the outcome of each sigma_c pair, the phase of each r_sigma
-pair, the term b(e, m) of each element and degree that sigma_c has
-summed, and the categorical value c(mu, nu) of each pair of paths that
-a term has asked for.  A command builds one: `run_suites` hands its own
-to `omega_from_oracle`, and `omega` and `simplicity` each build one for
-the bicharacter.  Below it, finite paths, infinite paths and elements
-are one object per value, by construction: their constructors return
-the graph's one object for the normal form, so they are hashed and
-compared by identity.  Each finite path keeps its own splits and each
-infinite path its own shifts and segments.  A value already seen
-costs the stores above one lookup with no field-by-field comparison.
+The InducedCocycle is the one place where values are kept across calls:
+the cell of each element, the outcome of each sigma_c pair, the phase of
+each r_sigma pair, the term b(e, m) of each element and degree that
+sigma_c has summed, and the categorical value c(mu, nu) of each pair of
+paths that a term has asked for.  A command builds one: `run_suites`
+hands its own to `omega_from_oracle`, and `omega` and `simplicity` each
+build one for the bicharacter.  The suites also keep loop-local values,
+dropped when they return: the identity suite its factors' sigma_c
+values and products, the conjugation suite its phases per element and
+its sigma_c differences per pair of paths, and the coboundary box its
+points' isotropy elements.  Below the stores, finite paths, infinite
+paths and elements are one object per value, by construction: their
+constructors return the graph's one object for the normal form, so they
+are hashed and compared by identity.  Each finite path keeps its own
+splits and each infinite path its own shifts and segments.  A value
+already seen costs the stores above one lookup with no field-by-field
+comparison.
 A value that depends on the resolution means the categorical cocycle is
 not a 2-cocycle: sigma_c keeps that outcome too and raises
 ResolutionError on every request for the pair, and a suite records it
@@ -47,7 +52,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from itertools import repeat
+from operator import add, sub
+from typing import Callable, Iterator
 
 from . import degrees as dg
 from .degrees import Degree
@@ -360,9 +367,10 @@ def sigma_c(
     raises ResolutionError.  s keeps the outcome, value or error, so each
     distinct (gelt, helt, paddings) is resolved once, and a kept error is
     raised afresh on each request; it also keeps the terms, which recur
-    across pairs far more often than pairs do.
+    across pairs far more often than pairs do.  `paddings` is part of
+    the key as given, so it must be a tuple.
     """
-    key = (gelt, helt, tuple(paddings))
+    key = (gelt, helt, paddings)
     out = s._values.get(key)
     if out is None:
         b = s.term
@@ -371,12 +379,12 @@ def sigma_c(
         mu_h, _ = s.cell_of(helt)
         mu_gh, _ = s.cell_of(prod)
         pg = gelt.degree
-        base = dg.join(dg.join(nu_g.degree, mu_h.degree), dg.sub(mu_gh.degree, pg))
-        ones = (1,) * len(pg)
+        # every degree comes from one graph, so the lengths agree
+        base = tuple(map(max, nu_g.degree, mu_h.degree, map(sub, mu_gh.degree, pg)))
         vals = []
         for pad in paddings:
-            n = dg.add(base, dg.scale(pad, ones))
-            m = dg.add(n, pg)
+            n = tuple(map(add, base, repeat(pad)))
+            m = tuple(map(add, n, pg))
             vals.append(b(gelt, m) + b(helt, n) - b(prod, m))
         if all(v == vals[0] for v in vals[1:]):
             out = vals[0]
@@ -385,7 +393,7 @@ def sigma_c(
                 "cocycle value depended on the resolution choice; the cocycle is not a 2-cocycle"
             )
         s._values[key] = out
-    if isinstance(out, ResolutionError):
+    if out.__class__ is ResolutionError:
         raise ResolutionError(str(out))
     return out
 
@@ -554,15 +562,22 @@ class CoboundaryBx:
         return out
 
     def verify_box(self, radius: int) -> tuple[int, list[str]]:
-        """Check delta b = ctilde on all pairs inside the box."""
+        """Check delta b = ctilde on all pairs inside the box.
+
+        The box is listed once, and each point's period and isotropy
+        element at x are built once; ctilde(p, q) is then
+        sigma_c(iso(p), iso(q)) - omega(p, q).
+        """
         checked = 0
         bad = []
-        for p in dg.signed_box((radius,) * self.l):
-            for q in dg.signed_box((radius,) * self.l):
+        box = list(dg.signed_box((radius,) * self.l))
+        iso = [isotropy_element(self.x, ambient(self.per_basis, p)) for p in box]
+        for p, iso_p in zip(box, iso):
+            for q, iso_q in zip(box, iso):
                 checked += 1
                 try:
                     lhs = (self.value(p) + self.value(q)) - self.value(dg.add(p, q))
-                    if lhs != self.ctilde(p, q):
+                    if lhs != sigma_c(self.s, iso_p, iso_q) - self.omega.value(p, q):
                         bad.append(f"delta b != ctilde at ({p}, {q})")
                 except ResolutionError as err:
                     bad.append(f"delta b != ctilde at ({p}, {q}): {err}")
@@ -600,16 +615,20 @@ def _paths_into(g: KGraph, v: str, m: Degree) -> list[Path]:
     return [p for w in sorted(g.vertices) for p in g.paths_from(w, m) if p.source == v]
 
 
-def _elements_at(g: KGraph, v: str, d: Degree) -> list[GroupoidElement]:
-    """Elements (mu, nu) over the canonical tail at v, both degrees in the box d."""
+def _elements_at(g: KGraph, v: str, d: Degree) -> Iterator[GroupoidElement]:
+    """Elements (mu, nu) over the canonical tail at v, both degrees in the box d.
+
+    A generator: each element is built when the caller asks for it, so a
+    suite that stops at its cap builds no more.
+    """
     z = canonical_tail(g, v)
-    return [
+    return (
         element(mu, nu, z)
         for m in dg.box(d)
         for n in dg.box(d)
         for mu in _paths_into(g, v, m)
         for nu in _paths_into(g, v, n)
-    ]
+    )
 
 
 def _left_factors(g: KGraph, b: GroupoidElement, d: Degree, s: Degree) -> list[GroupoidElement]:
@@ -720,6 +739,12 @@ def suite_conjugation_formula(
     Elements a run over source-matched pairs at every vertex; p and q run
     over the periods with generator coordinates in {-1, 0, 1}.  per_basis
     must be rows from `per_group`, which are periods at every vertex.
+    The sums p + q are worked out once; r(a, .) once per element a and
+    period, and sigma(iso(x_r, p), iso(x_r, q)) - sigma(iso(x_s, p),
+    iso(x_s, q)) once per pair of paths (x_r, x_s) and (p, q), each when
+    the loop first asks for it, so every cap checks the same samples and
+    the first error that is not a ResolutionError is the same.  A
+    ResolutionError is not kept here: sigma_c keeps and re-raises it.
     """
     if not per_basis:
         return SuiteResult("conjugation_formula", 0, ())
@@ -727,28 +752,43 @@ def suite_conjugation_formula(
     bad = []
     d = dg.as_degree(g.k, depth, "depth")
     periods = list(_period_samples(per_basis))
+    pairs = [(i, p, j, q, dg.add(p, q)) for i, p in enumerate(periods) for j, q in enumerate(periods)]
+    with_paths: dict = {}  # (x_r, x_s) -> (isotropy at x_r, at x_s, {(i, j): sigma difference})
     for v in sorted(g.vertices):
         for a in _elements_at(g, v, d):
             xr, xs = a.range_path, a.source_path
-            iso_r = {p: isotropy_element(xr, p) for p in periods}
-            iso_s = {p: isotropy_element(xs, p) for p in periods}
-            for p in periods:
-                for q in periods:
-                    try:
-                        lhs = r_sigma(s, a, dg.add(p, q))
-                        rhs = (
-                            sigma_c(s, iso_r[p], iso_r[q])
-                            - sigma_c(s, iso_s[p], iso_s[q])
-                            + r_sigma(s, a, p)
-                            + r_sigma(s, a, q)
+            kept = with_paths.get((xr, xs))
+            if kept is None:
+                kept = with_paths[(xr, xs)] = (
+                    [isotropy_element(xr, p) for p in periods],
+                    [isotropy_element(xs, p) for p in periods],
+                    {},
+                )
+            iso_r, iso_s, diffs = kept
+            r_a: dict = {}  # period -> r(a, period)
+            for i, p, j, q, pq in pairs:
+                try:
+                    lhs = r_a.get(pq)
+                    if lhs is None:
+                        lhs = r_a[pq] = r_sigma(s, a, pq)
+                    diff = diffs.get((i, j))
+                    if diff is None:
+                        diff = diffs[(i, j)] = (
+                            sigma_c(s, iso_r[i], iso_r[j]) - sigma_c(s, iso_s[i], iso_s[j])
                         )
-                        if lhs != rhs:
-                            bad.append(f"conjugation additivity fails at ({a!r}, {p}, {q})")
-                    except ResolutionError as err:
-                        bad.append(f"conjugation additivity fails at ({a!r}, {p}, {q}): {err}")
-                    checked += 1
-                    if max_checks is not None and checked >= max_checks:
-                        return SuiteResult("conjugation_formula", checked, tuple(bad))
+                    rp = r_a.get(p)
+                    if rp is None:
+                        rp = r_a[p] = r_sigma(s, a, p)
+                    rq = r_a.get(q)
+                    if rq is None:
+                        rq = r_a[q] = r_sigma(s, a, q)
+                    if lhs != diff + rp + rq:
+                        bad.append(f"conjugation additivity fails at ({a!r}, {p}, {q})")
+                except ResolutionError as err:
+                    bad.append(f"conjugation additivity fails at ({a!r}, {p}, {q}): {err}")
+                checked += 1
+                if max_checks is not None and checked >= max_checks:
+                    return SuiteResult("conjugation_formula", checked, tuple(bad))
     return SuiteResult("conjugation_formula", checked, tuple(bad))
 
 

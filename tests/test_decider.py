@@ -323,7 +323,7 @@ def test_verify_z_omega_does_no_phase_arithmetic_after_its_columns(monkeypatch):
     om = omega_from_oracle(g, InducedCocycle(twist_last(3)), per.lattice.rows)
     z = z_omega_of(om)
     calls = []
-    for name in ("scaled", "__add__"):
+    for name in ("scaled", "__add__", "__sub__"):
         method = getattr(PhaseExponent, name)
         monkeypatch.setattr(PhaseExponent, name, lambda x, y, f=method, n=name: calls.append(n) or f(x, y))
     rows = decider.integer_rows
@@ -331,8 +331,10 @@ def test_verify_z_omega_does_no_phase_arithmetic_after_its_columns(monkeypatch):
     assert verify_z_omega(om, z)
     assert calls.count("column") == 3
     last = len(calls) - calls[::-1].index("column")
-    # the commutator table is built in phase arithmetic, the box walk is not
-    assert {"scaled", "__add__"} <= set(calls[:last])
+    # each commutator entry is one difference of two table entries, read
+    # while its column is built; no phase is scaled and nothing after the
+    # columns is phase arithmetic
+    assert calls[:last] == (["__sub__"] * 3 + ["column"]) * 3
     assert calls[last:] == []
 
 

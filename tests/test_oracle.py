@@ -677,18 +677,22 @@ def test_identity_suite_matches_the_four_call_loop(name, stem, cap):
 
 
 
-def test_suites_fail_on_a_perturbed_table_by_inequality(t2):
-    # c(a, a.b.b) moved from 0 to 1/3 in the corrupted golden table: the
-    # bicharacter no longer depends on the resolution, and the identity,
-    # conjugation and coboundary suites each find triples where both sides
-    # resolve and differ
+def _perturbed_t2_table(t2):
+    """The corrupted golden table with c(a, a.b.b) moved from 0 to 1/3."""
     with open(os.path.join(GOLDEN, "t2_table_corrupt.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
     idx = next(i for i, e in enumerate(doc["entries"])
                if (e["mu"]["word"], e["nu"]["word"]) == (["a"], ["a", "b", "b"]))
     assert doc["entries"][idx]["value"] == "0"
     doc["entries"][idx]["value"] = "1/3"
-    suites, notes, _, om = run_suites(t2, cocycle_from_jsonable(doc, t2), 2, 200)
+    return cocycle_from_jsonable(doc, t2)
+
+
+def test_suites_fail_on_a_perturbed_table_by_inequality(t2):
+    # the bicharacter no longer depends on the resolution, and the identity,
+    # conjugation and coboundary suites each find triples where both sides
+    # resolve and differ
+    suites, notes, _, om = run_suites(t2, _perturbed_t2_table(t2), 2, 200)
     assert notes == [] and om is not None
     found = {s.name: (s.checked, len(s.violations), s.violations[0] if s.violations else None) for s in suites}
     assert found == {
@@ -726,6 +730,158 @@ def test_identity_suite_raises_the_same_domain_error_on_a_truncated_table(t2, mi
         assert kept == _suite_outcome(_identity_suite_reference, t2, table, cap), cap
     assert _suite_outcome(suite_cocycle_identity, t2, table, 1).checked == 1
     assert kept[0] == "CocycleDomainError" and kept[1].startswith("table does not cover the pair")
+
+
+def _elements_at_reference(g, v, d):
+    """`_elements_at` as the list it built before it became a generator."""
+    z = canonical_tail(g, v)
+    return [
+        element(mu, nu, z)
+        for m in dg.box(d)
+        for n in dg.box(d)
+        for mu in oracle._paths_into(g, v, m)
+        for nu in oracle._paths_into(g, v, n)
+    ]
+
+
+@pytest.mark.parametrize("name, depth", [("T2", 1), ("T2", 2), ("B2", 2), ("B2xT1", 1), ("C3xT1", 2)])
+def test_elements_at_yields_the_listed_sequence(name, depth):
+    g = builtin(name)
+    d = (depth,) * g.k
+    for v in sorted(g.vertices):
+        assert list(_elements_at(g, v, d)) == _elements_at_reference(g, v, d)
+
+
+def test_a_capped_suite_builds_elements_only_up_to_its_cap():
+    # the element box at depth 2 on B2xT3 holds 35,721 elements, and
+    # building all of them grows the graph's table by 5,638 entries; a suite
+    # capped at one triple builds the first, its factors and their paths
+    g = builtin("B2xT3")
+    c = load_cocycle(os.path.join(FIXTURES, "b2t3.json"), g)[0]
+    box = sum(len(_elements_at_reference(builtin("B2xT3"), v, (2,) * g.k)) for v in g.vertices)
+    assert box == 35721
+    before = len(g._interned)
+    assert suite_cocycle_identity(g, InducedCocycle(c), depth=2, max_triples=1).checked == 1
+    assert len(g._interned) - before < box // 10
+
+
+def _conjugation_suite_reference(g, s, per_basis, depth=1, max_checks=None):
+    """The conjugation suite as it was before it kept the sums p + q, r(a, .)
+    per element and the sigma differences per pair of paths: three r_sigma
+    and two sigma_c calls for every check."""
+    if not per_basis:
+        return oracle.SuiteResult("conjugation_formula", 0, ())
+    checked = 0
+    bad = []
+    d = dg.as_degree(g.k, depth, "depth")
+    periods = list(oracle._period_samples(per_basis))
+    for v in sorted(g.vertices):
+        for a in _elements_at(g, v, d):
+            xr, xs = a.range_path, a.source_path
+            iso_r = {p: isotropy_element(xr, p) for p in periods}
+            iso_s = {p: isotropy_element(xs, p) for p in periods}
+            for p in periods:
+                for q in periods:
+                    try:
+                        lhs = r_sigma(s, a, dg.add(p, q))
+                        rhs = (
+                            sigma_c(s, iso_r[p], iso_r[q])
+                            - sigma_c(s, iso_s[p], iso_s[q])
+                            + r_sigma(s, a, p)
+                            + r_sigma(s, a, q)
+                        )
+                        if lhs != rhs:
+                            bad.append(f"conjugation additivity fails at ({a!r}, {p}, {q})")
+                    except ResolutionError as err:
+                        bad.append(f"conjugation additivity fails at ({a!r}, {p}, {q}): {err}")
+                    checked += 1
+                    if max_checks is not None and checked >= max_checks:
+                        return oracle.SuiteResult("conjugation_formula", checked, tuple(bad))
+    return oracle.SuiteResult("conjugation_formula", checked, tuple(bad))
+
+
+def _conjugation_outcome(route, g, c, cap):
+    """The SuiteResult of one conjugation route at element depth 1, or the
+    text of the CocycleDomainError it raised."""
+    basis = tuple(per_group(g, is_cofinal(g)).lattice.rows)
+    try:
+        return route(g, InducedCocycle(c), basis, depth=1, max_checks=cap)
+    except CocycleDomainError as err:
+        return ("CocycleDomainError", str(err))
+
+
+def _half_twist_off_at_a_a():
+    """The half-twist table to bound (3, 3), off by 1/3 at (a, a): some
+    isotropy pairs depend on the resolution and the others do not."""
+    half = PullbackCocycle(((zero, zero), (Z(Fraction(1, 2)), zero)))
+    return TableCocycle((3, 3), tuple(
+        (mu, nu, val + Z(Fraction(1, 3)) if (mu[1], nu[1]) == (("a",), ("a",)) else val)
+        for mu, nu, val in t2_table_entries(half, (3, 3))
+    ))
+
+
+def _suite_case(name, stem):
+    """A graph and a cocycle: a fixture, the twist of `_twist_last` (None),
+    or one of the corrupted T2 tables."""
+    g = builtin(name)
+    if stem is None:
+        return g, _twist_last(g.k)
+    if stem == "corrupt":
+        return g, load_cocycle(os.path.join(GOLDEN, "t2_table_corrupt.json"), g)[0]
+    if stem == "perturbed":
+        return g, _perturbed_t2_table(g)
+    if stem == "off_at_a_a":
+        return g, _half_twist_off_at_a_a()
+    return g, load_cocycle(os.path.join(FIXTURES, stem + ".json"), g)[0]
+
+
+@pytest.mark.parametrize("name, stem", [
+    ("T2", "pullback_theta"), ("B2", "pullback_b2"), ("B2xT1", "phi_theta"), ("C3xT1", None),
+    ("T2", "corrupt"), ("T2", "perturbed"), ("T2", "off_at_a_a"),
+])
+@pytest.mark.parametrize("cap", [1, 7, 150, 1500])
+def test_conjugation_suite_matches_the_five_call_loop(name, stem, cap):
+    g, c = _suite_case(name, stem)
+    kept = _conjugation_outcome(suite_conjugation_formula, g, c, cap)
+    assert kept == _conjugation_outcome(_conjugation_suite_reference, g, c, cap)
+    if stem in ("perturbed", "off_at_a_a") and cap >= 150:
+        assert kept.violations
+
+
+@pytest.mark.parametrize("bound", [(1, 1), (2, 2), (3, 3)])
+def test_conjugation_suite_raises_the_same_domain_error_on_a_truncated_table(t2, bound):
+    # a route that worked out a phase before the loop asked for it would
+    # raise at another check, or with another pair, than the reference; the
+    # (2, 2) table first fails at check 82, the first of the second element
+    base = PullbackCocycle(((zero, zero), (Z(Fraction(1, 3)), zero)))
+    table = TableCocycle(bound, tuple(t2_table_entries(base, bound)))
+    outcomes = {}
+    for cap in (1, 2, 7, 81, 82, 150, None):
+        outcomes[cap] = _conjugation_outcome(suite_conjugation_formula, t2, table, cap)
+        assert outcomes[cap] == _conjugation_outcome(_conjugation_suite_reference, t2, table, cap), cap
+    if bound == (3, 3):
+        assert outcomes[None].ok and outcomes[None].checked == 1296
+    else:
+        assert outcomes[None][0] == "CocycleDomainError"
+    if bound == (2, 2):
+        assert outcomes[81].checked == 81 and outcomes[82][0] == "CocycleDomainError"
+
+
+def test_run_suites_stops_only_the_centre_suite_on_the_third_table(t2):
+    # the exact table of Theta = [[0, 0], [1/3, 0]] to bound (3, 3)
+    base = PullbackCocycle(((zero, zero), (Z(Fraction(1, 3)), zero)))
+    table = TableCocycle((3, 3), tuple(t2_table_entries(base, (3, 3))))
+    for depth in (1, 2):
+        suites, notes, _, _ = run_suites(t2, table, depth, 1500)
+        assert notes == []
+        assert [(s.name, s.stopped) for s in suites] == [
+            ("cocycle_identity", None),
+            ("resolution_independence", None),
+            ("conjugation_formula", None),
+            ("centre_phase_triviality", "table does not cover the pair (a, a.b.b.b.b)"),
+            ("coboundary_box", None),
+        ]
+        assert suites[2] == _conjugation_outcome(_conjugation_suite_reference, t2, table, 1500)
 
 
 def test_oracle_reports_the_suites_a_table_lets_finish(tmp_path, capsys):
@@ -1004,6 +1160,55 @@ def test_coboundary_box_t2(t2, t2_cocycle):
     checked, bad = bx.verify_box(3)
     assert checked == 49 * 49
     assert not bad
+
+
+def _verify_box_reference(bx, radius):
+    """`CoboundaryBx.verify_box` as the plain loop over `ctilde`."""
+    checked = 0
+    bad = []
+    for p in dg.signed_box((radius,) * bx.l):
+        for q in dg.signed_box((radius,) * bx.l):
+            checked += 1
+            try:
+                lhs = (bx.value(p) + bx.value(q)) - bx.value(dg.add(p, q))
+                if lhs != bx.ctilde(p, q):
+                    bad.append(f"delta b != ctilde at ({p}, {q})")
+            except ResolutionError as err:
+                bad.append(f"delta b != ctilde at ({p}, {q}): {err}")
+    return checked, bad
+
+
+def _box_outcome(route, om, c, x, basis, radius):
+    """(checked, bad) of one route on a fresh store, or the text of the
+    CocycleDomainError it raised."""
+    try:
+        return route(CoboundaryBx(om, InducedCocycle(c), x, basis), radius)
+    except CocycleDomainError as err:
+        return ("CocycleDomainError", str(err))
+
+
+# C3xT2 has rank 3, so radius 3 would be 117,649 pairs per route.
+@pytest.mark.parametrize("name, stem, radii", [
+    ("T2", "pullback_theta", (1, 2, 3)),
+    ("B2xT1", "phi_theta", (1, 2, 3)),
+    ("C3xT2", None, (1, 2)),
+    ("T2", "perturbed", (1, 2, 3)),
+])
+def test_verify_box_matches_the_ctilde_loop(name, stem, radii):
+    g, c = _suite_case(name, stem)
+    basis = tuple(per_group(g, is_cofinal(g)).lattice.rows)
+    x = canonical_tail(g, min(g.vertices))
+    om = omega_from_oracle(g, InducedCocycle(c), basis)
+    kept = {}
+    for radius in radii:
+        kept[radius] = _box_outcome(CoboundaryBx.verify_box, om, c, x, basis, radius)
+        assert kept[radius] == _box_outcome(_verify_box_reference, om, c, x, basis, radius), radius
+        if stem != "perturbed":
+            assert kept[radius] == ((2 * radius + 1) ** (2 * len(basis)), [])
+    if stem == "perturbed":
+        # 13 of the 81 pairs at radius 1 fail; past it the table runs out
+        assert kept[1][0] == 81 and len(kept[1][1]) == 13
+        assert kept[3][0] == "CocycleDomainError"
 
 
 def test_coboundary_rejects_wrong_target(t2, t2_sigma):
