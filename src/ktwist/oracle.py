@@ -25,22 +25,23 @@ cocycle by a coboundary only (Kumjian-Pask-Sims, "Homology for
 higher-rank graphs and twisted C*-algebras", 2012), so the identities of
 the suites and the bicharacter's antisymmetrization hold through either.
 The InducedCocycle is the one place where values are kept across calls:
-the cell of each element, the outcome of each sigma_c pair, the phase of
-each r_sigma pair, the term b(e, m) of each element and degree that
-sigma_c has summed, and the categorical value c(mu, nu) of each pair of
-paths that a term has asked for.  A command builds one: `run_suites`
-hands its own to `omega_from_oracle`, and `omega` and `simplicity` each
-build one for the bicharacter.  The suites also keep loop-local values,
-dropped when they return: the identity suite its factors' sigma_c
-values and products, the conjugation suite its phases per element and
-its sigma_c differences per pair of paths, and the coboundary box its
-points' isotropy elements.  Below the stores, finite paths, infinite
-paths and elements are one object per value, by construction: their
-constructors return the graph's one object for the normal form, so they
-are hashed and compared by identity.  Each finite path keeps its own
-splits and each infinite path its own shifts and segments.  A value
-already seen costs the stores above one lookup with no field-by-field
-comparison.
+one record per element, holding its cell, its range path and the terms
+b(e, m) that sigma_c has summed, keyed by the degree m; the outcome of
+each sigma_c pair; the phase of each r_sigma pair; and the categorical
+value c(mu, nu) of each pair of paths that a term has asked for.  A
+command builds one: `run_suites` hands its own to `omega_from_oracle`,
+and `omega` and `simplicity` each build one for the bicharacter.  The
+suites also keep loop-local values, dropped when they return: the
+identity suite its factors' sigma_c values and products, the
+conjugation suite its phases per element and its sigma_c differences
+per pair of paths, and the coboundary box its points' isotropy elements
+and their images under the target bicharacter's matrix.  Below the
+stores, finite paths, infinite paths and elements are one object per
+value, by construction: their constructors return the graph's one
+object for the normal form, so they are hashed and compared by
+identity.  Each finite path keeps its own splits and each infinite path
+its own shifts and segments.  A value already seen costs the stores
+above one lookup with no field-by-field comparison.
 A value that depends on the resolution means the categorical cocycle is
 not a 2-cocycle: sigma_c keeps that outcome too and raises
 ResolutionError on every request for the pair, and a suite records it
@@ -61,7 +62,7 @@ from .degrees import Degree
 from .cocycles import BicharacterTable, CocycleDomainError, CocycleSpec, cocycle_value
 from .kgraph import EventuallyPeriodicPath, KGraph, Path, canonical_tail
 from .lattices import LatticeBasis, annihilator_lattice
-from .phases import PhaseExponent
+from .phases import PhaseExponent, pair_int
 from .structure import YES, is_cofinal, per_group
 
 
@@ -284,31 +285,35 @@ class InducedCocycle:
     """The groupoid 2-cocycle sigma_c induced by the categorical cocycle c.
 
     `cell` gives each element the cylinder (mu, nu) that resolves it.
-    `_cells` keeps the cell of each element looked up so far; `_values`
-    the outcome of each sigma_c pair under (g, h, paddings), a
+    `_cells` keeps one record per element looked up so far: the tuple
+    (mu, nu, x, terms) of its cell, its range path x and a dict of its
+    terms b(e, m) keyed by the degree m, which sigma_c sums.  `_values`
+    keeps the outcome of each sigma_c pair under (g, h, paddings), a
     ResolutionError included, and the phase of each r_sigma pair under
-    (alpha, p); `_terms` the per-element term b(e, m) under (e, m), which
-    sigma_c sums; `_categorical` the value c(mu, nu) of each pair of paths
-    that a term has asked for.  `_terms` is a store of its own because a
-    key (e, m) could equal an r_sigma key (alpha, p).  Elements are hashed
-    and compared by identity, so a repeated request finds its key with no
-    field-by-field work.  An error raised by `cell` or by `cocycle_value`
-    propagates before anything is kept, so it is raised afresh on every
-    request.
+    (alpha, p); `_categorical` the value c(mu, nu) of each pair of paths
+    that a term has asked for.  Elements are hashed and compared by
+    identity, so a repeated request finds its key with no field-by-field
+    work.  An error raised by `cell` or by `cocycle_value` propagates
+    before anything is kept, so it is raised afresh on every request.
     """
 
     c: CocycleSpec
     cell: Callable[[GroupoidElement], tuple[Path, Path]] = GroupoidElement.cell
     _cells: dict = field(default_factory=dict, repr=False)
     _values: dict = field(default_factory=dict, repr=False)
-    _terms: dict = field(default_factory=dict, repr=False)
     _categorical: dict = field(default_factory=dict, repr=False)
 
+    def record(self, gelt: GroupoidElement) -> tuple:
+        """The element's record (mu, nu, x, terms), made on the first request."""
+        rec = self._cells.get(gelt)
+        if rec is None:
+            mu, nu = self.cell(gelt)
+            rec = self._cells[gelt] = (mu, nu, gelt.range_path, {})
+        return rec
+
     def cell_of(self, gelt: GroupoidElement) -> tuple[Path, Path]:
-        cell = self._cells.get(gelt)
-        if cell is None:
-            cell = self._cells[gelt] = self.cell(gelt)
-        return cell
+        """The element's cell (mu, nu), read off its record."""
+        return self.record(gelt)[:2]
 
     def value_of(self, mu: Path, nu: Path) -> PhaseExponent:
         """c(mu, nu), evaluated once per pair."""
@@ -318,17 +323,17 @@ class InducedCocycle:
             val = self._categorical[key] = cocycle_value(self.c, mu, nu)
         return val
 
-    def term(self, e: GroupoidElement, m: Degree) -> PhaseExponent:
-        """b(e, m) = c(mu_e, w) - c(nu_e, w), w = x_e(d(mu_e), m), evaluated once.
+    def term(self, rec: tuple, m: Degree) -> PhaseExponent:
+        """b(e, m) = c(mu_e, w) - c(nu_e, w), w = x_e(d(mu_e), m), kept in rec.
 
-        (mu_e, nu_e) is the cell of e = (x_e, p, y_e), and m >= d(mu_e).
+        rec is the record of e = (x_e, p, y_e), whose cell is (mu_e, nu_e),
+        and m >= d(mu_e).
         """
-        key = (e, m)
-        val = self._terms.get(key)
+        mu, nu, x, terms = rec
+        val = terms.get(m)
         if val is None:
-            mu, nu = self.cell_of(e)
-            w = e.range_path.at(mu.degree, m)
-            val = self._terms[key] = self.value_of(mu, w) - self.value_of(nu, w)
+            w = x.at(mu.degree, m)
+            val = terms[m] = self.value_of(mu, w) - self.value_of(nu, w)
         return val
 
 
@@ -364,31 +369,41 @@ def sigma_c(
 
     The result is independent of the resolution; every padding in
     `paddings` re-derives it with a larger extension, and disagreement
-    raises ResolutionError.  s keeps the outcome, value or error, so each
-    distinct (gelt, helt, paddings) is resolved once, and a kept error is
-    raised afresh on each request; it also keeps the terms, which recur
-    across pairs far more often than pairs do.  `paddings` is part of
-    the key as given, so it must be a tuple.
+    raises ResolutionError once every padding is evaluated.  s keeps the
+    outcome, value or error, so each distinct (gelt, helt, paddings) is
+    resolved once, and a kept error is raised afresh on each request.  A
+    miss fetches the records of g, h and gh once; their terms, which
+    recur across pairs far more often than pairs do, are read from the
+    records.  `paddings` is part of the key as given, so it must be a
+    tuple.
     """
     key = (gelt, helt, paddings)
     out = s._values.get(key)
     if out is None:
-        b = s.term
         prod = compose_elements(gelt, helt)
-        _, nu_g = s.cell_of(gelt)
-        mu_h, _ = s.cell_of(helt)
-        mu_gh, _ = s.cell_of(prod)
+        rec_g, rec_h, rec_gh = s.record(gelt), s.record(helt), s.record(prod)
+        _, nu_g, _, terms_g = rec_g
+        mu_h, _, _, terms_h = rec_h
+        mu_gh, _, _, terms_gh = rec_gh
+        b = s.term
         pg = gelt.degree
         # every degree comes from one graph, so the lengths agree
         base = tuple(map(max, nu_g.degree, mu_h.degree, map(sub, mu_gh.degree, pg)))
-        vals = []
+        agree = True
         for pad in paddings:
-            n = tuple(map(add, base, repeat(pad)))
+            n = tuple(map(add, base, repeat(pad))) if pad else base
             m = tuple(map(add, n, pg))
-            vals.append(b(gelt, m) + b(helt, n) - b(prod, m))
-        if all(v == vals[0] for v in vals[1:]):
-            out = vals[0]
-        else:
+            # a kept term is read straight from its record; a phase is never falsy
+            val = (
+                (terms_g.get(m) or b(rec_g, m))
+                + (terms_h.get(n) or b(rec_h, n))
+                - (terms_gh.get(m) or b(rec_gh, m))
+            )
+            if out is None:
+                out = val
+            elif val != out:
+                agree = False
+        if not agree:
             out = ResolutionError(
                 "cocycle value depended on the resolution choice; the cocycle is not a 2-cocycle"
             )
@@ -565,19 +580,23 @@ class CoboundaryBx:
         """Check delta b = ctilde on all pairs inside the box.
 
         The box is listed once, and each point's period and isotropy
-        element at x are built once; ctilde(p, q) is then
-        sigma_c(iso(p), iso(q)) - omega(p, q).
+        element at x are built once, and so is the vector M q of each
+        point q, M the target's matrix; ctilde(p, q) is then
+        sigma_c(iso(p), iso(q)) - <p, M q>, as omega(p, q) = sum of
+        M[i][j] p_i q_j.
         """
         checked = 0
         bad = []
         box = list(dg.signed_box((radius,) * self.l))
         iso = [isotropy_element(self.x, ambient(self.per_basis, p)) for p in box]
+        rows = self.omega.rows
+        mq = [tuple(pair_int(q, row) for row in rows) for q in box]
         for p, iso_p in zip(box, iso):
-            for q, iso_q in zip(box, iso):
+            for q, iso_q, mq_q in zip(box, iso, mq):
                 checked += 1
                 try:
                     lhs = (self.value(p) + self.value(q)) - self.value(dg.add(p, q))
-                    if lhs != sigma_c(self.s, iso_p, iso_q) - self.omega.value(p, q):
+                    if lhs != sigma_c(self.s, iso_p, iso_q) - pair_int(p, mq_q):
                         bad.append(f"delta b != ctilde at ({p}, {q})")
                 except ResolutionError as err:
                     bad.append(f"delta b != ctilde at ({p}, {q}): {err}")

@@ -208,6 +208,11 @@ def _combine(x: PhaseExponent, y: PhaseExponent, sign: int) -> PhaseExponent:
         terms = a if mx == 1 else tuple((n, c * mx) for n, c in a)
     elif not a:
         terms = tuple((n, c * my) for n, c in b)
+    elif len(a) == len(b) == 1 and a[0][0] == b[0][0]:
+        # every phase of a one-symbol cocycle has this shape, and two
+        # coefficients add without the dict merge below
+        c = a[0][1] * mx + b[0][1] * my
+        terms = ((a[0][0], c),) if c else ()
     else:
         merged = dict(a) if mx == 1 else {n: c * mx for n, c in a}
         for n, c in b:

@@ -934,7 +934,9 @@ def test_run_suites_asks_two_categorical_values_per_term(monkeypatch, b2xt1):
     )
     oracle.run_suites(b2xt1, c, 2, 200)
     (s,) = stores
-    assert s._terms and len(calls) == 2 * len(s._terms)
+    # each element's record keeps its terms keyed by degree
+    terms = sum(len(terms) for _, _, _, terms in s._cells.values())
+    assert terms and len(calls) == 2 * terms
     assert set(calls) == set(s._categorical)
 
 

@@ -200,6 +200,14 @@ def assert_agrees(p, ref):
 @example(*CANCELLING[0], *CANCELLING[1], 2)
 @example(*CANCELLING[2], *CANCELLING[0], -3)
 @example(Fraction(1, 2), [], Fraction(1, 2), [], 2)
+# both operands carry the one symbol theta: the coefficients cancel in a - b
+@example(Fraction(1, 2), [("theta", 1)], Fraction(1, 3), [("theta", 1)], 1)
+# 1/4 + 1/2 = 3/4 keeps the denominator 4 that the rational part 1/2 alone would drop
+@example(Fraction(1, 4), [("theta", Fraction(1, 4))], Fraction(1, 4), [("theta", Fraction(1, 2))], 1)
+# both parts reduce: 1/2 + 1*theta
+@example(Fraction(1, 4), [("theta", Fraction(1, 2))], Fraction(1, 4), [("theta", Fraction(1, 2))], 1)
+# the denominators 6 and 12 differ
+@example(Fraction(1, 3), [("theta", Fraction(1, 2))], Fraction(1, 4), [("theta", Fraction(1, 6))], 1)
 @given(rats, term_lists, rats, term_lists, multiples)
 def test_arithmetic_agrees_with_fraction_reference(r1, t1, r2, t2, m):
     a, ra = both(r1, t1)
