@@ -23,7 +23,14 @@ from .decider import (
     RecheckError,
     SimplicityReport,
     decide_simplicity,
-    z_omega_of,
+)
+from .groupoid import (
+    GroupoidElement,
+    InducedCocycle,
+    isotropy_element,
+    omega_from_oracle,
+    r_sigma,
+    sigma_c,
 )
 from .io import (
     FileFormatError,
@@ -50,16 +57,9 @@ from .lattices import (
     integral_pairing_lattice,
     kronecker_dense,
     verify_kronecker,
+    z_omega_of,
 )
-from .oracle import (
-    GroupoidElement,
-    InducedCocycle,
-    isotropy_element,
-    omega_closedform,
-    omega_from_oracle,
-    r_sigma,
-    sigma_c,
-)
+from .oracle import omega_closedform
 from .phases import PhaseExponent, format_phase, parse_phase
 from .structure import (
     NO,

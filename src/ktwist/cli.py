@@ -15,6 +15,7 @@ import sys
 
 from .cocycles import PhiOmegaCocycle, validate_cocycle, validate_phi
 from .decider import SIMPLE, NONSIMPLE, RecheckError, decide_simplicity
+from .groupoid import InducedCocycle, ResolutionError, omega_from_oracle
 from .io import (
     FileFormatError,
     load_cocycle,
@@ -23,7 +24,7 @@ from .io import (
     serialize_report,
 )
 from .kgraph import validate_kgraph
-from .oracle import InducedCocycle, ResolutionError, omega_closedform, omega_from_oracle, run_suites
+from .oracle import omega_closedform, run_suites
 from .phases import format_phase, format_phase_rows
 from .structure import YES, is_aperiodic, is_cofinal, per_group, period_box_notes
 

@@ -36,6 +36,7 @@ from typing import Callable, Sequence
 from . import degrees as dg
 from .degrees import Degree
 from .cocycles import BicharacterTable, CocycleSpec, OneCocyclePhi, PhiOmegaCocycle, validate_product_split
+from .groupoid import InducedCocycle, omega_from_oracle
 from .kgraph import KGraph, product_base
 from .lattices import (
     LatticeBasis,
@@ -43,8 +44,8 @@ from .lattices import (
     integral_pairing_lattice,
     kronecker_dense,
     verify_kronecker,
+    z_omega_of,
 )
-from .oracle import InducedCocycle, omega_from_oracle, z_omega_of
 from .phases import PhaseExponent, PhaseVector, format_phase, format_phase_rows, integer_rows, pair_int
 from .structure import (
     NO,

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cocycles import BicharacterTable
 from .phases import PhaseVector, integer_rows, pair_int
 
 IntRow = tuple[int, ...]
@@ -199,6 +200,11 @@ def annihilator_lattice(A, dim: int) -> LatticeBasis:
     return integral_pairing_lattice(cols, dim)
 
 
+def z_omega_of(omega: BicharacterTable) -> LatticeBasis:
+    """Integer vectors whose bicharacter commutator with everything is trivial."""
+    return annihilator_lattice(omega.antisymmetrization(), omega.rank)
+
+
 # --- Kronecker density with certificates ------------------------------------
 
 
@@ -262,30 +268,25 @@ class KroneckerResult:
 def kronecker_dense(gens: list[PhaseVector], d: int) -> KroneckerResult:
     """Decide density in T^d of the subgroup generated by the given vectors.
 
-    Dense iff the only integer annihilator is 0.  The result always carries
-    a machine-checkable certificate: a nonzero annihilating vector when not
-    dense, a full-rank witness on the symbol-coefficient matrix when dense.
-    The witness columns and the determinant of the minor they form come
-    from one elimination of that d x ncols matrix.
+    Dense iff the only integer annihilator is 0, that is iff the d x ncols
+    symbol-coefficient matrix has rank d (module docstring), so one
+    elimination of it decides.  A dense result carries that elimination's
+    pivot columns and the determinant of their minor as its certificate,
+    and any other a nonzero annihilating vector.
     """
-    ann = integral_pairing_lattice(gens, d)
     if d == 0:
-        return KroneckerResult(True, 0, ann, {"kind": "zero_dimensional"})
-    if not ann.is_trivial():
-        n = ann.rows[0]
-        return KroneckerResult(False, d, ann, {"kind": "annihilator_vector", "n": list(n)})
-    # dense: the pivot columns of the d x ncols symbol matrix are d
-    # independent columns, the first that each enlarge the rank
+        return KroneckerResult(True, 0, LatticeBasis.trivial(0), {"kind": "zero_dimensional"})
     cols = _symbol_columns(gens, d)
     chosen, det = _eliminate([[col[r] for _, _, col in cols] for r in range(d)])
-    if len(chosen) != d:
-        raise AssertionError("annihilator trivial but full-rank witness not found")
+    if len(chosen) < d:
+        ann = integral_pairing_lattice(gens, d)
+        return KroneckerResult(False, d, ann, {"kind": "annihilator_vector", "n": list(ann.rows[0])})
     cert = {
         "kind": "irrational_full_rank",
         "columns": [[cols[i][0], cols[i][1]] for i in chosen],
         "det": str(det),
     }
-    return KroneckerResult(True, d, ann, cert)
+    return KroneckerResult(True, d, LatticeBasis.trivial(d), cert)
 
 
 def verify_kronecker(gens: list[PhaseVector], d: int, result: KroneckerResult) -> bool:

@@ -21,11 +21,10 @@ from ktwist.decider import (
 from ktwist.io import load_cocycle, resolve_graph
 from ktwist.kgraph import product_base
 from ktwist.lattices import LatticeBasis, kronecker_dense, verify_kronecker
+from ktwist.groupoid import InducedCocycle, omega_from_oracle
 from ktwist.oracle import (
-    InducedCocycle,
     build_partition,
     omega_closedform,
-    omega_from_oracle,
     suite_centre_phase_triviality,
     suite_cocycle_identity,
     suite_conjugation_formula,

@@ -31,10 +31,10 @@ from ktwist.decider import (
     verify_z_omega,
     z_omega_of,
 )
+from ktwist.groupoid import InducedCocycle, omega_from_oracle
 from ktwist.io import serialize_cocycle, serialize_graph
 from ktwist.kgraph import Edge, KGraph, Square, builtin, product_base, product_with_Tl, validate_kgraph
 from ktwist.lattices import LatticeBasis, integral_pairing_lattice, kronecker_dense
-from ktwist.oracle import InducedCocycle, omega_from_oracle
 from ktwist.phases import PhaseExponent, integer_rows, pair_int
 from ktwist.structure import UNKNOWN, YES, Verdict, default_period_bound, is_aperiodic, is_cofinal, per_group
 

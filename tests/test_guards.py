@@ -9,10 +9,11 @@ import pytest
 
 from ktwist import degrees as dg
 from ktwist.cocycles import BicharacterTable, PullbackCocycle, cocycle_value
+from ktwist.groupoid import InducedCocycle, compose_elements, element
 from ktwist.io import cocycle_to_jsonable
 from ktwist.kgraph import Edge, EventuallyPeriodicPath, KGraph, builtin, canonical_tail, product_base, rotation_walk
 from ktwist.lattices import KroneckerResult, LatticeBasis, hnf, integral_pairing_lattice, verify_kronecker
-from ktwist.oracle import CoboundaryBx, InducedCocycle, compose_elements, element
+from ktwist.oracle import CoboundaryBx
 from ktwist.phases import PhaseExponent
 
 ZERO = PhaseExponent.zero()

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktwist import degrees as dg
-from ktwist import cli, oracle
+from ktwist import cli, groupoid, oracle
 from ktwist.cocycles import (
     BicharacterTable,
     CocycleDomainError,
@@ -27,25 +27,26 @@ from ktwist.decider import decide_simplicity, potential_certificate, verify_z_om
 from ktwist.lattices import LatticeBasis
 from ktwist.io import cocycle_from_jsonable, load_cocycle, serialize_cocycle
 from ktwist.kgraph import EventuallyPeriodicPath, Path, builtin, canonical_tail
-from ktwist.oracle import (
-    CoboundaryBx,
-    DepthError,
+from ktwist.groupoid import (
     GroupoidElement,
     InducedCocycle,
     ResolutionError,
+    compose_elements,
+    element,
+    isotropy_element,
+    omega_from_oracle,
+    r_sigma,
+    sigma_c,
+)
+from ktwist.oracle import (
+    CoboundaryBx,
+    DepthError,
     _elements_at,
     _left_factors,
     build_partition,
-    compose_elements,
     cylinders_intersect,
-    element,
-    isotropy_element,
-    isotropy_restriction,
     omega_closedform,
-    omega_from_oracle,
-    r_sigma,
     run_suites,
-    sigma_c,
     suite_centre_phase_triviality,
     suite_cocycle_identity,
     suite_conjugation_formula,
@@ -324,7 +325,7 @@ def test_partition_depth_error_beyond_window(t2):
     s = InducedCocycle(PullbackCocycle(((zero,) * 2,) * 2), shallow.member)
     for _ in range(2):
         with pytest.raises(DepthError):
-            s.cell_of(deep)
+            s.record(deep)[:2]
     assert not s._cells
 
 
@@ -390,7 +391,7 @@ def test_warm_partition_matches_fresh_partitions(name, stem):
     for a, b in pairs:
         assert sigma_c(warm, a, b) == sigma_c(InducedCocycle(c, P.member), a, b)
         for el in (a, b):
-            assert warm.cell_of(el) == P.member(el)
+            assert warm.record(el)[:2] == P.member(el)
 
 
 def test_one_partition_serves_two_cocycles(t2, t2_partition):
@@ -423,10 +424,10 @@ def test_r_sigma_trivial_on_same_direction(t2, t2_sigma):
 
 
 def _counting(monkeypatch, name):
-    """Replace oracle.<name> by a wrapper; returns the list of its calls."""
+    """Replace groupoid.<name> by a wrapper; returns the list of its calls."""
     calls = []
-    real = getattr(oracle, name)
-    monkeypatch.setattr(oracle, name, lambda *args: calls.append(args) or real(*args))
+    real = getattr(groupoid, name)
+    monkeypatch.setattr(groupoid, name, lambda *args: calls.append(args) or real(*args))
     return calls
 
 
@@ -1046,7 +1047,7 @@ def omega_by_partition(g, c, per_basis, partitions):
         s = InducedCocycle(c, partitions[key].member)
         try:
             sig = {
-                (i, j): isotropy_restriction(s, x, per_basis[i], per_basis[j])
+                (i, j): sigma_c(s, isotropy_element(x, per_basis[i]), isotropy_element(x, per_basis[j]))
                 for i in range(l)
                 for j in range(l)
                 if i != j
@@ -1283,6 +1284,14 @@ def test_suite_centre_half_twist(t2, t2_partition):
     )
     assert res.ok
     assert res.checked > 0
+    # (1, 0) is outside that lattice: across (x, q, x) its phase is the
+    # commutator q_2 / 2, so a centre that held it fails on the 6 samples q
+    # with an odd q_2 at each of the 4 tails
+    wrong = suite_centre_phase_triviality(
+        t2, InducedCocycle(c, t2_partition.member), tuple(per.lattice.rows), ((1, 0),), depth=1
+    )
+    assert wrong.checked == 36 and len(wrong.violations) == 24
+    assert all(v.startswith("nontrivial phase PhaseExponent('1/2') at (") for v in wrong.violations)
 
 
 def test_suite_centre_b2xt1(b2xt1, b2xt1_sigma):
