@@ -97,8 +97,9 @@ class BicharacterTable:
 class OneCocyclePhi:
     """Edge labeling by length-rank phase vectors, additive on paths.
 
-    Given as a dict of edge id to vector, kept in `entries` sorted by edge
-    id; `edge_value` goes through an index built once from it.
+    Given as a dict of edge id to vector, or as its (id, vector) pairs,
+    kept in `entries` sorted by edge id, so a cocycle rebuilt from its own
+    entries equals it; `edge_value` goes through an index built once.
     """
 
     rank: int
@@ -106,9 +107,9 @@ class OneCocyclePhi:
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        entries = tuple(sorted(self.entries.items()))
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_index", dict(entries))
+        index = dict(self.entries)
+        object.__setattr__(self, "entries", tuple(sorted(index.items())))
+        object.__setattr__(self, "_index", index)
 
     def edge_value(self, eid: str) -> PhaseVector:
         vec = self._index.get(eid)

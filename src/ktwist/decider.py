@@ -19,7 +19,9 @@ The decision cascade glues the independently tested components:
    without one the group is dense, with a full-rank Kronecker witness, so
    simple.  The generators are the edge projections P(e), which span the
    group, and an n != 0 with n . P(e) in Z on every edge would make
-   psi = 0 a potential;
+   psi = 0 a potential.  P is built once per decision, as a table keyed
+   by edge id, and the potential search, its recheck and the density
+   step all read that table;
 5. everything else stays UNKNOWN with the computed invariants attached.
 
 Every certified verdict carries a certificate, and the decider recertifies
@@ -182,12 +184,13 @@ def orbit_phase_generators(
 
 
 def potential_certificate(
-    g: KGraph, phi: OneCocyclePhi, zbasis: LatticeBasis
+    g: KGraph, w: dict[str, PhaseVector], d: int
 ) -> tuple[tuple[int, ...], dict[str, PhaseExponent]] | None:
     """Nonzero character plus vertex potential freezing the orbit phases.
 
-    Looks for integer n (in zbasis coordinates) and psi with
-    n . phase(e) = psi(r(e)) - psi(s(e)) mod Z on every edge.  When it
+    `w` is the edge table of `orbit_phase_generators`, P(e) in d
+    coordinates.  Looks for integer n and psi with
+    n . P(e) = psi(r(e)) - psi(s(e)) mod Z on every edge.  When it
     exists, the n-th character coordinate of any orbit point depends on the
     range vertex alone, so orbit closures miss almost every character:
     a nonsimplicity certificate.  Solved exactly via a spanning forest and
@@ -195,8 +198,6 @@ def potential_certificate(
     offset(s(e))): zero on the forest edges, the fundamental cycle phase
     vectors on the others.
     """
-    d = zbasis.rank
-    w = orbit_phase_generators(g, phi, zbasis)
     edges = sorted(g.edges, key=lambda e: e.id)
     adj: dict[str, list[tuple[str, PhaseVector]]] = {v: [] for v in g.vertices}
     for e in edges:
@@ -226,15 +227,12 @@ def potential_certificate(
 
 
 def verify_potential(
-    g: KGraph,
-    phi: OneCocyclePhi,
-    zbasis: LatticeBasis,
-    n: tuple[int, ...],
-    psi: dict[str, PhaseExponent],
+    g: KGraph, w: dict[str, PhaseVector], n: tuple[int, ...], psi: dict[str, PhaseExponent]
 ) -> bool:
-    if len(n) != zbasis.rank or not any(n) or set(psi) != set(g.vertices):
+    """Recheck n . P(e) = psi(r(e)) - psi(s(e)) on every edge e of g, P(e)
+    read from the edge table `w`, for a nonzero n of the table's rank."""
+    if not any(n) or set(psi) != set(g.vertices) or any(len(p) != len(n) for p in w.values()):
         return False
-    w = orbit_phase_generators(g, phi, zbasis)
     return all(pair_int(n, w[e.id]) == psi[e.range] - psi[e.source] for e in g.edges)
 
 
@@ -334,16 +332,17 @@ def _decide_degenerate(
         return unknown, (), "base graph is not strongly connected; orbit reduction unavailable"
     base = product_base(g, c.l)
 
-    pot = potential_certificate(base, c.phi, z)
+    w = orbit_phase_generators(base, c.phi, z)
+    pot = potential_certificate(base, w, z.rank)
     if pot is not None:
         n, psi = pot
-        if not verify_potential(base, c.phi, z, n, psi):
+        if not verify_potential(base, w, n, psi):
             raise RecheckError("potential")
         psi_text = {v: format_phase(psi[v]) for v in sorted(psi)}
         certificate = {"kind": "orbit_potential", "n": list(n), "psi": psi_text}
         reason = "a character coordinate of the orbit is a function of the range vertex"
         return Verdict(NONSIMPLE, certificate, reason=reason), (), None
-    gens = list(orbit_phase_generators(base, c.phi, z).values())
+    gens = list(w.values())
     kron = kronecker_dense(gens, z.rank)
     if not kron.dense or not verify_kronecker(gens, z.rank, kron):
         raise RecheckError("density")

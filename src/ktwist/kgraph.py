@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import degrees as dg
 from .degrees import Degree
@@ -260,29 +260,32 @@ class KGraph:
         mid, _ = self.factorize(rest, dg.sub(n, m))
         return mid
 
-    def paths_from(self, v: str, n: Degree) -> list[Path]:
-        """All paths with range v and degree n, in deterministic order.
+    def words_from(self, v: str, n: Degree) -> Iterator[tuple[str, ...]]:
+        """The normal-form words of degree n with range v, lazily: one
+        colour block after another from v, depth first, each edge in id
+        order; n = 0 gives the empty word.  Nothing is interned or kept."""
+        colours = [i for i, x in enumerate(n, 1) for _ in range(x)]
+        stack = [((), v)]
+        while stack:
+            word, u = stack.pop()
+            if len(word) == len(colours):
+                yield word
+            else:
+                stack.extend((word + (e.id,), e.source) for e in reversed(self.in_edges(u, colours[len(word)])))
 
-        Built one colour block at a time, each degree extending the one
-        below it at the source end; cached per (vertex, degree), every
-        degree on the way included.  Callers must not mutate the result.
-        """
+    def paths_from(self, v: str, n: Degree) -> list[Path]:
+        """All paths with range v and degree n, in the order of
+        `words_from`; cached per (vertex, degree), for the degree asked for
+        only.  Callers must not mutate the result."""
         if len(n) != self.k or any(x < 0 for x in n):
             raise ValueError(f"bad degree {n}")
-        chain = []
-        while (v, n) not in self._paths_cache:
-            if dg.is_zero(n):
-                self._paths_cache[v, n] = [self.vertex_path(v)]
-                break
-            i = max(c for c in range(1, self.k + 1) if n[c - 1])
-            chain.append((n, i))
-            n = dg.sub(n, dg.unit(self.k, i))
-        out = self._paths_cache[v, n]
-        for m, i in reversed(chain):
-            out = self._paths_cache[v, m] = [
-                Path(self, v, e.source, m, p.word + (e.id,)) for p in out for e in self.in_edges(p.source, i)
+        if v not in self.vertices:
+            raise ValueError(f"unknown vertex {v!r}")
+        if (v, n) not in self._paths_cache:
+            self._paths_cache[v, n] = [
+                Path(self, v, self.edge(w[-1]).source if w else v, n, w) for w in self.words_from(v, n)
             ]
-        return out
+        return self._paths_cache[v, n]
 
 
 # --- validation -------------------------------------------------------------

@@ -294,21 +294,22 @@ def verify_kronecker(gens: list[PhaseVector], d: int, result: KroneckerResult) -
     cert = result.certificate
     if not result.dense:
         n = cert.get("n")
-        if not n or len(n) != d or not any(n):
+        if not isinstance(n, list) or len(n) != d or not all(isinstance(x, int) for x in n) or not any(n):
             return False
         return all(pair_int(n, v).is_trivial() for v in gens)
     if cert.get("kind") == "zero_dimensional":
         return d == 0
-    pairs = cert.get("columns", [])
-    if len(pairs) != d:
+    pairs = cert.get("columns")
+    if not isinstance(pairs, list) or len(pairs) != d:
         return False
-    by_key = {(i, s): col for i, s, col in _symbol_columns(gens, d)}
+    cols = _symbol_columns(gens, d)
     minor: list[list[Fraction]] = [[Fraction(0)] * d for _ in range(d)]
-    for c, (gi, sym) in enumerate(pairs):
-        col = by_key.get((gi, sym))
+    for c, pair in enumerate(pairs):
+        # matched by ==, so a pair of any shape is a miss, never an error
+        col = next((col for i, s, col in cols if pair == [i, s]), None)
         if col is None:
             return False
         for r in range(d):
             minor[r][c] = col[r]
     det = det_cofactor(minor)
-    return det != 0 and det == Fraction(cert.get("det", "0"))
+    return det != 0 and cert.get("det") == str(det)

@@ -17,7 +17,8 @@ Periodicity of the shift action is decided exactly per vertex by a finite
 automaton on sliding windows: a window of degree join(a, b) determines
 both compared slices of every one-step extension, so a walk over reachable
 windows either proves T^a x = T^b x for all x from the vertex or reaches
-a window where the slices differ.  The group of periods is the
+a window where the slices differ; the first windows are the words of
+`KGraph.words_from`, made one at a time.  The group of periods is the
 lattice of integer vectors accepted at every vertex, computed over a box
 of candidates and canonicalized.
 
@@ -184,44 +185,26 @@ def verify_cofinality(g: KGraph, res: Verdict) -> bool:
         kind = _rotation_kind(g)
         return kind is not None and cert == {"kind": kind}
     if res.status == NO and cert is not None and cert.get("kind") == "unreachable_cycle":
-        v = cert["vertex"]
-        cyc = list(cert["cycle"])
+        v, cyc = cert.get("vertex"), cert.get("cycle")
+        if not isinstance(cyc, list) or not all(isinstance(eid, str) and eid in g._by_id for eid in cyc):
+            return False
+        edges = [g.edge(eid) for eid in cyc]
         # a loop that misses a colour repeats to no infinite path
-        if v not in g.vertices or {g.edge(eid).color for eid in cyc} != set(range(1, g.k + 1)):
+        if v not in g.vertices or {e.color for e in edges} != set(range(1, g.k + 1)):
             return False
         reach = reach_set(g, v)
-        cur = g.edge(cyc[0]).range
+        cur = edges[0].range
         if cur in reach:
             return False
-        for eid in cyc:
-            e = g.edge(eid)
+        for e in edges:
             if e.range != cur or e.source in reach:
                 return False
             cur = e.source
-        return cur == g.edge(cyc[0]).range
+        return cur == edges[0].range
     return False
 
 
 # --- shift periodicity ------------------------------------------------------
-
-
-def _words_from(g: KGraph, v: str, n: Degree):
-    """The normal-form words of degree n with range v, lazily: one colour
-    block after another from v, depth first, each edge in id order."""
-    colours = [i for i, x in enumerate(n, 1) for _ in range(x)]
-    word: list[str] = []
-    edges = [iter(g.in_edges(v, colours[0]))]
-    while edges:
-        e = next(edges[-1], None)
-        if e is None:
-            edges.pop()
-            if word:
-                word.pop()
-        elif len(word) + 1 == len(colours):
-            yield (*word, e.id)
-        else:
-            word.append(e.id)
-            edges.append(iter(g.in_edges(e.source, colours[len(word)])))
 
 
 def periodic_at_offsets(g: KGraph, v: str, a: Degree, b: Degree) -> bool:
@@ -233,12 +216,12 @@ def periodic_at_offsets(g: KGraph, v: str, a: Degree, b: Degree) -> bool:
     of edge ids in normal form.  Extending it by an edge e of colour i
     inserts e once, past the higher-colour edges, through the square
     tables; the colour-i slices at a and b and the next window are read
-    off that word by `KGraph.split_word`.  The first windows are built
-    lazily from v, and the windows are walked depth first, so the walk
-    stops at the first mismatch.  Nothing is interned or cached on g: the
-    windows seen live for this call only.  a = b holds for every x; it is
-    the one case with c = 0, whose windows have no edge to read a vertex
-    off.
+    off that word by `KGraph.split_word`.  The first windows come lazily
+    from `KGraph.words_from`, and the windows are walked depth first, so
+    the walk stops at the first mismatch.  Nothing is interned or cached
+    on g: the windows seen live for this call only.  a = b holds for every
+    x; it is the one case with c = 0, whose windows have no edge to read a
+    vertex off.
     """
     if a == b:
         return True
@@ -250,7 +233,7 @@ def periodic_at_offsets(g: KGraph, v: str, a: Degree, b: Degree) -> bool:
         steps.append((i, ei, d, dg.sub(d, a), dg.sub(d, b), sum(c[:i])))
     inv, split = g._inv, g.split_word
     seen: set[tuple[str, ...]] = set()
-    for first in _words_from(g, v, c):
+    for first in g.words_from(v, c):
         if first in seen:
             continue
         seen.add(first)

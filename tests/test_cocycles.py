@@ -1,5 +1,6 @@
 """Twisting cocycle specs: values, normalization, the 2-term identity."""
 
+import dataclasses
 import os
 import random
 import sys
@@ -111,6 +112,15 @@ def test_phi_tilde_examples():
     ef = g.make_path("v", ["e", "f"])
     fe = g.make_path("v", ["f", "e"])
     assert all(x.is_trivial() for x in phi_tilde(phi, ef, fe))
+
+
+def test_one_cocycle_rebuilt_from_its_own_entries_is_equal():
+    phi = OneCocyclePhi(1, {"f": (theta,), "e": (zero,)})
+    assert phi.entries == (("e", (zero,)), ("f", (theta,)))
+    for rebuilt in (OneCocyclePhi(1, phi.entries), OneCocyclePhi(1, phi.entries[::-1]), dataclasses.replace(phi)):
+        assert rebuilt == phi
+        assert rebuilt.entries == phi.entries
+        assert [rebuilt.edge_value(e) for e in "ef"] == [(zero,), (theta,)]
 
 
 def test_phi_tilde_needs_common_source():

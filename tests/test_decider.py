@@ -341,13 +341,14 @@ def test_verify_z_omega_does_no_phase_arithmetic_after_its_columns(monkeypatch):
 def test_potential_certificate_and_verifier():
     g, c = b2xt1_phi(zero)
     zfull = LatticeBasis.from_rows([(1,)], 1)
-    hit = potential_certificate(g, c.phi, zfull)
+    w = orbit_phase_generators(g, c.phi, zfull)
+    hit = potential_certificate(g, w, zfull.rank)
     assert hit is not None
     n, psi = hit
-    assert verify_potential(g, c.phi, zfull, n, psi)
+    assert verify_potential(g, w, n, psi)
     # the twisted version admits no potential
     g2, c2 = b2xt1_phi(theta)
-    assert potential_certificate(g2, c2.phi, zfull) is None
+    assert potential_certificate(g2, orbit_phase_generators(g2, c2.phi, zfull), zfull.rank) is None
 
 
 def test_verify_potential_rejects_false_claim():
@@ -355,14 +356,15 @@ def test_verify_potential_rejects_false_claim():
     g, c = b2xt1_phi(theta)
     zfull = LatticeBasis.from_rows([(1,)], 1)
     psi = {v: zero for v in g.vertices}
-    assert not verify_potential(g, c.phi, zfull, (1,), psi)
+    assert not verify_potential(g, orbit_phase_generators(g, c.phi, zfull), (1,), psi)
     # degenerate character vectors are rejected outright
     g0, c0 = b2xt1_phi(zero)
+    w0 = orbit_phase_generators(g0, c0.phi, zfull)
     psi0 = {v: zero for v in g0.vertices}
-    assert not verify_potential(g0, c0.phi, zfull, (0,), psi0)
+    assert not verify_potential(g0, w0, (0,), psi0)
     # the true potential of the untwisted cocycle, with a vertex left out
-    assert verify_potential(g0, c0.phi, zfull, (1,), psi0)
-    assert not verify_potential(g0, c0.phi, zfull, (1,), {})
+    assert verify_potential(g0, w0, (1,), psi0)
+    assert not verify_potential(g0, w0, (1,), {})
 
 
 # --- orbit phase group -------------------------------------------------------
@@ -439,7 +441,7 @@ def test_orbit_generators_match_plain_pair_loop(name, bound, l, data):
     assert kronecker_dense(gens, zbasis.rank).dense == kronecker_dense(ref, zbasis.rank).dense
     # the fact step 4 rests on: the projections are dense unless some
     # n != 0 has n . P(e) in Z on every edge, and then psi = 0 is a potential
-    if potential_certificate(g, phi, zbasis) is None:
+    if potential_certificate(g, proj, zbasis.rank) is None:
         assert kronecker_dense(gens, zbasis.rank).dense
 
 

@@ -69,6 +69,7 @@ INTERNAL_GUARDS = {
     "unknown vertex": (lambda: T2.vertex_path("w"), ValueError, "unknown vertex 'w'"),
     "segment ends out of order": (lambda: T2.segment(T2.make_path("v", ["a", "b"]), (1, 0), (0, 1)), ValueError, "need (1, 0) <= (0, 1)"),
     "degree of the wrong length": (lambda: T2.paths_from("v", (1,)), ValueError, "bad degree (1,)"),
+    "paths from an unknown vertex": (lambda: T2.paths_from("w", (1, 0)), ValueError, "unknown vertex 'w'"),
     "rotation walk into a source": (lambda: rotation_walk(KGraph(1, ("u", "w"), (Edge("e", 1, "u", "u"),), ()), "w"),
                                     ValueError, "vertex 'w' has no color-1 edge; graph has sources"),
     "product base of every colour": (lambda: product_base(T2, 2), ValueError,

@@ -152,6 +152,8 @@ def test_kronecker_certificates_recheck_randomized():
 # (theta, 2 theta) is annihilated by (2, -1); (theta, 0) and (0, rho) are dense
 COLINEAR = [(Z(0, theta=1), Z(0, theta=2))]
 INDEPENDENT = [(Z(0, theta=1), Z(0)), (Z(0), Z(0, rho=1))]
+# 1/2 is annihilated by 2
+RATIONAL = [(Z(half),)]
 FORGED = {
     "n missing": (COLINEAR, 2, False, {"kind": "annihilator_vector"}),
     "n zero": (COLINEAR, 2, False, {"kind": "annihilator_vector", "n": [0, 0]}),
@@ -171,6 +173,14 @@ FORGED = {
                              "det": "1"}),
     "wrong det": (INDEPENDENT, 2, True,
                   {"kind": "irrational_full_rank", "columns": [[0, "theta"], [1, "rho"]], "det": "2"}),
+    "det not a number": (INDEPENDENT, 2, True,
+                         {"kind": "irrational_full_rank", "columns": [[0, "theta"], [1, "rho"]], "det": "x"}),
+    "column pair of one element": (INDEPENDENT, 2, True,
+                                   {"kind": "irrational_full_rank", "columns": [[0, "theta"], [1]], "det": "1"}),
+    "column of unhashable parts": (INDEPENDENT, 2, True,
+                                   {"kind": "irrational_full_rank", "columns": [[0, "theta"], [[1], ["rho"]]],
+                                    "det": "1"}),
+    "n not integers": (RATIONAL, 1, False, {"kind": "annihilator_vector", "n": ["a"]}),
 }
 
 
@@ -179,6 +189,15 @@ def test_forged_kronecker_certificate_is_rejected(gens, d, dense, cert):
     honest = kronecker_dense(gens, d)
     assert honest.dense == dense and verify_kronecker(gens, d, honest)
     assert not verify_kronecker(gens, d, dataclasses.replace(honest, certificate=cert))
+
+
+def test_a_zero_dimensional_minor_has_determinant_one():
+    # d = 0: no column is chosen and the empty minor's determinant is 1
+    assert det_cofactor([]) == 1
+    honest = kronecker_dense([], 0)
+    for det, ok in (("1", True), ("2", False)):
+        cert = {"kind": "irrational_full_rank", "columns": [], "det": det}
+        assert verify_kronecker([], 0, dataclasses.replace(honest, certificate=cert)) is ok
 
 
 # --- integral pairing -------------------------------------------------------

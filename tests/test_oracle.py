@@ -23,7 +23,13 @@ from ktwist.cocycles import (
     cocycle_value,
     validate_phi,
 )
-from ktwist.decider import decide_simplicity, potential_certificate, verify_z_omega, z_omega_of
+from ktwist.decider import (
+    decide_simplicity,
+    orbit_phase_generators,
+    potential_certificate,
+    verify_z_omega,
+    z_omega_of,
+)
 from ktwist.lattices import LatticeBasis
 from ktwist.io import cocycle_from_jsonable, load_cocycle, serialize_cocycle
 from ktwist.kgraph import EventuallyPeriodicPath, Path, builtin, canonical_tail
@@ -533,7 +539,7 @@ def test_rank_zero_takes_the_general_path():
     assert verify_z_omega(empty, none)
     assert not verify_z_omega(empty, LatticeBasis.trivial(1))
     phi = OneCocyclePhi(1, {e.id: (theta,) for e in g.edges})
-    assert potential_certificate(g, phi, none) is None
+    assert potential_certificate(g, orbit_phase_generators(g, phi, none), none.rank) is None
     centre = suite_centre_phase_triviality(g, InducedCocycle(c), (), none.rows)
     assert (centre.name, centre.checked, centre.violations) == ("centre_phase_triviality", 0, ())
 

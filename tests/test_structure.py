@@ -93,6 +93,11 @@ def test_forged_one_colour_cycle_is_rejected():
         Verdict(NO, {"kind": "unreachable_cycle", "vertex": "w", "cycle": ["lw"]}),
         Verdict(NO, {"kind": "unreachable_cycle", "vertex": "u", "cycle": ["lw", "lu"]}),
         Verdict(NO, {"kind": "other"}),
+        # malformed: an edge the graph does not have, no cycle, no vertex
+        Verdict(NO, {"kind": "unreachable_cycle", "vertex": "u", "cycle": ["zz"]}),
+        Verdict(NO, {"kind": "unreachable_cycle", "vertex": "u"}),
+        Verdict(NO, {"kind": "unreachable_cycle", "cycle": ["lw"]}),
+        Verdict(NO, {"kind": "unreachable_cycle", "vertex": "u", "cycle": [["lw"]]}),
         Verdict(UNKNOWN, {"kind": "unreachable_cycle", "vertex": "u", "cycle": ["lw"]}),
     ):
         assert not verify_cofinality(disjoint, forged)
@@ -655,6 +660,50 @@ def test_window_automaton_keeps_no_paths_on_a_false_answer():
         tracemalloc.stop()
     assert peak < 100_000
     assert not g._paths_cache and not g._interned
+
+
+# --- the enumerator of words against path counts ----------------------------
+
+
+def assert_paths_match_counts(g: KGraph, bound) -> None:
+    """At each vertex v (row t) and degree n of the box, `paths_from` lists
+    as many paths as row t of M(n) sums to, by matrix products that list
+    nothing; each has range v and degree n and is rebuilt from its word to
+    itself, and no word repeats.  The reference automaton takes its first
+    windows from the same enumerator, so this count is what pins it."""
+    counts = path_counts(g)
+    for t, v in enumerate(g.vertices):
+        for n in dg.box(bound):
+            paths = g.paths_from(v, n)
+            assert len(paths) == sum(counts(n, t)), (g.name, v, n)
+            assert len({p.word for p in paths}) == len(paths), (g.name, v, n)
+            for p in paths:
+                assert (p.range, p.degree) == (v, n) and g.make_path(v, p.word) is p, (g.name, p)
+
+
+@pytest.mark.parametrize("name", [
+    "T1", "T2", "T3", "B2", "B3", "C2", "C3", "DISJOINT2",
+    "B2xT1", "B3xT1", "B2xT2", "B2xT3", "C2xT1", "C3xT1", "C2xT2", "C3xT2",
+])
+def test_paths_from_matches_the_path_counts_on_builtins(name):
+    g = builtin(name)
+    assert_paths_match_counts(g, (2,) * g.k)
+
+
+def test_paths_from_matches_the_path_counts_on_the_flip():
+    assert_paths_match_counts(two_vertex_flip(), (3, 3))
+
+
+@settings(max_examples=20, deadline=None)
+@given(single_vertex_two_graphs())
+def test_paths_from_matches_the_path_counts_on_random_2_graphs(g):
+    assert_paths_match_counts(g, (2, 3))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 751))
+def test_paths_from_matches_the_path_counts_on_one_vertex_3_graphs(i):
+    assert_paths_match_counts(one_vertex_three_graphs()[i], (2, 2, 2))
 
 
 def box_size(bound) -> int:

@@ -10,7 +10,9 @@ for the first edge of that colour and rewrites it to the front.
 off the degrees instead.  `path_window_automaton` is the earlier
 `periodic_at_offsets`: a breadth-first walk over interned window paths,
 whose first windows come from `KGraph.paths_from`.  The word-level
-automaton must give the same answer.
+automaton must give the same answer.  Both read their first windows off
+`KGraph.words_from`, so the path-count tests of `test_structure` pin that
+enumerator by matrix products instead.
 """
 
 from __future__ import annotations
