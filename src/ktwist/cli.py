@@ -1,10 +1,11 @@
-"""Command line front end.
+"""Command line front end: one command table and one report path.
 
-Subcommands: validate, analyze, per, omega, simplicity, oracle.  Graph
-arguments take a JSON file path or "builtin:NAME".  Structured reports are
-canonical JSON carrying the tool version and input digests, never
-timestamps, so repeated runs are byte-identical.  --emit writes the
-structured document to a file regardless of the console format.
+Each row of `COMMANDS` is a subcommand; its handler returns the exit code,
+input digests, report body and human lines, and `main` alone writes the
+report.  Graph arguments take a JSON file path or "builtin:NAME".
+Structured reports are canonical JSON with the tool version and input
+digests, never timestamps, so repeated runs are byte-identical.  --emit
+writes the structured document to a file whatever the console format.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .kgraph import validate_kgraph
 from .oracle import omega_closedform, run_suites
 from .phases import format_phase, format_phase_rows
 from .structure import YES, is_aperiodic, is_cofinal, per_group, period_box_notes
+
+Report = tuple[int, dict, dict, list[str]]  # exit code, inputs, body, human lines
 
 
 def _parse_bound(text: str | None):
@@ -60,13 +63,6 @@ def _emit(args, doc: dict, lines: list[str]) -> None:
             print(line)
 
 
-def _inputs(gdigest: str, cdigest: str | None) -> dict:
-    inputs = {"graph": gdigest}
-    if cdigest is not None:
-        inputs["cocycle"] = cdigest
-    return inputs
-
-
 def _load_twist(args, g):
     """The cocycle for omega and simplicity, which trust it: a phi_omega
     cocycle's phi must agree on both sides of every square."""
@@ -89,7 +85,7 @@ def _problem_lines(problems) -> list[str]:
     return lines
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> Report:
     if args.depth < 0:
         raise ValueError(f"depth must be >= 0, got {args.depth}")
     g, gdigest = resolve_graph(args.graph, validate=False)
@@ -98,10 +94,11 @@ def cmd_validate(args) -> int:
     lines = [f"graph: {'OK' if rep.ok else 'INVALID'}"]
     lines += _problem_lines(rep.problems)
     code = 0 if rep.ok else 1
-    cdigest = None
+    inputs = {"graph": gdigest}
     if args.cocycle:
         if rep.ok:
             c, cdigest = load_cocycle(args.cocycle, g)
+            inputs["cocycle"] = cdigest
             crep = validate_cocycle(c, g, args.depth)
             body["cocycle"] = {"ok": crep.ok, "depth": args.depth, "problems": list(crep.problems)}
             lines.append(f"cocycle: {'OK' if crep.ok else 'INVALID'} (depth {args.depth})")
@@ -111,12 +108,10 @@ def cmd_validate(args) -> int:
         else:
             body["cocycle"] = {"ok": False, "problems": ["graph invalid, cocycle not checked"]}
             lines.append("cocycle: skipped (graph invalid)")
-    doc = report_document("validate", _inputs(gdigest, cdigest), body)
-    _emit(args, doc, lines)
-    return code
+    return code, inputs, body, lines
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> Report:
     bound = _parse_bound(args.bound)
     g, gdigest = resolve_graph(args.graph)
     cof = is_cofinal(g)
@@ -142,12 +137,10 @@ def cmd_analyze(args) -> int:
         f"per_basis: {per_rows if per_rows is not None else why}",
         f"period bound: {list(aper.bound)}",
     ]
-    doc = report_document("analyze", _inputs(gdigest, None), body)
-    _emit(args, doc, lines)
-    return 0
+    return 0, {"graph": gdigest}, body, lines
 
 
-def cmd_per(args) -> int:
+def cmd_per(args) -> Report:
     bound = _parse_bound(args.bound)
     g, gdigest = resolve_graph(args.graph)
     per = per_group(g, is_cofinal(g), bound)
@@ -164,12 +157,10 @@ def cmd_per(args) -> int:
         f"exhaustive up to: {list(per.exhaustive_up_to)}",
         f"per-vertex agreement: {per.per_vertex_agreement}",
     ]
-    doc = report_document("per", _inputs(gdigest, None), body)
-    _emit(args, doc, lines)
-    return 0
+    return 0, {"graph": gdigest}, body, lines
 
 
-def cmd_omega(args) -> int:
+def cmd_omega(args) -> Report:
     bound = _parse_bound(args.bound)
     g, gdigest = resolve_graph(args.graph)
     c, cdigest = _load_twist(args, g)
@@ -203,12 +194,10 @@ def cmd_omega(args) -> int:
     if notes:
         body["notes"] = list(notes)
     lines.extend(f"note: {note}" for note in notes)
-    doc = report_document("omega", _inputs(gdigest, cdigest), body)
-    _emit(args, doc, lines)
-    return 0
+    return 0, {"graph": gdigest, "cocycle": cdigest}, body, lines
 
 
-def cmd_simplicity(args) -> int:
+def cmd_simplicity(args) -> Report:
     bound = _parse_bound(args.bound)
     g, gdigest = resolve_graph(args.graph)
     c, cdigest = _load_twist(args, g)
@@ -217,14 +206,12 @@ def cmd_simplicity(args) -> int:
     lines = [f"verdict: {report.verdict.status}"]
     if report.verdict.certificate is not None:
         lines.append(f"certificate: {report.verdict.certificate.get('kind', '?')}")
-    for note in report.notes:
-        lines.append(f"note: {note}")
-    doc = report_document("simplicity", _inputs(gdigest, cdigest), body)
-    _emit(args, doc, lines)
-    return 0 if report.verdict.status in (SIMPLE, NONSIMPLE) else 2
+    lines.extend(f"note: {note}" for note in report.notes)
+    code = 0 if report.verdict.status in (SIMPLE, NONSIMPLE) else 2
+    return code, {"graph": gdigest, "cocycle": cdigest}, body, lines
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> Report:
     g, gdigest = resolve_graph(args.graph)
     c, cdigest = load_cocycle(args.cocycle, g)
     suites, notes, _, _ = run_suites(g, c, args.depth, args.max_triples)
@@ -238,11 +225,21 @@ def cmd_oracle(args) -> int:
         lines.append(f"suite {s.name}: {status} ({s.checked} checks)")
         for vdump in s.violations[:3]:
             lines.append(f"  counterexample: {vdump}")
-    for note in notes:
-        lines.append(f"note: {note}")
-    doc = report_document("oracle", _inputs(gdigest, cdigest), body)
-    _emit(args, doc, lines)
-    return 0 if all(s.ok for s in suites) else 1
+    lines.extend(f"note: {note}" for note in notes)
+    code = 0 if all(s.ok for s in suites) else 1
+    return code, {"graph": gdigest, "cocycle": cdigest}, body, lines
+
+
+# name, handler, help, --cocycle (None, "optional" or "required"), whether
+# it takes --bound, and the --depth default (None: no --depth)
+COMMANDS = (
+    ("validate", cmd_validate, "check a graph file, optionally a cocycle file", "optional", False, 2),
+    ("analyze", cmd_analyze, "cofinality, aperiodicity, period basis", None, True, None),
+    ("per", cmd_per, "period lattice of the shift", None, True, None),
+    ("omega", cmd_omega, "bicharacter on the period lattice", "required", True, None),
+    ("simplicity", cmd_simplicity, "decide simplicity with certificates", "required", True, None),
+    ("oracle", cmd_oracle, "run the brute-force property suites", "required", False, 2),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -251,13 +248,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact simplicity analysis for twisted algebras of finite k-colored graphs",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, cocycle: str | None, bound: bool, depth: int | None):
+    for name, handler, help_text, cocycle, bound, depth in COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(func=handler)
         sp.add_argument("graph", help="graph JSON file or builtin:NAME")
-        if cocycle == "required":
-            sp.add_argument("--cocycle", required=True, help="cocycle JSON file")
-        elif cocycle == "optional":
-            sp.add_argument("--cocycle", help="cocycle JSON file")
+        if cocycle is not None:
+            sp.add_argument("--cocycle", required=cocycle == "required", help="cocycle JSON file")
         if bound:
             sp.add_argument("--bound", default=None,
                             help="period search radius, one int or comma list per color")
@@ -265,32 +261,8 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--depth", type=int, default=depth, help="truncation depth")
         sp.add_argument("--format", choices=("human", "structured"), default="human")
         sp.add_argument("--emit", help="write the structured report to this file")
-
-    sp = sub.add_parser("validate", help="check a graph file, optionally a cocycle file")
-    common(sp, "optional", False, 2)
-    sp.set_defaults(func=cmd_validate)
-
-    sp = sub.add_parser("analyze", help="cofinality, aperiodicity, period basis")
-    common(sp, None, True, None)
-    sp.set_defaults(func=cmd_analyze)
-
-    sp = sub.add_parser("per", help="period lattice of the shift")
-    common(sp, None, True, None)
-    sp.set_defaults(func=cmd_per)
-
-    sp = sub.add_parser("omega", help="bicharacter on the period lattice")
-    common(sp, "required", True, None)
-    sp.set_defaults(func=cmd_omega)
-
-    sp = sub.add_parser("simplicity", help="decide simplicity with certificates")
-    common(sp, "required", True, None)
-    sp.set_defaults(func=cmd_simplicity)
-
-    sp = sub.add_parser("oracle", help="run the brute-force property suites")
-    common(sp, "required", False, 2)
-    sp.add_argument("--max-triples", type=int, default=1500,
-                    help="cap on sampled triples per suite")
-    sp.set_defaults(func=cmd_oracle)
+    sub.choices["oracle"].add_argument("--max-triples", type=int, default=1500,
+                                       help="cap on sampled triples per suite")
     return p
 
 
@@ -302,7 +274,10 @@ _PARSER = _build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        code, inputs, body, lines = args.func(args)
+        # inside the try: an unwritable --emit path is an input error too
+        _emit(args, report_document(args.command, inputs, body), lines)
+        return code
     except (ValueError, OSError, ResolutionError) as err:  # FileFormatError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 1

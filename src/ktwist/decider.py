@@ -230,8 +230,13 @@ def verify_potential(
     g: KGraph, w: dict[str, PhaseVector], n: tuple[int, ...], psi: dict[str, PhaseExponent]
 ) -> bool:
     """Recheck n . P(e) = psi(r(e)) - psi(s(e)) on every edge e of g, P(e)
-    read from the edge table `w`, for a nonzero n of the table's rank."""
-    if not any(n) or set(psi) != set(g.vertices) or any(len(p) != len(n) for p in w.values()):
+    read from the edge table `w`, for a nonzero integer n of the table's
+    rank.  A certificate of any other shape is rejected, never an error."""
+    if not isinstance(n, (tuple, list)) or not all(isinstance(x, int) for x in n) or not any(n):
+        return False
+    if set(psi) != set(g.vertices) or not all(isinstance(p, PhaseExponent) for p in psi.values()):
+        return False
+    if any(e.id not in w for e in g.edges) or any(len(p) != len(n) for p in w.values()):
         return False
     return all(pair_int(n, w[e.id]) == psi[e.range] - psi[e.source] for e in g.edges)
 

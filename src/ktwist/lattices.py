@@ -169,8 +169,6 @@ def integral_pairing_lattice(gens: list[PhaseVector], d: int) -> LatticeBasis:
     and the lattice is the projection of that kernel on its first d
     coordinates.
     """
-    if d == 0:
-        return LatticeBasis.trivial(0)
     for i, v in enumerate(gens):
         if len(v) != d:
             raise ValueError(f"generator {i} has length {len(v)}, expected {d}")
@@ -274,8 +272,6 @@ def kronecker_dense(gens: list[PhaseVector], d: int) -> KroneckerResult:
     pivot columns and the determinant of their minor as its certificate,
     and any other a nonzero annihilating vector.
     """
-    if d == 0:
-        return KroneckerResult(True, 0, LatticeBasis.trivial(0), {"kind": "zero_dimensional"})
     cols = _symbol_columns(gens, d)
     chosen, det = _eliminate([[col[r] for _, _, col in cols] for r in range(d)])
     if len(chosen) < d:
@@ -297,8 +293,6 @@ def verify_kronecker(gens: list[PhaseVector], d: int, result: KroneckerResult) -
         if not isinstance(n, list) or len(n) != d or not all(isinstance(x, int) for x in n) or not any(n):
             return False
         return all(pair_int(n, v).is_trivial() for v in gens)
-    if cert.get("kind") == "zero_dimensional":
-        return d == 0
     pairs = cert.get("columns")
     if not isinstance(pairs, list) or len(pairs) != d:
         return False

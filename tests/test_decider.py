@@ -1,6 +1,7 @@
 """Decision cascade: verdicts, certificates, and their independent rechecks."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 import os
@@ -35,11 +36,12 @@ from ktwist.groupoid import InducedCocycle, omega_from_oracle
 from ktwist.io import serialize_cocycle, serialize_graph
 from ktwist.kgraph import Edge, KGraph, Square, builtin, product_base, product_with_Tl, validate_kgraph
 from ktwist.lattices import LatticeBasis, integral_pairing_lattice, kronecker_dense
-from ktwist.phases import PhaseExponent, integer_rows, pair_int
+from ktwist.phases import PhaseExponent, format_phase, integer_rows, pair_int
 from ktwist.structure import UNKNOWN, YES, Verdict, default_period_bound, is_aperiodic, is_cofinal, per_group
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 try:
+    import analytic_families
     from test_structure import single_vertex_two_graphs
 finally:
     sys.path.pop(0)
@@ -365,6 +367,31 @@ def test_verify_potential_rejects_false_claim():
     # the true potential of the untwisted cocycle, with a vertex left out
     assert verify_potential(g0, w0, (1,), psi0)
     assert not verify_potential(g0, w0, (1,), {})
+    # malformed certificates, as a saved report could hold them, are rejected
+    for n in (("a",), (1.0,), 3):
+        assert not verify_potential(g0, w0, n, psi0)
+    assert not verify_potential(g0, w0, (1,), {v: format_phase(p) for v, p in psi0.items()})
+    assert not verify_potential(g0, {eid: p for eid, p in w0.items() if eid != "e"}, (1,), psi0)
+
+
+# --- analytic families -------------------------------------------------------
+
+
+# the verdicts and certificate kinds that the families' default seeds give
+FAMILY_COUNTS = {
+    "B_n x T1 phi-omega": {(SIMPLE, "kronecker_dense"): 109, (NONSIMPLE, "orbit_potential"): 11},
+    "T2 pullback": {(SIMPLE, "z_omega_trivial"): 85, (NONSIMPLE, "central_period_obstruction"): 35},
+}
+
+
+@pytest.mark.parametrize("family", list(FAMILY_COUNTS))
+def test_verdicts_agree_with_an_analytic_family(family):
+    counts = Counter()
+    for g, c, simple in analytic_families.FAMILIES[family]():
+        verdict = decide_simplicity(g, c).verdict
+        assert verdict.status == (SIMPLE if simple else NONSIMPLE), (g.name, c)
+        counts[verdict.status, verdict.certificate["kind"]] += 1
+    assert counts == FAMILY_COUNTS[family]
 
 
 # --- orbit phase group -------------------------------------------------------

@@ -81,6 +81,10 @@ def _cases() -> dict[str, list[str]]:
         cases[f"oracle {gname} {cname} --depth 2"] = [
             "oracle", f"fixtures/{gname}.json", "--cocycle", f"fixtures/{cname}.json", "--depth", "2",
         ]
+    # the deepest oracle run any record holds, on the builtin graph
+    cases["oracle builtin:B2xT3 b2t3 --depth 3"] = [
+        "oracle", "builtin:B2xT3", "--cocycle", "fixtures/b2t3.json", "--depth", "3",
+    ]
     return cases
 
 

@@ -1,6 +1,7 @@
 """Smoke tests of the scripts: run_examples.py against the verdicts README lists,
-oracle_report.py on the bundled pairings, period_scale.py at n = 10, and
-unreached.py on one test module."""
+oracle_report.py on the bundled pairings and against its golden document
+at --cap 200, period_scale.py at n = 10, and unreached.py on one test
+module."""
 
 import json
 import os
@@ -43,6 +44,16 @@ def test_oracle_report_covers_the_pairings(monkeypatch, capsys):
     assert all(b["ok"] for b in blocks)
     # the symmetric closed form misses the theta twist on the torus
     assert blocks[0]["closed_form_agrees"] is False
+
+
+def test_oracle_report_matches_its_golden_document(monkeypatch, capsys):
+    # the whole document at the cap that CHANGES entries quote; when it is
+    # meant to change, rewrite the record with
+    #   PYTHONPATH=src python scripts/oracle_report.py --cap 200 --out tests/golden/oracle_report.json
+    monkeypatch.setattr(sys, "argv", ["oracle_report.py", "--cap", "200"])
+    assert oracle_report.main() == 0
+    with open(os.path.join(ROOT, "tests", "golden", "oracle_report.json"), encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
 
 
 def test_period_scale_at_ten_vertices(capsys):
