@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+from json.encoder import encode_basestring
 
 from . import __version__
 from .cocycles import (
@@ -28,7 +30,7 @@ from .cocycles import (
     TableCocycle,
 )
 from .kgraph import Edge, KGraph, Square, builtin, validate_kgraph
-from .phases import PhaseExponent, PhaseSyntaxError, format_phase, format_phase_rows, parse_phase
+from .phases import SYMBOL_NAME, PhaseExponent, PhaseSyntaxError, format_phase, format_phase_rows, parse_phase
 
 
 class FileFormatError(ValueError):
@@ -39,7 +41,65 @@ class FileFormatError(ValueError):
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """`obj` as sorted-key, two-space-indented JSON with a trailing newline.
+
+    The text equals `json.dumps(obj, indent=2, sort_keys=True,
+    ensure_ascii=False) + "\\n"`, which is not called because with an indent
+    the stdlib encodes through its pure-Python generator, not its C
+    encoder.  This writer appends each piece to one list and joins it once;
+    strings go through the stdlib's own escaper.  Values are str, int,
+    float, bool, None, lists, tuples and dicts keyed by str; anything else
+    raises TypeError.
+    """
+    out: list[str] = []
+    _write_json(obj, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(o, newline: str, put) -> None:
+    """Write `o` through `put`; `newline` is a newline and the current indent."""
+    if isinstance(o, str):
+        put(encode_basestring(o))
+    elif isinstance(o, dict):
+        if not o:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(o):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            put(sep + encode_basestring(key) + ": ")
+            _write_json(o[key], inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for x in o:
+            put(sep)
+            _write_json(x, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    elif o is None:
+        put("null")
+    elif o is True:
+        put("true")
+    elif o is False:
+        put("false")
+    elif isinstance(o, int):
+        put(int.__repr__(o))
+    elif isinstance(o, float):
+        if math.isfinite(o):
+            put(float.__repr__(o))
+        else:
+            put("NaN" if o != o else "Infinity" if o > 0 else "-Infinity")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def digest_text(text: str) -> str:
@@ -67,6 +127,18 @@ def _as_str_list(x, where: str) -> list[str]:
     if not isinstance(x, list) or not all(isinstance(s, str) for s in x):
         raise FileFormatError(f"{where}: expected a list of strings")
     return x
+
+
+def _symbol_list(x, where: str) -> list[str]:
+    """Declared symbols: distinct names of the form the cocycle schema allows."""
+    symbols = _as_str_list(x, where)
+    for i, name in enumerate(symbols):
+        if not SYMBOL_NAME.fullmatch(name):
+            raise FileFormatError(f"{where}[{i}]: {name!r} is not a symbol name")
+        first = symbols.index(name)
+        if first != i:
+            raise FileFormatError(f"{where}[{i}]: {name!r} is declared again, first at {where}[{first}]")
+    return symbols
 
 
 # --- graphs -----------------------------------------------------------------
@@ -167,7 +239,7 @@ def resolve_graph(ref: str, validate: bool = True) -> tuple[KGraph, str]:
     try:
         with open(ref, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise FileFormatError(f"cannot read graph file {ref!r}: {err}") from err
     return loads_graph(text, validate), digest_text(text)
 
@@ -263,7 +335,7 @@ def _table_side(ent: dict, key: str, where: str, g: KGraph, sides: dict) -> tupl
 def cocycle_from_jsonable(obj, g: KGraph) -> CocycleSpec:
     if not isinstance(obj, dict):
         raise FileFormatError("cocycle: expected a JSON object")
-    symbols = _as_str_list(obj.get("symbols", []), "cocycle.symbols")
+    symbols = _symbol_list(obj.get("symbols", []), "cocycle.symbols")
     variant = _need(obj, "variant", "cocycle")
     if variant == "pullback":
         theta = _parse_phase_matrix(
@@ -358,7 +430,7 @@ def load_cocycle(path: str, g: KGraph) -> tuple[CocycleSpec, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise FileFormatError(f"cannot read cocycle file {path!r}: {err}") from err
     return loads_cocycle(text, g), digest_text(text)
 

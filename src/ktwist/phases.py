@@ -41,7 +41,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-_SYMBOL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+SYMBOL_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # whole names: use fullmatch
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 
@@ -76,7 +76,7 @@ class PhaseExponent:
         rat = _as_fraction(rat)
         merged: dict[str, Fraction] = {}
         for name, coef in irr:
-            if not _SYMBOL_RE.match(name):
+            if not SYMBOL_NAME.fullmatch(name):
                 raise PhaseSyntaxError(f"bad symbol name {name!r}")
             merged[name] = merged.get(name, 0) + _as_fraction(coef)
         den = lcm(rat.denominator, *(c.denominator for c in merged.values()))
@@ -264,7 +264,7 @@ def parse_phase(text: str, symbols: Iterable[str] | None = None) -> PhaseExponen
             m = _RATIONAL_RE.match(coef_s)
             if m is None:
                 raise PhaseSyntaxError(f"bad coefficient {coef_s!r} in {text!r}")
-            if not _SYMBOL_RE.match(sym):
+            if not SYMBOL_NAME.fullmatch(sym):
                 raise PhaseSyntaxError(f"bad symbol {sym!r} in {text!r}")
             if allowed is not None and sym not in allowed:
                 raise PhaseSyntaxError(f"undeclared symbol {sym!r} in {text!r}")

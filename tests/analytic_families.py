@@ -1,4 +1,4 @@
-"""Two families of twisted k-graph algebras whose simplicity is known in
+"""Three families of twisted k-graph algebras whose simplicity is known in
 closed form, drawn at random for a differential test of `decide_simplicity`.
 
 Each value is a phase exponent written as (rational part, coefficient of
@@ -18,6 +18,10 @@ prediction of a draw is read off those numbers alone; nothing of
   rotation algebra of Theta_21 - Theta_12, simple iff that difference is
   irrational (Slawny, "On factor representations and the C*-algebra of
   canonical commutation relations", CMP 1972).
+- T_k, k = 3 or 4, with the pullback of a drawn k x k matrix Theta: a
+  noncommutative torus, simple iff Theta - Theta^T is nondegenerate
+  (Slawny, as above; Phillips, "Every simple higher dimensional
+  noncommutative torus is an AT algebra", 2006).  See `nondegenerate`.
 """
 
 from __future__ import annotations
@@ -75,4 +79,41 @@ def t2_pullback(seed: int = 19):
         yield builtin("T2"), c, irrational(difference)
 
 
-FAMILIES = {"B_n x T1 phi-omega": bn_t1_phi, "T2 pullback": t2_pullback}
+def nondegenerate(difference) -> bool:
+    """Whether A = Theta - Theta^T, k x k values, has no nonzero integer n
+    with A n in Z^k, that is no nonzero central period.
+
+    A n is integral only if its theta and eta parts vanish, since theta,
+    eta and 1 are independent over Q.  So the answer is yes iff the theta-
+    and eta-coefficient matrices of A, stacked, have rational rank k: a
+    nonzero rational kernel vector n, times the denominators of n and of
+    the rational part of A n, is a nonzero central period.
+    """
+    k = len(difference)
+    rows = [[Fraction(x[part]) for x in row] for part in (1, 2) for row in difference]
+    rank = 0
+    for col in range(k):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            scale = rows[i][col] / rows[rank][col]
+            rows[i] = [a - scale * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank == k
+
+
+def tk_pullback(seed: int = 23):
+    """DRAWS triples (graph, cocycle, predicted simple) on T3 and T4."""
+    rng = random.Random(seed)
+    for _ in range(DRAWS):
+        k = rng.choice((3, 4))
+        theta = [[rng.choice(VALUES) for _ in range(k)] for _ in range(k)]
+        difference = [[tuple(a - b for a, b in zip(theta[i][j], theta[j][i])) for j in range(k)]
+                      for i in range(k)]
+        c = PullbackCocycle(tuple(tuple(phase(v) for v in row) for row in theta))
+        yield builtin(f"T{k}"), c, nondegenerate(difference)
+
+
+FAMILIES = {"B_n x T1 phi-omega": bn_t1_phi, "T2 pullback": t2_pullback, "T3 and T4 pullback": tk_pullback}

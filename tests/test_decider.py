@@ -381,6 +381,7 @@ def test_verify_potential_rejects_false_claim():
 FAMILY_COUNTS = {
     "B_n x T1 phi-omega": {(SIMPLE, "kronecker_dense"): 109, (NONSIMPLE, "orbit_potential"): 11},
     "T2 pullback": {(SIMPLE, "z_omega_trivial"): 85, (NONSIMPLE, "central_period_obstruction"): 35},
+    "T3 and T4 pullback": {(SIMPLE, "z_omega_trivial"): 80, (NONSIMPLE, "central_period_obstruction"): 40},
 }
 
 

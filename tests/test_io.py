@@ -71,6 +71,70 @@ def test_canonical_json_shape():
     assert canonical_json({"a": [2, 3], "b": 1}) == text
 
 
+def reference_json(obj) -> str:
+    """The stdlib call whose text canonical_json must equal."""
+    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+# the builtin graphs that the tests and the bench resolve
+BUILTINS = ["T1", "T2", "T3", "T4", "B2", "B3", "B4", "C2", "C3", "DISJOINT2", "B2xT0", "B2xT1", "B2xT2",
+            "B3xT1", "B4xT1", "B2xT3", "C2xT1", "C2xT2", "C3xT1", "C3xT2", "DISJOINT2xT1"]
+
+
+def _documents():
+    """Every structured stdout of the golden reports, the golden oracle
+    report, and every file under fixtures/ and schemas/, parsed."""
+    with open(os.path.join(GOLDEN, "reports.json"), encoding="utf-8") as fh:
+        records = json.load(fh)
+    docs = {name: json.loads(r["stdout"]) for name, r in records.items() if r["stdout"]}
+    for path in [os.path.join(GOLDEN, "oracle_report.json"),
+                 *(os.path.join(d, f) for d in (FIXTURES, SCHEMAS) for f in sorted(os.listdir(d)))]:
+        with open(path, encoding="utf-8") as fh:
+            docs[os.path.basename(path)] = json.load(fh)
+    return docs
+
+
+def test_canonical_json_equals_the_stdlib_on_every_document():
+    for name, doc in _documents().items():
+        assert canonical_json(doc) == reference_json(doc), name
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_serialized_builtin_equals_the_stdlib(name):
+    g = builtin(name)
+    assert serialize_graph(g) == reference_json(graph_to_jsonable(g))
+
+
+# quotes, backslashes, control characters, non-ASCII and astral text
+_json_text = st.text(st.sampled_from(list('"\\/\x00\x1f\x7f\n\t\u00e9\u03b8\u2028\U0001f600')) | st.characters())
+_json_scalar = st.none() | st.booleans() | st.integers() | st.sampled_from([2**64, -(2**64) - 1]) | _json_text
+_json_value = st.recursive(
+    _json_scalar,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_json_text, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_value)
+def test_canonical_json_equals_the_stdlib(obj):
+    assert canonical_json(obj) == reference_json(obj)
+
+
+def test_canonical_json_writes_numbers_as_the_stdlib():
+    obj = [2**64, -(2**100), 0.5, -2.0, 1e300, 1e-7, float("inf"), float("-inf"), float("nan")]
+    assert canonical_json(obj) == reference_json(obj)
+
+
+@pytest.mark.parametrize("obj", [{"a": Fraction(1, 2)}, [Fraction(1, 2)], {("a", "b"): 1}, {1: "a"}, {"a"}],
+                         ids=["Fraction value", "Fraction item", "tuple key", "int key", "set"])
+def test_canonical_json_rejects_other_types(obj):
+    with pytest.raises(TypeError):
+        canonical_json(obj)
+
+
 def test_graph_roundtrip_is_byte_identical():
     for name in GRAPH_FIXTURES:
         text = serialize_graph(builtin(name))
@@ -289,6 +353,10 @@ MALFORMED = {
     "bound a boolean": ("cocycle", _table([], bound=(True, 1))),
     "zero denominator": ("cocycle", {"variant": "pullback", "symbols": [],
                                      "theta_matrix": [["0", "1/0"], ["0", "0"]]}),
+    "symbol not a name": ("cocycle", {"variant": "pullback", "symbols": ["1x"],
+                                      "theta_matrix": [["0", "0"], ["0", "0"]]}),
+    "symbol declared twice": ("cocycle", {"variant": "pullback", "symbols": ["theta", "theta"],
+                                          "theta_matrix": [["0", "0"], ["0", "0"]]}),
 }
 
 
@@ -422,6 +490,12 @@ INPUT_ERRORS = {
                                                                           "nu": _side([], "v1"), "value": "0"}])),
                                          "cocycle.entries[0].mu: not a path (edge 'c1' has range 'v1', expected 'v0')"),
     "unknown variant": ("T2", canonical_json({"variant": "twisted"}), "cocycle.variant: unknown variant 'twisted'"),
+    "symbol not a name": ("T2", canonical_json({"variant": "pullback", "symbols": ["theta", "x\n"],
+                                                "theta_matrix": [["0", "0"], ["0", "0"]]}),
+                          "cocycle.symbols[1]: 'x\\n' is not a symbol name"),
+    "symbol declared twice": ("T2", canonical_json({"variant": "pullback", "symbols": ["theta", "theta"],
+                                                    "theta_matrix": [["0", "0"], ["0", "0"]]}),
+                              "cocycle.symbols[1]: 'theta' is declared again, first at cocycle.symbols[0]"),
     "cocycle not JSON": ("T2", "{\n", "cocycle: invalid JSON "
                          "(Expecting property name enclosed in double quotes: line 2 column 1 (char 2))"),
 }
@@ -844,6 +918,16 @@ def test_missing_files_are_reported():
         resolve_graph("/no/such/graph.json")
     with pytest.raises(FileFormatError, match="cannot read cocycle file"):
         load_cocycle("/no/such/cocycle.json", builtin("B2"))
+
+
+@pytest.mark.parametrize("kind", ["graph", "cocycle"])
+def test_file_that_is_not_utf8_is_named(tmp_path, capsys, kind):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    argv = ["validate", str(path)] if kind == "graph" else ["validate", "builtin:T2", "--cocycle", str(path)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: cannot read {kind} file {str(path)!r}: 'utf-8' codec can't "
+                                       "decode byte 0xff in position 0: invalid start byte\n")
 
 
 # --- reports -----------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Smoke tests of the scripts: run_examples.py against the verdicts README lists,
 oracle_report.py on the bundled pairings and against its golden document
-at --cap 200, period_scale.py at n = 10, and unreached.py on one test
-module."""
+at --cap 200, period_scale.py at n = 10, unreached.py on one test module,
+and the summary of bench_pairs.py on given numbers (no bench is run)."""
 
 import json
 import os
@@ -9,10 +9,13 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPTS = os.path.join(ROOT, "scripts")
 sys.path.insert(0, SCRIPTS)
 try:
+    import bench_pairs
     import oracle_report
     import period_scale
     import run_examples
@@ -76,3 +79,30 @@ def test_unreached_lists_what_one_test_module_leaves_out():
     assert not any(line.startswith(f"src/ktwist/degrees.py:{n}:") for line in listed for n in range(first, first + 4))
     assert any(line.startswith("src/ktwist/oracle.py:") for line in listed)
     assert run.stderr.rstrip().endswith(f"{len(listed)} unreached lines in src/ktwist")
+
+
+# decide wall_s over ten pairs: the base's median 0.02202 with quartiles
+# 0.02182 and 0.02217, and each change run 0.00162 faster than its pair
+DECIDE_BASE = [0.02202, 0.02170, 0.02217, 0.02182, 0.02234, 0.02175, 0.02202, 0.02217, 0.02182, 0.02225]
+
+
+@pytest.mark.parametrize("faster, wins, gain", [
+    ([0.00162] * 10, 10, True),
+    ([0.00020] * 10, 10, False),  # within the base's quartile distance of 0.00035
+    ([0.00162] * 8 + [0.0, -0.001], 8, False),  # a tie and a loss: 8 of 10
+])
+def test_bench_pairs_summary(faster, wins, gain):
+    change = [b - d for b, d in zip(DECIDE_BASE, faster)]
+    s = bench_pairs.summarize([{"wall_s": b} for b in DECIDE_BASE], [{"wall_s": c} for c in change],
+                              {"wall_s": "lower"})["wall_s"]
+    assert s["base"] == pytest.approx((0.02202, 0.02182, 0.02217))
+    assert (s["wins"], s["pairs"], s["gain"]) == (wins, 10, gain)
+    if gain:
+        assert s["change"][0] == pytest.approx(0.02040)
+
+
+def test_bench_pairs_summary_reads_the_direction():
+    # the same runs, for a metric where higher is better, are ten losses
+    s = bench_pairs.summarize([{"ratio": b} for b in DECIDE_BASE], [{"ratio": b - 0.00162} for b in DECIDE_BASE],
+                              {"ratio": "higher"})["ratio"]
+    assert (s["wins"], s["gain"]) == (0, False)
