@@ -119,7 +119,7 @@ def cmd_analyze(args) -> Report:
     per_rows = None
     why = "not computed (needs certified cofinality)"
     if cof.status == YES:
-        per = per_group(g, cof, bound)
+        per = per_group(g, bound)
         if per.per_vertex_agreement:
             per_rows = [list(r) for r in per.lattice.rows]
         else:
@@ -143,7 +143,7 @@ def cmd_analyze(args) -> Report:
 def cmd_per(args) -> Report:
     bound = _parse_bound(args.bound)
     g, gdigest = resolve_graph(args.graph)
-    per = per_group(g, is_cofinal(g), bound)
+    per = per_group(g, bound)
     body = {
         "rank": per.lattice.rank,
         "periods": [list(r) for r in per.lattice.rows],
@@ -164,7 +164,7 @@ def cmd_omega(args) -> Report:
     bound = _parse_bound(args.bound)
     g, gdigest = resolve_graph(args.graph)
     c, cdigest = _load_twist(args, g)
-    per = per_group(g, is_cofinal(g), bound)
+    per = per_group(g, bound)
     if not per.per_vertex_agreement:
         raise ValueError(
             "the periods differ from vertex to vertex; their intersection is not the period group"

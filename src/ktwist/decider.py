@@ -369,7 +369,7 @@ def decide_simplicity(g: KGraph, c: CocycleSpec, bound: Degree | int | None = No
         )
         return SimplicityReport(verdict)
 
-    per = per_group(g, cof, bound)
+    per = per_group(g, bound)
     notes = period_box_notes(g, per.exhaustive_up_to)
     if not per.per_vertex_agreement:
         verdict = Verdict(

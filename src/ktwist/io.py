@@ -112,6 +112,18 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _unknown_key(obj: dict, keys, where: str) -> None:
+    """Raise on the first key of obj, in sorted order, outside `keys`.
+
+    Where every key of an object is required, the loader calls this only
+    once each one is found and the key count is too large, so a missing
+    key keeps its own message and a well-formed object costs one `len`.
+    """
+    extra = sorted(key for key in obj if key not in keys)
+    if extra:
+        raise FileFormatError(f"{where}: unknown key {extra[0]!r}")
+
+
 def _is_int(x) -> bool:
     """A JSON integer: json loads true and false as bool, a subclass of int."""
     return isinstance(x, int) and not isinstance(x, bool)
@@ -160,9 +172,15 @@ def graph_to_jsonable(g: KGraph) -> dict:
     }
 
 
+GRAPH_KEYS = ("k", "name", "vertices", "edges", "squares")
+EDGE_KEYS = ("id", "color", "range", "source")
+SQUARE_KEYS = ("ij", "from", "to")
+
+
 def graph_from_jsonable(obj) -> KGraph:
     if not isinstance(obj, dict):
         raise FileFormatError("graph: expected a JSON object")
+    _unknown_key(obj, GRAPH_KEYS, "graph")
     k = _need(obj, "k", "graph")
     if not _is_int(k) or k < 1:
         raise FileFormatError("graph.k: expected a positive integer")
@@ -177,6 +195,8 @@ def graph_from_jsonable(obj) -> KGraph:
         color = _need(e, "color", where)
         rng = _need(e, "range", where)
         src = _need(e, "source", where)
+        if len(e) != 4:
+            _unknown_key(e, EDGE_KEYS, where)
         if not all(isinstance(x, str) for x in (eid, rng, src)):
             raise FileFormatError(f"{where}: id, range and source must be strings")
         if not _is_int(color) or not 1 <= color <= k:
@@ -195,6 +215,8 @@ def graph_from_jsonable(obj) -> KGraph:
         ij = _need(s, "ij", where)
         frm = _need(s, "from", where)
         to = _need(s, "to", where)
+        if len(s) != 3:
+            _unknown_key(s, SQUARE_KEYS, where)
         if not (isinstance(ij, list) and len(ij) == 2 and all(_is_int(x) for x in ij)):
             raise FileFormatError(f"{where}.ij: expected two colors")
         if not (isinstance(frm, list) and len(frm) == 2 and isinstance(to, list) and len(to) == 2):
@@ -311,6 +333,16 @@ def _parse_phase_matrix(rows, n: int, m: int, symbols, where: str):
     return tuple(out)
 
 
+SIDE_KEYS = ("range", "word")
+ENTRY_KEYS = ("mu", "nu", "value")
+# the keys of each cocycle variant; `symbols` may be left out
+COCYCLE_KEYS = {
+    "pullback": ("variant", "symbols", "theta_matrix"),
+    "phi_omega": ("variant", "symbols", "l", "phi", "omega"),
+    "table": ("variant", "symbols", "bound", "entries"),
+}
+
+
 def _table_side(ent: dict, key: str, where: str, g: KGraph, sides: dict) -> tuple[str, tuple[str, ...]]:
     """Check the side `key` of a table entry; its range and normal-form word.
 
@@ -322,7 +354,10 @@ def _table_side(ent: dict, key: str, where: str, g: KGraph, sides: dict) -> tupl
     rng = _need(side, "range", f"{where}.{key}")
     if not isinstance(rng, str) or rng not in g.vertices:
         raise FileFormatError(f"{where}.{key}.range: expected a vertex of the graph")
-    word = tuple(_as_str_list(_need(side, "word", f"{where}.{key}"), f"{where}.{key}.word"))
+    word = _need(side, "word", f"{where}.{key}")
+    if len(side) != 2:
+        _unknown_key(side, SIDE_KEYS, f"{where}.{key}")
+    word = tuple(_as_str_list(word, f"{where}.{key}.word"))
     try:
         path = g.make_path(rng, word)
     except (KeyError, ValueError) as err:
@@ -337,6 +372,8 @@ def cocycle_from_jsonable(obj, g: KGraph) -> CocycleSpec:
         raise FileFormatError("cocycle: expected a JSON object")
     symbols = _symbol_list(obj.get("symbols", []), "cocycle.symbols")
     variant = _need(obj, "variant", "cocycle")
+    if isinstance(variant, str) and variant in COCYCLE_KEYS:
+        _unknown_key(obj, COCYCLE_KEYS[variant], "cocycle")
     if variant == "pullback":
         theta = _parse_phase_matrix(
             _need(obj, "theta_matrix", "cocycle"), g.k, g.k, symbols, "cocycle.theta_matrix"
@@ -385,7 +422,7 @@ def cocycle_from_jsonable(obj, g: KGraph) -> CocycleSpec:
             pair = []
             for key in ("mu", "nu"):
                 side, hit = ent.get(key), None
-                if type(side) is dict and type(word := side.get("word")) is list:
+                if type(side) is dict and len(side) == 2 and type(word := side.get("word")) is list:
                     try:
                         hit = sides.get((side.get("range"), tuple(word)))
                     except TypeError:  # an unhashable range or letter: the checks name it
@@ -395,6 +432,8 @@ def cocycle_from_jsonable(obj, g: KGraph) -> CocycleSpec:
             if not (type(text) is str and text in literals):
                 text = _need(ent, "value", f"cocycle.entries[{idx}]")
                 literals[text] = _parse_phase_checked(text, symbols, f"cocycle.entries[{idx}].value")
+            if len(ent) != 3:
+                _unknown_key(ent, ENTRY_KEYS, f"cocycle.entries[{idx}]")
             rows.append((pair[0], pair[1], literals[text]))
         try:
             table = TableCocycle(tuple(bound), tuple(rows))

@@ -35,7 +35,7 @@ from .groupoid import (
 from .kgraph import KGraph, Path, canonical_tail
 from .lattices import z_omega_of
 from .phases import PhaseExponent, pair_int
-from .structure import YES, is_cofinal, per_group
+from .structure import cofinal_kind, per_group
 
 
 class DepthError(RuntimeError):
@@ -547,14 +547,15 @@ def run_suites(
     least 1, and each resolves through its own cell on one InducedCocycle,
     which keeps every value the suites and the bicharacter share; `cap`
     bounds the sampled identity triples and conjugation checks.  The
-    period-dependent suites need certified cofinality and periods that
-    agree at every vertex, and the centre and coboundary suites a
-    nontrivial period lattice and a bicharacter that does not depend on
-    the resolution.  A suite that asks a table for a pair it does not
-    cover stops there, with no checks and the table's message, and the
-    others still run; the centre and coboundary suites both stop when the
-    bicharacter asks for such a pair.  Returns the suites, notes on the suites skipped, the
-    period basis and the bicharacter the suites used (None when none did).
+    period-dependent suites need a graph that the rotation rule
+    `cofinal_kind` finds cofinal and periods that agree at every vertex,
+    and the centre and coboundary suites a nontrivial period lattice and
+    a bicharacter that does not depend on the resolution.  A suite that
+    asks a table for a pair it does not cover stops there, with no checks
+    and the table's message, and the others still run; the centre and
+    coboundary suites both stop when the bicharacter asks for such a pair.
+    Returns the suites, notes on the suites skipped, the period basis and
+    the bicharacter the suites used (None when none did).
     """
     if depth < 1:
         raise ValueError(f"the depth must be >= 1, got {depth}")
@@ -572,10 +573,9 @@ def run_suites(
 
     run("cocycle_identity", lambda: suite_cocycle_identity(g, s, depth=element_depth, max_triples=cap))
     run("resolution_independence", lambda: suite_resolution_independence(g, s, depth=element_depth))
-    cof = is_cofinal(g)
-    if cof.status != YES:
+    if cofinal_kind(g) is None:
         return suites, ["cofinality not certified; period-dependent suites skipped"], (), None
-    per = per_group(g, cof)
+    per = per_group(g)
     if not per.per_vertex_agreement:
         return suites, ["the periods differ from vertex to vertex; period-dependent suites skipped"], (), None
     basis = tuple(per.lattice.rows)

@@ -10,8 +10,11 @@ never runs that per-vertex loop: the rotation walk from the least vertex
 closes a cycle at some vertex c, and the graph is cofinal iff c lies in
 the reach of every vertex and the complement of reach(c) has an empty
 core.  That is two searches and one pruning; the loop stays for NO,
-whose certificate names the least failing vertex.  A command decides
-cofinality once, and `per_group` takes that verdict.
+whose certificate names the least failing vertex.  The rotation rule,
+`cofinal_kind`, is also where the period search learns that its graph is
+cofinal and whether it is strongly connected: `per_group` takes no
+verdict, and only the commands that report a cofinality verdict run the
+per-vertex loop.
 
 Periodicity of the shift action is decided exactly per vertex by a finite
 automaton on sliding windows: a window of degree join(a, b) determines
@@ -151,7 +154,7 @@ def is_cofinal(g: KGraph) -> Verdict:
     return Verdict(YES, {"kind": "strongly_connected" if connected else "tail_check"})
 
 
-def _rotation_kind(g: KGraph) -> str | None:
+def cofinal_kind(g: KGraph) -> str | None:
     """The YES certificate kind by the rotation rule; None when not cofinal.
 
     Let x be the infinite path that repeats the closed word of
@@ -182,7 +185,7 @@ def verify_cofinality(g: KGraph, res: Verdict) -> bool:
     walking the claimed loop outside the claimed vertex's reach."""
     cert = res.certificate
     if res.status == YES:
-        kind = _rotation_kind(g)
+        kind = cofinal_kind(g)
         return kind is not None and cert == {"kind": kind}
     if res.status == NO and cert is not None and cert.get("kind") == "unreachable_cycle":
         v, cyc = cert.get("vertex"), cert.get("cycle")
@@ -377,7 +380,7 @@ def row_sum_lattice(g: KGraph) -> LatticeBasis | None:
         rows = [[e.get(q, 0) for q in primes] for e in exps]
         return LatticeBasis.from_rows(kernel(rows, len(primes)), g.k)
     if len(varying) == 1 and all(ds == {1} for i, ds in enumerate(degrees) if i != varying[0]) and (
-        _rotation_kind(g) == "strongly_connected"
+        cofinal_kind(g) == "strongly_connected"
     ):
         return LatticeBasis.from_rows([dg.unit(g.k, j + 1) for j in range(g.k) if j != varying[0]], g.k)
     return None
@@ -433,11 +436,11 @@ def _settled_periods(g: KGraph, counts, upper: LatticeBasis, bound: Degree):
     return span, not any(_period_at(g, counts, 0, r) for r in reps)
 
 
-def per_group(g: KGraph, cofinal: Verdict, bound: Degree | int | None = None) -> PeriodicityResult:
+def per_group(g: KGraph, bound: Degree | int | None = None) -> PeriodicityResult:
     """Lattice of shift periods holding at every vertex, over a candidate box.
 
-    Only defined for cofinal graphs: `cofinal` is the caller's verdict of
-    `is_cofinal(g)`, and anything but YES is refused.  There Per is a
+    Only defined for cofinal graphs: the rotation rule `cofinal_kind` is
+    run on g, and a graph it finds not cofinal is refused.  There Per is a
     group, and T^m = T^n whenever m - n lies in it (Carlsen-Kang-Shotwell-
     Sims, JFA 2014), so a candidate in the span of the periods already
     found is a period at every vertex with no automaton call.  The vertices
@@ -447,19 +450,21 @@ def per_group(g: KGraph, cofinal: Verdict, bound: Degree | int | None = None) ->
     The result is <Per & box>, whatever the order of the walk: each box
     vector that is a period everywhere is either in the span when the walk
     reaches it or joins it, and nothing else joins.  So on a strongly
-    connected graph the periods found from the rows of U seed the span,
-    and when they settle Per (see `_settled_periods`) the walk is not
-    needed: there F lies in <Per & box>, which lies in Per = F, the
-    vertices agree, and every box vector counts as checked.
+    connected graph (kind `strongly_connected`) the periods found from the
+    rows of U seed the span, and when they settle Per (see
+    `_settled_periods`) the walk is not needed: there F lies in
+    <Per & box>, which lies in Per = F, the vertices agree, and every box
+    vector counts as checked.
     """
-    if cofinal.status != YES:
+    kind = cofinal_kind(g)
+    if kind is None:
         raise ValueError("period group is only computed for certified-cofinal graphs")
     bound = _period_bound(g, bound)
     counts = path_counts(g)
     checked = prod(2 * r + 1 for r in bound) - 1
     upper = row_sum_lattice(g)
     span = LatticeBasis.trivial(g.k)
-    if upper is not None and cofinal.certificate == {"kind": "strongly_connected"}:
+    if upper is not None and kind == "strongly_connected":
         span, settled = _settled_periods(g, counts, upper, bound)
         if settled:
             return PeriodicityResult(span, bound, True, checked)

@@ -1,4 +1,4 @@
-"""Three families of twisted k-graph algebras whose simplicity is known in
+"""Four families of twisted k-graph algebras whose simplicity is known in
 closed form, drawn at random for a differential test of `decide_simplicity`.
 
 Each value is a phase exponent written as (rational part, coefficient of
@@ -14,6 +14,11 @@ prediction of a draw is read off those numbers alone; nothing of
   automorphisms and reduced crossed products of simple C*-algebras",
   CMP 1981; Matsumoto-Tomiyama, "Outer automorphisms on Cuntz algebras",
   Bull. LMS 1993).
+- B_n x T1, n = 2..4, with the pullback of a drawn 2 x 2 matrix Theta.
+  The torus loop rotates every s_e by the same phase Theta_21 - Theta_12,
+  so this is the previous family with phi(e) = Theta_21 - Theta_12 on
+  every loop, and the same argument of Kishimoto and Matsumoto-Tomiyama
+  applies: it is simple iff Theta_21 - Theta_12 is irrational.
 - T2 with the pullback of a drawn 2 x 2 matrix Theta.  The algebra is the
   rotation algebra of Theta_21 - Theta_12, simple iff that difference is
   irrational (Slawny, "On factor representations and the C*-algebra of
@@ -69,6 +74,17 @@ def bn_t1_phi(seed: int = 19):
         yield g, c, any(irrational(v) for v in values.values())
 
 
+def bn_t1_pullback(seed: int = 29):
+    """DRAWS triples (graph, cocycle, predicted simple) on B_n x T1."""
+    rng = random.Random(seed)
+    for _ in range(DRAWS):
+        n = rng.randint(2, 4)
+        theta = [[rng.choice(VALUES) for _ in range(2)] for _ in range(2)]
+        difference = tuple(a - b for a, b in zip(theta[1][0], theta[0][1]))
+        c = PullbackCocycle(tuple(tuple(phase(v) for v in row) for row in theta))
+        yield builtin(f"B{n}xT1"), c, irrational(difference)
+
+
 def t2_pullback(seed: int = 19):
     """DRAWS triples (graph, cocycle, predicted simple) on T2."""
     rng = random.Random(seed)
@@ -116,4 +132,9 @@ def tk_pullback(seed: int = 23):
         yield builtin(f"T{k}"), c, nondegenerate(difference)
 
 
-FAMILIES = {"B_n x T1 phi-omega": bn_t1_phi, "T2 pullback": t2_pullback, "T3 and T4 pullback": tk_pullback}
+FAMILIES = {
+    "B_n x T1 phi-omega": bn_t1_phi,
+    "B_n x T1 pullback": bn_t1_pullback,
+    "T2 pullback": t2_pullback,
+    "T3 and T4 pullback": tk_pullback,
+}

@@ -32,7 +32,7 @@ from ktwist.oracle import (
 )
 from ktwist.kgraph import canonical_tail
 from ktwist.phases import PhaseExponent
-from ktwist.structure import is_cofinal, per_group
+from ktwist.structure import per_group
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -181,7 +181,7 @@ def test_criterion_7_groupoid_oracle_suites():
         assert total >= 1000
 
         g, c = _pair("T2", "pullback_theta")
-        basis = tuple(per_group(g, is_cofinal(g)).lattice.rows)
+        basis = tuple(per_group(g).lattice.rows)
         P3 = build_partition(g, 3)
         s = suite_conjugation_formula(g, InducedCocycle(c, P3.member), basis, depth=1)
         assert s.ok and s.checked >= 100
@@ -193,7 +193,7 @@ def test_criterion_7_groupoid_oracle_suites():
             ("B2xT3", "b2t3", ((1, 0, 0),), 0, 2, 27),
         ):
             g, c = _pair(gname, cstem)
-            basis = tuple(per_group(g, is_cofinal(g)).lattice.rows)
+            basis = tuple(per_group(g).lattice.rows)
             om = omega_from_oracle(g, InducedCocycle(c), basis)
             z = z_omega_of(om)
             assert z.rows == zrows, (gname, z.rows)
@@ -206,7 +206,7 @@ def test_criterion_7_groupoid_oracle_suites():
 
         # coboundary box on the torus fixture out to radius 3
         g, c = _pair("T2", "pullback_theta")
-        basis = tuple(per_group(g, is_cofinal(g)).lattice.rows)
+        basis = tuple(per_group(g).lattice.rows)
         om = omega_from_oracle(g, InducedCocycle(c), basis)
         x = canonical_tail(g, "v")
         bx = CoboundaryBx(om, InducedCocycle(c, build_partition(g, 6).member), x, basis)
@@ -231,7 +231,7 @@ def test_criterion_8_closed_form_is_flagged_against_the_oracle():
         zmap = {}
         for gname, cstem in pairings:
             g, c = _pair(gname, cstem)
-            basis = tuple(per_group(g, is_cofinal(g)).lattice.rows)
+            basis = tuple(per_group(g).lattice.rows)
             if not basis:
                 continue  # aperiodic: no bicharacter to compare
             om = omega_from_oracle(g, InducedCocycle(c), basis)

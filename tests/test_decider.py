@@ -239,7 +239,7 @@ def test_omega_analyze_and_oracle_refuse_periods_that_differ_by_vertex(tmp_path,
 
 def test_verify_z_omega_accepts_the_real_lattice_only():
     g = builtin("T2")
-    per = per_group(g, is_cofinal(g))
+    per = per_group(g)
     om = omega_from_oracle(g, InducedCocycle(t2_pullback(half)), tuple(per.lattice.rows))
     z = z_omega_of(om)
     assert verify_z_omega(om, z)
@@ -321,7 +321,7 @@ def test_integer_centre_rule_matches_phase_rule(om, drawn):
 
 def test_verify_z_omega_does_no_phase_arithmetic_after_its_columns(monkeypatch):
     g = builtin("C3xT2")
-    per = per_group(g, is_cofinal(g))
+    per = per_group(g)
     om = omega_from_oracle(g, InducedCocycle(twist_last(3)), per.lattice.rows)
     z = z_omega_of(om)
     calls = []
@@ -393,6 +393,19 @@ def test_verdicts_agree_with_an_analytic_family(family):
         assert verdict.status == (SIMPLE if simple else NONSIMPLE), (g.name, c)
         counts[verdict.status, verdict.certificate["kind"]] += 1
     assert counts == FAMILY_COUNTS[family]
+
+
+def test_no_verdict_contradicts_the_bn_t1_pullback_family():
+    # no draw is certified yet: an UNKNOWN is counted by its reason, and a
+    # certified verdict must agree with the prediction
+    counts, predicted = Counter(), Counter()
+    for g, c, simple in analytic_families.bn_t1_pullback():
+        verdict = decide_simplicity(g, c).verdict
+        assert verdict.status in (UNKNOWN, SIMPLE if simple else NONSIMPLE), (g.name, c)
+        counts[verdict.status, verdict.certificate["kind"] if verdict.certificate else verdict.reason] += 1
+        predicted[simple] += 1
+    assert counts == {(UNKNOWN, "degenerate directions present and no applicable density reduction"): 120}
+    assert predicted == {True: 80, False: 40}
 
 
 # --- orbit phase group -------------------------------------------------------
@@ -495,7 +508,7 @@ def test_z_omega_invariant_under_symmetric_perturbation():
     # adding a symmetric table changes omega but not its antisymmetrization,
     # hence not the degeneracy lattice
     g = builtin("T2")
-    per = per_group(g, is_cofinal(g))
+    per = per_group(g)
     om = omega_from_oracle(g, InducedCocycle(t2_pullback(half)), tuple(per.lattice.rows))
     sym = BicharacterTable(
         2, ((Z(0, s=1), Z(0, t=1)), (Z(0, t=1), Z(Fraction(1, 3))))
@@ -636,7 +649,7 @@ def test_torus_step_needs_a_strongly_connected_base(tmp_path, capsys):
     g = product_with_Tl(B2_TAIL, 1)
     cof = is_cofinal(g)
     assert cof == Verdict(YES, {"kind": "tail_check"})
-    per = per_group(g, cof)
+    per = per_group(g)
     assert per.per_vertex_agreement and per.lattice == LatticeBasis.from_rows([(0, 1)], 2)
     phi = OneCocyclePhi(1, {e.id: ((theta if e.id == "f" else zero),) for e in g.edges})
     graph, cocycle = tmp_path / "b2tail.json", tmp_path / "phi.json"
@@ -654,7 +667,7 @@ def reaches_torus_step(h: KGraph, l: int) -> bool:
     cof = is_cofinal(h)
     if cof.status != YES or not validate_product_split(h, l).ok:
         return False
-    per = per_group(h, cof)
+    per = per_group(h)
     return per.per_vertex_agreement and per.lattice == decider._torus_unit_lattice(h.k, l)
 
 

@@ -19,10 +19,11 @@ import contextlib
 import io
 import json
 import os
+import sys
 
 import pytest
 
-from ktwist import cli
+from ktwist import cli, structure
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden", "reports.json")
@@ -146,6 +147,22 @@ def test_golden_covers_every_case(golden):
 @pytest.mark.parametrize("name", list(CASES))
 def test_report_matches_golden(golden, name):
     assert run_case(CASES[name]) == golden[name]
+
+
+@pytest.mark.parametrize("command", ["per", "omega", "oracle"])
+def test_period_commands_do_not_run_the_per_vertex_cofinality_search(monkeypatch, golden, command):
+    # they read cofinality off the rotation rule, so their reports, the
+    # refusal on DISJOINT2 included, do not depend on is_cofinal
+    def refused(g):
+        raise AssertionError(f"{command} ran is_cofinal")
+
+    original = structure.is_cofinal
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ktwist" and getattr(module, "is_cofinal", None) is original:
+            monkeypatch.setattr(module, "is_cofinal", refused)
+    for gname, cname in PAIRINGS:
+        case = f"{command} {gname} {cname}"
+        assert run_case(CASES[case]) == golden[case]
 
 
 def test_human_golden_covers_every_case_and_line(golden_human):

@@ -425,6 +425,14 @@ TABLE_ERRORS = {
                              "cocycle.entries[1]: a side is a vertex path, so the value must be 0, not 1/2"),
     "pair listed twice": ([_AB, {"mu": _side(["b", "a"]), "nu": _side(["a"]), "value": "1/2"}],
                           "cocycle.entries[1]: lists the pair of cocycle.entries[0] again"),
+    "entry with an unknown key": ([_AB, {**_AB, "weight": 1, "note": ""}],
+                                  "cocycle.entries[1]: unknown key 'note'"),
+    "side with an unknown key": ([{"mu": {**_side(["a"]), "zz": 0}, "nu": _side([]), "value": "0"}],
+                                 "cocycle.entries[0].mu: unknown key 'zz'"),
+    "known side with an unknown key": ([_AB, {**_AB, "nu": {**_side(["a"]), "zz": 0}}],
+                                       "cocycle.entries[1].nu: unknown key 'zz'"),
+    "unknown key and no word": ([_AB, {**_AB, "mu": {"range": "v", "zz": 0}}],
+                                "cocycle.entries[1].mu: missing key 'word'"),
 }
 
 
@@ -496,6 +504,29 @@ INPUT_ERRORS = {
     "symbol declared twice": ("T2", canonical_json({"variant": "pullback", "symbols": ["theta", "theta"],
                                                     "theta_matrix": [["0", "0"], ["0", "0"]]}),
                               "cocycle.symbols[1]: 'theta' is declared again, first at cocycle.symbols[0]"),
+    "graph with an unknown key": ("graph", canonical_json({**_graph_doc(1, ["v"], [("a", 1, "v", "v")]), "bogus": 3}),
+                                  "graph: unknown key 'bogus'"),
+    "edge with an unknown key": ("graph", canonical_json({**_graph_doc(1, ["v"], [("a", 1, "v", "v")]), "edges": [
+                                     {"id": "a", "color": 1, "range": "v", "source": "v", "weight": 2}]}),
+                                 "graph.edges[0]: unknown key 'weight'"),
+    "square with an unknown key": ("graph", canonical_json({**_graph_doc(2, ["v"], T2_EDGES), "squares": [
+                                       {"ij": [1, 2], "from": ["a", "b"], "to": ["b", "a"], "zz": 0, "i": 1}]}),
+                                   "graph.squares[0]: unknown key 'i'"),
+    "pullback with an unknown key": ("T2", canonical_json({"variant": "pullback", "symbols": [], "extra": 1,
+                                                           "theta_matrix": [["0", "0"], ["0", "0"]]}),
+                                     "cocycle: unknown key 'extra'"),
+    "pullback with a phi_omega key": ("T2", canonical_json({"variant": "pullback", "symbols": [], "l": 1,
+                                                            "theta_matrix": [["0", "0"], ["0", "0"]]}),
+                                      "cocycle: unknown key 'l'"),
+    "phi_omega with an unknown key": ("B2xT1", canonical_json({"variant": "phi_omega", "symbols": [], "l": 1,
+                                                               "phi": {}, "omega": [["0"]], "theta_matrix": []}),
+                                      "cocycle: unknown key 'theta_matrix'"),
+    "table with an unknown key": ("T2", canonical_json({**_table([]), "depth": 2}), "cocycle: unknown key 'depth'"),
+    "unknown variant with an unknown key": ("T2", canonical_json({"variant": "twisted", "zz": 1}),
+                                            "cocycle.variant: unknown variant 'twisted'"),
+    "edge with an unknown key and no source": ("graph", canonical_json({**_graph_doc(1, ["v"], []), "edges": [
+                                                   {"id": "a", "color": 1, "range": "v", "zz": "v"}]}),
+                                               "graph.edges[0]: missing key 'source'"),
     "cocycle not JSON": ("T2", "{\n", "cocycle: invalid JSON "
                          "(Expecting property name enclosed in double quotes: line 2 column 1 (char 2))"),
 }
@@ -945,6 +976,39 @@ def test_report_document_is_deterministic():
 
 
 # --- schemas (optional dependency) ------------------------------------------
+
+
+def _closed_objects(doc: dict) -> dict:
+    """The first object of each kind whose schema allows no other keys."""
+    objects = {"graph" if "k" in doc else "cocycle": doc}
+    for where, key in (("graph.edges[0]", "edges"), ("graph.squares[0]", "squares"), ("cocycle.entries[0]", "entries")):
+        if doc.get(key):
+            objects[where] = doc[key][0]
+    if doc.get("entries"):
+        objects.update({f"cocycle.entries[0].{side}": doc["entries"][0][side] for side in ("mu", "nu")})
+    return objects
+
+
+def test_a_key_outside_the_schema_is_refused_in_every_fixture(tmp_path, capsys):
+    jsonschema = pytest.importorskip("jsonschema")
+    schemas = {kind: json.loads(_read(SCHEMAS, f"{kind}.schema")) for kind in ("graph", "cocycle")}
+    stems = sorted(name[:-5] for name in os.listdir(FIXTURES) if name.endswith(".json"))
+    assert stems == sorted(GRAPH_FIXTURES + list(COCYCLE_FIXTURES))
+    for stem in stems:
+        kind = "graph" if stem in GRAPH_FIXTURES else "cocycle"
+        for where in _closed_objects(json.loads(_read(FIXTURES, stem))):
+            doc = json.loads(_read(FIXTURES, stem))
+            _closed_objects(doc)[where]["zz"] = 0
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(doc, schemas[kind])
+            path = tmp_path / f"{stem}.json"
+            path.write_text(canonical_json(doc), encoding="utf-8")
+            if kind == "graph":
+                argv = ["validate", str(path)]
+            else:
+                argv = ["validate", f"builtin:{COCYCLE_FIXTURES[stem]}", "--cocycle", str(path)]
+            assert cli.main(argv) == 1, (stem, where)
+            assert capsys.readouterr() == ("", f"error: {where}: unknown key 'zz'\n"), (stem, where)
 
 
 def test_fixtures_match_schemas():

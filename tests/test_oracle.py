@@ -59,7 +59,7 @@ from ktwist.oracle import (
     suite_resolution_independence,
 )
 from ktwist.phases import PhaseExponent
-from ktwist.structure import is_cofinal, per_group
+from ktwist.structure import per_group
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 try:
@@ -531,7 +531,7 @@ def test_run_suites_keeps_one_store_for_the_suites_and_the_bicharacter(monkeypat
 def test_rank_zero_takes_the_general_path():
     g = builtin("B2")
     c = load_cocycle(os.path.join(FIXTURES, "pullback_b2.json"), g)[0]
-    assert per_group(g, is_cofinal(g)).lattice.rows == ()
+    assert per_group(g).lattice.rows == ()
     empty, none = BicharacterTable.zero(0), LatticeBasis.trivial(0)
     assert omega_from_oracle(g, InducedCocycle(c), ()) == empty
     assert omega_closedform(g, c, ()) == empty
@@ -810,7 +810,7 @@ def _conjugation_suite_reference(g, s, per_basis, depth=1, max_checks=None):
 def _conjugation_outcome(route, g, c, cap):
     """The SuiteResult of one conjugation route at element depth 1, or the
     text of the CocycleDomainError it raised."""
-    basis = tuple(per_group(g, is_cofinal(g)).lattice.rows)
+    basis = tuple(per_group(g).lattice.rows)
     try:
         return route(g, InducedCocycle(c), basis, depth=1, max_checks=cap)
     except CocycleDomainError as err:
@@ -951,7 +951,7 @@ def test_run_suites_asks_two_categorical_values_per_term(monkeypatch, b2xt1):
 
 
 def test_omega_oracle_t2(t2, t2_cocycle):
-    per = per_group(t2, is_cofinal(t2))
+    per = per_group(t2)
     om = omega_from_oracle(t2, InducedCocycle(t2_cocycle), tuple(per.lattice.rows))
     assert om.rank == 2
     anti = om.antisymmetrization()
@@ -963,7 +963,7 @@ def test_omega_oracle_matches_pullback_antisymmetry(t2):
     # for a degree-bilinear cocycle on the torus the commutator of the
     # extracted table must match the antisymmetrized exponent matrix
     c = PullbackCocycle(((Z(0, a=1), Z(0, b=1)), (Z(0, c=1), Z(0, d=1))))
-    per = per_group(t2, is_cofinal(t2))
+    per = per_group(t2)
     om = omega_from_oracle(t2, InducedCocycle(c), tuple(per.lattice.rows))
     anti = om.antisymmetrization()
     # theta12 - theta21 = b - c
@@ -985,7 +985,7 @@ def test_omega_oracle_b2xt3():
         3, ((zero, zero, zero), (zero, zero, zero), (zero, rho, zero))
     )
     c = PhiOmegaCocycle(3, phi, om_in)
-    per = per_group(g, is_cofinal(g))
+    per = per_group(g)
     om = omega_from_oracle(g, InducedCocycle(c), tuple(per.lattice.rows))
     assert om.rank == 3
     assert om.rows[2][1].coeff("rho") == 1
@@ -999,7 +999,7 @@ def test_omega_oracle_b2xt3():
 def test_omega_closedform_symmetric_discrepancy(t2, t2_cocycle):
     # the verbatim closed form is symmetric, so its antisymmetrization
     # vanishes and disagrees with the oracle exactly when twisting is real
-    per = per_group(t2, is_cofinal(t2))
+    per = per_group(t2)
     basis = tuple(per.lattice.rows)
     cf = omega_closedform(t2, t2_cocycle, basis)
     assert all(x.is_trivial() for row in cf.antisymmetrization() for x in row)
@@ -1008,7 +1008,7 @@ def test_omega_closedform_symmetric_discrepancy(t2, t2_cocycle):
 
 
 def test_omega_closedform_agrees_when_untwisted(b2xt1, b2xt1_cocycle):
-    per = per_group(b2xt1, is_cofinal(b2xt1))
+    per = per_group(b2xt1)
     basis = tuple(per.lattice.rows)
     om = omega_from_oracle(b2xt1, InducedCocycle(b2xt1_cocycle), basis)
     cf = omega_closedform(b2xt1, b2xt1_cocycle, basis)
@@ -1023,7 +1023,7 @@ def graphs():
     out = {}
     for name in ("T2", "T3", "C3xT1", "C3xT2"):
         g = builtin(name)
-        out[name] = (g, tuple(per_group(g, is_cofinal(g)).lattice.rows))
+        out[name] = (g, tuple(per_group(g).lattice.rows))
     return out
 
 
@@ -1082,7 +1082,7 @@ PERIODIC_FIXTURE_PAIRINGS = [
 def test_omega_matches_partition_route_on_fixtures(partitions, name, stem):
     g = builtin(name)
     c, _ = load_cocycle(os.path.join(FIXTURES, stem + ".json"), g)
-    basis = tuple(per_group(g, is_cofinal(g)).lattice.rows)
+    basis = tuple(per_group(g).lattice.rows)
     assert basis
     assert omega_from_oracle(g, InducedCocycle(c), basis).rows == omega_by_partition(g, c, basis, partitions)
 
@@ -1137,7 +1137,7 @@ def test_cancelled_cell_is_a_function_of_the_element(name):
     # the products both ways and the isotropy element of the sum are one
     # element, written three ways; they must all resolve to one cell
     g = builtin(name)
-    basis = tuple(per_group(g, is_cofinal(g)).lattice.rows)
+    basis = tuple(per_group(g).lattice.rows)
     x = canonical_tail(g, min(g.vertices))
     periods = basis + tuple(dg.scale(-1, p) for p in basis)
     for p in periods:
@@ -1161,7 +1161,7 @@ def test_cancelled_cell_is_a_function_of_the_element(name):
 
 
 def test_coboundary_box_t2(t2, t2_cocycle):
-    per = per_group(t2, is_cofinal(t2))
+    per = per_group(t2)
     basis = tuple(per.lattice.rows)
     om = omega_from_oracle(t2, InducedCocycle(t2_cocycle), basis)
     P6 = build_partition(t2, 6)
@@ -1205,7 +1205,7 @@ def _box_outcome(route, om, c, x, basis, radius):
 ])
 def test_verify_box_matches_the_ctilde_loop(name, stem, radii):
     g, c = _suite_case(name, stem)
-    basis = tuple(per_group(g, is_cofinal(g)).lattice.rows)
+    basis = tuple(per_group(g).lattice.rows)
     x = canonical_tail(g, min(g.vertices))
     om = omega_from_oracle(g, InducedCocycle(c), basis)
     kept = {}
@@ -1221,7 +1221,7 @@ def test_verify_box_matches_the_ctilde_loop(name, stem, radii):
 
 
 def test_coboundary_rejects_wrong_target(t2, t2_sigma):
-    per = per_group(t2, is_cofinal(t2))
+    per = per_group(t2)
     basis = tuple(per.lattice.rows)
     wrong = BicharacterTable.zero(2)
     with pytest.raises(ValueError):
@@ -1274,7 +1274,7 @@ def test_suite_resolution_checks_each_pair_once(name, pairs):
 
 
 def test_suite_conjugation(t2, t2_sigma):
-    per = per_group(t2, is_cofinal(t2))
+    per = per_group(t2)
     res = suite_conjugation_formula(t2, t2_sigma, tuple(per.lattice.rows), depth=1, max_checks=150)
     assert res.ok
     assert res.checked == 150
@@ -1284,7 +1284,7 @@ def test_suite_centre_half_twist(t2, t2_partition):
     # with the half-integer twist the degeneracy lattice is 2Z x 2Z and the
     # phases of isotropy elements on it must all wind to one
     c = PullbackCocycle(((zero, zero), (Z(Fraction(1, 2)), zero)))
-    per = per_group(t2, is_cofinal(t2))
+    per = per_group(t2)
     res = suite_centre_phase_triviality(
         t2, InducedCocycle(c, t2_partition.member), tuple(per.lattice.rows), ((2, 0), (0, 2)), depth=1
     )
@@ -1301,7 +1301,7 @@ def test_suite_centre_half_twist(t2, t2_partition):
 
 
 def test_suite_centre_b2xt1(b2xt1, b2xt1_sigma):
-    per = per_group(b2xt1, is_cofinal(b2xt1))
+    per = per_group(b2xt1)
     res = suite_centre_phase_triviality(b2xt1, b2xt1_sigma, tuple(per.lattice.rows), ((1,),), depth=1)
     assert res.ok
     assert res.checked > 0

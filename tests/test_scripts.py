@@ -22,7 +22,7 @@ try:
 finally:
     sys.path.remove(SCRIPTS)
 
-from ktwist import degrees
+from ktwist import decider, degrees, groupoid, kgraph, structure
 
 VERDICT_LINE = re.compile(r"^\s*\S+\.json \+ \S+\.json: \S+ \[\S+\]")
 
@@ -63,7 +63,11 @@ def test_period_scale_at_ten_vertices(capsys):
     # the in-degrees pin the periods to 0 + Z, and one automaton call finds it
     assert period_scale.main(["10"]) == 0
     line = capsys.readouterr().out.strip()
-    assert re.fullmatch(r"n=10: UNKNOWN automaton_calls=1 seconds=\d+\.\d{3}", line), line
+    assert re.fullmatch(r"n=10: UNKNOWN automaton_calls=1 cofinal_s=\d+\.\d{3} periods_s=\d+\.\d{3} "
+                        r"tail_s=\d+\.\d{3} seconds=\d+\.\d{3}", line), line
+    # the timed stages are unwrapped again
+    assert (decider.is_cofinal, decider.per_group, groupoid.canonical_tail) == (
+        structure.is_cofinal, structure.per_group, kgraph.canonical_tail)
 
 
 def test_unreached_lists_what_one_test_module_leaves_out():

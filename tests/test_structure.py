@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from ktwist import cli
 from ktwist import degrees as dg
 from ktwist import structure
+from ktwist.io import serialize_cocycle, serialize_graph
 from ktwist.kgraph import Edge, KGraph, Path, Square, builtin, product_with_Tl, validate_kgraph
 from ktwist.lattices import LatticeBasis
 from ktwist.structure import (
@@ -36,7 +37,7 @@ from ktwist.structure import (
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 sys.path.insert(0, SCRIPTS)
 try:
-    from period_scale import scale_base, scale_graph
+    from period_scale import THETA, scale_base, scale_graph
 finally:
     sys.path.remove(SCRIPTS)
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -163,7 +164,7 @@ def test_periodic_at_b2_fails():
 
 def test_per_group_torus_is_full():
     g = builtin("T2")
-    per = per_group(g, is_cofinal(g))
+    per = per_group(g)
     assert per.lattice.rank == 2
     assert per.lattice.member((1, 0))
     assert per.lattice.member((0, 1))
@@ -172,14 +173,14 @@ def test_per_group_torus_is_full():
 
 def test_per_group_b2_trivial():
     g = builtin("B2")
-    per = per_group(g, is_cofinal(g))
+    per = per_group(g)
     assert per.lattice.rank == 0
     assert per.lattice.is_trivial()
 
 
 def test_per_group_b2xt1_is_torus_direction():
     g = builtin("B2xT1")
-    per = per_group(g, is_cofinal(g))
+    per = per_group(g)
     assert per.lattice.rank == 1
     assert per.lattice.member((0, 1))
     assert not per.lattice.member((1, 0))
@@ -188,7 +189,7 @@ def test_per_group_b2xt1_is_torus_direction():
 
 def test_per_group_b2xt3_is_torus_block():
     g = builtin("B2xT3")
-    per = per_group(g, is_cofinal(g))
+    per = per_group(g)
     assert per.lattice.rank == 3
     for row in per.lattice.rows:
         assert row[0] == 0
@@ -201,7 +202,7 @@ def test_per_group_b2xt3_is_torus_block():
 def test_per_group_refuses_non_cofinal():
     with pytest.raises(ValueError):
         g = builtin("DISJOINT2")
-        per_group(g, is_cofinal(g))
+        per_group(g)
 
 
 def test_aperiodicity_verdicts():
@@ -237,7 +238,7 @@ def test_local_periodicity_pair_agrees_with_verdicts():
 @pytest.mark.parametrize("search, name, bound", [
     (is_aperiodic, "T2", (0, -2)),
     (is_aperiodic, "B2xT1", (2, 0)),
-    pytest.param(lambda g, bound: per_group(g, is_cofinal(g), bound), "T2", -1,
+    pytest.param(lambda g, bound: per_group(g, bound), "T2", -1,
                  id="per_group-T2--1"),
 ])
 def test_period_search_refuses_a_nonpositive_bound(search, name, bound):
@@ -251,8 +252,8 @@ def test_per_group_bound_stability():
     # enlarging the search box does not change the answer on the fixtures
     for name in ("T2", "B2", "B2xT1"):
         g = builtin(name)
-        small = per_group(g, is_cofinal(g), 2)
-        large = per_group(g, is_cofinal(g), 3)
+        small = per_group(g, 2)
+        large = per_group(g, 3)
         assert small.lattice.rows == large.lattice.rows, name
 
 
@@ -385,10 +386,10 @@ def assert_matches_box_loop(g: KGraph, bounds=None, rows_first=False):
         inside = [(p, v) for p, v in hits if all(abs(x) <= r for x, r in zip(p, bound))]
         assert is_aperiodic(g, bound) == reference_is_aperiodic(bound, inside), bound
         if cof.status == YES:
-            assert per_group(g, cof, bound) == reference_per_group(g, bound, inside), bound
+            assert per_group(g, bound) == reference_per_group(g, bound, inside), bound
         else:
             with pytest.raises(ValueError):
-                per_group(g, cof, bound)
+                per_group(g, bound)
 
 
 @st.composite
@@ -559,7 +560,7 @@ def test_two_vertex_graphs():
     for g in (two_vertex_flip(), disjoint_torus_and_bouquet()):
         assert validate_kgraph(g).ok, g.name
     flip = two_vertex_flip()
-    assert per_group(flip, is_cofinal(flip)).lattice == LatticeBasis.from_rows([(1, 1), (1, -1)], 2)
+    assert per_group(flip).lattice == LatticeBasis.from_rows([(1, 1), (1, -1)], 2)
 
 
 @pytest.mark.parametrize(
@@ -579,9 +580,8 @@ def test_pruned_period_search_matches_box_loop_at_every_bound(name):
 def test_a_box_can_miss_periods():
     # the box (2, 2, 2) holds no multiple of C3's period (3, 0, 0)
     g = builtin("C3xT2")
-    cof = is_cofinal(g)
-    assert per_group(g, cof).lattice == LatticeBasis.from_rows([(3, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
-    assert per_group(g, cof, 2).lattice == LatticeBasis.from_rows([(0, 1, 0), (0, 0, 1)], 3)
+    assert per_group(g).lattice == LatticeBasis.from_rows([(3, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+    assert per_group(g, 2).lattice == LatticeBasis.from_rows([(0, 1, 0), (0, 0, 1)], 3)
 
 
 @pytest.mark.parametrize("make", [two_vertex_flip, disjoint_torus_and_bouquet])
@@ -731,9 +731,8 @@ def test_per_group_skips_most_automaton_calls(monkeypatch, name, periods):
     # one call per row of the row-sum lattice settles the box, where the
     # box walk ran the automaton at 504 of B2xT3's 624 candidates
     g = builtin(name)
-    cof = is_cofinal(g)
     calls = counted_automaton(monkeypatch)
-    per = per_group(g, cof)
+    per = per_group(g)
     assert 0 < len(calls) <= 8
     bound = default_period_bound(g)
     assert per == PeriodicityResult(LatticeBasis.from_rows(periods, g.k), bound, True, box_size(bound))
@@ -753,9 +752,30 @@ def test_per_group_settles_the_200_vertex_scale_member(monkeypatch):
     assert cof == Verdict(YES, {"kind": "strongly_connected"})
     bound = default_period_bound(g)
     calls = counted_automaton(monkeypatch)
-    per = per_group(g, cof)
+    per = per_group(g)
     assert len(calls) <= 4
     assert per == PeriodicityResult(LatticeBasis.from_rows([(0, 1)], 2), bound, True, box_size(bound))
+
+
+@pytest.mark.parametrize("n", [50, 400])
+def test_per_and_omega_search_reach_twice_on_the_scale_member(tmp_path, monkeypatch, capsys, n):
+    # the rotation rule tells the period search that R_n x T1 is strongly
+    # connected; the per-vertex rule of is_cofinal searched n + 1 times
+    graph, cocycle = tmp_path / "g.json", tmp_path / "theta.json"
+    graph.write_text(serialize_graph(scale_graph(n)), encoding="utf-8")
+    cocycle.write_text(serialize_cocycle(THETA), encoding="utf-8")
+    calls = []
+
+    def counted(g, v):
+        calls.append(v)
+        return reach_set(g, v)
+
+    monkeypatch.setattr(structure, "reach_set", counted)
+    for argv in (["per", str(graph)], ["omega", str(graph), "--cocycle", str(cocycle)]):
+        calls.clear()
+        assert cli.main(argv) == 0
+        assert len(calls) <= 2, (argv[0], len(calls))
+    capsys.readouterr()
 
 
 def two_coloured_copies(base: KGraph) -> KGraph:
