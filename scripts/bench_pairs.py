@@ -3,11 +3,14 @@
     python3 scripts/bench_pairs.py --base REV --workload W --pairs N \
         --seconds S --seed N0
 
-Exports REV with `git archive` into a temporary directory, deleted
-afterwards, and runs the unchanged `perfbench/run.py --trace 0` there
-(the base) and in this checkout's working tree (the change), N times each
-at seeds N0, N0 + 1, ...  Pair i runs the base first when i is even and
-the change first when it is odd.  Each run line is printed as it ends.
+Exports REV with `git archive` (the base) and this checkout's files (the
+change: its tracked files as they are in the working tree, and its
+untracked files that git does not ignore) into two temporary directories,
+deleted afterwards, and runs the unchanged `perfbench/run.py --trace 0` in
+each, N times at seeds N0, N0 + 1, ...  Neither side runs in the working
+tree, so neither imports bytecode that an earlier run left there.  Pair i
+runs the base first when i is even and the change first when it is odd.
+Each run line is printed as it ends.
 
 Per end-to-end metric of BENCHMARK.json, the summary gives each side's
 median and quartiles over the N runs and the number of pairs the change
@@ -49,6 +52,22 @@ def summarize(base: list[dict], change: list[dict], better: dict[str, str]) -> d
     return out
 
 
+def export_sides(base: str, tmp: Path) -> dict[str, Path]:
+    """Export revision `base` and this checkout's files into two directories under `tmp`."""
+    sides = {"base": tmp / "base", "change": tmp / "change"}
+    archive = subprocess.run(["git", "archive", "--format=tar", base], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    sides["base"].mkdir()
+    subprocess.run(["tar", "-x", "-C", str(sides["base"])], input=archive, check=True)
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            cwd=ROOT, capture_output=True, check=True).stdout.decode()
+    for name in dict.fromkeys(listed.split("\0")):
+        if name and (ROOT / name).is_file():  # a tracked file deleted from the tree is left out
+            (sides["change"] / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, sides["change"] / name)
+    return sides
+
+
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """The result object of one untraced run in `checkout`."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -77,10 +96,7 @@ def main(argv=None) -> int:
 
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
-        archive = subprocess.run(["git", "archive", "--format=tar", args.base], cwd=ROOT,
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(tmp)], input=archive, check=True)
-        sides = {"base": tmp, "change": ROOT}
+        sides = export_sides(args.base, tmp)
         runs: dict[str, list[dict]] = {"base": [], "change": []}
         for i in range(args.pairs):
             seed = args.seed + i
@@ -93,7 +109,7 @@ def main(argv=None) -> int:
         shutil.rmtree(tmp, ignore_errors=True)
 
     print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs, "
-          f"seeds {args.seed}-{args.seed + args.pairs - 1}, base {args.base} against the checkout")
+          f"seeds {args.seed}-{args.seed + args.pairs - 1}, base {args.base} against the checkout's files")
     for name, s in summarize(runs["base"], runs["change"], better).items():
         (bm, bq1, bq3), (cm, cq1, cq3) = s["base"], s["change"]
         print(f"  {name}: base {bm:.6g} [{bq1:.6g}, {bq3:.6g}]  change {cm:.6g} [{cq1:.6g}, {cq3:.6g}]  "

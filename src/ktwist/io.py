@@ -344,11 +344,21 @@ COCYCLE_KEYS = {
 
 
 def _table_side(ent: dict, key: str, where: str, g: KGraph, sides: dict) -> tuple[str, tuple[str, ...]]:
-    """Check the side `key` of a table entry; its range and normal-form word.
+    """The range and normal-form word of the side `key` of a table entry.
 
-    A side that passes is kept in `sides` under its range and word as written.
+    A side already in `sides`, under its range and word as written, is
+    returned from there: only an object with two keys and a list word is
+    looked up, and a key is made only of strings, so a hit is a side that
+    would pass every check.  Any other side is checked, and kept there if
+    it passes.
     """
     side = _need(ent, key, where)
+    try:
+        word = side["word"]
+        if type(word) is list and len(side) == 2:
+            return sides[side["range"], tuple(word)]
+    except (KeyError, TypeError):  # not a known side; the checks name any fault
+        pass
     if not isinstance(side, dict):
         raise FileFormatError(f"{where}.{key}: expected an object")
     rng = _need(side, "range", f"{where}.{key}")
@@ -408,33 +418,40 @@ def cocycle_from_jsonable(obj, g: KGraph) -> CocycleSpec:
             raise FileFormatError(f"cocycle.bound: expected {g.k} integers")
         rows = []
         # The normal form of each (range, word) side checked so far, and the
-        # phase of each literal parsed so far.  Only successes are kept, so
-        # an input that fails, fails at its own entry.  A side is looked up
-        # before it is checked: only a list word can match a key, and a key
-        # is made only of strings, so a hit is a side that would pass every
-        # check.  The field names of an error are built only when one is
-        # raised.
+        # phase of each literal parsed so far, both for this file alone.
+        # Only successes are kept, so an input that fails, fails at its own
+        # entry.  When both sides of an entry are known, each costs one
+        # lookup; an unknown side, or any fault on the way (a missing key,
+        # a non-object, an unhashable value), sends both to `_table_side`,
+        # whose checks name the first fault.  A known literal costs one
+        # lookup too, and the declared symbols are a set built once.  The
+        # field names of an error are built only when one is raised.
         sides: dict[tuple[str, tuple[str, ...]], tuple[str, tuple[str, ...]]] = {}
         literals: dict[str, PhaseExponent] = {}
+        declared = frozenset(symbols)
         for idx, ent in enumerate(_as_list(_need(obj, "entries", "cocycle"), "cocycle.entries")):
-            if not isinstance(ent, dict):
-                raise FileFormatError(f"cocycle.entries[{idx}]: expected an object")
-            pair = []
-            for key in ("mu", "nu"):
-                side, hit = ent.get(key), None
-                if type(side) is dict and len(side) == 2 and type(word := side.get("word")) is list:
-                    try:
-                        hit = sides.get((side.get("range"), tuple(word)))
-                    except TypeError:  # an unhashable range or letter: the checks name it
-                        pass
-                pair.append(hit or _table_side(ent, key, f"cocycle.entries[{idx}]", g, sides))
+            try:
+                a, b = ent["mu"], ent["nu"]
+                aw, bw = a["word"], b["word"]
+                if type(aw) is list and type(bw) is list and len(a) == 2 and len(b) == 2:
+                    mu, nu = sides[a["range"], tuple(aw)], sides[b["range"], tuple(bw)]
+                else:
+                    mu = None
+            except (KeyError, TypeError):
+                mu = None
+            if mu is None:
+                if not isinstance(ent, dict):
+                    raise FileFormatError(f"cocycle.entries[{idx}]: expected an object")
+                mu = _table_side(ent, "mu", f"cocycle.entries[{idx}]", g, sides)
+                nu = _table_side(ent, "nu", f"cocycle.entries[{idx}]", g, sides)
             text = ent.get("value")
-            if not (type(text) is str and text in literals):
-                text = _need(ent, "value", f"cocycle.entries[{idx}]")
-                literals[text] = _parse_phase_checked(text, symbols, f"cocycle.entries[{idx}].value")
+            value = literals.get(text) if type(text) is str else None
+            if value is None:
+                where = f"cocycle.entries[{idx}]"
+                value = literals[text] = _parse_phase_checked(_need(ent, "value", where), declared, where + ".value")
             if len(ent) != 3:
                 _unknown_key(ent, ENTRY_KEYS, f"cocycle.entries[{idx}]")
-            rows.append((pair[0], pair[1], literals[text]))
+            rows.append((mu, nu, value))
         try:
             table = TableCocycle(tuple(bound), tuple(rows))
         except ValueError as err:

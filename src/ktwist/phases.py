@@ -27,8 +27,14 @@ the integers.  Sums, differences, negatives and integer multiples are
 integer arithmetic followed by one gcd reduction, skipped when den = 1.
 The public constructor takes the rational part and symbol coefficients as
 ints or Fractions; the accessors `rat`, `irr` and `coeff` give them back
-as Fractions, and the literal grammar of `parse_phase` and `format_phase`
-is unchanged.
+as Fractions.
+
+`parse_phase` reads a well-formed literal with one regular-expression
+match, which takes the rational part and the first symbol term, and one
+match per further term; integers are built straight from the matched
+digits.  Only a literal that fails is read again, part by part from the
+left, by a checker that names its first fault.  `format_phase` writes the
+canonical literal.
 
 The symbol declaration lives with the input files (cocycle files list their
 symbols); this module only checks that names are well formed.
@@ -39,7 +45,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
+from typing import Collection, Iterable, NoReturn
 
 SYMBOL_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # whole names: use fullmatch
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
@@ -238,25 +244,89 @@ def _rational(m: re.Match, text: str) -> tuple[int, int]:
     return int(p), den
 
 
-def parse_phase(text: str, symbols: Iterable[str] | None = None) -> PhaseExponent:
+# A symbol term: coefficient p or p/q, then '*' and a symbol, with blanks
+# around each; its groups are p, q and the symbol.
+_TERM = r"\s*(-?\d+)(?:/(\d+))?\s*\*\s*([A-Za-z_][A-Za-z0-9_]*)\s*"
+# A whole well-formed literal: it is not empty; groups 1-2 are the rational
+# part, if any; groups 3-5 are the first symbol term, if any, which must
+# follow a '+' when a rational part came first; group 6 is the rest, a '+'
+# and the further terms.
+_LITERAL_RE = re.compile(
+    r"(?=.)(?:\s*(-?\d+)(?:/(\d+))?\s*)?(?:(?(1)\+)" + _TERM + r"(\+.*)?)?", re.DOTALL
+)
+_NEXT_TERM_RE = re.compile(r"\+" + _TERM)
+
+
+def parse_phase(text: str, symbols: Collection[str] | None = None) -> PhaseExponent:
     """Parse a phase literal.
 
     Grammar: "<rational>" or "<rational> + <rational>*<symbol> [+ ...]",
-    rationals written p or p/q with optional leading minus.  When `symbols`
-    is given, any symbol outside it is rejected.  A symbol may appear in
+    rationals written p or p/q with optional leading minus; the rational
+    part may be left out, and blanks may surround each part.  When
+    `symbols` is given, any symbol not `in` it is rejected; a caller that
+    parses many literals passes a set, built once.  A symbol may appear in
     more than one term; its coefficients add up.
 
-    An empty part makes the whole literal malformed, whatever its other
-    parts hold.  Then each term, in order, is matched once; a symbol term
-    is checked for its coefficient, its symbol, the declaration and then
-    the denominator.
+    One match of `_LITERAL_RE` reads a well-formed literal up to its
+    second term, and one match of `_NEXT_TERM_RE` each further term.  When
+    a match fails, a symbol is undeclared or a denominator is zero,
+    `_raise_first_fault` reads the literal again, left to right, and names
+    its first fault.
     """
-    allowed = None if symbols is None else set(symbols)
+    m = _LITERAL_RE.fullmatch(text)
+    if m is None:
+        _raise_first_fault(text, symbols)
+    rp, rq, p, q, sym, rest = m.groups()
+    try:
+        num = int(rp) if rp else 0
+        rden = int(rq) if rq else 1
+        if sym is None:
+            if rden:
+                return _reduced(num, rden, ())
+        elif rest is None:
+            # one symbol term, the shape of nearly every literal in a file
+            cden = int(q) if q else 1
+            den = lcm(rden, cden)
+            if den and (symbols is None or sym in symbols):
+                c = int(p) * (den // cden)
+                return _reduced(num * (den // rden), den, ((sym, c),) if c else ())
+        else:
+            written = [(sym, p, q)]
+            pos = 0
+            while pos < len(rest):
+                t = _NEXT_TERM_RE.match(rest, pos)
+                if t is None:
+                    break
+                written.append(t.group(3, 1, 2))
+                pos = t.end()
+            else:  # every further term matched
+                irr = [(s, int(a), int(b) if b else 1) for s, a, b in written]
+                den = lcm(rden, *(b for _, _, b in irr))
+                if den and (symbols is None or all(s in symbols for s, _, _ in irr)):
+                    merged: dict[str, int] = {}
+                    for s, a, b in irr:
+                        merged[s] = merged.get(s, 0) + a * (den // b)
+                    terms = tuple(sorted(t for t in merged.items() if t[1]))
+                    return _reduced(num * (den // rden), den, terms)
+    except ValueError:
+        pass  # an integer too long for int(); the left-to-right reading says where
+    _raise_first_fault(text, symbols)
+
+
+def _raise_first_fault(text: str, symbols: Collection[str] | None) -> NoReturn:
+    """Raise the PhaseSyntaxError that names the first fault of a literal.
+
+    An empty part, between '+' signs or at either end, makes the whole
+    literal malformed, whatever its other parts hold.  Then each part, in
+    order, is read as a rational or, when it holds a '*', as a symbol term,
+    which is checked for its coefficient, its symbol, the declaration and
+    then the denominator.  `parse_phase` calls this only on a literal that
+    is not well formed, so it raises; were it to find no fault, the literal
+    is called malformed.
+    """
     parts = [p.strip() for p in text.split("+")]
     if not all(parts):
         raise PhaseSyntaxError(f"malformed phase literal {text!r}")
-    rat = (0, 1)
-    irr: list[tuple[str, int, int]] = []
     for pos, part in enumerate(parts):
         if "*" in part:
             coef_s, _, sym = part.partition("*")
@@ -266,22 +336,17 @@ def parse_phase(text: str, symbols: Iterable[str] | None = None) -> PhaseExponen
                 raise PhaseSyntaxError(f"bad coefficient {coef_s!r} in {text!r}")
             if not SYMBOL_NAME.fullmatch(sym):
                 raise PhaseSyntaxError(f"bad symbol {sym!r} in {text!r}")
-            if allowed is not None and sym not in allowed:
+            if symbols is not None and sym not in symbols:
                 raise PhaseSyntaxError(f"undeclared symbol {sym!r} in {text!r}")
-            irr.append((sym, *_rational(m, coef_s)))
+            _rational(m, coef_s)
         else:
             if pos != 0:
                 raise PhaseSyntaxError(f"rational term allowed only first in {text!r}")
             m = _RATIONAL_RE.match(part)
             if m is None:
                 raise PhaseSyntaxError(f"bad rational {part!r} in {text!r}")
-            rat = _rational(m, part)
-    den = lcm(rat[1], *(q for _, _, q in irr))
-    merged: dict[str, int] = {}
-    for sym, p, q in irr:
-        merged[sym] = merged.get(sym, 0) + p * (den // q)
-    terms = tuple(sorted(t for t in merged.items() if t[1]))
-    return _reduced(rat[0] * (den // rat[1]), den, terms)
+            _rational(m, part)
+    raise PhaseSyntaxError(f"malformed phase literal {text!r}")
 
 
 def format_phase(p: PhaseExponent) -> str:

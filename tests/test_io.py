@@ -224,13 +224,33 @@ def test_table_literal_is_parsed_once_per_load(monkeypatch):
     assert sorted(calls) == sorted(set(literals)) and len(calls) == 5 < len(literals) == 81
 
 
-@pytest.mark.parametrize("value, message", [("1/0", "zero denominator"), (7, "expected a phase literal string")])
+@pytest.mark.parametrize("value, message", [
+    ("1/0", "zero denominator"), (7, "expected a phase literal string"),
+    ("1/2 + 1*rho", "undeclared symbol 'rho'"), ("1/3 +", "malformed phase literal"),
+])
 def test_repeated_bad_table_literal_names_its_first_entry(value, message):
     g = builtin("T2")
     side = {"range": "v", "word": ["a"]}
     entries = [{"mu": side, "nu": side, "value": v} for v in ("0", value, "1/2", value)]
     with pytest.raises(FileFormatError, match=rf"^cocycle\.entries\[1\]\.value: {message}"):
         loads_cocycle(canonical_json(_table(entries)), g)
+
+
+def test_table_literals_are_read_against_each_file_s_own_symbols(tmp_path, capsys):
+    # the same file loaded twice in one process: a literal read under the
+    # first load's declaration must not be reused under the second
+    doc = json.loads(_read(FIXTURES, "t2_table"))
+    path = tmp_path / "table.json"
+    path.write_text(canonical_json(doc), encoding="utf-8")
+    assert cli.main(["validate", "builtin:T2", "--cocycle", str(path), "--depth", "2"]) == 0
+    capsys.readouterr()
+    first = next(i for i, ent in enumerate(doc["entries"]) if "theta" in ent["value"])
+    doc["symbols"] = ["rho"]
+    path.write_text(canonical_json(doc), encoding="utf-8")
+    assert cli.main(["validate", "builtin:T2", "--cocycle", str(path), "--depth", "2"]) == 1
+    value = doc["entries"][first]["value"]
+    assert capsys.readouterr() == (
+        "", f"error: cocycle.entries[{first}].value: undeclared symbol 'theta' in {value!r}\n")
 
 
 # --- validation and error context -------------------------------------------

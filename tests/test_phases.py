@@ -1,16 +1,19 @@
 """Exponent arithmetic over Q plus declared symbols, and the literal grammar.
 
 The differential tests check the integer normal form against the earlier
-Fraction-based class kept in `fraction_phases.py`.
+Fraction-based class kept in `fraction_phases.py`, and the one-match
+literal reader against the earlier part-by-part one kept in
+`split_phases.py`.
 """
 
+import itertools
 import os
 import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ktwist.phases import (
@@ -27,6 +30,7 @@ from ktwist.phases import (
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 try:
     from fraction_phases import FractionPhase, format_fraction_phase, parse_fraction_phase
+    from split_phases import parse_split_phase
 finally:
     sys.path.pop(0)
 
@@ -173,8 +177,22 @@ def both(rat, terms):
     return PhaseExponent(rat, tuple(terms)), FractionPhase(rat, tuple(terms))
 
 
-def literal(rat, terms):
-    return str(rat) + "".join(f" + {c}*{s}" for s, c in terms)
+# blanks that strip() removes, ASCII and not
+BLANKS = st.sampled_from(["", " ", "  ", "\t", "\n", "\x1c", "\u3000"])
+
+
+def literal(rat, terms, blanks=None, rational=True):
+    """`rat` and `terms` written as a literal: in the canonical spelling
+    when `blanks` is None, else with the strings of `blanks`, in turn,
+    around each '+' and '*' and at both ends, and with no rational part
+    when `rational` is false."""
+    if blanks is None:
+        return " + ".join([str(rat)] * rational + [f"{c}*{s}" for s, c in terms])
+    pad = itertools.cycle(blanks)
+    parts = [f"{next(pad)}{c}{next(pad)}*{next(pad)}{s}{next(pad)}" for s, c in terms]
+    if rational:
+        parts.insert(0, f"{next(pad)}{rat}{next(pad)}")
+    return "+".join(parts)
 
 
 def assert_normal(p):
@@ -266,15 +284,19 @@ def test_equality_and_hash_agree_with_fraction_reference(r1, t1, shift, t2):
     assert c == a and hash(c) == hash(a)
 
 
-@example(*CANCELLING[0])
-@example(*CANCELLING[1])
-@example(*CANCELLING[2])
-@given(rats, term_lists)
-def test_parse_agrees_with_fraction_reference(rat, terms):
-    text = literal(rat, terms)
+@example(*CANCELLING[0], None, True)
+@example(*CANCELLING[1], None, True)
+@example(*CANCELLING[2], None, True)
+# no rational part, a repeated symbol, and blanks on every side
+@example(*CANCELLING[1], ["\t", "", " \x1c", "\n"], False)
+@given(rats, term_lists, st.none() | st.lists(BLANKS, min_size=1, max_size=5), st.booleans())
+def test_parse_agrees_with_fraction_reference(rat, terms, blanks, rational):
+    rational = rational or not terms
+    text = literal(rat, terms, blanks, rational)
     p = parse_phase(text, symbols=SYMBOLS)
     assert_agrees(p, parse_fraction_phase(text))
-    assert p == PhaseExponent(rat, tuple(terms))
+    assert p == PhaseExponent(rat if rational else 0, tuple(terms))
+    assert p == parse_split_phase(text, SYMBOLS)
     assert parse_phase(format_phase(p), symbols=SYMBOLS) == p
 
 
@@ -346,3 +368,44 @@ def test_syntax_error_message_and_precedence(text, message):
 def test_literals_that_parse(text, expected):
     # spaces around a term and its parts, and any Unicode decimal digits
     assert format_phase(parse_phase(text, symbols=["theta"])) == expected
+
+
+# The literal alphabet: the pieces of every spelling, blanks that strip()
+# removes, an Arabic-Indic digit, and a name that is no symbol.  Longer
+# words of it make well-formed literals, and near misses, common.
+ALPHABET = ["0", "1", "2", "7", "-", "/", "+", "*", " ", "\t", "\x1c", "\u0663", "theta", "rho", "9a"]
+WORDS = ["12", "-3/4", "1/2 ", " + ", " * ", "2*theta", "-1/3*rho", "0 + "]
+
+
+def outcome(parse, text, symbols):
+    """The value `parse` reads from `text`, or its error's type and message."""
+    try:
+        return parse(text, symbols)
+    except ValueError as err:  # PhaseSyntaxError, or int() on too many digits
+        return type(err), str(err)
+
+
+@example("12*theta", None)  # not a rational 1 and a term 2*theta
+@example("1/0 + 1*rho", ["theta"])  # the zero denominator comes first
+@example("1*theta + 2/0*theta + 1*9a", ["theta"])
+@example("0 + 1*theta + 2*rho + -1*theta", None)
+@example("1/" + "2" * 5000, ["theta"])  # too many digits for int()
+@example("1/0 + " + "2" * 5000 + "*theta", ["theta"])
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(ALPHABET + WORDS), max_size=12).map("".join), st.sampled_from([None, ["theta"]]))
+def test_parse_agrees_with_the_split_reference(text, symbols):
+    # the same literals are accepted, with equal values, and every other
+    # one is refused with the same error
+    got = outcome(parse_phase, text, symbols)
+    assert got == outcome(parse_split_phase, text, symbols)
+    if isinstance(got, PhaseExponent):
+        assert_agrees(got, parse_fraction_phase(text))
+
+
+def test_short_literals_agree_with_the_split_reference():
+    # every string of up to three pieces of the alphabet
+    for n in range(4):
+        for pieces in itertools.product(ALPHABET, repeat=n):
+            text = "".join(pieces)
+            for symbols in (None, ["theta"]):
+                assert outcome(parse_phase, text, symbols) == outcome(parse_split_phase, text, symbols), text

@@ -1,13 +1,15 @@
 """Smoke tests of the scripts: run_examples.py against the verdicts README lists,
 oracle_report.py on the bundled pairings and against its golden document
 at --cap 200, period_scale.py at n = 10, unreached.py on one test module,
-and the summary of bench_pairs.py on given numbers (no bench is run)."""
+and the summary and the two exported sides of bench_pairs.py (no bench is
+run)."""
 
 import json
 import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +105,19 @@ def test_bench_pairs_summary(faster, wins, gain):
     assert (s["wins"], s["pairs"], s["gain"]) == (wins, 10, gain)
     if gain:
         assert s["change"][0] == pytest.approx(0.02040)
+
+
+@pytest.mark.skipif(not os.path.exists(os.path.join(ROOT, ".git")), reason="exports from a git checkout")
+def test_bench_pairs_runs_neither_side_in_the_working_tree(tmp_path):
+    # a side run where an earlier run left bytecode would import it and win
+    # setup_s; the change side is this checkout's files as they stand
+    sides = bench_pairs.export_sides("HEAD", tmp_path)
+    for side in sides.values():
+        assert side.resolve() != Path(ROOT).resolve() and side.resolve().is_relative_to(tmp_path.resolve())
+        assert (side / "perfbench" / "run.py").is_file() and (side / "src" / "ktwist" / "__init__.py").is_file()
+        assert not any(p.name == "__pycache__" for p in side.rglob("*")), side
+    here = Path(ROOT, "tests", "test_scripts.py").read_bytes()
+    assert (sides["change"] / "tests" / "test_scripts.py").read_bytes() == here
 
 
 def test_bench_pairs_summary_reads_the_direction():
