@@ -7,16 +7,18 @@ Exports REV with `git archive` (the base) and this checkout's files (the
 change: its tracked files as they are in the working tree, and its
 untracked files that git does not ignore) into two temporary directories,
 deleted afterwards, and runs the unchanged `perfbench/run.py --trace 0` in
-each, N times at seeds N0, N0 + 1, ...  Neither side runs in the working
-tree, so neither imports bytecode that an earlier run left there.  Pair i
-runs the base first when i is even and the change first when it is odd.
-Each run line is printed as it ends.
+each, N times at the one seed N0, so that the inputs are the same in every
+run and the runs differ by run noise only.  Neither side runs in the
+working tree, so neither imports bytecode that an earlier run left there.
+Pair i runs the base first when i is even and the change first when it is
+odd.  Each run line is printed as it ends.
 
 Per end-to-end metric of BENCHMARK.json, the summary gives each side's
 median and quartiles over the N runs and the number of pairs the change
 won (ties count for neither), and says whether a gain may be claimed: the
 change wins at least nine tenths of the pairs and its median is better
-than the base's by more than the distance between the base's quartiles.
+than the base's by more than the distance between the base's quartiles,
+which at one seed is the spread of the base's run noise.
 """
 
 import argparse
@@ -87,7 +89,7 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
-    ap.add_argument("--seed", type=int, required=True, help="seed of pair 0; pair i runs at seed + i")
+    ap.add_argument("--seed", type=int, required=True, help="seed of every run")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
@@ -99,17 +101,16 @@ def main(argv=None) -> int:
         sides = export_sides(args.base, tmp)
         runs: dict[str, list[dict]] = {"base": [], "change": []}
         for i in range(args.pairs):
-            seed = args.seed + i
             for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
-                metrics = run_bench(sides[side], args.workload, seed, args.seconds)
+                metrics = run_bench(sides[side], args.workload, args.seed, args.seconds)
                 runs[side].append(metrics)
-                print(f"pair {i} seed {seed} {side}: "
+                print(f"pair {i} {side}: "
                       + " ".join(f"{name}={metrics[name]:.6g}" for name in better), flush=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
     print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs, "
-          f"seeds {args.seed}-{args.seed + args.pairs - 1}, base {args.base} against the checkout's files")
+          f"seed {args.seed}, base {args.base} against the checkout's files")
     for name, s in summarize(runs["base"], runs["change"], better).items():
         (bm, bq1, bq3), (cm, cq1, cq3) = s["base"], s["change"]
         print(f"  {name}: base {bm:.6g} [{bq1:.6g}, {bq3:.6g}]  change {cm:.6g} [{cq1:.6g}, {cq3:.6g}]  "

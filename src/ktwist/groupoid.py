@@ -80,16 +80,15 @@ class GroupoidElement:
         With D = (1, ..., 1), start from mu = x(0, p+ + tD) and
         nu = y(0, p- + tD) at the least t >= 0 with T^(p+ + tD) x =
         T^(p- + tD) y, then strip common source-end edges colour by colour.
-        From t = max(s_x, s_y) on, where s and r are a path's prefix and
-        cycle steps, the pair of shifts repeats with period lcm(r_x, r_y);
-        a triple with no such t below both is not an element.
+        From t = max(s_x, s_y) on, where a path's ints s and r count its
+        prefix and cycle steps, the pair of shifts repeats with period
+        lcm(r_x, r_y); a triple with no such t below both is not an element.
         """
         x, y = self.range_path, self.source_path
         g = x.graph
         a, b = dg.pos_part(self.degree), dg.neg_part(self.degree)
         diag = (1,) * g.k
-        steps = max(x.prefix.degree[0], y.prefix.degree[0])
-        for t in range(steps + math.lcm(x.cycle.degree[0], y.cycle.degree[0])):
+        for t in range(max(x.s, y.s) + math.lcm(x.r, y.r)):
             m, n = dg.add(a, dg.scale(t, diag)), dg.add(b, dg.scale(t, diag))
             if x.shift(m) is y.shift(n):
                 break

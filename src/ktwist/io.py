@@ -208,7 +208,7 @@ def graph_from_jsonable(obj) -> KGraph:
         edges.append(Edge(eid, color, rng, src))
     eset = {e.id for e in edges}
     squares = []
-    for idx, s in enumerate(_as_list(obj.get("squares", []), "graph.squares")):
+    for idx, s in enumerate(_as_list(_need(obj, "squares", "graph"), "graph.squares")):
         where = f"graph.squares[{idx}]"
         if not isinstance(s, dict):
             raise FileFormatError(f"{where}: expected an object")

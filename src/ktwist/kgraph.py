@@ -22,19 +22,20 @@ is exact and deterministic (edges are always enumerated in id order).  A finite 
 one object for its (range, source, degree, word), so paths are compared
 and hashed by identity, and each path keeps its own splits.
 
-An eventually periodic path has many representations (a cycle may be
-repeated, or partly folded into the prefix).  An infinite path is
-determined by its segments of diagonal degree (t, ..., t), which are
-cofinal in N^k, so the constructor keeps one representation: the shortest
-diagonal cycle after the shortest diagonal prefix, and returns the graph's
-one object for it.  Infinite paths (and the oracle's groupoid elements)
-are therefore one object per value, compared and hashed by identity.
-Each infinite path keeps its own shifts and segments.  The tables live as
-long as the graph.
+An infinite path x is determined by its diagonal steps x(tD, (t+1)D),
+D = (1, ..., 1), as the degrees tD are cofinal in N^k.  An eventually
+periodic path is kept as its steps: s of them, then r that repeat forever,
+both least, and the graph keeps one object per pair of step tuples, so
+infinite paths (and the oracle's groupoid elements) are one object per
+value, compared and hashed by identity.  Prepending and shifting are one
+carry loop over the steps (`_carry` holds its proof), each carry step kept
+on its carry path; each infinite path keeps its shifts, prepends and
+diagonal segments x(0, tD).  The tables live as long as the graph.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -389,32 +390,68 @@ def _hexagon_ok(g: KGraph, f: str, gg: str, h: str) -> bool:
 # --- eventually periodic infinite paths -------------------------------------
 
 
-def _materialize(g: KGraph, prefix: Path, cycle: Path, n: Degree) -> Path:
-    """prefix.cycle...cycle with the fewest cycles that reach degree n."""
-    need = dg.sub(n, prefix.degree)
-    reps = max((x + c - 1) // c if x > 0 else 0 for x, c in zip(need, cycle.degree))
-    out = prefix
-    for _ in range(reps):
-        out = g.compose(out, cycle)
-    return out
+def _carry(g: KGraph, p: Path, pre: tuple, cyc: tuple) -> tuple[list[Path], int]:
+    """The diagonal steps of p.y and how many come before their cycle, where
+    y has the least s = len(pre) and r = len(cyc): steps pre, then cyc repeated.
+
+    With c_0 = p and Y_j the steps of y, split c_j.Y_j at degree D into
+    (W_j, c_{j+1}).  Then W_j = (p.y)(jD, (j+1)D) and c_{j+1} = (p.y)((j+1)D,
+    (j+1)D + d(p)), by induction: c_0 = p, and if c_j is as claimed, then
+    c_j.Y_j = (p.y)(jD, (j+1)D + d(p)) as Y_j = (p.y)(jD + d(p), (j+1)D + d(p)).
+    So T^(jD)(p.y) = c_j.T^(jD)y; as c.w = c'.w' with d(c) = d(c') means c = c'
+    and w = w', for i < j T^(iD)(p.y) = T^(jD)(p.y) iff c_i = c_j and T^(iD)y =
+    T^(jD)y, that is, i >= s and r divides j - i.  The state (c_j, j mod r)
+    fixes the next one, so p.y turns periodic where the first state to repeat
+    was first seen, with the steps since as its least cycle.  Each (carry,
+    step) -> (window, next carry) is kept in the carry's `_splits`, where a
+    path key never equals a degree key.
+    """
+    if not p.word:
+        return [*pre, *cyc], len(pre)
+    diag, s, r, out, seen = (1,) * g.k, len(pre), len(cyc), [], {}
+    for j, y in enumerate(itertools.chain(pre, itertools.cycle(cyc))):
+        if j >= s:
+            first = seen.setdefault((p, (j - s) % r), j)
+            if first != j:
+                return out, first
+        hit = p._splits.get(y)
+        if hit is None:
+            hit = p._splits[y] = g.factorize(g.compose(p, y), diag)
+        w, p = hit
+        out.append(w)
+
+
+def _from_steps(g: KGraph, steps, s: int) -> "EventuallyPeriodicPath":
+    """The graph's one path with the least diagonal steps `steps`, the last
+    len(steps) - s of them repeated forever."""
+    key = (tuple(steps[:s]), tuple(steps[s:]))
+    self = g._interned.get(key)
+    if self is None:
+        self = g._interned[key] = object.__new__(EventuallyPeriodicPath)
+        self.__dict__.update(graph=g, steps=key[0] + key[1], s=s, r=len(key[1]),
+                             _prefixes=[g.vertex_path(steps[0].range)], _tails={})
+    return self
 
 
 @dataclass(frozen=True, init=False, eq=False)
 class EventuallyPeriodicPath:
-    """Infinite path prefix.cycle.cycle... in diagonal normal form.
-
-    Write D = (1, ..., 1).  The cycle must be a loop at the prefix source of
-    degree rD with r >= 1.  The constructor rewrites (prefix, cycle) to the
-    least r, then the least s, with x = x(0, sD).x(sD, (s+r)D)^oo, and
-    returns the graph's one object for that pair, so equal paths are
-    identical and the object's identity is its equality and hash.  Each
-    path keeps its own shifts, prepends and segments x(0, n), so each is
-    worked out once; x(m, n) is a split that x(0, n) keeps.
+    """Infinite path x kept as its diagonal steps x(tD, (t+1)D), D = (1, ...,
+    1): the least s of them, then the least r >= 1 repeated forever.  The
+    graph keeps one object per pair of step tuples, so identity is equality
+    and hash.  `prefix` = x(0, sD) and `cycle` = x(sD, (s+r)D) are derived.
+    The constructor splits a loop `cycle` of degree rD at the source of
+    `prefix` into r steps, keeps their least period and carries `prefix`
+    over them (`_carry`); `prepend(p)` carries p over x's steps, and
+    `shift(n)`, t = max(n), carries x(n, tD) over T^(tD) x, which is x less
+    t steps and at its least (s, r).  A path keeps its shifts, prepends and
+    segments x(0, tD), each new one a `compose` of the last with one step;
+    x(m, n) is a split kept on x(0, max(n) D).
     """
 
     graph: KGraph
-    prefix: Path
-    cycle: Path
+    steps: tuple[Path, ...]
+    s: int
+    r: int
 
     # Identity is equality; named in the class so the bench tracer finds `==` to wrap.
     __eq__ = object.__eq__
@@ -426,38 +463,36 @@ class EventuallyPeriodicPath:
             raise ValueError("cycle must be a loop at the prefix source")
         if r < 1 or any(x != r for x in cycle.degree):
             raise ValueError("cycle degree must be (r, ..., r) with r >= 1")
-        # x is determined by its diagonal steps x(tD, (t+1)D), which repeat
-        # with period r from s = max(prefix degree) on.
-        diag = (1,) * g.k
-        s = max(prefix.degree)
-        mat = _materialize(g, prefix, cycle, dg.scale(s + r, diag))
-        steps, rest = [], mat
-        for _ in range(s + r):
-            step, rest = g.factorize(rest, diag)
-            steps.append(step)
-        cyc = steps[s:]
+        cyc = []
+        for _ in range(r):
+            step, cycle = g.factorize(cycle, (1,) * g.k)
+            cyc.append(step)
         r = next(d for d in range(1, r + 1) if r % d == 0 and cyc[d:] == cyc[:-d])
-        while s and steps[s - 1] == steps[s - 1 + r]:
-            s -= 1
-        head, rest = g.factorize(mat, dg.scale(s, diag))
-        key = (head, g.factorize(rest, dg.scale(r, diag))[0])
-        self = g._interned.get(key)
-        if self is None:
-            self = g._interned[key] = object.__new__(cls)
-            self.__dict__.update(graph=g, prefix=key[0], cycle=key[1], _tails={}, _segments={})
-        return self
+        return _from_steps(g, *_carry(g, prefix, (), tuple(cyc[:r])))
 
     @property
     def range(self) -> str:
-        return self.prefix.range
+        return self.steps[0].range
+
+    @property
+    def prefix(self) -> Path:
+        return self._diagonal(self.s)
+
+    @property
+    def cycle(self) -> Path:
+        return self.graph.factorize(self._diagonal(self.s + self.r), (self.s,) * self.graph.k)[1]
+
+    def _diagonal(self, t: int) -> Path:
+        """x(0, tD), kept."""
+        kept, s = self._prefixes, self.s
+        while len(kept) <= t:
+            j = len(kept) - 1
+            kept.append(self.graph.compose(kept[-1], self.steps[j if j < s else s + (j - s) % self.r]))
+        return kept[t]
 
     def segment_to(self, n: Degree) -> Path:
         """x(0, n)."""
-        seg = self._segments.get(n)
-        if seg is None:
-            g = self.graph
-            seg = self._segments[n] = g.factorize(_materialize(g, self.prefix, self.cycle, n), n)[0]
-        return seg
+        return self.graph.factorize(self._diagonal(max(n)), n)[0]
 
     def at(self, m: Degree, n: Degree) -> Path:
         """x(m, n)."""
@@ -468,17 +503,19 @@ class EventuallyPeriodicPath:
         # a degree key never equals a path key, so shifts and prepends share the table
         hit = self._tails.get(n)
         if hit is None:
-            g = self.graph
-            _, rest = g.factorize(_materialize(g, self.prefix, self.cycle, n), n)
-            hit = self._tails[n] = EventuallyPeriodicPath(g, rest, self.cycle)
+            g, t, steps, s = self.graph, max(n), self.steps, self.s
+            u = s + max(t - s, 0) % self.r  # T^(tD) x starts at step min(t, s), then cycle step u
+            carry = g.factorize(self._diagonal(t), n)[1]
+            hit = self._tails[n] = _from_steps(g, *_carry(g, carry, steps[min(t, s):s], steps[u:] + steps[s:u]))
         return hit
 
     def prepend(self, p: Path) -> "EventuallyPeriodicPath":
         """The path p.x."""
         hit = self._tails.get(p)
         if hit is None:
-            g = self.graph
-            hit = self._tails[p] = EventuallyPeriodicPath(g, g.compose(p, self.prefix), self.cycle)
+            if p.source != self.range:
+                raise ComposabilityError(f"cannot compose: source {p.source!r} != range {self.range!r}")
+            hit = self._tails[p] = _from_steps(self.graph, *_carry(self.graph, p, self.steps[:self.s], self.steps[self.s:]))
         return hit
 
     def __repr__(self):
@@ -511,9 +548,23 @@ def rotation_walk(g: KGraph, v: str, within: set[str] | None = None) -> tuple[li
 
 def canonical_tail(g: KGraph, v: str) -> EventuallyPeriodicPath:
     """A deterministic eventually periodic path with range v: the rotation
-    walk from v, then its closed word forever."""
-    prefix, cycle = rotation_walk(g, v)
-    return EventuallyPeriodicPath(g, g.make_path(v, prefix), g.make_path(g.edge(cycle[0]).range, cycle))
+    walk from v, then its closed word forever.
+
+    The walk takes colours 1, ..., k in turn, so its block of edges tk to
+    tk + k - 1 is a normal-form path of degree D = (1, ..., 1), and by
+    unique factorisation block t is the step x(tD, (t+1)D).  The word turns
+    periodic at the first state that repeats, not before (the states before
+    it differ in vertex, so their edges differ), and no shorter closed word
+    repeats (its length would be a multiple of k, so a state would repeat
+    sooner); so its blocks turn periodic at block ceil(len(head) / k).
+    """
+    head, loop = rotation_walk(g, v)
+    k, s, walk = g.k, -(-len(head) // g.k), head + loop + loop
+    steps = [
+        Path(g, g.edge(walk[i]).range, g.edge(walk[i + k - 1]).source, (1,) * k, tuple(walk[i:i + k]))
+        for i in range(0, k * s + len(loop), k)
+    ]
+    return _from_steps(g, steps, s)
 
 
 # --- builtins and products --------------------------------------------------

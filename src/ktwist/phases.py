@@ -43,6 +43,7 @@ symbols); this module only checks that names are well formed.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Collection, Iterable, NoReturn
@@ -238,10 +239,19 @@ _ZERO = _new(0, 1, ())
 def _rational(m: re.Match, text: str) -> tuple[int, int]:
     """(p, q) with q >= 1 from the `_RATIONAL_RE` match of p or p/q on `text`."""
     p, q = m.group(1, 2)
-    den = int(q) if q else 1
+    den = _int(q) if q else 1
     if den == 0:
         raise PhaseSyntaxError(f"zero denominator in {text!r}")
-    return int(p), den
+    return _int(p), den
+
+
+def _int(digits: str) -> int:
+    """int(digits), as a PhaseSyntaxError past the interpreter's digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        n, limit = len(digits.lstrip("-")), sys.get_int_max_str_digits()
+        raise PhaseSyntaxError(f"integer of {n} digits exceeds the limit of {limit} digits") from None
 
 
 # A symbol term: coefficient p or p/q, then '*' and a symbol, with blanks

@@ -5,12 +5,14 @@ each part and reads the parts in order with one regex each, so its checks
 run in the order their messages name faults.  It builds the value with
 the public `PhaseExponent` constructor from Fractions.  `parse_phase`
 must accept exactly the literals this accepts, with equal values, and
-raise this one's message on every other.
+raise this one's message on every other.  An integer past the
+interpreter's digit limit is refused with a message of its own.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from ktwist.phases import SYMBOL_NAME, PhaseExponent, PhaseSyntaxError
@@ -20,10 +22,18 @@ _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 def _rational(m: re.Match, text: str) -> Fraction:
     p, q = m.group(1, 2)
-    den = int(q) if q else 1
+    den = _int(q) if q else 1
     if den == 0:
         raise PhaseSyntaxError(f"zero denominator in {text!r}")
-    return Fraction(int(p), den)
+    return Fraction(_int(p), den)
+
+
+def _int(digits: str) -> int:
+    """int(digits); past the interpreter's digit limit, the error names the digit count."""
+    if len(digits.lstrip("-")) > sys.get_int_max_str_digits() > 0:
+        n, limit = len(digits.lstrip("-")), sys.get_int_max_str_digits()
+        raise PhaseSyntaxError(f"integer of {n} digits exceeds the limit of {limit} digits")
+    return int(digits)
 
 
 def parse_split_phase(text: str, symbols=None) -> PhaseExponent:

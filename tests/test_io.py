@@ -549,6 +549,13 @@ INPUT_ERRORS = {
                                                "graph.edges[0]: missing key 'source'"),
     "cocycle not JSON": ("T2", "{\n", "cocycle: invalid JSON "
                          "(Expecting property name enclosed in double quotes: line 2 column 1 (char 2))"),
+    "graph with no squares": ("graph", canonical_json({"k": 1, "vertices": ["v"], "edges": [
+                                  {"id": "a", "color": 1, "range": "v", "source": "v"}]}),
+                              "graph: missing key 'squares'"),
+    "phase literal with an integer past the digit limit": (
+        "T2", canonical_json({"variant": "pullback", "symbols": [],
+                              "theta_matrix": [["1/" + "3" * 5000, "0"], ["0", "0"]]}),
+        f"cocycle.theta_matrix[0][0]: integer of 5000 digits exceeds the limit of {sys.get_int_max_str_digits()} digits"),
 }
 
 
@@ -658,7 +665,7 @@ def test_mutated_input_gives_a_report_or_an_error_line(docs):
 def test_graph_with_no_vertices_exits_1(tmp_path, capsys, command):
     # it used to pass validation and fail later with "max() arg is an empty sequence"
     path = tmp_path / "empty.json"
-    path.write_text(canonical_json({"k": 1, "vertices": [], "edges": []}), encoding="utf-8")
+    path.write_text(canonical_json({"k": 1, "vertices": [], "edges": [], "squares": []}), encoding="utf-8")
     argv = [command, str(path)]
     if command in ("omega", "simplicity", "oracle"):
         argv += ["--cocycle", os.path.join(FIXTURES, "pullback_b2.json")]
@@ -743,7 +750,8 @@ def test_validate_counts_the_problems_it_leaves_out(tmp_path, capsys):
     assert lines[2:] == [f"  problem: {p}" for p in problems["cocycle"]]
     # seven vertices that are the range of no edge of either colour
     path = tmp_path / "bare.json"
-    path.write_text(json.dumps({"k": 2, "vertices": [f"v{i}" for i in range(7)], "edges": []}), encoding="utf-8")
+    path.write_text(json.dumps({"k": 2, "vertices": [f"v{i}" for i in range(7)], "edges": [], "squares": []}),
+                    encoding="utf-8")
     code, lines, problems = _validate_lines(capsys, [str(path)])
     assert code == 1 and len(problems["graph"]) == 14
     assert lines == (

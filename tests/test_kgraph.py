@@ -1,6 +1,7 @@
 """Colored-graph skeleton: normal forms, factorization, infinite tails."""
 
 import os
+import random
 import sys
 
 import pytest
@@ -17,15 +18,19 @@ from ktwist.kgraph import (
     Square,
     builtin,
     canonical_tail,
+    product_with_Tl,
+    rotation_walk,
     validate_kgraph,
 )
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts"))
 try:
+    from period_scale import scale_base
     from test_structure import single_vertex_two_graphs
     from three_graphs import one_vertex_three_graphs, pull_front_split
 finally:
-    sys.path.pop(0)
+    del sys.path[:2]
 
 
 def torus2():
@@ -467,6 +472,8 @@ def test_kept_shifts_and_prepends_equal_fresh_tails(g, data):
         assert kept == fresh
         assert (kept.prefix, kept.cycle) == (fresh.prefix, fresh.cycle)
         tails.append(kept)
+    for x in tails:
+        assert_step_form_matches_reference(g, x, lambda xs: data.draw(st.sampled_from(xs)))
 
 
 def test_tail_hash_tells_different_tails_apart():
@@ -543,3 +550,105 @@ def test_structural_equality_matches_the_segment_rule(g, data):
     if x == y:
         assert hash(x) == hash(y)
         assert (x.prefix, x.cycle) == (y.prefix, y.cycle)
+
+
+# --- the step form against the (prefix, cycle) route it replaced -------------
+
+
+def _normal_pair(g, prefix, cycle):
+    """The (prefix, cycle) of prefix.cycle^oo at the least r, then the least
+    s, by the earlier constructor's route: unroll to degree (s + r)D with
+    s = max(d(prefix)), split off s + r diagonal steps and compare them."""
+    diag, r, s = (1,) * g.k, cycle.degree[0], max(prefix.degree)
+    whole = _unrolled(g, prefix, cycle, dg.scale(s + r, diag))
+    steps, rest = [], whole
+    for _ in range(s + r):
+        step, rest = g.factorize(rest, diag)
+        steps.append(step)
+    cyc = steps[s:]
+    r = next(d for d in range(1, r + 1) if r % d == 0 and cyc[d:] == cyc[:-d])
+    while s and steps[s - 1] is steps[s - 1 + r]:
+        s -= 1
+    head, rest = g.factorize(whole, dg.scale(s, diag))
+    return head, g.factorize(rest, dg.scale(r, diag))[0]
+
+
+def _reference_tail(g, v):
+    """The canonical tail at v from the whole rotation walk, as the pair of
+    its two normalised words."""
+    head, loop = rotation_walk(g, v)
+    return g.make_path(v, head), g.make_path(g.edge(loop[0]).range, loop)
+
+
+def assert_is_reference(g, y, raw):
+    """y is the path prefix.cycle^oo of the pair raw, in the reference's normal form."""
+    assert y is EventuallyPeriodicPath(g, *raw)
+    assert (y.prefix, y.cycle) == _normal_pair(g, *raw)
+    assert (y.s, y.r) == (max(y.prefix.degree), y.cycle.degree[0])
+
+
+def assert_step_form_matches_reference(g, x, pick, bound=2):
+    """shift, prepend, segment_to and at on x, each against the same
+    operation on x's pair through `_unrolled`, `compose` and `factorize`;
+    pick(choices) chooses the degrees and paths.  One shift goes past the
+    cycle, so the steps are rotated as well as dropped."""
+    raw = (x.prefix, x.cycle)
+    assert_is_reference(g, x, raw)
+    far = dg.add(dg.scale(x.s + x.r, (1,) * g.k), dg.unit(g.k, 1))
+    for m in [far] + [pick(list(dg.box((bound,) * g.k))) for _ in range(2)]:
+        assert_is_reference(g, x.shift(m), (g.factorize(_unrolled(g, *raw, m), m)[1], raw[1]))
+        lams = [q for w in g.vertices for q in g.paths_from(w, m) if q.source == x.range] if m is not far else []
+        if lams:
+            lam = pick(lams)
+            assert_is_reference(g, x.prepend(lam), (g.compose(lam, raw[0]), raw[1]))
+        n = pick(list(dg.box(m)))
+        assert x.segment_to(m) is _segment(g, *raw, m)
+        assert x.at(n, m) is g.factorize(_segment(g, *raw, m), n)[1]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 751), st.data())
+def test_step_form_matches_reference_on_one_vertex_3_graphs(i, data):
+    g = one_vertex_three_graphs()[i]
+    pick = lambda xs: data.draw(st.sampled_from(xs))  # noqa: E731
+    assert_step_form_matches_reference(g, canonical_tail(g, "v"), pick, bound=1)
+    x = EventuallyPeriodicPath(g, g.vertex_path("v"), pick(g.paths_from("v", (1, 1, 1))))
+    assert_step_form_matches_reference(g, x, pick, bound=1)
+
+
+def tadpole(l):
+    """v0 <- v1 <-> v2 in colour 1, times T_l: the rotation walk from v0
+    takes one edge before its closed word, so for l > 0 the first diagonal
+    step holds an edge of the walk's head and one of its closed word."""
+    edges = (Edge("a", 1, "v0", "v1"), Edge("b", 1, "v1", "v2"), Edge("c", 1, "v2", "v1"))
+    return product_with_Tl(KGraph(1, ("v0", "v1", "v2"), edges, (), name="P3"), l)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["C3xT2", "P3xT1", "P3xT2"]), st.data())
+def test_step_form_matches_reference_on_multi_vertex_products(name, data):
+    g = builtin(name) if name[0] == "C" else tadpole(int(name[-1]))
+    v = data.draw(st.sampled_from(g.vertices))
+    lam = data.draw(st.sampled_from(g.paths_from(v, (2,) + (1,) * (g.k - 1))))
+    for x in (canonical_tail(g, v), canonical_tail(g, lam.source).prepend(lam)):
+        assert_step_form_matches_reference(g, x, lambda xs: data.draw(st.sampled_from(xs)))
+
+
+@pytest.mark.parametrize("n", [10, 50, 200])
+def test_step_form_matches_reference_on_the_scale_family(n):
+    g = product_with_Tl(scale_base(n), 1)
+    rng = random.Random(n)
+    for v in (g.vertices[0], g.vertices[n // 2]):
+        assert_step_form_matches_reference(g, canonical_tail(g, v), rng.choice)
+
+
+BUILTINS = ["T1", "T2", "T3", "T4", "B2", "B3", "C1", "C3", "DISJOINT2", "B2xT1", "B2xT3", "C3xT1", "C3xT2", "T2xT1"]
+
+
+@pytest.mark.parametrize("g", [builtin(name) for name in BUILTINS] + [tadpole(l) for l in range(3)]
+                         + [product_with_Tl(scale_base(n), 1) for n in (10, 50, 200)],
+                         ids=BUILTINS + ["P3", "P3xT1", "P3xT2", "R10xT1", "R50xT1", "R200xT1"])
+def test_canonical_tail_is_the_reference_walk(g):
+    # about five vertices of a scale graph, whose walks are long
+    for v in g.vertices[::max(1, len(g.vertices) // 5)]:
+        assert_is_reference(g, canonical_tail(g, v), _reference_tail(g, v))

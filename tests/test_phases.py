@@ -381,7 +381,7 @@ def outcome(parse, text, symbols):
     """The value `parse` reads from `text`, or its error's type and message."""
     try:
         return parse(text, symbols)
-    except ValueError as err:  # PhaseSyntaxError, or int() on too many digits
+    except ValueError as err:  # PhaseSyntaxError, or any other error int() raises
         return type(err), str(err)
 
 

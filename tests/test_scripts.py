@@ -125,3 +125,17 @@ def test_bench_pairs_summary_reads_the_direction():
     s = bench_pairs.summarize([{"ratio": b} for b in DECIDE_BASE], [{"ratio": b - 0.00162} for b in DECIDE_BASE],
                               {"ratio": "higher"})["ratio"]
     assert (s["wins"], s["gain"]) == (0, False)
+
+
+def test_bench_pairs_runs_every_pair_at_the_one_seed(monkeypatch, capsys):
+    # the gain rule compares against the base's quartile spread, which
+    # must be run noise: no pair may run on other inputs than the rest
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        names = [m["name"] for m in json.load(fh)["end_to_end"]]
+    runs = []
+    monkeypatch.setattr(bench_pairs, "export_sides", lambda base, tmp: {"base": tmp / "base", "change": tmp / "change"})
+    monkeypatch.setattr(bench_pairs, "run_bench",
+                        lambda checkout, workload, seed, seconds: runs.append((checkout.name, seed)) or dict.fromkeys(names, 1.0))
+    assert bench_pairs.main(["--base", "HEAD", "--workload", "decide", "--pairs", "4", "--seconds", "1", "--seed", "7"]) == 0
+    assert runs == [("base", 7), ("change", 7), ("change", 7), ("base", 7)] * 2
+    assert "seed 7," in capsys.readouterr().out
