@@ -18,7 +18,12 @@ median and quartiles over the N runs and the number of pairs the change
 won (ties count for neither), and says whether a gain may be claimed: the
 change wins at least nine tenths of the pairs and its median is better
 than the base's by more than the distance between the base's quartiles,
-which at one seed is the spread of the base's run noise.
+which at one seed is the spread of the base's run noise.  It also gives a
+verdict against the metric's `bound`, read as a fraction of the base's
+median: "worse" when the change's median is worse than the base's by more
+than that fraction; else "unresolved" when the base's quartile distance is
+wider than that fraction and not every change run beats every base run;
+else "no worse".
 """
 
 import argparse
@@ -33,11 +38,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def summarize(base: list[dict], change: list[dict], better: dict[str, str]) -> dict[str, dict]:
-    """Per metric, the medians, quartiles and wins of paired runs.
+def summarize(base: list[dict], change: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict[str, dict]:
+    """Per metric, the medians, quartiles and wins of paired runs, and
+    with `bounds` the verdict against each metric's bound.
 
     `base[i]` and `change[i]` map metric names to values for pair i;
-    `better[name]` is "lower" or "higher".
+    `better[name]` is "lower" or "higher", and `bounds[name]` a fraction
+    of the base's median.
     """
     out = {}
     for name, direction in better.items():
@@ -51,6 +59,14 @@ def summarize(base: list[dict], change: list[dict], better: dict[str, str]) -> d
             "base": (bmed, bq1, bq3), "change": (cmed, cq1, cq3), "wins": wins, "pairs": len(b),
             "gain": wins >= 0.9 * len(b) and sign * (bmed - cmed) > bq3 - bq1,
         }
+        if bounds is not None:
+            allowed = bounds[name] * abs(bmed)
+            if sign * (cmed - bmed) > allowed:
+                out[name]["verdict"] = "worse"
+            elif bq3 - bq1 > allowed and not all(sign * (x - y) > 0 for x in b for y in c):
+                out[name]["verdict"] = "unresolved"
+            else:
+                out[name]["verdict"] = "no worse"
     return out
 
 
@@ -95,6 +111,7 @@ def main(argv=None) -> int:
         ap.error("--pairs must be at least 2")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
 
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
@@ -111,10 +128,11 @@ def main(argv=None) -> int:
 
     print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs, "
           f"seed {args.seed}, base {args.base} against the checkout's files")
-    for name, s in summarize(runs["base"], runs["change"], better).items():
+    for name, s in summarize(runs["base"], runs["change"], better, bounds).items():
         (bm, bq1, bq3), (cm, cq1, cq3) = s["base"], s["change"]
         print(f"  {name}: base {bm:.6g} [{bq1:.6g}, {bq3:.6g}]  change {cm:.6g} [{cq1:.6g}, {cq3:.6g}]  "
-              f"change won {s['wins']}/{s['pairs']}  gain {'holds' if s['gain'] else 'not shown'}")
+              f"change won {s['wins']}/{s['pairs']}  gain {'holds' if s['gain'] else 'not shown'}  "
+              f"{s['verdict']} (bound {bounds[name]:.0%})")
     return 0
 
 

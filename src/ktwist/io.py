@@ -206,6 +206,8 @@ def graph_from_jsonable(obj) -> KGraph:
         if src not in vset:
             raise FileFormatError(f"{where} (edge {eid!r}): unknown source vertex {src!r}")
         edges.append(Edge(eid, color, rng, src))
+    if vertices and k > len(edges):
+        raise FileFormatError(f"graph.k: {k} exceeds the edge count {len(edges)}; every color needs an edge")
     eset = {e.id for e in edges}
     squares = []
     for idx, s in enumerate(_as_list(_need(obj, "squares", "graph"), "graph.squares")):

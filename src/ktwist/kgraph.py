@@ -571,13 +571,18 @@ def canonical_tail(g: KGraph, v: str) -> EventuallyPeriodicPath:
 
 _LOOP_NAMES_TK = "abcdefgh"
 _LOOP_NAMES_BN = "efghijklmnopqrstuvwxyz"
+_MAX_CYCLE = 10_000  # a name of a few digits must not ask for an unbounded graph
 
 
 def builtin(name: str) -> KGraph:
-    """Builtin fixtures: Tk, Bn, Cn, DISJOINT2, and products like B2xT1."""
+    """Builtin fixtures: Tk, Bn, Cn, DISJOINT2, and their products with Tl,
+    like B2xT1, for l up to 8."""
     m = re.match(r"^([A-Z0-9]+?)xT(\d+)$", name)
     if m:
-        return product_with_Tl(builtin(m.group(1)), int(m.group(2)))
+        l = int(m.group(2))
+        if l > len(_LOOP_NAMES_TK):
+            raise ValueError(f"unsupported rank in {name!r}")
+        return product_with_Tl(builtin(m.group(1)), l)
     if name == "DISJOINT2":
         edges = (Edge("lu", 1, "u", "u"), Edge("lw", 1, "w", "w"))
         return KGraph(1, ("u", "w"), edges, (), name=name)
@@ -605,6 +610,8 @@ def builtin(name: str) -> KGraph:
         n = int(m.group(1))
         if n < 1:
             raise ValueError(f"bad cycle length in {name!r}")
+        if n > _MAX_CYCLE:
+            raise ValueError(f"unsupported cycle length in {name!r}")
         vertices = tuple(f"v{t}" for t in range(n))
         edges = tuple(Edge(f"c{t}", 1, f"v{t}", f"v{(t + 1) % n}") for t in range(n))
         return KGraph(1, vertices, edges, (), name=name)

@@ -29,12 +29,13 @@ The public constructor takes the rational part and symbol coefficients as
 ints or Fractions; the accessors `rat`, `irr` and `coeff` give them back
 as Fractions.
 
-`parse_phase` reads a well-formed literal with one regular-expression
-match, which takes the rational part and the first symbol term, and one
-match per further term; integers are built straight from the matched
-digits.  Only a literal that fails is read again, part by part from the
-left, by a checker that names its first fault.  `format_phase` writes the
-canonical literal.
+`parse_phase` reads the two shapes that literals in files take, a
+rational part alone or followed by one symbol term, with one
+regular-expression match, and builds the integers straight from the
+matched digits.  Every other literal, and one that fails a check, goes to
+`_read_parts`, which reads it part by part from the left and gives its
+value or names its first fault; the match only speeds up the common
+shapes.  `format_phase` writes the canonical literal.
 
 The symbol declaration lives with the input files (cocycle files list their
 symbols); this module only checks that names are well formed.
@@ -46,10 +47,18 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Collection, Iterable, NoReturn
+from typing import Collection, Iterable
 
-SYMBOL_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # whole names: use fullmatch
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+# The literal grammar's two pieces, written once: a rational p or p/q, its
+# groups p and q, and a symbol name.
+_RAT = r"(-?\d+)(?:/(\d+))?"
+_SYM = r"[A-Za-z_][A-Za-z0-9_]*"
+SYMBOL_NAME = re.compile(_SYM)  # whole names: use fullmatch
+_RATIONAL_RE = re.compile(_RAT)  # whole rationals: use fullmatch
+# A rational part, alone or followed by '+' and one symbol term, with blanks
+# around each part: the shapes of the literals in files.  Groups 1-2 are the
+# rational part, 3-4 the coefficient and 5 the symbol.
+_LITERAL_RE = re.compile(rf"\s*{_RAT}\s*(?:\+\s*{_RAT}\s*\*\s*({_SYM})\s*)?")
 
 
 class PhaseSyntaxError(ValueError):
@@ -254,19 +263,6 @@ def _int(digits: str) -> int:
         raise PhaseSyntaxError(f"integer of {n} digits exceeds the limit of {limit} digits") from None
 
 
-# A symbol term: coefficient p or p/q, then '*' and a symbol, with blanks
-# around each; its groups are p, q and the symbol.
-_TERM = r"\s*(-?\d+)(?:/(\d+))?\s*\*\s*([A-Za-z_][A-Za-z0-9_]*)\s*"
-# A whole well-formed literal: it is not empty; groups 1-2 are the rational
-# part, if any; groups 3-5 are the first symbol term, if any, which must
-# follow a '+' when a rational part came first; group 6 is the rest, a '+'
-# and the further terms.
-_LITERAL_RE = re.compile(
-    r"(?=.)(?:\s*(-?\d+)(?:/(\d+))?\s*)?(?:(?(1)\+)" + _TERM + r"(\+.*)?)?", re.DOTALL
-)
-_NEXT_TERM_RE = re.compile(r"\+" + _TERM)
-
-
 def parse_phase(text: str, symbols: Collection[str] | None = None) -> PhaseExponent:
     """Parse a phase literal.
 
@@ -277,86 +273,72 @@ def parse_phase(text: str, symbols: Collection[str] | None = None) -> PhaseExpon
     parses many literals passes a set, built once.  A symbol may appear in
     more than one term; its coefficients add up.
 
-    One match of `_LITERAL_RE` reads a well-formed literal up to its
-    second term, and one match of `_NEXT_TERM_RE` each further term.  When
-    a match fails, a symbol is undeclared or a denominator is zero,
-    `_raise_first_fault` reads the literal again, left to right, and names
-    its first fault.
+    One match of `_LITERAL_RE` reads a rational part, alone or with one
+    symbol term, whose denominators are nonzero, whose symbol is declared
+    and whose integers are within the interpreter's digit limit.
+    `_read_parts` reads every other literal: it gives the value, or raises
+    the error that names the first fault.
     """
     m = _LITERAL_RE.fullmatch(text)
-    if m is None:
-        _raise_first_fault(text, symbols)
-    rp, rq, p, q, sym, rest = m.groups()
-    try:
-        num = int(rp) if rp else 0
-        rden = int(rq) if rq else 1
-        if sym is None:
-            if rden:
-                return _reduced(num, rden, ())
-        elif rest is None:
-            # one symbol term, the shape of nearly every literal in a file
-            cden = int(q) if q else 1
-            den = lcm(rden, cden)
-            if den and (symbols is None or sym in symbols):
-                c = int(p) * (den // cden)
-                return _reduced(num * (den // rden), den, ((sym, c),) if c else ())
-        else:
-            written = [(sym, p, q)]
-            pos = 0
-            while pos < len(rest):
-                t = _NEXT_TERM_RE.match(rest, pos)
-                if t is None:
-                    break
-                written.append(t.group(3, 1, 2))
-                pos = t.end()
-            else:  # every further term matched
-                irr = [(s, int(a), int(b) if b else 1) for s, a, b in written]
-                den = lcm(rden, *(b for _, _, b in irr))
-                if den and (symbols is None or all(s in symbols for s, _, _ in irr)):
-                    merged: dict[str, int] = {}
-                    for s, a, b in irr:
-                        merged[s] = merged.get(s, 0) + a * (den // b)
-                    terms = tuple(sorted(t for t in merged.items() if t[1]))
-                    return _reduced(num * (den // rden), den, terms)
-    except ValueError:
-        pass  # an integer too long for int(); the left-to-right reading says where
-    _raise_first_fault(text, symbols)
+    if m is not None:
+        rp, rq, p, q, sym = m.groups()
+        try:
+            num = int(rp)
+            rden = int(rq) if rq else 1
+            if sym is None:
+                if rden:
+                    return _reduced(num, rden, ())
+            else:
+                cden = int(q) if q else 1
+                den = lcm(rden, cden)
+                if den and (symbols is None or sym in symbols):
+                    c = int(p) * (den // cden)
+                    return _reduced(num * (den // rden), den, ((sym, c),) if c else ())
+        except ValueError:
+            pass  # an integer too long for int(), which _read_parts names
+    return _read_parts(text, symbols)
 
 
-def _raise_first_fault(text: str, symbols: Collection[str] | None) -> NoReturn:
-    """Raise the PhaseSyntaxError that names the first fault of a literal.
+def _read_parts(text: str, symbols: Collection[str] | None) -> PhaseExponent:
+    """The value of a phase literal, read part by part from the left, or
+    the PhaseSyntaxError that names its first fault.
 
     An empty part, between '+' signs or at either end, makes the whole
     literal malformed, whatever its other parts hold.  Then each part, in
-    order, is read as a rational or, when it holds a '*', as a symbol term,
-    which is checked for its coefficient, its symbol, the declaration and
-    then the denominator.  `parse_phase` calls this only on a literal that
-    is not well formed, so it raises; were it to find no fault, the literal
-    is called malformed.
+    order, is read as a rational, which only the first part may be, or,
+    when it holds a '*', as a symbol term, which is checked for its
+    coefficient, its symbol, the declaration and then the denominator.
     """
     parts = [p.strip() for p in text.split("+")]
     if not all(parts):
         raise PhaseSyntaxError(f"malformed phase literal {text!r}")
+    num, rden = 0, 1
+    written: list[tuple[str, int, int]] = []
     for pos, part in enumerate(parts):
         if "*" in part:
             coef_s, _, sym = part.partition("*")
             coef_s, sym = coef_s.strip(), sym.strip()
-            m = _RATIONAL_RE.match(coef_s)
+            m = _RATIONAL_RE.fullmatch(coef_s)
             if m is None:
                 raise PhaseSyntaxError(f"bad coefficient {coef_s!r} in {text!r}")
             if not SYMBOL_NAME.fullmatch(sym):
                 raise PhaseSyntaxError(f"bad symbol {sym!r} in {text!r}")
             if symbols is not None and sym not in symbols:
                 raise PhaseSyntaxError(f"undeclared symbol {sym!r} in {text!r}")
-            _rational(m, coef_s)
+            written.append((sym, *_rational(m, coef_s)))
         else:
             if pos != 0:
                 raise PhaseSyntaxError(f"rational term allowed only first in {text!r}")
-            m = _RATIONAL_RE.match(part)
+            m = _RATIONAL_RE.fullmatch(part)
             if m is None:
                 raise PhaseSyntaxError(f"bad rational {part!r} in {text!r}")
-            _rational(m, part)
-    raise PhaseSyntaxError(f"malformed phase literal {text!r}")
+            num, rden = _rational(m, part)
+    den = lcm(rden, *(b for _, _, b in written))
+    merged: dict[str, int] = {}
+    for s, a, b in written:
+        merged[s] = merged.get(s, 0) + a * (den // b)
+    terms = tuple(sorted(t for t in merged.items() if t[1]))
+    return _reduced(num * (den // rden), den, terms)
 
 
 def format_phase(p: PhaseExponent) -> str:

@@ -11,13 +11,15 @@ from ktwist import degrees as dg
 from ktwist.cocycles import BicharacterTable, PullbackCocycle, cocycle_value
 from ktwist.groupoid import InducedCocycle, compose_elements, element
 from ktwist.io import cocycle_to_jsonable
-from ktwist.kgraph import Edge, EventuallyPeriodicPath, KGraph, builtin, canonical_tail, product_base, rotation_walk
+from ktwist.kgraph import (ComposabilityError, Edge, EventuallyPeriodicPath, KGraph, builtin, canonical_tail,
+                           product_base, rotation_walk)
 from ktwist.lattices import KroneckerResult, LatticeBasis, hnf, integral_pairing_lattice, verify_kronecker
 from ktwist.oracle import CoboundaryBx
 from ktwist.phases import PhaseExponent
 
 ZERO = PhaseExponent.zero()
 T2 = builtin("T2")
+C3 = builtin("C3")
 
 
 def _disjoint2_element(mu, nu, tail):
@@ -66,6 +68,8 @@ INTERNAL_GUARDS = {
     "coboundary target rank": (_coboundary_of_rank_1_on_t2, ValueError,
                                "target rank does not match the generator count"),
     "cycle not a loop": (_c3_tail_on_an_edge, ValueError, "cycle must be a loop at the prefix source"),
+    "prepend onto another vertex": (lambda: canonical_tail(C3, "v0").prepend(C3.edge_path("c1")), ComposabilityError,
+                                    "cannot compose: source 'v2' != range 'v0'"),
     "unknown vertex": (lambda: T2.vertex_path("w"), ValueError, "unknown vertex 'w'"),
     "segment ends out of order": (lambda: T2.segment(T2.make_path("v", ["a", "b"]), (1, 0), (0, 1)), ValueError, "need (1, 0) <= (0, 1)"),
     "degree of the wrong length": (lambda: T2.paths_from("v", (1,)), ValueError, "bad degree (1,)"),

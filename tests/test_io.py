@@ -556,6 +556,9 @@ INPUT_ERRORS = {
         "T2", canonical_json({"variant": "pullback", "symbols": [],
                               "theta_matrix": [["1/" + "3" * 5000, "0"], ["0", "0"]]}),
         f"cocycle.theta_matrix[0][0]: integer of 5000 digits exceeds the limit of {sys.get_int_max_str_digits()} digits"),
+    "graph with more colors than edges": ("graph", canonical_json(_graph_doc(10**20, ["v"], [("a", 1, "v", "v")])),
+                                          "graph.k: 100000000000000000000 exceeds the edge count 1; "
+                                          "every color needs an edge"),
 }
 
 
@@ -576,6 +579,8 @@ BAD_BUILTINS = {
     "T9": "unsupported rank in 'T9'",
     "B1": "unsupported loop count in 'B1'",
     "C0": "bad cycle length in 'C0'",
+    "C99999999999999999999": "unsupported cycle length in 'C99999999999999999999'",
+    "B2xT99999999999999999": "unsupported rank in 'B2xT99999999999999999'",
     "NOPE": "unknown builtin graph 'NOPE'",
 }
 
@@ -748,9 +753,12 @@ def test_validate_counts_the_problems_it_leaves_out(tmp_path, capsys):
     code, lines, problems = _validate_lines(capsys, ["builtin:T2", "--cocycle", table, "--depth", "3"])
     assert len(problems["cocycle"]) == 4
     assert lines[2:] == [f"  problem: {p}" for p in problems["cocycle"]]
-    # seven vertices that are the range of no edge of either colour
+    # seven vertices that are the range of no edge of either colour, and a
+    # vertex w with a loop of each, so that the file has an edge per colour
     path = tmp_path / "bare.json"
-    path.write_text(json.dumps({"k": 2, "vertices": [f"v{i}" for i in range(7)], "edges": [], "squares": []}),
+    path.write_text(json.dumps({"k": 2, "vertices": [f"v{i}" for i in range(7)] + ["w"], "squares": [],
+                                "edges": [{"id": "a", "color": 1, "range": "w", "source": "w"},
+                                          {"id": "b", "color": 2, "range": "w", "source": "w"}]}),
                     encoding="utf-8")
     code, lines, problems = _validate_lines(capsys, [str(path)])
     assert code == 1 and len(problems["graph"]) == 14

@@ -1,9 +1,9 @@
 """Exponent arithmetic over Q plus declared symbols, and the literal grammar.
 
 The differential tests check the integer normal form against the earlier
-Fraction-based class kept in `fraction_phases.py`, and the one-match
-literal reader against the earlier part-by-part one kept in
-`split_phases.py`.
+Fraction-based class kept in `fraction_phases.py`, and the literal reader,
+with and without its one match for the common shapes, against the earlier
+part-by-part one kept in `split_phases.py`.
 """
 
 import itertools
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from ktwist.phases import (
     PhaseExponent,
     PhaseSyntaxError,
+    _read_parts,
     format_phase,
     pair_int,
     parse_phase,
@@ -159,7 +160,7 @@ def test_scaling_takes_only_ints():
 
 # --- differential tests against the Fraction-based reference -----------------
 
-SYMBOLS = ("rho", "theta", "xi")
+SYMBOLS = ("rho", "theta", "xi", "zeta")
 small_frac = st.builds(Fraction, st.integers(-150, 150), st.integers(1, 60))
 # repeated symbols merge and may cancel; zero coefficients are allowed
 term_lists = st.lists(st.tuples(st.sampled_from(SYMBOLS), small_frac | st.integers(-3, 3)),
@@ -300,6 +301,14 @@ def test_parse_agrees_with_fraction_reference(rat, terms, blanks, rational):
     assert parse_phase(format_phase(p), symbols=SYMBOLS) == p
 
 
+@given(rats, term_lists)
+def test_format_parse_round_trip_with_several_symbols(rat, terms):
+    # up to four distinct symbols; a literal of two or more terms is read by
+    # _read_parts, past the one match
+    p = PhaseExponent(rat, tuple(terms))
+    assert parse_phase(format_phase(p), symbols=SYMBOLS) == p
+
+
 def test_cancelling_literal_is_the_rational_part():
     p = parse_phase("1/2 + 1*theta + -1*theta", symbols=["theta"])
     assert p == PhaseExponent.of(Fraction(1, 2))
@@ -385,6 +394,10 @@ def outcome(parse, text, symbols):
         return type(err), str(err)
 
 
+LITERAL_TEXTS = st.lists(st.sampled_from(ALPHABET + WORDS), max_size=12).map("".join)
+SYMBOL_CHOICES = st.sampled_from([None, ["theta"]])
+
+
 @example("12*theta", None)  # not a rational 1 and a term 2*theta
 @example("1/0 + 1*rho", ["theta"])  # the zero denominator comes first
 @example("1*theta + 2/0*theta + 1*9a", ["theta"])
@@ -392,7 +405,7 @@ def outcome(parse, text, symbols):
 @example("1/" + "2" * 5000, ["theta"])  # too many digits for int()
 @example("1/0 + " + "2" * 5000 + "*theta", ["theta"])
 @settings(max_examples=1000, deadline=None)
-@given(st.lists(st.sampled_from(ALPHABET + WORDS), max_size=12).map("".join), st.sampled_from([None, ["theta"]]))
+@given(LITERAL_TEXTS, SYMBOL_CHOICES)
 def test_parse_agrees_with_the_split_reference(text, symbols):
     # the same literals are accepted, with equal values, and every other
     # one is refused with the same error
@@ -400,6 +413,17 @@ def test_parse_agrees_with_the_split_reference(text, symbols):
     assert got == outcome(parse_split_phase, text, symbols)
     if isinstance(got, PhaseExponent):
         assert_agrees(got, parse_fraction_phase(text))
+
+
+@example("-3/4 + 2*theta", ["theta"])  # a shape the one match reads
+@example("0 + 1*rho", ["theta"])  # matched, but the symbol is undeclared
+@example("1/" + "2" * 5000, ["theta"])  # matched, but too many digits for int()
+@settings(max_examples=1000, deadline=None)
+@given(LITERAL_TEXTS, SYMBOL_CHOICES)
+def test_the_part_reader_alone_agrees_with_parse_phase(text, symbols):
+    # the one match only speeds up the common shapes: the part reader by
+    # itself gives every value and every error that parse_phase gives
+    assert outcome(_read_parts, text, symbols) == outcome(parse_phase, text, symbols)
 
 
 def test_short_literals_agree_with_the_split_reference():

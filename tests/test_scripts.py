@@ -1,8 +1,8 @@
 """Smoke tests of the scripts: run_examples.py against the verdicts README lists,
 oracle_report.py on the bundled pairings and against its golden document
 at --cap 200, period_scale.py at n = 10, unreached.py on one test module,
-and the summary and the two exported sides of bench_pairs.py (no bench is
-run)."""
+and the summary, the verdicts and the two exported sides of bench_pairs.py
+(no bench is run)."""
 
 import json
 import os
@@ -125,6 +125,10 @@ def test_bench_pairs_summary_reads_the_direction():
     s = bench_pairs.summarize([{"ratio": b} for b in DECIDE_BASE], [{"ratio": b - 0.00162} for b in DECIDE_BASE],
                               {"ratio": "higher"})["ratio"]
     assert (s["wins"], s["gain"]) == (0, False)
+    # and 7.4 % lower is worse by more than a bound of 5 %
+    s = bench_pairs.summarize([{"ratio": b} for b in DECIDE_BASE], [{"ratio": b - 0.00162} for b in DECIDE_BASE],
+                              {"ratio": "higher"}, {"ratio": 0.05})["ratio"]
+    assert s["verdict"] == "worse"
 
 
 def test_bench_pairs_runs_every_pair_at_the_one_seed(monkeypatch, capsys):
@@ -139,3 +143,29 @@ def test_bench_pairs_runs_every_pair_at_the_one_seed(monkeypatch, capsys):
     assert bench_pairs.main(["--base", "HEAD", "--workload", "decide", "--pairs", "4", "--seconds", "1", "--seed", "7"]) == 0
     assert runs == [("base", 7), ("change", 7), ("change", 7), ("base", 7)] * 2
     assert "seed 7," in capsys.readouterr().out
+
+
+# a base whose quartile distance, 0.6, is wider than every bound of BENCHMARK.json
+# times its median, 1.3
+WIDE_BASE = [1.0, 1.6] * 5
+
+
+@pytest.mark.parametrize("base, change, verdict", [
+    (DECIDE_BASE, [b * 1.05 for b in DECIDE_BASE], "no worse"),  # 5 % slower, within every bound
+    (DECIDE_BASE, [b * 1.5 for b in DECIDE_BASE], "worse"),
+    (WIDE_BASE, WIDE_BASE, "unresolved"),
+    (WIDE_BASE, [0.5] * 10, "no worse"),  # every change run beats every base run
+])
+def test_bench_pairs_says_whether_a_metric_got_worse(monkeypatch, capsys, base, change, verdict):
+    # each metric's bound is a fraction of the base's median
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        bounds = {m["name"]: m["bound"] for m in json.load(fh)["end_to_end"]}
+    runs = {"base": iter(base), "change": iter(change)}
+    monkeypatch.setattr(bench_pairs, "export_sides", lambda base, tmp: {"base": tmp / "base", "change": tmp / "change"})
+    monkeypatch.setattr(bench_pairs, "run_bench",
+                        lambda checkout, workload, seed, seconds: dict.fromkeys(bounds, next(runs[checkout.name])))
+    assert bench_pairs.main(["--base", "HEAD", "--workload", "decide", "--pairs", "10", "--seconds", "1", "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()[-len(bounds):]
+    assert [line.split(":")[0].strip() for line in lines] == list(bounds)
+    for line, bound in zip(lines, bounds.values()):
+        assert line.endswith(f"  {verdict} (bound {bound:.0%})"), line
