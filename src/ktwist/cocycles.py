@@ -29,6 +29,7 @@ All values are PhaseExponent instances; equality is mod-Z exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 from typing import Union
 
 from . import degrees as dg
@@ -297,6 +298,25 @@ def validate_cocycle(c: CocycleSpec, g: KGraph, depth: int) -> ValidationReport:
       depth is composed once, and each pair is valued once, when the loop
       first asks for it, so a domain error is reported once, there.  Both
       are kept by the path pair, first path outermost, for the call.
+
+      The sums are taken on integers.  S is the lcm of the denominators of
+      the table's values, so each value the loop reads, 0 included, is
+      (a + sum_s b_s xi_s) / S with 0 <= a < S and integer b_s.  It is
+      kept as the one integer
+
+          E = a + sum_i b_i * 4S * V**i,
+
+      b_i the coefficient of the i-th symbol the loop meets, and
+      V = 4Sm + 1 with m the largest |coefficient numerator| in the table,
+      worked out only when a second symbol is met; so |b_i| <= Sm.  The
+      xi_s and 1 are independent over Q, so the two sides of a triple agree
+      mod Z iff A = a1 + a2 - a3 - a4 is 0 mod S and every
+      B_i = b_i1 + b_i2 - b_i3 - b_i4 is 0.  That holds iff
+      D = E1 + E2 - E3 - E4 is -S, 0 or S: A lies in (-2S, 2S), so if it
+      holds, D = A is one of those.  Conversely, D - A is 4S times
+      sum_i B_i V**i and less than 3S in size, so that sum is 0; each
+      |B_i| <= 4Sm < V, so no digit carries into the next, every B_i is 0,
+      and D = A is a multiple of S.
     """
     if isinstance(c, PullbackCocycle):
         if len(c.theta) != g.k:
@@ -306,6 +326,32 @@ def validate_cocycle(c: CocycleSpec, g: KGraph, depth: int) -> ValidationReport:
         split = validate_product_split(g, c.l)
         return validate_phi(c.phi, g) if split.ok else split
 
+    if not isinstance(c, TableCocycle):
+        raise TypeError(f"unknown cocycle spec {type(c).__name__}")
+    # One common denominator S of every value in the table, and so of each
+    # value the loop reads; 0 has denominator 1.
+    held = c._index.values()
+    S = lcm(*{x.den for x in held})
+    weight: dict[str, int] = {}
+    V = 0  # the digit width of the symbols past the first, once one is met
+
+    def weigh(s: str) -> int:
+        """The weight of symbol s: 4S for the first symbol met, 4S * V**i
+        for the i-th after it."""
+        nonlocal V
+        if weight and not V:
+            V = 4 * S * max(abs(n) for x in held for _, n in x.terms) + 1
+        w = weight[s] = 4 * S * V ** len(weight)
+        return w
+
+    def encode(x: PhaseExponent) -> int:
+        """x = (a + sum_s b_s xi_s) / S, with 0 <= a < S, as a + sum_s b_s * weight[s]."""
+        f = S // x.den
+        out = x.num * f
+        for s, n in x.terms:
+            out += n * f * (weight.get(s) or weigh(s))
+        return out
+
     # by_range[v]: the paths with range v up to the depth, each with its
     # total degree, in order of total degree
     by_range = {v: [(dg.total(n), p) for n in dg.total_box(g.k, depth) for p in g.paths_from(v, n)]
@@ -313,14 +359,15 @@ def validate_cocycle(c: CocycleSpec, g: KGraph, depth: int) -> ValidationReport:
     # composed[x][y]: x.y, for each composable pair within the depth
     composed = {x: {y: g.compose(x, y) for t2, y in by_range[x.source] if t1 + t2 <= depth}
                 for v in g.vertices for t1, x in by_range[v]}
-    # values[x][y]: c(x, y), kept once asked for
-    values: dict[Path, dict[Path, PhaseExponent | None]] = {x: {} for x in composed}
+    # values[x][y]: c(x, y) encoded, kept once asked for
+    values: dict[Path, dict[Path, int | None]] = {x: {} for x in composed}
+    agree = {-S, 0, S}  # the sums D of a triple whose two sides agree
     problems = []
 
-    def value(x: Path, y: Path) -> PhaseExponent | None:
-        """c(x, y), kept; a domain error is reported and kept as None."""
+    def value(x: Path, y: Path) -> int | None:
+        """c(x, y) encoded, kept; a domain error is reported and kept as None."""
         try:
-            out = cocycle_value(c, x, y)
+            out = encode(cocycle_value(c, x, y))
         except CocycleDomainError as err:
             problems.append(str(err))
             out = None
@@ -344,11 +391,9 @@ def validate_cocycle(c: CocycleSpec, g: KGraph, depth: int) -> ValidationReport:
                     b = c_lam[mu_nu] if mu_nu in c_lam else value(lam, mu_nu)
                     cc = c_lam[mu] if mu in c_lam else value(lam, mu)
                     d = c_lam_mu[nu] if nu in c_lam_mu else value(lam_mu, nu)
-                    # four identity tests: `in` would call PhaseExponent.__eq__ on each
                     if a is None or b is None or cc is None or d is None:
                         continue
-                    # equality of PhaseExponents is equality mod Z
-                    if a + b != cc + d:
+                    if a + b - cc - d not in agree:
                         problems.append(
                             f"cocycle identity fails on triple ({lam!r}, {mu!r}, {nu!r})"
                         )

@@ -5,6 +5,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,6 +38,7 @@ from ktwist.phases import PhaseExponent
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 try:
+    from phase_triples import table_problems
     from test_structure import single_vertex_two_graphs
 finally:
     sys.path.pop(0)
@@ -486,3 +488,82 @@ def test_table_vertex_entry_must_be_zero(side):
         TableCocycle((1, 1), entries)
     table = TableCocycle((1, 1), entries[:2])
     assert cocycle_value(table, g.make_path(*pair[0]), g.make_path(*pair[1])) == zero
+
+
+# --- the integer check of a table against phase arithmetic ------------------
+
+TABLE_GRAPHS = {name: builtin(name) for name in ("T2", "T3", "C3xT1")}
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+
+
+def drawn_phase(rng, symbols, primes, top):
+    """A phase whose rational part and symbol coefficients have denominators
+    that are products of some of `primes`, coefficient numerators up to `top`."""
+    def den():
+        return prod(p for p in primes if rng.random() < 0.5)
+    return PhaseExponent(Fraction(rng.randrange(-top, top + 1), den()),
+                         tuple((s, Fraction(rng.randrange(-top, top + 1), den())) for s in symbols))
+
+
+@st.composite
+def drawn_tables(draw):
+    """(table, graph, depth): a pullback plus the coboundary of a random
+    function on paths, which is a 2-cocycle, on every composable pair of
+    non-vertex paths within the depth; or random values.  Then at most one
+    entry is shifted by a random phase and some entries are dropped.  The
+    choices come from one drawn seed, so that each kind of table is drawn
+    about as often as the next."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = TABLE_GRAPHS[rng.choice(sorted(TABLE_GRAPHS))]
+    depth = rng.choice((0, 1, 2, 3, 3, 4, 4, 4))
+    symbols = ("rho", "theta")[:rng.randrange(3)]
+    primes = rng.sample(PRIMES, rng.randrange(9))
+    top = rng.choice((1, 5, 2**72))
+    random_values, corrupt = rng.random() < 0.2, rng.random() < 0.5
+    drop = rng.choice((0.0, 0.0, 0.05, 0.3))
+
+    def phase():
+        return drawn_phase(rng, symbols, primes, top)
+
+    theta_rows = PullbackCocycle(tuple(tuple(phase() for _ in range(g.k)) for _ in range(g.k)))
+    paths = [p for v in g.vertices for n in dg.total_box(g.k, depth) for p in g.paths_from(v, n)]
+    b = {p: phase() if p.word else zero for p in paths}
+    entries = []
+    for mu in paths:
+        for nu in paths:
+            if mu.word and nu.word and mu.source == nu.range and dg.total(mu.degree) + dg.total(nu.degree) <= depth:
+                val = phase() if random_values else (
+                    cocycle_value(theta_rows, mu, nu) + b[mu] + b[nu] - b[g.compose(mu, nu)])
+                entries.append(((mu.range, mu.word), (nu.range, nu.word), val))
+    if corrupt and entries:
+        i = rng.randrange(len(entries))
+        mu, nu, val = entries[i]
+        entries[i] = (mu, nu, val + phase())
+    entries = [e for e in entries if rng.random() >= drop]
+    return TableCocycle((depth,) * g.k, tuple(entries)), g, depth
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=drawn_tables())
+def test_integer_check_matches_phase_arithmetic(case):
+    table, g, depth = case
+    assert list(validate_cocycle(table, g, depth).problems) == table_problems(table, g, depth)
+
+
+def test_symbol_digits_do_not_carry():
+    # c(a, a.a) and c(a.a, a) differ, and the triple (a, a, a) sees only
+    # their difference: (-3rho + theta)/2 - (-rho + 2theta)/5.  Over S = 10
+    # its coefficients are -13 for rho and 1 for theta, so a rho digit only
+    # 4m + 1 = 13 wide, m = 3 the largest numerator, would carry into theta's
+    # and hide it; the width must be 4Sm + 1.
+    g = builtin("T2")
+    a, aa = g.edge_path("a"), g.compose(g.edge_path("a"), g.edge_path("a"))
+    alpha = Z(0, rho=Fraction(-3, 2), theta=Fraction(1, 2))
+    beta = Z(0, rho=Fraction(-1, 5), theta=Fraction(2, 5))
+    paths = [p for n in dg.total_box(2, 3) for p in g.paths_from("v", n) if p.word]
+    entries = [((x.range, x.word), (y.range, y.word),
+                alpha if (x, y) == (a, aa) else beta if (x, y) == (aa, a) else zero)
+               for x in paths for y in paths if dg.total(x.degree) + dg.total(y.degree) <= 3]
+    table = TableCocycle((3, 3), tuple(entries))
+    want = ["cocycle identity fails on triple (Path[a], Path[a], Path[a])"]
+    assert list(validate_cocycle(table, g, 3).problems) == table_problems(table, g, 3) == want

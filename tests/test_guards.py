@@ -8,7 +8,7 @@ calls, and each case trips one of them.
 import pytest
 
 from ktwist import degrees as dg
-from ktwist.cocycles import BicharacterTable, PullbackCocycle, cocycle_value
+from ktwist.cocycles import BicharacterTable, PullbackCocycle, cocycle_value, validate_cocycle
 from ktwist.groupoid import InducedCocycle, compose_elements, element
 from ktwist.io import cocycle_to_jsonable
 from ktwist.kgraph import (ComposabilityError, Edge, EventuallyPeriodicPath, KGraph, builtin, canonical_tail,
@@ -82,6 +82,7 @@ INTERNAL_GUARDS = {
                                   "vector length does not match bicharacter rank"),
     "value of no cocycle": (lambda: cocycle_value("x", T2.edge_path("a"), T2.edge_path("b")), TypeError,
                             "unknown cocycle spec str"),
+    "validate no cocycle": (lambda: validate_cocycle("x", T2, 2), TypeError, "unknown cocycle spec str"),
     "serialise no cocycle": (lambda: cocycle_to_jsonable("x"), TypeError, "unknown cocycle spec str"),
     "phase field assigned": (lambda: setattr(ZERO, "num", 1), AttributeError, "cannot assign to field 'num'"),
     "phase field deleted": (lambda: delattr(ZERO, "num"), AttributeError, "cannot delete field 'num'"),
