@@ -294,8 +294,10 @@ class KGraph:
 
 def validate_kgraph(g: KGraph) -> ValidationReport:
     """The structural problems of g: vertex names, sources, squares, table
-    totality and bijectivity, and the hexagon.  The names, references and
-    colours of a graph file are checked where `io` reads it."""
+    totality and bijectivity, and the hexagon.  A vertex that is the range
+    of no edge of some colours is one problem, which names the least of
+    them.  The names, references and colours of a graph file are checked
+    where `io` reads it."""
     problems: list[str] = [] if g.vertices else ["graph has no vertices"]
     seen_v = set()
     for v in g.vertices:
@@ -305,9 +307,13 @@ def validate_kgraph(g: KGraph) -> ValidationReport:
             problems.append(f"duplicate vertex {v!r}")
         seen_v.add(v)
     for v in g.vertices:
-        for c in range(1, g.k + 1):
-            if not g.in_edges(v, c):
-                problems.append(f"vertex {v!r} is not the range of any color-{c} edge (source)")
+        lacked = [c for c in range(1, g.k + 1) if not g.in_edges(v, c)]
+        if len(lacked) == 1:
+            problems.append(f"vertex {v!r} is not the range of any color-{lacked[0]} edge (source)")
+        elif lacked:
+            more = len(lacked) - 1
+            problems.append(f"vertex {v!r} is not the range of any color-{lacked[0]} edge, "
+                            f"nor of any edge of {more} more color{'s' if more > 1 else ''} (source)")
     if problems:
         return ValidationReport(tuple(problems))
 
@@ -574,12 +580,19 @@ _LOOP_NAMES_BN = "efghijklmnopqrstuvwxyz"
 _MAX_CYCLE = 10_000  # a name of a few digits must not ask for an unbounded graph
 
 
+def _count(digits: str, top: int) -> int:
+    """The number a builtin name writes in `digits`, or top + 1 for any
+    number past `top`, however many digits it has."""
+    digits = digits.lstrip("0") or "0"
+    return int(digits) if len(digits) <= len(str(top)) else top + 1
+
+
 def builtin(name: str) -> KGraph:
     """Builtin fixtures: Tk, Bn, Cn, DISJOINT2, and their products with Tl,
     like B2xT1, for l up to 8."""
     m = re.match(r"^([A-Z0-9]+?)xT(\d+)$", name)
     if m:
-        l = int(m.group(2))
+        l = _count(m.group(2), len(_LOOP_NAMES_TK))
         if l > len(_LOOP_NAMES_TK):
             raise ValueError(f"unsupported rank in {name!r}")
         return product_with_Tl(builtin(m.group(1)), l)
@@ -588,7 +601,7 @@ def builtin(name: str) -> KGraph:
         return KGraph(1, ("u", "w"), edges, (), name=name)
     m = re.match(r"^T(\d+)$", name)
     if m:
-        k = int(m.group(1))
+        k = _count(m.group(1), len(_LOOP_NAMES_TK))
         if not 1 <= k <= len(_LOOP_NAMES_TK):
             raise ValueError(f"unsupported rank in {name!r}")
         edges = tuple(Edge(_LOOP_NAMES_TK[i], i + 1, "v", "v") for i in range(k))
@@ -600,14 +613,14 @@ def builtin(name: str) -> KGraph:
         return KGraph(k, ("v",), edges, squares, name=name)
     m = re.match(r"^B(\d+)$", name)
     if m:
-        n = int(m.group(1))
+        n = _count(m.group(1), len(_LOOP_NAMES_BN))
         if not 2 <= n <= len(_LOOP_NAMES_BN):
             raise ValueError(f"unsupported loop count in {name!r}")
         edges = tuple(Edge(_LOOP_NAMES_BN[i], 1, "v", "v") for i in range(n))
         return KGraph(1, ("v",), edges, (), name=name)
     m = re.match(r"^C(\d+)$", name)
     if m:
-        n = int(m.group(1))
+        n = _count(m.group(1), _MAX_CYCLE)
         if n < 1:
             raise ValueError(f"bad cycle length in {name!r}")
         if n > _MAX_CYCLE:

@@ -583,9 +583,15 @@ BAD_BUILTINS = {
     "B2xT99999999999999999": "unsupported rank in 'B2xT99999999999999999'",
     "NOPE": "unknown builtin graph 'NOPE'",
 }
+# digit runs past the interpreter's limit on int(), 4,300 digits by default
+ONES = "1" * 5000
+BAD_BUILTINS.update({f"{form}{ONES}": f"unsupported {what} in '{form}{ONES}'"
+                     for form, what in (("T", "rank"), ("B", "loop count"), ("C", "cycle length"),
+                                        ("B2xT", "rank"))})
 
 
-@pytest.mark.parametrize("name", list(BAD_BUILTINS))
+@pytest.mark.parametrize("name", list(BAD_BUILTINS),
+                         ids=[name.replace(ONES, "<5000 ones>") for name in BAD_BUILTINS])
 def test_bad_builtin_name_exits_1(capsys, name):
     assert cli.main(["per", f"builtin:{name}"]) == 1
     assert capsys.readouterr() == ("", f"error: {BAD_BUILTINS[name]}\n")
@@ -753,10 +759,11 @@ def test_validate_counts_the_problems_it_leaves_out(tmp_path, capsys):
     code, lines, problems = _validate_lines(capsys, ["builtin:T2", "--cocycle", table, "--depth", "3"])
     assert len(problems["cocycle"]) == 4
     assert lines[2:] == [f"  problem: {p}" for p in problems["cocycle"]]
-    # seven vertices that are the range of no edge of either colour, and a
-    # vertex w with a loop of each, so that the file has an edge per colour
+    # fourteen vertices that are the range of no edge of either colour, one
+    # problem each, and a vertex w with a loop of each colour, so that the
+    # file has an edge per colour
     path = tmp_path / "bare.json"
-    path.write_text(json.dumps({"k": 2, "vertices": [f"v{i}" for i in range(7)] + ["w"], "squares": [],
+    path.write_text(json.dumps({"k": 2, "vertices": [f"v{i}" for i in range(14)] + ["w"], "squares": [],
                                 "edges": [{"id": "a", "color": 1, "range": "w", "source": "w"},
                                           {"id": "b", "color": 2, "range": "w", "source": "w"}]}),
                     encoding="utf-8")
@@ -767,6 +774,22 @@ def test_validate_counts_the_problems_it_leaves_out(tmp_path, capsys):
         + [f"  problem: {p}" for p in problems["graph"][:5]]
         + ["  ... 9 more problems not shown (see --format structured)"]
     )
+
+
+def test_validate_writes_one_source_problem_per_vertex(tmp_path, capsys):
+    # 600 colours, a loop of each at v0 and 599 vertices that are the range
+    # of no edge: one problem per vertex, not per (vertex, colour)
+    k = 600
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"k": k, "vertices": [f"v{i}" for i in range(k)], "squares": [],
+                                "edges": [{"id": f"e{c}", "color": c, "range": "v0", "source": "v0"}
+                                          for c in range(1, k + 1)]}), encoding="utf-8")
+    assert cli.main(["validate", str(path), "--format", "structured"]) == 1
+    out = capsys.readouterr().out
+    problems = json.loads(out)["graph"]["problems"]
+    assert problems == [f"vertex 'v{i}' is not the range of any color-1 edge, nor of any edge of 599 more colors (source)"
+                        for i in range(1, k)]
+    assert out.count("\n") < 2 * k
 
 
 # a loop of each colour at each of two vertices u and w

@@ -223,6 +223,18 @@ def test_missing_square_detected():
     assert not rep.ok
 
 
+@pytest.mark.parametrize("lacked, text", [
+    ([2], "vertex 'w' is not the range of any color-2 edge (source)"),
+    ([1, 3], "vertex 'w' is not the range of any color-1 edge, nor of any edge of 1 more color (source)"),
+    ([2, 3], "vertex 'w' is not the range of any color-2 edge, nor of any edge of 1 more color (source)"),
+])
+def test_source_problem_names_the_least_lacking_colour(lacked, text):
+    # a loop of each colour at u, and at w a loop of each colour it does not lack
+    edges = [Edge(f"{c}{v}", c, v, v) for v in "uw" for c in (1, 2, 3) if v == "u" or c not in lacked]
+    g = KGraph(3, ("u", "w"), tuple(edges), ())
+    assert validate_kgraph(g).problems == (text,)
+
+
 def test_tail_equality_independent_of_presentation():
     g = torus2()
     x = canonical_tail(g, "v")
