@@ -23,7 +23,13 @@ verdict against the metric's `bound`, read as a fraction of the base's
 median: "worse" when the change's median is worse than the base's by more
 than that fraction; else "unresolved" when the base's quartile distance is
 wider than that fraction and not every change run beats every base run;
-else "no worse".
+else "no worse".  Then, per bench item, it gives each side's median and
+quartiles, over the N runs, of the item's time in reference seconds (the
+run's median over its passes of the raw `samples.item_s` of its
+`perfbench_meta` line, rescaled by the pass's `samples.kernel_s` and the
+run's `reference_kernel_s`, as `perfbench/run.py` rescales them for
+`wall_s`), and the pairs the change won, so that a gain can be traced to
+the items that hold it.
 """
 
 import argparse
@@ -86,17 +92,27 @@ def export_sides(base: str, tmp: Path) -> dict[str, Path]:
     return sides
 
 
+def item_seconds(meta: dict) -> dict[str, float]:
+    """Each item's median time over a run's passes, in reference seconds,
+    from the run's `perfbench_meta` object."""
+    ref, samples = meta["reference_kernel_s"], meta["samples"]
+    return {name: statistics.median(s * ref / k for s, k in zip(raw, samples["kernel_s"][name]))
+            for name, raw in samples["item_s"].items()}
+
+
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result object of one untraced run in `checkout`."""
+    """The end-to-end metric values of one untraced run in `checkout`, and
+    under "items" each item's time from `item_seconds`."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     run = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
     if run.returncode != 0:
         raise SystemExit(f"bench_pairs: {checkout} seed {seed} exited {run.returncode}:\n{run.stderr}")
-    result = json.loads(run.stdout.splitlines()[-1])
+    meta, result = (json.loads(line) for line in run.stdout.splitlines()[-2:])
     if result["failed"]:
         raise SystemExit(f"bench_pairs: {checkout} seed {seed}: {result['failed']} items failed")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    return {**{name: m["value"] for name, m in result["metrics"].items()},
+            "items": item_seconds(meta["perfbench_meta"])}
 
 
 def main(argv=None) -> int:
@@ -133,6 +149,11 @@ def main(argv=None) -> int:
         print(f"  {name}: base {bm:.6g} [{bq1:.6g}, {bq3:.6g}]  change {cm:.6g} [{cq1:.6g}, {cq3:.6g}]  "
               f"change won {s['wins']}/{s['pairs']}  gain {'holds' if s['gain'] else 'not shown'}  "
               f"{s['verdict']} (bound {bounds[name]:.0%})")
+    items = {side: [run.get("items", {}) for run in runs[side]] for side in runs}
+    for name, s in summarize(items["base"], items["change"], dict.fromkeys(items["base"][0], "lower")).items():
+        (bm, bq1, bq3), (cm, cq1, cq3) = s["base"], s["change"]
+        print(f"  item {name}: base {bm:.6g} [{bq1:.6g}, {bq3:.6g}]  change {cm:.6g} [{cq1:.6g}, {cq3:.6g}]  "
+              f"change won {s['wins']}/{s['pairs']}")
     return 0
 
 

@@ -1,8 +1,8 @@
 """Smoke tests of the scripts: run_examples.py against the verdicts README lists,
 oracle_report.py on the bundled pairings and against its golden document
 at --cap 200, period_scale.py at n = 10, unreached.py on one test module,
-and the summary, the verdicts and the two exported sides of bench_pairs.py
-(no bench is run)."""
+and the summary, the verdicts, the per-item times and the two exported
+sides of bench_pairs.py (no bench is run)."""
 
 import json
 import os
@@ -169,3 +169,40 @@ def test_bench_pairs_says_whether_a_metric_got_worse(monkeypatch, capsys, base, 
     assert [line.split(":")[0].strip() for line in lines] == list(bounds)
     for line, bound in zip(lines, bounds.values()):
         assert line.endswith(f"  {verdict} (bound {bound:.0%})"), line
+
+
+# the perfbench_meta samples of a run of two items over three passes: the
+# host ran at half the reference speed in the first pass and at reference
+# speed after it
+RUN_META = {"reference_kernel_s": 0.1,
+            "samples": {"passes": 3,
+                        "item_s": {"T2+table8@8": [0.16, 0.07, 0.09], "R2x2+pullback@5": [0.004, 0.003, 0.001]},
+                        "kernel_s": {"T2+table8@8": [0.2, 0.1, 0.1], "R2x2+pullback@5": [0.2, 0.1, 0.1]}}}
+
+
+def test_bench_pairs_reads_each_item_in_reference_seconds(monkeypatch):
+    # the two last lines a run prints: its metadata, then its result
+    result = {"failed": 0, "metrics": {"wall_s": {"value": 0.083, "unit": "s"}}}
+    stdout = "\n".join(json.dumps(doc) for doc in ({"perfbench_meta": RUN_META}, result)) + "\n"
+    monkeypatch.setattr(bench_pairs.subprocess, "run",
+                        lambda *a, **k: subprocess.CompletedProcess(a, 0, stdout=stdout, stderr=""))
+    run = bench_pairs.run_bench(Path(ROOT), "validate", 1, 1.0)
+    # item times 0.08, 0.07, 0.09 and 0.002, 0.003, 0.001 at reference speed
+    assert run == {"wall_s": 0.083, "items": {"T2+table8@8": pytest.approx(0.08),
+                                              "R2x2+pullback@5": pytest.approx(0.002)}}
+
+
+def test_bench_pairs_shows_where_a_gain_sits(monkeypatch, capsys):
+    # the change saves 0.008 s on the table item in every pair and nothing on the other
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        names = [m["name"] for m in json.load(fh)["end_to_end"]]
+    saving = {"base": 0.0, "change": 0.008}
+    monkeypatch.setattr(bench_pairs, "export_sides", lambda base, tmp: {"base": tmp / "base", "change": tmp / "change"})
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda checkout, workload, seed, seconds: {
+        **dict.fromkeys(names, 1.0),
+        "items": {"T2+table8@8": 0.08 - saving[checkout.name], "R2x2+pullback@5": 0.002}})
+    assert bench_pairs.main(["--base", "HEAD", "--workload", "validate", "--pairs", "4", "--seconds", "1", "--seed", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "  item T2+table8@8: base 0.08 [0.08, 0.08]  change 0.072 [0.072, 0.072]  change won 4/4",
+        "  item R2x2+pullback@5: base 0.002 [0.002, 0.002]  change 0.002 [0.002, 0.002]  change won 0/4",
+    ]
