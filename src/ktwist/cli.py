@@ -101,6 +101,8 @@ def cmd_validate(args) -> Report:
             inputs["cocycle"] = cdigest
             crep = validate_cocycle(c, g, args.depth)
             body["cocycle"] = {"ok": crep.ok, "depth": args.depth, "problems": list(crep.problems)}
+            if crep.triples is not None:
+                body["cocycle"]["triples"] = crep.triples
             lines.append(f"cocycle: {'OK' if crep.ok else 'INVALID'} (depth {args.depth})")
             lines += _problem_lines(crep.problems)
             if not crep.ok:

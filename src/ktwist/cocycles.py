@@ -297,7 +297,9 @@ def validate_cocycle(c: CocycleSpec, g: KGraph, depth: int) -> ValidationReport:
       in the order of a plain triple loop.  Each composable pair within the
       depth is composed once, and each pair is valued once, when the loop
       first asks for it, so a domain error is reported once, there.  Both
-      are kept by the path pair, first path outermost, for the call.
+      are kept by the path pair, first path outermost, for the call.  The
+      report counts the triples of non-vertex paths whose identity was
+      tested: a triple with a vertex path holds for every normalized c.
 
       The sums are taken on integers.  S is the lcm of the denominators of
       the table's values, so each value the loop reads, 0 included, is
@@ -363,6 +365,7 @@ def validate_cocycle(c: CocycleSpec, g: KGraph, depth: int) -> ValidationReport:
     values: dict[Path, dict[Path, int | None]] = {x: {} for x in composed}
     agree = {-S, 0, S}  # the sums D of a triple whose two sides agree
     problems = []
+    triples = 0  # of non-vertex paths, tested
 
     def value(x: Path, y: Path) -> int | None:
         """c(x, y) encoded, kept; a domain error is reported and kept as None."""
@@ -393,8 +396,10 @@ def validate_cocycle(c: CocycleSpec, g: KGraph, depth: int) -> ValidationReport:
                     d = c_lam_mu[nu] if nu in c_lam_mu else value(lam_mu, nu)
                     if a is None or b is None or cc is None or d is None:
                         continue
+                    if t1 and t2 and t3:
+                        triples += 1
                     if a + b - cc - d not in agree:
                         problems.append(
                             f"cocycle identity fails on triple ({lam!r}, {mu!r}, {nu!r})"
                         )
-    return ValidationReport(tuple(problems))
+    return ValidationReport(tuple(problems), triples)

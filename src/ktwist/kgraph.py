@@ -94,6 +94,8 @@ class Path:
 @dataclass(frozen=True)
 class ValidationReport:
     problems: tuple[str, ...]
+    # for a table cocycle, the triples of non-vertex paths whose identity was tested
+    triples: int | None = None
 
     @property
     def ok(self) -> bool:

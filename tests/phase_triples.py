@@ -6,7 +6,7 @@ triple loop, each composable pair within the depth composed once and
 valued once, when the loop first asks for it, but each triple tested with
 two `PhaseExponent` additions and one equality of phases (mod Z).  The
 integer check must report the same problems, string for string and in
-order.
+order, and count the same triples of non-vertex paths tested.
 """
 
 from __future__ import annotations
@@ -16,14 +16,16 @@ from ktwist.cocycles import CocycleDomainError, cocycle_value
 from ktwist.kgraph import KGraph, Path
 
 
-def table_problems(c, g: KGraph, depth: int) -> list[str]:
-    """The problems of table c on g at `depth`, by phase arithmetic."""
+def table_check(c, g: KGraph, depth: int) -> tuple[list[str], int]:
+    """The problems of table c on g at `depth`, by phase arithmetic, and
+    the number of triples of non-vertex paths tested."""
     by_range = {v: [(dg.total(n), p) for n in dg.total_box(g.k, depth) for p in g.paths_from(v, n)]
                 for v in g.vertices}
     composed = {x: {y: g.compose(x, y) for t2, y in by_range[x.source] if t1 + t2 <= depth}
                 for v in g.vertices for t1, x in by_range[v]}
     values: dict[Path, dict] = {x: {} for x in composed}
     problems = []
+    triples = 0
 
     def value(x, y):
         try:
@@ -53,8 +55,9 @@ def table_problems(c, g: KGraph, depth: int) -> list[str]:
                     d = c_lam_mu[nu] if nu in c_lam_mu else value(lam_mu, nu)
                     if a is None or b is None or cc is None or d is None:
                         continue
+                    triples += bool(t1 and t2 and t3)
                     if a + b != cc + d:
                         problems.append(
                             f"cocycle identity fails on triple ({lam!r}, {mu!r}, {nu!r})"
                         )
-    return problems
+    return problems, triples

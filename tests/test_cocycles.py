@@ -38,7 +38,7 @@ from ktwist.phases import PhaseExponent
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 try:
-    from phase_triples import table_problems
+    from phase_triples import table_check
     from test_structure import single_vertex_two_graphs
 finally:
     sys.path.pop(0)
@@ -547,7 +547,8 @@ def drawn_tables(draw):
 @given(case=drawn_tables())
 def test_integer_check_matches_phase_arithmetic(case):
     table, g, depth = case
-    assert list(validate_cocycle(table, g, depth).problems) == table_problems(table, g, depth)
+    rep = validate_cocycle(table, g, depth)
+    assert (list(rep.problems), rep.triples) == table_check(table, g, depth)
 
 
 def test_symbol_digits_do_not_carry():
@@ -566,4 +567,4 @@ def test_symbol_digits_do_not_carry():
                for x in paths for y in paths if dg.total(x.degree) + dg.total(y.degree) <= 3]
     table = TableCocycle((3, 3), tuple(entries))
     want = ["cocycle identity fails on triple (Path[a], Path[a], Path[a])"]
-    assert list(validate_cocycle(table, g, 3).problems) == table_problems(table, g, 3) == want
+    assert list(validate_cocycle(table, g, 3).problems) == table_check(table, g, 3)[0] == want

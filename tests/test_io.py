@@ -838,6 +838,19 @@ def test_validate_names_each_graph_problem(tmp_path, capsys, doc, problem):
     assert not any("Square(" in p for p in problems["graph"])
 
 
+@pytest.mark.parametrize("cocycle, depth, triples", [
+    ("t2_table", None, 0),  # the default depth 2 tests no triple of three edges
+    ("t2_table", "3", 8),
+    ("t2_table", "4", 30),  # 44 up to degree 4, less those that meet a pair the table lacks
+    ("pullback_theta", "3", None),
+])
+def test_validate_counts_the_triples_of_a_table(capsys, cocycle, depth, triples):
+    argv = ["validate", "builtin:T2", "--cocycle", os.path.join(FIXTURES, f"{cocycle}.json"),
+            "--format", "structured", *(("--depth", depth) if depth else ())]
+    cli.main(argv)
+    assert json.loads(capsys.readouterr().out)["cocycle"].get("triples") == triples
+
+
 def test_validate_accepts_a_multi_vertex_3_graph_file(tmp_path, capsys):
     # the hexagon check meets colour pairs that do not compose on C3xT2
     path = tmp_path / "c3xt2.json"
@@ -900,7 +913,8 @@ def test_validate_report_records_its_depth(capsys):
     for depth in (0, 1, 2):
         assert cli.main(["validate", "builtin:T2", "--cocycle", table, "--depth", str(depth),
                          "--format", "structured"]) == 0
-        assert json.loads(capsys.readouterr().out)["cocycle"] == {"ok": True, "depth": depth, "problems": []}
+        assert json.loads(capsys.readouterr().out)["cocycle"] == {"ok": True, "depth": depth, "problems": [],
+                                                                  "triples": 0}
 
 
 BAD_BOUNDS = {
