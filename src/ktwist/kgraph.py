@@ -308,13 +308,21 @@ def validate_kgraph(g: KGraph) -> ValidationReport:
         if v in seen_v:
             problems.append(f"duplicate vertex {v!r}")
         seen_v.add(v)
+    # the colours in 1..k of the edges into each vertex, read in one pass
+    present: dict[str, set[int]] = {}
+    for e in g.edges:
+        if 1 <= e.color <= g.k:
+            present.setdefault(e.range, set()).add(e.color)
     for v in g.vertices:
-        lacked = [c for c in range(1, g.k + 1) if not g.in_edges(v, c)]
-        if len(lacked) == 1:
-            problems.append(f"vertex {v!r} is not the range of any color-{lacked[0]} edge (source)")
-        elif lacked:
-            more = len(lacked) - 1
-            problems.append(f"vertex {v!r} is not the range of any color-{lacked[0]} edge, "
+        have = present.get(v, ())
+        if len(have) == g.k:
+            continue
+        least = next(c for c in range(1, g.k + 1) if c not in have)
+        more = g.k - len(have) - 1
+        if not more:
+            problems.append(f"vertex {v!r} is not the range of any color-{least} edge (source)")
+        else:
+            problems.append(f"vertex {v!r} is not the range of any color-{least} edge, "
                             f"nor of any edge of {more} more color{'s' if more > 1 else ''} (source)")
     if problems:
         return ValidationReport(tuple(problems))

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import gc
 import io
 import json
 import os
@@ -251,6 +252,86 @@ def test_table_literals_are_read_against_each_file_s_own_symbols(tmp_path, capsy
     value = doc["entries"][first]["value"]
     assert capsys.readouterr() == (
         "", f"error: cocycle.entries[{first}].value: undeclared symbol 'theta' in {value!r}\n")
+
+
+# --- the collector over a load -----------------------------------------------
+
+
+@contextlib.contextmanager
+def _collector(enabled: bool):
+    """Run the block with the collector on or off, then put back its state."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+# the frames of a table load: the JSON parse and the build of the table
+LOAD_CODE = {json.decoder.JSONDecoder.raw_decode.__code__, io_module.cocycle_from_jsonable.__code__}
+
+
+def test_table_load_makes_no_collector_pass():
+    # 625 entries make about 3,000 JSON containers and more built objects,
+    # several passes' worth at the default young-generation threshold of
+    # 700.  A pass counts when the parse or the build is on the stack, so
+    # the one pass that may run when the load has put the collector back
+    # does not.
+    g = builtin("T2")
+    text = serialize_cocycle(corrupted_t2_table((4, 4)))
+    passes = []
+
+    def count(phase, info):
+        frame = sys._getframe(1) if phase == "start" else None
+        while frame is not None and frame.f_code not in LOAD_CODE:
+            frame = frame.f_back
+        if frame is not None:
+            passes.append(info["generation"])
+
+    with _collector(True):
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            table = loads_cocycle(text, g)
+        finally:
+            gc.callbacks.remove(count)
+    assert len(table.entries) == 625 and passes == []
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_a_load_puts_back_the_collector_state(enabled):
+    g = builtin("T2")
+    text = serialize_cocycle(corrupted_t2_table((2, 2)))
+    doc = json.loads(text)
+    doc["entries"][40]["value"] = "1/0"
+    with _collector(enabled):
+        loads_graph(serialize_graph(g))
+        assert gc.isenabled() is enabled
+        loads_cocycle(text, g)
+        assert gc.isenabled() is enabled
+        with pytest.raises(FileFormatError, match=r"^cocycle\.entries\[40\]\.value: zero denominator"):
+            loads_cocycle(canonical_json(doc), g)
+        assert gc.isenabled() is enabled
+        with pytest.raises(FileFormatError, match="invalid JSON"):
+            loads_graph("{")
+        assert gc.isenabled() is enabled
+
+
+def test_a_load_leaves_no_cyclic_garbage():
+    # with the collector off throughout, no pass can free a cycle before
+    # the count: a load makes none, so pausing the collector over it
+    # delays no collection
+    graph_text = serialize_graph(builtin("B2xT3"))
+    t2 = builtin("T2")
+    table_text = serialize_cocycle(corrupted_t2_table((4, 4)))
+    with _collector(False):
+        gc.collect()
+        g = loads_graph(graph_text)
+        assert gc.collect() == 0
+        table = loads_cocycle(table_text, t2)
+        assert gc.collect() == 0
+    assert g.k == 4 and len(table.entries) == 625
 
 
 # --- validation and error context -------------------------------------------
@@ -518,6 +599,16 @@ INPUT_ERRORS = {
                                                                           "nu": _side([], "v1"), "value": "0"}])),
                                          "cocycle.entries[0].mu: not a path (edge 'c1' has range 'v1', expected 'v0')"),
     "unknown variant": ("T2", canonical_json({"variant": "twisted"}), "cocycle.variant: unknown variant 'twisted'"),
+    "table bound negative": ("T2", canonical_json(_table([], bound=(-1, 2))),
+                             "cocycle.bound: entry 0 is -1; a bound is a non-negative integer"),
+    "table bound negative in its second entry": ("T2", canonical_json(_table([], bound=(2, -3))),
+                                                 "cocycle.bound: entry 1 is -3; a bound is a non-negative integer"),
+    "table bound of the wrong length": ("T2", canonical_json(_table([], bound=(1, 1, 1))),
+                                        "cocycle.bound: expected 2 integers"),
+    "table bound a boolean": ("T2", canonical_json(_table([], bound=(1, False))), "cocycle.bound: expected 2 integers"),
+    "table bound a float": ("T2", canonical_json(_table([], bound=(1.5, 1))), "cocycle.bound: expected 2 integers"),
+    "table bound a string": ("T2", canonical_json(_table([], bound=("1", 1))), "cocycle.bound: expected 2 integers"),
+    "table bound not a list": ("T2", canonical_json({**_table([]), "bound": 2}), "cocycle.bound: expected 2 integers"),
     "symbol not a name": ("T2", canonical_json({"variant": "pullback", "symbols": ["theta", "x\n"],
                                                 "theta_matrix": [["0", "0"], ["0", "0"]]}),
                           "cocycle.symbols[1]: 'x\\n' is not a symbol name"),

@@ -235,6 +235,47 @@ def test_source_problem_names_the_least_lacking_colour(lacked, text):
     assert validate_kgraph(g).problems == (text,)
 
 
+def reference_source_problems(g: KGraph) -> list[str]:
+    """The source rule asked once per (vertex, colour): the reference for
+    `validate_kgraph`, which reads the colours at each vertex off the edges."""
+    problems = []
+    for v in g.vertices:
+        lacked = [c for c in range(1, g.k + 1) if not g.in_edges(v, c)]
+        if len(lacked) == 1:
+            problems.append(f"vertex {v!r} is not the range of any color-{lacked[0]} edge (source)")
+        elif lacked:
+            more = len(lacked) - 1
+            problems.append(f"vertex {v!r} is not the range of any color-{lacked[0]} edge, "
+                            f"nor of any edge of {more} more color{'s' if more > 1 else ''} (source)")
+    return problems
+
+
+def _assert_source_problems_as_reference(g: KGraph) -> None:
+    want = reference_source_problems(g)
+    problems = validate_kgraph(g).problems
+    if want:
+        assert problems == tuple(want)
+    else:
+        assert not any(p.endswith("(source)") for p in problems)
+
+
+def test_source_problems_of_a_wide_graph_equal_the_reference():
+    # 600 colours, a loop of each at v0 and 599 vertices that are the range of no edge
+    k = 600
+    edges = tuple(Edge(f"e{c}", c, "v0", "v0") for c in range(1, k + 1))
+    _assert_source_problems_as_reference(KGraph(k, tuple(f"v{i}" for i in range(k)), edges, ()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=5), st.data())
+def test_source_problems_equal_the_reference(k, n, data):
+    vertices = tuple(f"v{i}" for i in range(n))
+    ends = st.sampled_from(vertices)
+    drawn = data.draw(st.lists(st.tuples(st.integers(min_value=1, max_value=k), ends, ends), max_size=3 * k))
+    edges = tuple(Edge(f"e{i}", c, r, s) for i, (c, r, s) in enumerate(drawn))
+    _assert_source_problems_as_reference(KGraph(k, vertices, edges, ()))
+
+
 def test_tail_equality_independent_of_presentation():
     g = torus2()
     x = canonical_tail(g, "v")
