@@ -144,16 +144,18 @@ class InducedCocycle:
     """The groupoid 2-cocycle sigma_c induced by the categorical cocycle c.
 
     `cell` gives each element the cylinder (mu, nu) that resolves it.
-    `_cells` keeps one record per element looked up so far: the tuple
-    (mu, nu, x, terms) of its cell, its range path x and a dict of its
-    terms b(e, m) keyed by the degree m, which sigma_c sums.  `_values`
-    keeps the outcome of each sigma_c pair under (g, h, paddings), a
-    ResolutionError included, and the phase of each r_sigma pair under
-    (alpha, p); `_categorical` the value c(mu, nu) of each pair of paths
-    that a term has asked for.  Elements are hashed and compared by
-    identity, so a repeated request finds its key with no field-by-field
-    work.  An error raised by `cell` or by `cocycle_value` propagates
-    before anything is kept, so it is raised afresh on every request.
+    `_cells` keeps one record per element e = (x_e, p, y_e) looked up so
+    far: the tuple (mu_e, nu_e, z_e, terms) of its cell, the cell's tail
+    z_e = T^{d(mu_e)} x_e and a dict of its terms b(e, m) keyed by the
+    degree m, which sigma_c sums; a term reads its piece of the range
+    path as w = z_e(0, m - d(mu_e)).  `_values` keeps the outcome of each
+    sigma_c pair under (g, h, paddings), a ResolutionError included, and
+    the phase of each r_sigma pair under (alpha, p); `_categorical` the
+    value c(mu, nu) of each pair of paths that a term has asked for.
+    Elements are hashed and compared by identity, so a repeated request
+    finds its key with no field-by-field work.  An error raised by `cell`
+    or by `cocycle_value` propagates before anything is kept, so it is
+    raised afresh on every request.
     """
 
     c: CocycleSpec
@@ -163,11 +165,11 @@ class InducedCocycle:
     _categorical: dict = field(default_factory=dict, repr=False)
 
     def record(self, gelt: GroupoidElement) -> tuple:
-        """The element's record (mu, nu, x, terms), made on the first request."""
+        """The element's record (mu, nu, z, terms), made on the first request."""
         rec = self._cells.get(gelt)
         if rec is None:
             mu, nu = self.cell(gelt)
-            rec = self._cells[gelt] = (mu, nu, gelt.range_path, {})
+            rec = self._cells[gelt] = (mu, nu, gelt.range_path.shift(mu.degree), {})
         return rec
 
     def value_of(self, mu: Path, nu: Path) -> PhaseExponent:
@@ -181,13 +183,15 @@ class InducedCocycle:
     def term(self, rec: tuple, m: Degree) -> PhaseExponent:
         """b(e, m) = c(mu_e, w) - c(nu_e, w), w = x_e(d(mu_e), m), kept in rec.
 
-        rec is the record of e = (x_e, p, y_e), whose cell is (mu_e, nu_e),
-        and m >= d(mu_e).
+        rec is the record of e = (x_e, p, y_e), whose cell is (mu_e, nu_e)
+        and whose tail is z_e = T^{d(mu_e)} x_e, and m >= d(mu_e).  The
+        piece w is read off the tail as z_e(0, m - d(mu_e)), the same
+        interned path.
         """
-        mu, nu, x, terms = rec
+        mu, nu, z, terms = rec
         val = terms.get(m)
         if val is None:
-            w = x.at(mu.degree, m)
+            w = z.segment_to(tuple(map(sub, m, mu.degree)))
             val = terms[m] = self.value_of(mu, w) - self.value_of(nu, w)
         return val
 
@@ -227,16 +231,20 @@ def sigma_c(
     raises ResolutionError once every padding is evaluated.  s keeps the
     outcome, value or error, so each distinct (gelt, helt, paddings) is
     resolved once, and a kept error is raised afresh on each request.  A
-    miss fetches the records of g, h and gh once; their terms, which
-    recur across pairs far more often than pairs do, are read from the
-    records.  `paddings` is part of the key as given, so it must be a
-    tuple.
+    miss reads the records of g, h and gh from s's store once, and makes
+    one through `InducedCocycle.record` only where it is missing; their
+    terms, which recur across pairs far more often than pairs do, are
+    read from the records.  `paddings` is part of the key as given, so it
+    must be a tuple.
     """
     key = (gelt, helt, paddings)
     out = s._values.get(key)
     if out is None:
         prod = compose_elements(gelt, helt)
-        rec_g, rec_h, rec_gh = s.record(gelt), s.record(helt), s.record(prod)
+        cells = s._cells
+        rec_g = cells.get(gelt) or s.record(gelt)
+        rec_h = cells.get(helt) or s.record(helt)
+        rec_gh = cells.get(prod) or s.record(prod)
         _, nu_g, _, terms_g = rec_g
         mu_h, _, _, terms_h = rec_h
         mu_gh, _, _, terms_gh = rec_gh

@@ -111,9 +111,10 @@ class KGraph:
     """A k-colored graph with its square tables, compared by identity.
 
     Besides the indexes built from the edges and squares, a graph keeps
-    two tables that live as long as it does: its paths by range and
-    degree, and `_interned`, the one object of each finite path, infinite
-    path and groupoid element made on it, keyed by its normal-form fields.
+    tables that live as long as it does: its paths by range and degree,
+    the same paths by source and degree, and `_interned`, the one object
+    of each finite path, infinite path and groupoid element made on it,
+    keyed by its normal-form fields.
     Two graphs share no table and no object, even when they are equal as
     data.
     """
@@ -128,6 +129,7 @@ class KGraph:
     _fwd: dict = field(default_factory=dict, repr=False)
     _inv: dict = field(default_factory=dict, repr=False)
     _paths_cache: dict = field(default_factory=dict, repr=False)
+    _into: dict = field(default_factory=dict, repr=False)
     _interned: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -290,6 +292,21 @@ class KGraph:
             ]
         return self._paths_cache[v, n]
 
+    def paths_into(self, v: str, n: Degree) -> list[Path]:
+        """All paths with source v and degree n, by range vertex in sorted
+        order, each range's in the order of `paths_from`; kept per degree,
+        for every source at once.  Callers must not mutate the result."""
+        by_source = self._into.get(n)
+        if by_source is None:
+            by_source = {u: [] for u in self.vertices}
+            for w in sorted(self.vertices):
+                for p in self.paths_from(w, n):
+                    by_source[p.source].append(p)
+            self._into[n] = by_source
+        if v not in by_source:
+            raise ValueError(f"unknown vertex {v!r}")
+        return by_source[v]
+
 
 # --- validation -------------------------------------------------------------
 
@@ -353,11 +370,15 @@ def validate_kgraph(g: KGraph) -> ValidationReport:
         if gp.range != f.range or fp.source != gg.source:
             problems.append(f"square {sq}: output endpoints do not match input")
 
+    # the input pairs of the squares of each colour pair, in one pass
+    keys_of: dict[tuple[int, int], list[tuple[str, str]]] = {}
+    for sq in g.squares:
+        keys_of.setdefault((sq.i, sq.j), []).append((sq.f, sq.g))
     for i in range(1, g.k + 1):
         for j in range(i + 1, g.k + 1):
             sorted_pairs = [(f.id, h.id) for f in by_color[i] for h in by_color[j] if f.source == h.range]
             anti_pairs = {(h.id, f.id) for h in by_color[j] for f in by_color[i] if h.source == f.range}
-            keys = [(sq.f, sq.g) for sq in g.squares if (sq.i, sq.j) == (i, j)]
+            keys = keys_of.get((i, j), ())
             if len(keys) != len(set(keys)):
                 problems.append(f"colors ({i},{j}): duplicate square entries")
             missing = [p for p in sorted_pairs if p not in g._fwd]

@@ -310,11 +310,6 @@ class SuiteResult:
         return out
 
 
-def _paths_into(g: KGraph, v: str, m: Degree) -> list[Path]:
-    """The paths of degree m with source v, in order of range vertex."""
-    return [p for w in sorted(g.vertices) for p in g.paths_from(w, m) if p.source == v]
-
-
 def _elements_at(g: KGraph, v: str, d: Degree) -> Iterator[GroupoidElement]:
     """Elements (mu, nu) over the canonical tail at v, both degrees in the box d.
 
@@ -326,8 +321,8 @@ def _elements_at(g: KGraph, v: str, d: Degree) -> Iterator[GroupoidElement]:
         element(mu, nu, z)
         for m in dg.box(d)
         for n in dg.box(d)
-        for mu in _paths_into(g, v, m)
-        for nu in _paths_into(g, v, n)
+        for mu in g.paths_into(v, m)
+        for nu in g.paths_into(v, n)
     )
 
 
@@ -342,7 +337,7 @@ def _left_factors(g: KGraph, b: GroupoidElement, d: Degree, s: Degree) -> list[G
     return [
         GroupoidElement(us.prepend(mu), dg.sub(mu.degree, s), u)
         for m in dg.box(d)
-        for mu in _paths_into(g, us.range, m)
+        for mu in g.paths_into(us.range, m)
     ]
 
 
@@ -520,7 +515,7 @@ def suite_centre_phase_triviality(
         tails = [base]
         for m in dg.box(d):
             if not dg.is_zero(m):
-                tails += [base.prepend(mu) for mu in _paths_into(g, v, m)]
+                tails += [base.prepend(mu) for mu in g.paths_into(v, m)]
         for x in tails:
             for q in _period_samples(per_basis):
                 gamma = isotropy_element(x, q)

@@ -23,8 +23,10 @@ in a normal form with these invariants:
   once, and every n_j is nonzero.
 
 Each phase has exactly one normal form, so equality and hashing compare
-the integers.  Sums, differences, negatives and integer multiples are
-integer arithmetic followed by one gcd reduction, skipped when den = 1.
+the integers.  A sum or difference with 0 returns the other operand (or
+its negative) with no arithmetic.  Other sums, differences, negatives and
+integer multiples are integer arithmetic followed by one gcd reduction,
+skipped when den = 1.
 The public constructor takes the rational part and symbol coefficients as
 ints or Fractions; the accessors `rat`, `irr` and `coeff` give them back
 as Fractions.
@@ -148,10 +150,19 @@ class PhaseExponent:
         """True iff the phase is 1, i.e. the exponent is an integer."""
         return self.den == 1 and not self.terms
 
+    # den 1 with no terms is the normal form of 0, so a sum with 0 is the other side
     def __add__(self, other: "PhaseExponent") -> "PhaseExponent":
+        if other.den == 1 and not other.terms:
+            return self
+        if self.den == 1 and not self.terms:
+            return other
         return _combine(self, other, 1)
 
     def __sub__(self, other: "PhaseExponent") -> "PhaseExponent":
+        if other.den == 1 and not other.terms:
+            return self
+        if self.den == 1 and not self.terms:
+            return -other
         return _combine(self, other, -1)
 
     def __neg__(self) -> "PhaseExponent":
@@ -205,12 +216,7 @@ def _reduced(num: int, den: int, terms: tuple) -> PhaseExponent:
 
 
 def _combine(x: PhaseExponent, y: PhaseExponent, sign: int) -> PhaseExponent:
-    """x + sign * y for sign = 1 or -1."""
-    # den 1 with no terms is the normal form of 0, so the other side is the answer
-    if y.den == 1 and not y.terms:
-        return x
-    if x.den == 1 and not x.terms:
-        return y if sign == 1 else -y
+    """x + sign * y for sign = 1 or -1, neither of them 0."""
     d, e = x.den, y.den
     if d == e:
         mx = my = 1

@@ -27,7 +27,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts"))
 try:
     from period_scale import scale_base
-    from test_structure import single_vertex_two_graphs
+    from test_structure import rank_one_graphs, single_vertex_two_graphs
     from three_graphs import one_vertex_three_graphs, pull_front_split
 finally:
     del sys.path[:2]
@@ -274,6 +274,126 @@ def test_source_problems_equal_the_reference(k, n, data):
     drawn = data.draw(st.lists(st.tuples(st.integers(min_value=1, max_value=k), ends, ends), max_size=3 * k))
     edges = tuple(Edge(f"e{i}", c, r, s) for i, (c, r, s) in enumerate(drawn))
     _assert_source_problems_as_reference(KGraph(k, vertices, edges, ()))
+
+
+def reference_colour_pair_problems(g: KGraph) -> list[str]:
+    """The square-table checks of `validate_kgraph` with each colour pair
+    scanning every square for its own: the reference for the check, which
+    sorts the squares by colour pair once."""
+    by_color = {c: [e for e in g.edges if e.color == c] for c in range(1, g.k + 1)}
+    problems = []
+    for i in range(1, g.k + 1):
+        for j in range(i + 1, g.k + 1):
+            sorted_pairs = [(f.id, h.id) for f in by_color[i] for h in by_color[j] if f.source == h.range]
+            anti_pairs = {(h.id, f.id) for h in by_color[j] for f in by_color[i] if h.source == f.range}
+            keys = [(sq.f, sq.g) for sq in g.squares if (sq.i, sq.j) == (i, j)]
+            if len(keys) != len(set(keys)):
+                problems.append(f"colors ({i},{j}): duplicate square entries")
+            missing = [p for p in sorted_pairs if p not in g._fwd]
+            for p in missing:
+                problems.append(f"colors ({i},{j}): square table not total, missing pair ({p[0]},{p[1]})")
+            outputs = [g._fwd[p] for p in sorted_pairs if p in g._fwd]
+            if len(outputs) != len(set(outputs)):
+                problems.append(f"colors ({i},{j}): square table not injective")
+            for gp, fp in sorted(set(outputs) - anti_pairs):
+                problems.append(f"colors ({i},{j}): square output ({gp},{fp}) is not a composable reversed pair")
+            if not missing and len(set(outputs)) == len(sorted_pairs) and len(sorted_pairs) != len(anti_pairs):
+                problems.append(f"colors ({i},{j}): square table cannot be bijective ({len(sorted_pairs)} vs {len(anti_pairs)} pairs)")
+    return problems
+
+
+def _assert_colour_pair_problems_as_reference(g: KGraph) -> tuple[str, ...]:
+    problems = validate_kgraph(g).problems
+    # the graph reached the square-table stage: every earlier check passed
+    assert all(p.startswith(("colors (", "associativity")) for p in problems), problems
+    assert [p for p in problems if p.startswith("colors (")] == reference_colour_pair_problems(g)
+    return problems
+
+
+def _torus(k: int, squares=None) -> KGraph:
+    """T_k built in process: one loop of each colour, the identity squares."""
+    edges = tuple(Edge(f"e{c}", c, "v", "v") for c in range(1, k + 1))
+    if squares is None:
+        squares = [Square(i, j, f"e{i}", f"e{j}", f"e{j}", f"e{i}") for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+    return KGraph(k, ("v",), edges, tuple(squares))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_colour_pair_problems_of_the_tori_equal_the_reference(k):
+    assert _assert_colour_pair_problems_as_reference(builtin(f"T{k}")) == ()
+
+
+def test_colour_pair_problems_of_a_wide_torus_equal_the_reference():
+    assert _assert_colour_pair_problems_as_reference(_torus(60)) == ()
+
+
+def test_duplicated_and_missing_squares_give_the_reference_problems():
+    squares = [Square(i, j, f"e{i}", f"e{j}", f"e{j}", f"e{i}") for i in range(1, 5) for j in range(i + 1, 5)]
+    twice = _assert_colour_pair_problems_as_reference(_torus(4, squares + [squares[3]]))
+    assert twice == ("colors (2,3): duplicate square entries",)
+    gone = _assert_colour_pair_problems_as_reference(_torus(4, squares[:2] + squares[3:]))
+    assert gone == ("colors (1,4): square table not total, missing pair (e1,e4)",)
+
+
+@st.composite
+def graphs_with_drawn_squares(draw):
+    """Two or three colours on one to three vertices, each vertex the range
+    of an edge of every colour, plus extra edges.  For each colour pair the
+    squares are drawn over its composable pairs, some left out and some
+    drawn twice, each with an output of matching ends, so the graph reaches
+    the square-table checks."""
+    k, n = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    vs = tuple(f"v{i}" for i in range(n))
+    pick = st.sampled_from(vs)
+    ends = [(c, v, draw(pick)) for v in vs for c in range(1, k + 1)]
+    ends += draw(st.lists(st.tuples(st.integers(1, k), pick, pick), max_size=3))
+    edges = tuple(Edge(f"e{t}", c, r, s) for t, (c, r, s) in enumerate(ends))
+    squares = []
+    for i in range(1, k + 1):
+        for j in range(i + 1, k + 1):
+            ins = [(f, h) for f in edges for h in edges if (f.color, h.color) == (i, j) and f.source == h.range]
+            outs = [(h, f) for h in edges for f in edges if (h.color, f.color) == (j, i) and h.source == f.range]
+            for f, h in draw(st.lists(st.sampled_from(ins), max_size=len(ins) + 1)):
+                fits = [(hp, fp) for hp, fp in outs if hp.range == f.range and fp.source == h.source]
+                if fits:
+                    hp, fp = draw(st.sampled_from(fits))
+                    squares.append(Square(i, j, f.id, h.id, hp.id, fp.id))
+    return KGraph(k, vs, edges, tuple(squares))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(graphs_with_drawn_squares(), single_vertex_two_graphs()))
+def test_colour_pair_problems_equal_the_reference(g):
+    _assert_colour_pair_problems_as_reference(g)
+
+
+def reference_paths_into(g: KGraph, v: str, n) -> list[Path]:
+    return [p for w in sorted(g.vertices) for p in g.paths_from(w, n) if p.source == v]
+
+
+def _assert_paths_into_as_reference(g: KGraph, bound) -> None:
+    for n in dg.box(bound):
+        for v in g.vertices:
+            got = g.paths_into(v, n)
+            assert got == reference_paths_into(g, v, n)
+            assert g.paths_into(v, n) is got
+
+
+@pytest.mark.parametrize("name", ["DISJOINT2", "C3xT1", "C3xT2"])
+def test_paths_into_equals_the_filtered_paths_from(name):
+    g = builtin(name)
+    _assert_paths_into_as_reference(g, (2,) * g.k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(rank_one_graphs(), rank_one_graphs().map(lambda g: product_with_Tl(g, 1))))
+def test_paths_into_equals_the_filtered_paths_from_on_random_graphs(g):
+    _assert_paths_into_as_reference(g, (3,) + (1,) * (g.k - 1))
+
+
+def test_paths_into_refuses_an_unknown_vertex():
+    with pytest.raises(ValueError, match="unknown vertex 'w'"):
+        builtin("T2").paths_into("w", (1, 0))
 
 
 def test_tail_equality_independent_of_presentation():

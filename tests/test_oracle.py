@@ -746,8 +746,8 @@ def _elements_at_reference(g, v, d):
         element(mu, nu, z)
         for m in dg.box(d)
         for n in dg.box(d)
-        for mu in oracle._paths_into(g, v, m)
-        for nu in oracle._paths_into(g, v, n)
+        for mu in g.paths_into(v, m)
+        for nu in g.paths_into(v, n)
     ]
 
 
@@ -926,6 +926,26 @@ def test_oracle_reports_the_suites_a_table_lets_finish(tmp_path, capsys):
         "suite centre_phase_triviality: STOPPED (table does not cover the pair (a, a.b.b))",
         "suite coboundary_box: STOPPED (table does not cover the pair (a, a.b.b))",
     ]
+
+
+@pytest.mark.parametrize("name", ["T2", "B2xT1", "B2xT3", "C3xT1", "DISJOINT2"])
+def test_terms_read_through_the_cell_tail_are_the_range_path_pieces(name):
+    # a record keeps z = T^{d(mu)} x, and w = z(0, m - d(mu)) is the very
+    # path x(d(mu), m) that a term asks c for
+    g = builtin(name)
+    s = InducedCocycle(PullbackCocycle(((PhaseExponent.zero(),) * g.k,) * g.k))
+    d = (1,) * g.k
+    checked = 0
+    for v in sorted(g.vertices):
+        for el in _elements_at(g, v, d):
+            mu, _, z, _ = s.record(el)
+            x = el.range_path
+            assert z is x.shift(mu.degree)
+            for r in dg.box((2,) * g.k):
+                m = dg.add(mu.degree, r)
+                assert z.segment_to(dg.sub(m, mu.degree)) is x.at(mu.degree, m)
+                checked += 1
+    assert checked
 
 
 def test_run_suites_asks_two_categorical_values_per_term(monkeypatch, b2xt1):
